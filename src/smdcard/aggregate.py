@@ -21,38 +21,15 @@ from .model import MetricResult
 
 GEOMETRIC_FLOOR = 0.01
 
-#: Analytic bounds for metrics whose range is fixed. Everything else needs
-#: config bounds, a calibration run, or data-dependent defaults attached by
-#: the evaluation pipeline (``default_bounds`` diagnostic).
-STATIC_BOUNDS: dict[str, tuple[float, float]] = {
-    "cosine_similarity": (-1.0, 1.0),
-    "jensen_shannon_divergence": (0.0, 1.0),
-    "precision": (0.0, 1.0),
-    "recall": (0.0, 1.0),
-    "coverage": (0.0, 1.0),
-    "cluster_balance": (0.0, 1.0),
-    "constraint_violation_rate": (0.0, 1.0),
-    "required_field_proportion": (0.0, 1.0),
-    "missing_data_percentage": (0.0, 1.0),
-    "t_closeness": (0.0, 1.0),
-    "ssim": (-1.0, 1.0),
-    "documentation_clarity": (1.0, 10.0),
-    "re_identification_risk": (0.0, 1.0),
-    "metric_variance": (0.0, 2500.0),
-    "max_min_difference": (0.0, 100.0),
-}
-
-#: Metrics whose natural bounds depend on the data; the pipeline supplies
-#: them through the ``default_bounds`` diagnostic.
-DYNAMIC_BOUNDS = ("vendi_score", "inception_score", "k_anonymity", "l_diversity")
-
 
 def resolve_bounds(result: MetricResult, config) -> tuple[float, float] | None:
-    name = result.descriptor.name
-    if name in config.bounds:
-        return config.bounds[name]
-    if name in STATIC_BOUNDS:
-        return STATIC_BOUNDS[name]
+    """Config bounds, else the catalog's analytic range, else the
+    data-dependent ``default_bounds`` the pipeline attached."""
+    d = result.descriptor
+    if d.name in config.bounds:
+        return config.bounds[d.name]
+    if d.static_bounds is not None:
+        return d.static_bounds
     default = result.diagnostics.get("default_bounds")
     if default is not None:
         return float(default[0]), float(default[1])
@@ -62,8 +39,8 @@ def resolve_bounds(result: MetricResult, config) -> tuple[float, float] | None:
 def has_bounds_source(name: str, config) -> bool:
     """Plan-time check: will normalization find bounds for this metric?"""
     d = catalog.descriptor(name)
-    return (name in config.bounds or name in STATIC_BOUNDS
-            or name in DYNAMIC_BOUNDS or d.direction == "stat-sig")
+    return (name in config.bounds or d.static_bounds is not None
+            or d.data_bounds or d.direction == "stat-sig")
 
 
 def normalize(result: MetricResult, bounds: tuple[float, float] | None):

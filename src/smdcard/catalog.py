@@ -10,6 +10,13 @@ direction actually applied during normalization. They differ only where the
 published goal is expressed on an inverted scale (t-closeness: the raw
 distance shrinks as compliance improves; boundary margin: larger margins mean
 safer data).
+
+Each row is also the one home of a metric's static facts: its recognized
+parameters with their defaults, its analytic value range (normalization
+bounds when both ends are known, the calibration clamp otherwise), whether
+its bounds come from the data, and which set's kNN radii limit ``k``. How a
+metric is computed lives in ``runner`` (the compute table), because the
+metric modules import this one.
 """
 
 from __future__ import annotations
@@ -59,10 +66,22 @@ class MetricDescriptor:
     score_direction: str = ""   # defaults to `direction`
     computable: bool = True     # False: declaration-only, never computed
     in_catalog: bool = True
+    params: tuple[tuple[str, object], ...] = ()  # recognized keys, defaults
+    range: tuple[float | None, float | None] = (None, None)  # analytic lo, hi
+    data_bounds: bool = False   # bounds attached per run (default_bounds)
+    knn_on: str | None = None   # "real" | "synthetic": whose kNN radii cap k
 
     def __post_init__(self):
         if not self.score_direction:
             object.__setattr__(self, "score_direction", self.direction)
+
+    def default(self, key: str):
+        return dict(self.params).get(key)
+
+    @property
+    def static_bounds(self) -> tuple[float, float] | None:
+        """The analytic range when both ends are known."""
+        return None if None in self.range else self.range
 
 
 def _d(name, label, criterion, space, arity, direction, image_only, **kw):
@@ -70,48 +89,65 @@ def _d(name, label, criterion, space, arity, direction, image_only, **kw):
                             image_only, **kw)
 
 
+UNIT = (0.0, 1.0)
+SIGNED_UNIT = (-1.0, 1.0)
+NONNEGATIVE = (0.0, None)
+
 #: Catalog rows, in canonical order. Tests pin this against a golden table.
 CATALOG: tuple[MetricDescriptor, ...] = (
     # congruence
     _d("cosine_similarity", "Cosine Similarity", "congruence",
-       "embedding", "binary", "maximize", False),
+       "embedding", "binary", "maximize", False, range=SIGNED_UNIT),
     _d("earth_movers_distance", "Earth Mover's Distance", "congruence",
-       "embedding", "binary", "minimize", False),
+       "embedding", "binary", "minimize", False, range=NONNEGATIVE,
+       params=(("mode", "per-dimension-average"),)),
     _d("jensen_shannon_divergence", "Jensen-Shannon Divergence", "congruence",
-       "embedding", "binary", "minimize", False),
+       "embedding", "binary", "minimize", False, range=UNIT,
+       params=(("bins", None),)),
     _d("psnr", "Peak Signal-to-Noise Ratio", "congruence",
-       "image", "binary", "maximize", True, source=SOURCE_IMAGE_PAIRS),
+       "image", "binary", "maximize", True, source=SOURCE_IMAGE_PAIRS,
+       range=NONNEGATIVE),
     _d("ssim", "Structural Similarity Index", "congruence",
-       "image", "binary", "maximize", True, source=SOURCE_IMAGE_PAIRS),
+       "image", "binary", "maximize", True, source=SOURCE_IMAGE_PAIRS,
+       range=SIGNED_UNIT),
     _d("frechet_distance", "Fréchet Inception Distance", "congruence",
-       "embedding", "binary", "minimize", True),
+       "embedding", "binary", "minimize", True, range=NONNEGATIVE),
     _d("centroid_distance_congruence", "Distance to Centroid", "congruence",
-       "embedding", "binary", "minimize", False),
+       "embedding", "binary", "minimize", False, range=NONNEGATIVE),
     _d("precision", "Precision", "congruence",
-       "embedding", "binary", "maximize", False),
+       "embedding", "binary", "maximize", False, range=UNIT,
+       params=(("k", 3),), knn_on="real"),
     # coverage
     _d("inception_score", "Inception Score", "coverage",
-       "image", "unary", "maximize", True, source=SOURCE_CLASS_PROBS),
+       "image", "unary", "maximize", True, source=SOURCE_CLASS_PROBS,
+       params=(("probs_path", None),), data_bounds=True),
     _d("recall", "Recall", "coverage",
-       "embedding", "binary", "maximize", False),
+       "embedding", "binary", "maximize", False, range=UNIT,
+       params=(("k", 3),), knn_on="synthetic"),
     _d("coverage", "Coverage", "coverage",
-       "embedding", "binary", "maximize", False),
+       "embedding", "binary", "maximize", False, range=UNIT,
+       params=(("k", 5),), knn_on="real"),
     _d("centroid_distance_coverage", "Distance to Centroid", "coverage",
-       "embedding", "binary", "maximize", False),
+       "embedding", "binary", "maximize", False, range=NONNEGATIVE),
     _d("convex_hull_volume", "Convex Hull Volume", "coverage",
-       "embedding", "unary", "maximize", False),
+       "embedding", "unary", "maximize", False, range=NONNEGATIVE,
+       params=(("reduce_to", 3),)),
     _d("dpp_score", "Determinantal Point Processes Score", "coverage",
-       "embedding", "unary", "maximize", False),
+       "embedding", "unary", "maximize", False,
+       params=(("kernel", "cosine"), ("gamma", None), ("ridge", 1e-9))),
     _d("vendi_score", "Vendi Score", "coverage",
-       "embedding", "unary", "maximize", False),
+       "embedding", "unary", "maximize", False, range=(1.0, None),
+       params=(("kernel", "cosine"), ("gamma", None)), data_bounds=True),
     _d("variance_coverage", "Variance", "coverage",
-       "embedding", "unary", "maximize", False),
+       "embedding", "unary", "maximize", False, range=NONNEGATIVE),
     _d("entropy_coverage", "Entropy", "coverage",
-       "embedding", "unary", "maximize", False),
+       "embedding", "unary", "maximize", False, params=(("bins", None),)),
     _d("rarity_score", "Rarity Score", "coverage",
-       "embedding", "binary", "minimize", False),
+       "embedding", "binary", "minimize", False, range=NONNEGATIVE,
+       params=(("k", 3),), knn_on="real"),
     _d("cluster_balance", "Clustering-Based Metrics", "coverage",
-       "embedding", "unary", "maximize", False),
+       "embedding", "unary", "maximize", False, range=UNIT,
+       params=(("k_clusters", None),)),
     # constraint (published space is "embedding"; evaluation runs on the
     # attribute table, where the rule geometry lives)
     _d("nearest_invalid_datapoint", "Nearest Invalid Datapoint", "constraint",
@@ -121,34 +157,39 @@ CATALOG: tuple[MetricDescriptor, ...] = (
        "constraint", "embedding", "binary", "minimize", False,
        source=SOURCE_TABLE),
     _d("constraint_violation_rate", "Constraint Violation Rate", "constraint",
-       "embedding", "binary", "minimize", False, source=SOURCE_TABLE),
+       "embedding", "binary", "minimize", False, source=SOURCE_TABLE,
+       range=UNIT),
     # completeness
     _d("required_field_proportion", "Proportion of Required Fields",
        "completeness", "metadata", "binary", "maximize", False,
-       source=SOURCE_TABLE),
+       source=SOURCE_TABLE, range=UNIT),
     _d("missing_data_percentage", "Missing Data Percentage", "completeness",
-       "metadata", "binary", "minimize", False, source=SOURCE_TABLE),
+       "metadata", "binary", "minimize", False, source=SOURCE_TABLE,
+       range=UNIT),
     # compliance
     _d("differential_privacy_score", "Differential Privacy Score",
        "compliance", "data-attribute", "unary", "minimize", False,
        source=SOURCE_MANIFEST, computable=False),
     _d("k_anonymity", "K-Anonymity Level", "compliance",
-       "data-attribute", "unary", "maximize", False, source=SOURCE_TABLE),
+       "data-attribute", "unary", "maximize", False, source=SOURCE_TABLE,
+       data_bounds=True),
     _d("l_diversity", "L-Diversity Score", "compliance",
-       "data-attribute", "unary", "maximize", False, source=SOURCE_TABLE),
+       "data-attribute", "unary", "maximize", False, source=SOURCE_TABLE,
+       data_bounds=True),
     _d("t_closeness", "T-Closeness Level", "compliance",
        "data-attribute", "unary", "maximize", False, source=SOURCE_TABLE,
-       score_direction="minimize"),
+       score_direction="minimize", range=UNIT),
     # comprehension
     _d("documentation_clarity", "Documentation Clarity Score", "comprehension",
-       "documentation", "unary", "maximize", False, source=SOURCE_MANIFEST),
-    # consistency
+       "documentation", "unary", "maximize", False, source=SOURCE_MANIFEST,
+       range=(1.0, 10.0)),
+    # consistency (scored on normalized 0-100 subgroup values)
     _d("metric_variance", "Variance", "consistency",
        "quality-metrics", "unary", "minimize", False,
-       source=SOURCE_SUBGROUP_METRICS),
+       source=SOURCE_SUBGROUP_METRICS, range=(0.0, 2500.0)),
     _d("max_min_difference", "Maximum-Minimum Difference", "consistency",
        "quality-metrics", "unary", "minimize", False,
-       source=SOURCE_SUBGROUP_METRICS),
+       source=SOURCE_SUBGROUP_METRICS, range=(0.0, 100.0)),
     _d("anova", "Analysis of Variance", "consistency",
        "quality-metrics", "unary", "stat-sig", False,
        source=SOURCE_SUBGROUP_METRICS),
@@ -157,7 +198,8 @@ CATALOG: tuple[MetricDescriptor, ...] = (
 #: Additional computed metrics kept outside the pinned catalog table.
 EXTRAS: tuple[MetricDescriptor, ...] = (
     _d("re_identification_risk", "Re-identification Risk", "compliance",
-       "embedding", "binary", "minimize", False, in_catalog=False),
+       "embedding", "binary", "minimize", False, in_catalog=False,
+       range=UNIT, params=(("tau", None),)),
 )
 
 REGISTRY: dict[str, MetricDescriptor] = {d.name: d for d in CATALOG + EXTRAS}

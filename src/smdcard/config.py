@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import catalog
 from .constraint import ConstraintRule, ConstraintRuleSet, rule_from_dict, rule_to_dict
@@ -18,42 +18,6 @@ SEED_ENV_VAR = "SMDCARD_SEED"
 
 DEFAULT_THRESHOLDS = {"good": 80.0, "moderate": 70.0}
 AGGREGATION_MODES = ("arithmetic", "geometric")
-
-#: Recognized per-metric parameters, with defaults.
-METRIC_PARAMS: dict[str, dict[str, object]] = {
-    "earth_movers_distance": {"mode": "per-dimension-average"},
-    "jensen_shannon_divergence": {"bins": None},
-    "precision": {"k": 3},
-    "recall": {"k": 3},
-    "coverage": {"k": 5},
-    "rarity_score": {"k": 3},
-    "convex_hull_volume": {"reduce_to": 3},
-    "vendi_score": {"kernel": "cosine", "gamma": None},
-    "dpp_score": {"kernel": "cosine", "gamma": None, "ridge": 1e-9},
-    "entropy_coverage": {"bins": None},
-    "cluster_balance": {"k_clusters": None},
-    "inception_score": {"probs_path": None},
-    "re_identification_risk": {"tau": None},
-    "required_field_proportion": {},
-    "missing_data_percentage": {},
-    "constraint_violation_rate": {},
-    "constraint_boundary_distance": {},
-    "nearest_invalid_datapoint": {},
-    "k_anonymity": {},
-    "l_diversity": {},
-    "t_closeness": {},
-    "cosine_similarity": {},
-    "frechet_distance": {},
-    "centroid_distance_congruence": {},
-    "centroid_distance_coverage": {},
-    "psnr": {},
-    "ssim": {},
-    "variance_coverage": {},
-    "metric_variance": {},
-    "max_min_difference": {},
-    "anova": {},
-}
-
 
 @dataclass(frozen=True)
 class DeriveSpec:
@@ -86,17 +50,14 @@ class EvalConfig:
     pca_dim: int | None = None
     consistency_base: tuple[str, ...] | None = None
     bootstrap_replicates: int = 200
-    calibration_splits: int = 5
 
     def param(self, metric: str, key: str):
-        defaults = METRIC_PARAMS.get(metric, {})
-        return self.params.get(metric, {}).get(key, defaults.get(key))
+        """The configured value of a metric parameter, else its default."""
+        return self.params.get(metric, {}).get(
+            key, catalog.descriptor(metric).default(key))
 
     def weight(self, metric: str) -> float:
         return float(self.weights.get(metric, 1.0))
-
-    def rule_set(self) -> ConstraintRuleSet:
-        return ConstraintRuleSet(self.constraint_rules, source="declared")
 
     def effective_seed(self) -> int:
         if self.seed is not None:
@@ -108,9 +69,6 @@ class EvalConfig:
             except ValueError:
                 raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
         return 0
-
-    def with_seed(self, seed: int) -> "EvalConfig":
-        return replace(self, seed=seed)
 
 
 _TOP_LEVEL_KEYS = {
@@ -156,8 +114,7 @@ def config_from_dict(raw: dict) -> EvalConfig:
 
     params = _require_mapping(raw.get("params"), "params")
     for name, p in params.items():
-        catalog.descriptor(name)
-        known = set(METRIC_PARAMS.get(name, {}))
+        known = {key for key, _ in catalog.descriptor(name).params}
         _reject_unknown(_require_mapping(p, f"params.{name}"), known,
                         f"params.{name}")
 

@@ -37,59 +37,39 @@ def manifold_coverage(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 5):
     return float(inside.mean()), {"k": k, "inside": int(inside.sum())}
 
 
-def convex_hull_volume(synthetic: EmbeddingSet, reduce_to: int = 3,
-                       seed: int = 0, real: EmbeddingSet | None = None,
-                       ratio: bool = False):
+def convex_hull_volume(synthetic: EmbeddingSet, reduce_to: int = 3):
     """Volume of the synthetic set's convex hull (spread in feature space).
 
-    Dimensions above ``reduce_to`` are first projected onto principal
-    components: fit on the synthetic set alone, or on the union with
-    ``real`` when a volume ratio against the reference hull is requested.
-    Exact hull volume at 1-3 dimensions; degenerate point sets yield 0 with
-    a flag.
+    Dimensions above ``reduce_to`` are first projected onto the synthetic
+    set's principal components (an exact eigensolve). Exact hull volume at
+    1-3 dimensions; degenerate point sets yield 0 with a flag.
     """
-    del seed  # the projection is an exact eigensolve; kept for provenance
-    if ratio and real is None:
-        raise EvaluationError("volume ratio requires a reference set")
     diagnostics: dict = {}
-    data_s = synthetic.data
-    data_r = real.data if real is not None else None
+    data = synthetic.data
     dim = synthetic.d
     if dim > reduce_to:
-        fit = data_s if not ratio else np.vstack([data_s, data_r])
-        basis = pca_fit(fit, reduce_to)
-        data_s = basis.transform(data_s)
-        if data_r is not None:
-            data_r = basis.transform(data_r)
+        basis = pca_fit(data, reduce_to)
+        data = basis.transform(data)
         diagnostics["reduced_to"] = reduce_to
         diagnostics["explained_ratio"] = list(basis.explained_ratio)
         dim = reduce_to
     if dim > 3:
         raise EvaluationError("exact hull volume supports at most 3 dimensions; "
                               "lower reduce_to")
-    vol_s = _hull_volume(data_s, diagnostics)
-    if not ratio:
-        return vol_s, diagnostics
-    vol_r = _hull_volume(data_r, diagnostics, prefix="reference_")
-    if vol_r == 0.0:
-        return None, {**diagnostics,
-                      "undefined_reason": "reference hull is degenerate"}
-    diagnostics["synthetic_volume"] = vol_s
-    diagnostics["reference_volume"] = vol_r
-    return vol_s / vol_r, diagnostics
+    return _hull_volume(data, diagnostics), diagnostics
 
 
-def _hull_volume(data: np.ndarray, diagnostics: dict, prefix: str = "") -> float:
+def _hull_volume(data: np.ndarray, diagnostics: dict) -> float:
     dim = data.shape[1]
     if dim == 1:
         return float(data.max() - data.min())
     if data.shape[0] < dim + 1:
-        diagnostics[prefix + "degenerate"] = True
+        diagnostics["degenerate"] = True
         return 0.0
     try:
         hull = scipy.spatial.ConvexHull(data)
     except scipy.spatial.QhullError:
-        diagnostics[prefix + "degenerate"] = True
+        diagnostics["degenerate"] = True
         return 0.0
     return float(hull.volume)
 

@@ -23,7 +23,7 @@ import yaml
 
 from .config import EvalConfig, config_from_dict
 from .errors import ConfigError, InputError
-from .model import EmbeddingSet, RecordTable
+from .model import EmbeddingSet, RecordTable, check_unique_ids
 
 # ---------------------------------------------------------------------------
 # canonical JSON
@@ -168,9 +168,7 @@ def read_embeddings(path: str, id_column: str = "id",
                          for j in feature_cols])
     if not rows:
         raise InputError(f"{path}: no data rows")
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if ids.count(i) > 1})[0]
-        raise InputError(f"{path}: duplicate id {dup!r}")
+    check_unique_ids(ids, f"{path}: ")
     return EmbeddingSet(ids=tuple(ids), data=np.asarray(rows),
                         subgroup=tuple(subgroups) if subgroups else None,
                         region=tuple(regions) if regions else None)
@@ -206,9 +204,7 @@ def _read_embeddings_jsonl(path: str) -> EmbeddingSet:
         raise InputError(f"{path}: subgroup present on only some rows")
     if regions and len(regions) != len(rows):
         raise InputError(f"{path}: region present on only some rows")
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if ids.count(i) > 1})[0]
-        raise InputError(f"{path}: duplicate id {dup!r}")
+    check_unique_ids(ids, f"{path}: ")
     return EmbeddingSet(ids=tuple(ids), data=np.asarray(rows),
                         subgroup=tuple(subgroups) or None,
                         region=tuple(regions) or None)

@@ -6,6 +6,7 @@ read-only so instances can be shared freely across worker threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -23,6 +24,14 @@ def _frozen_array(values, dtype=np.float64, ndim=None) -> np.ndarray:
         raise InputError(f"expected a {ndim}-dimensional array, got {arr.ndim}")
     arr.setflags(write=False)
     return arr
+
+
+def check_unique_ids(ids, where: str = "") -> None:
+    """Reject repeated ids, naming the lexicographically smallest one."""
+    counts = Counter(ids)
+    if len(counts) != len(ids):
+        dup = min(i for i, c in counts.items() if c > 1)
+        raise InputError(f"{where}duplicate id {dup!r}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +55,7 @@ class EmbeddingSet:
             raise InputError("embedding set needs at least one row and one column")
         if len(self.ids) != n:
             raise InputError(f"{len(self.ids)} ids for {n} rows")
-        if len(set(self.ids)) != n:
-            dup = sorted({i for i in self.ids if self.ids.count(i) > 1})[0]
-            raise InputError(f"duplicate id {dup!r}")
+        check_unique_ids(self.ids)
         for attr in ("subgroup", "region"):
             labels = getattr(self, attr)
             if labels is not None:
@@ -75,13 +82,6 @@ class EmbeddingSet:
             subgroup=tuple(self.subgroup[i] for i in idx) if self.subgroup else None,
             region=tuple(self.region[i] for i in idx) if self.region else None,
         )
-
-    def labels_of(self, column: str) -> tuple[str, ...] | None:
-        if column == "subgroup":
-            return self.subgroup
-        if column == "region":
-            return self.region
-        raise InputError(f"unknown label column {column!r}")
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,6 @@ class RecordTable:
 
     def kind(self, name: str) -> str:
         return self.columns[self.column_index(name)][1]
-
-    def column(self, name: str) -> list:
-        j = self.column_index(name)
-        return [row[j] for row in self.rows]
 
     def numeric_values(self, name: str) -> np.ndarray:
         """Non-missing values of a numeric column."""
@@ -269,20 +265,12 @@ def validate_inputs(real: EmbeddingSet | None, synthetic: EmbeddingSet,
         add("E225", f"dimension mismatch: real d={real.d}, synthetic d={synthetic.d}")
 
     for d in selected:
-        if d.source != "embedding":
+        reference = {"real": real, "synthetic": synthetic}.get(d.knn_on)
+        if reference is None:
             continue
-        k = int(config.params.get(d.name, {}).get("k", 0) or 0)
-        if not k:
-            continue
-        limit = None
-        if d.name in ("precision", "rarity_score") and real is not None:
-            limit = ("real", real.n - 1)
-        elif d.name == "coverage" and real is not None:
-            limit = ("real", real.n - 1)
-        elif d.name == "recall":
-            limit = ("synthetic", synthetic.n - 1)
-        if limit is not None and k > limit[1]:
+        k = int(config.param(d.name, "k") or 0)
+        if k > reference.n - 1:
             add("E226", f"metric {d.name!r}: k={k} exceeds the "
-                        f"{limit[0]} set's limit of {limit[1]}")
+                        f"{d.knn_on} set's limit of {reference.n - 1}")
 
     return ValidationOutcome(tuple(violations))

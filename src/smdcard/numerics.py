@@ -111,24 +111,6 @@ def pca_fit(data: np.ndarray, target_dim: int) -> PcaBasis:
                     explained_ratio=ratios, padded=target_dim - usable)
 
 
-def pca_reduce(eset: EmbeddingSet, target_dim: int, seed: int = 0,
-               basis: PcaBasis | None = None,
-               fit_data: np.ndarray | None = None) -> tuple[EmbeddingSet, PcaBasis]:
-    """Project an embedding set onto its top principal components.
-
-    When real and synthetic sets are evaluated together, pass the union of
-    both as ``fit_data`` (or a prefit ``basis``) so they share one basis.
-    The eigensolve is exact; ``seed`` is recorded by callers for provenance
-    only.
-    """
-    del seed
-    if basis is None:
-        basis = pca_fit(eset.data if fit_data is None else fit_data, target_dim)
-    reduced = basis.transform(eset.data)
-    return EmbeddingSet(ids=eset.ids, data=reduced, subgroup=eset.subgroup,
-                        region=eset.region), basis
-
-
 def w1_distance_1d(x: np.ndarray, y: np.ndarray) -> float:
     """1-D Wasserstein-1 distance between two empirical distributions.
 

@@ -22,13 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, catalog, completeness, compliance, congruence, \
-    consistency, coverage
+    consistency, constraint, coverage
 from .aggregate import (QualityReport, assemble_report, has_bounds_source,
                         normalize, resolve_bounds)
 from .config import EvalConfig, config_digest
-from .constraint import (ConstraintRuleSet, derive_range_rules,
-                         margin_to_boundary, validate_rules, violation_magnitude,
-                         violation_rate)
+from .constraint import ConstraintRuleSet, derive_range_rules, validate_rules
 from .errors import EvaluationError, PlanError
 from .model import (EmbeddingSet, MetricResult, RecordTable, ValidationOutcome,
                     Violation, make_result, undefined_result, validate_inputs)
@@ -141,119 +139,137 @@ def _consistency_base(config: EvalConfig) -> tuple[str, ...]:
 # per-metric computation
 
 
-def _compute_embedding_metric(name: str, real: EmbeddingSet | None,
-                              synthetic: EmbeddingSet, config: EvalConfig,
-                              seed: int):
-    p = config.param
-    if name == "cosine_similarity":
-        return congruence.cosine_centroid(real, synthetic)
-    if name == "earth_movers_distance":
-        return congruence.wasserstein1(real, synthetic,
-                                       mode=p(name, "mode"))
-    if name == "jensen_shannon_divergence":
-        bins = p(name, "bins")
-        return congruence.jensen_shannon(real, synthetic,
-                                         bins=None if bins is None else int(bins))
-    if name == "frechet_distance":
-        if real.n < 2 or synthetic.n < 2:
-            return None, {"undefined_reason": "insufficient samples (need at "
-                                              "least 2 rows per set)"}
-        return congruence.frechet_distance(real, synthetic)
-    if name == "centroid_distance_congruence":
-        return congruence.centroid_distance(real, synthetic)
-    if name == "precision":
-        return congruence.manifold_precision(real, synthetic, k=int(p(name, "k")))
-    if name == "recall":
-        return coverage.manifold_recall(real, synthetic, k=int(p(name, "k")))
-    if name == "coverage":
-        return coverage.manifold_coverage(real, synthetic, k=int(p(name, "k")))
-    if name == "centroid_distance_coverage":
-        return coverage.centroid_spread(real, synthetic)
-    if name == "convex_hull_volume":
-        return coverage.convex_hull_volume(synthetic,
-                                           reduce_to=int(p(name, "reduce_to")),
-                                           seed=seed)
-    if name == "dpp_score":
-        value, diag = coverage.dpp_logdet(synthetic, kernel=p(name, "kernel"),
-                                          gamma=p(name, "gamma"),
-                                          ridge=float(p(name, "ridge")))
-        return value, diag
-    if name == "vendi_score":
-        value, diag = coverage.vendi_score(synthetic, kernel=p(name, "kernel"),
-                                           gamma=p(name, "gamma"))
-        diag["default_bounds"] = [1.0, float(max(2, synthetic.n))]
-        return value, diag
-    if name == "variance_coverage":
-        return coverage.total_variance(synthetic)
-    if name == "entropy_coverage":
-        bins = p(name, "bins")
-        return coverage.embedding_entropy(synthetic,
-                                          bins=None if bins is None else int(bins))
-    if name == "rarity_score":
-        return coverage.rarity_score(real, synthetic, k=int(p(name, "k")))
-    if name == "cluster_balance":
-        kc = p(name, "k_clusters")
-        return coverage.cluster_balance(synthetic,
-                                        k_clusters=None if kc is None else int(kc),
-                                        seed=seed)
-    if name == "re_identification_risk":
-        tau = p(name, "tau")
-        return compliance.leakage_rate(real, synthetic,
-                                       tau=None if tau is None else float(tau))
-    raise PlanError(f"metric {name!r} is not an embedding metric")
+@dataclass(frozen=True)
+class _Args:
+    """What a compute entry reads: one scope's embedding rows plus the
+    run-wide inputs (table, rules, images, probabilities) where it has them."""
+    real: EmbeddingSet | None
+    synthetic: EmbeddingSet
+    config: EvalConfig
+    seed: int
+    inputs: EvaluationInputs | None = None
+    rules: ConstraintRuleSet | None = None
+    required: tuple[str, ...] | None = None
 
 
-def _compute_table_metric(name: str, table: RecordTable, config: EvalConfig,
-                          rules: ConstraintRuleSet,
-                          required_fields: tuple[str, ...] | None):
-    if name == "constraint_violation_rate":
-        return violation_rate(table, rules)
-    if name == "constraint_boundary_distance":
-        return violation_magnitude(table, rules)
-    if name == "nearest_invalid_datapoint":
-        value, diag = margin_to_boundary(table, rules)
-        if value is None:
-            diag.setdefault("undefined_reason", "no valid bounded rows")
-        return value, diag
-    if name == "required_field_proportion":
-        return completeness.required_field_proportion(
-            table, list(required_fields or ()),
-            populated_threshold=config.populated_threshold)
-    if name == "missing_data_percentage":
-        return completeness.missing_data_percentage(table)
-    if name == "k_anonymity":
-        value, diag = compliance.k_anonymity(table, list(config.quasi_identifiers))
-        diag["default_bounds"] = [1.0, float(max(2, table.n))]
-        return value, diag
-    if name == "l_diversity":
-        value, diag = compliance.l_diversity(table,
-                                             list(config.quasi_identifiers),
-                                             config.sensitive_column)
-        distinct = diag.get("distinct_sensitive_values", 2)
-        diag["default_bounds"] = [1.0, float(max(2, distinct))]
-        return value, diag
-    if name == "t_closeness":
-        return compliance.t_closeness(table, list(config.quasi_identifiers),
-                                      config.sensitive_column)
-    raise PlanError(f"metric {name!r} is not a table metric")
+def _optional(cast, value):
+    return None if value is None else cast(value)
 
 
-def _scoped_result(name: str, scope: str, real, synthetic, config, seed):
-    """Embedding metric inside one scope; precondition failures become
-    undefined markers."""
+def _frechet(a: _Args):
+    if a.real.n < 2 or a.synthetic.n < 2:
+        return None, {"undefined_reason": "insufficient samples (need at "
+                                          "least 2 rows per set)"}
+    return congruence.frechet_distance(a.real, a.synthetic)
+
+
+def _count_bounds(result, top):
+    """Attach [1, max(2, top)], the data-dependent bounds of a count-valued
+    metric (``data_bounds`` in the catalog). ``top`` is the largest count
+    the data allows, or the diagnostics key that holds it."""
+    value, diagnostics = result
+    if isinstance(top, str):
+        top = diagnostics.get(top, 2)
+    diagnostics["default_bounds"] = [1.0, float(max(2, top))]
+    return value, diagnostics
+
+
+def _nearest_invalid(a: _Args):
+    value, diagnostics = constraint.margin_to_boundary(a.inputs.table, a.rules)
+    if value is None:
+        diagnostics.setdefault("undefined_reason", "no valid bounded rows")
+    return value, diagnostics
+
+
+#: name -> compute(args, params), params being the metric's resolved
+#: parameters. Entries look their function up through the module at call
+#: time, so anything that wraps module functions sees every call.
+_COMPUTE = {
+    "cosine_similarity": lambda a, p: congruence.cosine_centroid(
+        a.real, a.synthetic),
+    "earth_movers_distance": lambda a, p: congruence.wasserstein1(
+        a.real, a.synthetic, mode=p["mode"]),
+    "jensen_shannon_divergence": lambda a, p: congruence.jensen_shannon(
+        a.real, a.synthetic, bins=_optional(int, p["bins"])),
+    "frechet_distance": lambda a, p: _frechet(a),
+    "centroid_distance_congruence": lambda a, p: congruence.centroid_distance(
+        a.real, a.synthetic),
+    "precision": lambda a, p: congruence.manifold_precision(
+        a.real, a.synthetic, k=int(p["k"])),
+    "recall": lambda a, p: coverage.manifold_recall(
+        a.real, a.synthetic, k=int(p["k"])),
+    "coverage": lambda a, p: coverage.manifold_coverage(
+        a.real, a.synthetic, k=int(p["k"])),
+    "centroid_distance_coverage": lambda a, p: coverage.centroid_spread(
+        a.real, a.synthetic),
+    "convex_hull_volume": lambda a, p: coverage.convex_hull_volume(
+        a.synthetic, reduce_to=int(p["reduce_to"])),
+    "dpp_score": lambda a, p: coverage.dpp_logdet(
+        a.synthetic, kernel=p["kernel"], gamma=p["gamma"],
+        ridge=float(p["ridge"])),
+    "vendi_score": lambda a, p: _count_bounds(coverage.vendi_score(
+        a.synthetic, kernel=p["kernel"], gamma=p["gamma"]), a.synthetic.n),
+    "variance_coverage": lambda a, p: coverage.total_variance(a.synthetic),
+    "entropy_coverage": lambda a, p: coverage.embedding_entropy(
+        a.synthetic, bins=_optional(int, p["bins"])),
+    "rarity_score": lambda a, p: coverage.rarity_score(
+        a.real, a.synthetic, k=int(p["k"])),
+    "cluster_balance": lambda a, p: coverage.cluster_balance(
+        a.synthetic, k_clusters=_optional(int, p["k_clusters"]), seed=a.seed),
+    "re_identification_risk": lambda a, p: compliance.leakage_rate(
+        a.real, a.synthetic, tau=_optional(float, p["tau"])),
+    "constraint_violation_rate": lambda a, p: constraint.violation_rate(
+        a.inputs.table, a.rules),
+    "constraint_boundary_distance": lambda a, p: constraint.violation_magnitude(
+        a.inputs.table, a.rules),
+    "nearest_invalid_datapoint": lambda a, p: _nearest_invalid(a),
+    "required_field_proportion": lambda a, p:
+        completeness.required_field_proportion(
+            a.inputs.table, list(a.required or ()),
+            populated_threshold=a.config.populated_threshold),
+    "missing_data_percentage": lambda a, p:
+        completeness.missing_data_percentage(a.inputs.table),
+    "k_anonymity": lambda a, p: _count_bounds(compliance.k_anonymity(
+        a.inputs.table, list(a.config.quasi_identifiers)), a.inputs.table.n),
+    "l_diversity": lambda a, p: _count_bounds(compliance.l_diversity(
+        a.inputs.table, list(a.config.quasi_identifiers),
+        a.config.sensitive_column), "distinct_sensitive_values"),
+    "t_closeness": lambda a, p: compliance.t_closeness(
+        a.inputs.table, list(a.config.quasi_identifiers),
+        a.config.sensitive_column),
+    "psnr": lambda a, p: congruence.psnr_pairs(a.inputs.image_pairs),
+    "ssim": lambda a, p: congruence.ssim_pairs(a.inputs.image_pairs),
+    "inception_score": lambda a, p: _count_bounds(
+        coverage.inception_style_score(a.inputs.class_probs), "classes"),
+}
+
+
+def _compute(name: str, args: _Args):
+    params = {key: args.config.param(name, key)
+              for key, _ in catalog.descriptor(name).params}
+    return _COMPUTE[name](args, params)
+
+
+def _metric_result(scope: str, name: str, args: _Args) -> MetricResult:
+    """One metric in one scope. Embedding metrics turn precondition failures
+    into "insufficient samples" markers and table metrics into plain
+    undefined markers; image and probability errors propagate."""
     d = catalog.descriptor(name)
-    if d.arity == "binary" and real is None:
+    embedding = d.source == catalog.SOURCE_EMBEDDING
+    if embedding and d.arity == "binary" and args.real is None:
         return undefined_result(name, "insufficient samples: no reference "
                                       "rows in this slice", scope=scope)
     try:
-        value, diagnostics = _compute_embedding_metric(name, real, synthetic,
-                                                       config, seed)
+        value, diagnostics = _compute(name, args)
     except EvaluationError as exc:
-        return undefined_result(name, f"insufficient samples: {exc}",
-                                scope=scope)
+        if embedding:
+            return undefined_result(name, f"insufficient samples: {exc}",
+                                    scope=scope)
+        if d.source == catalog.SOURCE_TABLE:
+            return undefined_result(name, str(exc))
+        raise
     if value is None:
         diagnostics.setdefault("undefined_reason", "undefined")
-        return MetricResult(d, None, scope, None, diagnostics)
     return MetricResult(d, value, scope, None, diagnostics)
 
 
@@ -350,8 +366,8 @@ def _anova_result(inputs: EvaluationInputs, config: EvalConfig,
                     and real_slice is None):
                 return None
             try:
-                value, _ = _compute_embedding_metric(_base, real_slice,
-                                                     synth_slice, config, seed)
+                value, _ = _compute(_base, _Args(real_slice, synth_slice,
+                                                 config, seed))
             except EvaluationError:
                 return None
             return value
@@ -421,67 +437,38 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
                                   image_pairs=inputs.image_pairs,
                                   class_probs=inputs.class_probs)
 
-    rules = _resolve_rules(inputs, config)
-    required = _resolve_required_fields(inputs, config)
+    run_args = _Args(real, synthetic, config, seed, inputs,
+                     _resolve_rules(inputs, config),
+                     _resolve_required_fields(inputs, config))
+    scopes = [("global", real, synthetic)]
+    for attr in ("region", "subgroup"):
+        for label in sorted(set(getattr(synthetic, attr) or ())):
+            scopes.append((f"{attr}:{label}",
+                           _filter_by_label(real, attr, label),
+                           _filter_by_label(synthetic, attr, label)))
 
-    embedding_names = [n for n in config.metrics
-                       if catalog.descriptor(n).source == catalog.SOURCE_EMBEDDING]
-    table_names = [n for n in config.metrics
-                   if catalog.descriptor(n).source == catalog.SOURCE_TABLE]
-    image_names = [n for n in config.metrics
-                   if catalog.descriptor(n).source == catalog.SOURCE_IMAGE_PAIRS]
-    probs_names = [n for n in config.metrics
-                   if catalog.descriptor(n).source == catalog.SOURCE_CLASS_PROBS]
-
-    tasks = []  # (scope, name, thunk)
-    for name in embedding_names:
-        tasks.append(("global", name,
-                      lambda n=name: _scoped_result(n, "global", real,
-                                                    synthetic, config, seed)))
-    region_labels = sorted(set(synthetic.region)) if synthetic.region else []
-    for label in region_labels:
-        scope = f"region:{label}"
-        synth_slice = _filter_by_label(synthetic, "region", label)
-        real_slice = _filter_by_label(real, "region", label)
-        for name in embedding_names:
-            tasks.append((scope, name,
-                          lambda n=name, s=scope, rs=real_slice,
-                                 ss=synth_slice:
-                          _scoped_result(n, s, rs, ss, config, seed)))
-    subgroup_labels = sorted(set(synthetic.subgroup)) if synthetic.subgroup else []
-    for label in subgroup_labels:
-        scope = f"subgroup:{label}"
-        synth_slice = _filter_by_label(synthetic, "subgroup", label)
-        real_slice = _filter_by_label(real, "subgroup", label)
-        for name in embedding_names:
-            tasks.append((scope, name,
-                          lambda n=name, s=scope, rs=real_slice,
-                                 ss=synth_slice:
-                          _scoped_result(n, s, rs, ss, config, seed)))
-
-    for name in table_names:
-        tasks.append(("global", name,
-                      lambda n=name: _table_result(n, inputs.table, config,
-                                                   rules, required)))
-    for name in image_names:
-        tasks.append(("global", name,
-                      lambda n=name: _image_result(n, inputs.image_pairs)))
-    for name in probs_names:
-        tasks.append(("global", name,
-                      lambda n=name: _probs_result(n, inputs.class_probs)))
+    embedding = [n for n in config.metrics
+                 if catalog.descriptor(n).source == catalog.SOURCE_EMBEDDING]
+    tasks = []  # (scope, name, args)
+    for scope, real_slice, synth_slice in scopes:
+        args = _Args(real_slice, synth_slice, config, seed)
+        tasks.extend((scope, name, args) for name in embedding)
+    tasks.extend(("global", name, run_args) for name in config.metrics
+                 if name in _COMPUTE and name not in embedding)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(lambda t: t[2](), tasks))
+            computed = list(pool.map(lambda t: _metric_result(*t), tasks))
     else:
-        computed = [t[2]() for t in tasks]
+        computed = [_metric_result(*t) for t in tasks]
     results = {(t[0], t[1]): r for t, r in zip(tasks, computed)}
 
     all_results = list(results.values())
-    if subgroup_labels:
+    if synthetic.subgroup:
         all_results.extend(_consistency_results(inputs, config, results, seed))
 
-    if rules is not None and len(rules):
+    rules = run_args.rules
+    if len(rules):
         notes.append(f"constraint rules in effect: {len(rules)} "
                      f"({rules.source})")
 
@@ -491,7 +478,7 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
 
 
 def _resolve_rules(inputs: EvaluationInputs,
-                   config: EvalConfig) -> ConstraintRuleSet | None:
+                   config: EvalConfig) -> ConstraintRuleSet:
     rules = list(config.constraint_rules)
     source = "declared"
     if config.constraint_derive is not None:
@@ -503,8 +490,6 @@ def _resolve_rules(inputs: EvaluationInputs,
         rules.extend(derived.rules)
         source = "derived-from-reference" if not config.constraint_rules \
             else "declared"
-    if not rules:
-        return None
     return ConstraintRuleSet(tuple(rules), source=source)
 
 
@@ -517,50 +502,11 @@ def _resolve_required_fields(inputs: EvaluationInputs,
     return None
 
 
-def _table_result(name: str, table, config, rules, required) -> MetricResult:
-    d = catalog.descriptor(name)
-    try:
-        value, diagnostics = _compute_table_metric(
-            name, table, config,
-            rules if rules is not None else ConstraintRuleSet(()), required)
-    except EvaluationError as exc:
-        return undefined_result(name, str(exc))
-    if value is None:
-        diagnostics.setdefault("undefined_reason", "undefined")
-        return MetricResult(d, None, "global", None, diagnostics)
-    return MetricResult(d, value, "global", None, diagnostics)
-
-
-def _image_result(name: str, image_pairs) -> MetricResult:
-    fn = congruence.psnr_pairs if name == "psnr" else congruence.ssim_pairs
-    value, diagnostics = fn(image_pairs)
-    d = catalog.descriptor(name)
-    return MetricResult(d, value, "global", None, diagnostics)
-
-
-def _probs_result(name: str, class_probs) -> MetricResult:
-    value, diagnostics = coverage.inception_style_score(class_probs)
-    diagnostics["default_bounds"] = [1.0, float(max(2, diagnostics["classes"]))]
-    return MetricResult(catalog.descriptor(name), value, "global", None,
-                        diagnostics)
-
-
 # ---------------------------------------------------------------------------
 # calibration
 
-#: Analytic floors/ceilings applied to calibrated bounds where they exist.
-_FLOORS = {"frechet_distance": 0.0, "earth_movers_distance": 0.0,
-           "centroid_distance_congruence": 0.0,
-           "centroid_distance_coverage": 0.0, "rarity_score": 0.0,
-           "convex_hull_volume": 0.0, "variance_coverage": 0.0,
-           "jensen_shannon_divergence": 0.0, "cosine_similarity": -1.0,
-           "ssim": -1.0, "precision": 0.0, "recall": 0.0, "coverage": 0.0,
-           "cluster_balance": 0.0, "re_identification_risk": 0.0,
-           "t_closeness": 0.0, "vendi_score": 1.0, "psnr": 0.0}
-_CEILS = {"cosine_similarity": 1.0, "ssim": 1.0,
-          "jensen_shannon_divergence": 1.0, "precision": 1.0, "recall": 1.0,
-          "coverage": 1.0, "cluster_balance": 1.0,
-          "re_identification_risk": 1.0, "t_closeness": 1.0}
+#: Seeded reference self-splits per calibration run.
+_CALIBRATION_SPLITS = 5
 
 
 def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
@@ -575,9 +521,8 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
     if real.n < 4:
         raise PlanError("reference set too small to split (need at least 4 rows)")
     seed = config.effective_seed()
-    splits = max(1, config.calibration_splits)
     values: dict[str, list[float]] = {}
-    for r in range(splits):
+    for r in range(_CALIBRATION_SPLITS):
         rng = np.random.default_rng(consistency.task_seed(seed, "calibrate", r))
         perm = rng.permutation(real.n)
         half = real.n // 2
@@ -589,13 +534,12 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
                 continue
             try:
                 if d.arity == "binary":
-                    outputs = [_compute_embedding_metric(name, first, second,
-                                                         config, seed)]
+                    outputs = [_compute(name, _Args(first, second, config,
+                                                    seed))]
                 else:
-                    outputs = [_compute_embedding_metric(name, None, first,
-                                                         config, seed),
-                               _compute_embedding_metric(name, None, second,
-                                                         config, seed)]
+                    outputs = [_compute(name, _Args(None, half_set, config,
+                                                    seed))
+                               for half_set in (first, second)]
             except EvaluationError:
                 continue
             for value, _ in outputs:
@@ -606,10 +550,11 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
         vmin, vmax = min(observed), max(observed)
         pad = (vmax - vmin) + max(1e-6, 0.05 * max(abs(vmin), abs(vmax)))
         lo, hi = vmin - pad, vmax + pad
-        if name in _FLOORS:
-            lo = max(lo, _FLOORS[name])
-        if name in _CEILS:
-            hi = min(hi, _CEILS[name])
+        floor, ceiling = catalog.descriptor(name).range
+        if floor is not None:
+            lo = max(lo, floor)
+        if ceiling is not None:
+            hi = min(hi, ceiling)
         if not lo < hi:
             hi = lo + 1.0
         bounds[name] = (lo, hi)

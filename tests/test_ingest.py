@@ -30,6 +30,15 @@ class TestEmbeddingsCsv:
         with pytest.raises(InputError, match="duplicate id 'a'"):
             ingest.read_embeddings(p)
 
+    def test_duplicate_id_check_scales_and_names_smallest(self, tmp_path):
+        ids = [f"r{i:05d}" for i in range(50_000)]
+        ids[10] = "r49999"     # first repeat met in file order
+        ids[45_000] = "r00020"
+        text = "id,f0\n" + "".join(f"{i},1\n" for i in ids)
+        p = _write(tmp_path / "e.csv", text)
+        with pytest.raises(InputError, match=r"e\.csv: duplicate id 'r00020'"):
+            ingest.read_embeddings(p)
+
     def test_round_trip_bit_exact(self, tmp_path):
         es = make_gaussian_mixture(25, 4, [{"mean": 0.3, "scale": 1.7,
                                             "weight": 1.0}], seed=3)

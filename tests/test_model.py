@@ -120,6 +120,15 @@ class TestValidateInputs:
         outcome = validate_inputs(real, synth, cfg)
         assert any("k=10" in m for m in outcome.messages())
 
+    @pytest.mark.parametrize("params", [{}, {"precision": {"k": 3}}])
+    def test_default_k_checked_like_explicit_k(self, params):
+        real = embedding_from(np.arange(6.0).reshape(3, 2))
+        synth = embedding_from(np.arange(8.0).reshape(4, 2) + 0.5, prefix="s")
+        cfg = _config(["precision"], params=params)
+        outcome = validate_inputs(real, synth, cfg)
+        assert [v.code for v in outcome.violations] == ["E226"]
+        assert "k=3" in outcome.messages()[0]
+
     def test_empty_subgroup_label_flagged(self):
         synth = EmbeddingSet(ids=("a", "b"), data=np.ones((2, 2)),
                              subgroup=("x", ""))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from smdcard.errors import EvaluationError
 from smdcard.numerics import (freedman_diaconis_bins, histogram_masses,
-                              jsd_masses, knn_distances, pca_fit, pca_reduce,
+                              jsd_masses, knn_distances, pca_fit,
                               shannon_entropy, w1_distance_1d)
 
 from conftest import embedding_from
@@ -58,17 +58,18 @@ class TestKnn:
 class TestPca:
     def test_collinear_points_fully_explained(self):
         es = embedding_from([[i * 2.0, i * 1.0] for i in range(6)])
-        reduced, basis = pca_reduce(es, 1)
+        basis = pca_fit(es.data, 1)
+        reduced = basis.transform(es.data)
         assert basis.explained_ratio[0] == pytest.approx(1.0, abs=1e-12)
-        assert reduced.d == 1
+        assert reduced.shape[1] == 1
 
     def test_axis_aligned_identity_when_target_is_d(self):
         # exactly diagonal covariance with decreasing variances: the
         # component basis is the identity, so scores equal centered input
         data = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         es = embedding_from(data)
-        reduced, _ = pca_reduce(es, 2)
-        assert np.allclose(reduced.data, data - data.mean(axis=0), atol=1e-12)
+        reduced = pca_fit(es.data, 2).transform(es.data)
+        assert np.allclose(reduced, data - data.mean(axis=0), atol=1e-12)
 
     def test_explained_ratios_match_eigensolve_oracle(self):
         rng = np.random.default_rng(123)
@@ -86,10 +87,9 @@ class TestPca:
         rng = np.random.default_rng(42)
         data = rng.normal(size=(30, 4))
         es = embedding_from(data)
-        reduced, _ = pca_reduce(es, 4)
+        reduced = pca_fit(es.data, 4).transform(es.data)
         orig = np.linalg.norm(data[:, None] - data[None, :], axis=2)
-        new = np.linalg.norm(reduced.data[:, None] - reduced.data[None, :],
-                             axis=2)
+        new = np.linalg.norm(reduced[:, None] - reduced[None, :], axis=2)
         assert np.allclose(orig, new, atol=1e-9)
 
     def test_rank_deficiency_pads_with_zeros(self):

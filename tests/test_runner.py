@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from smdcard import catalog, runner
+from smdcard.aggregate import has_bounds_source
 from smdcard.config import config_from_dict
+from smdcard.constraint import ConstraintRuleSet, rule_from_dict
 from smdcard.harness import make_gaussian_mixture, make_record_table
 from smdcard.ingest import dumps_canonical
 from smdcard.model import EmbeddingSet
@@ -262,3 +265,47 @@ class TestCalibration:
         tiny = make_gaussian_mixture(3, 2, TWO_MODES, seed=74)
         with pytest.raises(Exception, match="too small"):
             calibrate_bounds(tiny, _embedding_config())
+
+
+class TestCatalogDispatch:
+    """The catalog rows and the runner's compute table stay in step."""
+
+    def test_one_compute_entry_per_task_metric(self):
+        # manifest metrics are scored when the card is built and subgroup
+        # metrics by the consistency stage; every other computable metric
+        # runs as a task through exactly one compute entry
+        elsewhere = (catalog.SOURCE_MANIFEST, catalog.SOURCE_SUBGROUP_METRICS)
+        expected = {d.name for d in catalog.REGISTRY.values()
+                    if d.computable and d.source not in elsewhere}
+        assert set(runner._COMPUTE) == expected
+
+    def test_bounds_source_follows_descriptor(self):
+        cfg = config_from_dict({"metrics": ["cosine_similarity"]})
+        for d in catalog.REGISTRY.values():
+            expected = (None not in d.range or d.data_bounds
+                        or d.direction == "stat-sig")
+            assert has_bounds_source(d.name, cfg) == expected, d.name
+
+    def test_default_bounds_exactly_for_data_bounds_metrics(self):
+        rng = np.random.default_rng(84)
+        image = rng.integers(0, 256, size=(12, 12)).astype(float)
+        inputs = EvaluationInputs(
+            synthetic=make_gaussian_mixture(40, 3, TWO_MODES, seed=82),
+            real=make_gaussian_mixture(40, 3, TWO_MODES, seed=81),
+            table=make_record_table(50, seed=83, categorical_fields={
+                "sex": ["F", "M"], "dx": ["a", "b", "c"]}),
+            image_pairs=[(image, image[::-1], 255)],
+            class_probs=rng.dirichlet(np.ones(3), size=10))
+        cfg = config_from_dict({
+            "metrics": ["cosine_similarity"],
+            "compliance": {"quasi_identifiers": ["sex"],
+                           "sensitive_column": "dx"}})
+        rules = ConstraintRuleSet((rule_from_dict(
+            {"id": "range:age", "kind": "range", "field": "age",
+             "min": 0, "max": 60}),))
+        args = runner._Args(inputs.real, inputs.synthetic, cfg, 0, inputs,
+                            rules, ("age", "sex"))
+        for name in runner._COMPUTE:
+            _, diagnostics = runner._compute(name, args)
+            assert (("default_bounds" in diagnostics)
+                    == catalog.descriptor(name).data_bounds), name
