@@ -14,7 +14,8 @@ safer data).
 Each row is also the one home of a metric's static facts: its recognized
 parameters with their defaults, its analytic value range (normalization
 bounds when both ends are known, the calibration clamp otherwise), whether
-its bounds come from the data, and which set's kNN radii limit ``k``. How a
+its bounds come from the data, which set's kNN radii limit ``k``, and which
+run inputs the plan must find before the metric can run (``needs``). How a
 metric is computed lives in ``runner`` (the compute table), because the
 metric modules import this one.
 """
@@ -70,6 +71,9 @@ class MetricDescriptor:
     range: tuple[float | None, float | None] = (None, None)  # analytic lo, hi
     data_bounds: bool = False   # bounds attached per run (default_bounds)
     knn_on: str | None = None   # "real" | "synthetic": whose kNN radii cap k
+    # config inputs the plan requires: "quasi_identifiers",
+    # "sensitive_column", "constraint_rules", "required_fields"
+    needs: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.score_direction:
@@ -152,17 +156,17 @@ CATALOG: tuple[MetricDescriptor, ...] = (
     # attribute table, where the rule geometry lives)
     _d("nearest_invalid_datapoint", "Nearest Invalid Datapoint", "constraint",
        "embedding", "binary", "minimize", False, source=SOURCE_TABLE,
-       score_direction="maximize"),
+       score_direction="maximize", needs=("constraint_rules",)),
     _d("constraint_boundary_distance", "Distance to Constraint Boundary",
        "constraint", "embedding", "binary", "minimize", False,
-       source=SOURCE_TABLE),
+       source=SOURCE_TABLE, needs=("constraint_rules",)),
     _d("constraint_violation_rate", "Constraint Violation Rate", "constraint",
        "embedding", "binary", "minimize", False, source=SOURCE_TABLE,
-       range=UNIT),
+       range=UNIT, needs=("constraint_rules",)),
     # completeness
     _d("required_field_proportion", "Proportion of Required Fields",
        "completeness", "metadata", "binary", "maximize", False,
-       source=SOURCE_TABLE, range=UNIT),
+       source=SOURCE_TABLE, range=UNIT, needs=("required_fields",)),
     _d("missing_data_percentage", "Missing Data Percentage", "completeness",
        "metadata", "binary", "minimize", False, source=SOURCE_TABLE,
        range=UNIT),
@@ -172,13 +176,14 @@ CATALOG: tuple[MetricDescriptor, ...] = (
        source=SOURCE_MANIFEST, computable=False),
     _d("k_anonymity", "K-Anonymity Level", "compliance",
        "data-attribute", "unary", "maximize", False, source=SOURCE_TABLE,
-       data_bounds=True),
+       data_bounds=True, needs=("quasi_identifiers",)),
     _d("l_diversity", "L-Diversity Score", "compliance",
        "data-attribute", "unary", "maximize", False, source=SOURCE_TABLE,
-       data_bounds=True),
+       data_bounds=True, needs=("quasi_identifiers", "sensitive_column")),
     _d("t_closeness", "T-Closeness Level", "compliance",
        "data-attribute", "unary", "maximize", False, source=SOURCE_TABLE,
-       score_direction="minimize", range=UNIT),
+       score_direction="minimize", range=UNIT,
+       needs=("quasi_identifiers", "sensitive_column")),
     # comprehension
     _d("documentation_clarity", "Documentation Clarity Score", "comprehension",
        "documentation", "unary", "maximize", False, source=SOURCE_MANIFEST,

@@ -15,6 +15,9 @@ def required_field_proportion(table: RecordTable, required: list[str],
     """
     if not required:
         raise EvaluationError("required field list is empty")
+    if table.n == 0:
+        raise EvaluationError("required field proportion is undefined on an "
+                              "empty table")
     names = set(table.column_names)
     per_field = {}
     present = 0
@@ -23,8 +26,7 @@ def required_field_proportion(table: RecordTable, required: list[str],
             per_field[field] = "absent"
             continue
         j = table.column_index(field)
-        populated = 1.0 - (float(table.missing_mask[:, j].sum()) / table.n
-                           if table.n else 0.0)
+        populated = 1.0 - float(table.missing_mask[:, j].sum()) / table.n
         if populated >= populated_threshold:
             per_field[field] = "present"
             present += 1
@@ -39,6 +41,7 @@ def missing_data_percentage(table: RecordTable):
     """Masked cells over total cells, in [0, 1]."""
     total = table.n * table.m
     if total == 0:
-        return 0.0, {"cells": 0}
+        raise EvaluationError("missing data percentage is undefined on an "
+                              "empty table")
     missing = int(table.missing_mask.sum())
     return missing / total, {"missing_cells": missing, "cells": total}

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.optimize
 
 from .errors import EvaluationError
 from .model import EmbeddingSet
@@ -66,6 +65,7 @@ def wasserstein1(real: EmbeddingSet, synthetic: EmbeddingSet,
         if real.n > EXACT_MATCHING_LIMIT:
             raise EvaluationError(
                 f"exact-matching transport is capped at n={EXACT_MATCHING_LIMIT}")
+        import scipy.optimize  # deferred: scipy dominates CLI start-up time
         cost = pairwise_distances(real.data, synthetic.data)
         rows, cols = scipy.optimize.linear_sum_assignment(cost)
         value = float(cost[rows, cols].mean())

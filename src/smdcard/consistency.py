@@ -12,7 +12,6 @@ import hashlib
 import math
 
 import numpy as np
-import scipy.special
 
 from .errors import EvaluationError
 
@@ -40,6 +39,7 @@ def f_survival(f_value: float, df_between: int, df_within: int) -> float:
     """Upper tail of the F distribution via the regularized incomplete beta."""
     if f_value <= 0:
         return 1.0
+    import scipy.special  # deferred: scipy dominates CLI start-up time
     x = df_within / (df_within + df_between * f_value)
     return float(scipy.special.betainc(df_within / 2.0, df_between / 2.0, x))
 

@@ -45,6 +45,10 @@ class ConstraintRule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise ConfigError(f"rule {self.id!r}: unknown kind {self.kind!r}")
+        numbers = [self.lo, self.hi, self.bound] + [w for _, w in self.weights]
+        if not all(math.isfinite(x) for x in numbers if x is not None):
+            raise ConfigError(f"rule {self.id!r}: bounds and weights must be "
+                              "finite numbers (omit min or max for an open end)")
         if self.kind == "range" and self.lo is None and self.hi is None:
             raise ConfigError(f"rule {self.id!r}: range needs at least one bound")
         if self.kind == "allowed_set" and not self.values:
@@ -52,6 +56,9 @@ class ConstraintRule:
         if self.kind == "linear":
             if not self.weights:
                 raise ConfigError(f"rule {self.id!r}: linear needs weights")
+            if not any(w * w for _, w in self.weights):
+                raise ConfigError(f"rule {self.id!r}: linear weights have "
+                                  "zero norm, so the rule ignores the data")
             if self.sense not in SENSES:
                 raise ConfigError(f"rule {self.id!r}: sense must be <= or >=")
         if self.kind == "implication":
@@ -92,8 +99,10 @@ class ConstraintRuleSet:
         return len(self.rules)
 
 
-def rule_from_dict(raw: dict, *, _nested: bool = False) -> ConstraintRule:
-    """Parse one rule from its config mapping (strict: unknown keys rejected)."""
+def rule_from_dict(raw: dict, *, _parent: str | None = None) -> ConstraintRule:
+    """Parse one rule from its config mapping (strict: unknown keys rejected).
+
+    A consequent takes its parent's id, so its errors name the rule."""
     if not isinstance(raw, dict):
         raise ConfigError(f"constraint rule must be a mapping, got {type(raw).__name__}")
     known = {"id", "kind", "severity", "field", "min", "max", "values",
@@ -102,7 +111,7 @@ def rule_from_dict(raw: dict, *, _nested: bool = False) -> ConstraintRule:
     if unknown:
         raise ConfigError(f"constraint rule has unknown keys {unknown}")
     kind = raw.get("kind")
-    rule_id = raw.get("id", "" if _nested else None)
+    rule_id = raw.get("id", _parent)
     if rule_id is None:
         raise ConfigError("constraint rule missing an id")
     common = dict(id=str(rule_id), kind=str(kind),
@@ -138,7 +147,7 @@ def rule_from_dict(raw: dict, *, _nested: bool = False) -> ConstraintRule:
         extra = sorted(set(when) - {"field", "equals", "in"})
         if extra:
             raise ConfigError(f"implication antecedent has unknown keys {extra}")
-        consequent = rule_from_dict(raw.get("then", {}), _nested=True)
+        consequent = rule_from_dict(raw.get("then", {}), _parent=str(rule_id))
         return ConstraintRule(**common, when_field=str(when["field"]),
                               when_values=when_values, consequent=consequent)
     raise ConfigError(f"constraint rule has unknown kind {kind!r}")
@@ -234,93 +243,74 @@ def derive_range_rules(real: RecordTable, fields: list[str],
     return ConstraintRuleSet(tuple(rules), source="derived-from-reference")
 
 
-@dataclass(frozen=True)
-class RowRuleOutcome:
-    status: str              # "satisfied" | "violated" | "vacuous"
-    residual: float = 0.0    # distance beyond the boundary when violated
-    margin: float | None = None  # distance to the boundary when satisfied
+def signed_distances(rule: ConstraintRule, table: RecordTable) -> np.ndarray:
+    """The rule's outcome on every row of the table, one float per row.
 
-
-def evaluate_rule(rule: ConstraintRule, table: RecordTable,
-                  row_idx: int) -> RowRuleOutcome:
-    """Evaluate one rule on one row; missing inputs are vacuous."""
+    ``d > 0``: the row violates the rule by ``d``. ``d <= 0``: it satisfies
+    the rule with margin ``|d|``. NaN: vacuous, an input cell is missing.
+    ``-inf``: satisfied with no boundary to measure (inactive implication).
+    Categorical rules sit at unit distance on either side of the boundary.
+    """
     if rule.kind == "range":
-        value = _cell(table, row_idx, rule.field_name)
-        if value is None:
-            return RowRuleOutcome("vacuous")
-        v = float(value)
-        below = (rule.lo - v) if rule.lo is not None else -math.inf
-        above = (v - rule.hi) if rule.hi is not None else -math.inf
-        overshoot = max(below, above)
-        if overshoot > 0:
-            return RowRuleOutcome("violated", residual=overshoot)
-        margins = [abs(x) for x in (below, above) if x != -math.inf]
-        return RowRuleOutcome("satisfied", margin=min(margins))
+        v = _numeric(table, rule.field_name)
+        sides = []
+        if rule.lo is not None:
+            sides.append(rule.lo - v)
+        if rule.hi is not None:
+            sides.append(v - rule.hi)
+        return np.maximum.reduce(sides)
     if rule.kind == "allowed_set":
-        value = _cell(table, row_idx, rule.field_name)
-        if value is None:
-            return RowRuleOutcome("vacuous")
-        if str(value) in rule.values:
-            return RowRuleOutcome("satisfied", margin=1.0)
-        return RowRuleOutcome("violated", residual=1.0)
+        return 1.0 - 2.0 * _membership(table, rule.field_name, rule.values)
     if rule.kind == "linear":
-        total = 0.0
-        norm_sq = 0.0
+        total = np.zeros(table.n)
         for name, w in rule.weights:
-            value = _cell(table, row_idx, name)
-            if value is None:
-                return RowRuleOutcome("vacuous")
-            total += w * float(value)
-            norm_sq += w * w
-        norm = math.sqrt(norm_sq)
-        signed = (total - rule.bound) if rule.sense == "<=" else (rule.bound - total)
-        distance = abs(signed) / norm if norm > 0 else 0.0
-        if signed > 0:
-            return RowRuleOutcome("violated", residual=distance)
-        return RowRuleOutcome("satisfied", margin=distance)
-    # implication
-    antecedent = _cell(table, row_idx, rule.when_field)
-    if antecedent is None:
-        return RowRuleOutcome("vacuous")
-    if str(antecedent) not in rule.when_values:
-        return RowRuleOutcome("satisfied", margin=None)  # inactive, unbounded
-    return evaluate_rule(rule.consequent, table, row_idx)
+            total += w * _numeric(table, name)
+        signed = total - rule.bound if rule.sense == "<=" else rule.bound - total
+        norm = math.sqrt(sum(w * w for _, w in rule.weights))
+        return np.where(signed > 0, 1.0, -1.0) * (np.abs(signed) / norm)
+    active = _membership(table, rule.when_field, rule.when_values)
+    return np.select([np.isnan(active), active == 1.0],
+                     [active, signed_distances(rule.consequent, table)],
+                     -np.inf)
 
 
-def _cell(table: RecordTable, row_idx: int, field_name: str):
-    j = table.column_index(field_name)
-    if table.missing_mask[row_idx, j]:
-        return None
-    return table.rows[row_idx][j]
+def _numeric(table: RecordTable, name: str) -> np.ndarray:
+    """A column as floats; missing cells (None) become NaN."""
+    j = table.column_index(name)
+    return np.array([row[j] for row in table.rows], dtype=np.float64)
+
+
+def _membership(table: RecordTable, name: str, allowed) -> np.ndarray:
+    """1.0 where a cell's text is in ``allowed``, 0.0 where not, NaN where
+    the cell is missing."""
+    j = table.column_index(name)
+    return np.array([math.nan if row[j] is None
+                     else float(str(row[j]) in allowed) for row in table.rows])
+
+
+def _distances(table: RecordTable, rules: ConstraintRuleSet) -> np.ndarray:
+    """The (rules, rows) matrix of signed distances every metric reads."""
+    validate_rules(table, rules)
+    if table.n == 0:
+        raise EvaluationError("constraint metrics are undefined on an empty "
+                              "table")
+    return np.array([signed_distances(rule, table) for rule in rules.rules]
+                    ).reshape(len(rules), table.n)
 
 
 def violation_rate(table: RecordTable, rules: ConstraintRuleSet):
     """Fraction of rows violating at least one rule, with per-rule counts."""
-    validate_rules(table, rules)
-    if table.n == 0:
-        raise EvaluationError("violation rate is undefined on an empty table")
-    per_rule = {rule.id: 0 for rule in rules.rules}
-    vacuous = {rule.id: 0 for rule in rules.rules}
-    violating_rows = 0
-    for i in range(table.n):
-        hit = False
-        for rule in rules.rules:
-            outcome = evaluate_rule(rule, table, i)
-            if outcome.status == "violated":
-                per_rule[rule.id] += 1
-                hit = True
-            elif outcome.status == "vacuous":
-                vacuous[rule.id] += 1
-        if hit:
-            violating_rows += 1
-    rate = violating_rows / table.n
+    d = _distances(table, rules)
+    violated = d > 0
+    violating_rows = int(violated.any(axis=0).sum())
+    ids = [rule.id for rule in rules.rules]
     diagnostics = {
         "violating_rows": violating_rows,
-        "per_rule_violations": per_rule,
-        "per_rule_vacuous": vacuous,
+        "per_rule_violations": dict(zip(ids, violated.sum(axis=1).tolist())),
+        "per_rule_vacuous": dict(zip(ids, np.isnan(d).sum(axis=1).tolist())),
         "rule_count": len(rules),
     }
-    return rate, diagnostics
+    return violating_rows / table.n, diagnostics
 
 
 def violation_magnitude(table: RecordTable, rules: ConstraintRuleSet):
@@ -330,21 +320,16 @@ def violation_magnitude(table: RecordTable, rules: ConstraintRuleSet):
     L2 norm (exact when the rules touch disjoint fields); categorical
     violations contribute unit magnitude.
     """
-    validate_rules(table, rules)
-    magnitudes = []
-    for i in range(table.n):
-        sq = 0.0
-        violated = False
-        for rule in rules.rules:
-            outcome = evaluate_rule(rule, table, i)
-            if outcome.status == "violated":
-                violated = True
-                sq += outcome.residual ** 2
-        if violated:
-            magnitudes.append(math.sqrt(sq))
-    if not magnitudes:
+    d = _distances(table, rules)
+    residuals = np.where(d > 0, d, 0.0)
+    sq = np.zeros(table.n)
+    for r in residuals:    # rule by rule: the sum's order is part of its value
+        sq += r * r
+    violated = (residuals > 0).any(axis=0)
+    if not violated.any():
         return 0.0, {"violating_rows": 0}
-    return float(np.mean(magnitudes)), {"violating_rows": len(magnitudes)}
+    magnitudes = np.sqrt(sq[violated])
+    return float(np.mean(magnitudes)), {"violating_rows": magnitudes.size}
 
 
 def margin_to_boundary(table: RecordTable, rules: ConstraintRuleSet):
@@ -353,35 +338,19 @@ def margin_to_boundary(table: RecordTable, rules: ConstraintRuleSet):
     Returns (None, diagnostics) when no row is valid or no rule bounds the
     valid rows. The per-row distribution is reported in the diagnostics.
     """
-    validate_rules(table, rules)
-    margins = []
-    invalid_rows = 0
-    unbounded_rows = 0
-    for i in range(table.n):
-        row_margins = []
-        violated = False
-        for rule in rules.rules:
-            outcome = evaluate_rule(rule, table, i)
-            if outcome.status == "violated":
-                violated = True
-                break
-            if outcome.status == "satisfied" and outcome.margin is not None:
-                row_margins.append(outcome.margin)
-        if violated:
-            invalid_rows += 1
-        elif row_margins:
-            margins.append(min(row_margins))
-        else:
-            unbounded_rows += 1
+    d = _distances(table, rules)
+    invalid = (d > 0).any(axis=0)
+    # vacuous (NaN) cells drop out of fmin; unbounded ones (-inf) stay inf
+    nearest = np.fmin.reduce(np.abs(d), axis=0, initial=np.inf)
+    arr = nearest[~invalid & np.isfinite(nearest)]
     diagnostics = {
-        "invalid_rows": invalid_rows,
-        "unbounded_rows": unbounded_rows,
-        "valid_rows": len(margins),
+        "invalid_rows": int(invalid.sum()),
+        "unbounded_rows": int((~invalid).sum()) - arr.size,
+        "valid_rows": arr.size,
     }
-    if not margins:
+    if not arr.size:
         return None, diagnostics
-    arr = np.asarray(margins)
-    diagnostics["margins"] = [float(v) for v in arr]
+    diagnostics["margins"] = arr.tolist()
     diagnostics["margin_min"] = float(arr.min())
     diagnostics["margin_max"] = float(arr.max())
     diagnostics["margin_median"] = float(np.median(arr))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.spatial
 
 from .errors import EvaluationError
 from .model import EmbeddingSet
@@ -66,6 +65,7 @@ def _hull_volume(data: np.ndarray, diagnostics: dict) -> float:
     if data.shape[0] < dim + 1:
         diagnostics["degenerate"] = True
         return 0.0
+    import scipy.spatial  # deferred: scipy dominates CLI start-up time
     try:
         hull = scipy.spatial.ConvexHull(data)
     except scipy.spatial.QhullError:

@@ -76,18 +76,13 @@ def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
             add("E228", f"metric {d.name!r} has no normalization bounds; "
                         "add bounds in the config or run calibrate")
 
-    names = set(config.metrics)
-    if names & {"k_anonymity", "l_diversity", "t_closeness"}:
-        if not config.quasi_identifiers:
-            add("E227", "anonymity metrics need compliance.quasi_identifiers")
-    if names & {"l_diversity", "t_closeness"} and not config.sensitive_column:
+    needs = {n for d in selected for n in d.needs}
+    if "quasi_identifiers" in needs and not config.quasi_identifiers:
+        add("E227", "anonymity metrics need compliance.quasi_identifiers")
+    if "sensitive_column" in needs and not config.sensitive_column:
         add("E227", "diversity/closeness metrics need "
                     "compliance.sensitive_column")
-
-    constraint_selected = names & {"constraint_violation_rate",
-                                   "constraint_boundary_distance",
-                                   "nearest_invalid_datapoint"}
-    if constraint_selected:
+    if "constraint_rules" in needs:
         if not config.constraint_rules and config.constraint_derive is None:
             add("E227", "constraint metrics need constraints.rules or "
                         "constraints.derive")
@@ -95,7 +90,7 @@ def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
             add("E227", "constraints.derive needs a reference table "
                         "(tables.real)")
 
-    if "required_field_proportion" in names:
+    if "required_fields" in needs:
         if config.required_fields in (None, "auto") and inputs.real_table is None:
             add("E227", "required_field_proportion needs "
                         "completeness.required_fields or a reference table")

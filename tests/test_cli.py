@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import smdcard
 from smdcard import ingest
 from smdcard.cli import main
 from smdcard.harness import make_gaussian_mixture
@@ -100,6 +103,17 @@ class TestEvaluate:
         paths = dict(paths, config=bad)
         assert main(_evaluate_args(paths)) == 2
         assert "E20" in capsys.readouterr().err
+
+    def test_non_finite_rule_bound_exit_2(self, workspace, capsys):
+        tmp_path, paths = workspace
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(CONFIG) + "constraints:\n  rules:\n"
+                       "  - {id: age_cap, kind: range, field: age, max: .inf}\n")
+        paths = dict(paths, config=bad)
+        assert main(_evaluate_args(paths)) == 2
+        err = capsys.readouterr().err
+        assert "'age_cap'" in err and "finite" in err
+        assert not paths["report"].exists()
 
     def test_parallel_run_identical(self, workspace, tmp_path):
         _, paths = workspace
@@ -349,3 +363,13 @@ class TestExitCodes:
               "--config", str(paths["config"]), "--out", str(out)])
         assert not out.exists()
         assert not list(tmp_path.glob(".smdcard-*"))
+
+
+def test_cli_import_defers_scipy():
+    src = os.path.dirname(os.path.dirname(smdcard.__file__))
+    code = ("import sys, smdcard.cli; print([m for m in sys.modules if m in "
+            "('scipy.optimize', 'scipy.special', 'scipy.spatial')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

@@ -43,6 +43,10 @@ class TestRequiredFieldProportion:
         with pytest.raises(EvaluationError, match="empty"):
             required_field_proportion(_full_table(), [])
 
+    def test_empty_table_undefined(self):
+        with pytest.raises(EvaluationError, match="empty table"):
+            required_field_proportion(_full_table(0), ["a"])
+
     def test_deleting_populated_column_never_increases(self):
         table = _full_table()
         required = ["a", "b", "c"]
@@ -67,6 +71,10 @@ class TestMissingDataPercentage:
     def test_no_missing_zero(self):
         value, _ = missing_data_percentage(_full_table())
         assert value == 0.0
+
+    def test_empty_table_undefined(self):
+        with pytest.raises(EvaluationError, match="empty table"):
+            missing_data_percentage(_full_table(0))
 
     def test_fully_missing_column(self):
         cols = [("w", "numeric"), ("x", "numeric"), ("y", "numeric"),

@@ -1,14 +1,15 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smdcard.constraint import (ConstraintRule, ConstraintRuleSet,
-                                derive_range_rules, evaluate_rule,
-                                margin_to_boundary, rule_from_dict,
+from smdcard.constraint import (SENSES, ConstraintRule, ConstraintRuleSet,
+                                derive_range_rules, margin_to_boundary,
+                                rule_from_dict, signed_distances,
                                 violation_magnitude, violation_rate)
-from smdcard.errors import ConfigError, PlanError
+from smdcard.errors import ConfigError, EvaluationError, PlanError
 
 from conftest import table_from
 
@@ -38,6 +39,25 @@ class TestRuleParsing:
         rule = _range("same", "age", lo=0.0)
         with pytest.raises(ConfigError, match="duplicate"):
             ConstraintRuleSet((rule, rule))
+
+    @pytest.mark.parametrize("raw", [
+        {"kind": "range", "field": "age", "max": math.inf},
+        {"kind": "range", "field": "age", "min": -math.inf, "max": 10},
+        {"kind": "range", "field": "age", "min": math.nan},
+        {"kind": "linear", "weights": {"age": 1.0}, "bound": math.inf},
+        {"kind": "linear", "weights": {"age": 1.0, "hgb": math.nan}},
+        {"kind": "implication", "when": {"field": "dx", "equals": "a"},
+         "then": {"kind": "range", "field": "hgb", "max": math.inf}},
+    ])
+    def test_non_finite_numbers_rejected(self, raw):
+        with pytest.raises(ConfigError, match="'r'.*finite.*omit min or max"):
+            rule_from_dict({"id": "r", **raw})
+
+    def test_all_zero_weights_rejected(self):
+        with pytest.raises(ConfigError, match="'flat'.*zero norm"):
+            rule_from_dict({"id": "flat", "kind": "linear",
+                            "weights": {"age": 0.0, "hgb": -0.0},
+                            "bound": 1.0})
 
     def test_unknown_field_rejected_at_plan_time(self):
         rules = ConstraintRuleSet((_range("r", "nope", lo=0.0),))
@@ -227,25 +247,234 @@ class TestMarginToBoundary:
         assert diag["invalid_rows"] == 1
 
 
-class TestEvaluateRule:
+class TestSignedDistances:
     def test_allowed_set(self):
         rule = rule_from_dict({"id": "s", "kind": "allowed_set", "field": "dx",
                                "values": ["a", "b"]})
         table = _table([(1.0, 1.0, "c")])
-        outcome = evaluate_rule(rule, table, 0)
-        assert outcome.status == "violated"
-        assert outcome.residual == 1.0
+        assert signed_distances(rule, table).tolist() == [1.0]
 
     def test_missing_value_vacuous(self):
         rule = _range("r", "age", lo=0.0)
-        outcome = evaluate_rule(rule, _table([(None, 1.0, "a")]), 0)
-        assert outcome.status == "vacuous"
+        d = signed_distances(rule, _table([(None, 1.0, "a")]))
+        assert np.isnan(d).tolist() == [True]
 
     def test_inactive_implication_unbounded(self):
         rule = rule_from_dict({"id": "imp", "kind": "implication",
                                "when": {"field": "dx", "equals": "anemia"},
                                "then": {"kind": "range", "field": "hgb",
                                         "max": 11.0}})
-        outcome = evaluate_rule(rule, _table([(1.0, 16.0, "healthy")]), 0)
-        assert outcome.status == "satisfied"
-        assert outcome.margin is None
+        d = signed_distances(rule, _table([(1.0, 16.0, "healthy")]))
+        assert d.tolist() == [-math.inf]
+
+    def test_boundary_margin_is_positive_zero(self):
+        rules = ConstraintRuleSet((_range("r", "age", lo=0.0, hi=10.0),
+                                   rule_from_dict({
+                                       "id": "lin", "kind": "linear",
+                                       "weights": {"hgb": 2.0}, "bound": 8.0})))
+        _, diag = margin_to_boundary(_table([(10.0, 1.0, "a"),
+                                             (5.0, 4.0, "a")]), rules)
+        assert [math.copysign(1.0, m) for m in diag["margins"]] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("metric", [violation_rate, violation_magnitude,
+                                        margin_to_boundary])
+    def test_empty_table_undefined(self, metric):
+        rules = ConstraintRuleSet((_range("r", "age", lo=0.0),))
+        with pytest.raises(EvaluationError, match="empty table"):
+            metric(_table([]), rules)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the per-row, per-rule evaluator the metrics replaced
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    status: str              # "satisfied" | "violated" | "vacuous"
+    residual: float = 0.0    # distance beyond the boundary when violated
+    margin: float | None = None  # distance to the boundary when satisfied
+
+
+def _oracle_cell(table, row_idx, field_name):
+    j = table.column_index(field_name)
+    if table.missing_mask[row_idx, j]:
+        return None
+    return table.rows[row_idx][j]
+
+
+def _oracle_rule(rule, table, row_idx):
+    if rule.kind == "range":
+        value = _oracle_cell(table, row_idx, rule.field_name)
+        if value is None:
+            return _Outcome("vacuous")
+        v = float(value)
+        below = (rule.lo - v) if rule.lo is not None else -math.inf
+        above = (v - rule.hi) if rule.hi is not None else -math.inf
+        overshoot = max(below, above)
+        if overshoot > 0:
+            return _Outcome("violated", residual=overshoot)
+        margins = [abs(x) for x in (below, above) if x != -math.inf]
+        return _Outcome("satisfied", margin=min(margins))
+    if rule.kind == "allowed_set":
+        value = _oracle_cell(table, row_idx, rule.field_name)
+        if value is None:
+            return _Outcome("vacuous")
+        if str(value) in rule.values:
+            return _Outcome("satisfied", margin=1.0)
+        return _Outcome("violated", residual=1.0)
+    if rule.kind == "linear":
+        total = 0.0
+        norm_sq = 0.0
+        for name, w in rule.weights:
+            value = _oracle_cell(table, row_idx, name)
+            if value is None:
+                return _Outcome("vacuous")
+            total += w * float(value)
+            norm_sq += w * w
+        norm = math.sqrt(norm_sq)
+        signed = (total - rule.bound) if rule.sense == "<=" else (rule.bound - total)
+        distance = abs(signed) / norm if norm > 0 else 0.0
+        if signed > 0:
+            return _Outcome("violated", residual=distance)
+        return _Outcome("satisfied", margin=distance)
+    antecedent = _oracle_cell(table, row_idx, rule.when_field)
+    if antecedent is None:
+        return _Outcome("vacuous")
+    if str(antecedent) not in rule.when_values:
+        return _Outcome("satisfied", margin=None)  # inactive, unbounded
+    return _oracle_rule(rule.consequent, table, row_idx)
+
+
+def _oracle_violation_rate(table, rules):
+    per_rule = {rule.id: 0 for rule in rules.rules}
+    vacuous = {rule.id: 0 for rule in rules.rules}
+    violating_rows = 0
+    for i in range(table.n):
+        hit = False
+        for rule in rules.rules:
+            outcome = _oracle_rule(rule, table, i)
+            if outcome.status == "violated":
+                per_rule[rule.id] += 1
+                hit = True
+            elif outcome.status == "vacuous":
+                vacuous[rule.id] += 1
+        if hit:
+            violating_rows += 1
+    return violating_rows / table.n, {
+        "violating_rows": violating_rows,
+        "per_rule_violations": per_rule,
+        "per_rule_vacuous": vacuous,
+        "rule_count": len(rules),
+    }
+
+
+def _oracle_violation_magnitude(table, rules):
+    magnitudes = []
+    for i in range(table.n):
+        sq = 0.0
+        violated = False
+        for rule in rules.rules:
+            outcome = _oracle_rule(rule, table, i)
+            if outcome.status == "violated":
+                violated = True
+                sq += outcome.residual ** 2
+        if violated:
+            magnitudes.append(math.sqrt(sq))
+    if not magnitudes:
+        return 0.0, {"violating_rows": 0}
+    return float(np.mean(magnitudes)), {"violating_rows": len(magnitudes)}
+
+
+def _oracle_margin_to_boundary(table, rules):
+    margins = []
+    invalid_rows = 0
+    unbounded_rows = 0
+    for i in range(table.n):
+        row_margins = []
+        violated = False
+        for rule in rules.rules:
+            outcome = _oracle_rule(rule, table, i)
+            if outcome.status == "violated":
+                violated = True
+                break
+            if outcome.status == "satisfied" and outcome.margin is not None:
+                row_margins.append(outcome.margin)
+        if violated:
+            invalid_rows += 1
+        elif row_margins:
+            margins.append(min(row_margins))
+        else:
+            unbounded_rows += 1
+    diagnostics = {"invalid_rows": invalid_rows,
+                   "unbounded_rows": unbounded_rows,
+                   "valid_rows": len(margins)}
+    if not margins:
+        return None, diagnostics
+    arr = np.asarray(margins)
+    diagnostics["margins"] = [float(v) for v in arr]
+    diagnostics["margin_min"] = float(arr.min())
+    diagnostics["margin_max"] = float(arr.max())
+    diagnostics["margin_median"] = float(np.median(arr))
+    return float(arr.mean()), diagnostics
+
+
+# integer-valued draws land exactly on the integer-valued bounds below
+_numbers = st.one_of(st.integers(-4, 4).map(float),
+                     st.floats(-5.0, 5.0, allow_nan=False))
+_cells = st.tuples(st.one_of(st.none(), _numbers),
+                   st.one_of(st.none(), _numbers),
+                   st.one_of(st.none(), st.sampled_from(["a", "b", "c"])))
+_fields = st.sampled_from(["age", "hgb"])
+_bounds = st.one_of(st.none(), st.integers(-3, 3).map(float),
+                    st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def _simple_rule(draw):
+    kind = draw(st.sampled_from(["range", "allowed_set", "linear"]))
+    if kind == "range":
+        lo, hi = draw(_bounds), draw(_bounds)
+        if lo is None and hi is None:
+            lo = 0.0
+        return {"kind": "range", "field": draw(_fields), "min": lo, "max": hi}
+    if kind == "allowed_set":
+        values = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
+                               unique=True))
+        return {"kind": "allowed_set", "field": "dx", "values": values}
+    weights = draw(st.dictionaries(
+        _fields, st.one_of(st.integers(-2, 2).map(float),
+                           st.floats(-3.0, 3.0, allow_nan=False)),
+        min_size=1).filter(lambda w: sum(v * v for v in w.values()) > 0))
+    return {"kind": "linear", "weights": weights,
+            "bound": draw(_numbers), "sense": draw(st.sampled_from(SENSES))}
+
+
+@st.composite
+def _rule_set(draw):
+    raws = []
+    for i in range(draw(st.integers(0, 4))):
+        raw = draw(_simple_rule())
+        if draw(st.booleans()):
+            raw = {"kind": "implication",
+                   "when": {"field": "dx", "in": draw(st.lists(
+                       st.sampled_from(["a", "b", "c"]), min_size=1))},
+                   "then": raw}
+        raws.append({"id": f"r{i}", **{k: v for k, v in raw.items()
+                                       if v is not None}})
+    return ConstraintRuleSet(tuple(rule_from_dict(r) for r in raws))
+
+
+@given(st.lists(_cells, min_size=1, max_size=12), _rule_set())
+@settings(max_examples=300, deadline=None)
+def test_metrics_equal_per_row_oracle(rows, rules):
+    table = _table(rows)
+    for metric, oracle in ((violation_rate, _oracle_violation_rate),
+                           (margin_to_boundary, _oracle_margin_to_boundary)):
+        # repr also tells 0.0 from -0.0, which the report prints differently
+        assert repr(metric(table, rules)) == repr(oracle(table, rules))
+    value, diagnostics = violation_magnitude(table, rules)
+    expected, expected_diagnostics = _oracle_violation_magnitude(table, rules)
+    assert diagnostics == expected_diagnostics
+    # the oracle squares with libm pow, which is not always correctly
+    # rounded; r * r is, so the two may differ in the last bits
+    assert value == pytest.approx(expected, rel=4 * np.finfo(float).eps, abs=0)

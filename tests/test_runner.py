@@ -7,7 +7,7 @@ from smdcard.config import config_from_dict
 from smdcard.constraint import ConstraintRuleSet, rule_from_dict
 from smdcard.harness import make_gaussian_mixture, make_record_table
 from smdcard.ingest import dumps_canonical
-from smdcard.model import EmbeddingSet
+from smdcard.model import EmbeddingSet, RecordTable
 from smdcard.runner import (EvaluationInputs, PlanViolations, calibrate_bounds,
                             plan, run_evaluation)
 
@@ -24,6 +24,45 @@ def _embedding_config(**extra):
         "seed": 5,
     }
     raw.update(extra)
+    return config_from_dict(raw)
+
+
+TABLE_METRICS = ["missing_data_percentage", "required_field_proportion",
+                 "constraint_violation_rate", "k_anonymity", "l_diversity",
+                 "t_closeness", "constraint_boundary_distance",
+                 "nearest_invalid_datapoint"]
+
+
+def _table_config():
+    return config_from_dict({
+        "metrics": TABLE_METRICS,
+        "bounds": {"constraint_boundary_distance": [0, 10],
+                   "nearest_invalid_datapoint": [0, 10]},
+        "constraints": {"derive": {"fields": ["age", "hgb"]}},
+        "compliance": {"quasi_identifiers": ["sex"],
+                       "sensitive_column": "hgb"},
+        "tables": {"real": "unused.csv",
+                   "schema": {"age": "numeric", "hgb": "numeric",
+                              "sex": "categorical"}},
+    })
+
+
+#: need -> (config block, key, a value that satisfies it)
+_SUPPLIED = {
+    "quasi_identifiers": ("compliance", "quasi_identifiers", ["sex"]),
+    "sensitive_column": ("compliance", "sensitive_column", "hgb"),
+    "constraint_rules": ("constraints", "rules",
+                         [{"id": "adult", "kind": "range", "field": "age",
+                           "min": 18}]),
+    "required_fields": ("completeness", "required_fields", ["age"]),
+}
+
+
+def _config_without(name, left_out):
+    raw = {"metrics": [name], "bounds": {name: [0, 10]}}
+    for need, (block, key, value) in _SUPPLIED.items():
+        if need != left_out:
+            raw.setdefault(block, {})[key] = value
     return config_from_dict(raw)
 
 
@@ -59,6 +98,16 @@ class TestPlan:
         cfg = config_from_dict({"metrics": ["earth_movers_distance"]})
         outcome = plan(EvaluationInputs(synthetic=synth, real=real), cfg)
         assert any("bounds" in m for m in outcome.messages())
+
+    @pytest.mark.parametrize("name,need", [
+        (d.name, need) for d in catalog.REGISTRY.values() for need in d.needs])
+    def test_each_declared_need_is_checked(self, pair, name, need):
+        real, synth = pair
+        inputs = EvaluationInputs(synthetic=synth, real=real,
+                                  table=make_record_table(20, seed=9))
+        assert plan(inputs, _config_without(name, None)).ok
+        messages = plan(inputs, _config_without(name, need)).messages()
+        assert any(m.startswith("E227") for m in messages), messages
 
     def test_consistency_needs_subgroups(self, pair):
         real, synth = pair
@@ -156,30 +205,32 @@ class TestRunEvaluation:
         synth_emb = make_gaussian_mixture(30, 3, TWO_MODES, seed=61)
         real_table = make_record_table(60, seed=62)
         synth_table = make_record_table(55, seed=63)
-        cfg = config_from_dict({
-            "metrics": ["missing_data_percentage", "required_field_proportion",
-                        "constraint_violation_rate", "k_anonymity",
-                        "l_diversity", "t_closeness",
-                        "constraint_boundary_distance",
-                        "nearest_invalid_datapoint"],
-            "bounds": {"constraint_boundary_distance": [0, 10],
-                       "nearest_invalid_datapoint": [0, 10]},
-            "constraints": {"derive": {"fields": ["age", "hgb"]}},
-            "compliance": {"quasi_identifiers": ["sex"],
-                           "sensitive_column": "hgb"},
-            "tables": {"real": "unused.csv",
-                       "schema": {"age": "numeric", "hgb": "numeric",
-                                  "sex": "categorical"}},
-        })
         report = run_evaluation(
             EvaluationInputs(synthetic=synth_emb, table=synth_table,
-                             real_table=real_table), cfg)
+                             real_table=real_table), _table_config())
         completeness_block = report.criterion("completeness")
         assert completeness_block.score is not None
         constraint_block = report.criterion("constraint")
         assert len(constraint_block.metrics) == 3
         compliance_block = report.criterion("compliance")
         assert compliance_block.score is not None
+
+    def test_empty_table_metrics_undefined(self):
+        real_table = make_record_table(60, seed=62)
+        empty = RecordTable(real_table.columns, (),
+                            np.zeros((0, real_table.m), dtype=bool))
+        report = run_evaluation(
+            EvaluationInputs(synthetic=make_gaussian_mixture(30, 3, TWO_MODES,
+                                                             seed=61),
+                             table=empty, real_table=real_table),
+            _table_config())
+        entries = {entry["name"]: entry
+                   for criterion in ("constraint", "completeness", "compliance")
+                   for entry in report.criterion(criterion).metrics}
+        assert sorted(entries) == sorted(TABLE_METRICS)
+        for name, entry in entries.items():
+            assert entry["value"] is None, name
+            assert "empty table" in entry["diagnostics"]["undefined_reason"]
 
     def test_pca_reduction_recorded(self, pair):
         real, synth = pair
