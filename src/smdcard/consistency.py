@@ -2,8 +2,10 @@
 
 Per-subgroup metric values come from the evaluation pipeline (each selected
 base metric recomputed on the subgroup slices). This module quantifies their
-dispersion and, via seeded bootstrap resampling, whether between-subgroup
-differences are statistically significant.
+dispersion and, with a one-way F test over bootstrap replicates, whether
+between-subgroup differences are statistically significant. The runner
+computes each replicate as an ordinary worker-pool task that resamples its
+subgroup's rows from the seed ``task_seed`` derives.
 """
 
 from __future__ import annotations
@@ -86,35 +88,3 @@ def task_seed(seed: int, label: str, replicate: int) -> int:
     digest = hashlib.sha256(f"{label}|{replicate}".encode("utf-8")).digest()
     return (seed ^ int.from_bytes(digest[:8], "big")) & 0x7FFFFFFFFFFFFFFF
 
-
-def bootstrap_groups(values_by_label: dict[str, "np.ndarray | None"],
-                     compute, replicates: int, seed: int):
-    """Bootstrap per-subgroup metric samples for the ANOVA.
-
-    ``values_by_label`` maps a label to the row indices available to it (or
-    None to skip); ``compute(label, indices)`` returns the metric value on a
-    resample. Returns (groups, labels, skipped).
-    """
-    groups = []
-    labels = []
-    skipped = []
-    for label in sorted(values_by_label):
-        indices = values_by_label[label]
-        if indices is None:
-            skipped.append(label)
-            continue
-        indices = np.asarray(indices)
-        samples = []
-        for r in range(replicates):
-            rng = np.random.default_rng(task_seed(seed, label, r))
-            resample = indices[rng.integers(indices.size, size=indices.size)]
-            value = compute(label, resample)
-            if value is None:
-                break
-            samples.append(float(value))
-        if len(samples) == replicates:
-            groups.append(np.asarray(samples))
-            labels.append(label)
-        else:
-            skipped.append(label)
-    return groups, labels, skipped

@@ -336,7 +336,8 @@ def margin_to_boundary(table: RecordTable, rules: ConstraintRuleSet):
     """Mean, over fully valid rows, of the distance to the nearest boundary.
 
     Returns (None, diagnostics) when no row is valid or no rule bounds the
-    valid rows. The per-row distribution is reported in the diagnostics.
+    valid rows. The diagnostics summarize the per-row distribution with
+    fixed quantiles, so their size does not grow with the table.
     """
     d = _distances(table, rules)
     invalid = (d > 0).any(axis=0)
@@ -350,8 +351,9 @@ def margin_to_boundary(table: RecordTable, rules: ConstraintRuleSet):
     }
     if not arr.size:
         return None, diagnostics
-    diagnostics["margins"] = arr.tolist()
     diagnostics["margin_min"] = float(arr.min())
     diagnostics["margin_max"] = float(arr.max())
     diagnostics["margin_median"] = float(np.median(arr))
+    for q in (5, 25, 75, 95):
+        diagnostics[f"margin_p{q:02d}"] = float(np.quantile(arr, q / 100))
     return float(arr.mean()), diagnostics

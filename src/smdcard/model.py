@@ -115,10 +115,9 @@ class RecordTable:
         if mask.shape != (len(rows), m):
             raise InputError("missing mask shape does not match the table")
         object.__setattr__(self, "missing_mask", mask)
-        for i, row in enumerate(rows):
-            for j in range(m):
-                if mask[i, j] and row[j] is not None:
-                    raise InputError(f"masked cell ({i},{j}) carries a value")
+        for i, j in zip(*np.nonzero(mask)):
+            if rows[i][j] is not None:
+                raise InputError(f"masked cell ({i},{j}) carries a value")
 
     @property
     def n(self) -> int:

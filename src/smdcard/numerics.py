@@ -14,7 +14,7 @@ from .errors import EvaluationError
 from .model import EmbeddingSet
 
 
-_BLOCK_ELEMENTS = 1 << 22  # cap on the temporary (rows x m x d) difference block
+_BLOCK_ELEMENTS = 1 << 20  # cap on the temporary (rows x m x d) difference block
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

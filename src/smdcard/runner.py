@@ -8,16 +8,18 @@ Binary metrics inside a region/subgroup scope compare against the reference
 rows with the same tag; slices that fail a metric's preconditions yield
 explicit undefined markers, never silent omission.
 
-Metric computation is pure, so tasks can run on a thread pool; results are
-keyed and sorted before assembly, which keeps reports byte-identical for
-any worker count.
+Every metric computation is one task: each metric in each scope, and each
+bootstrap replicate of each ANOVA base metric in each subgroup scope.
+Computation is pure and each replicate draws its rows from its own derived
+seed, so tasks can run on a thread pool; results are keyed and sorted
+before assembly, which keeps reports byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,6 +147,7 @@ class _Args:
     inputs: EvaluationInputs | None = None
     rules: ConstraintRuleSet | None = None
     required: tuple[str, ...] | None = None
+    draw: int | None = None  # seed of a bootstrap resample of ``synthetic``
 
 
 def _optional(cast, value):
@@ -251,6 +254,9 @@ def _metric_result(scope: str, name: str, args: _Args) -> MetricResult:
     undefined markers; image and probability errors propagate."""
     d = catalog.descriptor(name)
     embedding = d.source == catalog.SOURCE_EMBEDDING
+    if args.draw is not None:
+        args = replace(args, synthetic=_resample(args.synthetic, args.draw),
+                       draw=None)
     if embedding and d.arity == "binary" and args.real is None:
         return undefined_result(name, "insufficient samples: no reference "
                                       "rows in this slice", scope=scope)
@@ -268,11 +274,12 @@ def _metric_result(scope: str, name: str, args: _Args) -> MetricResult:
     return MetricResult(d, value, scope, None, diagnostics)
 
 
-def _resample(eset: EmbeddingSet, row_indices) -> EmbeddingSet:
-    """Bootstrap view: rows may repeat, so fresh ids replace the originals."""
-    idx = np.asarray(row_indices, dtype=int)
-    return EmbeddingSet(ids=tuple(f"b{i:06d}" for i in range(idx.size)),
-                        data=eset.data[idx])
+def _resample(eset: EmbeddingSet, seed: int) -> EmbeddingSet:
+    """Bootstrap resample of all rows: rows may repeat, so fresh ids replace
+    the originals."""
+    rows = np.random.default_rng(seed).integers(eset.n, size=eset.n)
+    return EmbeddingSet(ids=tuple(f"b{i:06d}" for i in range(eset.n)),
+                        data=eset.data[rows])
 
 
 def _filter_by_label(eset: EmbeddingSet | None, attr: str, label: str):
@@ -292,9 +299,10 @@ def _filter_by_label(eset: EmbeddingSet | None, attr: str, label: str):
 
 
 def _consistency_results(inputs: EvaluationInputs, config: EvalConfig,
-                         subgroup_results: dict, seed: int):
+                         subgroup_results: dict, replicates: list):
     """One result per selected consistency metric, worst case across base
-    metrics; per-base detail goes to diagnostics."""
+    metrics; per-base detail goes to diagnostics. ``replicates`` pairs each
+    bootstrap task with its result."""
     selected = [n for n in config.metrics
                 if catalog.descriptor(n).source == catalog.SOURCE_SUBGROUP_METRICS]
     if not selected:
@@ -338,37 +346,28 @@ def _consistency_results(inputs: EvaluationInputs, config: EvalConfig,
             else:
                 results.append(make_result(name, worst, **diagnostics))
         elif name == "anova":
-            results.append(_anova_result(inputs, config, labels, bases, seed))
+            results.append(_anova_result(config, labels, bases, replicates))
     return results
 
 
-def _anova_result(inputs: EvaluationInputs, config: EvalConfig,
-                  labels: list[str], bases: tuple[str, ...], seed: int):
-    """Bootstrap one-way ANOVA per base metric; keep the most significant."""
-    synthetic = inputs.synthetic
-    real = inputs.real
+def _anova_result(config: EvalConfig, labels: list[str],
+                  bases: tuple[str, ...], replicates: list):
+    """Bootstrap one-way ANOVA per base metric; keep the most significant.
+    A subgroup with any undefined replicate is skipped."""
+    samples: dict[tuple[str, str], list] = {}
+    for (scope, base, _), result in replicates:
+        samples.setdefault((base, scope), []).append(result.value)
     worst = None  # (p, F, base)
     detail = {}
-    index_by_label = {label: np.asarray([i for i, v in
-                                         enumerate(synthetic.subgroup)
-                                         if v == label])
-                      for label in labels}
     for base in bases:
-        def compute(label, row_indices, _base=base):
-            synth_slice = _resample(synthetic, row_indices)
-            real_slice = _filter_by_label(real, "subgroup", label)
-            if (catalog.descriptor(_base).arity == "binary"
-                    and real_slice is None):
-                return None
-            try:
-                value, _ = _compute(_base, _Args(real_slice, synth_slice,
-                                                 config, seed))
-            except EvaluationError:
-                return None
-            return value
-
-        groups, used, skipped = consistency.bootstrap_groups(
-            index_by_label, compute, config.bootstrap_replicates, seed)
+        groups, used, skipped = [], [], []
+        for label in labels:
+            values = samples.get((base, f"subgroup:{label}"), [])
+            if None in values:
+                skipped.append(label)
+            else:
+                groups.append(np.asarray(values))
+                used.append(label)
         if len(groups) < 2:
             detail[base] = "undefined: fewer than 2 usable subgroups"
             continue
@@ -450,17 +449,29 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
         tasks.extend((scope, name, args) for name in embedding)
     tasks.extend(("global", name, run_args) for name in config.metrics
                  if name in _COMPUTE and name not in embedding)
+    replicates = []  # (scope, base, args), one per bootstrap draw and base
+    bases = _consistency_base(config) if "anova" in config.metrics else ()
+    for scope, real_slice, synth_slice in scopes:
+        if bases and scope.startswith("subgroup:"):
+            label = scope[len("subgroup:"):]
+            for r in range(config.bootstrap_replicates):
+                args = _Args(real_slice, synth_slice, config, seed,
+                             draw=consistency.task_seed(seed, label, r))
+                replicates.extend((scope, base, args) for base in bases)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(lambda t: _metric_result(*t), tasks))
+            computed = list(pool.map(lambda t: _metric_result(*t),
+                                     tasks + replicates))
     else:
-        computed = [_metric_result(*t) for t in tasks]
+        computed = [_metric_result(*t) for t in tasks + replicates]
     results = {(t[0], t[1]): r for t, r in zip(tasks, computed)}
 
     all_results = list(results.values())
     if synthetic.subgroup:
-        all_results.extend(_consistency_results(inputs, config, results, seed))
+        all_results.extend(_consistency_results(
+            inputs, config, results,
+            list(zip(replicates, computed[len(tasks):]))))
 
     rules = run_args.rules
     if len(rules):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from smdcard.consistency import (bootstrap_groups, dispersion, f_survival,
-                                 one_way_anova, task_seed)
+from smdcard.consistency import dispersion, f_survival, one_way_anova, task_seed
 from smdcard.errors import EvaluationError
 
 
@@ -119,22 +118,3 @@ class TestSeeding:
         assert task_seed(7, "groupA", 3) != task_seed(7, "groupA", 4)
         assert task_seed(7, "groupA", 3) != task_seed(8, "groupA", 3)
 
-    def test_bootstrap_groups_order_independent(self):
-        indices = {"a": np.arange(10), "b": np.arange(10, 25)}
-
-        def compute(label, rows):
-            return float(np.sum(rows)) / rows.size
-
-        groups_1, labels_1, _ = bootstrap_groups(indices, compute, 20, seed=3)
-        groups_2, labels_2, _ = bootstrap_groups(
-            dict(reversed(list(indices.items()))), compute, 20, seed=3)
-        assert labels_1 == labels_2
-        for g1, g2 in zip(groups_1, groups_2):
-            assert np.array_equal(g1, g2)
-
-    def test_skipped_groups_reported(self):
-        indices = {"a": np.arange(4), "b": None}
-        groups, labels, skipped = bootstrap_groups(
-            indices, lambda label, rows: 1.0, 5, seed=0)
-        assert labels == ["a"]
-        assert skipped == ["b"]

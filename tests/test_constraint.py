@@ -238,7 +238,9 @@ class TestMarginToBoundary:
                        abs(age + 2 * hgb - 120.0) / norm]
             per_row.append(min(margins))
         assert value == pytest.approx(float(np.mean(per_row)), abs=1e-12)
-        assert diag["margins"] == pytest.approx(per_row)
+        for q in (5, 25, 75, 95):
+            assert diag[f"margin_p{q:02d}"] == pytest.approx(
+                float(np.quantile(per_row, q / 100)), abs=1e-12)
 
     def test_all_rows_invalid_undefined(self):
         rules = ConstraintRuleSet((_range("r", "age", lo=0.0, hi=10.0),))
@@ -272,9 +274,10 @@ class TestSignedDistances:
                                    rule_from_dict({
                                        "id": "lin", "kind": "linear",
                                        "weights": {"hgb": 2.0}, "bound": 8.0})))
-        _, diag = margin_to_boundary(_table([(10.0, 1.0, "a"),
-                                             (5.0, 4.0, "a")]), rules)
-        assert [math.copysign(1.0, m) for m in diag["margins"]] == [1.0, 1.0]
+        for row in [(10.0, 1.0, "a"), (5.0, 4.0, "a")]:
+            _, diag = margin_to_boundary(_table([row]), rules)
+            assert diag["margin_min"] == 0.0
+            assert math.copysign(1.0, diag["margin_min"]) == 1.0
 
     @pytest.mark.parametrize("metric", [violation_rate, violation_magnitude,
                                         margin_to_boundary])
@@ -411,10 +414,11 @@ def _oracle_margin_to_boundary(table, rules):
     if not margins:
         return None, diagnostics
     arr = np.asarray(margins)
-    diagnostics["margins"] = [float(v) for v in arr]
     diagnostics["margin_min"] = float(arr.min())
     diagnostics["margin_max"] = float(arr.max())
     diagnostics["margin_median"] = float(np.median(arr))
+    for q in (5, 25, 75, 95):
+        diagnostics[f"margin_p{q:02d}"] = float(np.quantile(margins, q / 100))
     return float(arr.mean()), diagnostics
 
 

@@ -49,6 +49,13 @@ class TestRecordTable:
             RecordTable(columns=(("x", "numeric"),), rows=((1.0,),),
                         missing_mask=np.array([[True]]))
 
+    def test_first_masked_value_named_in_row_order(self):
+        # column order would name (1,0) first
+        mask = np.array([[False, True], [True, False]])
+        with pytest.raises(InputError, match=r"masked cell \(0,1\) "):
+            RecordTable(columns=(("x", "numeric"), ("y", "numeric")),
+                        rows=((1.0, 2.0), (3.0, 4.0)), missing_mask=mask)
+
     def test_duplicate_columns_rejected(self):
         with pytest.raises(InputError, match="duplicate column"):
             table_from([("x", "numeric"), ("x", "numeric")], [(1.0, 2.0)])

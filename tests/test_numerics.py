@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smdcard import numerics
 from smdcard.errors import EvaluationError
 from smdcard.numerics import (freedman_diaconis_bins, histogram_masses,
-                              jsd_masses, knn_distances, pca_fit,
-                              shannon_entropy, w1_distance_1d)
+                              jsd_masses, knn_distances, pairwise_distances,
+                              pca_fit, shannon_entropy, w1_distance_1d)
 
 from conftest import embedding_from
 
@@ -53,6 +54,15 @@ class TestKnn:
                            for j in range(es.n) if j != r)
             assert got[r, 0] == pytest.approx(brute[0], abs=1e-12)
             assert got[r, 1] == pytest.approx(brute[1], abs=1e-12)
+
+
+    def test_block_size_does_not_change_bits(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=(37, 7))
+        b = rng.normal(size=(23, 7))
+        whole = pairwise_distances(a, b)  # one block at the default size
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)
+        assert np.array_equal(pairwise_distances(a, b), whole)
 
 
 class TestPca:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from smdcard import catalog, runner
+from smdcard import catalog, congruence, coverage, runner
 from smdcard.aggregate import has_bounds_source
 from smdcard.config import config_from_dict
+from smdcard.consistency import one_way_anova, task_seed
 from smdcard.constraint import ConstraintRuleSet, rule_from_dict
+from smdcard.errors import EvaluationError
 from smdcard.harness import make_gaussian_mixture, make_record_table
 from smdcard.ingest import dumps_canonical
 from smdcard.model import EmbeddingSet, RecordTable
@@ -153,10 +155,11 @@ class TestRunEvaluation:
     def test_workers_do_not_change_bytes(self, pair):
         real, synth = pair
         cfg = _embedding_config(consistency={"base_metrics":
-                                             ["jensen_shannon_divergence"],
+                                             ["jensen_shannon_divergence",
+                                              "recall"],
                                              "bootstrap_replicates": 20},
                                 metrics=["cosine_similarity",
-                                         "jensen_shannon_divergence",
+                                         "jensen_shannon_divergence", "recall",
                                          "anova", "max_min_difference"])
         one = run_evaluation(EvaluationInputs(synthetic=synth, real=real),
                              cfg, workers=1)
@@ -285,6 +288,91 @@ class TestSubgroupRecompute:
         a0 = report_a.criterion("congruence", "subgroup:mode0").metrics[0]
         b1 = report_b.criterion("congruence", "subgroup:mode1").metrics[0]
         assert a0["value"] == b1["value"]
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the serial bootstrap loop the replicate tasks replaced
+
+_ORACLE_BASES = {
+    "recall": lambda real, synth: coverage.manifold_recall(real, synth, k=3),
+    "jensen_shannon_divergence": lambda real, synth:
+        congruence.jensen_shannon(real, synth),
+}
+
+
+def _oracle_anova_per_base(real, synth, bases, replicates, seed):
+    """Per base: resample each subgroup's rows from the full synthetic set,
+    stop a subgroup at its first undefined replicate, F-test the rest."""
+    labels = sorted(set(synth.subgroup))
+    detail = {}
+    for base in bases:
+        groups, used, skipped = [], [], []
+        for label in labels:
+            indices = np.asarray([i for i, v in enumerate(synth.subgroup)
+                                  if v == label])
+            real_slice = real.subset([i for i, v in enumerate(real.subgroup)
+                                      if v == label])
+            samples = []
+            for r in range(replicates):
+                rng = np.random.default_rng(task_seed(seed, label, r))
+                rows = indices[rng.integers(indices.size, size=indices.size)]
+                resample = EmbeddingSet(
+                    ids=tuple(f"b{i:06d}" for i in range(rows.size)),
+                    data=synth.data[rows])
+                try:
+                    value, _ = _ORACLE_BASES[base](real_slice, resample)
+                except EvaluationError:
+                    break
+                samples.append(float(value))
+            if len(samples) == replicates:
+                groups.append(np.asarray(samples))
+                used.append(label)
+            else:
+                skipped.append(label)
+        stats, _ = one_way_anova(groups)
+        detail[base] = {"F": stats["F"], "p": stats["p"],
+                        "subgroups": used, "skipped": skipped}
+    return detail
+
+
+class TestAnovaReplicates:
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_equals_serial_bootstrap_oracle(self, monkeypatch, partial):
+        if partial:
+            # recall also undefined on some, not all, replicates of "a"
+            recall = coverage.manifold_recall
+
+            def patched(real, synth, k):
+                if synth.data[:, 0].mean() < -0.5:
+                    raise EvaluationError("patched")
+                return recall(real, synth, k=k)
+            monkeypatch.setattr(coverage, "manifold_recall", patched)
+        # "tiny" has 3 synthetic rows: too few for recall's k=3 with the
+        # self-match excluded, so recall skips it while JSD keeps it
+        labels = ("a",) * 20 + ("b",) * 20 + ("c",) * 20 + ("tiny",) * 3
+        real_base = make_gaussian_mixture(63, 4, TWO_MODES, seed=71)
+        synth_base = make_gaussian_mixture(63, 4, TWO_MODES, seed=72)
+        real = EmbeddingSet(ids=real_base.ids, data=real_base.data,
+                            subgroup=labels)
+        synth = EmbeddingSet(ids=synth_base.ids, data=synth_base.data,
+                             subgroup=labels)
+        bases = ["recall", "jensen_shannon_divergence"]
+        cfg = config_from_dict({
+            "metrics": bases + ["anova"],
+            "consistency": {"base_metrics": bases, "bootstrap_replicates": 12},
+            "columns": {"subgroup": "subgroup"}, "seed": 9})
+        report = run_evaluation(EvaluationInputs(synthetic=synth, real=real),
+                                cfg, workers=2)
+        entry = report.criterion("consistency").metrics[0]
+        expected = _oracle_anova_per_base(real, synth, bases, 12,
+                                          cfg.effective_seed())
+        assert expected["recall"]["skipped"] == (["a", "tiny"] if partial
+                                                 else ["tiny"])
+        assert expected["jensen_shannon_divergence"]["skipped"] == []
+        assert entry["diagnostics"]["per_base"] == expected
+        worst = min(expected.values(), key=lambda detail: detail["p"])
+        assert entry["value"] == worst["F"]
+        assert entry["diagnostics"]["p"] == worst["p"]
 
 
 class TestCalibration:
