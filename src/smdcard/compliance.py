@@ -11,11 +11,13 @@ labeled as declared rather than verified.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .errors import EvaluationError
 from .model import EmbeddingSet, RecordTable
-from .numerics import nearest_distances, w1_distance_1d
+from .numerics import ball_query, kth_neighbor_distance, w1_distance_1d
 
 _MISSING = "<missing>"
 
@@ -105,14 +107,9 @@ def t_closeness(table: RecordTable, quasi_identifiers: list[str],
             worst = max(worst, w1_distance_1d(values, global_values) / span)
         return min(1.0, worst), diagnostics
 
-    global_counts: dict[str, int] = {}
-    observed = 0
-    for i in range(table.n):
-        if table.missing_mask[i, j]:
-            continue
-        key = str(table.rows[i][j])
-        global_counts[key] = global_counts.get(key, 0) + 1
-        observed += 1
+    global_counts = Counter(str(table.rows[i][j]) for i in range(table.n)
+                            if not table.missing_mask[i, j])
+    observed = sum(global_counts.values())
     if observed == 0:
         raise EvaluationError(f"sensitive column {sensitive_column!r} "
                               "is entirely missing")
@@ -125,9 +122,9 @@ def t_closeness(table: RecordTable, quasi_identifiers: list[str],
                    if not table.missing_mask[i, j]]
         if not present:
             continue
-        local = {k: present.count(k) / len(present) for k in set(present)}
+        local = {k: c / len(present) for k, c in Counter(present).items()}
         tv = 0.5 * sum(abs(local.get(k, 0.0) - global_dist.get(k, 0.0))
-                       for k in set(local) | set(global_dist))
+                       for k in sorted(local.keys() | global_dist.keys()))
         worst = max(worst, tv)
     return worst, diagnostics
 
@@ -147,10 +144,9 @@ def leakage_rate(real: EmbeddingSet, synthetic: EmbeddingSet,
         if real.n < 2:
             raise EvaluationError("defaulting tau needs at least 2 reference "
                                   "rows")
-        self_nn = nearest_distances(real, real, exclude_self=True)
-        tau = float(np.percentile(self_nn, 1.0))
-    nearest = nearest_distances(synthetic, real, exclude_self=False)
-    hits = nearest <= tau
+        tau = float(np.percentile(kth_neighbor_distance(real.data, 1), 1.0))
+    smallest, _ = ball_query(synthetic.data, real.data, np.full(real.n, tau))
+    hits = smallest <= tau
     return float(hits.mean()), {"tau": float(tau), "hits": int(hits.sum())}
 
 

@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import EvaluationError
 from .model import EmbeddingSet
-from .numerics import (freedman_diaconis_bins, histogram_masses, jsd_masses,
-                       knn_distances, pairwise_distances, w1_distance_1d)
+from .numerics import (ball_query, freedman_diaconis_bins, histogram_masses,
+                       jsd_masses, kth_neighbor_distance, pairwise_distances,
+                       w1_distance_1d)
 
 EXACT_MATCHING_LIMIT = 512
 
@@ -163,9 +164,9 @@ def manifold_precision(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
     Ball radius: distance from a reference point to its kth reference
     neighbor (self excluded); membership uses closed balls.
     """
-    radii = knn_distances(real, real, k, exclude_self=True)[:, -1]
-    dists = pairwise_distances(synthetic.data, real.data)
-    inside = (dists <= radii[None, :]).any(axis=1)
+    smallest, _ = ball_query(synthetic.data, real.data,
+                             kth_neighbor_distance(real.data, k))
+    inside = np.isfinite(smallest)
     return float(inside.mean()), {"k": k, "inside": int(inside.sum())}
 
 

@@ -15,24 +15,24 @@ import numpy as np
 
 from .errors import EvaluationError
 from .model import EmbeddingSet
-from .numerics import (freedman_diaconis_bins, histogram_masses, knn_distances,
-                       pairwise_distances, pca_fit, shannon_entropy)
+from .numerics import (ball_query, freedman_diaconis_bins, histogram_masses,
+                       kth_neighbor_distance, pairwise_distances, pca_fit,
+                       shannon_entropy)
 
 
 def manifold_recall(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
     """Fraction of reference points inside at least one synthetic kNN ball."""
-    radii = knn_distances(synthetic, synthetic, k, exclude_self=True)[:, -1]
-    dists = pairwise_distances(real.data, synthetic.data)
-    inside = (dists <= radii[None, :]).any(axis=1)
+    smallest, _ = ball_query(real.data, synthetic.data,
+                             kth_neighbor_distance(synthetic.data, k))
+    inside = np.isfinite(smallest)
     return float(inside.mean()), {"k": k, "inside": int(inside.sum())}
 
 
 def manifold_coverage(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 5):
     """Fraction of reference points whose own reference kNN ball contains a
     synthetic point."""
-    radii = knn_distances(real, real, k, exclude_self=True)[:, -1]
-    nearest = pairwise_distances(real.data, synthetic.data).min(axis=1)
-    inside = nearest <= radii
+    _, inside = ball_query(synthetic.data, real.data,
+                           kth_neighbor_distance(real.data, k))
     return float(inside.mean()), {"k": k, "inside": int(inside.sum())}
 
 
@@ -159,17 +159,12 @@ def rarity_score(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
     """Mean radius of the smallest reference kNN ball containing each
     synthetic point; points outside every ball are excluded from the mean
     and reported as the out-of-manifold fraction."""
-    radii = knn_distances(real, real, k, exclude_self=True)[:, -1]
-    dists = pairwise_distances(synthetic.data, real.data)
-    contained = dists <= radii[None, :]
-    scores = []
-    for i in range(synthetic.n):
-        inside = np.where(contained[i])[0]
-        if inside.size:
-            scores.append(float(radii[inside].min()))
-    out_fraction = 1.0 - len(scores) / synthetic.n
+    smallest, _ = ball_query(synthetic.data, real.data,
+                             kth_neighbor_distance(real.data, k))
+    scores = smallest[np.isfinite(smallest)]
+    out_fraction = 1.0 - scores.size / synthetic.n
     diagnostics = {"k": k, "out_of_manifold_fraction": out_fraction}
-    if not scores:
+    if not scores.size:
         return None, {**diagnostics,
                       "undefined_reason": "no synthetic point falls inside "
                                           "the reference manifold"}

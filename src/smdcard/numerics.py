@@ -1,7 +1,8 @@
 """Geometry and histogram utilities shared by the metric modules.
 
 Everything here is exact (no approximate neighbor indexes) and deterministic;
-randomized callers pass explicit seeds and record them.
+randomized callers pass explicit seeds and record them. kNN balls are read
+in streamed distance row blocks, so their memory is bounded by the block size.
 """
 
 from __future__ import annotations
@@ -11,54 +12,63 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .model import EmbeddingSet
 
 
 _BLOCK_ELEMENTS = 1 << 20  # cap on the temporary (rows x m x d) difference block
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance matrix between rows of ``a`` and ``b``.
+def _distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield ``(start, stop, block)``: exact Euclidean distances from rows
+    ``a[start:stop]`` to every row of ``b``.
 
     Computed from explicit coordinate differences (no dot-product shortcut,
-    so no cancellation) in row blocks to keep peak memory bounded; blocking
-    does not change any result bit.
+    so no cancellation); the block size bounds memory and changes no bit.
     """
     n_a, d = a.shape
-    n_b = b.shape[0]
-    out = np.empty((n_a, n_b))
-    rows_per_block = max(1, _BLOCK_ELEMENTS // max(1, n_b * d))
+    rows_per_block = max(1, _BLOCK_ELEMENTS // max(1, b.shape[0] * d))
     for start in range(0, n_a, rows_per_block):
         stop = min(start + rows_per_block, n_a)
         diff = a[start:stop, None, :] - b[None, :, :]
-        out[start:stop] = np.sqrt(np.sum(diff * diff, axis=2))
+        yield start, stop, np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance matrix between rows of ``a`` and ``b``."""
+    out = np.empty((a.shape[0], b.shape[0]))
+    for start, stop, block in _distance_blocks(a, b):
+        out[start:stop] = block
     return out
 
 
-def knn_distances(query: EmbeddingSet, reference: EmbeddingSet, k: int,
-                  exclude_self: bool | None = None) -> np.ndarray:
-    """(n_query, k) matrix of distances to the 1st..kth nearest reference rows.
-
-    ``exclude_self`` defaults to True when query and reference are the same
-    object. Ties are broken toward the lower reference row index (stable sort).
-    """
-    if exclude_self is None:
-        exclude_self = query is reference
-    limit = reference.n - 1 if exclude_self else reference.n
-    if k < 1 or k > limit:
+def kth_neighbor_distance(data: np.ndarray, k: int) -> np.ndarray:
+    """Each row's distance to its k-th nearest other row (self excluded by
+    index, so a copied row is a neighbor at distance 0)."""
+    n = data.shape[0]
+    if k < 1 or k > n - 1:
         raise EvaluationError(
-            f"k={k} out of range: reference set supports at most k={limit}"
-            + (" (self-match excluded)" if exclude_self else ""))
-    dists = pairwise_distances(query.data, reference.data)
-    if exclude_self:
-        np.fill_diagonal(dists, np.inf)
-    order = np.argsort(dists, axis=1, kind="stable")
-    return np.take_along_axis(dists, order[:, :k], axis=1)
+            f"k={k} out of range: reference set supports at most k={n - 1} "
+            "(self-match excluded)")
+    out = np.empty(n)
+    for start, stop, block in _distance_blocks(data, data):
+        np.fill_diagonal(block[:, start:stop], np.inf)
+        out[start:stop] = np.partition(block, k - 1, axis=1)[:, k - 1]
+    return out
 
 
-def nearest_distances(query: EmbeddingSet, reference: EmbeddingSet,
-                      exclude_self: bool | None = None) -> np.ndarray:
-    return knn_distances(query, reference, 1, exclude_self)[:, 0]
+def ball_query(query: np.ndarray, centers: np.ndarray, radii: np.ndarray):
+    """Closed-ball membership of ``query`` rows in balls ``(centers, radii)``.
+
+    Returns ``(smallest, occupied)``: per query row, the smallest radius
+    among the balls that contain it (inf when none does); per ball, whether
+    any query row falls inside it.
+    """
+    smallest = np.empty(query.shape[0])
+    occupied = np.zeros(centers.shape[0], dtype=bool)
+    for start, stop, block in _distance_blocks(query, centers):
+        inside = block <= radii
+        smallest[start:stop] = np.where(inside, radii, np.inf).min(axis=1)
+        occupied |= inside.any(axis=0)
+    return smallest, occupied
 
 
 @dataclass(frozen=True)

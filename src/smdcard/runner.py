@@ -425,11 +425,7 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
         if basis.padded:
             notes.append(f"projection padded {basis.padded} zero components "
                          "(rank deficiency)")
-        inputs = EvaluationInputs(synthetic=synthetic, real=real,
-                                  table=inputs.table,
-                                  real_table=inputs.real_table,
-                                  image_pairs=inputs.image_pairs,
-                                  class_probs=inputs.class_probs)
+        inputs = replace(inputs, synthetic=synthetic, real=real)
 
     run_args = _Args(real, synthetic, config, seed, inputs,
                      _resolve_rules(inputs, config),

@@ -1,7 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import smdcard
 
 from smdcard.compliance import (declared_privacy_record, k_anonymity,
                                 l_diversity, leakage_rate, t_closeness)
@@ -156,6 +162,28 @@ class TestTCloseness:
                 rows.append((band, "100", dx, 1.0))
         value, _ = t_closeness(_qi_table(rows), ["age_band"], "dx")
         assert value == 0.0
+    def test_categorical_independent_of_hash_seed(self):
+        # total variation summed in set order changed in the last bit with
+        # PYTHONHASHSEED; it must not depend on string hashing at all
+        script = (
+            "from smdcard.compliance import t_closeness\n"
+            "from smdcard.harness import make_record_table\n"
+            "for seed in range(40):\n"
+            "    t = make_record_table(300, seed=seed, numeric_fields={'x': "
+            "(0.0, 1.0)}, categorical_fields={'band': list('abcdefg'), "
+            "'dx': list('pqrstuvw')})\n"
+            "    print(repr(t_closeness(t, ['band'], 'dx')))\n")
+        src = str(pathlib.Path(smdcard.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": src}
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True,
+                                 timeout=120)
+            outputs.append(run.stdout)
+        assert outputs[0].count("\n") == 40
+        assert outputs[0] == outputs[1]
 
 
 class TestLeakage:

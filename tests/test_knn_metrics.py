@@ -1,0 +1,144 @@
+"""The five kNN-manifold metrics against a brute-force per-pair oracle, and
+their memory bound."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from smdcard import numerics
+from smdcard.compliance import leakage_rate
+from smdcard.congruence import manifold_precision
+from smdcard.coverage import manifold_coverage, manifold_recall, rarity_score
+from smdcard.errors import EvaluationError
+
+from conftest import embedding_from
+
+
+# ---------------------------------------------------------------------------
+# oracle: one math.dist per pair, closed balls, self excluded by index
+
+
+def _radii(pts, k):
+    n = len(pts)
+    if k < 1 or k > n - 1:
+        raise EvaluationError(f"k={k} out of range: reference set supports "
+                              f"at most k={n - 1} (self-match excluded)")
+    return [sorted(math.dist(pts[i], pts[j]) for j in range(n) if j != i)[k - 1]
+            for i in range(n)]
+
+
+def _containing(point, centers, radii):
+    """Radii of the closed balls that contain ``point``."""
+    return [r for c, r in zip(centers, radii) if math.dist(point, c) <= r]
+
+
+def _fraction_inside(query, centers, k):
+    radii = _radii(centers, k)
+    inside = sum(1 for q in query if _containing(q, centers, radii))
+    return inside / len(query), {"k": k, "inside": inside}
+
+
+def oracle_precision(real, synth, k):
+    return _fraction_inside(synth, real, k)
+
+
+def oracle_recall(real, synth, k):
+    return _fraction_inside(real, synth, k)
+
+
+def oracle_coverage(real, synth, k):
+    radii = _radii(real, k)
+    inside = sum(1 for c, r in zip(real, radii)
+                 if any(math.dist(s, c) <= r for s in synth))
+    return inside / len(real), {"k": k, "inside": inside}
+
+
+def oracle_rarity(real, synth, k):
+    radii = _radii(real, k)
+    scores = [min(found) for s in synth
+              if (found := _containing(s, real, radii))]
+    diagnostics = {"k": k, "out_of_manifold_fraction":
+                   1.0 - len(scores) / len(synth)}
+    if not scores:
+        return None, {**diagnostics,
+                      "undefined_reason": "no synthetic point falls inside "
+                                          "the reference manifold"}
+    return float(np.mean(scores)), diagnostics
+
+
+def oracle_leakage(real, synth, tau):
+    if tau is None:
+        if len(real) < 2:
+            raise EvaluationError("defaulting tau needs at least 2 reference "
+                                  "rows")
+        tau = float(np.percentile(_radii(real, 1), 1.0))
+    hits = sum(1 for s in synth if any(math.dist(s, c) <= tau for c in real))
+    return hits / len(synth), {"tau": float(tau), "hits": hits}
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except EvaluationError as exc:
+        return f"error: {exc}"
+
+
+@st.composite
+def _sets(draw):
+    """Integer coordinates (exact squared sums, many ties) with copied rows
+    (zero radii) in both sets, k up to one past the larger limit, and a
+    distance block size from one row to all rows."""
+    d = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    real = draw(st.lists(coords, min_size=1, max_size=9))
+    real += [real[i] for i in draw(st.lists(st.integers(0, len(real) - 1),
+                                            max_size=3))]
+    synth = draw(st.lists(coords, min_size=0, max_size=9))
+    synth += [real[i] for i in draw(st.lists(st.integers(0, len(real) - 1),
+                                             min_size=0 if synth else 1,
+                                             max_size=4))]
+    k = draw(st.integers(1, max(len(real), len(synth))))
+    tau = draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.0, math.inf]))
+    block = draw(st.sampled_from([1, 20, numerics._BLOCK_ELEMENTS]))
+    return (np.array(real, dtype=np.float64),
+            np.array(synth, dtype=np.float64), k, tau, block)
+
+
+@given(_sets())
+@settings(max_examples=300, deadline=None)
+def test_five_metrics_equal_per_pair_oracle(sets):
+    real, synth, k, tau, block = sets
+    r, s = embedding_from(real, "r"), embedding_from(synth, "s")
+    pairs = [(manifold_precision, oracle_precision, k),
+             (manifold_recall, oracle_recall, k),
+             (manifold_coverage, oracle_coverage, k),
+             (rarity_score, oracle_rarity, k),
+             (leakage_rate, oracle_leakage, tau)]
+    default_block = numerics._BLOCK_ELEMENTS
+    numerics._BLOCK_ELEMENTS = block
+    try:
+        for metric, oracle, param in pairs:
+            assert (_outcome(metric, r, s, param)
+                    == _outcome(oracle, real.tolist(), synth.tolist(), param))
+    finally:
+        numerics._BLOCK_ELEMENTS = default_block
+
+
+@pytest.mark.parametrize("metric, param", [
+    (manifold_precision, 3), (manifold_recall, 3), (manifold_coverage, 5),
+    (rarity_score, 3), (leakage_rate, None)])
+def test_memory_bounded_by_block_not_n_squared(metric, param):
+    n = 3000
+    rng = np.random.default_rng(8)
+    real = embedding_from(rng.normal(size=(n, 4)), "r")
+    synth = embedding_from(rng.normal(size=(n, 4)), "s")
+    tracemalloc.start()
+    try:
+        metric(real, synth, param)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2

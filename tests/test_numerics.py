@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from smdcard import numerics
 from smdcard.errors import EvaluationError
-from smdcard.numerics import (freedman_diaconis_bins, histogram_masses,
-                              jsd_masses, knn_distances, pairwise_distances,
+from smdcard.numerics import (ball_query, freedman_diaconis_bins,
+                              histogram_masses, jsd_masses,
+                              kth_neighbor_distance, pairwise_distances,
                               pca_fit, shannon_entropy, w1_distance_1d)
 
 from conftest import embedding_from
@@ -15,54 +16,59 @@ from conftest import embedding_from
 
 class TestKnn:
     def test_coincident_point_self_allowed(self):
-        ref = embedding_from([[0.0, 0.0], [3.0, 4.0]])
-        query = embedding_from([[0.0, 0.0]], prefix="q")
-        d = knn_distances(query, ref, 1, exclude_self=False)
-        assert d[0, 0] == 0.0
+        ref = np.array([[0.0, 0.0], [3.0, 4.0]])
+        query = np.array([[0.0, 0.0]])
+        smallest, occupied = ball_query(query, ref, np.zeros(2))
+        assert smallest[0] == 0.0
+        assert occupied.tolist() == [True, False]
 
     def test_three_four_five_triangle(self):
-        ref = embedding_from([[0.0, 0.0], [3.0, 4.0]])
-        d = knn_distances(ref, ref, 1, exclude_self=True)
-        assert d[0, 0] == 5.0
+        ref = np.array([[0.0, 0.0], [3.0, 4.0]])
+        assert kth_neighbor_distance(ref, 1)[0] == 5.0
 
     def test_matches_exhaustive_sort_oracle_exactly(self):
         # integer coordinates keep the squared sums exact, so both routes
         # must agree bit for bit
         rng = np.random.default_rng(77)
         pts = rng.integers(-50, 50, size=(100, 5)).astype(np.float64)
-        es = embedding_from(pts)
-        got = knn_distances(es, es, 3, exclude_self=True)
 
         oracle = np.empty((100, 3))
         for i in range(100):
             dists = sorted(math.dist(pts[i], pts[j])
                            for j in range(100) if j != i)
             oracle[i] = dists[:3]
-        assert np.array_equal(got, oracle)
+        for j in range(3):
+            assert np.array_equal(kth_neighbor_distance(pts, j + 1),
+                                  oracle[:, j])
 
     def test_k_out_of_range_names_limit(self):
-        es = embedding_from(np.eye(3))
         with pytest.raises(EvaluationError, match="at most k=2"):
-            knn_distances(es, es, 3, exclude_self=True)
+            kth_neighbor_distance(np.eye(3), 3)
 
     def test_self_distances_match_brute_force(self):
         rng = np.random.default_rng(5)
-        es = embedding_from(rng.normal(size=(40, 3)))
-        got = knn_distances(es, es, 2, exclude_self=True)
-        for r in range(es.n):
-            brute = sorted(np.linalg.norm(es.data[r] - es.data[j])
-                           for j in range(es.n) if j != r)
-            assert got[r, 0] == pytest.approx(brute[0], abs=1e-12)
-            assert got[r, 1] == pytest.approx(brute[1], abs=1e-12)
-
+        data = rng.normal(size=(40, 3))
+        first = kth_neighbor_distance(data, 1)
+        second = kth_neighbor_distance(data, 2)
+        for r in range(len(data)):
+            brute = sorted(np.linalg.norm(data[r] - data[j])
+                           for j in range(len(data)) if j != r)
+            assert first[r] == pytest.approx(brute[0], abs=1e-12)
+            assert second[r] == pytest.approx(brute[1], abs=1e-12)
 
     def test_block_size_does_not_change_bits(self, monkeypatch):
         rng = np.random.default_rng(19)
         a = rng.normal(size=(37, 7))
         b = rng.normal(size=(23, 7))
-        whole = pairwise_distances(a, b)  # one block at the default size
+        radii = rng.uniform(2.0, 4.0, size=23)
+        # one block at the default size
+        whole = (pairwise_distances(a, b), kth_neighbor_distance(a, 3),
+                 *ball_query(a, b, radii))
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)
-        assert np.array_equal(pairwise_distances(a, b), whole)
+        blocked = (pairwise_distances(a, b), kth_neighbor_distance(a, 3),
+                   *ball_query(a, b, radii))
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want)
 
 
 class TestPca:
