@@ -1,8 +1,8 @@
 """Compliance metrics: privacy risk and declared standards adherence.
 
 The anonymity family (k-anonymity, l-diversity, t-closeness) groups rows by
-their joint quasi-identifier values; rows with missing quasi-identifier
-values group under an explicit missing marker and are flagged. The
+their joint quasi-identifier values; a missing quasi-identifier is a value
+of its own, distinct from every cell text, and such rows are flagged. The
 re-identification proxy flags synthetic rows that sit suspiciously close to
 individual reference rows. Differential-privacy parameters are never
 estimated from data: they pass through from the generator's declaration,
@@ -11,64 +11,55 @@ labeled as declared rather than verified.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from .errors import EvaluationError
 from .model import EmbeddingSet, RecordTable
 from .numerics import ball_query, kth_neighbor_distance, w1_distance_1d
 
-_MISSING = "<missing>"
-
 
 def _equivalence_classes(table: RecordTable, quasi_identifiers: list[str]):
+    """Class of every row (0..classes-1), the class count, and the number of
+    rows with a missing quasi-identifier, which is a value of its own."""
     if not quasi_identifiers:
         raise EvaluationError("quasi-identifier list is empty")
     if table.n == 0:
         raise EvaluationError("anonymity metrics are undefined on an empty table")
-    idx = [table.column_index(q) for q in quasi_identifiers]
-    classes: dict[tuple, list[int]] = {}
-    missing_rows = 0
-    for i, row in enumerate(table.rows):
-        key = []
-        for j in idx:
-            if table.missing_mask[i, j]:
-                key.append(_MISSING)
-            else:
-                key.append(str(row[j]))
-        if _MISSING in key:
-            missing_rows += 1
-        classes.setdefault(tuple(key), []).append(i)
-    return classes, missing_rows
+    key = np.zeros(table.n, dtype=np.intp)
+    for name in quasi_identifiers:
+        codes, domain = table.codes(name)
+        # mixed-radix key, re-coded after each column so it stays below n
+        _, key = np.unique(key * (len(domain) + 1) + codes + 1,
+                           return_inverse=True)
+    missing = table.missing_mask[:, list(map(table.column_index,
+                                             quasi_identifiers))]
+    return key, int(key.max()) + 1, int(missing.any(axis=1).sum())
 
 
 def k_anonymity(table: RecordTable, quasi_identifiers: list[str]):
     """Smallest equivalence-class size over joint quasi-identifier values."""
-    classes, missing_rows = _equivalence_classes(table, quasi_identifiers)
-    sizes = sorted(len(v) for v in classes.values())
-    diagnostics = {"classes": len(classes), "rows_with_missing_qi": missing_rows,
+    key, classes, missing_rows = _equivalence_classes(table, quasi_identifiers)
+    diagnostics = {"classes": classes, "rows_with_missing_qi": missing_rows,
                    "n": table.n}
-    return sizes[0], diagnostics
+    return int(np.bincount(key).min()), diagnostics
 
 
 def l_diversity(table: RecordTable, quasi_identifiers: list[str],
                 sensitive_column: str):
-    """Minimum count of distinct sensitive values over equivalence classes."""
+    """Minimum count of distinct sensitive values over equivalence classes
+    (a missing sensitive value counts as one value)."""
     if sensitive_column not in table.column_names:
         raise EvaluationError(f"sensitive column {sensitive_column!r} missing")
-    classes, missing_rows = _equivalence_classes(table, quasi_identifiers)
-    j = table.column_index(sensitive_column)
-    diversities = []
-    for rows in classes.values():
-        values = {str(table.rows[i][j]) if not table.missing_mask[i, j]
-                  else _MISSING for i in rows}
-        diversities.append(len(values))
-    diagnostics = {"classes": len(classes),
+    key, classes, missing_rows = _equivalence_classes(table, quasi_identifiers)
+    codes, domain = table.codes(sensitive_column)
+    radix = len(domain) + 1
+    pairs = np.unique(key * radix + codes + 1)
+    diagnostics = {"classes": classes,
                    "rows_with_missing_qi": missing_rows,
+                   # distinct values, where -0.0 and 0.0 are one
                    "distinct_sensitive_values":
-                       len(table.observed_domain(sensitive_column))}
-    return min(diversities), diagnostics
+                       len(set(table.column(sensitive_column)) - {None})}
+    return int(np.bincount(pairs // radix).min()), diagnostics
 
 
 def t_closeness(table: RecordTable, quasi_identifiers: list[str],
@@ -82,51 +73,46 @@ def t_closeness(table: RecordTable, quasi_identifiers: list[str],
     """
     if sensitive_column not in table.column_names:
         raise EvaluationError(f"sensitive column {sensitive_column!r} missing")
-    classes, missing_rows = _equivalence_classes(table, quasi_identifiers)
-    j = table.column_index(sensitive_column)
+    key, classes, missing_rows = _equivalence_classes(table, quasi_identifiers)
     numeric = table.kind(sensitive_column) == "numeric"
-    diagnostics = {"classes": len(classes),
+    diagnostics = {"classes": classes,
                    "rows_with_missing_qi": missing_rows,
                    "ground_distance": "range-normalized-transport" if numeric
                                       else "total-variation"}
+    present = ~table.missing_mask[:, table.column_index(sensitive_column)]
+    if not present.any():
+        raise EvaluationError(f"sensitive column {sensitive_column!r} "
+                              "is entirely missing")
+    key = key[present]
+    sizes = np.bincount(key, minlength=classes)
 
     if numeric:
-        global_values = table.numeric_values(sensitive_column)
-        if global_values.size == 0:
-            raise EvaluationError(f"sensitive column {sensitive_column!r} "
-                                  "is entirely missing")
+        global_values = table.floats(sensitive_column)[present]
         span = float(global_values.max() - global_values.min())
         if span == 0.0:
             return 0.0, {**diagnostics, "degenerate_global": True}
+        by_class = global_values[np.argsort(key, kind="stable")]
         worst = 0.0
-        for rows in classes.values():
-            values = np.asarray([float(table.rows[i][j]) for i in rows
-                                 if not table.missing_mask[i, j]])
-            if values.size == 0:
-                continue
-            worst = max(worst, w1_distance_1d(values, global_values) / span)
+        for values in np.split(by_class, np.cumsum(sizes)[:-1]):
+            if values.size:
+                worst = max(worst, w1_distance_1d(values, global_values) / span)
         return min(1.0, worst), diagnostics
 
-    global_counts = Counter(str(table.rows[i][j]) for i in range(table.n)
-                            if not table.missing_mask[i, j])
-    observed = sum(global_counts.values())
-    if observed == 0:
-        raise EvaluationError(f"sensitive column {sensitive_column!r} "
-                              "is entirely missing")
-    if len(global_counts) == 1:
+    codes, domain = table.codes(sensitive_column)
+    if len(domain) == 1:
         return 0.0, {**diagnostics, "degenerate_global": True}
-    global_dist = {k: c / observed for k, c in global_counts.items()}
-    worst = 0.0
-    for rows in classes.values():
-        present = [str(table.rows[i][j]) for i in rows
-                   if not table.missing_mask[i, j]]
-        if not present:
-            continue
-        local = {k: c / len(present) for k, c in Counter(present).items()}
-        tv = 0.5 * sum(abs(local.get(k, 0.0) - global_dist.get(k, 0.0))
-                       for k in sorted(local.keys() | global_dist.keys()))
-        worst = max(worst, tv)
-    return worst, diagnostics
+    codes = codes[present]
+    global_dist = np.bincount(codes, minlength=len(domain)) / codes.size
+    pairs, counts = np.unique(codes * classes + key, return_counts=True)
+    code, cls = np.divmod(pairs, classes)
+    share = counts / sizes[cls]
+    bounds = np.searchsorted(code, np.arange(len(domain) + 1))
+    tv = np.zeros(classes)
+    for k, g in enumerate(global_dist):  # key by key, in domain order
+        local = np.zeros(classes)
+        local[cls[bounds[k]:bounds[k + 1]]] = share[bounds[k]:bounds[k + 1]]
+        tv += np.abs(local - g)
+    return max(0.0, float(np.max(0.5 * tv[sizes > 0]))), diagnostics
 
 
 def leakage_rate(real: EmbeddingSet, synthetic: EmbeddingSet,

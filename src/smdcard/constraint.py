@@ -230,7 +230,8 @@ def derive_range_rules(real: RecordTable, fields: list[str],
         if name not in real.column_names or real.kind(name) != "numeric":
             raise PlanError(f"cannot derive a range rule for non-numeric or "
                             f"unknown field {name!r}")
-        values = real.numeric_values(name)
+        values = real.floats(name)
+        values = values[~np.isnan(values)]
         if values.size == 0:
             raise EvaluationError(f"field {name!r} is entirely missing in the "
                                   "reference table")
@@ -252,7 +253,7 @@ def signed_distances(rule: ConstraintRule, table: RecordTable) -> np.ndarray:
     Categorical rules sit at unit distance on either side of the boundary.
     """
     if rule.kind == "range":
-        v = _numeric(table, rule.field_name)
+        v = table.floats(rule.field_name)
         sides = []
         if rule.lo is not None:
             sides.append(rule.lo - v)
@@ -264,7 +265,7 @@ def signed_distances(rule: ConstraintRule, table: RecordTable) -> np.ndarray:
     if rule.kind == "linear":
         total = np.zeros(table.n)
         for name, w in rule.weights:
-            total += w * _numeric(table, name)
+            total += w * table.floats(name)
         signed = total - rule.bound if rule.sense == "<=" else rule.bound - total
         norm = math.sqrt(sum(w * w for _, w in rule.weights))
         return np.where(signed > 0, 1.0, -1.0) * (np.abs(signed) / norm)
@@ -274,18 +275,11 @@ def signed_distances(rule: ConstraintRule, table: RecordTable) -> np.ndarray:
                      -np.inf)
 
 
-def _numeric(table: RecordTable, name: str) -> np.ndarray:
-    """A column as floats; missing cells (None) become NaN."""
-    j = table.column_index(name)
-    return np.array([row[j] for row in table.rows], dtype=np.float64)
-
-
 def _membership(table: RecordTable, name: str, allowed) -> np.ndarray:
     """1.0 where a cell's text is in ``allowed``, 0.0 where not, NaN where
     the cell is missing."""
-    j = table.column_index(name)
-    return np.array([math.nan if row[j] is None
-                     else float(str(row[j]) in allowed) for row in table.rows])
+    codes, domain = table.codes(name)
+    return np.array([float(v in allowed) for v in domain] + [math.nan])[codes]
 
 
 def _distances(table: RecordTable, rules: ConstraintRuleSet) -> np.ndarray:

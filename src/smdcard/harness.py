@@ -73,15 +73,13 @@ def make_record_table(n: int, seed: int = 0,
     columns = ([(name, "numeric") for name in numeric_fields]
                + [(name, "categorical") for name in categorical_fields])
     rows = []
-    for _ in range(n):
+    for _ in range(n):  # row by row: the draw order fixes the fixtures
         row = [float(rng.uniform(lo, hi))
                for lo, hi in numeric_fields.values()]
         row += [values[int(rng.integers(len(values)))]
                 for values in categorical_fields.values()]
-        rows.append(tuple(row))
-    mask = np.zeros((n, len(columns)), dtype=bool)
-    return RecordTable(columns=tuple(columns), rows=tuple(rows),
-                       missing_mask=mask)
+        rows.append(row)
+    return RecordTable(tuple(columns), list(zip(*rows)) or [()] * len(columns))
 
 
 @dataclass(frozen=True)
@@ -178,19 +176,18 @@ def _out_of_range(source, seed, field: str, fraction: float,
         raise EvaluationError("out_of_range fraction must be in (0, 1]")
     if magnitude <= 0:
         raise EvaluationError("out_of_range magnitude must be positive")
-    n = table.n
-    n_bad = math.ceil(fraction * n)
+    values = table.floats(field).copy()
+    populated = np.flatnonzero(~np.isnan(values))
+    if not populated.size:
+        raise EvaluationError(f"out_of_range field {field!r} has no "
+                              "populated cell")
+    n_bad = math.ceil(fraction * populated.size)
     rng = np.random.default_rng(seed)
-    bad_rows = set(int(i) for i in rng.choice(n, size=n_bad, replace=False))
-    j = table.column_index(field)
-    observed_max = float(table.numeric_values(field).max())
-    rows = []
-    for i, row in enumerate(table.rows):
-        if i in bad_rows:
-            row = row[:j] + (observed_max + magnitude,) + row[j + 1:]
-        rows.append(row)
-    defective = RecordTable(columns=table.columns, rows=tuple(rows),
-                            missing_mask=table.missing_mask)
+    bad_rows = populated[rng.choice(populated.size, size=n_bad, replace=False)]
+    values[bad_rows] = values[populated].max() + magnitude
+    defective = RecordTable(table.columns, [
+        values if name == field else table.column(name)
+        for name in table.column_names])
     return DefectResult(defective, {
         "kind": "out_of_range", "field": field, "fraction": fraction,
         "magnitude": magnitude,
@@ -204,11 +201,8 @@ def _delete_field(source, seed, name: str) -> DefectResult:
     del seed
     if name not in table.column_names:
         raise EvaluationError(f"no field named {name!r}")
-    j = table.column_index(name)
-    columns = table.columns[:j] + table.columns[j + 1:]
-    rows = tuple(row[:j] + row[j + 1:] for row in table.rows)
-    mask = np.delete(table.missing_mask, j, axis=1)
-    defective = RecordTable(columns=columns, rows=rows, missing_mask=mask)
+    kept = [column for column in table.columns if column[0] != name]
+    defective = RecordTable(kept, [table.column(other) for other, _ in kept])
     return DefectResult(defective, {
         "kind": "delete_field", "field": name,
         "expected": {"effect": "required-field proportion drops"}})
@@ -222,15 +216,10 @@ def _mask_cells(source, seed, fraction: float) -> DefectResult:
     n_mask = round(fraction * total)
     rng = np.random.default_rng(seed)
     chosen = rng.choice(total, size=n_mask, replace=False)
-    mask = table.missing_mask.copy()
-    rows = [list(row) for row in table.rows]
-    for flat in sorted(int(c) for c in chosen):
-        i, j = divmod(flat, table.m)
-        mask[i, j] = True
-        rows[i][j] = None
-    defective = RecordTable(columns=table.columns,
-                            rows=tuple(tuple(r) for r in rows),
-                            missing_mask=mask)
+    mask = np.isin(np.arange(total), chosen).reshape(table.n, table.m)
+    defective = RecordTable(table.columns, [
+        np.where(mask[:, j], None, np.array(table.column(name), dtype=object))
+        for j, name in enumerate(table.column_names)])
     return DefectResult(defective, {
         "kind": "mask_cells", "fraction": fraction,
         "expected": {"masked_cells": int(n_mask),

@@ -7,12 +7,13 @@ with stable key order and floats fixed at 9 significant digits, written
 atomically (temp file + rename).
 
 Parsing rejects malformed values instead of coercing them; errors name the
-offending row and column.
+first offending row and column in file order. Tables are parsed by column.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -121,6 +122,33 @@ def _parse_float(cell: str, row: int, col: int, path: str) -> float:
     return value
 
 
+def _read_cells(path: str, reader, width: int, numeric: list[int],
+                missing_texts: tuple[str, ...] = ()):
+    """The stripped data cells as a (rows, width) array of str objects, the
+    mask of cells whose text is in ``missing_texts``, and the ``numeric``
+    columns parsed to float64 in one conversion, NaN where missing. Errors
+    name the first bad row or cell in file order."""
+    records = list(reader)
+    end = next((r for r, record in enumerate(records)
+                if len(record) != width), len(records))
+    cells = np.frompyfunc(str.strip, 1, 1)(
+        np.array(records[:end], dtype=object).reshape(end, width))
+    missing = np.isin(cells, np.array(missing_texts, dtype=object))
+    block, skip = cells[:, numeric], missing[:, numeric]
+    try:
+        values = np.where(skip, "nan", block).astype(np.float64)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values[~skip]).all():
+        for (r, j), cell in np.ndenumerate(block):  # find the first bad cell
+            if not skip[r, j]:
+                _parse_float(cell, r + 2, numeric[j] + 1, path)
+    if end < len(records):
+        raise InputError(f"{path}: row {end + 2} has {len(records[end])} "
+                         f"cells, expected {width}")
+    return cells, missing, values
+
+
 def read_embeddings(path: str, id_column: str = "id",
                     subgroup_column: str | None = None,
                     region_column: str | None = None,
@@ -152,26 +180,13 @@ def read_embeddings(path: str, id_column: str = "id",
                         if j not in special.values()]
         if not feature_cols:
             raise InputError(f"{path}: no feature columns")
-        ids, rows = [], []
-        subgroups: list[str] = []
-        regions: list[str] = []
-        for r, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise InputError(f"{path}: row {r} has {len(record)} cells, "
-                                 f"expected {len(header)}")
-            ids.append(record[special["id"]].strip())
-            if "subgroup" in special:
-                subgroups.append(record[special["subgroup"]].strip())
-            if "region" in special:
-                regions.append(record[special["region"]].strip())
-            rows.append([_parse_float(record[j].strip(), r, j + 1, path)
-                         for j in feature_cols])
-    if not rows:
+        cells, _, data = _read_cells(path, reader, len(header), feature_cols)
+    if not len(cells):
         raise InputError(f"{path}: no data rows")
-    check_unique_ids(ids, f"{path}: ")
-    return EmbeddingSet(ids=tuple(ids), data=np.asarray(rows),
-                        subgroup=tuple(subgroups) if subgroups else None,
-                        region=tuple(regions) if regions else None)
+    ids = cells[:, special.pop("id")]
+    check_unique_ids(ids.tolist(), f"{path}: ")
+    return EmbeddingSet(ids=ids, data=data,
+                        **{name: cells[:, j] for name, j in special.items()})
 
 
 def _read_embeddings_jsonl(path: str) -> EmbeddingSet:
@@ -213,22 +228,23 @@ def _read_embeddings_jsonl(path: str) -> EmbeddingSet:
 def write_embeddings(eset: EmbeddingSet, path: str, id_column: str = "id",
                      subgroup_column: str = "subgroup",
                      region_column: str = "region") -> None:
-    header = [id_column]
-    if eset.subgroup is not None:
-        header.append(subgroup_column)
-    if eset.region is not None:
-        header.append(region_column)
-    header += [f"f{j}" for j in range(eset.d)]
-    lines = [",".join(header)]
-    for i in range(eset.n):
-        cells = [eset.ids[i]]
-        if eset.subgroup is not None:
-            cells.append(eset.subgroup[i])
-        if eset.region is not None:
-            cells.append(eset.region[i])
-        cells += [repr(float(v)) for v in eset.data[i]]
-        lines.append(",".join(cells))
-    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    labels = [(name, values) for name, values in ((subgroup_column, eset.subgroup),
+                                                  (region_column, eset.region))
+              if values is not None]
+    header = [id_column, *(name for name, _ in labels),
+              *(f"f{j}" for j in range(eset.d))]
+    _write_csv(path, header, ([eset.ids[i], *(values[i] for _, values in labels),
+                               *eset.data[i].tolist()] for i in range(eset.n)))
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Comma-separated rows, cells quoted only where they need it. Floats
+    are written by ``repr``, None as an empty cell."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, buffer.getvalue().encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -255,46 +271,17 @@ def read_record_table(path: str, schema: dict[str, str],
         if absent:
             raise InputError(f"{path}: schema columns {absent} not in the file")
         kinds = [schema[name] for name in header]
-        rows = []
-        mask_rows = []
-        for r, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise InputError(f"{path}: row {r} has {len(record)} cells, "
-                                 f"expected {len(header)}")
-            row = []
-            mask = []
-            for j, cell in enumerate(record):
-                cell = cell.strip()
-                if cell == "" or cell == missing_sentinel:
-                    row.append(None)
-                    mask.append(True)
-                    continue
-                if kinds[j] == "numeric":
-                    row.append(_parse_float(cell, r, j + 1, path))
-                else:
-                    row.append(cell)
-                mask.append(False)
-            rows.append(tuple(row))
-            mask_rows.append(mask)
-    return RecordTable(columns=tuple(zip(header, kinds)),
-                       rows=tuple(rows),
-                       missing_mask=np.asarray(mask_rows, dtype=bool)
-                       if mask_rows else np.zeros((0, len(header)), dtype=bool))
+        numeric = [j for j, kind in enumerate(kinds) if kind == "numeric"]
+        cells, missing, floats = _read_cells(path, reader, len(header),
+                                             numeric, ("", missing_sentinel))
+    cells[missing] = None
+    cells[:, numeric] = floats
+    return RecordTable(tuple(zip(header, kinds)), list(cells.T))
 
 
 def write_record_table(table: RecordTable, path: str) -> None:
-    lines = [",".join(name for name, _ in table.columns)]
-    for i, row in enumerate(table.rows):
-        cells = []
-        for j, value in enumerate(row):
-            if table.missing_mask[i, j]:
-                cells.append("")
-            elif table.columns[j][1] == "numeric":
-                cells.append(repr(float(value)))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    columns = [table.column(name) for name in table.column_names]
+    _write_csv(path, table.column_names, zip(*columns))
 
 
 # ---------------------------------------------------------------------------

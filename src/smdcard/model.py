@@ -7,8 +7,9 @@ read-only so instances can be shared freely across worker threads.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -84,19 +85,37 @@ class EmbeddingSet:
         )
 
 
-@dataclass(frozen=True)
+def _encode(cells) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Codes of string cells into their sorted distinct values; None is -1."""
+    distinct = set(cells) - {None}
+    if not all(isinstance(value, str) for value in distinct):
+        raise InputError("categorical and text cells must be strings or None")
+    domain = tuple(sorted(distinct))
+    index = dict(zip((None, *domain), range(-1, len(domain))))
+    codes = np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+    return _frozen_array(codes, dtype=np.intp), domain
+
+
+@dataclass(frozen=True, eq=False)
 class RecordTable:
-    """Typed tabular records with an explicit missingness mask.
+    """Typed tabular records, stored column by column.
 
     ``columns`` is an ordered tuple of (name, kind) with kind in
-    numeric / categorical / text. Masked cells hold None.
+    numeric / categorical / text; ``cells`` holds one sequence per column,
+    with None (or NaN, in a numeric column) marking a missing cell.
+
+    This class alone knows how cells are encoded. A numeric column is a
+    read-only float64 array with NaN at missing cells (``floats``). Any
+    column also reads as int codes into its sorted distinct cell strings,
+    with -1 at missing cells (``codes``).
     """
 
     columns: tuple[tuple[str, str], ...]
-    rows: tuple[tuple[Any, ...], ...]
-    missing_mask: np.ndarray
+    cells: InitVar[Sequence[Sequence[Any]]]
+    n: int = field(init=False)
+    _data: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, cells):
         cols = tuple((str(n), str(k)) for n, k in self.columns)
         object.__setattr__(self, "columns", cols)
         names = [n for n, _ in cols]
@@ -105,23 +124,18 @@ class RecordTable:
         for name, kind in cols:
             if kind not in COLUMN_KINDS:
                 raise InputError(f"column {name!r} has unknown kind {kind!r}")
-        m = len(cols)
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise InputError(f"row {i} has {len(row)} cells, expected {m}")
-        mask = _frozen_array(self.missing_mask, dtype=bool, ndim=2)
-        if mask.shape != (len(rows), m):
-            raise InputError("missing mask shape does not match the table")
-        object.__setattr__(self, "missing_mask", mask)
-        for i, j in zip(*np.nonzero(mask)):
-            if rows[i][j] is not None:
-                raise InputError(f"masked cell ({i},{j}) carries a value")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+        if len(cells) != len(cols):
+            raise InputError(f"{len(cells)} cell columns for {len(cols)} "
+                             "declared columns")
+        n = len(cells[0]) if cells else 0
+        for name, col in zip(names, cells):
+            if len(col) != n:
+                raise InputError(f"column {name!r} has {len(col)} cells, "
+                                 f"expected {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_data", tuple(
+            _frozen_array(col) if kind == "numeric" else _encode(col)
+            for (_, kind), col in zip(cols, cells)))
 
     @property
     def m(self) -> int:
@@ -140,19 +154,49 @@ class RecordTable:
     def kind(self, name: str) -> str:
         return self.columns[self.column_index(name)][1]
 
-    def numeric_values(self, name: str) -> np.ndarray:
-        """Non-missing values of a numeric column."""
+    def floats(self, name: str) -> np.ndarray:
+        """A numeric column as read-only float64, NaN at missing cells."""
         if self.kind(name) != "numeric":
             raise InputError(f"column {name!r} is not numeric")
-        j = self.column_index(name)
-        vals = [row[j] for i, row in enumerate(self.rows) if not self.missing_mask[i, j]]
-        return np.asarray(vals, dtype=np.float64)
+        return self._data[self.column_index(name)]
 
-    def observed_domain(self, name: str) -> tuple:
-        """Sorted distinct non-missing values of a column."""
-        j = self.column_index(name)
-        vals = {row[j] for i, row in enumerate(self.rows) if not self.missing_mask[i, j]}
-        return tuple(sorted(vals, key=repr))
+    def codes(self, name: str) -> tuple[np.ndarray, tuple[str, ...]]:
+        """A column as (codes, domain): read-only int codes into the sorted
+        distinct cell strings, -1 at missing cells.
+
+        Numeric cells key on their ``str``, so -0.0 and 0.0 stay distinct.
+        """
+        if self.kind(name) != "numeric":
+            return self._data[self.column_index(name)]
+        values = self.floats(name)
+        present = ~np.isnan(values)
+        # distinct bit patterns are distinct floats, and so distinct strings
+        bits, inverse = np.unique(values[present].view(np.int64),
+                                  return_inverse=True)
+        rank, domain = _encode(list(map(str, bits.view(np.float64).tolist())))
+        codes = np.full(self.n, -1, dtype=np.intp)
+        codes[present] = rank[inverse]
+        return _frozen_array(codes, dtype=np.intp), domain
+
+    def column(self, name: str) -> list:
+        """A column's cells: floats or strings, None where missing."""
+        if self.kind(name) == "numeric":
+            values = self.floats(name)
+            return np.where(np.isnan(values), None, values.astype(object)).tolist()
+        codes, domain = self.codes(name)
+        return np.array(domain + (None,), dtype=object)[codes].tolist()
+
+    @cached_property
+    def missing_mask(self) -> np.ndarray:
+        """(n, m) read-only boolean mask of missing cells (derived)."""
+        return _frozen_array([np.isnan(data) if kind == "numeric" else data[0] < 0
+                              for (_, kind), data in zip(self.columns, self._data)],
+                             dtype=bool).reshape(self.m, self.n).T
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Any, ...], ...]:
+        """Read-only row view (derived): one tuple of ``column`` cells per row."""
+        return tuple(zip(*map(self.column, self.column_names)))
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,22 @@ def embedding_from(rows, prefix="p") -> EmbeddingSet:
 
 
 def table_from(columns, rows) -> RecordTable:
-    m = len(columns)
-    if rows:
-        mask = np.array([[(row[j] is None) if j < len(row) else False
-                          for j in range(m)] for row in rows], dtype=bool)
-    else:
-        mask = np.zeros((0, m), dtype=bool)
-    return RecordTable(columns=tuple(columns), rows=tuple(tuple(r) for r in rows),
-                       missing_mask=mask)
+    """A record table from row tuples, transposed into its columns."""
+    return RecordTable(tuple(columns),
+                       [[row[j] for row in rows] for j in range(len(columns))])
+
+
+class RowTable:
+    """Rows exactly as given, with None at missing cells: the per-row view
+    the reference oracles read, independent of how RecordTable encodes."""
+
+    def __init__(self, columns, rows):
+        self.columns = tuple(columns)
+        self.rows = tuple(tuple(row) for row in rows)
+        self.n = len(self.rows)
+        self.missing_mask = np.array(
+            [[cell is None for cell in row] for row in self.rows],
+            dtype=bool).reshape(self.n, len(self.columns))
+
+    def column_index(self, name):
+        return [n for n, _ in self.columns].index(name)

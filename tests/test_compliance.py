@@ -3,9 +3,11 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import smdcard
 
@@ -14,8 +16,9 @@ from smdcard.compliance import (declared_privacy_record, k_anonymity,
 from smdcard.config import config_from_dict
 from smdcard.errors import EvaluationError
 from smdcard.model import EmbeddingSet
+from smdcard.numerics import w1_distance_1d
 
-from conftest import embedding_from, table_from
+from conftest import RowTable, embedding_from, table_from
 
 QI_COLUMNS = [("age_band", "categorical"), ("zip3", "categorical"),
               ("dx", "categorical"), ("lab", "numeric")]
@@ -74,6 +77,12 @@ class TestKAnonymity:
         value, diag = k_anonymity(_qi_table(rows), ["age_band"])
         assert diag["rows_with_missing_qi"] == 2
         assert value == 1  # the '20s' singleton
+
+    def test_missing_marker_text_is_an_ordinary_value(self):
+        rows = [("<missing>", "100", "flu", 1.0), (None, "100", "flu", 1.0),
+                ("x", "100", "flu", 1.0), ("x", "100", "flu", 1.0)]
+        value, diag = k_anonymity(_qi_table(rows), ["age_band"])
+        assert (value, diag["rows_with_missing_qi"]) == (1, 1)
 
 
 class TestLDiversity:
@@ -184,6 +193,129 @@ class TestTCloseness:
             outputs.append(run.stdout)
         assert outputs[0].count("\n") == 40
         assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the per-row grouping the anonymity metrics replaced
+
+
+def _oracle_classes(table, quasi_identifiers):
+    """Rows grouped by the tuple of their quasi-identifier texts; None keys
+    a missing cell, so it cannot meet any cell text."""
+    idx = [table.column_index(q) for q in quasi_identifiers]
+    classes = {}
+    missing_rows = 0
+    for i, row in enumerate(table.rows):
+        key = tuple(None if table.missing_mask[i, j] else str(row[j])
+                    for j in idx)
+        if None in key:
+            missing_rows += 1
+        classes.setdefault(key, []).append(i)
+    return classes, missing_rows
+
+
+def _oracle_k_anonymity(table, quasi_identifiers):
+    classes, missing_rows = _oracle_classes(table, quasi_identifiers)
+    sizes = sorted(len(v) for v in classes.values())
+    return sizes[0], {"classes": len(classes),
+                      "rows_with_missing_qi": missing_rows, "n": table.n}
+
+
+def _oracle_l_diversity(table, quasi_identifiers, sensitive_column):
+    classes, missing_rows = _oracle_classes(table, quasi_identifiers)
+    j = table.column_index(sensitive_column)
+    diversities = [len({None if table.missing_mask[i, j]
+                        else str(table.rows[i][j]) for i in rows})
+                   for rows in classes.values()]
+    observed = {table.rows[i][j] for i in range(table.n)
+                if not table.missing_mask[i, j]}
+    return min(diversities), {"classes": len(classes),
+                              "rows_with_missing_qi": missing_rows,
+                              "distinct_sensitive_values": len(observed)}
+
+
+def _oracle_t_closeness(table, quasi_identifiers, sensitive_column):
+    classes, missing_rows = _oracle_classes(table, quasi_identifiers)
+    j = table.column_index(sensitive_column)
+    numeric = table.columns[j][1] == "numeric"
+    diagnostics = {"classes": len(classes),
+                   "rows_with_missing_qi": missing_rows,
+                   "ground_distance": "range-normalized-transport" if numeric
+                                      else "total-variation"}
+
+    def present(rows):
+        return [table.rows[i][j] for i in rows if not table.missing_mask[i, j]]
+
+    everything = present(range(table.n))
+    if not everything:
+        raise EvaluationError(f"sensitive column {sensitive_column!r} "
+                              "is entirely missing")
+    if numeric:
+        global_values = np.asarray(everything, dtype=np.float64)
+        span = float(global_values.max() - global_values.min())
+        if span == 0.0:
+            return 0.0, {**diagnostics, "degenerate_global": True}
+        worst = 0.0
+        for rows in classes.values():
+            values = present(rows)
+            if values:
+                worst = max(worst, w1_distance_1d(np.asarray(values),
+                                                  global_values) / span)
+        return min(1.0, worst), diagnostics
+    global_counts = Counter(map(str, everything))
+    if len(global_counts) == 1:
+        return 0.0, {**diagnostics, "degenerate_global": True}
+    global_dist = {k: c / len(everything) for k, c in global_counts.items()}
+    worst = 0.0
+    for rows in classes.values():
+        values = [str(v) for v in present(rows)]
+        if not values:
+            continue
+        local = {k: c / len(values) for k, c in Counter(values).items()}
+        tv = 0.5 * sum(abs(local.get(k, 0.0) - global_dist.get(k, 0.0))
+                       for k in sorted(local.keys() | global_dist.keys()))
+        worst = max(worst, tv)
+    return worst, diagnostics
+
+
+def _outcome(metric, *args):
+    try:
+        return repr(metric(*args))
+    except EvaluationError as exc:
+        return f"EvaluationError({exc})"
+
+
+# cell texts that a comma-joined or <U-array encoding would mangle
+_TEXTS = ["a", "a,b", 'say "hi"', "x\x00", "x", "<missing>", ""]
+_ORACLE_COLUMNS = [("qt", "text"), ("qn", "numeric"), ("qc", "categorical"),
+                   ("st", "text"), ("sn", "numeric")]
+_ORACLE_ROWS = st.lists(st.tuples(
+    st.one_of(st.none(), st.sampled_from(_TEXTS)),
+    st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.0])),
+    st.one_of(st.none(), st.sampled_from(["p", "q"])),
+    st.one_of(st.none(), st.sampled_from(_TEXTS)),
+    st.one_of(st.none(), st.sampled_from([0.0, -0.0, 0.5, 3.25]))),
+    min_size=1, max_size=30)
+_SINGLE_CLASS = [("a,b", -0.0, "p", 'say "hi"', 0.5),
+                 ("a,b", -0.0, "p", "x\x00", 3.25)]
+
+
+@given(_ORACLE_ROWS,
+       st.lists(st.sampled_from(["qt", "qn", "qc"]), min_size=1, max_size=3,
+                unique=True),
+       st.sampled_from(["st", "sn"]))
+@example(_SINGLE_CLASS, ["qt", "qn", "qc"], "st")
+@example(_SINGLE_CLASS, ["qn"], "sn")
+@settings(max_examples=300, deadline=None)
+def test_anonymity_equals_per_row_oracle(rows, quasi_identifiers, sensitive):
+    table, raw = table_from(_ORACLE_COLUMNS, rows), RowTable(_ORACLE_COLUMNS,
+                                                             rows)
+    assert (_outcome(k_anonymity, table, quasi_identifiers)
+            == _outcome(_oracle_k_anonymity, raw, quasi_identifiers))
+    for metric, oracle in ((l_diversity, _oracle_l_diversity),
+                           (t_closeness, _oracle_t_closeness)):
+        assert (_outcome(metric, table, quasi_identifiers, sensitive)
+                == _outcome(oracle, raw, quasi_identifiers, sensitive))
 
 
 class TestLeakage:

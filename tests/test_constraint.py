@@ -11,7 +11,7 @@ from smdcard.constraint import (SENSES, ConstraintRule, ConstraintRuleSet,
                                 violation_magnitude, violation_rate)
 from smdcard.errors import ConfigError, EvaluationError, PlanError
 
-from conftest import table_from
+from conftest import RowTable, table_from
 
 COLUMNS = [("age", "numeric"), ("hgb", "numeric"), ("dx", "categorical")]
 
@@ -471,14 +471,49 @@ def _rule_set(draw):
 @given(st.lists(_cells, min_size=1, max_size=12), _rule_set())
 @settings(max_examples=300, deadline=None)
 def test_metrics_equal_per_row_oracle(rows, rules):
-    table = _table(rows)
+    table, raw = _table(rows), RowTable(COLUMNS, rows)
     for metric, oracle in ((violation_rate, _oracle_violation_rate),
                            (margin_to_boundary, _oracle_margin_to_boundary)):
         # repr also tells 0.0 from -0.0, which the report prints differently
-        assert repr(metric(table, rules)) == repr(oracle(table, rules))
+        assert repr(metric(table, rules)) == repr(oracle(raw, rules))
     value, diagnostics = violation_magnitude(table, rules)
-    expected, expected_diagnostics = _oracle_violation_magnitude(table, rules)
+    expected, expected_diagnostics = _oracle_violation_magnitude(raw, rules)
     assert diagnostics == expected_diagnostics
     # the oracle squares with libm pow, which is not always correctly
     # rounded; r * r is, so the two may differ in the last bits
     assert value == pytest.approx(expected, rel=4 * np.finfo(float).eps, abs=0)
+
+
+# cell texts that a comma-joined or <U-array encoding would mangle
+_TEXTS = ["a", "a,b", 'say "hi"', "x\x00", "x", "<missing>", ""]
+_SET_COLUMNS = [("num", "numeric"), ("txt", "text"), ("cat", "categorical")]
+_set_rows = st.lists(st.tuples(
+    st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.0, 2.5])),
+    st.one_of(st.none(), st.sampled_from(_TEXTS)),
+    st.one_of(st.none(), st.sampled_from(["p", "q"]))), min_size=1,
+    max_size=12)
+_set_values = st.lists(st.sampled_from(_TEXTS + ["0.0", "-0.0", "1.0", "p"]),
+                       min_size=1, unique=True)
+
+
+@given(_set_rows, st.sampled_from(["num", "txt"]), _set_values, _set_values)
+@settings(max_examples=200, deadline=None)
+def test_set_rules_equal_per_row_oracle(rows, field, values, when_values):
+    """allowed_set and implication distances, cell by cell, against the
+    oracle, on numeric cells keyed by their text and on awkward text."""
+    table, raw = table_from(_SET_COLUMNS, rows), RowTable(_SET_COLUMNS, rows)
+    member = ConstraintRule(id="s", kind="allowed_set", field_name=field,
+                            values=tuple(values))
+    implied = ConstraintRule(id="i", kind="implication", when_field=field,
+                             when_values=tuple(when_values),
+                             consequent=ConstraintRule(
+                                 id="i", kind="allowed_set", field_name="cat",
+                                 values=("p",)))
+    for rule in (member, implied):
+        expected = []
+        for i in range(raw.n):
+            outcome = _oracle_rule(rule, raw, i)
+            expected.append({"vacuous": math.nan, "violated": outcome.residual,
+                             "satisfied": -math.inf if outcome.margin is None
+                             else -outcome.margin}[outcome.status])
+        assert repr(signed_distances(rule, table).tolist()) == repr(expected)

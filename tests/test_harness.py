@@ -63,6 +63,18 @@ class TestDefects:
         rate, _ = violation_rate(result.dataset, rules)
         assert rate == pytest.approx(math.ceil(0.2 * 40) / 40)
 
+    def test_out_of_range_draws_among_populated_cells(self):
+        table = inject_defect(make_record_table(40, seed=6), "mask_cells",
+                              seed=8, fraction=0.3).dataset
+        age = table.floats("age")
+        populated = int((~np.isnan(age)).sum())
+        assert populated < 40
+        result = inject_defect(table, "out_of_range", seed=7, field="age",
+                               fraction=0.2, magnitude=30.0)
+        shifted = result.dataset.floats("age")
+        assert np.array_equal(np.isnan(shifted), np.isnan(age))
+        assert (shifted > np.nanmax(age)).sum() == math.ceil(0.2 * populated)
+
     def test_mask_cells_exact_fraction(self):
         table = make_record_table(30, seed=8)
         result = inject_defect(table, "mask_cells", seed=9, fraction=0.1)

@@ -6,6 +6,7 @@ import pytest
 from smdcard import ingest
 from smdcard.errors import ConfigError, InputError
 from smdcard.harness import make_gaussian_mixture
+from smdcard.model import EmbeddingSet, RecordTable
 
 
 def _write(path, text):
@@ -49,6 +50,29 @@ class TestEmbeddingsCsv:
         assert back.ids == es.ids
         assert back.subgroup == es.subgroup
 
+    def test_round_trip_quotes_awkward_labels(self, tmp_path):
+        es = EmbeddingSet(ids=("a,b", 'say "hi"'), data=[[1.0], [-0.0]],
+                          subgroup=("two\nlines", "g"), region=("r", "s,t"))
+        path = tmp_path / "quoted.csv"
+        ingest.write_embeddings(es, str(path))
+        back = ingest.read_embeddings(str(path), subgroup_column="subgroup",
+                                      region_column="region")
+        assert (back.ids, back.subgroup, back.region) == (es.ids, es.subgroup,
+                                                          es.region)
+        assert back.data.tolist() == [[1.0], [-0.0]]
+
+    @pytest.mark.parametrize("body, message", [
+        ("a,1,x\nb,1\n", "row 2 col 3: 'x'"),          # cell before width
+        ("a,1\nb,1,x\n", "row 2 has 2 cells"),          # width before cell
+        ("a,1,nan\nb,x,1\n", "non-finite value at row 2 col 3"),
+        ("a,1,2\nb,x,inf\n", "row 3 col 2: 'x'"),       # row-major order
+    ])
+    def test_first_bad_row_or_cell_in_file_order(self, tmp_path, body,
+                                                 message):
+        p = _write(tmp_path / "e.csv", "id,f0,f1\n" + body)
+        with pytest.raises(InputError, match=message):
+            ingest.read_embeddings(p)
+
     def test_subgroup_and_region_columns(self, tmp_path):
         p = _write(tmp_path / "e.csv",
                    "id,site,area,f0\na,s1,core,1\nb,s2,rim,2\n")
@@ -85,16 +109,30 @@ class TestRecordTableCsv:
         p = _write(tmp_path / "t.csv", "age,sex,note\nN/A,F,ok\n30,M,x\n")
         t = ingest.read_record_table(p, self.SCHEMA, missing_sentinel="N/A")
         assert bool(t.missing_mask[0, 0])
-        assert t.rows[0][0] is None
+        assert np.isnan(t.floats("age")[0])
 
     def test_categorical_domain_collected(self, tmp_path):
         p = _write(tmp_path / "t.csv", "age,sex,note\n30,F,a\n31,M,b\n32,F,c\n")
         t = ingest.read_record_table(p, self.SCHEMA)
-        assert t.observed_domain("sex") == ("F", "M")
+        codes, domain = t.codes("sex")
+        assert domain == ("F", "M")
+        assert codes.tolist() == [0, 1, 0]
 
     def test_row_width_mismatch_names_row(self, tmp_path):
         p = _write(tmp_path / "t.csv", "age,sex,note\n30,F\n")
         with pytest.raises(InputError, match="row 2"):
+            ingest.read_record_table(p, self.SCHEMA)
+
+    @pytest.mark.parametrize("body, message", [
+        ("x,F,a\n30,F\n", "row 2 col 1: 'x'"),
+        ("30,F\nx,F,a\n", "row 2 has 2 cells"),
+        ("30,F,a\n,M,b\ninf,F,c\n", "non-finite value at row 4 col 1"),
+        ("N/A,F,a\n", "row 2 col 1: 'N/A'"),
+    ])
+    def test_first_bad_row_or_cell_in_file_order(self, tmp_path, body,
+                                                 message):
+        p = _write(tmp_path / "t.csv", "age,sex,note\n" + body)
+        with pytest.raises(InputError, match=message):
             ingest.read_record_table(p, self.SCHEMA)
 
     def test_undeclared_column_rejected(self, tmp_path):
@@ -111,8 +149,28 @@ class TestRecordTableCsv:
         schema = dict(table.columns)
         back = ingest.read_record_table(str(path), schema)
         assert back.columns == table.columns
-        assert back.rows == table.rows
+        for name in table.column_names:
+            assert back.column(name) == table.column(name)
         assert np.array_equal(back.missing_mask, table.missing_mask)
+
+    def test_round_trip_quotes_awkward_text(self, tmp_path):
+        texts = ["a,b", 'say "hi"', "two\nlines", "plain", None]
+        table = RecordTable((("note", "text"), ("age", "numeric")),
+                            [texts, [1.5, None, -0.0, 2.0, 3.0]])
+        path = tmp_path / "quoted.csv"
+        ingest.write_record_table(table, str(path))
+        back = ingest.read_record_table(str(path), dict(table.columns))
+        assert back.column("note") == texts
+        assert back.column("age") == [1.5, None, -0.0, 2.0, 3.0]
+        assert path.read_text().endswith(",-0.0\nplain,2.0\n,3.0\n")
+
+    def test_one_column_missing_cell_written_quoted(self, tmp_path):
+        table = RecordTable((("x", "numeric"),), [[1.0, None]])
+        path = tmp_path / "one.csv"
+        ingest.write_record_table(table, str(path))
+        assert path.read_text() == 'x\n1.0\n""\n'
+        back = ingest.read_record_table(str(path), {"x": "numeric"})
+        assert back.column("x") == [1.0, None]
 
 
 class TestPgm:

@@ -44,30 +44,37 @@ class TestEmbeddingSet:
 
 
 class TestRecordTable:
-    def test_masked_cells_carry_no_value(self):
-        with pytest.raises(InputError, match="masked cell"):
-            RecordTable(columns=(("x", "numeric"),), rows=((1.0,),),
-                        missing_mask=np.array([[True]]))
-
-    def test_first_masked_value_named_in_row_order(self):
-        # column order would name (1,0) first
-        mask = np.array([[False, True], [True, False]])
-        with pytest.raises(InputError, match=r"masked cell \(0,1\) "):
-            RecordTable(columns=(("x", "numeric"), ("y", "numeric")),
-                        rows=((1.0, 2.0), (3.0, 4.0)), missing_mask=mask)
-
     def test_duplicate_columns_rejected(self):
         with pytest.raises(InputError, match="duplicate column"):
             table_from([("x", "numeric"), ("x", "numeric")], [(1.0, 2.0)])
 
-    def test_numeric_values_skip_missing(self):
+    def test_floats_mark_missing_with_nan(self):
         t = table_from([("x", "numeric")], [(1.0,), (None,), (3.0,)])
-        assert list(t.numeric_values("x")) == [1.0, 3.0]
+        assert np.array_equal(t.floats("x"), [1.0, np.nan, 3.0],
+                              equal_nan=True)
+        assert not t.floats("x").flags.writeable
+        assert t.missing_mask[:, 0].tolist() == [False, True, False]
 
-    def test_row_width_mismatch(self):
-        with pytest.raises(InputError, match="row 1"):
-            table_from([("x", "numeric"), ("y", "numeric")],
-                       [(1.0, 2.0), (1.0,)])
+    def test_column_length_mismatch(self):
+        with pytest.raises(InputError, match="column 'y' has 1 cells"):
+            RecordTable((("x", "numeric"), ("y", "numeric")),
+                        [[1.0, 2.0], [1.0]])
+
+    def test_codes_key_on_cell_text(self):
+        t = table_from([("x", "numeric"), ("s", "text")],
+                       [(0.0, "b"), (-0.0, None), (None, "<missing>"),
+                        (0.0, "b")])
+        codes, domain = t.codes("x")
+        assert domain == ("-0.0", "0.0")
+        assert codes.tolist() == [1, 0, -1, 1]
+        codes, domain = t.codes("s")
+        assert domain == ("<missing>", "b")
+        assert codes.tolist() == [1, -1, 0, 1]
+        assert t.rows[1] == (-0.0, None) and t.rows[2] == (None, "<missing>")
+
+    def test_non_string_category_rejected(self):
+        with pytest.raises(InputError, match="strings or None"):
+            table_from([("s", "categorical")], [(1,), ("a",)])
 
 
 class TestMetricResult:

@@ -220,8 +220,7 @@ class TestRunEvaluation:
 
     def test_empty_table_metrics_undefined(self):
         real_table = make_record_table(60, seed=62)
-        empty = RecordTable(real_table.columns, (),
-                            np.zeros((0, real_table.m), dtype=bool))
+        empty = RecordTable(real_table.columns, [()] * real_table.m)
         report = run_evaluation(
             EvaluationInputs(synthetic=make_gaussian_mixture(30, 3, TWO_MODES,
                                                              seed=61),
