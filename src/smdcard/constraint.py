@@ -316,13 +316,17 @@ def violation_magnitude(table: RecordTable, rules: ConstraintRuleSet):
     """
     d = _distances(table, rules)
     residuals = np.where(d > 0, d, 0.0)
-    sq = np.zeros(table.n)
-    for r in residuals:    # rule by rule: the sum's order is part of its value
-        sq += r * r
     violated = (residuals > 0).any(axis=0)
     if not violated.any():
         return 0.0, {"violating_rows": 0}
-    magnitudes = np.sqrt(sq[violated])
+    residuals = residuals[:, violated]
+    # scale each row by the power of two above its largest residual: exact,
+    # and the squares then neither overflow nor underflow to zero
+    exponent = np.frexp(residuals.max(axis=0))[1]
+    sq = np.zeros(exponent.size)
+    for r in np.ldexp(residuals, -exponent):  # rule by rule: the sum's order
+        sq += r * r                           # is part of its value
+    magnitudes = np.ldexp(np.sqrt(sq), exponent)
     return float(np.mean(magnitudes)), {"violating_rows": magnitudes.size}
 
 

@@ -196,6 +196,20 @@ class TestViolationMagnitude:
         value, _ = violation_magnitude(_table([(8.0, 6.0, "a")]), rules)
         assert value == pytest.approx(4.0 / math.sqrt(2.0))
 
+    @pytest.mark.parametrize("scale", [1e-158, 1e158])
+    def test_extreme_residuals_stay_finite_and_nonzero(self, scale):
+        """Two residuals whose squares overflow (or underflow to zero)
+        still combine to their L2 norm, not to inf (or 0)."""
+        rules = ConstraintRuleSet((
+            rule_from_dict({"id": "a", "kind": "linear",
+                            "weights": {"age": scale}, "bound": -3.0,
+                            "sense": "<="}),
+            rule_from_dict({"id": "h", "kind": "linear",
+                            "weights": {"hgb": scale}, "bound": -4.0,
+                            "sense": "<="})))
+        value, _ = violation_magnitude(_table([(0.0, 0.0, "a")]), rules)
+        assert value == pytest.approx(5.0 / scale)
+
     def test_zero_rate_iff_zero_magnitude(self):
         rng = np.random.default_rng(13)
         rules = ConstraintRuleSet((_range("r", "age", lo=0.0, hi=10.0),))
@@ -374,15 +388,18 @@ def _oracle_violation_rate(table, rules):
 def _oracle_violation_magnitude(table, rules):
     magnitudes = []
     for i in range(table.n):
-        sq = 0.0
-        violated = False
+        residuals = []
         for rule in rules.rules:
             outcome = _oracle_rule(rule, table, i)
             if outcome.status == "violated":
-                violated = True
-                sq += outcome.residual ** 2
-        if violated:
-            magnitudes.append(math.sqrt(sq))
+                residuals.append(outcome.residual)
+        if residuals:
+            # squared unscaled, a residual past 1e154 would overflow
+            exponent = math.frexp(max(residuals))[1]
+            sq = 0.0
+            for r in residuals:
+                sq += math.ldexp(r, -exponent) ** 2
+            magnitudes.append(math.ldexp(math.sqrt(sq), exponent))
     if not magnitudes:
         return 0.0, {"violating_rows": 0}
     return float(np.mean(magnitudes)), {"violating_rows": len(magnitudes)}
