@@ -1,11 +1,17 @@
 """Consistency statistics: stability of quality metrics across subgroups.
 
-Per-subgroup metric values come from the evaluation pipeline (each selected
-base metric recomputed on the subgroup slices). This module quantifies their
-dispersion and, with a one-way F test over bootstrap replicates, whether
-between-subgroup differences are statistically significant. The runner
-computes each replicate as an ordinary worker-pool task that resamples its
-subgroup's rows from the seed ``task_seed`` derives.
+The three consistency metrics are compute entries like any other metric,
+but they read the results of the other tasks (``score``), so the runner
+runs them after its worker pool. This module alone knows how they are
+computed:
+
+- which base metrics they read (``base_metrics``); ``metric_variance`` and
+  ``max_min_difference`` read each base's normalized per-subgroup scores;
+- which bootstrap replicate tasks ``anova`` needs (``replicate_tasks``),
+  which the runner runs in the pool like any other task, and how a
+  replicate picks its rows (``replicate_rows``);
+- how the replicates are tested (a one-way F test per base), which
+  subgroups a base skips, and that the worst base decides each metric.
 """
 
 from __future__ import annotations
@@ -15,7 +21,45 @@ import math
 
 import numpy as np
 
+from . import catalog
+from .aggregate import normalize, resolve_bounds
 from .errors import EvaluationError
+
+
+def base_metrics(config) -> tuple[str, ...]:
+    """The configured base metrics, else every selected embedding metric."""
+    if config.consistency_base is not None:
+        return config.consistency_base
+    return tuple(name for name in config.metrics
+                 if catalog.descriptor(name).source == catalog.SOURCE_EMBEDDING)
+
+
+def replicate_tasks(config) -> tuple[tuple[str, int], ...]:
+    """(base metric, replicate index) of every replicate task each subgroup
+    scope runs; only ``anova`` reads replicates."""
+    if "anova" not in config.metrics:
+        return ()
+    return tuple((base, r) for r in range(config.bootstrap_replicates)
+                 for base in base_metrics(config))
+
+
+def replicate_rows(labels, label: str, replicate: int, seed: int) -> np.ndarray:
+    """Rows of one replicate of subgroup ``label``: a bootstrap resample of
+    the synthetic rows that carry it, drawn from the seed ``task_seed``
+    derives. Indices point into the full synthetic set and may repeat."""
+    rows = np.flatnonzero([value == label for value in labels])
+    rng = np.random.default_rng(task_seed(seed, label, replicate))
+    return rows[rng.integers(rows.size, size=rows.size)]
+
+
+def score(name: str, results: dict, config, labels) -> tuple:
+    """(value, diagnostics) of one consistency metric.
+
+    ``results`` holds the other tasks' results, keyed by (scope, metric,
+    replicate) with replicate None outside the replicate tasks; ``labels``
+    are the synthetic set's subgroup labels.
+    """
+    return _SCORES[name](results, config, sorted(set(labels)))
 
 
 def dispersion(values: list[float | None]):
@@ -35,6 +79,88 @@ def dispersion(values: list[float | None]):
         "max_min_difference": float(arr.max() - arr.min()),
     }
     return out, {"excluded": excluded, "count": len(defined)}
+
+
+def _spread(key: str, results: dict, config, labels: list[str]):
+    """``key`` of the dispersion of each base's normalized subgroup scores;
+    the largest across bases decides, per-base detail goes to diagnostics."""
+    worst = None
+    detail = {}
+    excluded_total = 0
+    for base in base_metrics(config):
+        values = []
+        for label in labels:
+            result = results.get((f"subgroup:{label}", base, None))
+            defined = result is not None and result.defined
+            values.append(normalize(result, resolve_bounds(result, config))
+                          .normalized if defined else None)
+        stats, diag = dispersion(values)
+        if stats is None:
+            detail[base] = "undefined: " + diag.get("undefined_reason", "")
+            continue
+        excluded_total += diag.get("excluded", 0)
+        detail[base] = stats[key]
+        if worst is None or stats[key] > worst:
+            worst = stats[key]
+    diagnostics = {"per_base": detail, "subgroups": labels,
+                   "scale": "normalized scores",
+                   "excluded_subgroup_values": excluded_total}
+    if worst is None:
+        diagnostics["undefined_reason"] = "fewer than 2 defined subgroup values"
+    return worst, diagnostics
+
+
+def _anova(results: dict, config, labels: list[str]):
+    """Bootstrap one-way ANOVA per base metric; the most significant base
+    decides. A subgroup with any undefined replicate is skipped."""
+    samples: dict[tuple[str, str], list] = {}
+    for label in labels:
+        for base, r in replicate_tasks(config):
+            result = results[(f"subgroup:{label}", base, r)]
+            samples.setdefault((base, label), []).append(result.value)
+    worst = None  # (p, F, base)
+    detail = {}
+    for base in base_metrics(config):
+        groups, used, skipped = [], [], []
+        for label in labels:
+            values = samples.get((base, label), [])
+            if None in values:
+                skipped.append(label)
+            else:
+                groups.append(np.asarray(values))
+                used.append(label)
+        if len(groups) < 2:
+            detail[base] = "undefined: fewer than 2 usable subgroups"
+            continue
+        try:
+            stats, diag = one_way_anova(groups)
+        except EvaluationError as exc:
+            detail[base] = f"undefined: {exc}"
+            continue
+        if stats is None:
+            detail[base] = "undefined: " + diag.get("undefined_reason", "")
+            continue
+        detail[base] = {"F": stats["F"], "p": stats["p"],
+                        "subgroups": used, "skipped": skipped}
+        if worst is None or stats["p"] < worst[0]:
+            worst = (stats["p"], stats["F"], base)
+    diagnostics = {"per_base": detail, "subgroups": labels,
+                   "replicates": config.bootstrap_replicates}
+    if worst is None:
+        diagnostics["undefined_reason"] = ("no base metric produced two "
+                                           "usable subgroups")
+        return None, diagnostics
+    p_value, f_value, base = worst
+    diagnostics["p"] = p_value
+    diagnostics["worst_base"] = base
+    return f_value, diagnostics
+
+
+_SCORES = {
+    "metric_variance": lambda *a: _spread("variance", *a),
+    "max_min_difference": lambda *a: _spread("max_min_difference", *a),
+    "anova": _anova,
+}
 
 
 def f_survival(f_value: float, df_between: int, df_within: int) -> float:
@@ -87,4 +213,3 @@ def task_seed(seed: int, label: str, replicate: int) -> int:
     """
     digest = hashlib.sha256(f"{label}|{replicate}".encode("utf-8")).digest()
     return (seed ^ int.from_bytes(digest[:8], "big")) & 0x7FFFFFFFFFFFFFFF
-

@@ -8,11 +8,14 @@ Binary metrics inside a region/subgroup scope compare against the reference
 rows with the same tag; slices that fail a metric's preconditions yield
 explicit undefined markers, never silent omission.
 
-Every metric computation is one task: each metric in each scope, and each
-bootstrap replicate of each ANOVA base metric in each subgroup scope.
-Computation is pure and each replicate draws its rows from its own derived
-seed, so tasks can run on a thread pool; results are keyed and sorted
-before assembly, which keeps reports byte-identical for any worker count.
+Every metric computation is one task, keyed (scope, metric, replicate):
+each metric in each scope, and each replicate task ``consistency`` asks for
+in each subgroup scope, whose rows ``consistency`` also picks. Computation
+is pure and each replicate's rows come from its own derived seed, so tasks
+run on a thread pool. The consistency metrics are compute entries too; they
+read the other tasks' results, so they run once the pool is done. Results
+are keyed and sorted before assembly, which keeps reports byte-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ import numpy as np
 
 from . import __version__, catalog, completeness, compliance, congruence, \
     consistency, constraint, coverage
-from .aggregate import (QualityReport, assemble_report, has_bounds_source,
-                        normalize, resolve_bounds)
+from .aggregate import QualityReport, assemble_report, has_bounds_source
 from .config import EvalConfig, config_digest
 from .constraint import ConstraintRuleSet, derive_range_rules, validate_rules
 from .errors import EvaluationError, PlanError
 from .model import (EmbeddingSet, MetricResult, RecordTable, ValidationOutcome,
-                    Violation, make_result, undefined_result, validate_inputs)
+                    Violation, undefined_result, validate_inputs)
 from .numerics import pca_fit
 
 TOOL = {"name": "smdcard", "version": __version__}
@@ -103,7 +105,7 @@ def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
         if inputs.synthetic.subgroup is None:
             add("E227", "consistency metrics need a subgroup column on the "
                         "synthetic set")
-        for base in _consistency_base(config):
+        for base in consistency.base_metrics(config):
             d = catalog.descriptor(base)
             if d.source != catalog.SOURCE_EMBEDDING:
                 add("E227", f"consistency base metric {base!r} must be an "
@@ -125,13 +127,6 @@ def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
     return ValidationOutcome(tuple(violations))
 
 
-def _consistency_base(config: EvalConfig) -> tuple[str, ...]:
-    if config.consistency_base is not None:
-        return config.consistency_base
-    return tuple(name for name in config.metrics
-                 if catalog.descriptor(name).source == catalog.SOURCE_EMBEDDING)
-
-
 # ---------------------------------------------------------------------------
 # per-metric computation
 
@@ -139,7 +134,9 @@ def _consistency_base(config: EvalConfig) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class _Args:
     """What a compute entry reads: one scope's embedding rows plus the
-    run-wide inputs (table, rules, images, probabilities) where it has them."""
+    run-wide inputs (table, rules, images, probabilities) where it has them,
+    and for the consistency metrics the other tasks' ``results``, keyed by
+    (scope, metric, replicate)."""
     real: EmbeddingSet | None
     synthetic: EmbeddingSet
     config: EvalConfig
@@ -147,7 +144,7 @@ class _Args:
     inputs: EvaluationInputs | None = None
     rules: ConstraintRuleSet | None = None
     required: tuple[str, ...] | None = None
-    draw: int | None = None  # seed of a bootstrap resample of ``synthetic``
+    results: dict | None = None
 
 
 def _optional(cast, value):
@@ -239,6 +236,10 @@ _COMPUTE = {
     "ssim": lambda a, p: congruence.ssim_pairs(a.inputs.image_pairs),
     "inception_score": lambda a, p: _count_bounds(
         coverage.inception_style_score(a.inputs.class_probs), "classes"),
+    **{d.name: lambda a, p, name=d.name: consistency.score(
+        name, a.results, a.config, a.synthetic.subgroup)
+       for d in catalog.REGISTRY.values()
+       if d.source == catalog.SOURCE_SUBGROUP_METRICS},
 }
 
 
@@ -248,15 +249,22 @@ def _compute(name: str, args: _Args):
     return _COMPUTE[name](args, params)
 
 
-def _metric_result(scope: str, name: str, args: _Args) -> MetricResult:
-    """One metric in one scope. Embedding metrics turn precondition failures
-    into "insufficient samples" markers and table metrics into plain
-    undefined markers; image and probability errors propagate."""
+def _metric_result(task: tuple, args: _Args) -> MetricResult:
+    """One task: a metric in a scope, on a replicate's rows when the task
+    has a replicate index. Embedding metrics turn precondition failures into
+    "insufficient samples" markers and table metrics into plain undefined
+    markers; image and probability errors propagate."""
+    scope, name, replicate = task
     d = catalog.descriptor(name)
     embedding = d.source == catalog.SOURCE_EMBEDDING
-    if args.draw is not None:
-        args = replace(args, synthetic=_resample(args.synthetic, args.draw),
-                       draw=None)
+    if replicate is not None:
+        full = args.inputs.synthetic
+        rows = consistency.replicate_rows(full.subgroup, scope.partition(":")[2],
+                                          replicate, args.seed)
+        # rows may repeat, so positional ids replace the originals
+        args = replace(args, synthetic=EmbeddingSet(
+            ids=tuple(f"b{i:06d}" for i in range(rows.size)),
+            data=full.data[rows]))
     if embedding and d.arity == "binary" and args.real is None:
         return undefined_result(name, "insufficient samples: no reference "
                                       "rows in this slice", scope=scope)
@@ -274,14 +282,6 @@ def _metric_result(scope: str, name: str, args: _Args) -> MetricResult:
     return MetricResult(d, value, scope, None, diagnostics)
 
 
-def _resample(eset: EmbeddingSet, seed: int) -> EmbeddingSet:
-    """Bootstrap resample of all rows: rows may repeat, so fresh ids replace
-    the originals."""
-    rows = np.random.default_rng(seed).integers(eset.n, size=eset.n)
-    return EmbeddingSet(ids=tuple(f"b{i:06d}" for i in range(eset.n)),
-                        data=eset.data[rows])
-
-
 def _filter_by_label(eset: EmbeddingSet | None, attr: str, label: str):
     if eset is None:
         return None
@@ -292,106 +292,6 @@ def _filter_by_label(eset: EmbeddingSet | None, attr: str, label: str):
     if not idx:
         return None
     return eset.subset(idx)
-
-
-# ---------------------------------------------------------------------------
-# consistency stage
-
-
-def _consistency_results(inputs: EvaluationInputs, config: EvalConfig,
-                         subgroup_results: dict, replicates: list):
-    """One result per selected consistency metric, worst case across base
-    metrics; per-base detail goes to diagnostics. ``replicates`` pairs each
-    bootstrap task with its result."""
-    selected = [n for n in config.metrics
-                if catalog.descriptor(n).source == catalog.SOURCE_SUBGROUP_METRICS]
-    if not selected:
-        return []
-    labels = sorted(set(inputs.synthetic.subgroup))
-    bases = _consistency_base(config)
-    per_base_normalized: dict[str, dict[str, float | None]] = {}
-    for base in bases:
-        values = {}
-        for label in labels:
-            result = subgroup_results.get((f"subgroup:{label}", base))
-            if result is None or not result.defined:
-                values[label] = None
-                continue
-            bounds = resolve_bounds(result, config)
-            values[label] = normalize(result, bounds).normalized
-        per_base_normalized[base] = values
-
-    results = []
-    for name in selected:
-        if name in ("metric_variance", "max_min_difference"):
-            key = "variance" if name == "metric_variance" else "max_min_difference"
-            worst = None
-            detail = {}
-            excluded_total = 0
-            for base, values in per_base_normalized.items():
-                stats, diag = consistency.dispersion(list(values.values()))
-                if stats is None:
-                    detail[base] = "undefined: " + diag.get("undefined_reason", "")
-                    continue
-                excluded_total += diag.get("excluded", 0)
-                detail[base] = stats[key]
-                if worst is None or stats[key] > worst:
-                    worst = stats[key]
-            diagnostics = {"per_base": detail, "subgroups": labels,
-                           "scale": "normalized scores",
-                           "excluded_subgroup_values": excluded_total}
-            if worst is None:
-                results.append(undefined_result(
-                    name, "fewer than 2 defined subgroup values", **diagnostics))
-            else:
-                results.append(make_result(name, worst, **diagnostics))
-        elif name == "anova":
-            results.append(_anova_result(config, labels, bases, replicates))
-    return results
-
-
-def _anova_result(config: EvalConfig, labels: list[str],
-                  bases: tuple[str, ...], replicates: list):
-    """Bootstrap one-way ANOVA per base metric; keep the most significant.
-    A subgroup with any undefined replicate is skipped."""
-    samples: dict[tuple[str, str], list] = {}
-    for (scope, base, _), result in replicates:
-        samples.setdefault((base, scope), []).append(result.value)
-    worst = None  # (p, F, base)
-    detail = {}
-    for base in bases:
-        groups, used, skipped = [], [], []
-        for label in labels:
-            values = samples.get((base, f"subgroup:{label}"), [])
-            if None in values:
-                skipped.append(label)
-            else:
-                groups.append(np.asarray(values))
-                used.append(label)
-        if len(groups) < 2:
-            detail[base] = "undefined: fewer than 2 usable subgroups"
-            continue
-        try:
-            stats, diag = consistency.one_way_anova(groups)
-        except EvaluationError as exc:
-            detail[base] = f"undefined: {exc}"
-            continue
-        if stats is None:
-            detail[base] = "undefined: " + diag.get("undefined_reason", "")
-            continue
-        detail[base] = {"F": stats["F"], "p": stats["p"],
-                        "subgroups": used, "skipped": skipped}
-        if worst is None or stats["p"] < worst[0]:
-            worst = (stats["p"], stats["F"], base)
-    diagnostics = {"per_base": detail, "subgroups": labels,
-                   "replicates": config.bootstrap_replicates}
-    if worst is None:
-        return undefined_result("anova", "no base metric produced "
-                                         "two usable subgroups", **diagnostics)
-    p_value, f_value, base = worst
-    diagnostics["p"] = p_value
-    diagnostics["worst_base"] = base
-    return make_result("anova", f_value, **diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +327,10 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
                          "(rank deficiency)")
         inputs = replace(inputs, synthetic=synthetic, real=real)
 
+    results = {}  # (scope, metric, replicate) -> MetricResult
     run_args = _Args(real, synthetic, config, seed, inputs,
                      _resolve_rules(inputs, config),
-                     _resolve_required_fields(inputs, config))
+                     _resolve_required_fields(inputs, config), results)
     scopes = [("global", real, synthetic)]
     for attr in ("region", "subgroup"):
         for label in sorted(set(getattr(synthetic, attr) or ())):
@@ -439,35 +340,27 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
 
     embedding = [n for n in config.metrics
                  if catalog.descriptor(n).source == catalog.SOURCE_EMBEDDING]
-    tasks = []  # (scope, name, args)
+    replicates = consistency.replicate_tasks(config)
+    tasks = []  # (task, args); the task is (scope, metric, replicate)
     for scope, real_slice, synth_slice in scopes:
-        args = _Args(real_slice, synth_slice, config, seed)
-        tasks.extend((scope, name, args) for name in embedding)
-    tasks.extend(("global", name, run_args) for name in config.metrics
-                 if name in _COMPUTE and name not in embedding)
-    replicates = []  # (scope, base, args), one per bootstrap draw and base
-    bases = _consistency_base(config) if "anova" in config.metrics else ()
-    for scope, real_slice, synth_slice in scopes:
-        if bases and scope.startswith("subgroup:"):
-            label = scope[len("subgroup:"):]
-            for r in range(config.bootstrap_replicates):
-                args = _Args(real_slice, synth_slice, config, seed,
-                             draw=consistency.task_seed(seed, label, r))
-                replicates.extend((scope, base, args) for base in bases)
+        args = _Args(real_slice, synth_slice, config, seed, inputs)
+        tasks.extend(((scope, name, None), args) for name in embedding)
+        if scope.startswith("subgroup:"):
+            tasks.extend(((scope, base, r), args) for base, r in replicates)
+    tasks.extend((("global", name, None), run_args) for name in config.metrics
+                 if name not in embedding)
 
+    # the consistency metrics read ``results``, so they run after the pool
+    pooled = [(task, args) for task, args in tasks if catalog.descriptor(
+        task[1]).source != catalog.SOURCE_SUBGROUP_METRICS]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(lambda t: _metric_result(*t),
-                                     tasks + replicates))
+            computed = list(pool.map(lambda t: _metric_result(*t), pooled))
     else:
-        computed = [_metric_result(*t) for t in tasks + replicates]
-    results = {(t[0], t[1]): r for t, r in zip(tasks, computed)}
-
-    all_results = list(results.values())
-    if synthetic.subgroup:
-        all_results.extend(_consistency_results(
-            inputs, config, results,
-            list(zip(replicates, computed[len(tasks):]))))
+        computed = [_metric_result(*t) for t in pooled]
+    results.update(zip((task for task, _ in pooled), computed))
+    results.update((task, _metric_result(task, args)) for task, args in tasks
+                   if task not in results)
 
     rules = run_args.rules
     if len(rules):
@@ -475,7 +368,9 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
                      f"({rules.source})")
 
     declared = compliance.declared_privacy_record(config)
-    return assemble_report(all_results, config, seed, digest, dict(TOOL),
+    return assemble_report([result for (_, _, replicate), result
+                            in results.items() if replicate is None],
+                           config, seed, digest, dict(TOOL),
                            declared_privacy=declared, notes=notes)
 
 

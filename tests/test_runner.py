@@ -409,12 +409,11 @@ class TestCatalogDispatch:
     """The catalog rows and the runner's compute table stay in step."""
 
     def test_one_compute_entry_per_task_metric(self):
-        # manifest metrics are scored when the card is built and subgroup
-        # metrics by the consistency stage; every other computable metric
-        # runs as a task through exactly one compute entry
-        elsewhere = (catalog.SOURCE_MANIFEST, catalog.SOURCE_SUBGROUP_METRICS)
+        # manifest metrics are scored when the card is built; every other
+        # computable metric, the subgroup metrics included, runs as a task
+        # through exactly one compute entry
         expected = {d.name for d in catalog.REGISTRY.values()
-                    if d.computable and d.source not in elsewhere}
+                    if d.computable and d.source != catalog.SOURCE_MANIFEST}
         assert set(runner._COMPUTE) == expected
 
     def test_bounds_source_follows_descriptor(self):
@@ -441,8 +440,9 @@ class TestCatalogDispatch:
         rules = ConstraintRuleSet((rule_from_dict(
             {"id": "range:age", "kind": "range", "field": "age",
              "min": 0, "max": 60}),))
+        # the subgroup metrics read the other tasks' results: none here
         args = runner._Args(inputs.real, inputs.synthetic, cfg, 0, inputs,
-                            rules, ("age", "sex"))
+                            rules, ("age", "sex"), results={})
         for name in runner._COMPUTE:
             _, diagnostics = runner._compute(name, args)
             assert (("default_bounds" in diagnostics)
