@@ -130,16 +130,6 @@ def _value_to_json(value: float | None):
     return float(value)
 
 
-def _value_from_json(raw):
-    if raw is None:
-        return None
-    if raw == "inf":
-        return math.inf
-    if raw == "-inf":
-        return -math.inf
-    return float(raw)
-
-
 @dataclass(frozen=True)
 class CriterionBlock:
     criterion: str

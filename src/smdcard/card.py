@@ -19,9 +19,10 @@ import html as html_lib
 from dataclasses import dataclass, field
 
 from . import catalog
-from .aggregate import QualityReport
+from .aggregate import QualityReport, normalize, verdict
 from .errors import CardError
 from .ingest import dumps_canonical, loads_canonical
+from .model import make_result
 
 NOT_PROVIDED = "not provided"
 
@@ -291,21 +292,15 @@ def build_card(manifest: dict, report: QualityReport | None = None,
     score, items = documentation_clarity_score(manifest)
     thresholds = dict(thresholds or (report.thresholds if report else
                                      {"good": 80.0, "moderate": 70.0}))
-    normalized = 100.0 * (score - 1) / 9.0
-    if normalized >= thresholds["good"]:
-        clarity_verdict = "good"
-    elif normalized >= thresholds["moderate"]:
-        clarity_verdict = "moderate"
-    else:
-        clarity_verdict = "low"
+    d = catalog.descriptor("documentation_clarity")
+    normalized = normalize(make_result(d.name, score),
+                           d.static_bounds).normalized
     quality["comprehension"] = {
         "score": normalized,
-        "verdict": clarity_verdict,
+        "verdict": verdict(normalized, thresholds),
         "excluded": 0,
-        "metrics": [{"name": "documentation_clarity",
-                     "label": "Documentation Clarity Score",
-                     "value": score, "normalized": normalized,
-                     "direction": "maximize"}],
+        "metrics": [{"name": d.name, "label": d.label, "value": score,
+                     "normalized": normalized, "direction": d.direction}],
         "rubric": items,
     }
 

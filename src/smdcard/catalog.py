@@ -36,15 +36,6 @@ CRITERIA = (
     "consistency",
 )
 
-SPACES = (
-    "embedding",
-    "image",
-    "metadata",
-    "data-attribute",
-    "documentation",
-    "quality-metrics",
-)
-
 # What input feeds the metric at evaluation time.
 SOURCE_EMBEDDING = "embedding"
 SOURCE_IMAGE_PAIRS = "image-pairs"
@@ -66,7 +57,6 @@ class MetricDescriptor:
     source: str = SOURCE_EMBEDDING
     score_direction: str = ""   # defaults to `direction`
     computable: bool = True     # False: declaration-only, never computed
-    in_catalog: bool = True
     params: tuple[tuple[str, object], ...] = ()  # recognized keys, defaults
     range: tuple[float | None, float | None] = (None, None)  # analytic lo, hi
     data_bounds: bool = False   # bounds attached per run (default_bounds)
@@ -203,8 +193,8 @@ CATALOG: tuple[MetricDescriptor, ...] = (
 #: Additional computed metrics kept outside the pinned catalog table.
 EXTRAS: tuple[MetricDescriptor, ...] = (
     _d("re_identification_risk", "Re-identification Risk", "compliance",
-       "embedding", "binary", "minimize", False, in_catalog=False,
-       range=UNIT, params=(("tau", None),)),
+       "embedding", "binary", "minimize", False, range=UNIT,
+       params=(("tau", None),)),
 )
 
 REGISTRY: dict[str, MetricDescriptor] = {d.name: d for d in CATALOG + EXTRAS}

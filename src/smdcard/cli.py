@@ -15,6 +15,7 @@ omits one.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -124,10 +125,9 @@ def _optional_column(path: str, column: str | None) -> str | None:
     """Reference files may omit subgroup/region columns the synthetic file has."""
     if column is None or str(path).endswith(".jsonl"):
         return column
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-    names = [h.strip() for h in header.split(",")]
-    return column if column in names else None
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), [])
+    return column if column in (h.strip() for h in header) else None
 
 
 def _resolve_relative(path: str, anchor_file: str) -> str:

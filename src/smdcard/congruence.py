@@ -23,6 +23,8 @@ from .numerics import (ball_query, freedman_diaconis_bins, histogram_masses,
                        w1_distance_1d)
 
 EXACT_MATCHING_LIMIT = 512
+FRECHET_REGULARIZATION = 1e-6  # ridge added to both covariances
+SSIM_WINDOW = 8  # side of the square SSIM patches
 
 
 def _check_dims(real: EmbeddingSet, synthetic: EmbeddingSet) -> None:
@@ -113,22 +115,21 @@ def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
 
 
-def frechet_distance(real: EmbeddingSet, synthetic: EmbeddingSet,
-                     regularization: float = 1e-6):
+def frechet_distance(real: EmbeddingSet, synthetic: EmbeddingSet):
     """Distance between Gaussian moment fits of the two sets.
 
     ||mu_r - mu_s||^2 + Tr(S_r + S_s - 2 (S_r S_s)^(1/2)), with the cross
     term evaluated through the symmetrized product
     (S_r^(1/2) S_s S_r^(1/2))^(1/2) for numerical stability. Covariances are
-    regularized with ``regularization * I``; a negative residue within 1e-8
-    is clamped to zero.
+    regularized with ``FRECHET_REGULARIZATION * I``; a negative residue
+    within 1e-8 is clamped to zero.
     """
     _check_dims(real, synthetic)
     mu_r = real.data.mean(axis=0)
     mu_s = synthetic.data.mean(axis=0)
     d = real.d
-    cov_r = _sample_cov(real.data) + regularization * np.eye(d)
-    cov_s = _sample_cov(synthetic.data) + regularization * np.eye(d)
+    cov_r = _sample_cov(real.data) + FRECHET_REGULARIZATION * np.eye(d)
+    cov_s = _sample_cov(synthetic.data) + FRECHET_REGULARIZATION * np.eye(d)
 
     root_r = _sqrt_psd(cov_r)
     inner = root_r @ cov_s @ root_r
@@ -138,7 +139,7 @@ def frechet_distance(real: EmbeddingSet, synthetic: EmbeddingSet,
 
     value = (float(np.sum((mu_r - mu_s) ** 2))
              + float(np.trace(cov_r) + np.trace(cov_s)) - 2.0 * cross)
-    diagnostics = {"regularization": regularization,
+    diagnostics = {"regularization": FRECHET_REGULARIZATION,
                    "mean_shift_sq": float(np.sum((mu_r - mu_s) ** 2))}
     if clamped > 0:
         diagnostics["clamped_eigenvalue"] = clamped
@@ -218,22 +219,21 @@ def psnr_pairs(pairs: list[tuple[np.ndarray, np.ndarray, int]]):
     return float(np.mean(values)), diagnostics
 
 
-def ssim_pairs(pairs: list[tuple[np.ndarray, np.ndarray, int]],
-               window: int = 8):
+def ssim_pairs(pairs: list[tuple[np.ndarray, np.ndarray, int]]):
     """Mean structural similarity over explicitly paired images.
 
-    Sliding ``window`` x ``window`` patches at stride 1 (fully inside the
-    image), population moments per patch, stabilizers C1=(0.01*peak)^2 and
-    C2=(0.03*peak)^2.
+    Sliding ``SSIM_WINDOW`` x ``SSIM_WINDOW`` patches at stride 1 (fully
+    inside the image), population moments per patch, stabilizers
+    C1=(0.01*peak)^2 and C2=(0.03*peak)^2.
     """
     values = []
     skipped = 0
     for a, b, peak in pairs:
-        if not _pair_ok(a, b) or min(a.shape) < window:
+        if not _pair_ok(a, b) or min(a.shape) < SSIM_WINDOW:
             skipped += 1
             continue
         values.append(_ssim_single(a.astype(np.float64), b.astype(np.float64),
-                                   peak, window))
+                                   peak))
     diagnostics = {"pairs": len(pairs), "skipped_pairs": skipped}
     if not values:
         return None, {**diagnostics,
@@ -241,11 +241,11 @@ def ssim_pairs(pairs: list[tuple[np.ndarray, np.ndarray, int]],
     return float(np.mean(values)), diagnostics
 
 
-def _ssim_single(a: np.ndarray, b: np.ndarray, peak: int, window: int) -> float:
+def _ssim_single(a: np.ndarray, b: np.ndarray, peak: int) -> float:
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
-    wa = np.lib.stride_tricks.sliding_window_view(a, (window, window))
-    wb = np.lib.stride_tricks.sliding_window_view(b, (window, window))
+    wa = np.lib.stride_tricks.sliding_window_view(a, (SSIM_WINDOW,) * 2)
+    wb = np.lib.stride_tricks.sliding_window_view(b, (SSIM_WINDOW,) * 2)
     mu_a = wa.mean(axis=(-2, -1))
     mu_b = wb.mean(axis=(-2, -1))
     da = wa - mu_a[..., None, None]

@@ -1,21 +1,16 @@
 """Consistency statistics: stability of quality metrics across subgroups.
 
-The three consistency metrics are compute entries like any other metric,
-but they read the results of the other tasks (``score``), so the runner
-runs them after its worker pool. This module alone knows how they are
-computed:
-
-- which base metrics they read (``base_metrics``); ``metric_variance`` and
-  ``max_min_difference`` read each base's normalized per-subgroup scores;
-- which bootstrap replicate tasks ``anova`` needs (``replicate_tasks``),
-  which the runner runs in the pool like any other task, and how a
-  replicate picks its rows (``replicate_rows``);
-- how the replicates are tested (a one-way F test per base), which
-  subgroups a base skips, and that the worst base decides each metric.
+The consistency metrics are compute entries whose inputs are the other
+tasks' results (``score``), so the runner runs them after its worker pool.
+This module alone knows their base metrics, the bootstrap replicate tasks
+``anova`` asks the pool for (``replicate_tasks``) and how each picks its
+rows (``replicate_rows``), how the replicates are tested, which subgroups
+a base skips, and that the worst base decides each metric.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -43,7 +38,7 @@ def replicate_tasks(config) -> tuple[tuple[str, int], ...]:
                  for base in base_metrics(config))
 
 
-def replicate_rows(labels, label: str, replicate: int, seed: int) -> np.ndarray:
+def replicate_rows(labels, label: str, replicate: int, seed: int):
     """Rows of one replicate of subgroup ``label``: a bootstrap resample of
     the synthetic rows that carry it, drawn from the seed ``task_seed``
     derives. Indices point into the full synthetic set and may repeat."""
@@ -53,12 +48,9 @@ def replicate_rows(labels, label: str, replicate: int, seed: int) -> np.ndarray:
 
 
 def score(name: str, results: dict, config, labels) -> tuple:
-    """(value, diagnostics) of one consistency metric.
-
-    ``results`` holds the other tasks' results, keyed by (scope, metric,
-    replicate) with replicate None outside the replicate tasks; ``labels``
-    are the synthetic set's subgroup labels.
-    """
+    """(value, diagnostics) of one consistency metric. ``results`` maps
+    (scope, metric, replicate) to the other tasks' results, replicate None
+    outside the replicate tasks; ``labels`` are the synthetic subgroups."""
     return _SCORES[name](results, config, sorted(set(labels)))
 
 
@@ -91,9 +83,8 @@ def _spread(key: str, results: dict, config, labels: list[str]):
         values = []
         for label in labels:
             result = results.get((f"subgroup:{label}", base, None))
-            defined = result is not None and result.defined
-            values.append(normalize(result, resolve_bounds(result, config))
-                          .normalized if defined else None)
+            values.append(None if result is None else normalize(
+                result, resolve_bounds(result, config)).normalized)
         stats, diag = dispersion(values)
         if stats is None:
             detail[base] = "undefined: " + diag.get("undefined_reason", "")
@@ -106,24 +97,22 @@ def _spread(key: str, results: dict, config, labels: list[str]):
                    "scale": "normalized scores",
                    "excluded_subgroup_values": excluded_total}
     if worst is None:
-        diagnostics["undefined_reason"] = "fewer than 2 defined subgroup values"
+        diagnostics["undefined_reason"] = ("fewer than 2 defined subgroup "
+                                           "values")
     return worst, diagnostics
 
 
 def _anova(results: dict, config, labels: list[str]):
     """Bootstrap one-way ANOVA per base metric; the most significant base
     decides. A subgroup with any undefined replicate is skipped."""
-    samples: dict[tuple[str, str], list] = {}
-    for label in labels:
-        for base, r in replicate_tasks(config):
-            result = results[(f"subgroup:{label}", base, r)]
-            samples.setdefault((base, label), []).append(result.value)
+    tasks = replicate_tasks(config)
     worst = None  # (p, F, base)
     detail = {}
     for base in base_metrics(config):
         groups, used, skipped = [], [], []
         for label in labels:
-            values = samples.get((base, label), [])
+            values = [results[(f"subgroup:{label}", base, r)].value
+                      for b, r in tasks if b == base]
             if None in values:
                 skipped.append(label)
             else:
@@ -157,8 +146,8 @@ def _anova(results: dict, config, labels: list[str]):
 
 
 _SCORES = {
-    "metric_variance": lambda *a: _spread("variance", *a),
-    "max_min_difference": lambda *a: _spread("max_min_difference", *a),
+    "metric_variance": functools.partial(_spread, "variance"),
+    "max_min_difference": functools.partial(_spread, "max_min_difference"),
     "anova": _anova,
 }
 

@@ -76,14 +76,6 @@ class ConstraintRule:
             return 1
         return 1 + (self.consequent._depth() if self.consequent else 0)
 
-    def referenced_fields(self) -> tuple[str, ...]:
-        if self.kind in ("range", "allowed_set"):
-            return (self.field_name,)
-        if self.kind == "linear":
-            return tuple(name for name, _ in self.weights)
-        fields = (self.when_field,) + self.consequent.referenced_fields()
-        return fields
-
 
 @dataclass(frozen=True)
 class ConstraintRuleSet:

@@ -197,8 +197,11 @@ def cluster_balance(synthetic: EmbeddingSet, k_clusters: int | None = None,
     return float(value), diagnostics
 
 
-def _kmeans(data: np.ndarray, k: int, seed: int,
-            max_iter: int = 100, rel_tol: float = 1e-6):
+_KMEANS_MAX_ITER = 100
+_KMEANS_REL_TOL = 1e-6  # stop once inertia improves by less than this share
+
+
+def _kmeans(data: np.ndarray, k: int, seed: int):
     """Deterministic Lloyd iterations with farthest-point seeding.
 
     The first center is drawn with the seeded generator; each further center
@@ -218,7 +221,7 @@ def _kmeans(data: np.ndarray, k: int, seed: int,
     inertia = math.inf
     labels = np.zeros(n, dtype=int)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _KMEANS_MAX_ITER + 1):
         d2 = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         new_inertia = float(d2[np.arange(n), labels].sum())
@@ -226,14 +229,17 @@ def _kmeans(data: np.ndarray, k: int, seed: int,
             members = data[labels == c]
             if members.size:
                 centers[c] = members.mean(axis=0)
-        if inertia - new_inertia <= rel_tol * max(new_inertia, 1e-300):
+        if inertia - new_inertia <= _KMEANS_REL_TOL * max(new_inertia, 1e-300):
             inertia = new_inertia
             break
         inertia = new_inertia
     return labels, iterations
 
 
-def inception_style_score(class_probs: np.ndarray, tolerance: float = 1e-6):
+PROBABILITY_TOLERANCE = 1e-6  # allowed |row sum - 1| of class probabilities
+
+
+def inception_style_score(class_probs: np.ndarray):
     """exp(mean KL(row || marginal)) over a row-stochastic class-probability
     matrix (natural log). 1 when every row matches the marginal; up to the
     class count for distinct one-hot rows."""
@@ -244,7 +250,7 @@ def inception_style_score(class_probs: np.ndarray, tolerance: float = 1e-6):
         row = int(np.argwhere(probs < 0)[0][0])
         raise EvaluationError(f"negative probability in row {row}")
     sums = probs.sum(axis=1)
-    bad = np.where(np.abs(sums - 1.0) > tolerance)[0]
+    bad = np.where(np.abs(sums - 1.0) > PROBABILITY_TOLERANCE)[0]
     if bad.size:
         raise EvaluationError(f"row {int(bad[0])} does not sum to 1 "
                               f"(sum={sums[bad[0]]:.9g})")

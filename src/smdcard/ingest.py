@@ -1,6 +1,6 @@
 """File parsing and serialization.
 
-Inputs: delimiter-separated values with a header row (embeddings, record
+Inputs: comma-separated values with a header row (embeddings, record
 tables, image-pair manifests), YAML configuration/manifest documents, and
 portable graymap (PGM) images. Outputs: reports and cards as canonical JSON
 with stable key order and floats fixed at 9 significant digits, written
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -151,18 +152,17 @@ def _read_cells(path: str, reader, width: int, numeric: list[int],
 
 def read_embeddings(path: str, id_column: str = "id",
                     subgroup_column: str | None = None,
-                    region_column: str | None = None,
-                    delimiter: str = ",") -> EmbeddingSet:
-    """Parse an embedding matrix from a delimited file or JSON-lines file.
+                    region_column: str | None = None) -> EmbeddingSet:
+    """Parse an embedding matrix from a comma-separated or JSON-lines file.
 
-    Delimited files carry a header row; every column other than the id /
-    subgroup / region columns is a feature, kept in header order. Row and
-    column numbers in errors are 1-based with the header as row 1.
+    Comma-separated files carry a header row; every column other than the
+    id / subgroup / region columns is a feature, kept in header order. Row
+    and column numbers in errors are 1-based with the header as row 1.
     """
     if str(path).endswith(".jsonl"):
         return _read_embeddings_jsonl(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -225,13 +225,13 @@ def _read_embeddings_jsonl(path: str) -> EmbeddingSet:
                         region=tuple(regions) or None)
 
 
-def write_embeddings(eset: EmbeddingSet, path: str, id_column: str = "id",
-                     subgroup_column: str = "subgroup",
-                     region_column: str = "region") -> None:
-    labels = [(name, values) for name, values in ((subgroup_column, eset.subgroup),
-                                                  (region_column, eset.region))
+def write_embeddings(eset: EmbeddingSet, path: str) -> None:
+    """Columns ``id``, then ``subgroup`` and ``region`` where the set has
+    them, then the features ``f0``, ``f1``, ..."""
+    labels = [(name, values) for name, values in (("subgroup", eset.subgroup),
+                                                  ("region", eset.region))
               if values is not None]
-    header = [id_column, *(name for name, _ in labels),
+    header = ["id", *(name for name, _ in labels),
               *(f"f{j}" for j in range(eset.d))]
     _write_csv(path, header, ([eset.ids[i], *(values[i] for _, values in labels),
                                *eset.data[i].tolist()] for i in range(eset.n)))
@@ -239,11 +239,17 @@ def write_embeddings(eset: EmbeddingSet, path: str, id_column: str = "id",
 
 def _write_csv(path: str, header, rows) -> None:
     """Comma-separated rows, cells quoted only where they need it. Floats
-    are written by ``repr``, None as an empty cell."""
+    are written by ``repr``, None as an empty cell. The minimal quoting
+    leaves a bare carriage return unquoted, which a reader takes for a line
+    end, so a row holding one has every cell quoted."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    quote_all = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in itertools.chain([header], rows):
+        if any(isinstance(cell, str) and "\r" in cell for cell in row):
+            quote_all.writerow(row)
+        else:
+            writer.writerow(row)
     atomic_write(path, buffer.getvalue().encode("utf-8"))
 
 
@@ -252,13 +258,12 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def read_record_table(path: str, schema: dict[str, str],
-                      missing_sentinel: str = "",
-                      delimiter: str = ",") -> RecordTable:
+                      missing_sentinel: str = "") -> RecordTable:
     """Parse a typed record table; empty cells / the sentinel are missing."""
     if not schema:
         raise ConfigError("record table schema must declare column kinds")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:

@@ -15,6 +15,8 @@ from .errors import EvaluationError
 
 
 _BLOCK_ELEMENTS = 1 << 20  # cap on the temporary (rows x m x d) difference block
+FD_MIN_BINS, FD_MAX_BINS = 8, 64  # clamp of the Freedman-Diaconis bin count
+SMOOTHING_MASS = 1e-12  # added to every histogram bin before a divergence
 
 
 def _distance_blocks(a: np.ndarray, b: np.ndarray):
@@ -139,20 +141,20 @@ def w1_distance_1d(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(np.abs(cdf_x - cdf_y) * deltas))
 
 
-def freedman_diaconis_bins(values: np.ndarray, floor: int = 8,
-                           cap: int = 64) -> int:
-    """Bin count via the Freedman–Diaconis rule, clamped to [floor, cap]."""
+def freedman_diaconis_bins(values: np.ndarray) -> int:
+    """Bin count via the Freedman–Diaconis rule, clamped to
+    [FD_MIN_BINS, FD_MAX_BINS]."""
     values = np.asarray(values, dtype=np.float64)
     span = float(values.max() - values.min()) if values.size else 0.0
     if span <= 0:
-        return floor
+        return FD_MIN_BINS
     q75, q25 = np.percentile(values, [75, 25])
     iqr = float(q75 - q25)
     if iqr <= 0:
-        return floor
+        return FD_MIN_BINS
     width = 2.0 * iqr * values.size ** (-1.0 / 3.0)
-    bins = int(np.ceil(span / width)) if width > 0 else cap
-    return max(floor, min(cap, bins))
+    bins = int(np.ceil(span / width)) if width > 0 else FD_MAX_BINS
+    return max(FD_MIN_BINS, min(FD_MAX_BINS, bins))
 
 
 def histogram_masses(values: np.ndarray, lo: float, hi: float,
@@ -162,20 +164,20 @@ def histogram_masses(values: np.ndarray, lo: float, hi: float,
     return counts / values.size
 
 
-def smooth_masses(p: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Add ``eps`` mass to every bin, then renormalize."""
-    p = p + eps
+def smooth_masses(p: np.ndarray) -> np.ndarray:
+    """Add ``SMOOTHING_MASS`` to every bin, then renormalize."""
+    p = p + SMOOTHING_MASS
     return p / p.sum()
 
 
-def jsd_masses(p: np.ndarray, q: np.ndarray, eps: float = 1e-12) -> float:
+def jsd_masses(p: np.ndarray, q: np.ndarray) -> float:
     """Jensen-Shannon divergence between two mass vectors, base-2 logs.
 
     Bounded by 1; zero exactly when the inputs match. Empty bins receive
-    ``eps`` smoothing mass before renormalization.
+    ``SMOOTHING_MASS`` before renormalization.
     """
-    p = smooth_masses(np.asarray(p, dtype=np.float64), eps)
-    q = smooth_masses(np.asarray(q, dtype=np.float64), eps)
+    p = smooth_masses(np.asarray(p, dtype=np.float64))
+    q = smooth_masses(np.asarray(q, dtype=np.float64))
     m = 0.5 * (p + q)
     kl_pm = float(np.sum(p * np.log2(p / m)))
     kl_qm = float(np.sum(q * np.log2(q / m)))

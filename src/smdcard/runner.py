@@ -259,8 +259,9 @@ def _metric_result(task: tuple, args: _Args) -> MetricResult:
     embedding = d.source == catalog.SOURCE_EMBEDDING
     if replicate is not None:
         full = args.inputs.synthetic
-        rows = consistency.replicate_rows(full.subgroup, scope.partition(":")[2],
-                                          replicate, args.seed)
+        label = scope.partition(":")[2]
+        rows = consistency.replicate_rows(full.subgroup, label, replicate,
+                                          args.seed)
         # rows may repeat, so positional ids replace the originals
         args = replace(args, synthetic=EmbeddingSet(
             ids=tuple(f"b{i:06d}" for i in range(rows.size)),

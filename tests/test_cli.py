@@ -138,6 +138,28 @@ class TestEvaluate:
 
 
 class TestFullSurface:
+    def test_reference_keeps_quoted_subgroup_column(self, tmp_path):
+        # the subgroup header needs CSV quoting: "site, A"
+        real = make_gaussian_mixture(40, 3, TWO_MODES, seed=93)
+        synth = make_gaussian_mixture(40, 3, TWO_MODES, seed=94)
+        for name, eset in (("real", real), ("synthetic", synth)):
+            ingest.write_embeddings(eset, str(tmp_path / f"{name}.csv"))
+            text = (tmp_path / f"{name}.csv").read_text()
+            (tmp_path / f"{name}.csv").write_text(
+                text.replace("id,subgroup,", 'id,"site, A",', 1))
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({
+            "metrics": ["cosine_similarity"],
+            "columns": {"subgroup": "site, A"}, "seed": 3}))
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--real", str(tmp_path / "real.csv"),
+                     "--synthetic", str(tmp_path / "synthetic.csv"),
+                     "--config", str(config), "--out", str(out)]) == 0
+        scopes = json.loads(out.read_text())["scopes"]
+        subgroup = [s for s in scopes if s["scope"] == "subgroup:mode0"][0]
+        entry = subgroup["criteria"][0]["metrics"][0]
+        assert entry["value"] is not None, entry["diagnostics"]
+
     def test_evaluate_with_table_images_and_probs(self, workspace, tmp_path):
         tmp_ws, paths = workspace
         rng = np.random.default_rng(7)

@@ -164,6 +164,18 @@ class TestRecordTableCsv:
         assert back.column("age") == [1.5, None, -0.0, 2.0, 3.0]
         assert path.read_text().endswith(",-0.0\nplain,2.0\n,3.0\n")
 
+    def test_round_trip_bare_carriage_return(self, tmp_path):
+        texts = ["a\rb", "plain", None]
+        table = RecordTable((("note", "text"), ("age", "numeric")),
+                            [texts, [1.5, None, 2.0]])
+        path = tmp_path / "cr.csv"
+        ingest.write_record_table(table, str(path))
+        back = ingest.read_record_table(str(path), dict(table.columns))
+        assert back.column("note") == texts
+        assert back.column("age") == [1.5, None, 2.0]
+        # only the row holding the carriage return is quoted whole
+        assert path.read_bytes() == b'note,age\n"a\rb","1.5"\nplain,\n,2.0\n'
+
     def test_one_column_missing_cell_written_quoted(self, tmp_path):
         table = RecordTable((("x", "numeric"),), [[1.0, None]])
         path = tmp_path / "one.csv"
