@@ -99,3 +99,66 @@ def test_round_trip_through_dict():
         "seed": cfg.seed,
     })
     assert config_to_dict(cfg) == config_to_dict(again)
+
+
+#: A config that sets every section and every key, with rules of all four
+#: kinds; its digest was recorded before the serializer was table-driven.
+FULL = {
+    "metrics": ["cosine_similarity", "precision", "vendi_score",
+                "constraint_violation_rate", "required_field_proportion",
+                "k_anonymity", "anova"],
+    "params": {"vendi_score": {"kernel": "rbf", "gamma": 0.5},
+               "precision": {"k": 4}},
+    "columns": {"id": "pid", "subgroup": "site", "region": "zone"},
+    "tables": {"real": "real.csv", "missing_sentinel": "NA",
+               "schema": {"sex": "categorical", "age": "numeric",
+                          "note": "text", "hgb": "numeric",
+                          "dx": "categorical"}},
+    "compliance": {"quasi_identifiers": ["sex", "age"],
+                   "sensitive_column": "dx",
+                   "declared": {"format_standard": "FHIR", "epsilon": 1,
+                                "delta": 1e-05,
+                                "anonymization_method": "k-anon"}},
+    "constraints": {
+        "rules": [
+            {"id": "age", "kind": "range", "field": "age", "min": 0,
+             "max": 120, "severity": "error"},
+            {"id": "sex", "kind": "allowed_set", "field": "sex",
+             "values": ["F", "M"]},
+            {"id": "lin", "kind": "linear", "weights": {"hgb": 1, "age": 0.5},
+             "bound": 80, "sense": ">="},
+            {"id": "imp", "kind": "implication",
+             "when": {"field": "dx", "in": ["anemia", "ckd"]},
+             "then": {"kind": "range", "field": "hgb", "max": 11.5}},
+            {"id": "imp1", "kind": "implication",
+             "when": {"field": "sex", "equals": "M"},
+             "then": {"kind": "allowed_set", "field": "dx",
+                      "values": ["ckd"]}},
+        ],
+        "derive": {"fields": ["hgb", "age"], "quantile_margin": 0.05},
+    },
+    "completeness": {"required_fields": ["pid", "age"],
+                     "populated_threshold": 0.9},
+    "bounds": {"vendi_score": [1, 40], "precision": [0.0, 1.0]},
+    "weights": {"vendi_score": 2, "cosine_similarity": 0.5},
+    "thresholds": {"moderate": 60, "good": 85},
+    "aggregation": "geometric",
+    "seed": 5,
+    "pca": {"target_dim": 3},
+    "consistency": {"base_metrics": ["recall", "precision"],
+                    "bootstrap_replicates": 12},
+}
+
+FULL_DIGEST = ("2663eb90366d653fd3750b1e92aba944"
+               "0b2de5b9f6a60f7af1989b8b3c16176e")
+
+
+def test_full_config_digest_golden():
+    assert config_digest(config_from_dict(FULL)) == FULL_DIGEST
+
+
+def test_full_config_round_trips_through_dict():
+    cfg = config_from_dict(FULL)
+    again = config_from_dict(config_to_dict(cfg))
+    assert again == cfg
+    assert config_digest(again) == FULL_DIGEST
