@@ -12,8 +12,9 @@ than scored zero: a missing measurement is not evidence of poor quality.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import catalog
 from .errors import PlanError
@@ -130,32 +131,20 @@ def _value_to_json(value: float | None):
     return float(value)
 
 
+# Fields are declared in document order: ``dataclasses.asdict`` serializes.
 @dataclass(frozen=True)
 class CriterionBlock:
     criterion: str
     score: float | None
     verdict: str
-    metrics: tuple[dict, ...]
     excluded: int
-
-    def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "score": self.score,
-            "verdict": self.verdict,
-            "excluded": self.excluded,
-            "metrics": list(self.metrics),
-        }
+    metrics: tuple[dict, ...]
 
 
 @dataclass(frozen=True)
 class ScopeBlock:
     scope: str
     criteria: tuple[CriterionBlock, ...]
-
-    def to_dict(self) -> dict:
-        return {"scope": self.scope,
-                "criteria": [c.to_dict() for c in self.criteria]}
 
 
 @dataclass(frozen=True)
@@ -165,41 +154,21 @@ class QualityReport:
     config_digest: str
     thresholds: dict
     aggregation: str
+    declared_privacy: dict
     scopes: tuple[ScopeBlock, ...]
-    notes: tuple[str, ...] = ()
-    declared_privacy: dict = field(default_factory=dict)
+    notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "tool": dict(self.tool),
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "thresholds": {"good": float(self.thresholds["good"]),
-                           "moderate": float(self.thresholds["moderate"])},
-            "aggregation": self.aggregation,
-            "declared_privacy": dict(self.declared_privacy),
-            "scopes": [s.to_dict() for s in self.scopes],
-            "notes": list(self.notes),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "QualityReport":
-        scopes = []
-        for s in raw.get("scopes", []):
-            criteria = tuple(
-                CriterionBlock(criterion=c["criterion"], score=c["score"],
-                               verdict=c["verdict"], excluded=c["excluded"],
-                               metrics=tuple(c["metrics"]))
-                for c in s.get("criteria", []))
-            scopes.append(ScopeBlock(scope=s["scope"], criteria=criteria))
-        return cls(tool=dict(raw.get("tool", {})),
-                   seed=int(raw["seed"]),
-                   config_digest=str(raw["config_digest"]),
-                   thresholds=dict(raw["thresholds"]),
-                   aggregation=str(raw["aggregation"]),
-                   scopes=tuple(scopes),
-                   notes=tuple(raw.get("notes", [])),
-                   declared_privacy=dict(raw.get("declared_privacy", {})))
+        """Rebuild a report; a missing or unknown key raises KeyError or TypeError."""
+        scopes = tuple(
+            ScopeBlock(**dict(s, criteria=tuple(CriterionBlock(**c)
+                                                for c in s["criteria"])))
+            for s in raw["scopes"])
+        return cls(**dict(raw, scopes=scopes))
 
     def scope(self, name: str) -> ScopeBlock | None:
         for s in self.scopes:

@@ -14,14 +14,17 @@ computed here.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import html as html_lib
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 
 from . import catalog
 from .aggregate import QualityReport, normalize, verdict
-from .errors import CardError
-from .ingest import dumps_canonical, loads_canonical
+from .config import DEFAULT_THRESHOLDS
+from .errors import CardError, InputError
+from .ingest import dumps_canonical
 from .model import make_result
 
 NOT_PROVIDED = "not provided"
@@ -119,6 +122,9 @@ SCORECARD_NOTES = (
     "configured or calibrated reference bounds.",
 )
 
+#: The keys of a report's metric entry that the scorecard keeps.
+_CARD_METRIC_KEYS = ("name", "label", "value", "normalized", "direction")
+
 CLARITY_ITEMS = (
     ("generation_method_described", "generation", "generation_method"),
     ("generation_parameters_enumerated", "generation", "generation_parameters"),
@@ -134,34 +140,17 @@ CLARITY_ITEMS = (
 
 @dataclass(frozen=True)
 class CardDocument:
+    """A built card; fields in document order, so ``asdict`` serializes it."""
+
     fields: dict                      # section key -> field key -> text
     quality: dict                     # criterion -> scorecard block
     clarity: dict                     # rubric score and per-item results
     report_digest: str | None
-    declared_privacy: dict = field(default_factory=dict)
-    notes: tuple[str, ...] = SCORECARD_NOTES
+    declared_privacy: dict
+    notes: tuple[str, ...]
 
     def field_value(self, section: str, key: str) -> str:
         return self.fields[section][key]
-
-    def to_dict(self) -> dict:
-        return {
-            "fields": {section: dict(values)
-                       for section, values in self.fields.items()},
-            "quality": dict(self.quality),
-            "clarity": dict(self.clarity),
-            "report_digest": self.report_digest,
-            "declared_privacy": dict(self.declared_privacy),
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "CardDocument":
-        return cls(fields=raw["fields"], quality=raw["quality"],
-                   clarity=raw["clarity"],
-                   report_digest=raw.get("report_digest"),
-                   declared_privacy=raw.get("declared_privacy", {}),
-                   notes=tuple(raw.get("notes", ())))
 
 
 def field_labels() -> dict[str, list[str]]:
@@ -243,20 +232,14 @@ def _quality_from_report(report: QualityReport | None) -> dict:
         return blocks
     for c in scope.criteria:
         blocks[c.criterion] = {
-            "score": c.score,
-            "verdict": c.verdict,
-            "excluded": c.excluded,
-            "metrics": [{"name": m["name"], "label": m["label"],
-                         "value": m["value"], "normalized": m["normalized"],
-                         "direction": m["direction"]}
-                        for m in c.metrics],
-        }
+            "score": c.score, "verdict": c.verdict, "excluded": c.excluded,
+            "metrics": [{key: m[key] for key in _CARD_METRIC_KEYS}
+                        for m in c.metrics]}
     return blocks
 
 
 def build_card(manifest: dict, report: QualityReport | None = None,
-               report_digest: str | None = None,
-               thresholds: dict | None = None) -> CardDocument:
+               report_digest: str | None = None) -> CardDocument:
     """Populate the full card from a manifest plus an evaluation report.
 
     Every schema field exists in the result; unprovided fields carry the
@@ -290,8 +273,7 @@ def build_card(manifest: dict, report: QualityReport | None = None,
 
     quality = _quality_from_report(report)
     score, items = documentation_clarity_score(manifest)
-    thresholds = dict(thresholds or (report.thresholds if report else
-                                     {"good": 80.0, "moderate": 70.0}))
+    thresholds = report.thresholds if report else DEFAULT_THRESHOLDS
     d = catalog.descriptor("documentation_clarity")
     normalized = normalize(make_result(d.name, score),
                            d.static_bounds).normalized
@@ -308,7 +290,7 @@ def build_card(manifest: dict, report: QualityReport | None = None,
     return CardDocument(fields=fields, quality=quality,
                         clarity={"score": score, "items": items},
                         report_digest=report_digest,
-                        declared_privacy=declared)
+                        declared_privacy=declared, notes=SCORECARD_NOTES)
 
 
 def digest_of(payload: bytes) -> str:
@@ -320,9 +302,9 @@ def digest_of(payload: bytes) -> str:
 
 
 def render(card: CardDocument, fmt: str) -> bytes:
-    if fmt in ("structured", "json"):
+    if fmt == "structured":
         return render_structured(card)
-    if fmt in ("markdown", "md"):
+    if fmt == "md":
         return render_markdown(card).encode("utf-8")
     if fmt == "html":
         return render_html(card).encode("utf-8")
@@ -330,24 +312,19 @@ def render(card: CardDocument, fmt: str) -> bytes:
 
 
 def render_structured(card: CardDocument) -> bytes:
-    return dumps_canonical(card.to_dict()).encode("utf-8")
+    return dumps_canonical(dataclasses.asdict(card)).encode("utf-8")
 
 
 def card_from_json(payload: bytes) -> CardDocument:
-    return CardDocument.from_dict(loads_canonical(payload.decode("utf-8")))
-
-
-def _fmt_score(value) -> str:
-    if value is None:
-        return "-"
-    if value == "inf":
-        return "identical (infinite)"
-    return format(float(value), ".2f")
+    try:
+        return CardDocument(**json.loads(payload))
+    except (ValueError, TypeError) as exc:
+        raise InputError(f"not a card document: {exc}") from None
 
 
 def _criterion_lines(card: CardDocument, criterion: str) -> list[str]:
     block = card.quality[criterion]
-    head = (f"score {_fmt_score(block['score'])} - verdict: {block['verdict']}"
+    head = (f"score {block['score']:.2f} - verdict: {block['verdict']}"
             if block["score"] is not None else f"verdict: {block['verdict']}")
     lines = [head]
     for m in block["metrics"]:
@@ -368,6 +345,22 @@ def _criterion_lines(card: CardDocument, criterion: str) -> list[str]:
     return lines
 
 
+def _sections(card: CardDocument):
+    """Per section: its title, its (label, lines) rows, and the (text, code)
+    notes under its table, None for a section without a notes block."""
+    for section_key, title, section_fields in SECTIONS:
+        if section_key != "quality":
+            values = card.fields[section_key]
+            yield title, [(label, [values[key]])
+                          for key, label in section_fields], None
+            continue
+        notes = [(f"Note: {note}", None) for note in card.notes]
+        if card.report_digest:
+            notes.append(("Report digest: ", card.report_digest))
+        yield title, [(label, _criterion_lines(card, key))
+                      for key, label in section_fields], notes
+
+
 def _md_escape(text: str) -> str:
     return text.replace("|", "\\|").replace("\n", " ")
 
@@ -375,25 +368,14 @@ def _md_escape(text: str) -> str:
 def render_markdown(card: CardDocument) -> str:
     out = [f"# Synthetic Medical Data Card: "
            f"{card.fields['general']['name']}", ""]
-    for section_key, title, section_fields in SECTIONS:
-        out.append(f"## {title}")
-        out.append("")
-        out.append("| Field | Value |")
-        out.append("| --- | --- |")
-        if section_key == "quality":
-            for key, label in section_fields:
-                lines = _criterion_lines(card, key)
-                out.append(f"| {label} | {_md_escape('; '.join(lines))} |")
-        else:
-            for key, label in section_fields:
-                value = card.fields[section_key][key]
-                out.append(f"| {label} | {_md_escape(value)} |")
-        if section_key == "quality":
+    for title, rows, notes in _sections(card):
+        out += [f"## {title}", "", "| Field | Value |", "| --- | --- |"]
+        out += [f"| {label} | {_md_escape('; '.join(lines))} |"
+                for label, lines in rows]
+        if notes is not None:
             out.append("")
-            for note in card.notes:
-                out.append(f"- Note: {note}")
-            if card.report_digest:
-                out.append(f"- Report digest: `{card.report_digest}`")
+            out += [f"- {text}" + (f"`{code}`" if code else "")
+                    for text, code in notes]
         out.append("")
     return "\n".join(out)
 
@@ -416,27 +398,16 @@ def render_html(card: CardDocument) -> str:
            f"<title>Synthetic Medical Data Card: {name}</title>",
            f"<style>{_HTML_STYLE}</style>", "</head>", "<body>",
            f"<h1>Synthetic Medical Data Card: {name}</h1>"]
-    for section_key, title, section_fields in SECTIONS:
-        out.append("<section>")
-        out.append(f"<h2>{esc(title)}</h2>")
-        out.append("<table>")
-        out.append("<tr><th>Field</th><th>Value</th></tr>")
-        if section_key == "quality":
-            for key, label in section_fields:
-                lines = "<br>".join(esc(line)
-                                    for line in _criterion_lines(card, key))
-                out.append(f"<tr><td>{esc(label)}</td><td>{lines}</td></tr>")
-        else:
-            for key, label in section_fields:
-                value = esc(card.fields[section_key][key])
-                out.append(f"<tr><td>{esc(label)}</td><td>{value}</td></tr>")
+    for title, rows, notes in _sections(card):
+        out += ["<section>", f"<h2>{esc(title)}</h2>", "<table>",
+                "<tr><th>Field</th><th>Value</th></tr>"]
+        out += [f"<tr><td>{esc(label)}</td>"
+                f"<td>{'<br>'.join(esc(line) for line in lines)}</td></tr>"
+                for label, lines in rows]
         out.append("</table>")
-        if section_key == "quality":
-            for note in card.notes:
-                out.append(f"<p class=\"note\">Note: {esc(note)}</p>")
-            if card.report_digest:
-                out.append(f"<p class=\"note\">Report digest: "
-                           f"<code>{esc(card.report_digest)}</code></p>")
+        out += [f"<p class=\"note\">{esc(text)}"
+                + (f"<code>{esc(code)}</code>" if code else "") + "</p>"
+                for text, code in notes or ()]
         out.append("</section>")
     out.append("</body>")
     out.append("</html>")

@@ -6,12 +6,14 @@ keys are rejected so a typo cannot silently drop part of the plan.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import catalog
-from .constraint import ConstraintRule, ConstraintRuleSet, rule_from_dict, rule_to_dict
+from .constraint import (ConstraintRule, ConstraintRuleSet, parse_number,
+                         rule_from_dict, rule_to_dict)
 from .errors import ConfigError
 
 SEED_ENV_VAR = "SMDCARD_SEED"
@@ -22,34 +24,36 @@ AGGREGATION_MODES = ("arithmetic", "geometric")
 @dataclass(frozen=True)
 class DeriveSpec:
     fields: tuple[str, ...]
-    quantile_margin: float = 0.0
+    quantile_margin: float
 
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """A parsed config; ``config_from_dict`` builds it and states every default."""
+
     metrics: tuple[str, ...]
-    params: dict = field(default_factory=dict)
-    id_column: str = "id"
-    subgroup_column: str | None = None
-    region_column: str | None = None
-    table_schema: dict | None = None
-    missing_sentinel: str = ""
-    real_table_path: str | None = None
-    quasi_identifiers: tuple[str, ...] = ()
-    sensitive_column: str | None = None
-    declared_privacy: dict = field(default_factory=dict)
-    constraint_rules: tuple[ConstraintRule, ...] = ()
-    constraint_derive: DeriveSpec | None = None
-    required_fields: tuple[str, ...] | str | None = None  # tuple, "auto", or None
-    populated_threshold: float = 1.0
-    bounds: dict = field(default_factory=dict)
-    weights: dict = field(default_factory=dict)
-    thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
-    aggregation: str = "arithmetic"
-    seed: int | None = None
-    pca_dim: int | None = None
-    consistency_base: tuple[str, ...] | None = None
-    bootstrap_replicates: int = 200
+    params: dict
+    id_column: str
+    subgroup_column: str | None
+    region_column: str | None
+    table_schema: dict | None
+    missing_sentinel: str
+    real_table_path: str | None
+    quasi_identifiers: tuple[str, ...]
+    sensitive_column: str | None
+    declared_privacy: dict
+    constraint_rules: tuple[ConstraintRule, ...]
+    constraint_derive: DeriveSpec | None
+    required_fields: tuple[str, ...] | str | None  # tuple, "auto", or None
+    populated_threshold: float
+    bounds: dict
+    weights: dict
+    thresholds: dict
+    aggregation: str
+    seed: int | None
+    pca_dim: int | None
+    consistency_base: tuple[str, ...] | None
+    bootstrap_replicates: int
 
     def param(self, metric: str, key: str):
         """The configured value of a metric parameter, else its default."""
@@ -71,11 +75,28 @@ class EvalConfig:
         return 0
 
 
-_TOP_LEVEL_KEYS = {
-    "metrics", "params", "columns", "tables", "compliance", "constraints",
-    "completeness", "bounds", "weights", "thresholds", "aggregation", "seed",
-    "pca", "consistency",
+#: Top-level keys that each set the ``EvalConfig`` field of the same name.
+_TOP_LEVEL_FIELDS = ("aggregation", "bounds", "metrics", "params", "seed",
+                     "thresholds", "weights")
+
+#: Config sections: each section's keys and the ``EvalConfig`` field each sets.
+_SECTIONS = {
+    "columns": {"id": "id_column", "subgroup": "subgroup_column",
+                "region": "region_column"},
+    "tables": {"real": "real_table_path", "schema": "table_schema",
+               "missing_sentinel": "missing_sentinel"},
+    "compliance": {"quasi_identifiers": "quasi_identifiers",
+                   "sensitive_column": "sensitive_column",
+                   "declared": "declared_privacy"},
+    "constraints": {"rules": "constraint_rules", "derive": "constraint_derive"},
+    "completeness": {"required_fields": "required_fields",
+                     "populated_threshold": "populated_threshold"},
+    "pca": {"target_dim": "pca_dim"},
+    "consistency": {"base_metrics": "consistency_base",
+                    "bootstrap_replicates": "bootstrap_replicates"},
 }
+
+_DECLARED_KEYS = ("epsilon", "delta", "anonymization_method", "format_standard")
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -86,15 +107,47 @@ def _require_mapping(value, where: str) -> dict:
     return value
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+def _reject_unknown(mapping: dict, allowed, where: str) -> None:
+    unknown = sorted(set(mapping).difference(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} under {where}")
 
 
+def _section(raw: dict, name: str) -> dict:
+    section = _require_mapping(raw.get(name), name)
+    _reject_unknown(section, _SECTIONS[name], name)
+    return section
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list")
+    return value
+
+
+def _names(value, where: str) -> tuple[str, ...]:
+    return tuple(str(v) for v in _list(value, where))
+
+
+def _optional_name(section: dict, key: str, where: str) -> str | None:
+    """A column or file name, or None when unset."""
+    value = section.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{where}.{key} must be a name, got {value!r}")
+    return value
+
+
+def _scalars(mapping: dict, where: str) -> dict:
+    """Reject nested values: the digest would sort a nested mapping."""
+    for key, value in mapping.items():
+        if isinstance(value, (dict, list)):
+            raise ConfigError(f"{where}.{key} must be a single value")
+    return dict(mapping)
+
+
 def config_from_dict(raw: dict) -> EvalConfig:
     raw = _require_mapping(raw, "config")
-    _reject_unknown(raw, _TOP_LEVEL_KEYS, "config")
+    _reject_unknown(raw, {*_TOP_LEVEL_FIELDS, *_SECTIONS}, "config")
 
     metrics_raw = raw.get("metrics")
     if not metrics_raw or not isinstance(metrics_raw, list):
@@ -112,17 +165,16 @@ def config_from_dict(raw: dict) -> EvalConfig:
             raise ConfigError(f"metric {entry!r} selected twice")
         metrics.append(entry)
 
-    params = _require_mapping(raw.get("params"), "params")
-    for name, p in params.items():
+    params = {}
+    for name, p in _require_mapping(raw.get("params"), "params").items():
         known = {key for key, _ in catalog.descriptor(name).params}
-        _reject_unknown(_require_mapping(p, f"params.{name}"), known,
-                        f"params.{name}")
+        p = _require_mapping(p, f"params.{name}")
+        _reject_unknown(p, known, f"params.{name}")
+        params[name] = _scalars(p, f"params.{name}")
 
-    columns = _require_mapping(raw.get("columns"), "columns")
-    _reject_unknown(columns, {"id", "subgroup", "region"}, "columns")
+    columns = _section(raw, "columns")
 
-    tables = _require_mapping(raw.get("tables"), "tables")
-    _reject_unknown(tables, {"real", "schema", "missing_sentinel"}, "tables")
+    tables = _section(raw, "tables")
     schema = tables.get("schema")
     if schema is not None:
         schema = _require_mapping(schema, "tables.schema")
@@ -130,65 +182,61 @@ def config_from_dict(raw: dict) -> EvalConfig:
             if kind not in ("numeric", "categorical", "text"):
                 raise ConfigError(f"tables.schema.{col}: unknown kind {kind!r}")
 
-    compliance = _require_mapping(raw.get("compliance"), "compliance")
-    _reject_unknown(compliance,
-                    {"quasi_identifiers", "sensitive_column", "declared"},
-                    "compliance")
+    compliance = _section(raw, "compliance")
     declared = _require_mapping(compliance.get("declared"), "compliance.declared")
-    _reject_unknown(declared,
-                    {"epsilon", "delta", "anonymization_method", "format_standard"},
-                    "compliance.declared")
+    _reject_unknown(declared, _DECLARED_KEYS, "compliance.declared")
 
-    constraints = _require_mapping(raw.get("constraints"), "constraints")
-    _reject_unknown(constraints, {"rules", "derive"}, "constraints")
-    rules = tuple(rule_from_dict(r) for r in constraints.get("rules", []) or [])
+    constraints = _section(raw, "constraints")
+    rules = tuple(rule_from_dict(r) for r in
+                  _list(constraints.get("rules") or [], "constraints.rules"))
     ConstraintRuleSet(rules)  # id uniqueness
     derive = None
-    if "derive" in constraints and constraints["derive"] is not None:
+    if constraints.get("derive") is not None:
         d = _require_mapping(constraints["derive"], "constraints.derive")
-        _reject_unknown(d, {"fields", "quantile_margin"}, "constraints.derive")
+        _reject_unknown(d, DeriveSpec.__dataclass_fields__, "constraints.derive")
         if not d.get("fields"):
             raise ConfigError("constraints.derive needs a fields: list")
-        derive = DeriveSpec(fields=tuple(str(f) for f in d["fields"]),
-                            quantile_margin=float(d.get("quantile_margin", 0.0)))
+        derive = DeriveSpec(
+            fields=_names(d["fields"], "constraints.derive.fields"),
+            quantile_margin=parse_number(d.get("quantile_margin", 0.0),
+                                         "constraints.derive.quantile_margin"))
 
-    completeness = _require_mapping(raw.get("completeness"), "completeness")
-    _reject_unknown(completeness, {"required_fields", "populated_threshold"},
-                    "completeness")
+    completeness = _section(raw, "completeness")
     required = completeness.get("required_fields")
     if required is not None and required != "auto":
         if not isinstance(required, list) or not required:
             raise ConfigError("completeness.required_fields must be a non-empty "
                               "list or \"auto\"")
         required = tuple(str(f) for f in required)
-    populated_threshold = float(completeness.get("populated_threshold", 1.0))
+    populated_threshold = parse_number(
+        completeness.get("populated_threshold", 1.0),
+        "completeness.populated_threshold")
     if not (0.0 < populated_threshold <= 1.0):
         raise ConfigError("completeness.populated_threshold must be in (0, 1]")
 
-    bounds_raw = _require_mapping(raw.get("bounds"), "bounds")
     bounds = {}
-    for name, pair in bounds_raw.items():
+    for name, pair in _require_mapping(raw.get("bounds"), "bounds").items():
         catalog.descriptor(name)
         if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
             raise ConfigError(f"bounds.{name} must be a [lo, hi] pair")
-        lo, hi = float(pair[0]), float(pair[1])
+        lo, hi = (parse_number(v, f"bounds.{name}") for v in pair)
         if not lo < hi:
             raise ConfigError(f"bounds.{name}: lo must be strictly below hi")
         bounds[name] = (lo, hi)
 
-    weights_raw = _require_mapping(raw.get("weights"), "weights")
     weights = {}
-    for name, w in weights_raw.items():
+    for name, w in _require_mapping(raw.get("weights"), "weights").items():
         catalog.descriptor(name)
-        w = float(w)
+        w = parse_number(w, f"weights.{name}")
         if w < 0:
             raise ConfigError(f"weights.{name} must be nonnegative")
         weights[name] = w
 
     thresholds = dict(DEFAULT_THRESHOLDS)
     thresholds_raw = _require_mapping(raw.get("thresholds"), "thresholds")
-    _reject_unknown(thresholds_raw, {"good", "moderate"}, "thresholds")
-    thresholds.update({k: float(v) for k, v in thresholds_raw.items()})
+    _reject_unknown(thresholds_raw, DEFAULT_THRESHOLDS, "thresholds")
+    thresholds.update({k: parse_number(v, f"thresholds.{k}")
+                       for k, v in thresholds_raw.items()})
     if not thresholds["good"] > thresholds["moderate"]:
         raise ConfigError("thresholds not ordered: good must exceed moderate",
                           code="E202")
@@ -199,25 +247,24 @@ def config_from_dict(raw: dict) -> EvalConfig:
 
     seed = raw.get("seed")
     if seed is not None:
-        seed = int(seed)
+        seed = parse_number(seed, "seed", int)
 
-    pca = _require_mapping(raw.get("pca"), "pca")
-    _reject_unknown(pca, {"target_dim"}, "pca")
-    pca_dim = pca.get("target_dim")
+    pca_dim = _section(raw, "pca").get("target_dim")
     if pca_dim is not None:
-        pca_dim = int(pca_dim)
+        pca_dim = parse_number(pca_dim, "pca.target_dim", int)
         if pca_dim < 1:
             raise ConfigError("pca.target_dim must be positive")
 
-    consistency = _require_mapping(raw.get("consistency"), "consistency")
-    _reject_unknown(consistency, {"base_metrics", "bootstrap_replicates"},
-                    "consistency")
+    consistency = _section(raw, "consistency")
     base = consistency.get("base_metrics")
     if base is not None:
-        base = tuple(str(b) for b in base)
+        base = _names(base, "consistency.base_metrics")
+        if not base:
+            raise ConfigError("consistency.base_metrics must not be empty")
         for b in base:
             catalog.descriptor(b)
-    replicates = int(consistency.get("bootstrap_replicates", 200))
+    replicates = parse_number(consistency.get("bootstrap_replicates", 200),
+                              "consistency.bootstrap_replicates", int)
     if replicates < 2:
         raise ConfigError("consistency.bootstrap_replicates must be >= 2")
 
@@ -233,17 +280,18 @@ def config_from_dict(raw: dict) -> EvalConfig:
 
     return EvalConfig(
         metrics=tuple(metrics),
-        params={k: dict(v or {}) for k, v in params.items()},
+        params=params,
         id_column=str(columns.get("id", "id")),
-        subgroup_column=columns.get("subgroup"),
-        region_column=columns.get("region"),
+        subgroup_column=_optional_name(columns, "subgroup", "columns"),
+        region_column=_optional_name(columns, "region", "columns"),
         table_schema=dict(schema) if schema else None,
         missing_sentinel=str(tables.get("missing_sentinel", "")),
-        real_table_path=tables.get("real"),
-        quasi_identifiers=tuple(str(q) for q in
-                                compliance.get("quasi_identifiers", []) or []),
-        sensitive_column=compliance.get("sensitive_column"),
-        declared_privacy=dict(declared),
+        real_table_path=_optional_name(tables, "real", "tables"),
+        quasi_identifiers=_names(compliance.get("quasi_identifiers") or [],
+                                 "compliance.quasi_identifiers"),
+        sensitive_column=_optional_name(compliance, "sensitive_column",
+                                        "compliance"),
+        declared_privacy=_scalars(declared, "compliance.declared"),
         constraint_rules=rules,
         constraint_derive=derive,
         required_fields=required,
@@ -259,49 +307,27 @@ def config_from_dict(raw: dict) -> EvalConfig:
     )
 
 
+def _plain(value):
+    """A config value as plain data: tuples become lists, mappings are
+    sorted, rules and the derive spec become their mappings."""
+    if isinstance(value, ConstraintRule):
+        return rule_to_dict(value)
+    if isinstance(value, DeriveSpec):
+        value = dataclasses.asdict(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in sorted(value.items())}
+    return value
+
+
 def config_to_dict(config: EvalConfig) -> dict:
     """Canonical mapping for digests and round trips (sorted keys)."""
-    out: dict = {
-        "aggregation": config.aggregation,
-        "bounds": {k: [lo, hi] for k, (lo, hi) in sorted(config.bounds.items())},
-        "columns": {"id": config.id_column,
-                    "region": config.region_column,
-                    "subgroup": config.subgroup_column},
-        "completeness": {
-            "populated_threshold": config.populated_threshold,
-            "required_fields": (list(config.required_fields)
-                                if isinstance(config.required_fields, tuple)
-                                else config.required_fields),
-        },
-        "compliance": {
-            "declared": dict(sorted(config.declared_privacy.items())),
-            "quasi_identifiers": list(config.quasi_identifiers),
-            "sensitive_column": config.sensitive_column,
-        },
-        "consistency": {
-            "base_metrics": (list(config.consistency_base)
-                             if config.consistency_base else None),
-            "bootstrap_replicates": config.bootstrap_replicates,
-        },
-        "constraints": {
-            "derive": ({"fields": list(config.constraint_derive.fields),
-                        "quantile_margin": config.constraint_derive.quantile_margin}
-                       if config.constraint_derive else None),
-            "rules": [rule_to_dict(r) for r in config.constraint_rules],
-        },
-        "metrics": list(config.metrics),
-        "params": {k: dict(sorted(v.items()))
-                   for k, v in sorted(config.params.items())},
-        "pca": {"target_dim": config.pca_dim},
-        "seed": config.seed,
-        "tables": {"missing_sentinel": config.missing_sentinel,
-                   "real": config.real_table_path,
-                   "schema": (dict(sorted(config.table_schema.items()))
-                              if config.table_schema else None)},
-        "thresholds": dict(sorted(config.thresholds.items())),
-        "weights": dict(sorted(config.weights.items())),
-    }
-    return out
+    out = {key: _plain(getattr(config, key)) for key in _TOP_LEVEL_FIELDS}
+    for section, keys in _SECTIONS.items():
+        out[section] = {key: _plain(getattr(config, name))
+                        for key, name in sorted(keys.items())}
+    return dict(sorted(out.items()))
 
 
 def config_digest(config: EvalConfig) -> str:

@@ -91,14 +91,33 @@ class ConstraintRuleSet:
         return len(self.rules)
 
 
+#: Config keys every rule accepts, and those each kind adds.
+_COMMON_KEYS = ("id", "kind", "severity")
+_KIND_KEYS = {
+    "range": ("field", "min", "max"),
+    "allowed_set": ("field", "values"),
+    "linear": ("weights", "bound", "sense"),
+    "implication": ("when", "then"),
+}
+
+
+def parse_number(value, where: str, kind=float):
+    """``kind(value)``, or a ``ConfigError`` naming the config key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {noun}, got {value!r}") from None
+
+
 def rule_from_dict(raw: dict, *, _parent: str | None = None) -> ConstraintRule:
-    """Parse one rule from its config mapping (strict: unknown keys rejected).
+    """Parse one rule from its config mapping (strict: unknown keys, and
+    keys that belong to another kind, are rejected).
 
     A consequent takes its parent's id, so its errors name the rule."""
     if not isinstance(raw, dict):
         raise ConfigError(f"constraint rule must be a mapping, got {type(raw).__name__}")
-    known = {"id", "kind", "severity", "field", "min", "max", "values",
-             "weights", "bound", "sense", "when", "then"}
+    known = set(_COMMON_KEYS).union(*_KIND_KEYS.values())
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"constraint rule has unknown keys {unknown}")
@@ -106,43 +125,55 @@ def rule_from_dict(raw: dict, *, _parent: str | None = None) -> ConstraintRule:
     rule_id = raw.get("id", _parent)
     if rule_id is None:
         raise ConfigError("constraint rule missing an id")
-    common = dict(id=str(rule_id), kind=str(kind),
+    if kind not in RULE_KINDS:
+        raise ConfigError(f"constraint rule has unknown kind {kind!r}")
+    where = f"constraint rule {str(rule_id)!r}"
+    foreign = sorted(set(raw) - set(_COMMON_KEYS) - set(_KIND_KEYS[kind]))
+    if foreign:
+        raise ConfigError(f"{where}: key(s) {foreign} do not apply to a "
+                          f"{kind} rule")
+
+    common = dict(id=str(rule_id), kind=kind,
                   severity=str(raw.get("severity", "info")))
+    if kind in ("range", "allowed_set") and "field" not in raw:
+        raise ConfigError(f"{where}: {kind} needs a field")
     if kind == "range":
-        lo = raw.get("min")
-        hi = raw.get("max")
+        lo, hi = (None if raw.get(key) is None
+                  else parse_number(raw[key], f"{where}: {key}")
+                  for key in ("min", "max"))
         return ConstraintRule(**common, field_name=str(raw["field"]),
-                              lo=None if lo is None else float(lo),
-                              hi=None if hi is None else float(hi))
+                              lo=lo, hi=hi)
     if kind == "allowed_set":
+        values = raw.get("values", ())
+        if not isinstance(values, list):
+            raise ConfigError(f"{where}: values must be a list")
         return ConstraintRule(**common, field_name=str(raw["field"]),
-                              values=tuple(str(v) for v in raw.get("values", ())))
+                              values=tuple(str(v) for v in values))
     if kind == "linear":
         weights = raw.get("weights", {})
         if not isinstance(weights, dict):
             raise ConfigError("linear rule weights must map field -> weight")
         return ConstraintRule(
             **common,
-            weights=tuple((str(k), float(v)) for k, v in weights.items()),
-            bound=float(raw.get("bound", 0.0)),
+            weights=tuple((str(k), parse_number(v, f"{where}: weights.{k}"))
+                          for k, v in weights.items()),
+            bound=parse_number(raw.get("bound", 0.0), f"{where}: bound"),
             sense=str(raw.get("sense", "<=")))
-    if kind == "implication":
-        when = raw.get("when")
-        if not isinstance(when, dict) or "field" not in when:
-            raise ConfigError("implication rule needs when: {field, equals|in}")
-        if "equals" in when:
-            when_values = (str(when["equals"]),)
-        elif "in" in when:
-            when_values = tuple(str(v) for v in when["in"])
-        else:
-            raise ConfigError("implication antecedent needs equals: or in:")
-        extra = sorted(set(when) - {"field", "equals", "in"})
-        if extra:
-            raise ConfigError(f"implication antecedent has unknown keys {extra}")
-        consequent = rule_from_dict(raw.get("then", {}), _parent=str(rule_id))
-        return ConstraintRule(**common, when_field=str(when["field"]),
-                              when_values=when_values, consequent=consequent)
-    raise ConfigError(f"constraint rule has unknown kind {kind!r}")
+    when = raw.get("when")
+    if not isinstance(when, dict) or "field" not in when:
+        raise ConfigError("implication rule needs when: {field, equals|in}")
+    if "equals" in when:
+        when_values = (str(when["equals"]),)
+    elif "in" in when and isinstance(when["in"], list):
+        when_values = tuple(str(v) for v in when["in"])
+    else:
+        raise ConfigError("implication antecedent needs equals: or in: a list")
+    extra = sorted(set(when) - {"field", "equals", "in"})
+    if extra:
+        raise ConfigError(f"implication antecedent has unknown keys {extra}")
+    consequent = rule_from_dict(raw.get("then", {}), _parent=str(rule_id))
+    return ConstraintRule(**common, when_field=str(when["field"]),
+                          when_values=when_values, consequent=consequent)
 
 
 def rule_to_dict(rule: ConstraintRule) -> dict:

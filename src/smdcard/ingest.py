@@ -90,10 +90,6 @@ def dumps_canonical(obj) -> str:
     return "".join(parts)
 
 
-def loads_canonical(text: str):
-    return json.loads(text)
-
-
 def atomic_write(path: str, payload: bytes) -> None:
     """Write-to-temp then rename; never leaves a partial file behind."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -420,10 +416,14 @@ def write_report(report, path: str) -> bytes:
 
 
 def read_report(path: str):
+    """The report at ``path`` and its bytes; ``InputError`` if it is none."""
     from .aggregate import QualityReport
     with open(path, "rb") as fh:
         payload = fh.read()
-    return QualityReport.from_dict(loads_canonical(payload.decode("utf-8"))), payload
+    try:
+        return QualityReport.from_dict(json.loads(payload)), payload
+    except (ValueError, TypeError, KeyError) as exc:
+        raise InputError(f"{path}: not a report document ({exc!r})") from None
 
 
 def write_bounds(path: str, bounds: dict[str, tuple[float, float]]) -> None:

@@ -240,11 +240,9 @@ def make_result(name: str, value, scope: str = "global", **diagnostics) -> Metri
     return MetricResult(descriptor(name), value, scope, None, diagnostics)
 
 
-def undefined_result(name: str, reason: str, scope: str = "global",
-                     **diagnostics) -> MetricResult:
-    diagnostics = dict(diagnostics)
-    diagnostics["undefined_reason"] = reason
-    return MetricResult(descriptor(name), None, scope, None, diagnostics)
+def undefined_result(name: str, reason: str, scope: str = "global") -> MetricResult:
+    return MetricResult(descriptor(name), None, scope, None,
+                        {"undefined_reason": reason})
 
 
 @dataclass(frozen=True)

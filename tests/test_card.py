@@ -8,7 +8,7 @@ from smdcard.card import (CLARITY_ITEMS, build_card, card_from_json,
                           digest_of, documentation_clarity_score, field_labels,
                           render, render_html, render_markdown)
 from smdcard.config import config_from_dict
-from smdcard.errors import CardError
+from smdcard.errors import CardError, InputError
 from smdcard.model import make_result
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "card_fields_golden.json"
@@ -206,6 +206,11 @@ class TestRendering:
             for value in section_values.values():
                 assert value in md
                 assert html_lib.escape(value) in html
+
+    @pytest.mark.parametrize("payload", [b"{}", b"not json", b"[]"])
+    def test_malformed_card_document_rejected(self, payload):
+        with pytest.raises(InputError, match="card document"):
+            card_from_json(payload)
 
     def test_unknown_format_rejected(self):
         card = build_card(FULL_MANIFEST)

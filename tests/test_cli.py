@@ -104,6 +104,49 @@ class TestEvaluate:
         assert main(_evaluate_args(paths)) == 2
         assert "E20" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, key", [
+        ({"seed": "abc"}, "seed"),
+        ({"pca": {"target_dim": "x"}}, "pca.target_dim"),
+        ({"weights": {"recall": "x"}}, "weights.recall"),
+        ({"consistency": {"bootstrap_replicates": "x"}},
+         "consistency.bootstrap_replicates"),
+        ({"consistency": {"base_metrics": 5}}, "consistency.base_metrics"),
+        ({"consistency": {"base_metrics": []}}, "consistency.base_metrics"),
+        ({"completeness": {"populated_threshold": "x"}},
+         "completeness.populated_threshold"),
+        ({"bounds": {"frechet_distance": ["a", 1]}}, "bounds.frechet_distance"),
+        ({"thresholds": {"good": "x"}}, "thresholds.good"),
+        ({"constraints": {"derive": {"fields": ["age"],
+                                     "quantile_margin": "x"}}},
+         "constraints.derive.quantile_margin"),
+        ({"constraints": {"rules": [{"id": "r", "kind": "range",
+                                     "field": "age", "min": "x"}]}}, "min"),
+        ({"constraints": {"rules": [{"id": "r", "kind": "range",
+                                     "max": 1}]}}, "field"),
+        ({"compliance": {"declared": {"epsilon": [1, 2]}}},
+         "compliance.declared.epsilon"),
+        ({"params": {"recall": {"k": {"n": 3}}}}, "params.recall.k"),
+        ({"columns": {"subgroup": {"name": "subgroup"}}}, "columns.subgroup"),
+        ({"compliance": {"quasi_identifiers": 5}},
+         "compliance.quasi_identifiers"),
+        ({"constraints": {"rules": 5}}, "constraints.rules"),
+        ({"constraints": {"derive": {"fields": 5}}},
+         "constraints.derive.fields"),
+        ({"constraints": {"rules": [{"id": "r", "kind": "allowed_set",
+                                     "field": "sex", "values": 5}]}},
+         "values"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_malformed_config_value_exit_2(self, workspace, capsys,
+                                           override, key):
+        tmp_path, paths = workspace
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(dict(CONFIG, **override)))
+        paths = dict(paths, config=bad)
+        assert main(_evaluate_args(paths)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E20") and key in err
+        assert not paths["report"].exists()
+
     def test_non_finite_rule_bound_exit_2(self, workspace, capsys):
         tmp_path, paths = workspace
         bad = tmp_path / "bad.yaml"
@@ -275,6 +318,29 @@ class TestCard:
         from smdcard.card import card_from_json, render_structured
         payload = out.read_bytes()
         assert render_structured(card_from_json(payload)) == payload
+
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda report: {},
+        lambda report: "not json",
+        lambda report: dict(report, extra=1),
+        lambda report: {k: v for k, v in report.items() if k != "notes"},
+    ], ids=["empty", "not_json", "unknown_key", "missing_key"])
+    def test_malformed_report_exit_2(self, workspace, tmp_path, capsys,
+                                     corrupt):
+        _, paths = workspace
+        self._make_report(paths)
+        bad = tmp_path / "bad_report.json"
+        bad.write_text(json.dumps(corrupt(json.loads(
+            paths["report"].read_text()))))
+        out = tmp_path / "card.md"
+        code = main(["card", "--manifest", str(paths["manifest"]),
+                     "--report", str(bad), "--format", "md",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E210") and str(bad) in err
+        assert not out.exists()
 
 
 class TestCalibrate:

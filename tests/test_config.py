@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from smdcard.config import (SEED_ENV_VAR, config_digest, config_from_dict,
+from smdcard.config import (_SECTIONS, _TOP_LEVEL_FIELDS, SEED_ENV_VAR,
+                            EvalConfig, config_digest, config_from_dict,
                             config_to_dict)
 from smdcard.errors import ConfigError
 
@@ -162,3 +165,10 @@ def test_full_config_round_trips_through_dict():
     again = config_from_dict(config_to_dict(cfg))
     assert again == cfg
     assert config_digest(again) == FULL_DIGEST
+
+
+def test_sections_name_every_config_field_once():
+    named = list(_TOP_LEVEL_FIELDS)
+    for keys in _SECTIONS.values():
+        named.extend(keys.values())
+    assert sorted(named) == sorted(f.name for f in dataclasses.fields(EvalConfig))

@@ -35,6 +35,21 @@ class TestRuleParsing:
             rule_from_dict({"id": "r", "kind": "range", "field": "age",
                             "min": 0, "typo": 1})
 
+    @pytest.mark.parametrize("raw", [
+        {"kind": "range", "field": "age", "max": 100,
+         "when": {"field": "dx", "equals": "a"}},
+        {"kind": "allowed_set", "field": "dx", "values": ["a"], "min": 0},
+        {"kind": "linear", "weights": {"age": 1.0}, "field": "age"},
+        {"kind": "implication", "when": {"field": "dx", "equals": "a"},
+         "then": {"kind": "range", "field": "hgb", "max": 11,
+                  "values": ["a"]}},
+    ])
+    def test_keys_of_another_kind_rejected(self, raw):
+        with pytest.raises(ConfigError, match="'r'.*do not apply"):
+            rule_from_dict({"id": "r", **raw})
+        with pytest.raises(ConfigError, match="unknown kind 'bogus'"):
+            rule_from_dict({"id": "r", **raw, "kind": "bogus"})
+
     def test_duplicate_ids_rejected(self):
         rule = _range("same", "age", lo=0.0)
         with pytest.raises(ConfigError, match="duplicate"):
