@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import DECLARED_KEYS
 from .errors import EvaluationError
 from .model import EmbeddingSet, RecordTable
 from .numerics import ball_query, kth_neighbor_distance, w1_distance_1d
@@ -137,18 +138,20 @@ def leakage_rate(real: EmbeddingSet, synthetic: EmbeddingSet,
 
 
 def declared_privacy_record(config) -> dict:
-    """Card entries for generator-declared privacy parameters.
+    """Card entries for generator-declared privacy parameters, one per
+    ``config.DECLARED_KEYS`` key; an absent or null key is "not declared".
 
     Pass-through only: differential-privacy guarantees are properties of the
     generating mechanism, so they are reported as declared, never verified.
     """
-    declared = dict(config.declared_privacy or {})
+    declared = config.declared_privacy or {}
     record = {}
-    for key in ("epsilon", "delta"):
+    for key in DECLARED_KEYS:
         value = declared.get(key)
-        record[key] = (f"{value} (declared, not verified)"
-                       if value is not None else "not declared")
-    record["anonymization_method"] = declared.get("anonymization_method",
-                                                  "not declared")
-    record["format_standard"] = declared.get("format_standard", "not declared")
+        if value is None:
+            record[key] = "not declared"
+        elif key in ("epsilon", "delta"):
+            record[key] = f"{value} (declared, not verified)"
+        else:
+            record[key] = value
     return record

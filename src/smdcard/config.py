@@ -96,7 +96,7 @@ _SECTIONS = {
                     "bootstrap_replicates": "bootstrap_replicates"},
 }
 
-_DECLARED_KEYS = ("epsilon", "delta", "anonymization_method", "format_standard")
+DECLARED_KEYS = ("epsilon", "delta", "anonymization_method", "format_standard")
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -184,7 +184,7 @@ def config_from_dict(raw: dict) -> EvalConfig:
 
     compliance = _section(raw, "compliance")
     declared = _require_mapping(compliance.get("declared"), "compliance.declared")
-    _reject_unknown(declared, _DECLARED_KEYS, "compliance.declared")
+    _reject_unknown(declared, DECLARED_KEYS, "compliance.declared")
 
     constraints = _section(raw, "constraints")
     rules = tuple(rule_from_dict(r) for r in

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import EvaluationError
 from .model import EmbeddingSet
-from .numerics import (ball_query, freedman_diaconis_bins, histogram_masses,
-                       jsd_masses, kth_neighbor_distance, pairwise_distances,
+from .numerics import (ball_query, dimension_histograms, jsd_masses,
+                       kth_neighbor_distance, pairwise_distances,
                        w1_distance_1d)
 
 EXACT_MATCHING_LIMIT = 512
@@ -85,23 +85,11 @@ def jensen_shannon(real: EmbeddingSet, synthetic: EmbeddingSet,
     constant pooled dimensions contribute 0 and are flagged.
     """
     _check_dims(real, synthetic)
-    values = []
-    constant_dims = []
-    bin_counts = []
-    for j in range(real.d):
-        pooled = np.concatenate([real.data[:, j], synthetic.data[:, j]])
-        lo, hi = float(pooled.min()), float(pooled.max())
-        if lo == hi:
-            constant_dims.append(j)
-            values.append(0.0)
-            bin_counts.append(0)
-            continue
-        b = bins if bins is not None else freedman_diaconis_bins(pooled)
-        p = histogram_masses(real.data[:, j], lo, hi, b)
-        q = histogram_masses(synthetic.data[:, j], lo, hi, b)
-        values.append(jsd_masses(p, q))
-        bin_counts.append(b)
+    masses, bin_counts = dimension_histograms((real.data, synthetic.data),
+                                              bins)
+    values = [0.0 if m is None else jsd_masses(*m) for m in masses]
     diagnostics = {"per_dimension": values, "bins": bin_counts}
+    constant_dims = [j for j, m in enumerate(masses) if m is None]
     if constant_dims:
         diagnostics["constant_dimensions"] = constant_dims
     return float(np.mean(values)), diagnostics

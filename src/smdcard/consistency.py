@@ -38,13 +38,12 @@ def replicate_tasks(config) -> tuple[tuple[str, int], ...]:
                  for base in base_metrics(config))
 
 
-def replicate_rows(labels, label: str, replicate: int, seed: int):
+def replicate_rows(size: int, label: str, replicate: int, seed: int):
     """Rows of one replicate of subgroup ``label``: a bootstrap resample of
-    the synthetic rows that carry it, drawn from the seed ``task_seed``
-    derives. Indices point into the full synthetic set and may repeat."""
-    rows = np.flatnonzero([value == label for value in labels])
+    its ``size`` synthetic rows, drawn from the seed ``task_seed`` derives.
+    Indices point into the subgroup's rows, in file order, and may repeat."""
     rng = np.random.default_rng(task_seed(seed, label, replicate))
-    return rows[rng.integers(rows.size, size=rows.size)]
+    return rng.integers(size, size=size)
 
 
 def score(name: str, results: dict, config, labels) -> tuple:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .model import EmbeddingSet
-from .numerics import (ball_query, freedman_diaconis_bins, histogram_masses,
+from .numerics import (ball_query, dimension_histograms,
                        kth_neighbor_distance, pairwise_distances, pca_fit,
                        shannon_entropy)
 
@@ -138,18 +138,10 @@ def embedding_entropy(synthetic: EmbeddingSet, bins: int | None = None):
     Binning matches the divergence metrics (Freedman-Diaconis, floor 8,
     cap 64) on each dimension's own range; constant dimensions contribute 0.
     """
-    values = []
-    constant_dims = []
-    for j in range(synthetic.d):
-        col = synthetic.data[:, j]
-        lo, hi = float(col.min()), float(col.max())
-        if lo == hi:
-            constant_dims.append(j)
-            values.append(0.0)
-            continue
-        b = bins if bins is not None else freedman_diaconis_bins(col)
-        values.append(shannon_entropy(histogram_masses(col, lo, hi, b)))
+    masses, _ = dimension_histograms((synthetic.data,), bins)
+    values = [0.0 if m is None else shannon_entropy(m[0]) for m in masses]
     diagnostics: dict = {"per_dimension": values}
+    constant_dims = [j for j, m in enumerate(masses) if m is None]
     if constant_dims:
         diagnostics["constant_dimensions"] = constant_dims
     return float(np.mean(values)), diagnostics

@@ -1,8 +1,37 @@
 """Geometry and histogram utilities shared by the metric modules.
 
 Everything here is exact (no approximate neighbor indexes) and deterministic;
-randomized callers pass explicit seeds and record them. kNN balls are read
-in streamed distance row blocks, so their memory is bounded by the block size.
+randomized callers pass explicit seeds and record them.
+
+Every distance's final bits come from one formula, ``_exact_distance``:
+``sqrt(sum((a - b)**2))`` over the coordinate axis. ``pairwise_distances``
+applies it to every pair. The kNN primitives (``kth_neighbor_distance``,
+``ball_query``) apply it only to the pairs a Gram filter cannot decide
+(Johnson, Douze & Jegou 2017, https://arxiv.org/abs/1702.08734):
+
+- Filter: both sets are centred on the centers' mean, and one BLAS product
+  per row block gives approximate squared distances
+  ``q = |a|^2 + |b|^2 - 2 a.b`` (the norms ride along as two extra
+  columns, so the product is the whole filter).
+- Bound: ``|q - s| <= 8 (d + 4) (u (|a_i| + max|b|)^2 + eta)``, where ``s``
+  is the exact formula's squared sum, ``u = 2**-53`` and ``eta = 2**-1074``.
+  Summed to first order, the (d + 2)-term product (the dot-product bound of
+  Higham 2002, *Accuracy and Stability of Numerical Algorithms*, 3.1), the
+  norms, the centring and the formula's own rounding stay within
+  ``(3d + 6) u (|a_i| + |b_j|)^2``; ``eta`` covers gradual underflow. The
+  factor 8 leaves more than twice that, and the surplus, at least
+  ``31 u (|a_i| + |b_j|)^2``, also covers the rounding of ``r * r`` and of
+  the final square root when ``q`` is compared with a squared radius.
+- Refine: a pair is recomputed exactly when the bound cannot order it: the
+  k-th neighbor window ``q <= q_k + 2 err``, or ``q`` within the bound of a
+  squared ball radius. A non-finite ``q``, bound or squared radius always
+  refines.
+
+So the filter only chooses which pairs reach the exact formula, never a
+result's bits: results do not depend on BLAS, its thread count or the block
+size. ``_BLOCK_ELEMENTS`` is the one memory bound: it caps rows x m of a
+Gram block and rows x m x d of a ``pairwise_distances`` difference block,
+and the refine gathers at most that many coordinates at a time.
 """
 
 from __future__ import annotations
@@ -14,24 +43,36 @@ import numpy as np
 from .errors import EvaluationError
 
 
-_BLOCK_ELEMENTS = 1 << 20  # cap on the temporary (rows x m x d) difference block
+_BLOCK_ELEMENTS = 1 << 20  # cap on the elements of any temporary block
 FD_MIN_BINS, FD_MAX_BINS = 8, 64  # clamp of the Freedman-Diaconis bin count
 SMOOTHING_MASS = 1e-12  # added to every histogram bin before a divergence
+_U = 2.0 ** -53  # unit roundoff of float64
+_ETA = 2.0 ** -1074  # smallest subnormal: absolute error of an underflow
+
+
+def _quiet():
+    """Overflow in the filter only sends pairs to the exact refine."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _exact_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between ``a`` and ``b`` (broadcast) over the
+    last axis, from explicit coordinate differences: the formula every
+    distance here takes its bits from."""
+    diff = np.subtract(a, b)
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(np.sum(diff, axis=-1))
 
 
 def _distance_blocks(a: np.ndarray, b: np.ndarray):
     """Yield ``(start, stop, block)``: exact Euclidean distances from rows
-    ``a[start:stop]`` to every row of ``b``.
-
-    Computed from explicit coordinate differences (no dot-product shortcut,
-    so no cancellation); the block size bounds memory and changes no bit.
-    """
+    ``a[start:stop]`` to every row of ``b``; the block size bounds memory
+    and changes no bit."""
     n_a, d = a.shape
     rows_per_block = max(1, _BLOCK_ELEMENTS // max(1, b.shape[0] * d))
     for start in range(0, n_a, rows_per_block):
         stop = min(start + rows_per_block, n_a)
-        diff = a[start:stop, None, :] - b[None, :, :]
-        yield start, stop, np.sqrt(np.sum(diff * diff, axis=2))
+        yield start, stop, _exact_distance(a[start:stop, None, :], b[None, :, :])
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,6 +83,49 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+class _GramFilter:
+    """Approximate squared distances from ``query`` rows to ``centers``,
+    in row blocks of at most ``_BLOCK_ELEMENTS`` entries, each with the
+    per-row bound on its distance from the exact formula's squared sum."""
+
+    def __init__(self, query: np.ndarray, centers: np.ndarray):
+        self.query, self.centers = query, centers
+        with _quiet():
+            mean = centers.mean(axis=0)
+            xq, xc = query - mean, centers - mean
+            nq = np.einsum("ij,ij->i", xq, xq)
+            nc = np.einsum("ij,ij->i", xc, xc)
+            # q = [-2x, |x|^2, 1] . [y, 1, |y|^2]: the whole filter is one
+            # product, and scaling by -2 is exact
+            self._lhs = np.column_stack((-2.0 * xq, nq, np.ones(nq.size)))
+            self._rhs = np.column_stack((xc, np.ones(nc.size), nc))
+            reach = np.sqrt(nq) + np.sqrt(nc).max()
+            self.bound = 8.0 * (query.shape[1] + 4) * (_U * (reach * reach)
+                                                        + _ETA)
+
+    def blocks(self):
+        """Yield ``(start, stop, q)`` for query rows ``start:stop``."""
+        n, m = self.query.shape[0], self.centers.shape[0]
+        rows_per_block = max(1, _BLOCK_ELEMENTS // max(1, m))
+        for start in range(0, n, rows_per_block):
+            stop = min(start + rows_per_block, n)
+            with _quiet():
+                q = self._lhs[start:stop] @ self._rhs.T
+            yield start, stop, q
+
+    def refine(self, start: int, rows: np.ndarray, cols: np.ndarray):
+        """Exact distances of the pairs (query row ``start + rows``, center
+        ``cols``), gathered at most ``_BLOCK_ELEMENTS`` coordinates at a
+        time."""
+        out = np.empty(rows.size)
+        step = max(1, _BLOCK_ELEMENTS // self.query.shape[1])
+        for s in range(0, rows.size, step):
+            out[s:s + step] = _exact_distance(
+                self.query[start + rows[s:s + step]],
+                self.centers[cols[s:s + step]])
+        return out
+
+
 def kth_neighbor_distance(data: np.ndarray, k: int) -> np.ndarray:
     """Each row's distance to its k-th nearest other row (self excluded by
     index, so a copied row is a neighbor at distance 0)."""
@@ -50,10 +134,22 @@ def kth_neighbor_distance(data: np.ndarray, k: int) -> np.ndarray:
         raise EvaluationError(
             f"k={k} out of range: reference set supports at most k={n - 1} "
             "(self-match excluded)")
+    gram = _GramFilter(data, data)
     out = np.empty(n)
-    for start, stop, block in _distance_blocks(data, data):
-        np.fill_diagonal(block[:, start:stop], np.inf)
-        out[start:stop] = np.partition(block, k - 1, axis=1)[:, k - 1]
+    for start, stop, q in gram.blocks():
+        own = (np.arange(stop - start), np.arange(start, stop))
+        q[own] = np.inf
+        q_k = np.partition(q, k - 1, axis=1)[:, k - 1]
+        # every pair at or below the exact k-th distance has q <= q_k + 2 err
+        limit = q_k + 2.0 * gram.bound[start:stop]
+        limit[~np.isfinite(limit)] = np.inf
+        candidate = (q <= limit[:, None]) | ~np.isfinite(q)
+        candidate[own] = False
+        rows, cols = np.divmod(np.flatnonzero(candidate), n)
+        exact = gram.refine(start, rows, cols)
+        ordered = exact[np.lexsort((exact, rows))]
+        first = np.searchsorted(rows, np.arange(stop - start))
+        out[start:stop] = ordered[first + k - 1]
     return out
 
 
@@ -64,10 +160,23 @@ def ball_query(query: np.ndarray, centers: np.ndarray, radii: np.ndarray):
     among the balls that contain it (inf when none does); per ball, whether
     any query row falls inside it.
     """
+    gram = _GramFilter(query, centers)
+    with _quiet():
+        squared = radii * radii
+    # q + err below ``lo`` is surely inside, q - err above ``hi`` surely
+    # outside; a non-finite squared radius decides nothing, and a negative
+    # radius is never surely inside
+    finite = np.isfinite(squared)
+    lo = np.where(finite & (radii >= 0), squared, -np.inf)
+    hi = np.where(finite, squared, np.inf)
     smallest = np.empty(query.shape[0])
     occupied = np.zeros(centers.shape[0], dtype=bool)
-    for start, stop, block in _distance_blocks(query, centers):
-        inside = block <= radii
+    for start, stop, q in gram.blocks():
+        err = gram.bound[start:stop, None]
+        inside = q < lo - err
+        undecided = ~(inside | (q > hi + err)) | ~np.isfinite(q)
+        rows, cols = np.divmod(np.flatnonzero(undecided), centers.shape[0])
+        inside[rows, cols] = gram.refine(start, rows, cols) <= radii[cols]
         smallest[start:stop] = np.where(inside, radii, np.inf).min(axis=1)
         occupied |= inside.any(axis=0)
     return smallest, occupied
@@ -141,27 +250,48 @@ def w1_distance_1d(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(np.abs(cdf_x - cdf_y) * deltas))
 
 
-def freedman_diaconis_bins(values: np.ndarray) -> int:
-    """Bin count via the Freedman–Diaconis rule, clamped to
-    [FD_MIN_BINS, FD_MAX_BINS]."""
-    values = np.asarray(values, dtype=np.float64)
-    span = float(values.max() - values.min()) if values.size else 0.0
-    if span <= 0:
-        return FD_MIN_BINS
-    q75, q25 = np.percentile(values, [75, 25])
-    iqr = float(q75 - q25)
-    if iqr <= 0:
-        return FD_MIN_BINS
-    width = 2.0 * iqr * values.size ** (-1.0 / 3.0)
-    bins = int(np.ceil(span / width)) if width > 0 else FD_MAX_BINS
-    return max(FD_MIN_BINS, min(FD_MAX_BINS, bins))
+def dimension_histograms(samples, bins: int | None = None):
+    """Per-dimension histogram masses of each sample in ``samples`` (arrays
+    with the same columns) on the pooled range of each dimension.
 
-
-def histogram_masses(values: np.ndarray, lo: float, hi: float,
-                     bins: int) -> np.ndarray:
-    """Probability masses of ``values`` over ``bins`` equal bins on [lo, hi]."""
-    counts, _ = np.histogram(values, bins=bins, range=(lo, hi))
-    return counts / values.size
+    Each column is sorted once and counted by ``searchsorted`` against the
+    ``np.linspace`` edges ``np.histogram`` uses, under its rule: bins are
+    ``[e_i, e_i+1)`` and the last bin is closed. The bin count is ``bins``,
+    else the Freedman-Diaconis rule on the pooled values, clamped to
+    ``[FD_MIN_BINS, FD_MAX_BINS]``. Returns ``(masses, bin_counts)``:
+    ``masses[j]`` holds one mass vector per sample, or is None where the
+    pooled dimension is constant (bin count 0).
+    """
+    if bins is not None and bins < 1:
+        raise EvaluationError(f"bins={bins} must be at least 1")
+    ordered = [np.sort(s.T) for s in samples]
+    pooled = ordered[0] if len(ordered) == 1 else np.concatenate(ordered, axis=1)
+    lo = np.min([o[:, 0] for o in ordered], axis=0)
+    hi = np.max([o[:, -1] for o in ordered], axis=0)
+    if bins is None:
+        q75, q25 = np.percentile(pooled, [75, 25], axis=1)
+        iqr = q75 - q25
+        width = 2.0 * iqr * pooled.shape[1] ** (-1.0 / 3.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fd = np.clip(np.ceil((hi - lo) / width), FD_MIN_BINS, FD_MAX_BINS)
+        counts = np.where(iqr > 0, fd, FD_MIN_BINS).astype(int).tolist()
+    else:
+        counts = [bins] * lo.size
+    masses, bin_counts = [], []
+    for j, b in enumerate(counts):
+        if lo[j] == hi[j]:
+            masses.append(None)
+            bin_counts.append(0)
+            continue
+        edges = np.linspace(lo[j], hi[j], b + 1)
+        per_sample = []
+        for o in ordered:
+            below = np.searchsorted(o[j], edges)  # values below each edge
+            below[-1] = o.shape[1]  # the last bin is closed
+            per_sample.append(np.diff(below) / o.shape[1])
+        masses.append(tuple(per_sample))
+        bin_counts.append(b)
+    return masses, bin_counts
 
 
 def smooth_masses(p: np.ndarray) -> np.ndarray:

@@ -258,14 +258,10 @@ def _metric_result(task: tuple, args: _Args) -> MetricResult:
     d = catalog.descriptor(name)
     embedding = d.source == catalog.SOURCE_EMBEDDING
     if replicate is not None:
-        full = args.inputs.synthetic
-        label = scope.partition(":")[2]
-        rows = consistency.replicate_rows(full.subgroup, label, replicate,
-                                          args.seed)
-        # rows may repeat, so positional ids replace the originals
-        args = replace(args, synthetic=EmbeddingSet(
-            ids=tuple(f"b{i:06d}" for i in range(rows.size)),
-            data=full.data[rows]))
+        rows = consistency.replicate_rows(
+            args.synthetic.n, scope.partition(":")[2], replicate, args.seed)
+        args = replace(args, synthetic=replace(
+            args.synthetic, data=args.synthetic.data[rows]))
     if embedding and d.arity == "binary" and args.real is None:
         return undefined_result(name, "insufficient samples: no reference "
                                       "rows in this slice", scope=scope)
@@ -346,8 +342,13 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
     for scope, real_slice, synth_slice in scopes:
         args = _Args(real_slice, synth_slice, config, seed, inputs)
         tasks.extend(((scope, name, None), args) for name in embedding)
-        if scope.startswith("subgroup:"):
-            tasks.extend(((scope, base, r), args) for base, r in replicates)
+        if replicates and scope.startswith("subgroup:"):
+            # a replicate's rows may repeat, so positional ids replace the
+            # originals; each replicate task only swaps in its drawn rows
+            resampled = replace(args, synthetic=EmbeddingSet(
+                ids=tuple(f"b{i:06d}" for i in range(synth_slice.n)),
+                data=synth_slice.data))
+            tasks.extend(((scope, base, r), resampled) for base, r in replicates)
     tasks.extend((("global", name, None), run_args) for name in config.metrics
                  if name not in embedding)
 

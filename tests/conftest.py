@@ -61,3 +61,35 @@ class RowTable:
 
     def column_index(self, name):
         return [n for n, _ in self.columns].index(name)
+
+
+def difference_distances(a, b):
+    """Every distance from rows of ``a`` to rows of ``b`` by the explicit
+    difference formula, in one unblocked matrix: the brute-force reference
+    the kNN primitives must match bit for bit."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+ADVERSARIAL_CASES = ("offset", "ties", "copies", "huge", "tiny")
+
+
+def adversarial_sets(case, d, seed=0):
+    """(real, synthetic) coordinate arrays that stress a distance filter:
+    a 1e8 common offset, integer ties, copied rows in and across the sets,
+    coordinates near 1e160 (squares overflow) and near 1e-170 (squares
+    underflow)."""
+    rng = np.random.default_rng(seed)
+    if case == "ties":
+        real = rng.integers(-2, 3, size=(40, d)).astype(np.float64)
+        synth = rng.integers(-2, 3, size=(30, d)).astype(np.float64)
+    else:
+        scale = {"offset": 1.0, "copies": 1.0, "huge": 1e160,
+                 "tiny": 1e-170}[case]
+        real = rng.normal(size=(40, d)) * scale
+        synth = rng.normal(size=(30, d)) * scale
+        if case == "offset":
+            real, synth = real + 1e8, synth + 1e8
+    real[30:] = real[:10]
+    synth[:10] = real[rng.integers(0, 40, size=10)]
+    return real, synth

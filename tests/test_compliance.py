@@ -13,7 +13,7 @@ import smdcard
 
 from smdcard.compliance import (declared_privacy_record, k_anonymity,
                                 l_diversity, leakage_rate, t_closeness)
-from smdcard.config import config_from_dict
+from smdcard.config import DECLARED_KEYS, config_from_dict
 from smdcard.errors import EvaluationError
 from smdcard.model import EmbeddingSet
 from smdcard.numerics import w1_distance_1d
@@ -375,3 +375,9 @@ class TestDeclaredPrivacy:
         record = declared_privacy_record(cfg)
         assert record["epsilon"] == "not declared"
         assert record["anonymization_method"] == "not declared"
+
+    def test_explicit_null_not_declared(self):
+        cfg = config_from_dict({"metrics": ["k_anonymity"], "compliance": {
+            "declared": {key: None for key in DECLARED_KEYS}}})
+        assert declared_privacy_record(cfg) == {
+            key: "not declared" for key in DECLARED_KEYS}

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smdcard import numerics
+from smdcard import compliance, congruence, coverage, numerics
 from smdcard.compliance import leakage_rate
 from smdcard.congruence import manifold_precision
 from smdcard.coverage import manifold_coverage, manifold_recall, rarity_score
 from smdcard.errors import EvaluationError
 
-from conftest import embedding_from
+from conftest import (ADVERSARIAL_CASES, adversarial_sets,
+                      difference_distances, embedding_from)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +126,34 @@ def test_five_metrics_equal_per_pair_oracle(sets):
                     == _outcome(oracle, real.tolist(), synth.tolist(), param))
     finally:
         numerics._BLOCK_ELEMENTS = default_block
+
+
+def _reference_kth(data, k):
+    dist = difference_distances(data, data)
+    np.fill_diagonal(dist, np.inf)
+    return np.partition(dist, k - 1, axis=1)[:, k - 1]
+
+
+def _reference_ball(query, centers, radii):
+    inside = difference_distances(query, centers) <= radii
+    return np.where(inside, radii, np.inf).min(axis=1), inside.any(axis=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("d", [1, 16, 64])
+@pytest.mark.parametrize("case", ADVERSARIAL_CASES)
+def test_five_metrics_equal_difference_formula_on_adversarial_sets(
+        case, d, monkeypatch):
+    real, synth = adversarial_sets(case, d, seed=100 + d)
+    r, s = embedding_from(real, "r"), embedding_from(synth, "s")
+    calls = [(metric, k) for k in (1, 3, 5) for metric in (
+        manifold_precision, manifold_recall, manifold_coverage, rarity_score)]
+    calls += [(leakage_rate, tau) for tau in (None, 0.0, math.inf)]
+    got = [_outcome(metric, r, s, param) for metric, param in calls]
+    for module in (compliance, congruence, coverage):
+        monkeypatch.setattr(module, "kth_neighbor_distance", _reference_kth)
+        monkeypatch.setattr(module, "ball_query", _reference_ball)
+    assert got == [_outcome(metric, r, s, param) for metric, param in calls]
 
 
 @pytest.mark.parametrize("metric, param", [

@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from smdcard import numerics
 from smdcard.errors import EvaluationError
-from smdcard.numerics import (ball_query, freedman_diaconis_bins,
-                              histogram_masses, jsd_masses,
+from smdcard.congruence import jensen_shannon
+from smdcard.coverage import embedding_entropy
+from smdcard.numerics import (FD_MAX_BINS, FD_MIN_BINS, ball_query,
+                              dimension_histograms, jsd_masses,
                               kth_neighbor_distance, pairwise_distances,
                               pca_fit, shannon_entropy, w1_distance_1d)
 
-from conftest import embedding_from
+from conftest import (ADVERSARIAL_CASES, adversarial_sets,
+                      difference_distances, embedding_from)
 
 
 class TestKnn:
@@ -69,6 +72,34 @@ class TestKnn:
                    *ball_query(a, b, radii))
         for got, want in zip(blocked, whole):
             assert np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("d", [1, 16, 64])
+    @pytest.mark.parametrize("case", ADVERSARIAL_CASES)
+    def test_adversarial_inputs_match_difference_formula(self, case, d):
+        real, synth = adversarial_sets(case, d, seed=d)
+        within = difference_distances(real, real)
+        others = within.copy()
+        np.fill_diagonal(others, np.inf)
+        across = difference_distances(synth, real)
+
+        def check(query, dist, balls):
+            inside = dist <= balls
+            smallest, occupied = ball_query(query, real, balls)
+            assert np.array_equal(
+                smallest, np.where(inside, balls, np.inf).min(axis=1))
+            assert np.array_equal(occupied, inside.any(axis=0))
+
+        for k in (1, 3, 5):
+            radii = np.partition(others, k - 1, axis=1)[:, k - 1]
+            assert np.array_equal(kth_neighbor_distance(real, k), radii)
+            # the k-th neighbor of each center lies exactly on its radius
+            for balls in (radii, np.nextafter(radii, np.inf),
+                          np.nextafter(radii, -np.inf)):
+                check(real, within, balls)
+                check(synth, across, balls)
+        for radius in (0.0, np.inf):
+            check(synth, across, np.full(len(real), radius))
 
 
 class TestPca:
@@ -152,11 +183,105 @@ class TestW1:
         assert forward == pytest.approx(w1_distance_1d(y, x), abs=1e-9)
 
 
+def _fd_bins_oracle(values):
+    """The Freedman-Diaconis count of one pooled dimension, clamped."""
+    span = float(values.max() - values.min())
+    if span <= 0:
+        return FD_MIN_BINS
+    q75, q25 = np.percentile(values, [75, 25])
+    iqr = float(q75 - q25)
+    if iqr <= 0:
+        return FD_MIN_BINS
+    width = 2.0 * iqr * values.size ** (-1.0 / 3.0)
+    bins = int(np.ceil(span / width)) if width > 0 else FD_MAX_BINS
+    return max(FD_MIN_BINS, min(FD_MAX_BINS, bins))
+
+
+def _histograms_oracle(samples, bins=None):
+    """One np.histogram per sample and dimension on the pooled range."""
+    masses, bin_counts = [], []
+    for j in range(samples[0].shape[1]):
+        pooled = np.concatenate([s[:, j] for s in samples])
+        lo, hi = float(pooled.min()), float(pooled.max())
+        if lo == hi:
+            masses.append(None)
+            bin_counts.append(0)
+            continue
+        b = bins if bins is not None else _fd_bins_oracle(pooled)
+        masses.append(tuple(np.histogram(s[:, j], bins=b, range=(lo, hi))[0]
+                            / s.shape[0] for s in samples))
+        bin_counts.append(b)
+    return masses, bin_counts
+
+
+def _jsd_oracle(real, synth, bins):
+    masses, bin_counts = _histograms_oracle((real, synth), bins)
+    values = [0.0 if m is None else jsd_masses(*m) for m in masses]
+    constant = [j for j, m in enumerate(masses) if m is None]
+    return float(np.mean(values)), {
+        "per_dimension": values, "bins": bin_counts,
+        **({"constant_dimensions": constant} if constant else {})}
+
+
+def _entropy_oracle(synth, bins):
+    masses, _ = _histograms_oracle((synth,), bins)
+    values = [0.0 if m is None else shannon_entropy(m[0]) for m in masses]
+    constant = [j for j, m in enumerate(masses) if m is None]
+    return float(np.mean(values)), {
+        "per_dimension": values,
+        **({"constant_dimensions": constant} if constant else {})}
+
+
+@st.composite
+def _histogram_inputs(draw):
+    """Two sets with unequal row counts: integer coordinates (ties) or
+    heavy-tailed floats, some dimensions constant across both sets, and an
+    explicit bin count or the Freedman-Diaconis default."""
+    d = draw(st.integers(1, 5))
+    n_real, n_synth = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        real = rng.integers(-2, 3, size=(n_real, d)).astype(np.float64)
+        synth = rng.integers(-2, 3, size=(n_synth, d)).astype(np.float64)
+    else:
+        real = rng.standard_t(2, size=(n_real, d)) * 10.0 ** rng.integers(-3, 4)
+        synth = rng.standard_t(2, size=(n_synth, d)) + 1e8 * draw(st.booleans())
+    for j in draw(st.sets(st.integers(0, d - 1), max_size=d)):
+        real[:, j] = synth[:, j] = 3.5
+    bins = draw(st.one_of(st.none(), st.integers(1, 70)))
+    return real, synth, bins
+
+
 class TestHistograms:
     def test_fd_bins_respect_floor_and_cap(self):
-        assert freedman_diaconis_bins(np.array([1.0, 1.0, 1.0])) == 8
+        constant = np.array([[1.0], [1.0], [1.0]])
+        assert dimension_histograms((constant,)) == ([None], [0])
+        no_iqr = np.array([[1.0], [1.0], [1.0], [1.0], [2.0]])
+        assert dimension_histograms((no_iqr,))[1] == [FD_MIN_BINS]
         huge = np.concatenate([np.zeros(4), np.ones(4) * 1e9, [5.0]])
-        assert freedman_diaconis_bins(huge) <= 64
+        assert dimension_histograms((huge[:, None],))[1][0] <= FD_MAX_BINS
+
+    def test_bins_below_one_rejected(self):
+        with pytest.raises(EvaluationError, match="bins=0"):
+            dimension_histograms((np.arange(4.0)[:, None],), bins=0)
+
+    @given(_histogram_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_per_dimension_histogram_oracle(self, inputs):
+        real, synth, bins = inputs
+        for samples in ((real, synth), (synth,)):
+            masses, bin_counts = dimension_histograms(samples, bins)
+            want_masses, want_bins = _histograms_oracle(samples, bins)
+            assert bin_counts == want_bins
+            for got, want in zip(masses, want_masses):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        r, s = embedding_from(real, "r"), embedding_from(synth, "s")
+        assert repr(jensen_shannon(r, s, bins)) == repr(
+            _jsd_oracle(real, synth, bins))
+        assert repr(embedding_entropy(s, bins)) == repr(
+            _entropy_oracle(synth, bins))
 
     def test_jsd_zero_for_identical(self):
         p = np.array([0.25, 0.75])
@@ -168,5 +293,5 @@ class TestHistograms:
         assert jsd_masses(p, q) == pytest.approx(1.0, abs=1e-8)
 
     def test_entropy_uniform(self):
-        masses = histogram_masses(np.arange(8.0), 0.0, 8.0, 8)
-        assert shannon_entropy(masses) == pytest.approx(math.log(8), abs=1e-12)
+        (masses,), _ = dimension_histograms((np.arange(8.0)[:, None],), 8)
+        assert shannon_entropy(masses[0]) == pytest.approx(math.log(8), abs=1e-12)
