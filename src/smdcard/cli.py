@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--validate-config", action="store_true",
                         help="check the full plan without computing")
     p_eval.add_argument("--workers", type=int, default=1,
-                        help="worker threads for metric computation")
+                        help="worker processes for metric computation")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_card = sub.add_parser("card", help="render a dataset card")

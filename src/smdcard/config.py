@@ -96,6 +96,9 @@ _SECTIONS = {
                     "bootstrap_replicates": "bootstrap_replicates"},
 }
 
+#: Metric parameters with a lower limit: key -> (number kind, least value).
+_PARAM_FLOORS = {"bins": (int, 1), "tau": (float, 0.0)}
+
 DECLARED_KEYS = ("epsilon", "delta", "anonymization_method", "format_standard")
 
 
@@ -171,6 +174,12 @@ def config_from_dict(raw: dict) -> EvalConfig:
         p = _require_mapping(p, f"params.{name}")
         _reject_unknown(p, known, f"params.{name}")
         params[name] = _scalars(p, f"params.{name}")
+        for key, (kind, least) in _PARAM_FLOORS.items():
+            where = f"params.{name}.{key}"
+            if p.get(key) is not None and not parse_number(
+                    p[key], where, kind) >= least:
+                raise ConfigError(f"{where} must be at least {least}, "
+                                  f"got {p[key]!r}")
 
     columns = _section(raw, "columns")
 

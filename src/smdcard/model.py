@@ -1,11 +1,12 @@
 """Core data model: embedding sets, record tables, metric results.
 
 All containers are immutable after construction; numpy buffers are marked
-read-only so instances can be shared freely across worker threads.
+read-only so instances can be shared freely between tasks.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -72,6 +73,26 @@ class EmbeddingSet:
     @property
     def d(self) -> int:
         return self.data.shape[1]
+
+    def resample(self, rows) -> "EmbeddingSet":
+        """A bootstrap draw: row i is this set's row ``rows[i]``, for n row
+        indices that may repeat. The ids stay in place, so they name
+        positions, not source rows; labels follow their rows. Ids and labels
+        were validated when this set was built, so, unlike the constructor,
+        this re-checks nothing and copies the rows once."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.shape != (self.n,):
+            raise InputError(f"a resample of {self.n} rows needs {self.n} "
+                             f"row indices, got shape {rows.shape}")
+        drawn = copy.copy(self)
+        data = self.data[rows]
+        data.setflags(write=False)
+        object.__setattr__(drawn, "data", data)
+        for attr in ("subgroup", "region"):
+            labels = getattr(self, attr)
+            if labels is not None:
+                object.__setattr__(drawn, attr, tuple(labels[i] for i in rows))
+        return drawn
 
     def subset(self, indices: Iterable[int]) -> "EmbeddingSet":
         idx = list(indices)

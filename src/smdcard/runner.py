@@ -11,17 +11,22 @@ explicit undefined markers, never silent omission.
 Every metric computation is one task, keyed (scope, metric, replicate):
 each metric in each scope, and each replicate task ``consistency`` asks for
 in each subgroup scope, whose rows ``consistency`` also picks. Computation
-is pure and each replicate's rows come from its own derived seed, so tasks
-run on a thread pool. The consistency metrics are compute entries too; they
-read the other tasks' results, so they run once the pool is done. Results
-are keyed and sorted before assembly, which keeps reports byte-identical
-for any worker count.
+is pure and each replicate's rows come from its own derived seed, so the
+tasks can run in any order and in any process. With ``workers`` above 1 they
+run in a pool of forked worker processes: the children inherit the task
+list and its inputs at fork, so nothing but a task's index and its result
+crosses the process boundary. The pool is capped at the task count and at
+the CPUs available to the process, and where the platform has no ``fork``
+the tasks run serially. The consistency metrics are compute entries too;
+they read the other tasks' results, so they run once the pool is done.
+Results come back in task order and are keyed before assembly, which keeps
+reports byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +58,9 @@ class PlanViolations(PlanError):
     def __init__(self, violations):
         self.violations = tuple(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
+
+    def __reduce__(self):
+        return type(self), (self.violations,)
 
 
 def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
@@ -260,8 +268,7 @@ def _metric_result(task: tuple, args: _Args) -> MetricResult:
     if replicate is not None:
         rows = consistency.replicate_rows(
             args.synthetic.n, scope.partition(":")[2], replicate, args.seed)
-        args = replace(args, synthetic=replace(
-            args.synthetic, data=args.synthetic.data[rows]))
+        args = replace(args, synthetic=args.synthetic.resample(rows))
     if embedding and d.arity == "binary" and args.real is None:
         return undefined_result(name, "insufficient samples: no reference "
                                       "rows in this slice", scope=scope)
@@ -355,11 +362,7 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
     # the consistency metrics read ``results``, so they run after the pool
     pooled = [(task, args) for task, args in tasks if catalog.descriptor(
         task[1]).source != catalog.SOURCE_SUBGROUP_METRICS]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(lambda t: _metric_result(*t), pooled))
-    else:
-        computed = [_metric_result(*t) for t in pooled]
+    computed = _run_tasks(pooled, workers)
     results.update(zip((task for task, _ in pooled), computed))
     results.update((task, _metric_result(task, args)) for task, args in tasks
                    if task not in results)
@@ -374,6 +377,47 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
                             in results.items() if replicate is None],
                            config, seed, digest, dict(TOOL),
                            declared_privacy=declared, notes=notes)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+#: The pooled (task, args) list, set in each forked worker by ``_adopt``.
+_POOLED: list = []
+
+
+def _adopt(pooled: list) -> None:
+    global _POOLED
+    _POOLED = pooled
+
+
+def _run_pooled(index: int) -> MetricResult:
+    return _metric_result(*_POOLED[index])
+
+
+def _run_tasks(pooled: list, workers: int) -> list[MetricResult]:
+    """``_metric_result`` of each (task, args) in ``pooled``, in order, on at
+    most ``workers`` forked processes, or serially in this one. The list
+    reaches the children through the pool's initializer, which a forked
+    child inherits without pickling; only task indices and results are
+    pickled. The process modules load only when a pool can start."""
+    processes = min(workers, len(pooled), _available_cpus())
+    if processes > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import process
+            with process.ProcessPoolExecutor(
+                    max_workers=processes,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_adopt, initargs=(pooled,)) as pool:
+                return list(pool.map(
+                    _run_pooled, range(len(pooled)),
+                    chunksize=max(1, len(pooled) // (4 * processes))))
+    return [_metric_result(*t) for t in pooled]
 
 
 def _resolve_rules(inputs: EvaluationInputs,

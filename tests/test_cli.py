@@ -135,6 +135,10 @@ class TestEvaluate:
         ({"constraints": {"rules": [{"id": "r", "kind": "allowed_set",
                                      "field": "sex", "values": 5}]}},
          "values"),
+        ({"params": {"jensen_shannon_divergence": {"bins": 0}}},
+         "params.jensen_shannon_divergence.bins"),
+        ({"params": {"re_identification_risk": {"tau": -1}}},
+         "params.re_identification_risk.tau"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_malformed_config_value_exit_2(self, workspace, capsys,
                                            override, key):
@@ -165,6 +169,23 @@ class TestEvaluate:
         assert main(_evaluate_args(paths, serial) + ["--workers", "1"]) == 0
         assert main(_evaluate_args(paths, parallel) + ["--workers", "4"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_task_error_same_at_any_worker_count(self, workspace, capsys):
+        tmp_path, paths = workspace
+        probs = tmp_path / "probs.csv"
+        probs.write_text("id,c0,c1\n0,0.5,0.5\n1,1.5,-0.5\n")
+        config = tmp_path / "probs.yaml"
+        config.write_text(yaml.safe_dump(dict(
+            CONFIG, metrics=["cosine_similarity", "recall", "inception_score"],
+            params={"inception_score": {"probs_path": str(probs)}})))
+        paths = dict(paths, config=config)
+        outcomes = []
+        for workers in ("1", "2"):
+            code = main(_evaluate_args(paths) + ["--workers", workers])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == (2, "E240: negative probability in row 1\n")
+        assert outcomes[1] == outcomes[0]
+        assert not paths["report"].exists()
 
     def test_env_seed_used_when_config_omits(self, workspace, monkeypatch,
                                              tmp_path):

@@ -42,6 +42,23 @@ class TestEmbeddingSet:
         assert sub.ids == ("a", "c")
         assert sub.subgroup == ("s", "s")
 
+    def test_resample_equals_constructed_draw(self):
+        es = EmbeddingSet(ids=("b0", "b1", "b2"),
+                          data=np.arange(6.0).reshape(3, 2),
+                          subgroup=("s", "t", "u"), region=("x", "y", "z"))
+        rows = np.array([2, 2, 0])
+        drawn = es.resample(rows)
+        built = EmbeddingSet(ids=es.ids, data=es.data[rows],
+                             subgroup=("u", "u", "s"), region=("z", "z", "x"))
+        assert (drawn.ids, drawn.subgroup, drawn.region) == (
+            built.ids, built.subgroup, built.region)
+        assert drawn.data.dtype == built.data.dtype
+        assert np.array_equal(drawn.data, built.data)
+        assert not drawn.data.flags.writeable
+        assert np.array_equal(es.data, np.arange(6.0).reshape(3, 2))
+        with pytest.raises(InputError, match="3 row indices"):
+            es.resample([0, 1])
+
 
 class TestRecordTable:
     def test_duplicate_columns_rejected(self):

@@ -1,7 +1,11 @@
+import multiprocessing
+import pickle
+from concurrent.futures import process as futures_process
+
 import numpy as np
 import pytest
 
-from smdcard import catalog, congruence, coverage, runner
+from smdcard import catalog, congruence, coverage, errors, runner
 from smdcard.aggregate import has_bounds_source
 from smdcard.config import config_from_dict
 from smdcard.consistency import one_way_anova, task_seed
@@ -9,7 +13,7 @@ from smdcard.constraint import ConstraintRuleSet, rule_from_dict
 from smdcard.errors import EvaluationError
 from smdcard.harness import make_gaussian_mixture, make_record_table
 from smdcard.ingest import dumps_canonical
-from smdcard.model import EmbeddingSet, RecordTable
+from smdcard.model import EmbeddingSet, RecordTable, Violation
 from smdcard.runner import (EvaluationInputs, PlanViolations, calibrate_bounds,
                             plan, run_evaluation)
 
@@ -372,6 +376,100 @@ class TestAnovaReplicates:
         worst = min(expected.values(), key=lambda detail: detail["p"])
         assert entry["value"] == worst["F"]
         assert entry["diagnostics"]["p"] == worst["p"]
+
+
+class _PoolRefused(Exception):
+    pass
+
+
+class TestWorkerProcesses:
+    METRICS = ["cosine_similarity", "jensen_shannon_divergence", "recall"]
+
+    @pytest.fixture
+    def recording_pool(self, monkeypatch):
+        """Stands in for the process pool: records the size asked for and
+        refuses to start, so no process is ever created."""
+        sizes = []
+
+        def refuse(max_workers, **kwargs):
+            sizes.append(max_workers)
+            raise _PoolRefused
+        monkeypatch.setattr(futures_process, "ProcessPoolExecutor", refuse)
+        return sizes
+
+    def test_pool_capped_by_cpus_and_tasks(self, pair, monkeypatch,
+                                           recording_pool):
+        real, synth = pair
+        # no subgroup labels: one global scope, one task per metric
+        inputs = EvaluationInputs(synthetic=EmbeddingSet(synth.ids, synth.data),
+                                  real=real)
+        cfg = _embedding_config(metrics=self.METRICS)
+        assert runner._available_cpus() >= 1
+        for cpus in (2, 10_000):
+            monkeypatch.setattr(runner, "_available_cpus", lambda: cpus)
+            with pytest.raises(_PoolRefused):
+                run_evaluation(inputs, cfg, workers=10_000)
+        assert recording_pool == [2, len(self.METRICS)]
+
+    def test_one_cpu_or_no_fork_runs_serially(self, pair, monkeypatch,
+                                              recording_pool):
+        real, synth = pair
+        inputs = EvaluationInputs(synthetic=synth, real=real)
+        cfg = _embedding_config(metrics=self.METRICS)
+        serial = dumps_canonical(run_evaluation(inputs, cfg).to_dict())
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 1)
+        assert dumps_canonical(run_evaluation(
+            inputs, cfg, workers=4).to_dict()) == serial
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 4)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert dumps_canonical(run_evaluation(
+            inputs, cfg, workers=4).to_dict()) == serial
+        assert recording_pool == []
+
+    @pytest.mark.parametrize("error", [
+        errors.SmdError("base", code="E199"), errors.ConfigError("config"),
+        errors.InputError("input", code="E212"), errors.PlanError("plan"),
+        errors.CardError("card", code="E231"),
+        errors.EvaluationError("evaluation", code="E249"),
+        PlanViolations([Violation("E227", "a"), Violation("E228", "b")]),
+    ], ids=lambda e: type(e).__name__)
+    def test_errors_survive_pickling(self, error):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert (str(copy), copy.code) == (str(error), error.code)
+        assert getattr(copy, "violations", None) == getattr(
+            error, "violations", None)
+
+    def _image_run(self, pair, pairs, workers):
+        real, synth = pair
+        cfg = config_from_dict({"metrics": ["cosine_similarity", "psnr",
+                                            "ssim"],
+                                "bounds": {"psnr": [0, 60]}})
+        inputs = EvaluationInputs(synthetic=synth, real=real,
+                                  image_pairs=pairs)
+        with pytest.raises(Exception) as caught:
+            run_evaluation(inputs, cfg, workers=workers)
+        return type(caught.value), str(caught.value), getattr(
+            caught.value, "code", None)
+
+    def test_malformed_image_pair_error_same_at_any_worker_count(self, pair):
+        # equal-shaped 1-D "images": psnr scores them, ssim's 2-D window fails
+        line = np.arange(8, dtype=np.uint8)
+        pairs = [(line, line[::-1].copy(), 255)]
+        serial = self._image_run(pair, pairs, 1)
+        assert serial[0] is ValueError
+        assert self._image_run(pair, pairs, 2) == serial
+
+    def test_task_error_code_crosses_worker_processes(self, pair,
+                                                      monkeypatch):
+        def malformed(pairs):
+            raise EvaluationError("malformed image pair 0", code="E249")
+        monkeypatch.setattr(congruence, "psnr_pairs", malformed)
+        image = np.zeros((8, 8), dtype=np.uint8)
+        serial = self._image_run(pair, [(image, image, 255)], 1)
+        assert serial == (EvaluationError, "malformed image pair 0", "E249")
+        assert self._image_run(pair, [(image, image, 255)], 2) == serial
 
 
 class TestCalibration:
