@@ -11,8 +11,7 @@ from .catalog import CATALOG, MetricDescriptor, descriptor
 from .config import EvalConfig, config_from_dict
 from .errors import (CardError, ConfigError, EvaluationError, InputError,
                      PlanError, SmdError)
-from .model import (EmbeddingSet, MetricResult, RecordTable,
-                    ValidationOutcome, validate_inputs)
+from .model import EmbeddingSet, MetricResult, RecordTable, ValidationOutcome
 
 __version__ = "0.1.0"
 
@@ -32,6 +31,5 @@ __all__ = [
     "ValidationOutcome",
     "config_from_dict",
     "descriptor",
-    "validate_inputs",
     "__version__",
 ]

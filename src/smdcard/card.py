@@ -224,7 +224,7 @@ def _quality_from_report(report: QualityReport | None) -> dict:
     blocks: dict[str, dict] = {}
     for criterion in catalog.CRITERIA:
         blocks[criterion] = {"score": None, "verdict": "not evaluated",
-                             "metrics": [], "excluded": 0}
+                             "excluded": 0, "metrics": []}
     if report is None:
         return blocks
     scope = report.scope("global")

@@ -11,13 +11,17 @@ published goal is expressed on an inverted scale (t-closeness: the raw
 distance shrinks as compliance improves; boundary margin: larger margins mean
 safer data).
 
-Each row is also the one home of a metric's static facts: its recognized
-parameters with their defaults, its analytic value range (normalization
-bounds when both ends are known, the calibration clamp otherwise), whether
-its bounds come from the data, which set's kNN radii limit ``k``, and which
-run inputs the plan must find before the metric can run (``needs``). How a
-metric is computed lives in ``runner`` (the compute table), because the
-metric modules import this one.
+Each row is also the one home of a metric's static facts: its parameters,
+its analytic value range (normalization bounds when both ends are known,
+the calibration clamp otherwise), whether its bounds come from the data,
+which set's kNN radii limit ``k``, and which run inputs the plan must find
+before the metric can run (``needs``). How a metric is computed lives in
+``runner`` (the compute table), because the metric modules import this one.
+A parameter is ``(key, default, allowed)``: ``allowed`` is an int or float
+(a number of that type at least that), a tuple (one of its values) or
+``str`` (any string); ``null`` is allowed where the default is None. The
+config parser checks each value against its row, and the compute entry
+passes the parsed values as the metric function's keywords.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class MetricDescriptor:
     source: str = SOURCE_EMBEDDING
     score_direction: str = ""   # defaults to `direction`
     computable: bool = True     # False: declaration-only, never computed
-    params: tuple[tuple[str, object], ...] = ()  # recognized keys, defaults
+    params: tuple[tuple[str, object, object], ...] = ()  # key, default, allowed
     range: tuple[float | None, float | None] = (None, None)  # analytic lo, hi
     data_bounds: bool = False   # bounds attached per run (default_bounds)
     knn_on: str | None = None   # "real" | "synthetic": whose kNN radii cap k
@@ -70,7 +74,7 @@ class MetricDescriptor:
             object.__setattr__(self, "score_direction", self.direction)
 
     def default(self, key: str):
-        return dict(self.params).get(key)
+        return {k: default for k, default, _ in self.params}.get(key)
 
     @property
     def static_bounds(self) -> tuple[float, float] | None:
@@ -83,6 +87,9 @@ def _d(name, label, criterion, space, arity, direction, image_only, **kw):
                             image_only, **kw)
 
 
+KERNEL = ("kernel", "cosine", ("cosine", "rbf"))
+GAMMA = ("gamma", None, 0.0)  # RBF width; None: 1/d
+
 UNIT = (0.0, 1.0)
 SIGNED_UNIT = (-1.0, 1.0)
 NONNEGATIVE = (0.0, None)
@@ -94,10 +101,11 @@ CATALOG: tuple[MetricDescriptor, ...] = (
        "embedding", "binary", "maximize", False, range=SIGNED_UNIT),
     _d("earth_movers_distance", "Earth Mover's Distance", "congruence",
        "embedding", "binary", "minimize", False, range=NONNEGATIVE,
-       params=(("mode", "per-dimension-average"),)),
+       params=(("mode", "per-dimension-average",
+               ("per-dimension-average", "exact-matching")),)),
     _d("jensen_shannon_divergence", "Jensen-Shannon Divergence", "congruence",
        "embedding", "binary", "minimize", False, range=UNIT,
-       params=(("bins", None),)),
+       params=(("bins", None, 1),)),
     _d("psnr", "Peak Signal-to-Noise Ratio", "congruence",
        "image", "binary", "maximize", True, source=SOURCE_IMAGE_PAIRS,
        range=NONNEGATIVE),
@@ -110,38 +118,38 @@ CATALOG: tuple[MetricDescriptor, ...] = (
        "embedding", "binary", "minimize", False, range=NONNEGATIVE),
     _d("precision", "Precision", "congruence",
        "embedding", "binary", "maximize", False, range=UNIT,
-       params=(("k", 3),), knn_on="real"),
+       params=(("k", 3, 1),), knn_on="real"),
     # coverage
     _d("inception_score", "Inception Score", "coverage",
        "image", "unary", "maximize", True, source=SOURCE_CLASS_PROBS,
-       params=(("probs_path", None),), data_bounds=True),
+       params=(("probs_path", None, str),), data_bounds=True),
     _d("recall", "Recall", "coverage",
        "embedding", "binary", "maximize", False, range=UNIT,
-       params=(("k", 3),), knn_on="synthetic"),
+       params=(("k", 3, 1),), knn_on="synthetic"),
     _d("coverage", "Coverage", "coverage",
        "embedding", "binary", "maximize", False, range=UNIT,
-       params=(("k", 5),), knn_on="real"),
+       params=(("k", 5, 1),), knn_on="real"),
     _d("centroid_distance_coverage", "Distance to Centroid", "coverage",
        "embedding", "binary", "maximize", False, range=NONNEGATIVE),
     _d("convex_hull_volume", "Convex Hull Volume", "coverage",
        "embedding", "unary", "maximize", False, range=NONNEGATIVE,
-       params=(("reduce_to", 3),)),
+       params=(("reduce_to", 3, (1, 2, 3)),)),
     _d("dpp_score", "Determinantal Point Processes Score", "coverage",
        "embedding", "unary", "maximize", False,
-       params=(("kernel", "cosine"), ("gamma", None), ("ridge", 1e-9))),
+       params=(KERNEL, GAMMA, ("ridge", 1e-9, 0.0))),
     _d("vendi_score", "Vendi Score", "coverage",
        "embedding", "unary", "maximize", False, range=(1.0, None),
-       params=(("kernel", "cosine"), ("gamma", None)), data_bounds=True),
+       params=(KERNEL, GAMMA), data_bounds=True),
     _d("variance_coverage", "Variance", "coverage",
        "embedding", "unary", "maximize", False, range=NONNEGATIVE),
     _d("entropy_coverage", "Entropy", "coverage",
-       "embedding", "unary", "maximize", False, params=(("bins", None),)),
+       "embedding", "unary", "maximize", False, params=(("bins", None, 1),)),
     _d("rarity_score", "Rarity Score", "coverage",
        "embedding", "binary", "minimize", False, range=NONNEGATIVE,
-       params=(("k", 3),), knn_on="real"),
+       params=(("k", 3, 1),), knn_on="real"),
     _d("cluster_balance", "Clustering-Based Metrics", "coverage",
        "embedding", "unary", "maximize", False, range=UNIT,
-       params=(("k_clusters", None),)),
+       params=(("k_clusters", None, 2),)),
     # constraint (published space is "embedding"; evaluation runs on the
     # attribute table, where the rule geometry lives)
     _d("nearest_invalid_datapoint", "Nearest Invalid Datapoint", "constraint",
@@ -194,7 +202,7 @@ CATALOG: tuple[MetricDescriptor, ...] = (
 EXTRAS: tuple[MetricDescriptor, ...] = (
     _d("re_identification_risk", "Re-identification Risk", "compliance",
        "embedding", "binary", "minimize", False, range=UNIT,
-       params=(("tau", None),)),
+       params=(("tau", None, 0.0),)),
 )
 
 REGISTRY: dict[str, MetricDescriptor] = {d.name: d for d in CATALOG + EXTRAS}

@@ -32,7 +32,7 @@ class EvalConfig:
     """A parsed config; ``config_from_dict`` builds it and states every default."""
 
     metrics: tuple[str, ...]
-    params: dict
+    params: dict  # metric -> {key: parsed value}, only values off default
     id_column: str
     subgroup_column: str | None
     region_column: str | None
@@ -56,7 +56,8 @@ class EvalConfig:
     bootstrap_replicates: int
 
     def param(self, metric: str, key: str):
-        """The configured value of a metric parameter, else its default."""
+        """A metric parameter's parsed value (an int, float or string of the
+        kind its catalog row allows), else its default."""
         return self.params.get(metric, {}).get(
             key, catalog.descriptor(metric).default(key))
 
@@ -67,12 +68,7 @@ class EvalConfig:
         if self.seed is not None:
             return self.seed
         env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-        return 0
+        return 0 if env is None else _check(env, None, 0, SEED_ENV_VAR)
 
 
 #: Top-level keys that each set the ``EvalConfig`` field of the same name.
@@ -95,9 +91,6 @@ _SECTIONS = {
     "consistency": {"base_metrics": "consistency_base",
                     "bootstrap_replicates": "bootstrap_replicates"},
 }
-
-#: Metric parameters with a lower limit: key -> (number kind, least value).
-_PARAM_FLOORS = {"bins": (int, 1), "tau": (float, 0.0)}
 
 DECLARED_KEYS = ("epsilon", "delta", "anonymization_method", "format_standard")
 
@@ -148,6 +141,28 @@ def _scalars(mapping: dict, where: str) -> dict:
     return dict(mapping)
 
 
+def _check(value, default, allowed, where: str):
+    """``value`` checked against ``allowed`` the way a metric parameter's
+    catalog row states it (see ``catalog``)."""
+    if value is None and default is None:
+        return None
+    if allowed is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string, got {value!r}")
+        return value
+    if isinstance(allowed, tuple):
+        if isinstance(allowed[0], int):
+            value = parse_number(value, where, int)
+        if value not in allowed:
+            raise ConfigError(f"{where} must be one of {list(allowed)}, "
+                              f"got {value!r}")
+        return value
+    value = parse_number(value, where, type(allowed))
+    if value < allowed:
+        raise ConfigError(f"{where} must be at least {allowed}, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> EvalConfig:
     raw = _require_mapping(raw, "config")
     _reject_unknown(raw, {*_TOP_LEVEL_FIELDS, *_SECTIONS}, "config")
@@ -169,17 +184,15 @@ def config_from_dict(raw: dict) -> EvalConfig:
         metrics.append(entry)
 
     params = {}
-    for name, p in _require_mapping(raw.get("params"), "params").items():
-        known = {key for key, _ in catalog.descriptor(name).params}
-        p = _require_mapping(p, f"params.{name}")
-        _reject_unknown(p, known, f"params.{name}")
-        params[name] = _scalars(p, f"params.{name}")
-        for key, (kind, least) in _PARAM_FLOORS.items():
-            where = f"params.{name}.{key}"
-            if p.get(key) is not None and not parse_number(
-                    p[key], where, kind) >= least:
-                raise ConfigError(f"{where} must be at least {least}, "
-                                  f"got {p[key]!r}")
+    for name, given in _require_mapping(raw.get("params"), "params").items():
+        rows = catalog.descriptor(name).params
+        given = _require_mapping(given, f"params.{name}")
+        _reject_unknown(given, [key for key, _, _ in rows], f"params.{name}")
+        for key, default, allowed in rows:
+            value = _check(given.get(key, default), default, allowed,
+                           f"params.{name}.{key}")
+            if value != default:  # a default sets nothing, so digests as unset
+                params.setdefault(name, {})[key] = value
 
     columns = _section(raw, "columns")
 
@@ -254,15 +267,10 @@ def config_from_dict(raw: dict) -> EvalConfig:
     if aggregation not in AGGREGATION_MODES:
         raise ConfigError(f"aggregation must be one of {AGGREGATION_MODES}")
 
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = parse_number(seed, "seed", int)
+    seed = _check(raw.get("seed"), None, 0, "seed")  # generators reject < 0
 
-    pca_dim = _section(raw, "pca").get("target_dim")
-    if pca_dim is not None:
-        pca_dim = parse_number(pca_dim, "pca.target_dim", int)
-        if pca_dim < 1:
-            raise ConfigError("pca.target_dim must be positive")
+    pca_dim = _check(_section(raw, "pca").get("target_dim"), None, 1,
+                     "pca.target_dim")
 
     consistency = _section(raw, "consistency")
     base = consistency.get("base_metrics")
@@ -272,10 +280,8 @@ def config_from_dict(raw: dict) -> EvalConfig:
             raise ConfigError("consistency.base_metrics must not be empty")
         for b in base:
             catalog.descriptor(b)
-    replicates = parse_number(consistency.get("bootstrap_replicates", 200),
-                              "consistency.bootstrap_replicates", int)
-    if replicates < 2:
-        raise ConfigError("consistency.bootstrap_replicates must be >= 2")
+    replicates = _check(consistency.get("bootstrap_replicates", 200), 200, 2,
+                        "consistency.bootstrap_replicates")
 
     # weights: at least one positive weight per selected criterion
     selected_by_criterion: dict[str, list[str]] = {}

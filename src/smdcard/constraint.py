@@ -102,12 +102,24 @@ _KIND_KEYS = {
 
 
 def parse_number(value, where: str, kind=float):
-    """``kind(value)``, or a ``ConfigError`` naming the config key."""
+    """``value`` as a finite ``kind`` (``int`` takes integral values only),
+    or a ``ConfigError`` naming the config key. A boolean is not a number."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where} must be {noun}, got {value!r}") from None
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if (isinstance(value, bool) or not math.isfinite(number)
+            or (kind is int and not number.is_integer())):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{where} must be {noun}, got {value!r}")
+    return kind(value if isinstance(value, int) else number)
+
+
+def _rule_number(value, where: str) -> float:
+    try:
+        return parse_number(value, where)
+    except ConfigError as exc:  # a rule bound or weight: add the open-end hint
+        raise ConfigError(f"{exc} (omit min or max for an open end)") from None
 
 
 def rule_from_dict(raw: dict, *, _parent: str | None = None) -> ConstraintRule:
@@ -139,7 +151,7 @@ def rule_from_dict(raw: dict, *, _parent: str | None = None) -> ConstraintRule:
         raise ConfigError(f"{where}: {kind} needs a field")
     if kind == "range":
         lo, hi = (None if raw.get(key) is None
-                  else parse_number(raw[key], f"{where}: {key}")
+                  else _rule_number(raw[key], f"{where}: {key}")
                   for key in ("min", "max"))
         return ConstraintRule(**common, field_name=str(raw["field"]),
                               lo=lo, hi=hi)
@@ -155,9 +167,9 @@ def rule_from_dict(raw: dict, *, _parent: str | None = None) -> ConstraintRule:
             raise ConfigError("linear rule weights must map field -> weight")
         return ConstraintRule(
             **common,
-            weights=tuple((str(k), parse_number(v, f"{where}: weights.{k}"))
+            weights=tuple((str(k), _rule_number(v, f"{where}: weights.{k}"))
                           for k, v in weights.items()),
-            bound=parse_number(raw.get("bound", 0.0), f"{where}: bound"),
+            bound=_rule_number(raw.get("bound", 0.0), f"{where}: bound"),
             sense=str(raw.get("sense", "<=")))
     when = raw.get("when")
     if not isinstance(when, dict) or "field" not in when:

@@ -286,53 +286,3 @@ class ValidationOutcome:
     def messages(self) -> list[str]:
         return [str(v) for v in self.violations]
 
-
-def validate_inputs(real: EmbeddingSet | None, synthetic: EmbeddingSet,
-                    config) -> ValidationOutcome:
-    """Check the evaluation plan against the supplied embedding sets.
-
-    Violations are returned as data (never raised): missing reference set for
-    a binary metric, dimension mismatch, non-finite values, empty labels,
-    neighborhood sizes too large for the data.
-    """
-    violations: list[Violation] = []
-
-    def add(code, message):
-        violations.append(Violation(code, message))
-
-    if synthetic is None:
-        add("E221", "synthetic embedding set is required")
-        return ValidationOutcome(tuple(violations))
-
-    for label, eset in (("synthetic", synthetic), ("real", real)):
-        if eset is None:
-            continue
-        bad = np.argwhere(~np.isfinite(eset.data))
-        if bad.size:
-            i, j = (int(x) for x in bad[0])
-            add("E222", f"{label} set has a non-finite value at id "
-                        f"{eset.ids[i]!r}, column {j}")
-        for attr in ("subgroup", "region"):
-            labels = getattr(eset, attr)
-            if labels is not None and any(v == "" for v in labels):
-                add("E223", f"{label} set has an empty {attr} label")
-
-    selected = [descriptor(name) for name in config.metrics]
-    binary_embedding = [d for d in selected
-                        if d.arity == "binary" and d.source == "embedding"]
-    if real is None and binary_embedding:
-        for d in binary_embedding:
-            add("E224", f"metric {d.name!r} requires a reference set")
-    elif real is not None and real.d != synthetic.d:
-        add("E225", f"dimension mismatch: real d={real.d}, synthetic d={synthetic.d}")
-
-    for d in selected:
-        reference = {"real": real, "synthetic": synthetic}.get(d.knn_on)
-        if reference is None:
-            continue
-        k = int(config.param(d.name, "k") or 0)
-        if k > reference.n - 1:
-            add("E226", f"metric {d.name!r}: k={k} exceeds the "
-                        f"{d.knn_on} set's limit of {reference.n - 1}")
-
-    return ValidationOutcome(tuple(violations))

@@ -8,7 +8,8 @@ Binary metrics inside a region/subgroup scope compare against the reference
 rows with the same tag; slices that fail a metric's preconditions yield
 explicit undefined markers, never silent omission.
 
-Every metric computation is one task, keyed (scope, metric, replicate):
+A compute entry gets its metric's parameters as the config parsed them;
+``plan`` checks them against the data. Every metric computation is one task, keyed (scope, metric, replicate):
 each metric in each scope, and each replicate task ``consistency`` asks for
 in each subgroup scope, whose rows ``consistency`` also picks. Computation
 is pure and each replicate's rows come from its own derived seed, so the
@@ -38,7 +39,7 @@ from .config import EvalConfig, config_digest
 from .constraint import ConstraintRuleSet, derive_range_rules, validate_rules
 from .errors import EvaluationError, PlanError
 from .model import (EmbeddingSet, MetricResult, RecordTable, ValidationOutcome,
-                    Violation, undefined_result, validate_inputs)
+                    Violation, undefined_result)
 from .numerics import pca_fit
 
 TOOL = {"name": "smdcard", "version": __version__}
@@ -64,15 +65,40 @@ class PlanViolations(PlanError):
 
 
 def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
-    """Full plan validation: core input checks plus metric-source checks."""
-    outcome = validate_inputs(inputs.real, inputs.synthetic, config)
-    violations = list(outcome.violations)
+    """The plan's checks that need the data; violations are returned."""
+    violations: list[Violation] = []
 
     def add(code, message):
         violations.append(Violation(code, message))
 
+    real, synthetic = inputs.real, inputs.synthetic
+    for label, eset in (("synthetic", synthetic), ("real", real)):
+        if eset is None:
+            continue
+        bad = np.argwhere(~np.isfinite(eset.data))
+        if bad.size:
+            i, j = (int(x) for x in bad[0])
+            add("E222", f"{label} set has a non-finite value at id "
+                        f"{eset.ids[i]!r}, column {j}")
+        for attr in ("subgroup", "region"):
+            labels = getattr(eset, attr)
+            if labels is not None and any(v == "" for v in labels):
+                add("E223", f"{label} set has an empty {attr} label")
+
+    if real is not None and real.d != synthetic.d:
+        add("E225", f"dimension mismatch: real d={real.d}, "
+                    f"synthetic d={synthetic.d}")
+
     selected = [catalog.descriptor(name) for name in config.metrics]
     for d in selected:
+        if (real is None and d.arity == "binary"
+                and d.source == catalog.SOURCE_EMBEDDING):
+            add("E224", f"metric {d.name!r} requires a reference set")
+        reference = {"real": real, "synthetic": synthetic}.get(d.knn_on)
+        k = config.param(d.name, "k")
+        if reference is not None and k > reference.n - 1:
+            add("E226", f"metric {d.name!r}: k={k} exceeds the "
+                        f"{d.knn_on} set's limit of {reference.n - 1}")
         if d.source == catalog.SOURCE_TABLE and inputs.table is None:
             add("E227", f"metric {d.name!r} needs a record table (--table)")
         if d.source == catalog.SOURCE_IMAGE_PAIRS and inputs.image_pairs is None:
@@ -94,23 +120,20 @@ def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
     if "sensitive_column" in needs and not config.sensitive_column:
         add("E227", "diversity/closeness metrics need "
                     "compliance.sensitive_column")
-    if "constraint_rules" in needs:
-        if not config.constraint_rules and config.constraint_derive is None:
-            add("E227", "constraint metrics need constraints.rules or "
-                        "constraints.derive")
-        if config.constraint_derive is not None and inputs.real_table is None:
-            add("E227", "constraints.derive needs a reference table "
-                        "(tables.real)")
+    if ("constraint_rules" in needs and not config.constraint_rules
+            and config.constraint_derive is None):
+        add("E227", "constraint metrics need constraints.rules or "
+                    "constraints.derive")
+    if config.constraint_derive is not None and inputs.real_table is None:
+        add("E227", "constraints.derive needs a reference table (tables.real)")
 
     if "required_fields" in needs:
         if config.required_fields in (None, "auto") and inputs.real_table is None:
             add("E227", "required_field_proportion needs "
                         "completeness.required_fields or a reference table")
 
-    consistency_selected = [d for d in selected
-                            if d.source == catalog.SOURCE_SUBGROUP_METRICS]
-    if consistency_selected:
-        if inputs.synthetic.subgroup is None:
+    if any(d.source == catalog.SOURCE_SUBGROUP_METRICS for d in selected):
+        if synthetic.subgroup is None:
             add("E227", "consistency metrics need a subgroup column on the "
                         "synthetic set")
         for base in consistency.base_metrics(config):
@@ -122,9 +145,8 @@ def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
                 add("E228", f"consistency base metric {base!r} has no "
                             "normalization bounds")
 
-    if config.pca_dim is not None and config.pca_dim > inputs.synthetic.d:
-        add("E229", f"pca.target_dim={config.pca_dim} exceeds d="
-                    f"{inputs.synthetic.d}")
+    if config.pca_dim is not None and config.pca_dim > synthetic.d:
+        add("E229", f"pca.target_dim={config.pca_dim} exceeds d={synthetic.d}")
 
     if inputs.table is not None:
         try:
@@ -155,10 +177,6 @@ class _Args:
     results: dict | None = None
 
 
-def _optional(cast, value):
-    return None if value is None else cast(value)
-
-
 def _frechet(a: _Args):
     if a.real.n < 2 or a.synthetic.n < 2:
         return None, {"undefined_reason": "insufficient samples (need at "
@@ -184,43 +202,41 @@ def _nearest_invalid(a: _Args):
     return value, diagnostics
 
 
-#: name -> compute(args, params), params being the metric's resolved
-#: parameters. Entries look their function up through the module at call
-#: time, so anything that wraps module functions sees every call.
+#: name -> compute(args, params), params being the metric's parsed
+#: parameters keyed as the metric function's keywords, so an entry passes
+#: them on as ``**p``. Entries look their function up through the module at
+#: call time, so anything that wraps module functions sees every call.
 _COMPUTE = {
     "cosine_similarity": lambda a, p: congruence.cosine_centroid(
         a.real, a.synthetic),
     "earth_movers_distance": lambda a, p: congruence.wasserstein1(
-        a.real, a.synthetic, mode=p["mode"]),
+        a.real, a.synthetic, **p),
     "jensen_shannon_divergence": lambda a, p: congruence.jensen_shannon(
-        a.real, a.synthetic, bins=_optional(int, p["bins"])),
+        a.real, a.synthetic, **p),
     "frechet_distance": lambda a, p: _frechet(a),
     "centroid_distance_congruence": lambda a, p: congruence.centroid_distance(
         a.real, a.synthetic),
     "precision": lambda a, p: congruence.manifold_precision(
-        a.real, a.synthetic, k=int(p["k"])),
-    "recall": lambda a, p: coverage.manifold_recall(
-        a.real, a.synthetic, k=int(p["k"])),
+        a.real, a.synthetic, **p),
+    "recall": lambda a, p: coverage.manifold_recall(a.real, a.synthetic, **p),
     "coverage": lambda a, p: coverage.manifold_coverage(
-        a.real, a.synthetic, k=int(p["k"])),
+        a.real, a.synthetic, **p),
     "centroid_distance_coverage": lambda a, p: coverage.centroid_spread(
         a.real, a.synthetic),
     "convex_hull_volume": lambda a, p: coverage.convex_hull_volume(
-        a.synthetic, reduce_to=int(p["reduce_to"])),
-    "dpp_score": lambda a, p: coverage.dpp_logdet(
-        a.synthetic, kernel=p["kernel"], gamma=p["gamma"],
-        ridge=float(p["ridge"])),
+        a.synthetic, **p),
+    "dpp_score": lambda a, p: coverage.dpp_logdet(a.synthetic, **p),
     "vendi_score": lambda a, p: _count_bounds(coverage.vendi_score(
-        a.synthetic, kernel=p["kernel"], gamma=p["gamma"]), a.synthetic.n),
+        a.synthetic, **p), a.synthetic.n),
     "variance_coverage": lambda a, p: coverage.total_variance(a.synthetic),
     "entropy_coverage": lambda a, p: coverage.embedding_entropy(
-        a.synthetic, bins=_optional(int, p["bins"])),
+        a.synthetic, **p),
     "rarity_score": lambda a, p: coverage.rarity_score(
-        a.real, a.synthetic, k=int(p["k"])),
+        a.real, a.synthetic, **p),
     "cluster_balance": lambda a, p: coverage.cluster_balance(
-        a.synthetic, k_clusters=_optional(int, p["k_clusters"]), seed=a.seed),
+        a.synthetic, **p, seed=a.seed),
     "re_identification_risk": lambda a, p: compliance.leakage_rate(
-        a.real, a.synthetic, tau=_optional(float, p["tau"])),
+        a.real, a.synthetic, **p),
     "constraint_violation_rate": lambda a, p: constraint.violation_rate(
         a.inputs.table, a.rules),
     "constraint_boundary_distance": lambda a, p: constraint.violation_magnitude(
@@ -253,7 +269,7 @@ _COMPUTE = {
 
 def _compute(name: str, args: _Args):
     params = {key: args.config.param(name, key)
-              for key, _ in catalog.descriptor(name).params}
+              for key, _, _ in catalog.descriptor(name).params}
     return _COMPUTE[name](args, params)
 
 
@@ -425,8 +441,6 @@ def _resolve_rules(inputs: EvaluationInputs,
     rules = list(config.constraint_rules)
     source = "declared"
     if config.constraint_derive is not None:
-        if inputs.real_table is None:
-            raise PlanError("constraints.derive needs a reference table")
         derived = derive_range_rules(inputs.real_table,
                                      list(config.constraint_derive.fields),
                                      config.constraint_derive.quantile_margin)

@@ -181,6 +181,14 @@ class TestRendering:
         again = render(card_from_json(payload), "structured")
         assert payload == again
 
+    def test_criterion_blocks_share_one_key_order(self):
+        card = build_card(FULL_MANIFEST, _report())
+        quality = json.loads(render(card, "structured"))["quality"]
+        verdicts = {block["verdict"] for block in quality.values()}
+        assert "not evaluated" in verdicts and len(verdicts) > 1
+        assert {tuple(block)[:4] for block in quality.values()} == {
+            ("score", "verdict", "excluded", "metrics")}
+
     def test_html_has_exactly_eight_sections(self):
         card = build_card(FULL_MANIFEST, _report())
         html = render_html(card)

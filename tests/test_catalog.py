@@ -1,5 +1,6 @@
 import csv
 import pathlib
+import re
 
 import pytest
 
@@ -7,6 +8,7 @@ from smdcard import catalog
 from smdcard.errors import ConfigError
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "metric_catalog_golden.csv"
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 _DIRECTION = {"Maximize": "maximize", "Minimize": "minimize",
               "Stat. Sig.": "stat-sig"}
@@ -58,3 +60,24 @@ def test_criteria_cover_all_seven():
 def test_declaration_only_metric_not_selectable():
     assert "differential_privacy_score" not in catalog.selectable_names()
     assert "k_anonymity" in catalog.selectable_names()
+
+
+def _allowed_text(allowed):
+    if allowed is str:
+        return "any string"
+    if isinstance(allowed, tuple):
+        return "one of " + ", ".join(f"`{v}`" for v in allowed)
+    return f"{'integer' if isinstance(allowed, int) else 'number'} ≥ {allowed:g}"
+
+
+def test_readme_parameter_table_matches_catalog():
+    section = README.read_text(encoding="utf-8").split(
+        "### Metric parameters", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `([^`]+)` \| ([^|]+) \|",
+                      section, re.M)
+    expected = [(d.name, key, "null" if default is None else f"{default:g}"
+                 if isinstance(default, float) else str(default),
+                 _allowed_text(allowed))
+                for d in catalog.CATALOG + catalog.EXTRAS
+                for key, default, allowed in d.params]
+    assert rows == expected

@@ -139,6 +139,29 @@ class TestEvaluate:
          "params.jensen_shannon_divergence.bins"),
         ({"params": {"re_identification_risk": {"tau": -1}}},
          "params.re_identification_risk.tau"),
+        ({"params": {"precision": {"k": 0}}}, "params.precision.k"),
+        ({"params": {"precision": {"k": -2}}}, "params.precision.k"),
+        ({"params": {"precision": {"k": 2.7}}}, "params.precision.k"),
+        ({"params": {"precision": {"k": None}}}, "params.precision.k"),
+        ({"params": {"jensen_shannon_divergence": {"bins": 2.5}}},
+         "params.jensen_shannon_divergence.bins"),
+        ({"params": {"dpp_score": {"ridge": -1}}}, "params.dpp_score.ridge"),
+        ({"params": {"vendi_score": {"kernel": "rbf", "gamma": -1}}},
+         "params.vendi_score.gamma"),
+        ({"params": {"vendi_score": {"kernel": "cosinee"}}},
+         "params.vendi_score.kernel"),
+        ({"params": {"earth_movers_distance": {"mode": "exact"}}},
+         "params.earth_movers_distance.mode"),
+        ({"seed": 2.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"pca": {"target_dim": 2.9}}, "pca.target_dim"),
+        ({"consistency": {"bootstrap_replicates": 2.9}},
+         "consistency.bootstrap_replicates"),
+        ({"weights": {"recall": float("nan")}}, "weights.recall"),
+        ({"weights": {"recall": float("inf")}}, "weights.recall"),
+        ({"bounds": {"frechet_distance": [0, float("inf")]}},
+         "bounds.frechet_distance"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_malformed_config_value_exit_2(self, workspace, capsys,
                                            override, key):
@@ -149,6 +172,20 @@ class TestEvaluate:
         assert main(_evaluate_args(paths)) == 2
         err = capsys.readouterr().err
         assert err.startswith("E20") and key in err
+        assert not paths["report"].exists()
+
+    def test_validate_config_agrees_with_evaluate(self, workspace, capsys):
+        # constraints.derive needs tables.real even when no constraint
+        # metric is selected, since the derived rules are always built
+        tmp_path, paths = workspace
+        derive = tmp_path / "derive.yaml"
+        derive.write_text(yaml.safe_dump(dict(
+            CONFIG, constraints={"derive": {"fields": ["age"]}})))
+        paths = dict(paths, config=derive)
+        for extra in (["--validate-config"], []):
+            assert main(_evaluate_args(paths) + extra) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("E227") and "constraints.derive" in err
         assert not paths["report"].exists()
 
     def test_non_finite_rule_bound_exit_2(self, workspace, capsys):

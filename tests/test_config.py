@@ -84,6 +84,13 @@ def test_seed_env_override(monkeypatch):
     assert _minimal(seed=7).effective_seed() == 7  # config wins
 
 
+@pytest.mark.parametrize("value", ["-1", "1.5", "abc"])
+def test_seed_env_must_be_a_nonnegative_integer(monkeypatch, value):
+    monkeypatch.setenv(SEED_ENV_VAR, value)
+    with pytest.raises(ConfigError, match=SEED_ENV_VAR):
+        _minimal().effective_seed()
+
+
 def test_digest_stable_and_sensitive():
     a = _minimal(seed=1)
     b = _minimal(seed=1)

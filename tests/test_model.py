@@ -6,7 +6,8 @@ import pytest
 from smdcard.config import config_from_dict
 from smdcard.errors import InputError
 from smdcard.model import (EmbeddingSet, MetricResult, RecordTable,
-                           make_result, undefined_result, validate_inputs)
+                           make_result, undefined_result)
+from smdcard.runner import EvaluationInputs, plan
 
 from conftest import embedding_from, table_from
 
@@ -115,16 +116,18 @@ class TestMetricResult:
 
 
 class TestValidateInputs:
+    """The input checks of ``runner.plan``."""
+
     def test_matching_dims_ok(self):
         real = embedding_from(np.zeros((10, 8)) + np.arange(8))
         synth = embedding_from(np.ones((12, 8)), prefix="s")
         cfg = _config(["frechet_distance"], bounds={"frechet_distance": [0, 10]})
-        assert validate_inputs(real, synth, cfg).ok
+        assert plan(EvaluationInputs(synth, real), cfg).ok
 
     def test_binary_metric_requires_reference(self):
         synth = embedding_from(np.ones((12, 8)), prefix="s")
         cfg = _config(["frechet_distance"], bounds={"frechet_distance": [0, 10]})
-        outcome = validate_inputs(None, synth, cfg)
+        outcome = plan(EvaluationInputs(synth, None), cfg)
         assert not outcome.ok
         assert any("requires a reference set" in m for m in outcome.messages())
         assert any("frechet_distance" in m for m in outcome.messages())
@@ -134,21 +137,21 @@ class TestValidateInputs:
         data[1, 1] = np.nan
         synth = EmbeddingSet(ids=("a", "b", "c"), data=data)
         cfg = _config(["vendi_score"])
-        outcome = validate_inputs(None, synth, cfg)
+        outcome = plan(EvaluationInputs(synth, None), cfg)
         assert any("'b'" in m and "column 1" in m for m in outcome.messages())
 
     def test_dimension_mismatch(self):
         real = embedding_from(np.zeros((10, 4)))
         synth = embedding_from(np.ones((10, 8)), prefix="s")
         cfg = _config(["cosine_similarity"])
-        outcome = validate_inputs(real, synth, cfg)
+        outcome = plan(EvaluationInputs(synth, real), cfg)
         assert any("dimension mismatch" in m for m in outcome.messages())
 
     def test_oversized_k_flagged(self):
         real = embedding_from(np.arange(8.0).reshape(4, 2))
         synth = embedding_from(np.arange(8.0).reshape(4, 2) + 0.5, prefix="s")
         cfg = _config(["precision"], params={"precision": {"k": 10}})
-        outcome = validate_inputs(real, synth, cfg)
+        outcome = plan(EvaluationInputs(synth, real), cfg)
         assert any("k=10" in m for m in outcome.messages())
 
     @pytest.mark.parametrize("params", [{}, {"precision": {"k": 3}}])
@@ -156,7 +159,7 @@ class TestValidateInputs:
         real = embedding_from(np.arange(6.0).reshape(3, 2))
         synth = embedding_from(np.arange(8.0).reshape(4, 2) + 0.5, prefix="s")
         cfg = _config(["precision"], params=params)
-        outcome = validate_inputs(real, synth, cfg)
+        outcome = plan(EvaluationInputs(synth, real), cfg)
         assert [v.code for v in outcome.violations] == ["E226"]
         assert "k=3" in outcome.messages()[0]
 
@@ -164,5 +167,5 @@ class TestValidateInputs:
         synth = EmbeddingSet(ids=("a", "b"), data=np.ones((2, 2)),
                              subgroup=("x", ""))
         cfg = _config(["vendi_score"])
-        outcome = validate_inputs(None, synth, cfg)
+        outcome = plan(EvaluationInputs(synth, None), cfg)
         assert any("empty subgroup" in m for m in outcome.messages())

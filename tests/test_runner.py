@@ -545,3 +545,18 @@ class TestCatalogDispatch:
             _, diagnostics = runner._compute(name, args)
             assert (("default_bounds" in diagnostics)
                     == catalog.descriptor(name).data_bounds), name
+
+    @pytest.mark.parametrize("name, key, default", [
+        (d.name, key, default) for d in catalog.REGISTRY.values()
+        for key, default, _ in d.params], ids=lambda v: str(v))
+    def test_explicit_default_param_same_report(self, name, key, default):
+        rng = np.random.default_rng(86)
+        inputs = EvaluationInputs(
+            synthetic=make_gaussian_mixture(36, 3, TWO_MODES, seed=85),
+            real=make_gaussian_mixture(40, 3, TWO_MODES, seed=84),
+            class_probs=rng.dirichlet(np.ones(3), size=10))
+        raw = {"metrics": [name], "bounds": {name: [-100, 100]}, "seed": 3}
+        reports = [dumps_canonical(run_evaluation(inputs, config_from_dict(
+            dict(raw, **extra))).to_dict()) for extra in
+            ({}, {"params": {name: {key: default}}})]
+        assert reports[0] == reports[1]
