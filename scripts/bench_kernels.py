@@ -8,6 +8,10 @@ Usage, from the root of a checkout:
 ``knn`` is one recall kernel: ``kth_neighbor_distance`` on the synthetic
 rows (k=3) and ``ball_query`` of the reference rows against those balls.
 ``jsd`` is ``jensen_shannon`` and ``entropy`` is ``embedding_entropy``.
+``jsd_replicates`` is one block of 50 bootstrap replicates through
+``jensen_shannon_replicates``, the unit a subgroup's replicate task
+evaluates, and ``jsd_replicates_looped`` is the same 50 row sets as 50
+``jensen_shannon`` calls on ``resample``d sets; the values are identical.
 Each is timed at n rows by d dimensions per set; BLAS runs on one thread,
 as in ``perfbench``. One end-to-end row times ``run_evaluation`` on a fixture
 shaped like perfbench's ``subgroup_anova`` (600 rows by 16 dimensions per
@@ -38,7 +42,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from smdcard.config import config_from_dict  # noqa: E402
-from smdcard.congruence import jensen_shannon  # noqa: E402
+from smdcard.congruence import (jensen_shannon,  # noqa: E402
+                                jensen_shannon_replicates)
 from smdcard.coverage import embedding_entropy  # noqa: E402
 from smdcard.harness import make_gaussian_mixture  # noqa: E402
 from smdcard.model import EmbeddingSet  # noqa: E402
@@ -47,6 +52,7 @@ from smdcard.runner import EvaluationInputs, run_evaluation  # noqa: E402
 
 KNN_SIZES = ((150, 16), (600, 16), (2000, 32))
 HISTOGRAM_SIZES = ((150, 16),)
+REPLICATES = 50
 EVALUATE_WORKERS = (1, 2)
 MIN_REPEATS, MIN_SECONDS = 5, 0.5
 
@@ -99,6 +105,12 @@ def main() -> None:
         real, synth = _pair(n, d)
         record("jsd", n, d, lambda: jensen_shannon(real, synth))
         record("entropy", n, d, lambda: embedding_entropy(synth))
+        rng = np.random.default_rng(n)
+        rows = [rng.integers(n, size=n) for _ in range(REPLICATES)]
+        record("jsd_replicates", n, d,
+               lambda: jensen_shannon_replicates(real, synth, rows))
+        record("jsd_replicates_looped", n, d, lambda: [
+            jensen_shannon(real, synth.resample(r)) for r in rows])
     inputs, config = _anova_fixture()
     evaluate_s = {}
     for workers in EVALUATE_WORKERS:

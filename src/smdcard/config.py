@@ -188,11 +188,17 @@ def config_from_dict(raw: dict) -> EvalConfig:
         rows = catalog.descriptor(name).params
         given = _require_mapping(given, f"params.{name}")
         _reject_unknown(given, [key for key, _, _ in rows], f"params.{name}")
+        checked = {}
         for key, default, allowed in rows:
-            value = _check(given.get(key, default), default, allowed,
-                           f"params.{name}.{key}")
+            checked[key] = value = _check(given.get(key, default), default,
+                                          allowed, f"params.{name}.{key}")
             if value != default:  # a default sets nothing, so digests as unset
                 params.setdefault(name, {})[key] = value
+        # the RBF width means nothing to another kernel, so setting it
+        # there would change the digest and not the value
+        if checked.get("gamma") is not None and checked["kernel"] != "rbf":
+            raise ConfigError(f"params.{name}.gamma applies only with kernel: "
+                              f"rbf, not {checked['kernel']!r}")
 
     columns = _section(raw, "columns")
 

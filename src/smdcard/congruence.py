@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import EvaluationError
 from .model import EmbeddingSet
-from .numerics import (ball_query, dimension_histograms, jsd_masses,
-                       kth_neighbor_distance, pairwise_distances,
-                       w1_distance_1d)
+from .numerics import (ball_query, dimension_histograms, dimension_means,
+                       jsd_rows, kth_neighbor_distance, pairwise_distances,
+                       stacked_row_sets, w1_distance_1d)
 
 EXACT_MATCHING_LIMIT = 512
 FRECHET_REGULARIZATION = 1e-6  # ridge added to both covariances
@@ -84,15 +84,23 @@ def jensen_shannon(real: EmbeddingSet, synthetic: EmbeddingSet,
     to the Freedman-Diaconis rule on the pooled values (floor 8, cap 64);
     constant pooled dimensions contribute 0 and are flagged.
     """
+    return jensen_shannon_replicates(real, synthetic, None, bins)[0]
+
+
+def jensen_shannon_replicates(real: EmbeddingSet, synthetic: EmbeddingSet,
+                              rows=None, bins: int | None = None):
+    """``jensen_shannon(real, synthetic.resample(r), bins)`` for each index
+    array ``r`` in ``rows``, or of ``synthetic`` itself when ``rows`` is
+    None: one (value, diagnostics) per row set, every set and dimension of
+    a stack binned in one pass."""
     _check_dims(real, synthetic)
-    masses, bin_counts = dimension_histograms((real.data, synthetic.data),
-                                              bins)
-    values = [0.0 if m is None else jsd_masses(*m) for m in masses]
-    diagnostics = {"per_dimension": values, "bins": bin_counts}
-    constant_dims = [j for j, m in enumerate(masses) if m is None]
-    if constant_dims:
-        diagnostics["constant_dimensions"] = constant_dims
-    return float(np.mean(values)), diagnostics
+    out = []
+    for stack in stacked_row_sets(synthetic.data, rows, real.n):
+        (p, q), bin_counts = dimension_histograms((real.data[None], stack),
+                                                  bins)
+        out.extend(dimension_means(jsd_rows(p, q, bin_counts), bin_counts,
+                                   with_bins=True))
+    return out
 
 
 def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:

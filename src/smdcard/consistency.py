@@ -2,10 +2,12 @@
 
 The consistency metrics are compute entries whose inputs are the other
 tasks' results (``score``), so the runner runs them after its worker pool.
-This module alone knows their base metrics, the bootstrap replicate tasks
-``anova`` asks the pool for (``replicate_tasks``) and how each picks its
-rows (``replicate_rows``), how the replicates are tested, which subgroups
-a base skips, and that the worst base decides each metric.
+This module alone knows their base metrics, the bootstrap replicates
+``anova`` asks the pool for (``replicate_tasks``: one block task per base
+metric in each subgroup scope, which evaluates every replicate of that
+base) and how each replicate picks its rows (``replicate_rows``), how the
+replicates are tested, which subgroups a base skips, and that the worst
+base decides each metric.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ def base_metrics(config) -> tuple[str, ...]:
 
 
 def replicate_tasks(config) -> tuple[tuple[str, int], ...]:
-    """(base metric, replicate index) of every replicate task each subgroup
-    scope runs; only ``anova`` reads replicates."""
+    """(base metric, replicate count) of every replicate block each
+    subgroup scope runs: one block per base, one task per block. Only
+    ``anova`` reads replicates."""
     if "anova" not in config.metrics:
         return ()
-    return tuple((base, r) for r in range(config.bootstrap_replicates)
+    return tuple((base, config.bootstrap_replicates)
                  for base in base_metrics(config))
 
 
@@ -104,14 +107,13 @@ def _spread(key: str, results: dict, config, labels: list[str]):
 def _anova(results: dict, config, labels: list[str]):
     """Bootstrap one-way ANOVA per base metric; the most significant base
     decides. A subgroup with any undefined replicate is skipped."""
-    tasks = replicate_tasks(config)
     worst = None  # (p, F, base)
     detail = {}
-    for base in base_metrics(config):
+    for base, count in replicate_tasks(config):
         groups, used, skipped = [], [], []
         for label in labels:
             values = [results[(f"subgroup:{label}", base, r)].value
-                      for b, r in tasks if b == base]
+                      for r in range(count)]
             if None in values:
                 skipped.append(label)
             else:

@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import EvaluationError
 from .model import EmbeddingSet
-from .numerics import (ball_query, dimension_histograms,
-                       kth_neighbor_distance, pairwise_distances, pca_fit,
-                       shannon_entropy)
+from .numerics import (ball_query, dimension_histograms, dimension_means,
+                       entropy_rows, kth_neighbor_distance,
+                       pairwise_distances, pca_fit, shannon_entropy,
+                       stacked_row_sets)
 
 
 def manifold_recall(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
@@ -138,13 +139,21 @@ def embedding_entropy(synthetic: EmbeddingSet, bins: int | None = None):
     Binning matches the divergence metrics (Freedman-Diaconis, floor 8,
     cap 64) on each dimension's own range; constant dimensions contribute 0.
     """
-    masses, _ = dimension_histograms((synthetic.data,), bins)
-    values = [0.0 if m is None else shannon_entropy(m[0]) for m in masses]
-    diagnostics: dict = {"per_dimension": values}
-    constant_dims = [j for j, m in enumerate(masses) if m is None]
-    if constant_dims:
-        diagnostics["constant_dimensions"] = constant_dims
-    return float(np.mean(values)), diagnostics
+    return embedding_entropy_replicates(synthetic, None, bins)[0]
+
+
+def embedding_entropy_replicates(synthetic: EmbeddingSet, rows=None,
+                                 bins: int | None = None):
+    """``embedding_entropy(synthetic.resample(r), bins)`` for each index
+    array ``r`` in ``rows``, or of ``synthetic`` itself when ``rows`` is
+    None: one (value, diagnostics) per row set, every set and dimension of
+    a stack binned in one pass."""
+    out = []
+    for stack in stacked_row_sets(synthetic.data, rows):
+        (p,), bin_counts = dimension_histograms((stack,), bins)
+        out.extend(dimension_means(entropy_rows(p, bin_counts), bin_counts,
+                                   with_bins=False))
+    return out
 
 
 def rarity_score(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):

@@ -31,7 +31,14 @@ So the filter only chooses which pairs reach the exact formula, never a
 result's bits: results do not depend on BLAS, its thread count or the block
 size. ``_BLOCK_ELEMENTS`` is the one memory bound: it caps rows x m of a
 Gram block and rows x m x d of a ``pairwise_distances`` difference block,
-and the refine gathers at most that many coordinates at a time.
+and the refine gathers at most that many coordinates at a time. A stack of
+bootstrap row sets binned together (``stacked_row_sets``) holds at most a
+sixteenth of it in its pooled histogram sample.
+
+The histograms of ``jensen_shannon_divergence`` and ``entropy_coverage``
+come from one kernel, ``dimension_histograms``, that bins every (row set,
+dimension) row of a stack in one pass with ``np.histogram``'s arithmetic;
+a single set is the stack of one.
 """
 
 from __future__ import annotations
@@ -250,48 +257,150 @@ def w1_distance_1d(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(np.abs(cdf_x - cdf_y) * deltas))
 
 
-def dimension_histograms(samples, bins: int | None = None):
-    """Per-dimension histogram masses of each sample in ``samples`` (arrays
-    with the same columns) on the pooled range of each dimension.
+def stacked_row_sets(data: np.ndarray, rows=None, shared: int = 0):
+    """Yield ``(sets, n, d)`` stacks of the row sets ``data[r]``, one per
+    index array ``r`` in ``rows`` (all of one length n), or ``data`` itself
+    as one set when ``rows`` is None. A stack holds as many sets as keep
+    its pooled histogram sample, with ``shared`` more rows per set, within
+    ``_BLOCK_ELEMENTS // 16`` elements (the histogram kernel holds several
+    temporaries of that size), and at least one."""
+    if rows is None:
+        yield data[None]
+        return
+    per_set = (len(rows[0]) + shared) * data.shape[1]
+    step = max(1, (_BLOCK_ELEMENTS // 16) // max(1, per_set))
+    for start in range(0, len(rows), step):
+        yield data[np.stack(rows[start:start + step])]
 
-    Each column is sorted once and counted by ``searchsorted`` against the
-    ``np.linspace`` edges ``np.histogram`` uses, under its rule: bins are
-    ``[e_i, e_i+1)`` and the last bin is closed. The bin count is ``bins``,
-    else the Freedman-Diaconis rule on the pooled values, clamped to
-    ``[FD_MIN_BINS, FD_MAX_BINS]``. Returns ``(masses, bin_counts)``:
-    ``masses[j]`` holds one mass vector per sample, or is None where the
-    pooled dimension is constant (bin count 0).
+
+def dimension_histograms(samples, bins: int | None = None):
+    """Histogram masses per row set and dimension, on the pooled range.
+
+    ``samples`` are stacks shaped ``(sets, n_i, d)``; a stack of one set is
+    shared by every set of the others. Row (s, j) of the kernel pools
+    dimension j of set s of every sample, and each row is counted as
+    ``np.histogram(values, b, range=(lo, hi))`` counts it, pooled min and
+    max as the range: edges by ``np.linspace``'s arithmetic, bin indices by
+    ``np.histogram``'s, with its correction against the edges, so bins are
+    ``[e_i, e_i+1)`` and the last bin is closed. The bin count b is
+    ``bins``, else the Freedman-Diaconis rule on the pooled values, clamped
+    to ``[FD_MIN_BINS, FD_MAX_BINS]``. Returns ``(masses, bin_counts)``:
+    one ``(sets, d, B)`` mass array per sample, B the largest bin count,
+    zero past each row's own count; and the ``(sets, d)`` bin counts, 0
+    where the pooled values are constant (all masses 0).
     """
     if bins is not None and bins < 1:
         raise EvaluationError(f"bins={bins} must be at least 1")
-    ordered = [np.sort(s.T) for s in samples]
-    pooled = ordered[0] if len(ordered) == 1 else np.concatenate(ordered, axis=1)
-    lo = np.min([o[:, 0] for o in ordered], axis=0)
-    hi = np.max([o[:, -1] for o in ordered], axis=0)
+    sets = max(s.shape[0] for s in samples)
+    d = samples[0].shape[2]
+    sizes = [s.shape[1] for s in samples]
+    pooled = np.concatenate([np.broadcast_to(
+        s.transpose(0, 2, 1), (sets, d, n)) for s, n in zip(samples, sizes)],
+        axis=2).reshape(sets * d, sum(sizes))
+    # sorted rows give the range, and make the quartiles' selection cheap
+    ordered = np.sort(pooled, axis=1)
+    lo, hi = ordered[:, 0], ordered[:, -1]
     if bins is None:
-        q75, q25 = np.percentile(pooled, [75, 25], axis=1)
+        q75, q25 = np.percentile(ordered, [75, 25], axis=1)
         iqr = q75 - q25
         width = 2.0 * iqr * pooled.shape[1] ** (-1.0 / 3.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             fd = np.clip(np.ceil((hi - lo) / width), FD_MIN_BINS, FD_MAX_BINS)
-        counts = np.where(iqr > 0, fd, FD_MIN_BINS).astype(int).tolist()
+        counts = np.where(iqr > 0, fd, FD_MIN_BINS).astype(np.intp)
     else:
-        counts = [bins] * lo.size
-    masses, bin_counts = [], []
-    for j, b in enumerate(counts):
-        if lo[j] == hi[j]:
-            masses.append(None)
-            bin_counts.append(0)
-            continue
-        edges = np.linspace(lo[j], hi[j], b + 1)
-        per_sample = []
-        for o in ordered:
-            below = np.searchsorted(o[j], edges)  # values below each edge
-            below[-1] = o.shape[1]  # the last bin is closed
-            per_sample.append(np.diff(below) / o.shape[1])
-        masses.append(tuple(per_sample))
-        bin_counts.append(b)
-    return masses, bin_counts
+        counts = np.full(lo.shape, bins, dtype=np.intp)
+    counts[lo == hi] = 0
+    rows, top = counts.size, int(counts.max())
+    slots = max(top, 1)  # constant rows count into one bin, then drop it
+    b = np.maximum(counts, 1)[:, None]
+    # np.linspace(lo, hi, b + 1): arange x step + lo, or, where the step
+    # underflows to 0, arange / b x delta + lo; the last edge is hi
+    delta = np.where(counts > 0, hi - lo, 1.0)[:, None]
+    steps = np.arange(slots + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = delta / b
+        edges = np.where(step == 0, steps / b * delta, steps * step)
+        edges += lo[:, None]
+        edges[np.arange(rows), counts] = hi
+        index = ((pooled - lo[:, None]) / delta * b).astype(np.intp)
+    # np.histogram's bin index: a value on the last edge goes to the last
+    # bin, then one bin down or up where the quotient missed the edges (the
+    # clip only acts where hi - lo overflowed); indices run over the flat
+    # edges, so that bin i of row r is r * (slots + 1) + i
+    np.clip(index, 0, b, out=index)
+    index[index == b] -= 1
+    first = (np.arange(rows) * (slots + 1))[:, None]
+    index += first
+    flat = edges.ravel()
+    index -= pooled < flat[index]
+    index += (pooled >= flat[index + 1]) & (index != first + b - 1)
+    # one bincount: sample k's bins follow those of the samples before it
+    index += np.repeat(np.arange(len(samples)) * edges.size, sizes)
+    tallies = np.bincount(index.ravel(), minlength=len(samples) * edges.size
+                          ).reshape(len(samples), rows, slots + 1)
+    tallies = tallies[:, :, :top]
+    tallies[:, counts == 0] = 0
+    masses = tuple((t / n).reshape(sets, d, top)
+                   for t, n in zip(tallies, sizes))
+    return masses, counts.reshape(sets, d)
+
+
+def _by_length(lengths: np.ndarray):
+    """Yield ``(length, rows)`` for each positive length in ``lengths``,
+    ``rows`` the mask of the rows that have it."""
+    for length in np.unique(lengths[lengths > 0]):
+        yield int(length), lengths == length
+
+
+def jsd_rows(p: np.ndarray, q: np.ndarray, bin_counts: np.ndarray):
+    """``jsd_masses(p[..., :b], q[..., :b])`` of each row, b its entry of
+    ``bin_counts``, and 0.0 where that is 0. Rows that share a bin count
+    reduce together as one (rows, b) matrix along its contiguous last
+    axis, so each sum rounds as ``jsd_masses``'s own."""
+    p = p.reshape(bin_counts.size, -1)
+    q = q.reshape(bin_counts.size, -1)
+    out = np.zeros(bin_counts.size)
+    for b, rows in _by_length(bin_counts.ravel()):
+        sp = p[rows, :b] + SMOOTHING_MASS
+        sp /= sp.sum(axis=1, keepdims=True)
+        sq = q[rows, :b] + SMOOTHING_MASS
+        sq /= sq.sum(axis=1, keepdims=True)
+        m = 0.5 * (sp + sq)
+        out[rows] = (0.5 * np.sum(sp * np.log2(sp / m), axis=1)
+                     + 0.5 * np.sum(sq * np.log2(sq / m), axis=1))
+    return out.reshape(bin_counts.shape)
+
+
+def entropy_rows(p: np.ndarray, bin_counts: np.ndarray):
+    """``shannon_entropy`` of each row of masses, shaped as ``bin_counts``;
+    0.0 for a constant dimension, whose masses are all 0. Rows with the
+    same number of nonzero masses reduce together as one matrix of those
+    masses, in order, so each sum rounds as ``shannon_entropy``'s own."""
+    p = p.reshape(bin_counts.size, -1)
+    nonzero = p > 0
+    lengths = nonzero.sum(axis=1)
+    out = np.zeros(bin_counts.size)
+    for k, rows in _by_length(lengths):
+        nz = p[rows][nonzero[rows]].reshape(-1, k)
+        out[rows] = -np.sum(nz * np.log(nz), axis=1)
+    return out.reshape(bin_counts.shape)
+
+
+def dimension_means(values: np.ndarray, bin_counts: np.ndarray,
+                    with_bins: bool):
+    """(value, diagnostics) of each set's row of per-dimension ``values``:
+    their mean, the values, with ``with_bins`` the bin counts, and the
+    constant dimensions (bin count 0) when there are any."""
+    out = []
+    for row, counts in zip(values, bin_counts):
+        diagnostics = {"per_dimension": row.tolist()}
+        if with_bins:
+            diagnostics["bins"] = counts.tolist()
+        constant = np.flatnonzero(counts == 0).tolist()
+        if constant:
+            diagnostics["constant_dimensions"] = constant
+        out.append((float(np.mean(row)), diagnostics))
+    return out
 
 
 def smooth_masses(p: np.ndarray) -> np.ndarray:

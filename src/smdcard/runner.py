@@ -9,19 +9,25 @@ rows with the same tag; slices that fail a metric's preconditions yield
 explicit undefined markers, never silent omission.
 
 A compute entry gets its metric's parameters as the config parsed them;
-``plan`` checks them against the data. Every metric computation is one task, keyed (scope, metric, replicate):
-each metric in each scope, and each replicate task ``consistency`` asks for
-in each subgroup scope, whose rows ``consistency`` also picks. Computation
-is pure and each replicate's rows come from its own derived seed, so the
-tasks can run in any order and in any process. With ``workers`` above 1 they
-run in a pool of forked worker processes: the children inherit the task
-list and its inputs at fork, so nothing but a task's index and its result
-crosses the process boundary. The pool is capped at the task count and at
-the CPUs available to the process, and where the platform has no ``fork``
-the tasks run serially. The consistency metrics are compute entries too;
-they read the other tasks' results, so they run once the pool is done.
-Results come back in task order and are keyed before assembly, which keeps
-reports byte-identical for any worker count.
+``plan`` checks them against the data. The unit of work is a task, keyed
+(scope, metric, replicates): a metric in a scope (replicates None), or, in
+a subgroup scope, one base metric's block of the replicates ``consistency``
+asks for (replicates the block's size). A block task draws each
+replicate's rows with ``consistency.replicate_rows`` and returns one
+result per replicate, filed under (scope, metric, replicate index). Where
+a compute entry has a replicate form (``_Replicable``), the block is
+evaluated in one pass; every other base metric runs once per replicate.
+Computation is pure and each replicate's rows come from its own derived
+seed, so the tasks can run in any order and in any process. With
+``workers`` above 1 they run in a pool of forked worker processes: the
+children inherit the task list and its inputs at fork, so nothing but a
+task's index and its results crosses the process boundary. The pool is
+capped at the task count and at the CPUs available to the process, and
+where the platform has no ``fork`` the tasks run serially. The consistency
+metrics are compute entries too; they read the other tasks' results, so
+they run once the pool is done. Results come back in task order and are
+keyed before assembly, which keeps reports byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -202,6 +208,19 @@ def _nearest_invalid(a: _Args):
     return value, diagnostics
 
 
+class _Replicable:
+    """A compute entry with a replicate form: ``replicates(args, params,
+    rows)`` gives one (value, diagnostics) per row set of ``args.synthetic``
+    that an index array in ``rows`` picks, the whole block in one pass.
+    Called as an entry, it computes the one set it is given."""
+
+    def __init__(self, single, replicates):
+        self.single, self.replicates = single, replicates
+
+    def __call__(self, args, params):
+        return self.single(args, params)
+
+
 #: name -> compute(args, params), params being the metric's parsed
 #: parameters keyed as the metric function's keywords, so an entry passes
 #: them on as ``**p``. Entries look their function up through the module at
@@ -211,8 +230,10 @@ _COMPUTE = {
         a.real, a.synthetic),
     "earth_movers_distance": lambda a, p: congruence.wasserstein1(
         a.real, a.synthetic, **p),
-    "jensen_shannon_divergence": lambda a, p: congruence.jensen_shannon(
-        a.real, a.synthetic, **p),
+    "jensen_shannon_divergence": _Replicable(
+        lambda a, p: congruence.jensen_shannon(a.real, a.synthetic, **p),
+        lambda a, p, rows: congruence.jensen_shannon_replicates(
+            a.real, a.synthetic, rows, **p)),
     "frechet_distance": lambda a, p: _frechet(a),
     "centroid_distance_congruence": lambda a, p: congruence.centroid_distance(
         a.real, a.synthetic),
@@ -229,8 +250,10 @@ _COMPUTE = {
     "vendi_score": lambda a, p: _count_bounds(coverage.vendi_score(
         a.synthetic, **p), a.synthetic.n),
     "variance_coverage": lambda a, p: coverage.total_variance(a.synthetic),
-    "entropy_coverage": lambda a, p: coverage.embedding_entropy(
-        a.synthetic, **p),
+    "entropy_coverage": _Replicable(
+        lambda a, p: coverage.embedding_entropy(a.synthetic, **p),
+        lambda a, p, rows: coverage.embedding_entropy_replicates(
+            a.synthetic, rows, **p)),
     "rarity_score": lambda a, p: coverage.rarity_score(
         a.real, a.synthetic, **p),
     "cluster_balance": lambda a, p: coverage.cluster_balance(
@@ -267,39 +290,65 @@ _COMPUTE = {
 }
 
 
+def _params(name: str, config: EvalConfig) -> dict:
+    return {key: config.param(name, key)
+            for key, _, _ in catalog.descriptor(name).params}
+
+
 def _compute(name: str, args: _Args):
-    params = {key: args.config.param(name, key)
-              for key, _, _ in catalog.descriptor(name).params}
-    return _COMPUTE[name](args, params)
+    return _COMPUTE[name](args, _params(name, args.config))
 
 
-def _metric_result(task: tuple, args: _Args) -> MetricResult:
-    """One task: a metric in a scope, on a replicate's rows when the task
-    has a replicate index. Embedding metrics turn precondition failures into
-    "insufficient samples" markers and table metrics into plain undefined
-    markers; image and probability errors propagate."""
-    scope, name, replicate = task
+def _results(scope: str, name: str, args: _Args, compute,
+             count: int = 1) -> list[MetricResult]:
+    """The ``count`` (value, diagnostics) pairs ``compute()`` returns, as
+    results of ``name`` in ``scope``. Embedding metrics turn precondition
+    failures into "insufficient samples" markers, one per result, and
+    table metrics into plain undefined markers; image and probability
+    errors propagate."""
     d = catalog.descriptor(name)
     embedding = d.source == catalog.SOURCE_EMBEDDING
-    if replicate is not None:
-        rows = consistency.replicate_rows(
-            args.synthetic.n, scope.partition(":")[2], replicate, args.seed)
-        args = replace(args, synthetic=args.synthetic.resample(rows))
     if embedding and d.arity == "binary" and args.real is None:
-        return undefined_result(name, "insufficient samples: no reference "
-                                      "rows in this slice", scope=scope)
+        return [undefined_result(name, "insufficient samples: no reference "
+                                       "rows in this slice", scope=scope)
+                for _ in range(count)]
     try:
-        value, diagnostics = _compute(name, args)
+        outputs = compute()
     except EvaluationError as exc:
         if embedding:
-            return undefined_result(name, f"insufficient samples: {exc}",
-                                    scope=scope)
+            return [undefined_result(name, f"insufficient samples: {exc}",
+                                     scope=scope) for _ in range(count)]
         if d.source == catalog.SOURCE_TABLE:
-            return undefined_result(name, str(exc))
+            return [undefined_result(name, str(exc))]
         raise
-    if value is None:
-        diagnostics.setdefault("undefined_reason", "undefined")
-    return MetricResult(d, value, scope, None, diagnostics)
+    results = []
+    for value, diagnostics in outputs:
+        if value is None:
+            diagnostics.setdefault("undefined_reason", "undefined")
+        results.append(MetricResult(d, value, scope, None, diagnostics))
+    return results
+
+
+def _task_results(task: tuple, args: _Args) -> list[MetricResult]:
+    """One task's results: a metric in a scope, or a base metric's block of
+    ``replicates`` replicates in a subgroup scope, one result per
+    replicate, each on the rows ``consistency.replicate_rows`` draws."""
+    scope, name, replicates = task
+    if replicates is None:
+        return _results(scope, name, args, lambda: [_compute(name, args)])
+    label = scope.partition(":")[2]
+    rows = [consistency.replicate_rows(args.synthetic.n, label, r, args.seed)
+            for r in range(replicates)]
+    block = getattr(_COMPUTE[name], "replicates", None)
+    if block is not None:
+        return _results(scope, name, args, lambda: block(
+            args, _params(name, args.config), rows), replicates)
+    results = []
+    for drawn in rows:
+        resampled = replace(args, synthetic=args.synthetic.resample(drawn))
+        results += _results(scope, name, resampled,
+                            lambda: [_compute(name, resampled)])
+    return results
 
 
 def _filter_by_label(eset: EmbeddingSet | None, attr: str, label: str):
@@ -360,28 +409,34 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
 
     embedding = [n for n in config.metrics
                  if catalog.descriptor(n).source == catalog.SOURCE_EMBEDDING]
-    replicates = consistency.replicate_tasks(config)
-    tasks = []  # (task, args); the task is (scope, metric, replicate)
+    blocks = consistency.replicate_tasks(config)
+    tasks = []  # (task, args); the task is (scope, metric, replicates)
     for scope, real_slice, synth_slice in scopes:
         args = _Args(real_slice, synth_slice, config, seed, inputs)
         tasks.extend(((scope, name, None), args) for name in embedding)
-        if replicates and scope.startswith("subgroup:"):
+        if blocks and scope.startswith("subgroup:"):
             # a replicate's rows may repeat, so positional ids replace the
-            # originals; each replicate task only swaps in its drawn rows
+            # originals; each replicate only swaps in its drawn rows
             resampled = replace(args, synthetic=EmbeddingSet(
                 ids=tuple(f"b{i:06d}" for i in range(synth_slice.n)),
                 data=synth_slice.data))
-            tasks.extend(((scope, base, r), resampled) for base, r in replicates)
+            tasks.extend(((scope, base, count), resampled)
+                         for base, count in blocks)
     tasks.extend((("global", name, None), run_args) for name in config.metrics
                  if name not in embedding)
 
     # the consistency metrics read ``results``, so they run after the pool
-    pooled = [(task, args) for task, args in tasks if catalog.descriptor(
-        task[1]).source != catalog.SOURCE_SUBGROUP_METRICS]
-    computed = _run_tasks(pooled, workers)
-    results.update(zip((task for task, _ in pooled), computed))
-    results.update((task, _metric_result(task, args)) for task, args in tasks
-                   if task not in results)
+    def reads_results(task):
+        return (catalog.descriptor(task[1]).source
+                == catalog.SOURCE_SUBGROUP_METRICS)
+    pooled = [(task, args) for task, args in tasks if not reads_results(task)]
+    for (task, _), computed in zip(pooled, _run_tasks(pooled, workers)):
+        scope, name, replicates = task
+        results.update(zip([task] if replicates is None else [
+            (scope, name, r) for r in range(replicates)], computed))
+    for task, args in tasks:
+        if reads_results(task):
+            results[task] = _task_results(task, args)[0]
 
     rules = run_args.rules
     if len(rules):
@@ -411,12 +466,12 @@ def _adopt(pooled: list) -> None:
     _POOLED = pooled
 
 
-def _run_pooled(index: int) -> MetricResult:
-    return _metric_result(*_POOLED[index])
+def _run_pooled(index: int) -> list[MetricResult]:
+    return _task_results(*_POOLED[index])
 
 
-def _run_tasks(pooled: list, workers: int) -> list[MetricResult]:
-    """``_metric_result`` of each (task, args) in ``pooled``, in order, on at
+def _run_tasks(pooled: list, workers: int) -> list[list[MetricResult]]:
+    """``_task_results`` of each (task, args) in ``pooled``, in order, on at
     most ``workers`` forked processes, or serially in this one. The list
     reaches the children through the pool's initializer, which a forked
     child inherits without pickling; only task indices and results are
@@ -433,7 +488,7 @@ def _run_tasks(pooled: list, workers: int) -> list[MetricResult]:
                 return list(pool.map(
                     _run_pooled, range(len(pooled)),
                     chunksize=max(1, len(pooled) // (4 * processes))))
-    return [_metric_result(*t) for t in pooled]
+    return [_task_results(*t) for t in pooled]
 
 
 def _resolve_rules(inputs: EvaluationInputs,

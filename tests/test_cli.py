@@ -162,6 +162,10 @@ class TestEvaluate:
         ({"weights": {"recall": float("inf")}}, "weights.recall"),
         ({"bounds": {"frechet_distance": [0, float("inf")]}},
          "bounds.frechet_distance"),
+        ({"params": {"vendi_score": {"gamma": 0.5}}},
+         "params.vendi_score.gamma"),
+        ({"params": {"dpp_score": {"kernel": "cosine", "gamma": 2}}},
+         "params.dpp_score.gamma"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_malformed_config_value_exit_2(self, workspace, capsys,
                                            override, key):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from smdcard import numerics
 from smdcard.errors import EvaluationError
-from smdcard.congruence import jensen_shannon
-from smdcard.coverage import embedding_entropy
+from smdcard.congruence import jensen_shannon, jensen_shannon_replicates
+from smdcard.coverage import embedding_entropy, embedding_entropy_replicates
 from smdcard.numerics import (FD_MAX_BINS, FD_MIN_BINS, ball_query,
                               dimension_histograms, jsd_masses,
                               kth_neighbor_distance, pairwise_distances,
@@ -197,6 +197,19 @@ def _fd_bins_oracle(values):
     return max(FD_MIN_BINS, min(FD_MAX_BINS, bins))
 
 
+def _np_histogram_rule(x, b, lo, hi):
+    """``np.histogram(x, b, range=(lo, hi))``'s uniform-bin rule, for the
+    spans where numpy refuses to build that many distinct edges (subnormal
+    spans): numpy's ``linspace`` edges, the quotient bin index, then one
+    bin down or up against the edges, the last bin closed."""
+    edges = np.linspace(lo, hi, b + 1)
+    index = ((x - lo) / (hi - lo) * b).astype(np.intp)
+    index[index == b] -= 1
+    index[x < edges[index]] -= 1
+    index[(x >= edges[index + 1]) & (index != b - 1)] += 1
+    return np.bincount(index, minlength=b)
+
+
 def _histograms_oracle(samples, bins=None):
     """One np.histogram per sample and dimension on the pooled range."""
     masses, bin_counts = [], []
@@ -208,8 +221,14 @@ def _histograms_oracle(samples, bins=None):
             bin_counts.append(0)
             continue
         b = bins if bins is not None else _fd_bins_oracle(pooled)
-        masses.append(tuple(np.histogram(s[:, j], bins=b, range=(lo, hi))[0]
-                            / s.shape[0] for s in samples))
+        try:
+            counts = [np.histogram(s[:, j], bins=b, range=(lo, hi))[0]
+                      for s in samples]
+        except ValueError as exc:
+            assert "Too many bins" in str(exc)
+            counts = [_np_histogram_rule(s[:, j], b, lo, hi)
+                      for s in samples]
+        masses.append(tuple(c / s.shape[0] for c, s in zip(counts, samples)))
         bin_counts.append(b)
     return masses, bin_counts
 
@@ -234,54 +253,101 @@ def _entropy_oracle(synth, bins):
 
 @st.composite
 def _histogram_inputs(draw):
-    """Two sets with unequal row counts: integer coordinates (ties) or
-    heavy-tailed floats, some dimensions constant across both sets, and an
-    explicit bin count or the Freedman-Diaconis default."""
+    """Two sets with unequal row counts: integer coordinates (ties),
+    heavy-tailed floats, or a few hundred subnormal steps above an offset
+    (bin steps that underflow to 0), some dimensions constant across both
+    sets, and an explicit bin count or the Freedman-Diaconis default."""
     d = draw(st.integers(1, 5))
     n_real, n_synth = draw(st.integers(1, 60)), draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if draw(st.booleans()):
+    family = draw(st.sampled_from(["ties", "heavy", "subnormal"]))
+    if family == "ties":
         real = rng.integers(-2, 3, size=(n_real, d)).astype(np.float64)
         synth = rng.integers(-2, 3, size=(n_synth, d)).astype(np.float64)
-    else:
+    elif family == "heavy":
         real = rng.standard_t(2, size=(n_real, d)) * 10.0 ** rng.integers(-3, 4)
         synth = rng.standard_t(2, size=(n_synth, d)) + 1e8 * draw(st.booleans())
+    else:
+        steps = draw(st.integers(1, 300))
+        offset = draw(st.sampled_from([0.0, -2.0 ** -1022, 2.0 ** -1060]))
+        real, synth = (rng.integers(0, steps + 1, size=(n, d)) * 2.0 ** -1074
+                       + offset for n in (n_real, n_synth))
     for j in draw(st.sets(st.integers(0, d - 1), max_size=d)):
         real[:, j] = synth[:, j] = 3.5
     bins = draw(st.one_of(st.none(), st.integers(1, 70)))
     return real, synth, bins
 
 
+def _dimension_masses(masses, bin_counts):
+    """Per dimension of the first set: None where constant, else one mass
+    vector per sample, cut at the dimension's bin count."""
+    return [None if b == 0 else tuple(m[0, j, :b] for m in masses)
+            for j, b in enumerate(bin_counts[0].tolist())]
+
+
 class TestHistograms:
     def test_fd_bins_respect_floor_and_cap(self):
-        constant = np.array([[1.0], [1.0], [1.0]])
-        assert dimension_histograms((constant,)) == ([None], [0])
-        no_iqr = np.array([[1.0], [1.0], [1.0], [1.0], [2.0]])
-        assert dimension_histograms((no_iqr,))[1] == [FD_MIN_BINS]
+        constant = np.array([[[1.0], [1.0], [1.0]]])
+        (masses,), bin_counts = dimension_histograms((constant,))
+        assert bin_counts.tolist() == [[0]] and not masses.any()
+        no_iqr = np.array([[[1.0], [1.0], [1.0], [1.0], [2.0]]])
+        assert dimension_histograms((no_iqr,))[1].tolist() == [[FD_MIN_BINS]]
         huge = np.concatenate([np.zeros(4), np.ones(4) * 1e9, [5.0]])
-        assert dimension_histograms((huge[:, None],))[1][0] <= FD_MAX_BINS
+        assert dimension_histograms((huge[None, :, None],))[1][0, 0] \
+            <= FD_MAX_BINS
 
     def test_bins_below_one_rejected(self):
         with pytest.raises(EvaluationError, match="bins=0"):
-            dimension_histograms((np.arange(4.0)[:, None],), bins=0)
+            dimension_histograms((np.arange(4.0)[None, :, None],), bins=0)
 
     @given(_histogram_inputs())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_equal_to_per_dimension_histogram_oracle(self, inputs):
         real, synth, bins = inputs
         for samples in ((real, synth), (synth,)):
-            masses, bin_counts = dimension_histograms(samples, bins)
+            masses, bin_counts = dimension_histograms(
+                [s[None] for s in samples], bins)
             want_masses, want_bins = _histograms_oracle(samples, bins)
-            assert bin_counts == want_bins
-            for got, want in zip(masses, want_masses):
+            assert bin_counts[0].tolist() == want_bins
+            got_masses = _dimension_masses(masses, bin_counts)
+            for got, want in zip(got_masses, want_masses):
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            # nothing is counted past a dimension's bin count
+            past = np.arange(masses[0].shape[2]) >= bin_counts[..., None]
+            assert not any(m[past].any() for m in masses)
         r, s = embedding_from(real, "r"), embedding_from(synth, "s")
         assert repr(jensen_shannon(r, s, bins)) == repr(
             _jsd_oracle(real, synth, bins))
         assert repr(embedding_entropy(s, bins)) == repr(
             _entropy_oracle(synth, bins))
+
+    @given(_histogram_inputs(), st.integers(1, 9), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_replicate_blocks_equal_single_sets(self, inputs, replicates,
+                                                data):
+        """Each replicate of a JSD or entropy block is repr-equal to the
+        single-set metric on ``resample(rows)``, whether the block's row
+        sets share one stack or are split into several."""
+        real, synth, bins = inputs
+        r, s = embedding_from(real, "r"), embedding_from(synth, "s")
+        rows = [np.asarray(data.draw(st.lists(
+            st.integers(0, s.n - 1), min_size=s.n, max_size=s.n)))
+            for _ in range(replicates)]
+        want_jsd = [repr(jensen_shannon(r, s.resample(x), bins)) for x in rows]
+        want_entropy = [repr(embedding_entropy(s.resample(x), bins))
+                        for x in rows]
+        default_block = numerics._BLOCK_ELEMENTS
+        try:
+            for block in (default_block, 16 * (s.n + r.n) * s.d * 2, 1):
+                numerics._BLOCK_ELEMENTS = block
+                assert [repr(v) for v in jensen_shannon_replicates(
+                    r, s, rows, bins)] == want_jsd
+                assert [repr(v) for v in embedding_entropy_replicates(
+                    s, rows, bins)] == want_entropy
+        finally:
+            numerics._BLOCK_ELEMENTS = default_block
 
     def test_jsd_zero_for_identical(self):
         p = np.array([0.25, 0.75])
@@ -293,5 +359,6 @@ class TestHistograms:
         assert jsd_masses(p, q) == pytest.approx(1.0, abs=1e-8)
 
     def test_entropy_uniform(self):
-        (masses,), _ = dimension_histograms((np.arange(8.0)[:, None],), 8)
-        assert shannon_entropy(masses[0]) == pytest.approx(math.log(8), abs=1e-12)
+        (masses,), _ = dimension_histograms((np.arange(8.0)[None, :, None],), 8)
+        assert shannon_entropy(masses[0, 0]) == pytest.approx(math.log(8),
+                                                              abs=1e-12)

@@ -300,6 +300,7 @@ _ORACLE_BASES = {
     "recall": lambda real, synth: coverage.manifold_recall(real, synth, k=3),
     "jensen_shannon_divergence": lambda real, synth:
         congruence.jensen_shannon(real, synth),
+    "entropy_coverage": lambda real, synth: coverage.embedding_entropy(synth),
 }
 
 
@@ -351,7 +352,8 @@ class TestAnovaReplicates:
                 return recall(real, synth, k=k)
             monkeypatch.setattr(coverage, "manifold_recall", patched)
         # "tiny" has 3 synthetic rows: too few for recall's k=3 with the
-        # self-match excluded, so recall skips it while JSD keeps it
+        # self-match excluded, so recall skips it while JSD and entropy,
+        # whose replicates run as one block, keep it
         labels = ("a",) * 20 + ("b",) * 20 + ("c",) * 20 + ("tiny",) * 3
         real_base = make_gaussian_mixture(63, 4, TWO_MODES, seed=71)
         synth_base = make_gaussian_mixture(63, 4, TWO_MODES, seed=72)
@@ -359,10 +361,11 @@ class TestAnovaReplicates:
                             subgroup=labels)
         synth = EmbeddingSet(ids=synth_base.ids, data=synth_base.data,
                              subgroup=labels)
-        bases = ["recall", "jensen_shannon_divergence"]
+        bases = ["recall", "jensen_shannon_divergence", "entropy_coverage"]
         cfg = config_from_dict({
             "metrics": bases + ["anova"],
             "consistency": {"base_metrics": bases, "bootstrap_replicates": 12},
+            "bounds": {"entropy_coverage": [0, 5]},
             "columns": {"subgroup": "subgroup"}, "seed": 9})
         report = run_evaluation(EvaluationInputs(synthetic=synth, real=real),
                                 cfg, workers=2)
@@ -372,10 +375,44 @@ class TestAnovaReplicates:
         assert expected["recall"]["skipped"] == (["a", "tiny"] if partial
                                                  else ["tiny"])
         assert expected["jensen_shannon_divergence"]["skipped"] == []
+        assert expected["entropy_coverage"]["skipped"] == []
         assert entry["diagnostics"]["per_base"] == expected
         worst = min(expected.values(), key=lambda detail: detail["p"])
         assert entry["value"] == worst["F"]
         assert entry["diagnostics"]["p"] == worst["p"]
+
+
+    @pytest.mark.parametrize("name", ["jensen_shannon_divergence",
+                                      "entropy_coverage", "recall"])
+    def test_block_markers_equal_per_replicate_markers(self, monkeypatch,
+                                                       name):
+        # a subgroup without reference rows, and an error inside a block,
+        # mark every replicate as a task per replicate would
+        synth = make_gaussian_mixture(20, 3, TWO_MODES, seed=5)
+        cfg = config_from_dict({"metrics": [name],
+                                "bounds": {"entropy_coverage": [0, 5]}})
+        task = ("subgroup:a", name, 4)
+        missing = runner._task_results(task, runner._Args(None, synth, cfg, 0))
+        binary = catalog.descriptor(name).arity == "binary"
+        assert all((r.value is None) == binary for r in missing)
+        if binary:
+            assert [(r.scope, r.diagnostics) for r in missing] == [(
+                "subgroup:a", {"undefined_reason": "insufficient samples: no "
+                                                   "reference rows in this "
+                                                   "slice"})] * 4
+
+        def fail(*args, **kwargs):
+            raise EvaluationError("too few rows")
+        for module, function in ((congruence, "jensen_shannon_replicates"),
+                                 (congruence, "jensen_shannon"),
+                                 (coverage, "embedding_entropy_replicates"),
+                                 (coverage, "embedding_entropy"),
+                                 (coverage, "manifold_recall")):
+            monkeypatch.setattr(module, function, fail)
+        failed = runner._task_results(task, runner._Args(synth, synth, cfg, 0))
+        assert [(r.value, r.scope, r.diagnostics) for r in failed] == [(
+            None, "subgroup:a",
+            {"undefined_reason": "insufficient samples: too few rows"})] * 4
 
 
 class _PoolRefused(Exception):
@@ -410,6 +447,23 @@ class TestWorkerProcesses:
             with pytest.raises(_PoolRefused):
                 run_evaluation(inputs, cfg, workers=10_000)
         assert recording_pool == [2, len(self.METRICS)]
+
+    def test_one_task_per_subgroup_replicate_block(self, pair, monkeypatch,
+                                                   recording_pool):
+        # each subgroup scope pools one task per base metric, whatever the
+        # replicate count, next to one task per metric in every scope
+        real, synth = pair
+        subgroups = len(set(synth.subgroup))
+        bases = ["jensen_shannon_divergence", "recall"]
+        cfg = _embedding_config(metrics=self.METRICS + ["anova"], consistency={
+            "base_metrics": bases, "bootstrap_replicates": 50})
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 10_000)
+        with pytest.raises(_PoolRefused):
+            run_evaluation(EvaluationInputs(synthetic=synth, real=real), cfg,
+                           workers=10_000)
+        single = (1 + subgroups) * len(self.METRICS)
+        assert subgroups == 2
+        assert recording_pool == [single + subgroups * len(bases)]
 
     def test_one_cpu_or_no_fork_runs_serially(self, pair, monkeypatch,
                                               recording_pool):
