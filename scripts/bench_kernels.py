@@ -12,6 +12,12 @@ rows (k=3) and ``ball_query`` of the reference rows against those balls.
 ``jensen_shannon_replicates``, the unit a subgroup's replicate task
 evaluates, and ``jsd_replicates_looped`` is the same 50 row sets as 50
 ``jensen_shannon`` calls on ``resample``d sets; the values are identical.
+``recall_replicates`` is one such block through
+``manifold_recall_replicates`` (the synthetic rows' neighbor window and the
+reference-to-synthetic distances measured once, then one lookup per
+replicate), and ``recall_replicates_looped`` the same 50 row sets as 50
+``manifold_recall`` calls (k=3) on ``resample``d sets; again the values are
+identical.
 Each is timed at n rows by d dimensions per set; BLAS runs on one thread,
 as in ``perfbench``. One end-to-end row times ``run_evaluation`` on a fixture
 shaped like perfbench's ``subgroup_anova`` (600 rows by 16 dimensions per
@@ -44,7 +50,8 @@ import numpy as np  # noqa: E402
 from smdcard.config import config_from_dict  # noqa: E402
 from smdcard.congruence import (jensen_shannon,  # noqa: E402
                                 jensen_shannon_replicates)
-from smdcard.coverage import embedding_entropy  # noqa: E402
+from smdcard.coverage import (embedding_entropy,  # noqa: E402
+                              manifold_recall, manifold_recall_replicates)
 from smdcard.harness import make_gaussian_mixture  # noqa: E402
 from smdcard.model import EmbeddingSet  # noqa: E402
 from smdcard.numerics import ball_query, kth_neighbor_distance  # noqa: E402
@@ -52,6 +59,7 @@ from smdcard.runner import EvaluationInputs, run_evaluation  # noqa: E402
 
 KNN_SIZES = ((150, 16), (600, 16), (2000, 32))
 HISTOGRAM_SIZES = ((150, 16),)
+REPLICATE_SIZES = ((150, 16),)
 REPLICATES = 50
 EVALUATE_WORKERS = (1, 2)
 MIN_REPEATS, MIN_SECONDS = 5, 0.5
@@ -105,12 +113,18 @@ def main() -> None:
         real, synth = _pair(n, d)
         record("jsd", n, d, lambda: jensen_shannon(real, synth))
         record("entropy", n, d, lambda: embedding_entropy(synth))
+    for n, d in REPLICATE_SIZES:
+        real, synth = _pair(n, d)
         rng = np.random.default_rng(n)
         rows = [rng.integers(n, size=n) for _ in range(REPLICATES)]
         record("jsd_replicates", n, d,
                lambda: jensen_shannon_replicates(real, synth, rows))
         record("jsd_replicates_looped", n, d, lambda: [
             jensen_shannon(real, synth.resample(r)) for r in rows])
+        record("recall_replicates", n, d,
+               lambda: manifold_recall_replicates(real, synth, rows))
+        record("recall_replicates_looped", n, d, lambda: [
+            manifold_recall(real, synth.resample(r)) for r in rows])
     inputs, config = _anova_fixture()
     evaluate_s = {}
     for workers in EVALUATE_WORKERS:

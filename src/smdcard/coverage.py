@@ -15,10 +15,10 @@ import numpy as np
 
 from .errors import EvaluationError
 from .model import EmbeddingSet
-from .numerics import (ball_query, dimension_histograms, dimension_means,
-                       entropy_rows, kth_neighbor_distance,
-                       pairwise_distances, pca_fit, shannon_entropy,
-                       stacked_row_sets)
+from .numerics import (ball_hits, ball_query, dimension_histograms,
+                       dimension_means, entropy_rows, kth_neighbor_distance,
+                       pairwise_distances, pca_fit, resampled_kth_distances,
+                       shannon_entropy, stacked_row_sets)
 
 
 def manifold_recall(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
@@ -27,6 +27,17 @@ def manifold_recall(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
                              kth_neighbor_distance(synthetic.data, k))
     inside = np.isfinite(smallest)
     return float(inside.mean()), {"k": k, "inside": int(inside.sum())}
+
+
+def manifold_recall_replicates(real: EmbeddingSet, synthetic: EmbeddingSet,
+                               rows, k: int = 3):
+    """``manifold_recall(real, synthetic.resample(r), k)`` for each index
+    array ``r`` in ``rows``: the synthetic rows' neighbor distances and the
+    reference-to-synthetic distances are measured once for the whole block,
+    and each row set looks its balls up in them."""
+    radii = resampled_kth_distances(synthetic.data, rows, k)
+    return [(float(inside.mean()), {"k": k, "inside": int(inside.sum())})
+            for inside in ball_hits(real.data, synthetic.data, radii)]
 
 
 def manifold_coverage(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 5):

@@ -5,7 +5,7 @@ randomized callers pass explicit seeds and record them.
 
 Every distance's final bits come from one formula, ``_exact_distance``:
 ``sqrt(sum((a - b)**2))`` over the coordinate axis. ``pairwise_distances``
-applies it to every pair. The kNN primitives (``kth_neighbor_distance``,
+applies it to every pair. The kNN primitives (``nearest_neighbors``,
 ``ball_query``) apply it only to the pairs a Gram filter cannot decide
 (Johnson, Douze & Jegou 2017, https://arxiv.org/abs/1702.08734):
 
@@ -23,22 +23,36 @@ applies it to every pair. The kNN primitives (``kth_neighbor_distance``,
   ``31 u (|a_i| + |b_j|)^2``, also covers the rounding of ``r * r`` and of
   the final square root when ``q`` is compared with a squared radius.
 - Refine: a pair is recomputed exactly when the bound cannot order it: the
-  k-th neighbor window ``q <= q_k + 2 err``, or ``q`` within the bound of a
-  squared ball radius. A non-finite ``q``, bound or squared radius always
-  refines.
+  neighbor window ``q <= q_w + 2 err`` of the w nearest rows, or ``q``
+  within the bound of a squared ball radius. A non-finite ``q``, bound or
+  squared radius always refines.
+
+``nearest_neighbors`` gives each row's w nearest other rows, exact
+distances ascending; ``kth_neighbor_distance`` reads column k - 1 of the
+window of width k. A bootstrap replicate is a multiset of its pool's rows,
+so ``resampled_kth_distances`` finds every replicate's k-th neighbor
+distances by lookup in one window per pool: along each row's window, the
+cumulative count of the replicate's draws of those rows reaches k at the
+radius, and a row whose window runs out first reads its full distance row.
+``ball_hits`` then decides every replicate's closed-ball membership from
+one set of exact query-to-pool distances.
 
 So the filter only chooses which pairs reach the exact formula, never a
 result's bits: results do not depend on BLAS, its thread count or the block
 size. ``_BLOCK_ELEMENTS`` is the one memory bound: it caps rows x m of a
 Gram block and rows x m x d of a ``pairwise_distances`` difference block,
-and the refine gathers at most that many coordinates at a time. A stack of
-bootstrap row sets binned together (``stacked_row_sets``) holds at most a
-sixteenth of it in its pooled histogram sample.
+and the refine gathers at most that many coordinates at a time. It also
+caps replicates x m x (w + 1) of the window lookups and replicates x rows x
+m of the ``ball_hits`` comparison against a query-to-pool row block, so a
+replicate block needs no m x m table. A stack of bootstrap row sets binned
+together (``stacked_row_sets``) holds at most a sixteenth of it in its
+pooled histogram sample.
 
 The histograms of ``jensen_shannon_divergence`` and ``entropy_coverage``
 come from one kernel, ``dimension_histograms``, that bins every (row set,
 dimension) row of a stack in one pass with ``np.histogram``'s arithmetic;
-a single set is the stack of one.
+a single set is the stack of one. A row whose pooled span or interquartile
+range overflows float64 is flagged, and its set is undefined.
 """
 
 from __future__ import annotations
@@ -55,6 +69,7 @@ FD_MIN_BINS, FD_MAX_BINS = 8, 64  # clamp of the Freedman-Diaconis bin count
 SMOOTHING_MASS = 1e-12  # added to every histogram bin before a divergence
 _U = 2.0 ** -53  # unit roundoff of float64
 _ETA = 2.0 ** -1074  # smallest subnormal: absolute error of an underflow
+_WINDOW_PER_K = 4  # window of resampled_kth_distances: rows per unit of k+1
 
 
 def _quiet():
@@ -133,31 +148,101 @@ class _GramFilter:
         return out
 
 
-def kth_neighbor_distance(data: np.ndarray, k: int) -> np.ndarray:
-    """Each row's distance to its k-th nearest other row (self excluded by
-    index, so a copied row is a neighbor at distance 0)."""
-    n = data.shape[0]
+def _check_k(n: int, k: int) -> None:
     if k < 1 or k > n - 1:
         raise EvaluationError(
             f"k={k} out of range: reference set supports at most k={n - 1} "
             "(self-match excluded)")
+
+
+def nearest_neighbors(data: np.ndarray, width: int):
+    """Each row's ``width`` nearest other rows, self excluded by index (a
+    copied row is a neighbor at distance 0): ``(distances, indices)``,
+    both ``(n, width)``, each row's exact distances ascending and ties in
+    index order. Needs ``width <= n - 1``."""
+    n = data.shape[0]
     gram = _GramFilter(data, data)
-    out = np.empty(n)
+    distances = np.empty((n, width))
+    indices = np.empty((n, width), dtype=np.intp)
     for start, stop, q in gram.blocks():
         own = (np.arange(stop - start), np.arange(start, stop))
         q[own] = np.inf
-        q_k = np.partition(q, k - 1, axis=1)[:, k - 1]
-        # every pair at or below the exact k-th distance has q <= q_k + 2 err
-        limit = q_k + 2.0 * gram.bound[start:stop]
+        q_w = np.partition(q, width - 1, axis=1)[:, width - 1]
+        # every pair at or below the exact width-th distance has
+        # q <= q_w + 2 err
+        with _quiet():
+            limit = q_w + 2.0 * gram.bound[start:stop]
         limit[~np.isfinite(limit)] = np.inf
         candidate = (q <= limit[:, None]) | ~np.isfinite(q)
         candidate[own] = False
         rows, cols = np.divmod(np.flatnonzero(candidate), n)
         exact = gram.refine(start, rows, cols)
-        ordered = exact[np.lexsort((exact, rows))]
+        # rows come ascending, so each row's candidates keep their place
+        order = np.lexsort((cols, exact, rows))
         first = np.searchsorted(rows, np.arange(stop - start))
-        out[start:stop] = ordered[first + k - 1]
+        take = order[first[:, None] + np.arange(width)]
+        distances[start:stop], indices[start:stop] = exact[take], cols[take]
+    return distances, indices
+
+
+def kth_neighbor_distance(data: np.ndarray, k: int) -> np.ndarray:
+    """Each row's distance to its k-th nearest other row (self excluded by
+    index, so a copied row is a neighbor at distance 0)."""
+    _check_k(data.shape[0], k)
+    return nearest_neighbors(data, k)[0][:, k - 1]
+
+
+def resampled_kth_distances(data: np.ndarray, rows, k: int) -> np.ndarray:
+    """``kth_neighbor_distance(data[r], k)`` for each index array ``r`` in
+    ``rows`` (bootstrap draws of n = len(data) rows), by source row: entry
+    (s, p) is the radius of every copy of row p in set s, NaN where set s
+    does not draw p.
+
+    A drawn row's radius is the k-th smallest of its distances to the pool
+    rows, each counted as often as set s draws its row, and its own extra
+    copies as zeros. Column 0 of the window is the row itself at distance
+    0, then its ``_WINDOW_PER_K * (k + 1)`` nearest other rows; the radius
+    is the first window distance where the cumulative draw counts reach k.
+    Every row outside the window lies at least as far as the window's last
+    entry, so that distance is the exact k-th one; a row whose window holds
+    fewer than k drawn neighbors reads its full distance row instead."""
+    n = data.shape[0]
+    _check_k(n, k)
+    distances, neighbors = nearest_neighbors(
+        data, min(n - 1, _WINDOW_PER_K * (k + 1)))
+    window = np.column_stack((np.zeros(n), distances))
+    out = np.empty((len(rows), n))
+    step = max(1, _BLOCK_ELEMENTS // window.size)
+    for start in range(0, len(rows), step):
+        drawn = np.stack(rows[start:start + step])
+        sets = drawn.shape[0]
+        counts = np.bincount((drawn + n * np.arange(sets)[:, None]).ravel(),
+                             minlength=sets * n).reshape(sets, n)
+        weights = np.concatenate((counts[:, :, None] - 1,
+                                  counts[:, neighbors]), axis=2)
+        reached = np.cumsum(weights, axis=2) >= k
+        radii = window[np.arange(n), reached.argmax(axis=2)]
+        _full_row_radii(data, counts, k, radii,
+                        (counts > 0) & ~reached[:, :, -1])
+        radii[counts == 0] = np.nan
+        out[start:start + sets] = radii
     return out
+
+
+def _full_row_radii(data, counts, k, radii, pending):
+    """Fill ``radii[s, p]`` where ``pending`` from row p's full distance row,
+    weighted by ``counts[s]`` as ``resampled_kth_distances`` weighs its
+    window; the distance blocks bound the rows held at once."""
+    sets, ps = np.nonzero(pending.T)[::-1]
+    unique = np.unique(ps)
+    for start, stop, block in _distance_blocks(data[unique], data):
+        order = np.argsort(block, axis=1)
+        for j, p in enumerate(unique[start:stop]):
+            drawn = sets[ps == p]
+            weights = counts[drawn]
+            weights[:, p] -= 1
+            reached = np.cumsum(weights[:, order[j]], axis=1) >= k
+            radii[drawn, p] = block[j, order[j, reached.argmax(axis=1)]]
 
 
 def ball_query(query: np.ndarray, centers: np.ndarray, radii: np.ndarray):
@@ -187,6 +272,25 @@ def ball_query(query: np.ndarray, centers: np.ndarray, radii: np.ndarray):
         smallest[start:stop] = np.where(inside, radii, np.inf).min(axis=1)
         occupied |= inside.any(axis=0)
     return smallest, occupied
+
+
+def ball_hits(query: np.ndarray, centers: np.ndarray,
+              radii: np.ndarray) -> np.ndarray:
+    """Per row s of ``radii`` (sets, centers), whether each ``query`` row
+    lies in a closed ball ``(centers[p], radii[s, p])`` of finite radius; a
+    NaN radius is no ball. This is ``np.isfinite(smallest)`` of
+    ``ball_query`` on the balls of each set, as ``(sets, n_query)``. The
+    exact distances come in ``_distance_blocks``' row blocks, and each
+    comparison of a block against a slice of the sets stays within
+    ``_BLOCK_ELEMENTS``."""
+    finite = np.where(np.isfinite(radii), radii, np.nan)
+    out = np.empty((radii.shape[0], query.shape[0]), dtype=bool)
+    for start, stop, block in _distance_blocks(query, centers):
+        step = max(1, _BLOCK_ELEMENTS // block.size)
+        for s in range(0, finite.shape[0], step):
+            out[s:s + step, start:stop] = (
+                block <= finite[s:s + step, None, :]).any(axis=2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -287,7 +391,8 @@ def dimension_histograms(samples, bins: int | None = None):
     to ``[FD_MIN_BINS, FD_MAX_BINS]``. Returns ``(masses, bin_counts)``:
     one ``(sets, d, B)`` mass array per sample, B the largest bin count,
     zero past each row's own count; and the ``(sets, d)`` bin counts, 0
-    where the pooled values are constant (all masses 0).
+    where the pooled values are constant and -1 where their span or
+    interquartile range overflows float64 (all masses 0 in both cases).
     """
     if bins is not None and bins < 1:
         raise EvaluationError(f"bins={bins} must be at least 1")
@@ -300,33 +405,38 @@ def dimension_histograms(samples, bins: int | None = None):
     # sorted rows give the range, and make the quartiles' selection cheap
     ordered = np.sort(pooled, axis=1)
     lo, hi = ordered[:, 0], ordered[:, -1]
-    if bins is None:
-        q75, q25 = np.percentile(ordered, [75, 25], axis=1)
-        iqr = q75 - q25
-        width = 2.0 * iqr * pooled.shape[1] ** (-1.0 / 3.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fd = np.clip(np.ceil((hi - lo) / width), FD_MIN_BINS, FD_MAX_BINS)
-        counts = np.where(iqr > 0, fd, FD_MIN_BINS).astype(np.intp)
-    else:
-        counts = np.full(lo.shape, bins, dtype=np.intp)
-    counts[lo == hi] = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        span = hi - lo
+        overflow = ~np.isfinite(span)
+        if bins is None:
+            q75, q25 = np.percentile(ordered, [75, 25], axis=1)
+            iqr = q75 - q25
+            overflow |= ~np.isfinite(iqr)
+            width = 2.0 * iqr * pooled.shape[1] ** (-1.0 / 3.0)
+            fd = np.clip(np.ceil(span / width), FD_MIN_BINS, FD_MAX_BINS)
+            counts = np.where((iqr > 0) & ~overflow, fd, FD_MIN_BINS
+                              ).astype(np.intp)
+        else:
+            counts = np.full(lo.shape, bins, dtype=np.intp)
+    # an overflowed row is binned as a constant one, then flagged
+    counts[(lo == hi) | overflow] = 0
     rows, top = counts.size, int(counts.max())
     slots = max(top, 1)  # constant rows count into one bin, then drop it
     b = np.maximum(counts, 1)[:, None]
     # np.linspace(lo, hi, b + 1): arange x step + lo, or, where the step
     # underflows to 0, arange / b x delta + lo; the last edge is hi
-    delta = np.where(counts > 0, hi - lo, 1.0)[:, None]
+    delta = np.where(counts > 0, span, 1.0)[:, None]
     steps = np.arange(slots + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         step = delta / b
         edges = np.where(step == 0, steps / b * delta, steps * step)
         edges += lo[:, None]
-        edges[np.arange(rows), counts] = hi
+        edges[np.arange(rows), b[:, 0]] = hi
         index = ((pooled - lo[:, None]) / delta * b).astype(np.intp)
     # np.histogram's bin index: a value on the last edge goes to the last
     # bin, then one bin down or up where the quotient missed the edges (the
-    # clip only acts where hi - lo overflowed); indices run over the flat
-    # edges, so that bin i of row r is r * (slots + 1) + i
+    # clip only acts on the flagged rows, where hi - lo overflowed); indices
+    # run over the flat edges, so that bin i of row r is r * (slots + 1) + i
     np.clip(index, 0, b, out=index)
     index[index == b] -= 1
     first = (np.arange(rows) * (slots + 1))[:, None]
@@ -342,6 +452,7 @@ def dimension_histograms(samples, bins: int | None = None):
     tallies[:, counts == 0] = 0
     masses = tuple((t / n).reshape(sets, d, top)
                    for t, n in zip(tallies, sizes))
+    counts[overflow] = -1
     return masses, counts.reshape(sets, d)
 
 
@@ -390,9 +501,16 @@ def dimension_means(values: np.ndarray, bin_counts: np.ndarray,
                     with_bins: bool):
     """(value, diagnostics) of each set's row of per-dimension ``values``:
     their mean, the values, with ``with_bins`` the bin counts, and the
-    constant dimensions (bin count 0) when there are any."""
+    constant dimensions (bin count 0) when there are any. A set with a
+    dimension whose pooled spread overflows (bin count -1) is undefined."""
     out = []
     for row, counts in zip(values, bin_counts):
+        overflow = np.flatnonzero(counts < 0).tolist()
+        if overflow:
+            out.append((None, {"undefined_reason": "pooled range overflows "
+                                                   "float64 in dimensions "
+                                                   f"{overflow}"}))
+            continue
         diagnostics = {"per_dimension": row.tolist()}
         if with_bins:
             diagnostics["bins"] = counts.tolist()

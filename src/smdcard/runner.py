@@ -239,7 +239,10 @@ _COMPUTE = {
         a.real, a.synthetic),
     "precision": lambda a, p: congruence.manifold_precision(
         a.real, a.synthetic, **p),
-    "recall": lambda a, p: coverage.manifold_recall(a.real, a.synthetic, **p),
+    "recall": _Replicable(
+        lambda a, p: coverage.manifold_recall(a.real, a.synthetic, **p),
+        lambda a, p, rows: coverage.manifold_recall_replicates(
+            a.real, a.synthetic, rows, **p)),
     "coverage": lambda a, p: coverage.manifold_coverage(
         a.real, a.synthetic, **p),
     "centroid_distance_coverage": lambda a, p: coverage.centroid_spread(

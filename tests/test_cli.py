@@ -11,6 +11,7 @@ import smdcard
 from smdcard import ingest
 from smdcard.cli import main
 from smdcard.harness import make_gaussian_mixture
+from smdcard.model import EmbeddingSet
 
 TWO_MODES = [{"mean": 0.0, "scale": 1.0, "weight": 0.5},
              {"mean": 6.0, "scale": 1.0, "weight": 0.5}]
@@ -210,6 +211,30 @@ class TestEvaluate:
         assert main(_evaluate_args(paths, serial) + ["--workers", "1"]) == 0
         assert main(_evaluate_args(paths, parallel) + ["--workers", "4"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_overflowing_histogram_range_gives_marker(self, tmp_path):
+        # finite values whose pooled span overflows float64
+        rng = np.random.default_rng(3)
+        paths = {name: tmp_path / f"{name}.csv" for name in ("real",
+                                                             "synthetic")}
+        for name, path in paths.items():
+            data = rng.uniform(-1.0, 1.0, size=(50, 1)) * 1.5e308
+            ingest.write_embeddings(EmbeddingSet(
+                tuple(str(i) for i in range(50)), data), str(path))
+        paths["config"] = tmp_path / "config.yaml"
+        paths["config"].write_text(yaml.safe_dump({
+            "metrics": ["jensen_shannon_divergence", "entropy_coverage"],
+            "bounds": {"entropy_coverage": [0, 5]}}))
+        paths["report"] = tmp_path / "report.json"
+        assert main(_evaluate_args(paths)) == 0
+        report = json.loads(paths["report"].read_text())
+        found = {m["name"]: (m["value"], m["diagnostics"])
+                 for scope in report["scopes"] for c in scope["criteria"]
+                 for m in c["metrics"]}
+        marker = (None, {"undefined_reason": "pooled range overflows "
+                                             "float64 in dimensions [0]"})
+        assert found == {"jensen_shannon_divergence": marker,
+                         "entropy_coverage": marker}
 
     def test_task_error_same_at_any_worker_count(self, workspace, capsys):
         tmp_path, paths = workspace

@@ -171,3 +171,74 @@ def test_memory_bounded_by_block_not_n_squared(metric, param):
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 2
+
+
+def test_recall_block_memory_bounded_by_block_not_n_squared():
+    n = 3000
+    rng = np.random.default_rng(9)
+    real = embedding_from(rng.normal(size=(n, 4)), "r")
+    synth = embedding_from(rng.normal(size=(n, 4)), "s")
+    rows = [rng.integers(0, n, size=n) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        coverage.manifold_recall_replicates(real, synth, rows, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2
+
+
+@st.composite
+def _recall_blocks(draw):
+    """A recall block: integer ties, rows equidistant from a centre row, or
+    coordinates near 1e154 (squares overflow), with copied pool rows;
+    unequal reference and pool sizes; bootstrap draws of the pool, one of
+    them a single row repeated; k from 1 to one past the pool's limit; and
+    a neighbor window down to none, so that lookups overflow it."""
+    d = draw(st.integers(1, 3))
+    m, n_real = draw(st.integers(2, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    family = draw(st.sampled_from(["ties", "sphere", "huge"]))
+    if family == "ties":
+        synth, real = (rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+                       for n in (m, n_real))
+    elif family == "sphere":
+        # the centre and its 2d unit neighbors, all at distance 1 from it
+        centre = rng.integers(-2, 3, size=d).astype(np.float64)
+        shell = np.vstack((centre, centre + np.eye(d), centre - np.eye(d)))
+        synth, real = (shell[rng.integers(0, len(shell), size=n)]
+                       for n in (m, n_real))
+    else:
+        synth, real = (rng.normal(size=(n, d)) * 1e154 for n in (m, n_real))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                        st.integers(0, m - 1)), max_size=3)):
+        synth[i] = synth[j]
+    draws = [rng.integers(0, m, size=m)
+             for _ in range(draw(st.integers(1, 6)))]
+    draws.append(np.full(m, draw(st.integers(0, m - 1))))
+    k = draw(st.integers(1, m))
+    window = draw(st.sampled_from([0, 1, numerics._WINDOW_PER_K]))
+    block = draw(st.sampled_from([1, 20, numerics._BLOCK_ELEMENTS]))
+    return real, synth, draws, k, window, block
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@given(_recall_blocks())
+@settings(max_examples=300, deadline=None)
+def test_recall_block_equals_single_sets(inputs):
+    """Each replicate of a recall block is repr-equal to ``manifold_recall``
+    on ``resample(rows)``, at any neighbor window and block size; a k the
+    pool cannot support raises the single set's error."""
+    real, synth, draws, k, window, block = inputs
+    r, s = embedding_from(real, "r"), embedding_from(synth, "s")
+    want = [_outcome(manifold_recall, r, s.resample(x), k) for x in draws]
+    defaults = numerics._WINDOW_PER_K, numerics._BLOCK_ELEMENTS
+    numerics._WINDOW_PER_K, numerics._BLOCK_ELEMENTS = window, block
+    try:
+        got = coverage.manifold_recall_replicates(r, s, draws, k)
+    except EvaluationError as exc:
+        assert want == [f"error: {exc}"] * len(draws)
+    else:
+        assert [repr(v) for v in got] == want
+    finally:
+        numerics._WINDOW_PER_K, numerics._BLOCK_ELEMENTS = defaults

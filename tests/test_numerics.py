@@ -296,6 +296,37 @@ class TestHistograms:
         assert dimension_histograms((huge[None, :, None],))[1][0, 0] \
             <= FD_MAX_BINS
 
+    @pytest.mark.parametrize("bins", [None, 8])
+    def test_overflowing_span_flagged(self, bins):
+        # dimension 0 spans more than float64's range; dimension 1 is plain
+        rng = np.random.default_rng(4)
+        sets = [np.column_stack((rng.uniform(-1, 1, n) * 1.5e308,
+                                 rng.normal(size=n))) for n in (50, 40)]
+        masses, bin_counts = dimension_histograms([s[None] for s in sets],
+                                                  bins)
+        assert bin_counts[0, 0] == -1
+        assert not any(m[0, 0].any() for m in masses)
+        plain, plain_counts = dimension_histograms(
+            [s[None, :, 1:] for s in sets], bins)
+        assert bin_counts[0, 1] == plain_counts[0, 0]
+        assert all(np.array_equal(m[0, 1, :plain_counts[0, 0]], p[0, 0])
+                   for m, p in zip(masses, plain))
+
+    def test_overflow_markers_same_in_block_and_single_sets(self):
+        # one synthetic row near -1e308, the others near +1e308: only the
+        # replicates that draw both signs overflow
+        rng = np.random.default_rng(5)
+        data = np.where(np.arange(20) < 1, -1.0, 1.0)[:, None] * 1.5e308
+        data = data * rng.uniform(0.9, 1.0, size=(20, 1))
+        s = embedding_from(np.column_stack((data, rng.normal(size=20))), "s")
+        rows = [rng.integers(0, 20, size=20) for _ in range(12)]
+        block = embedding_entropy_replicates(s, rows)
+        assert repr(block) == repr([embedding_entropy(s.resample(x))
+                                    for x in rows])
+        reasons = {v[1].get("undefined_reason") for v in block}
+        assert reasons == {None, "pooled range overflows float64 in "
+                                 "dimensions [0]"}
+
     def test_bins_below_one_rejected(self):
         with pytest.raises(EvaluationError, match="bins=0"):
             dimension_histograms((np.arange(4.0)[None, :, None],), bins=0)

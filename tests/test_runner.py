@@ -1,6 +1,7 @@
 import multiprocessing
 import pickle
 from concurrent.futures import process as futures_process
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from smdcard import catalog, congruence, coverage, errors, runner
 from smdcard.aggregate import has_bounds_source
 from smdcard.config import config_from_dict
-from smdcard.consistency import one_way_anova, task_seed
+from smdcard.consistency import one_way_anova, replicate_rows, task_seed
 from smdcard.constraint import ConstraintRuleSet, rule_from_dict
 from smdcard.errors import EvaluationError
 from smdcard.harness import make_gaussian_mixture, make_record_table
@@ -343,17 +344,27 @@ class TestAnovaReplicates:
     @pytest.mark.parametrize("partial", [False, True])
     def test_equals_serial_bootstrap_oracle(self, monkeypatch, partial):
         if partial:
-            # recall also undefined on some, not all, replicates of "a"
+            # recall also undefined on some, not all, replicates of "a":
+            # the oracle's single calls raise, and the block, which scores
+            # every replicate at once, marks the same replicates undefined
             recall = coverage.manifold_recall
+            recall_block = coverage.manifold_recall_replicates
 
             def patched(real, synth, k):
                 if synth.data[:, 0].mean() < -0.5:
                     raise EvaluationError("patched")
                 return recall(real, synth, k=k)
+
+            def patched_block(real, synth, rows, k):
+                return [(None, {}) if synth.data[r, 0].mean() < -0.5
+                        else result for r, result in
+                        zip(rows, recall_block(real, synth, rows, k=k))]
             monkeypatch.setattr(coverage, "manifold_recall", patched)
+            monkeypatch.setattr(coverage, "manifold_recall_replicates",
+                                patched_block)
         # "tiny" has 3 synthetic rows: too few for recall's k=3 with the
-        # self-match excluded, so recall skips it while JSD and entropy,
-        # whose replicates run as one block, keep it
+        # self-match excluded, so recall's block raises and recall skips
+        # it, while JSD and entropy keep it
         labels = ("a",) * 20 + ("b",) * 20 + ("c",) * 20 + ("tiny",) * 3
         real_base = make_gaussian_mixture(63, 4, TWO_MODES, seed=71)
         synth_base = make_gaussian_mixture(63, 4, TWO_MODES, seed=72)
@@ -386,8 +397,9 @@ class TestAnovaReplicates:
                                       "entropy_coverage", "recall"])
     def test_block_markers_equal_per_replicate_markers(self, monkeypatch,
                                                        name):
-        # a subgroup without reference rows, and an error inside a block,
-        # mark every replicate as a task per replicate would
+        # a subgroup without reference rows, a subgroup too small for k,
+        # and an error inside a block, mark every replicate as a task per
+        # replicate would
         synth = make_gaussian_mixture(20, 3, TWO_MODES, seed=5)
         cfg = config_from_dict({"metrics": [name],
                                 "bounds": {"entropy_coverage": [0, 5]}})
@@ -400,6 +412,18 @@ class TestAnovaReplicates:
                 "subgroup:a", {"undefined_reason": "insufficient samples: no "
                                                    "reference rows in this "
                                                    "slice"})] * 4
+        # 3 rows: recall's k=3 exceeds the 2 other rows of every replicate
+        tiny = runner._Args(synth, make_gaussian_mixture(3, 3, TWO_MODES,
+                                                         seed=6), cfg, 0)
+        block = runner._task_results(task, tiny)
+        assert ([(r.value, r.scope, r.diagnostics) for r in block]
+                == [(r.value, r.scope, r.diagnostics)
+                    for r in _per_replicate_results(task, tiny)])
+        if name == "recall":
+            assert [r.diagnostics for r in block] == [{
+                "undefined_reason": "insufficient samples: k=3 out of range: "
+                                    "reference set supports at most k=2 "
+                                    "(self-match excluded)"}] * 4
 
         def fail(*args, **kwargs):
             raise EvaluationError("too few rows")
@@ -407,12 +431,27 @@ class TestAnovaReplicates:
                                  (congruence, "jensen_shannon"),
                                  (coverage, "embedding_entropy_replicates"),
                                  (coverage, "embedding_entropy"),
+                                 (coverage, "manifold_recall_replicates"),
                                  (coverage, "manifold_recall")):
             monkeypatch.setattr(module, function, fail)
         failed = runner._task_results(task, runner._Args(synth, synth, cfg, 0))
         assert [(r.value, r.scope, r.diagnostics) for r in failed] == [(
             None, "subgroup:a",
             {"undefined_reason": "insufficient samples: too few rows"})] * 4
+
+
+def _per_replicate_results(task, args):
+    """A block task's results as one single-set computation per replicate,
+    through the same undefined-marker rules."""
+    scope, name, replicates = task
+    results = []
+    for r in range(replicates):
+        drawn = replicate_rows(args.synthetic.n, scope.partition(":")[2], r,
+                               args.seed)
+        resampled = replace(args, synthetic=args.synthetic.resample(drawn))
+        results += runner._results(scope, name, resampled, lambda: [
+            runner._compute(name, resampled)])
+    return results
 
 
 class _PoolRefused(Exception):
