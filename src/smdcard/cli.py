@@ -79,16 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args, config: EvalConfig) -> EvaluationInputs:
-    synthetic = ingest.read_embeddings(
-        args.synthetic, id_column=config.id_column,
-        subgroup_column=config.subgroup_column,
-        region_column=config.region_column)
+    synthetic = _read_embeddings(args.synthetic, config)
     real = None
     if args.real:
-        real = ingest.read_embeddings(
-            args.real, id_column=config.id_column,
-            subgroup_column=_optional_column(args.real, config.subgroup_column),
-            region_column=_optional_column(args.real, config.region_column))
+        real = _read_embeddings(args.real, config, reference=True)
     table = None
     if args.table:
         if config.table_schema is None:
@@ -121,13 +115,19 @@ def _load_inputs(args, config: EvalConfig) -> EvaluationInputs:
                             class_probs=class_probs)
 
 
-def _optional_column(path: str, column: str | None) -> str | None:
-    """Reference files may omit subgroup/region columns the synthetic file has."""
-    if column is None or str(path).endswith(".jsonl"):
-        return column
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
-    return column if column in (h.strip() for h in header) else None
+def _read_embeddings(path: str, config: EvalConfig, reference: bool = False):
+    """Embeddings with the config's id, subgroup and region columns. A
+    reference file may omit the label columns the synthetic file has: a CSV
+    header, or a first JSON-lines record, without one leaves it out."""
+    labels = (config.subgroup_column, config.region_column)
+    if reference:
+        if str(path).endswith(".jsonl"):
+            names = next(ingest.jsonl_records(path), (0, {}))[1]
+        else:
+            with open(path, newline="", encoding="utf-8") as fh:
+                names = [h.strip() for h in next(csv.reader(fh), [])]
+        labels = [column if column in names else None for column in labels]
+    return ingest.read_embeddings(path, config.id_column, *labels)
 
 
 def _resolve_relative(path: str, anchor_file: str) -> str:
@@ -169,10 +169,7 @@ def cmd_card(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = ingest.read_eval_config(args.config)
-    real = ingest.read_embeddings(
-        args.real, id_column=config.id_column,
-        subgroup_column=_optional_column(args.real, config.subgroup_column),
-        region_column=_optional_column(args.real, config.region_column))
+    real = _read_embeddings(args.real, config, reference=True)
     bounds = calibrate_bounds(real, config)
     if not bounds:
         raise ConfigError("no embedding metrics selected; nothing to calibrate")

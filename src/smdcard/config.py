@@ -284,8 +284,11 @@ def config_from_dict(raw: dict) -> EvalConfig:
         base = _names(base, "consistency.base_metrics")
         if not base:
             raise ConfigError("consistency.base_metrics must not be empty")
-        for b in base:
+        for i, b in enumerate(base):
             catalog.descriptor(b)
+            if b in base[:i]:
+                raise ConfigError(f"consistency.base_metrics lists {b!r} "
+                                  "twice")
     replicates = _check(consistency.get("bootstrap_replicates", 200), 200, 2,
                         "consistency.bootstrap_replicates")
 

@@ -2,12 +2,11 @@
 
 The consistency metrics are compute entries whose inputs are the other
 tasks' results (``score``), so the runner runs them after its worker pool.
-This module alone knows their base metrics, the bootstrap replicates
-``anova`` asks the pool for (``replicate_tasks``: one block task per base
-metric in each subgroup scope, which evaluates every replicate of that
-base) and how each replicate picks its rows (``replicate_rows``), how the
-replicates are tested, which subgroups a base skips, and that the worst
-base decides each metric.
+This module alone knows their base metrics, which bases' subgroup values
+each metric reads (``unobserved_bases``), the replicate blocks ``anova``
+asks the pool for and the rows each replicate draws, once for all bases
+(``replicate_tasks``), how the replicates are tested, which subgroups a
+base skips, and that the worst base decides each metric.
 """
 
 from __future__ import annotations
@@ -31,14 +30,25 @@ def base_metrics(config) -> tuple[str, ...]:
                  if catalog.descriptor(name).source == catalog.SOURCE_EMBEDDING)
 
 
-def replicate_tasks(config) -> tuple[tuple[str, int], ...]:
-    """(base metric, replicate count) of every replicate block each
-    subgroup scope runs: one block per base, one task per block. Only
-    ``anova`` reads replicates."""
-    if "anova" not in config.metrics:
+def replicate_tasks(config, scope: str, n: int, seed: int) -> tuple:
+    """(base metric, rows) of each replicate block of ``scope``: every base
+    shares ``rows``, one index array into the scope's ``n`` synthetic rows
+    per replicate. Only ``anova`` reads replicates, of subgroup scopes."""
+    kind, _, label = scope.partition(":")
+    if "anova" not in config.metrics or kind != "subgroup":
         return ()
-    return tuple((base, config.bootstrap_replicates)
-                 for base in base_metrics(config))
+    rows = tuple(replicate_rows(n, label, r, seed)
+                 for r in range(config.bootstrap_replicates))
+    return tuple((base, rows) for base in base_metrics(config))
+
+
+def unobserved_bases(config) -> tuple[tuple[str, str], ...]:
+    """(metric, base) for each selected consistency metric that reads a
+    base's observed subgroup values, every one but ``anova``, and each base
+    the config does not select, which no subgroup task computes."""
+    return tuple((name, base) for name in config.metrics
+                 if name in _SCORES and name != "anova"
+                 for base in base_metrics(config) if base not in config.metrics)
 
 
 def replicate_rows(size: int, label: str, replicate: int, seed: int):
@@ -106,18 +116,18 @@ def _spread(key: str, results: dict, config, labels: list[str]):
 
 def _anova(results: dict, config, labels: list[str]):
     """Bootstrap one-way ANOVA per base metric; the most significant base
-    decides. A subgroup with any undefined replicate is skipped."""
+    decides. A subgroup with an undefined or absent replicate is skipped."""
     worst = None  # (p, F, base)
     detail = {}
-    for base, count in replicate_tasks(config):
+    for base in base_metrics(config):
         groups, used, skipped = [], [], []
         for label in labels:
-            values = [results[(f"subgroup:{label}", base, r)].value
-                      for r in range(count)]
-            if None in values:
+            replicates = [results.get((f"subgroup:{label}", base, r))
+                          for r in range(config.bootstrap_replicates)]
+            if any(r is None or r.value is None for r in replicates):
                 skipped.append(label)
             else:
-                groups.append(np.asarray(values))
+                groups.append(np.asarray([r.value for r in replicates]))
                 used.append(label)
         if len(groups) < 2:
             detail[base] = "undefined: fewer than 2 usable subgroups"

@@ -154,9 +154,24 @@ def read_embeddings(path: str, id_column: str = "id",
     Comma-separated files carry a header row; every column other than the
     id / subgroup / region columns is a feature, kept in header order. Row
     and column numbers in errors are 1-based with the header as row 1.
+    JSON-lines records hold a ``features`` list and the same id / subgroup
+    / region columns as keys. A label column left unset is not read.
     """
-    if str(path).endswith(".jsonl"):
-        return _read_embeddings_jsonl(path)
+    keys = {name: key for name, key in (("id", id_column),
+                                        ("subgroup", subgroup_column),
+                                        ("region", region_column))
+            if key is not None}
+    read = (_read_embeddings_jsonl if str(path).endswith(".jsonl")
+            else _read_embeddings_csv)
+    labels, data = read(path, keys)
+    if not len(data):
+        raise InputError(f"{path}: no data rows")
+    ids = labels.pop("id")
+    check_unique_ids(list(ids), f"{path}: ")
+    return EmbeddingSet(ids=ids, data=data, **labels)
+
+
+def _read_embeddings_csv(path: str, keys: dict):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -164,61 +179,50 @@ def read_embeddings(path: str, id_column: str = "id",
         except StopIteration:
             raise InputError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        special = {}
-        for name, col in (("id", id_column), ("subgroup", subgroup_column),
-                          ("region", region_column)):
-            if col is None:
-                continue
-            if col not in header:
-                raise InputError(f"{path}: no {name} column named {col!r}")
-            special[name] = header.index(col)
+        for name, key in keys.items():
+            if key not in header:
+                raise InputError(f"{path}: no {name} column named {key!r}")
+        special = {name: header.index(key) for name, key in keys.items()}
         feature_cols = [j for j in range(len(header))
                         if j not in special.values()]
         if not feature_cols:
             raise InputError(f"{path}: no feature columns")
         cells, _, data = _read_cells(path, reader, len(header), feature_cols)
-    if not len(cells):
-        raise InputError(f"{path}: no data rows")
-    ids = cells[:, special.pop("id")]
-    check_unique_ids(ids.tolist(), f"{path}: ")
-    return EmbeddingSet(ids=ids, data=data,
-                        **{name: cells[:, j] for name, j in special.items()})
+    return {name: cells[:, j] for name, j in special.items()}, data
 
 
-def _read_embeddings_jsonl(path: str) -> EmbeddingSet:
-    ids, rows = [], []
-    subgroups, regions = [], []
+def jsonl_records(path: str):
+    """(line number, record) of each non-blank line of a JSON-lines file;
+    every record must be a JSON object."""
     with open(path, encoding="utf-8") as fh:
         for r, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: row {r}: {exc}") from None
-            if "id" not in record or "features" not in record:
-                raise InputError(f"{path}: row {r} needs id and features")
-            ids.append(str(record["id"]))
-            feats = record["features"]
-            for j, v in enumerate(feats, start=1):
-                if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-                    raise InputError(f"{path}: non-numeric cell at row {r} col {j}")
-            rows.append([float(v) for v in feats])
-            if "subgroup" in record:
-                subgroups.append(str(record["subgroup"]))
-            if "region" in record:
-                regions.append(str(record["region"]))
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-    if subgroups and len(subgroups) != len(rows):
-        raise InputError(f"{path}: subgroup present on only some rows")
-    if regions and len(regions) != len(rows):
-        raise InputError(f"{path}: region present on only some rows")
-    check_unique_ids(ids, f"{path}: ")
-    return EmbeddingSet(ids=tuple(ids), data=np.asarray(rows),
-                        subgroup=tuple(subgroups) or None,
-                        region=tuple(regions) or None)
+            if not isinstance(record, dict):
+                raise InputError(f"{path}: row {r} is not a JSON object")
+            yield r, record
+
+
+def _read_embeddings_jsonl(path: str, keys: dict):
+    labels = {name: [] for name in keys}
+    rows = []
+    for r, record in jsonl_records(path):
+        if "features" not in record:
+            raise InputError(f"{path}: row {r} needs features")
+        for name, key in keys.items():
+            if key not in record:
+                raise InputError(f"{path}: row {r} has no {name} key {key!r}")
+            labels[name].append(str(record[key]))
+        feats = record["features"]
+        for j, v in enumerate(feats, start=1):
+            if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
+                raise InputError(f"{path}: non-numeric cell at row {r} col {j}")
+        rows.append([float(v) for v in feats])
+    return labels, np.asarray(rows)
 
 
 def write_embeddings(eset: EmbeddingSet, path: str) -> None:

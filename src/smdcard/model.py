@@ -75,11 +75,11 @@ class EmbeddingSet:
         return self.data.shape[1]
 
     def resample(self, rows) -> "EmbeddingSet":
-        """A bootstrap draw: row i is this set's row ``rows[i]``, for n row
-        indices that may repeat. The ids stay in place, so they name
-        positions, not source rows; labels follow their rows. Ids and labels
-        were validated when this set was built, so, unlike the constructor,
-        this re-checks nothing and copies the rows once."""
+        """A bootstrap draw without labels: row i is this set's row
+        ``rows[i]``, for n row indices that may repeat. The ids stay in
+        place, so they name positions, not source rows. The ids were
+        validated when this set was built, so, unlike the constructor, this
+        re-checks nothing and copies the rows once."""
         rows = np.asarray(rows, dtype=np.intp)
         if rows.shape != (self.n,):
             raise InputError(f"a resample of {self.n} rows needs {self.n} "
@@ -88,10 +88,8 @@ class EmbeddingSet:
         data = self.data[rows]
         data.setflags(write=False)
         object.__setattr__(drawn, "data", data)
-        for attr in ("subgroup", "region"):
-            labels = getattr(self, attr)
-            if labels is not None:
-                object.__setattr__(drawn, attr, tuple(labels[i] for i in rows))
+        object.__setattr__(drawn, "subgroup", None)
+        object.__setattr__(drawn, "region", None)
         return drawn
 
     def subset(self, indices: Iterable[int]) -> "EmbeddingSet":

@@ -10,24 +10,22 @@ explicit undefined markers, never silent omission.
 
 A compute entry gets its metric's parameters as the config parsed them;
 ``plan`` checks them against the data. The unit of work is a task, keyed
-(scope, metric, replicates): a metric in a scope (replicates None), or, in
-a subgroup scope, one base metric's block of the replicates ``consistency``
-asks for (replicates the block's size). A block task draws each
-replicate's rows with ``consistency.replicate_rows`` and returns one
-result per replicate, filed under (scope, metric, replicate index). Where
-a compute entry has a replicate form (``_Replicable``), the block is
-evaluated in one pass; every other base metric runs once per replicate.
-Computation is pure and each replicate's rows come from its own derived
-seed, so the tasks can run in any order and in any process. With
-``workers`` above 1 they run in a pool of forked worker processes: the
-children inherit the task list and its inputs at fork, so nothing but a
-task's index and its results crosses the process boundary. The pool is
-capped at the task count and at the CPUs available to the process, and
-where the platform has no ``fork`` the tasks run serially. The consistency
-metrics are compute entries too; they read the other tasks' results, so
-they run once the pool is done. Results come back in task order and are
-keyed before assembly, which keeps reports byte-identical for any worker
-count.
+(scope, metric, rows): a metric in a scope (rows None), or one of the
+replicate blocks ``consistency.replicate_tasks`` gives a subgroup scope, a
+base metric with the index arrays of its replicates' rows. A block task
+returns one result per replicate, filed under (scope, metric, replicate
+index). Where a compute entry has a replicate form (``_BLOCKS``), the
+block is evaluated in one pass; every other base metric runs once per
+replicate. Computation is pure and each task carries its rows, so the
+tasks can run in any order and in any process. With ``workers`` above 1
+they run in a pool of forked worker processes: the children inherit the
+task list and its inputs at fork, so nothing but a task's index and its
+results crosses the process boundary. The pool is capped at the task
+count and at the CPUs available to the process, and where the platform
+has no ``fork`` the tasks run serially. The consistency metrics are
+compute entries too; they read the other tasks' results, so they run once
+the pool is done. Results come back in task order and are keyed before
+assembly, which keeps reports byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -150,6 +148,9 @@ def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
             elif not has_bounds_source(base, config):
                 add("E228", f"consistency base metric {base!r} has no "
                             "normalization bounds")
+        for name, base in consistency.unobserved_bases(config):
+            add("E227", f"metric {name!r} reads the subgroup values of base "
+                        f"metric {base!r}, which metrics does not select")
 
     if config.pca_dim is not None and config.pca_dim > synthetic.d:
         add("E229", f"pca.target_dim={config.pca_dim} exceeds d={synthetic.d}")
@@ -208,19 +209,6 @@ def _nearest_invalid(a: _Args):
     return value, diagnostics
 
 
-class _Replicable:
-    """A compute entry with a replicate form: ``replicates(args, params,
-    rows)`` gives one (value, diagnostics) per row set of ``args.synthetic``
-    that an index array in ``rows`` picks, the whole block in one pass.
-    Called as an entry, it computes the one set it is given."""
-
-    def __init__(self, single, replicates):
-        self.single, self.replicates = single, replicates
-
-    def __call__(self, args, params):
-        return self.single(args, params)
-
-
 #: name -> compute(args, params), params being the metric's parsed
 #: parameters keyed as the metric function's keywords, so an entry passes
 #: them on as ``**p``. Entries look their function up through the module at
@@ -230,19 +218,14 @@ _COMPUTE = {
         a.real, a.synthetic),
     "earth_movers_distance": lambda a, p: congruence.wasserstein1(
         a.real, a.synthetic, **p),
-    "jensen_shannon_divergence": _Replicable(
-        lambda a, p: congruence.jensen_shannon(a.real, a.synthetic, **p),
-        lambda a, p, rows: congruence.jensen_shannon_replicates(
-            a.real, a.synthetic, rows, **p)),
+    "jensen_shannon_divergence": lambda a, p: congruence.jensen_shannon(
+        a.real, a.synthetic, **p),
     "frechet_distance": lambda a, p: _frechet(a),
     "centroid_distance_congruence": lambda a, p: congruence.centroid_distance(
         a.real, a.synthetic),
     "precision": lambda a, p: congruence.manifold_precision(
         a.real, a.synthetic, **p),
-    "recall": _Replicable(
-        lambda a, p: coverage.manifold_recall(a.real, a.synthetic, **p),
-        lambda a, p, rows: coverage.manifold_recall_replicates(
-            a.real, a.synthetic, rows, **p)),
+    "recall": lambda a, p: coverage.manifold_recall(a.real, a.synthetic, **p),
     "coverage": lambda a, p: coverage.manifold_coverage(
         a.real, a.synthetic, **p),
     "centroid_distance_coverage": lambda a, p: coverage.centroid_spread(
@@ -253,10 +236,8 @@ _COMPUTE = {
     "vendi_score": lambda a, p: _count_bounds(coverage.vendi_score(
         a.synthetic, **p), a.synthetic.n),
     "variance_coverage": lambda a, p: coverage.total_variance(a.synthetic),
-    "entropy_coverage": _Replicable(
-        lambda a, p: coverage.embedding_entropy(a.synthetic, **p),
-        lambda a, p, rows: coverage.embedding_entropy_replicates(
-            a.synthetic, rows, **p)),
+    "entropy_coverage": lambda a, p: coverage.embedding_entropy(
+        a.synthetic, **p),
     "rarity_score": lambda a, p: coverage.rarity_score(
         a.real, a.synthetic, **p),
     "cluster_balance": lambda a, p: coverage.cluster_balance(
@@ -290,6 +271,19 @@ _COMPUTE = {
         name, a.results, a.config, a.synthetic.subgroup)
        for d in catalog.REGISTRY.values()
        if d.source == catalog.SOURCE_SUBGROUP_METRICS},
+}
+
+
+#: name -> block(args, params, rows): the replicate form of a compute entry,
+#: one (value, diagnostics) per row set of ``args.synthetic`` that an index
+#: array in ``rows`` picks, the whole block in one pass.
+_BLOCKS = {
+    "jensen_shannon_divergence": lambda a, p, rows:
+        congruence.jensen_shannon_replicates(a.real, a.synthetic, rows, **p),
+    "recall": lambda a, p, rows: coverage.manifold_recall_replicates(
+        a.real, a.synthetic, rows, **p),
+    "entropy_coverage": lambda a, p, rows:
+        coverage.embedding_entropy_replicates(a.synthetic, rows, **p),
 }
 
 
@@ -333,19 +327,16 @@ def _results(scope: str, name: str, args: _Args, compute,
 
 
 def _task_results(task: tuple, args: _Args) -> list[MetricResult]:
-    """One task's results: a metric in a scope, or a base metric's block of
-    ``replicates`` replicates in a subgroup scope, one result per
-    replicate, each on the rows ``consistency.replicate_rows`` draws."""
-    scope, name, replicates = task
-    if replicates is None:
+    """One task's results: a metric in a scope (rows None), or a base
+    metric's replicate block, one result per index array in ``rows``, each
+    on the rows of ``args.synthetic`` it picks."""
+    scope, name, rows = task
+    if rows is None:
         return _results(scope, name, args, lambda: [_compute(name, args)])
-    label = scope.partition(":")[2]
-    rows = [consistency.replicate_rows(args.synthetic.n, label, r, args.seed)
-            for r in range(replicates)]
-    block = getattr(_COMPUTE[name], "replicates", None)
+    block = _BLOCKS.get(name)
     if block is not None:
         return _results(scope, name, args, lambda: block(
-            args, _params(name, args.config), rows), replicates)
+            args, _params(name, args.config), rows), len(rows))
     results = []
     for drawn in rows:
         resampled = replace(args, synthetic=args.synthetic.resample(drawn))
@@ -412,19 +403,13 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
 
     embedding = [n for n in config.metrics
                  if catalog.descriptor(n).source == catalog.SOURCE_EMBEDDING]
-    blocks = consistency.replicate_tasks(config)
-    tasks = []  # (task, args); the task is (scope, metric, replicates)
+    tasks = []  # (task, args); the task is (scope, metric, rows)
     for scope, real_slice, synth_slice in scopes:
         args = _Args(real_slice, synth_slice, config, seed, inputs)
         tasks.extend(((scope, name, None), args) for name in embedding)
-        if blocks and scope.startswith("subgroup:"):
-            # a replicate's rows may repeat, so positional ids replace the
-            # originals; each replicate only swaps in its drawn rows
-            resampled = replace(args, synthetic=EmbeddingSet(
-                ids=tuple(f"b{i:06d}" for i in range(synth_slice.n)),
-                data=synth_slice.data))
-            tasks.extend(((scope, base, count), resampled)
-                         for base, count in blocks)
+        tasks.extend(((scope, base, rows), args) for base, rows in
+                     consistency.replicate_tasks(config, scope, synth_slice.n,
+                                                 seed))
     tasks.extend((("global", name, None), run_args) for name in config.metrics
                  if name not in embedding)
 
@@ -434,9 +419,9 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
                 == catalog.SOURCE_SUBGROUP_METRICS)
     pooled = [(task, args) for task, args in tasks if not reads_results(task)]
     for (task, _), computed in zip(pooled, _run_tasks(pooled, workers)):
-        scope, name, replicates = task
-        results.update(zip([task] if replicates is None else [
-            (scope, name, r) for r in range(replicates)], computed))
+        scope, name, rows = task
+        results.update(zip([task] if rows is None else [
+            (scope, name, r) for r in range(len(rows))], computed))
     for task, args in tasks:
         if reads_results(task):
             results[task] = _task_results(task, args)[0]

@@ -167,6 +167,8 @@ class TestEvaluate:
          "params.vendi_score.gamma"),
         ({"params": {"dpp_score": {"kernel": "cosine", "gamma": 2}}},
          "params.dpp_score.gamma"),
+        ({"consistency": {"base_metrics": ["recall", "recall"]}},
+         "consistency.base_metrics"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_malformed_config_value_exit_2(self, workspace, capsys,
                                            override, key):
@@ -289,6 +291,43 @@ class TestFullSurface:
         subgroup = [s for s in scopes if s["scope"] == "subgroup:mode0"][0]
         entry = subgroup["criteria"][0]["metrics"][0]
         assert entry["value"] is not None, entry["diagnostics"]
+
+    def test_jsonl_reads_the_configured_columns_as_csv_does(self, tmp_path):
+        # the same data in both formats gives the same report: ids and
+        # subgroups come from the configured keys, the unconfigured "id"
+        # and "subgroup" keys are not read, and the reference file may omit
+        # the subgroup
+        real = make_gaussian_mixture(40, 3, TWO_MODES, seed=93)
+        synth = make_gaussian_mixture(40, 3, TWO_MODES, seed=94)
+        for name, eset in (("real", real), ("synthetic", synth)):
+            labels = (("cohort", eset.subgroup),) if name == "synthetic" else ()
+            with open(tmp_path / f"{name}.csv", "w") as fh:
+                fh.write(",".join(["key", *(k for k, _ in labels), "f0", "f1",
+                                   "f2"]) + "\n")
+                for i in range(eset.n):
+                    fh.write(",".join([eset.ids[i], *(v[i] for _, v in labels),
+                                       *map(repr, eset.data[i].tolist())])
+                             + "\n")
+            with open(tmp_path / f"{name}.jsonl", "w") as fh:
+                for i in range(eset.n):
+                    fh.write(json.dumps({
+                        "key": eset.ids[i], "id": "same", "subgroup": "x",
+                        **{k: v[i] for k, v in labels},
+                        "features": eset.data[i].tolist()}) + "\n")
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({
+            "metrics": ["cosine_similarity"],
+            "columns": {"id": "key", "subgroup": "cohort"}, "seed": 3}))
+        reports = []
+        for ext in ("csv", "jsonl"):
+            out = tmp_path / f"report_{ext}.json"
+            assert main(["evaluate", "--real", str(tmp_path / f"real.{ext}"),
+                         "--synthetic", str(tmp_path / f"synthetic.{ext}"),
+                         "--config", str(config), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert [s["scope"] for s in json.loads(reports[0])["scopes"]] == [
+            "global", "subgroup:mode0", "subgroup:mode1"]
 
     def test_evaluate_with_table_images_and_probs(self, workspace, tmp_path):
         tmp_ws, paths = workspace

@@ -89,6 +89,33 @@ class TestEmbeddingsCsv:
         es = ingest.read_embeddings(p)
         assert es.n == 2 and es.d == 2
 
+    def test_jsonl_reads_only_configured_label_keys(self, tmp_path):
+        p = _write(tmp_path / "e.jsonl",
+                   '{"key": "a", "id": 1, "subgroup": "s", "cohort": "c1", '
+                   '"features": [1]}\n'
+                   '{"key": "b", "id": 1, "subgroup": "s", "cohort": "c2", '
+                   '"features": [2]}\n')
+        es = ingest.read_embeddings(p, id_column="key")
+        assert (es.ids, es.subgroup, es.region) == (("a", "b"), None, None)
+        es = ingest.read_embeddings(p, id_column="key",
+                                    subgroup_column="cohort")
+        assert es.subgroup == ("c1", "c2")
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"subgroup_column": "site"}, "subgroup .*'site'"),
+        ({"region_column": "area"}, "region .*'area'"),
+        ({"id_column": "key"}, "id .*'key'"),
+    ])
+    def test_configured_column_missing_in_either_format(self, tmp_path,
+                                                        columns, message):
+        csv_path = _write(tmp_path / "e.csv", "id,f0\na,1\nb,2\n")
+        jsonl_path = _write(tmp_path / "e.jsonl",
+                            '{"id": "a", "features": [1]}\n'
+                            '{"id": "b", "features": [2]}\n')
+        for path in (csv_path, jsonl_path):
+            with pytest.raises(InputError, match=message):
+                ingest.read_embeddings(path, **columns)
+
     def test_infinite_value_rejected(self, tmp_path):
         p = _write(tmp_path / "e.csv", "id,f0\na,inf\n")
         with pytest.raises(InputError, match="non-finite"):

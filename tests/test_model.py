@@ -49,8 +49,7 @@ class TestEmbeddingSet:
                           subgroup=("s", "t", "u"), region=("x", "y", "z"))
         rows = np.array([2, 2, 0])
         drawn = es.resample(rows)
-        built = EmbeddingSet(ids=es.ids, data=es.data[rows],
-                             subgroup=("u", "u", "s"), region=("z", "z", "x"))
+        built = EmbeddingSet(ids=es.ids, data=es.data[rows])
         assert (drawn.ids, drawn.subgroup, drawn.region) == (
             built.ids, built.subgroup, built.region)
         assert drawn.data.dtype == built.data.dtype

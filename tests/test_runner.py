@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from smdcard import catalog, congruence, coverage, errors, runner
+from smdcard import catalog, congruence, consistency, coverage, errors, \
+    runner
 from smdcard.aggregate import has_bounds_source
 from smdcard.config import config_from_dict
-from smdcard.consistency import one_way_anova, replicate_rows, task_seed
+from smdcard.consistency import one_way_anova, task_seed
 from smdcard.constraint import ConstraintRuleSet, rule_from_dict
 from smdcard.errors import EvaluationError
 from smdcard.harness import make_gaussian_mixture, make_record_table
@@ -123,6 +124,23 @@ class TestPlan:
                                             "max_min_difference"]})
         outcome = plan(EvaluationInputs(synthetic=bare, real=real), cfg)
         assert any("subgroup" in m for m in outcome.messages())
+
+    def test_dispersion_needs_its_bases_selected(self, pair):
+        # no subgroup task computes an unselected base, so the dispersion
+        # metrics would have no values; anova draws its own replicates
+        real, synth = pair
+        inputs = EvaluationInputs(synthetic=synth, real=real)
+        raw = {"metrics": ["cosine_similarity", "metric_variance",
+                           "max_min_difference", "anova"],
+               "consistency": {"base_metrics": ["recall"]}}
+        assert plan(inputs, config_from_dict(raw)).messages() == [
+            f"E227: metric {name!r} reads the subgroup values of base metric "
+            "'recall', which metrics does not select"
+            for name in ("metric_variance", "max_min_difference")]
+        assert plan(inputs, config_from_dict(
+            dict(raw, metrics=["cosine_similarity", "anova"]))).ok
+        assert plan(inputs, config_from_dict(
+            dict(raw, metrics=raw["metrics"] + ["recall"]))).ok
 
 
 class TestRunEvaluation:
@@ -392,6 +410,23 @@ class TestAnovaReplicates:
         assert entry["value"] == worst["F"]
         assert entry["diagnostics"]["p"] == worst["p"]
 
+    def test_one_draw_per_subgroup_replicate(self, pair, monkeypatch):
+        # every base of a subgroup, with or without a block form, reads the
+        # same rows in each replicate, drawn once
+        real, synth = pair
+        draws = []
+        replicate_rows = consistency.replicate_rows
+
+        def counted(size, label, replicate, seed):
+            draws.append((label, replicate))
+            return replicate_rows(size, label, replicate, seed)
+        monkeypatch.setattr(consistency, "replicate_rows", counted)
+        bases = ["jensen_shannon_divergence", "recall", "cosine_similarity"]
+        cfg = _embedding_config(metrics=bases + ["anova"], consistency={
+            "base_metrics": bases, "bootstrap_replicates": 5})
+        run_evaluation(EvaluationInputs(synthetic=synth, real=real), cfg)
+        assert sorted(draws) == [(label, r) for label in ("mode0", "mode1")
+                                 for r in range(5)]
 
     @pytest.mark.parametrize("name", ["jensen_shannon_divergence",
                                       "entropy_coverage", "recall"])
@@ -401,9 +436,10 @@ class TestAnovaReplicates:
         # and an error inside a block, mark every replicate as a task per
         # replicate would
         synth = make_gaussian_mixture(20, 3, TWO_MODES, seed=5)
-        cfg = config_from_dict({"metrics": [name],
+        cfg = config_from_dict({"metrics": [name, "anova"],
+                                "consistency": {"bootstrap_replicates": 4},
                                 "bounds": {"entropy_coverage": [0, 5]}})
-        task = ("subgroup:a", name, 4)
+        task = _block_task(cfg, synth.n)
         missing = runner._task_results(task, runner._Args(None, synth, cfg, 0))
         binary = catalog.descriptor(name).arity == "binary"
         assert all((r.value is None) == binary for r in missing)
@@ -415,10 +451,11 @@ class TestAnovaReplicates:
         # 3 rows: recall's k=3 exceeds the 2 other rows of every replicate
         tiny = runner._Args(synth, make_gaussian_mixture(3, 3, TWO_MODES,
                                                          seed=6), cfg, 0)
-        block = runner._task_results(task, tiny)
+        tiny_task = _block_task(cfg, tiny.synthetic.n)
+        block = runner._task_results(tiny_task, tiny)
         assert ([(r.value, r.scope, r.diagnostics) for r in block]
                 == [(r.value, r.scope, r.diagnostics)
-                    for r in _per_replicate_results(task, tiny)])
+                    for r in _per_replicate_results(tiny_task, tiny)])
         if name == "recall":
             assert [r.diagnostics for r in block] == [{
                 "undefined_reason": "insufficient samples: k=3 out of range: "
@@ -440,14 +477,19 @@ class TestAnovaReplicates:
             {"undefined_reason": "insufficient samples: too few rows"})] * 4
 
 
+def _block_task(cfg, n):
+    """The one replicate block ``consistency`` gives subgroup "a" of ``n``
+    synthetic rows at seed 0, as a runner task."""
+    (base, rows), = consistency.replicate_tasks(cfg, "subgroup:a", n, 0)
+    return "subgroup:a", base, rows
+
+
 def _per_replicate_results(task, args):
     """A block task's results as one single-set computation per replicate,
     through the same undefined-marker rules."""
-    scope, name, replicates = task
+    scope, name, rows = task
     results = []
-    for r in range(replicates):
-        drawn = replicate_rows(args.synthetic.n, scope.partition(":")[2], r,
-                               args.seed)
+    for drawn in rows:
         resampled = replace(args, synthetic=args.synthetic.resample(drawn))
         results += runner._results(scope, name, resampled, lambda: [
             runner._compute(name, resampled)])
