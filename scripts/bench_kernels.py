@@ -19,13 +19,17 @@ replicate), and ``recall_replicates_looped`` the same 50 row sets as 50
 ``manifold_recall`` calls (k=3) on ``resample``d sets; again the values are
 identical.
 Each is timed at n rows by d dimensions per set; BLAS runs on one thread,
-as in ``perfbench``. One end-to-end row times ``run_evaluation`` on a fixture
-shaped like perfbench's ``subgroup_anova`` (600 rows by 16 dimensions per
-set, 4 subgroups, bases ``recall`` and ``jensen_shannon_divergence``, 50
-replicates) at 1 and 2 workers. Prints one JSON line: the median
-milliseconds per call of each kernel and size, the median seconds per
-evaluation at each worker count, the repetition counts, and the peak RSS of
-the largest worker process (``RUSAGE_CHILDREN``, MB).
+as in ``perfbench``. The end-to-end rows use a fixture shaped like
+perfbench's ``subgroup_anova`` (600 rows by 16 dimensions per set, 4
+subgroups, bases ``recall`` and ``jensen_shannon_divergence``, 50
+replicates): ``evaluate_workers_N`` times ``run_evaluation`` at N workers,
+and ``pool_workers_N`` times only its pool section, ``runner._run_tasks`` on
+the task list that evaluation hands it, at N processes. These rows run
+first, so the two peak RSS figures (MB) cover them alone: the evaluating
+process's own (``RUSAGE_SELF``), which holds the tasks it runs itself, and
+that of the largest forked worker (``RUSAGE_CHILDREN``). Prints one JSON
+line: the median milliseconds per call of each kernel and size, the median
+seconds of each end-to-end row, the repetition counts and the peaks.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from smdcard.coverage import (embedding_entropy,  # noqa: E402
 from smdcard.harness import make_gaussian_mixture  # noqa: E402
 from smdcard.model import EmbeddingSet  # noqa: E402
 from smdcard.numerics import ball_query, kth_neighbor_distance  # noqa: E402
+from smdcard import runner  # noqa: E402
 from smdcard.runner import EvaluationInputs, run_evaluation  # noqa: E402
 
 KNN_SIZES = ((150, 16), (600, 16), (2000, 32))
@@ -87,6 +92,22 @@ def _anova_fixture():
     return inputs, config
 
 
+def _pooled_tasks(inputs, config) -> list:
+    """The (task, args) list ``run_evaluation`` hands ``runner._run_tasks``."""
+    captured = []
+    run_tasks = runner._run_tasks
+
+    def capture(pooled, workers):
+        captured.append(pooled)
+        return run_tasks(pooled, workers)
+    runner._run_tasks = capture
+    try:
+        run_evaluation(inputs, config)
+    finally:
+        runner._run_tasks = run_tasks
+    return captured[0]
+
+
 def _median_ms(call) -> tuple[float, int]:
     call()  # warm-up
     samples = []
@@ -99,11 +120,24 @@ def _median_ms(call) -> tuple[float, int]:
 
 
 def main() -> None:
-    medians, repeats = {}, {}
+    medians, repeats, end_to_end = {}, {}, {}
 
     def record(kernel, n, d, call):
         key = f"{kernel}_{n}x{d}"
         medians[key], repeats[key] = _median_ms(call)
+
+    inputs, config = _anova_fixture()
+    pooled = _pooled_tasks(inputs, config)
+    for workers in EVALUATE_WORKERS:
+        for key, call in (
+                (f"evaluate_workers_{workers}",
+                 lambda: run_evaluation(inputs, config, workers=workers)),
+                (f"pool_workers_{workers}",
+                 lambda: runner._run_tasks(pooled, workers))):
+            ms, repeats[key] = _median_ms(call)
+            end_to_end[key] = ms / 1e3
+    peak_kib = {who: resource.getrusage(which).ru_maxrss for who, which in (
+        ("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))}
 
     for n, d in KNN_SIZES:
         real, synth = _pair(n, d)
@@ -125,17 +159,11 @@ def main() -> None:
                lambda: manifold_recall_replicates(real, synth, rows))
         record("recall_replicates_looped", n, d, lambda: [
             manifold_recall(real, synth.resample(r)) for r in rows])
-    inputs, config = _anova_fixture()
-    evaluate_s = {}
-    for workers in EVALUATE_WORKERS:
-        key = f"evaluate_workers_{workers}"
-        ms, repeats[key] = _median_ms(
-            lambda: run_evaluation(inputs, config, workers=workers))
-        evaluate_s[key] = ms / 1e3
-    children_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    print(json.dumps({"median_ms": medians, "median_s": evaluate_s,
+    print(json.dumps({"median_ms": medians, "median_s": end_to_end,
                       "repeats": repeats,
-                      "children_peak_rss_mb": children_kib / 1024,
+                      "self_peak_rss_mb": peak_kib["self"] / 1024,
+                      "children_peak_rss_mb": peak_kib["children"] / 1024,
+                      "pooled_tasks": len(pooled),
                       "numpy": np.__version__,
                       "python": platform.python_version(),
                       "machine": platform.machine()}, sort_keys=True))

@@ -15,7 +15,6 @@ omits one.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -79,10 +78,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args, config: EvalConfig) -> EvaluationInputs:
-    synthetic = _read_embeddings(args.synthetic, config)
-    real = None
+    labels = (config.subgroup_column, config.region_column)
+    real = features = None
     if args.real:
-        real = _read_embeddings(args.real, config, reference=True)
+        real_labels = _reference_labels(args.real, config)
+        features = ingest.feature_columns(args.real, config.id_column,
+                                          *real_labels)
+    synthetic = ingest.read_embeddings(args.synthetic, config.id_column,
+                                       *labels, features=features)
+    if args.real:
+        real = ingest.read_embeddings(args.real, config.id_column,
+                                      *real_labels)
     table = None
     if args.table:
         if config.table_schema is None:
@@ -115,19 +121,16 @@ def _load_inputs(args, config: EvalConfig) -> EvaluationInputs:
                             class_probs=class_probs)
 
 
-def _read_embeddings(path: str, config: EvalConfig, reference: bool = False):
-    """Embeddings with the config's id, subgroup and region columns. A
-    reference file may omit the label columns the synthetic file has: a CSV
+def _reference_labels(path: str, config: EvalConfig) -> list[str | None]:
+    """The config's subgroup and region columns that a reference file has.
+    A reference may omit the label columns the synthetic file has: a CSV
     header, or a first JSON-lines record, without one leaves it out."""
-    labels = (config.subgroup_column, config.region_column)
-    if reference:
-        if str(path).endswith(".jsonl"):
-            names = next(ingest.jsonl_records(path), (0, {}))[1]
-        else:
-            with open(path, newline="", encoding="utf-8") as fh:
-                names = [h.strip() for h in next(csv.reader(fh), [])]
-        labels = [column if column in names else None for column in labels]
-    return ingest.read_embeddings(path, config.id_column, *labels)
+    if str(path).endswith(".jsonl"):
+        names = next(ingest.jsonl_records(path), (0, {}))[1]
+    else:
+        names = ingest.csv_header(path)
+    return [column if column in names else None
+            for column in (config.subgroup_column, config.region_column)]
 
 
 def _resolve_relative(path: str, anchor_file: str) -> str:
@@ -169,7 +172,8 @@ def cmd_card(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = ingest.read_eval_config(args.config)
-    real = _read_embeddings(args.real, config, reference=True)
+    real = ingest.read_embeddings(args.real, config.id_column,
+                                  *_reference_labels(args.real, config))
     bounds = calibrate_bounds(real, config)
     if not bounds:
         raise ConfigError("no embedding metrics selected; nothing to calibrate")

@@ -8,6 +8,8 @@ atomically (temp file + rename).
 
 Parsing rejects malformed values instead of coercing them; errors name the
 first offending row and column in file order. Tables are parsed by column.
+Comma-separated and JSON-lines inputs may start with a UTF-8 byte-order
+mark, as spreadsheet exports write them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 
 import numpy as np
 import yaml
@@ -148,22 +151,25 @@ def _read_cells(path: str, reader, width: int, numeric: list[int],
 
 def read_embeddings(path: str, id_column: str = "id",
                     subgroup_column: str | None = None,
-                    region_column: str | None = None) -> EmbeddingSet:
+                    region_column: str | None = None,
+                    features: tuple[str, ...] | None = None) -> EmbeddingSet:
     """Parse an embedding matrix from a comma-separated or JSON-lines file.
 
-    Comma-separated files carry a header row; every column other than the
-    id / subgroup / region columns is a feature, kept in header order. Row
-    and column numbers in errors are 1-based with the header as row 1.
-    JSON-lines records hold a ``features`` list and the same id / subgroup
-    / region columns as keys. A label column left unset is not read.
+    Comma-separated files carry a header row that names each column once;
+    every column other than the id / subgroup / region columns is a
+    feature, kept in header order, or read in the order of ``features``,
+    which must name the same columns (a reference file's
+    ``feature_columns``, so that two sets agree by name). Row and column
+    numbers in errors are 1-based with the header as row 1. JSON-lines
+    records hold a ``features`` list, positional and of one length per
+    file, and the same id / subgroup / region columns as keys; ``features``
+    does not apply to them. A label column left unset is not read.
     """
-    keys = {name: key for name, key in (("id", id_column),
-                                        ("subgroup", subgroup_column),
-                                        ("region", region_column))
-            if key is not None}
-    read = (_read_embeddings_jsonl if str(path).endswith(".jsonl")
-            else _read_embeddings_csv)
-    labels, data = read(path, keys)
+    keys = _label_keys(id_column, subgroup_column, region_column)
+    if _is_jsonl(path):
+        labels, data = _read_embeddings_jsonl(path, keys)
+    else:
+        labels, data = _read_embeddings_csv(path, keys, features)
     if not len(data):
         raise InputError(f"{path}: no data rows")
     ids = labels.pop("id")
@@ -171,30 +177,88 @@ def read_embeddings(path: str, id_column: str = "id",
     return EmbeddingSet(ids=ids, data=data, **labels)
 
 
-def _read_embeddings_csv(path: str, keys: dict):
-    with open(path, newline="", encoding="utf-8") as fh:
+def feature_columns(path: str, id_column: str = "id",
+                    subgroup_column: str | None = None,
+                    region_column: str | None = None
+                    ) -> tuple[str, ...] | None:
+    """The feature column names of a comma-separated embedding file, in
+    header order, or None for a JSON-lines file, whose features have no
+    names."""
+    if _is_jsonl(path):
+        return None
+    keys = _label_keys(id_column, subgroup_column, region_column)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = _checked_header(path, csv.reader(fh))
+    return tuple(header[j] for j in _feature_indices(path, header, keys))
+
+
+def csv_header(path: str) -> list[str]:
+    """The stripped header row of a comma-separated file, [] if empty."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return [h.strip() for h in next(csv.reader(fh), [])]
+
+
+def _is_jsonl(path: str) -> bool:
+    return str(path).endswith(".jsonl")
+
+
+def _label_keys(id_column, subgroup_column, region_column) -> dict:
+    return {name: key for name, key in (("id", id_column),
+                                        ("subgroup", subgroup_column),
+                                        ("region", region_column))
+            if key is not None}
+
+
+def _checked_header(path: str, reader) -> list[str]:
+    """The stripped header row; a file without one, or one that repeats a
+    name, is an error."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    repeated = sorted(name for name, count in Counter(header).items()
+                      if count > 1)
+    if repeated:
+        raise InputError(f"{path}: header repeats column names {repeated}")
+    return header
+
+
+def _feature_indices(path: str, header: list[str], keys: dict) -> list[int]:
+    """The header positions of the feature columns: all but the label
+    columns in ``keys``, each of which must be present."""
+    for name, key in keys.items():
+        if key not in header:
+            raise InputError(f"{path}: no {name} column named {key!r}")
+    labels = set(keys.values())
+    indices = [j for j, name in enumerate(header) if name not in labels]
+    if not indices:
+        raise InputError(f"{path}: no feature columns")
+    return indices
+
+
+def _read_embeddings_csv(path: str, keys: dict, features):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for name, key in keys.items():
-            if key not in header:
-                raise InputError(f"{path}: no {name} column named {key!r}")
-        special = {name: header.index(key) for name, key in keys.items()}
-        feature_cols = [j for j in range(len(header))
-                        if j not in special.values()]
-        if not feature_cols:
-            raise InputError(f"{path}: no feature columns")
+        header = _checked_header(path, reader)
+        feature_cols = _feature_indices(path, header, keys)
+        names = [header[j] for j in feature_cols]
+        if features is not None and sorted(names) != sorted(features):
+            missing = sorted(set(features) - set(names))
+            extra = sorted(set(names) - set(features))
+            raise InputError(f"{path}: feature columns differ from the "
+                             f"reference's: missing {missing}, not in the "
+                             f"reference {extra}")
         cells, _, data = _read_cells(path, reader, len(header), feature_cols)
-    return {name: cells[:, j] for name, j in special.items()}, data
+    if features is not None and names != list(features):
+        data = data[:, [names.index(name) for name in features]]
+    return {name: cells[:, header.index(key)]
+            for name, key in keys.items()}, data
 
 
 def jsonl_records(path: str):
     """(line number, record) of each non-blank line of a JSON-lines file;
     every record must be a JSON object."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for r, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -208,6 +272,8 @@ def jsonl_records(path: str):
 
 
 def _read_embeddings_jsonl(path: str, keys: dict):
+    """Labels and features; ``features`` follows the CSV cell rules: finite
+    numbers (no booleans), as many in every row as in the first."""
     labels = {name: [] for name in keys}
     rows = []
     for r, record in jsonl_records(path):
@@ -218,11 +284,28 @@ def _read_embeddings_jsonl(path: str, keys: dict):
                 raise InputError(f"{path}: row {r} has no {name} key {key!r}")
             labels[name].append(str(record[key]))
         feats = record["features"]
-        for j, v in enumerate(feats, start=1):
-            if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-                raise InputError(f"{path}: non-numeric cell at row {r} col {j}")
-        rows.append([float(v) for v in feats])
-    return labels, np.asarray(rows)
+        if not isinstance(feats, list) or not feats:
+            raise InputError(f"{path}: row {r}: features must be a non-empty "
+                             f"list of numbers, not {feats!r}")
+        if rows and len(feats) != len(rows[0]):
+            raise InputError(f"{path}: row {r} has {len(feats)} features, "
+                             f"expected {len(rows[0])}")
+        rows.append([_json_number(v, r, j, path)
+                     for j, v in enumerate(feats, start=1)])
+    return labels, np.array(rows, dtype=np.float64)
+
+
+def _json_number(value, row: int, col: int, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{path}: non-numeric cell at row {row} col {col}: "
+                         f"{value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond float64
+        value = math.inf
+    if not math.isfinite(value):
+        raise InputError(f"{path}: non-finite value at row {row} col {col}")
+    return value
 
 
 def write_embeddings(eset: EmbeddingSet, path: str) -> None:
@@ -262,12 +345,9 @@ def read_record_table(path: str, schema: dict[str, str],
     """Parse a typed record table; empty cells / the sentinel are missing."""
     if not schema:
         raise ConfigError("record table schema must declare column kinds")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
+        header = _checked_header(path, reader)
         missing_decl = sorted(set(header) - set(schema))
         if missing_decl:
             raise InputError(f"{path}: columns {missing_decl} not declared "
@@ -365,7 +445,7 @@ def read_image_pairs(manifest_path: str) -> list[tuple[str, str]]:
     """Two-column manifest: reference image path, synthetic image path."""
     pairs = []
     base = os.path.dirname(os.path.abspath(manifest_path))
-    with open(manifest_path, newline="", encoding="utf-8") as fh:
+    with open(manifest_path, newline="", encoding="utf-8-sig") as fh:
         for r, record in enumerate(csv.reader(fh), start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue

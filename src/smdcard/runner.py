@@ -18,20 +18,27 @@ index). Where a compute entry has a replicate form (``_BLOCKS``), the
 block is evaluated in one pass; every other base metric runs once per
 replicate. Computation is pure and each task carries its rows, so the
 tasks can run in any order and in any process. With ``workers`` above 1
-they run in a pool of forked worker processes: the children inherit the
-task list and its inputs at fork, so nothing but a task's index and its
-results crosses the process boundary. The pool is capped at the task
-count and at the CPUs available to the process, and where the platform
-has no ``fork`` the tasks run serially. The consistency metrics are
+the evaluate process forks children and works through the task list
+alongside them (a fork-join): every process claims its next task from one
+shared counter, the tasks that read the most rows first, so that no large
+task is left to run alone at the end. The children inherit the task list
+and its inputs at fork, so nothing but their results crosses the process
+boundary, and the evaluate process reaps every child before it returns or
+raises. The processes are capped at the task count and at the CPUs
+available to the process, and where the platform has no ``fork`` the
+tasks run serially. A failing run raises the error of its first failing
+task in task order, as a serial run does. The consistency metrics are
 compute entries too; they read the other tasks' results, so they run once
-the pool is done. Results come back in task order and are keyed before
-assembly, which keeps reports byte-identical for any worker count.
+the other tasks are done. Results are merged in task order and keyed
+before assembly, which keeps reports byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -445,38 +452,102 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: The pooled (task, args) list, set in each forked worker by ``_adopt``.
-_POOLED: list = []
-
-
-def _adopt(pooled: list) -> None:
-    global _POOLED
-    _POOLED = pooled
-
-
-def _run_pooled(index: int) -> list[MetricResult]:
-    return _task_results(*_POOLED[index])
-
-
 def _run_tasks(pooled: list, workers: int) -> list[list[MetricResult]]:
-    """``_task_results`` of each (task, args) in ``pooled``, in order, on at
-    most ``workers`` forked processes, or serially in this one. The list
-    reaches the children through the pool's initializer, which a forked
-    child inherits without pickling; only task indices and results are
-    pickled. The process modules load only when a pool can start."""
+    """``_task_results`` of each (task, args) in ``pooled``, in order, in
+    this process and at most ``workers`` - 1 forked children, or serially
+    in this one. The process modules load only when children can start."""
     processes = min(workers, len(pooled), _available_cpus())
     if processes > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import process
-            with process.ProcessPoolExecutor(
-                    max_workers=processes,
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_adopt, initargs=(pooled,)) as pool:
-                return list(pool.map(
-                    _run_pooled, range(len(pooled)),
-                    chunksize=max(1, len(pooled) // (4 * processes))))
+            return _fork_join(pooled, processes,
+                              multiprocessing.get_context("fork"))
     return [_task_results(*t) for t in pooled]
+
+
+def _rows_read(task: tuple, args: _Args) -> int:
+    """A task's size: its scope's reference and synthetic rows, once per
+    row set it evaluates."""
+    rows = task[2]
+    scope_rows = args.synthetic.n + (0 if args.real is None else args.real.n)
+    return scope_rows * (1 if rows is None else len(rows))
+
+
+def _fork_join(pooled: list, processes: int,
+               context) -> list[list[MetricResult]]:
+    """Run ``pooled`` in this process and ``processes`` - 1 forked children.
+
+    Each process claims the next task from a shared counter, largest
+    ``_rows_read`` first, and keeps each task's results, or its error,
+    under the task's index; a task after the first failed one in task order
+    is skipped. Each child pickles its share into a pipe and leaves with
+    ``os._exit``, so no exit handler or stdio buffer of this process runs
+    twice. Every child is reaped, and killed first if this process stops
+    early; a child that ends without sending its share is an error."""
+    order = sorted(range(len(pooled)), key=lambda i: -_rows_read(*pooled[i]))
+    lock = context.Lock()
+    # the next position in ``order``, and the lowest failed task index
+    shared = context.RawArray("q", [0, len(pooled)])
+
+    def work() -> dict:
+        done = {}
+        while True:
+            with lock:
+                position = shared[0]
+                shared[0] += 1
+            if position >= len(order):
+                return done
+            index = order[position]
+            if index > shared[1]:
+                continue
+            try:
+                done[index] = _task_results(*pooled[index])
+            except Exception as exc:
+                done[index] = exc
+                with lock:
+                    shared[1] = min(shared[1], index)
+
+    children = []  # (pid, read end of its pipe)
+    finished = False
+    try:
+        for _ in range(processes - 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    payload = pickle.dumps(work(), pickle.HIGHEST_PROTOCOL)
+                    with open(write, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        done = work()
+        payloads = [pipe.read() for _, pipe in children]
+        finished = True
+    finally:
+        codes = []
+        for pid, pipe in children:
+            pipe.close()
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), payload, code in zip(children, payloads, codes):
+        if not payload:
+            raise RuntimeError(f"worker process {pid} ended without sending "
+                               f"its results (exit code {code})")
+        done.update(pickle.loads(payload))
+    for index in range(len(pooled)):
+        if isinstance(done[index], Exception):
+            raise done[index]
+    return [done[index] for index in range(len(pooled))]
 
 
 def _resolve_rules(inputs: EvaluationInputs,

@@ -255,6 +255,79 @@ class TestEvaluate:
         assert outcomes[1] == outcomes[0]
         assert not paths["report"].exists()
 
+    @pytest.mark.parametrize("name, body, message", [
+        ("synthetic.jsonl", '{"id": "a", "subgroup": "g", '
+                            '"features": [1.0, 2.0]}\n'
+                            '{"id": "b", "subgroup": "g", '
+                            '"features": [3.0]}\n',
+         "row 2 has 1 features, expected 2"),
+        ("synthetic.jsonl", '{"id": "a", "subgroup": "g", "features": 5}\n',
+         "row 1: features must be a non-empty list of numbers"),
+        ("synthetic.jsonl", '{"id": "a", "subgroup": "g", '
+                            '"features": [true, false]}\n',
+         "non-numeric cell at row 1 col 1: True"),
+        ("synthetic.csv", "id,subgroup,f0,f0,f2,f3\na,g,1,2,3,4\n",
+         "header repeats column names ['f0']"),
+        ("synthetic.csv", "id,subgroup,f0,f1,f2,g3\na,g,1,2,3,4\n",
+         "missing ['f3'], not in the reference ['g3']"),
+    ], ids=["jsonl_ragged", "jsonl_not_a_list", "jsonl_booleans",
+            "csv_repeated_name", "csv_other_names"])
+    def test_malformed_embeddings_exit_2(self, workspace, capsys, name, body,
+                                         message):
+        tmp_path, paths = workspace
+        bad = tmp_path / name
+        bad.write_text(body)
+        paths = dict(paths, synthetic=bad)
+        assert main(_evaluate_args(paths)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E21") and str(bad) in err and message in err
+        assert not paths["report"].exists()
+
+    def test_feature_columns_matched_by_name(self, workspace, tmp_path):
+        # the synthetic file with its feature columns in another order
+        # gives the report of the file in the reference's order
+        tmp_ws, paths = workspace
+        lines = paths["synthetic"].read_text().splitlines()
+        order = [0, 1, 4, 2, 5, 3]  # id, subgroup, f2, f0, f3, f1
+        shuffled = tmp_ws / "shuffled.csv"
+        shuffled.write_text("".join(",".join(line.split(",")[j] for j in order)
+                                    + "\n" for line in lines))
+        assert shuffled.read_text().startswith("id,subgroup,f2,f0,f3,f1\n")
+        reports = []
+        for synthetic in (paths["synthetic"], shuffled):
+            out = tmp_path / f"{synthetic.stem}.json"
+            assert main(_evaluate_args(dict(paths, synthetic=synthetic),
+                                       out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_byte_order_mark_gives_same_report(self, workspace, tmp_path,
+                                               ext):
+        tmp_ws, paths = workspace
+        plain = {}
+        for name in ("real", "synthetic"):
+            if ext == "csv":
+                plain[name] = paths[name]
+                continue
+            eset = ingest.read_embeddings(str(paths[name]),
+                                          subgroup_column="subgroup")
+            plain[name] = tmp_ws / f"{name}.jsonl"
+            plain[name].write_text("".join(json.dumps({
+                "id": eset.ids[i], "subgroup": eset.subgroup[i],
+                "features": eset.data[i].tolist()}) + "\n"
+                for i in range(eset.n)))
+        marked = {}
+        for name, path in plain.items():
+            marked[name] = tmp_ws / f"bom_{path.name}"
+            marked[name].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        reports = []
+        for files in (plain, marked):
+            out = tmp_path / f"report_{len(reports)}.json"
+            assert main(_evaluate_args(dict(paths, **files), out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_env_seed_used_when_config_omits(self, workspace, monkeypatch,
                                              tmp_path):
         tmp_path_ws, paths = workspace

@@ -116,6 +116,53 @@ class TestEmbeddingsCsv:
             with pytest.raises(InputError, match=message):
                 ingest.read_embeddings(path, **columns)
 
+    def test_features_read_in_the_given_order(self, tmp_path):
+        p = _write(tmp_path / "e.csv", "f1,id,f0\n2,a,1\n4,b,3\n")
+        assert ingest.feature_columns(p) == ("f1", "f0")
+        es = ingest.read_embeddings(p, features=("f0", "f1"))
+        assert es.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(InputError, match=r"missing \['f2'\], not in "
+                                             r"the reference \['f1'\]"):
+            ingest.read_embeddings(p, features=("f0", "f2"))
+
+    def test_features_of_jsonl_are_positional(self, tmp_path):
+        p = _write(tmp_path / "e.jsonl", '{"id": "a", "features": [1, 2]}\n')
+        assert ingest.feature_columns(p) is None
+        es = ingest.read_embeddings(p, features=("y", "x"))
+        assert es.data.tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("header", ["id,f0,f0", "id,f0,id"])
+    def test_repeated_header_name_rejected(self, tmp_path, header):
+        p = _write(tmp_path / "e.csv", header + "\na,1,2\n")
+        with pytest.raises(InputError, match="header repeats column names"):
+            ingest.read_embeddings(p)
+
+    @pytest.mark.parametrize("features, message", [
+        ('[1, 2]}\n{"id": "b", "features": [1]',
+         "row 2 has 1 features, expected 2"),
+        ("[]", "features must be a non-empty list"),
+        ('"1,2"', "features must be a non-empty list"),
+        ("[1, false]", "row 1 col 2: False"),
+        ('[1, "2"]', "row 1 col 2: '2'"),
+        ("[1, NaN]", "non-finite value at row 1 col 2"),
+        ("[1, 1e400]", "non-finite value at row 1 col 2"),
+        ("[1, 1" + "0" * 400 + "]", "non-finite value at row 1 col 2"),
+    ])
+    def test_jsonl_features_follow_the_cell_rules(self, tmp_path, features,
+                                                  message):
+        p = _write(tmp_path / "e.jsonl",
+                   '{"id": "a", "features": ' + features + "}\n")
+        with pytest.raises(InputError, match=message):
+            ingest.read_embeddings(p)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        for name, text in (("e.csv", "id,f0\na,1\n"),
+                           ("e.jsonl", '{"id": "a", "features": [1]}\n')):
+            path = tmp_path / name
+            path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            es = ingest.read_embeddings(str(path))
+            assert (es.ids, es.data.tolist()) == (("a",), [[1.0]])
+
     def test_infinite_value_rejected(self, tmp_path):
         p = _write(tmp_path / "e.csv", "id,f0\na,inf\n")
         with pytest.raises(InputError, match="non-finite"):
@@ -161,6 +208,18 @@ class TestRecordTableCsv:
         p = _write(tmp_path / "t.csv", "age,sex,note\n" + body)
         with pytest.raises(InputError, match=message):
             ingest.read_record_table(p, self.SCHEMA)
+
+    def test_repeated_header_name_rejected(self, tmp_path):
+        p = _write(tmp_path / "t.csv", "age,sex,age\n30,F,31\n")
+        with pytest.raises(InputError, match=r"t\.csv: header repeats "
+                                             r"column names \['age'\]"):
+            ingest.read_record_table(p, self.SCHEMA)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfage,sex,note\n30,F,a\n")
+        t = ingest.read_record_table(str(path), self.SCHEMA)
+        assert t.column_names == ("age", "sex", "note")
 
     def test_undeclared_column_rejected(self, tmp_path):
         p = _write(tmp_path / "t.csv", "age,sex,note,extra\n30,F,a,b\n")

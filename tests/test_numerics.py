@@ -285,6 +285,84 @@ def _dimension_masses(masses, bin_counts):
             for j, b in enumerate(bin_counts[0].tolist())]
 
 
+def _percentile_histograms(samples, bins=None):
+    """``dimension_histograms`` as it was when it took the Freedman-Diaconis
+    quartiles with ``np.percentile``: the oracle of ``_sorted_quantile``."""
+    sets = max(s.shape[0] for s in samples)
+    d = samples[0].shape[2]
+    sizes = [s.shape[1] for s in samples]
+    pooled = np.concatenate([np.broadcast_to(
+        s.transpose(0, 2, 1), (sets, d, n)) for s, n in zip(samples, sizes)],
+        axis=2).reshape(sets * d, sum(sizes))
+    ordered = np.sort(pooled, axis=1)
+    lo, hi = ordered[:, 0], ordered[:, -1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        span = hi - lo
+        overflow = ~np.isfinite(span)
+        if bins is None:
+            q75, q25 = np.percentile(ordered, [75, 25], axis=1)
+            iqr = q75 - q25
+            overflow |= ~np.isfinite(iqr)
+            width = 2.0 * iqr * pooled.shape[1] ** (-1.0 / 3.0)
+            fd = np.clip(np.ceil(span / width), FD_MIN_BINS, FD_MAX_BINS)
+            counts = np.where((iqr > 0) & ~overflow, fd, FD_MIN_BINS
+                              ).astype(np.intp)
+        else:
+            counts = np.full(lo.shape, bins, dtype=np.intp)
+    counts[(lo == hi) | overflow] = 0
+    rows, top = counts.size, int(counts.max())
+    slots = max(top, 1)
+    b = np.maximum(counts, 1)[:, None]
+    delta = np.where(counts > 0, span, 1.0)[:, None]
+    steps = np.arange(slots + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = delta / b
+        edges = np.where(step == 0, steps / b * delta, steps * step)
+        edges += lo[:, None]
+        edges[np.arange(rows), b[:, 0]] = hi
+        index = ((pooled - lo[:, None]) / delta * b).astype(np.intp)
+    np.clip(index, 0, b, out=index)
+    index[index == b] -= 1
+    first = (np.arange(rows) * (slots + 1))[:, None]
+    index += first
+    flat = edges.ravel()
+    index -= pooled < flat[index]
+    index += (pooled >= flat[index + 1]) & (index != first + b - 1)
+    index += np.repeat(np.arange(len(samples)) * edges.size, sizes)
+    tallies = np.bincount(index.ravel(), minlength=len(samples) * edges.size
+                          ).reshape(len(samples), rows, slots + 1)
+    tallies = tallies[:, :, :top]
+    tallies[:, counts == 0] = 0
+    masses = tuple((t / n).reshape(sets, d, top)
+                   for t, n in zip(tallies, sizes))
+    counts[overflow] = -1
+    return masses, counts.reshape(sets, d)
+
+
+#: values that stress the quartiles: ties, both zeros, both float64 ends
+_EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 5e-324)
+
+
+@st.composite
+def _edge_stacks(draw):
+    """One to three stacks shaped (sets, n, d), a stack of one set shared
+    by the others, drawn from ``_EDGE_VALUES`` or normals, sizes down to
+    1, and an explicit bin count or the Freedman-Diaconis default."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sets, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    stacks = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = (draw(st.sampled_from([1, sets])), draw(st.integers(1, 12)), d)
+        if draw(st.booleans()):
+            stacks.append(rng.choice(_EDGE_VALUES, size=shape))
+        else:
+            stacks.append(rng.normal(size=shape))
+    if all(s.shape[0] == 1 for s in stacks):
+        sets = 1
+    bins = draw(st.one_of(st.none(), st.integers(1, 9)))
+    return stacks, bins
+
+
 class TestHistograms:
     def test_fd_bins_respect_floor_and_cap(self):
         constant = np.array([[[1.0], [1.0], [1.0]]])
@@ -326,6 +404,30 @@ class TestHistograms:
         reasons = {v[1].get("undefined_reason") for v in block}
         assert reasons == {None, "pooled range overflows float64 in "
                                  "dimensions [0]"}
+
+    @given(st.lists(st.sampled_from(_EDGE_VALUES) | st.floats(
+        -1e6, 1e6), min_size=1, max_size=30), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_quantile_equals_percentile(self, values, rows):
+        ordered = np.sort(np.tile(values, (rows, 1)), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.percentile(ordered, [75, 25], axis=1)
+            for q, expected in zip((0.75, 0.25), want):
+                # equal up to the sign of a zero, which numpy's partition
+                # may swap with the other zero
+                assert np.array_equal(numerics._sorted_quantile(ordered, q),
+                                      expected, equal_nan=True)
+
+    @given(_edge_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_percentile_quartile_kernel(self, inputs):
+        stacks, bins = inputs
+        masses, bin_counts = dimension_histograms(stacks, bins)
+        want_masses, want_counts = _percentile_histograms(stacks, bins)
+        assert np.array_equal(bin_counts, want_counts)
+        assert len(masses) == len(want_masses)
+        for got, want in zip(masses, want_masses):
+            assert got.tobytes() == want.tobytes()
 
     def test_bins_below_one_rejected(self):
         with pytest.raises(EvaluationError, match="bins=0"):

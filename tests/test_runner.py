@@ -1,6 +1,8 @@
 import multiprocessing
+import os
 import pickle
-from concurrent.futures import process as futures_process
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -500,20 +502,71 @@ class _PoolRefused(Exception):
     pass
 
 
+def _reaped(pids) -> bool:
+    """Whether no process in ``pids`` is left as a child of this one."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
+
+
 class TestWorkerProcesses:
     METRICS = ["cosine_similarity", "jensen_shannon_divergence", "recall"]
+    TASK_RESULTS = staticmethod(runner._task_results)
 
     @pytest.fixture
     def recording_pool(self, monkeypatch):
-        """Stands in for the process pool: records the size asked for and
-        refuses to start, so no process is ever created."""
+        """Stands in for the fork-join: records the process count asked
+        for and refuses to start, so no process is ever created."""
         sizes = []
 
-        def refuse(max_workers, **kwargs):
-            sizes.append(max_workers)
+        def refuse(pooled, processes, context):
+            sizes.append(processes)
             raise _PoolRefused
-        monkeypatch.setattr(futures_process, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(runner, "_fork_join", refuse)
         return sizes
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail a test that is still waiting after a minute, instead of
+        hanging; the fork-join kills and reaps its children on the way
+        out."""
+        def expire(signum, frame):
+            raise TimeoutError("still waiting after 60 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """The pids of the children this process forks."""
+        pids = []
+        fork = os.fork
+
+        def recorded():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", recorded)
+        return pids
+
+    def _placed(self, monkeypatch, in_parent, in_child):
+        """Route every task through ``in_parent`` in this process and
+        ``in_child`` in a forked one; each gets the task and the real
+        ``_task_results``."""
+        parent, task_results = os.getpid(), self.TASK_RESULTS
+
+        def placed(task, args):
+            where = in_parent if os.getpid() == parent else in_child
+            return where(task, lambda: task_results(task, args))
+        monkeypatch.setattr(runner, "_task_results", placed)
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 2)
 
     def test_pool_capped_by_cpus_and_tasks(self, pair, monkeypatch,
                                            recording_pool):
@@ -561,6 +614,128 @@ class TestWorkerProcesses:
         assert dumps_canonical(run_evaluation(
             inputs, cfg, workers=4).to_dict()) == serial
         assert recording_pool == []
+
+    def test_children_forked_and_reaped(self, pair, monkeypatch, forked):
+        # the evaluate process is one of the workers: 3 processes fork 2
+        real, synth = pair
+        inputs = EvaluationInputs(synthetic=synth, real=real)
+        cfg = _embedding_config(metrics=self.METRICS)
+        serial = dumps_canonical(run_evaluation(inputs, cfg).to_dict())
+        assert forked == []
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 3)
+        assert dumps_canonical(run_evaluation(
+            inputs, cfg, workers=3).to_dict()) == serial
+        assert len(forked) == 2 and _reaped(forked)
+
+    def test_every_task_runs_once_with_more_processes_than_cpus(
+            self, monkeypatch, forked, tmp_path):
+        # a lost update of the shared claim counter would run a task twice
+        # or not at all; six processes share it on fewer CPUs
+        log = tmp_path / "claims"
+
+        def claimed(task, args):
+            with open(log, "a") as fh:
+                fh.write(f"{args}\n")
+            return [args * 2]
+        monkeypatch.setattr(runner, "_task_results", claimed)
+        monkeypatch.setattr(runner, "_rows_read", lambda task, i: i % 7)
+        pooled = [(("global", "m", None), i) for i in range(300)]
+        context = multiprocessing.get_context("fork")
+        assert runner._fork_join(pooled, 6, context) == [
+            [2 * i] for i in range(300)]
+        assert sorted(int(i) for i in log.read_text().split()) == list(
+            range(300))
+        assert len(forked) == 5 and _reaped(forked)
+
+    def _error(self, run):
+        with pytest.raises(Exception) as caught:
+            run()
+        return type(caught.value), str(caught.value), getattr(
+            caught.value, "code", None)
+
+    def _fails(self, pids):
+        """A task placement that records its process and fails."""
+        def fail(task, compute):
+            pids.append(os.getpid())
+            raise EvaluationError("task failed", code="E249")
+        return fail
+
+    @staticmethod
+    def _slow(task, compute):
+        time.sleep(0.2)
+        return compute()
+
+    def _run(self, pair, workers):
+        real, synth = pair
+        cfg = _embedding_config(metrics=self.METRICS)
+        return lambda: run_evaluation(
+            EvaluationInputs(synthetic=synth, real=real), cfg,
+            workers=workers)
+
+    def test_error_in_a_child_surfaces_as_serially(self, pair, monkeypatch,
+                                                   forked, tmp_path):
+        # this process takes 0.2 s per task, so a child claims the rest;
+        # a child's pids reach this process through a file
+        log = tmp_path / "pids"
+
+        def fail(task, compute):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise EvaluationError("task failed", code="E249")
+        self._placed(monkeypatch, fail, fail)
+        serial = self._error(self._run(pair, 1))
+        assert serial == (EvaluationError, "task failed", "E249")
+        log.unlink()
+        self._placed(monkeypatch, self._slow, fail)
+        assert self._error(self._run(pair, 2)) == serial
+        assert {int(pid) for pid in log.read_text().split()} == set(forked)
+        assert len(forked) == 1 and _reaped(forked)
+
+    def test_error_in_this_process_share_surfaces_as_serially(
+            self, pair, monkeypatch, forked):
+        pids = []
+        self._placed(monkeypatch, self._fails(pids), self._fails(pids))
+        serial = self._error(self._run(pair, 1))
+        pids.clear()
+        self._placed(monkeypatch, self._fails(pids), self._slow)
+        assert self._error(self._run(pair, 2)) == serial
+        assert pids and set(pids) == {os.getpid()}
+        assert len(forked) == 1 and _reaped(forked)
+
+    def test_first_failing_task_in_task_order_wins(self, pair, monkeypatch,
+                                                   forked):
+        # every task fails with its own message, wherever it runs
+        def fail(task, compute):
+            raise EvaluationError(f"{task[1]} in {task[0]} failed")
+        self._placed(monkeypatch, fail, fail)
+        serial = self._error(self._run(pair, 1))
+        assert serial[1] == "cosine_similarity in global failed"
+        assert self._error(self._run(pair, 2)) == serial
+        assert len(forked) == 1 and _reaped(forked)
+
+    def test_child_ending_without_results_is_an_error(self, pair, monkeypatch,
+                                                      forked):
+        def end(task, compute):
+            os._exit(3)
+        self._placed(monkeypatch, self._slow, end)
+        with pytest.raises(RuntimeError, match=r"worker process \d+ ended "
+                           r"without sending its results \(exit code 3\)"):
+            self._run(pair, 2)()
+        assert len(forked) == 1 and _reaped(forked)
+
+    def test_interrupted_run_kills_and_reaps_children(self, pair, monkeypatch,
+                                                      forked):
+        def interrupt(task, compute):
+            raise KeyboardInterrupt
+
+        def hang(task, compute):
+            time.sleep(60)
+        self._placed(monkeypatch, interrupt, hang)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            self._run(pair, 2)()
+        assert time.perf_counter() - start < 30
+        assert len(forked) == 1 and _reaped(forked)
 
     @pytest.mark.parametrize("error", [
         errors.SmdError("base", code="E199"), errors.ConfigError("config"),
