@@ -26,8 +26,8 @@ replicates): ``evaluate_workers_N`` times ``run_evaluation`` at N workers,
 and ``pool_workers_N`` times only its pool section, ``runner._run_tasks`` on
 the task list that evaluation hands it, at N processes. These rows run
 first, so the two peak RSS figures (MB) cover them alone: the evaluating
-process's own (``RUSAGE_SELF``), which holds the tasks it runs itself, and
-that of the largest forked worker (``RUSAGE_CHILDREN``). Prints one JSON
+process's own (``RUSAGE_SELF``), which holds the tasks of the 1-worker
+rows, and that of the largest forked worker (``RUSAGE_CHILDREN``). Prints one JSON
 line: the median milliseconds per call of each kernel and size, the median
 seconds of each end-to-end row, the repetition counts and the peaks.
 """

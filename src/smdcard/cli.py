@@ -81,9 +81,8 @@ def _load_inputs(args, config: EvalConfig) -> EvaluationInputs:
     labels = (config.subgroup_column, config.region_column)
     real = features = None
     if args.real:
-        real_labels = _reference_labels(args.real, config)
-        features = ingest.feature_columns(args.real, config.id_column,
-                                          *real_labels)
+        real_labels, features = ingest.reference_columns(
+            args.real, config.id_column, *labels)
     synthetic = ingest.read_embeddings(args.synthetic, config.id_column,
                                        *labels, features=features)
     if args.real:
@@ -119,18 +118,6 @@ def _load_inputs(args, config: EvalConfig) -> EvaluationInputs:
     return EvaluationInputs(synthetic=synthetic, real=real, table=table,
                             real_table=real_table, image_pairs=image_pairs,
                             class_probs=class_probs)
-
-
-def _reference_labels(path: str, config: EvalConfig) -> list[str | None]:
-    """The config's subgroup and region columns that a reference file has.
-    A reference may omit the label columns the synthetic file has: a CSV
-    header, or a first JSON-lines record, without one leaves it out."""
-    if str(path).endswith(".jsonl"):
-        names = next(ingest.jsonl_records(path), (0, {}))[1]
-    else:
-        names = ingest.csv_header(path)
-    return [column if column in names else None
-            for column in (config.subgroup_column, config.region_column)]
 
 
 def _resolve_relative(path: str, anchor_file: str) -> str:
@@ -172,8 +159,10 @@ def cmd_card(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = ingest.read_eval_config(args.config)
-    real = ingest.read_embeddings(args.real, config.id_column,
-                                  *_reference_labels(args.real, config))
+    real_labels, _ = ingest.reference_columns(
+        args.real, config.id_column, config.subgroup_column,
+        config.region_column)
+    real = ingest.read_embeddings(args.real, config.id_column, *real_labels)
     bounds = calibrate_bounds(real, config)
     if not bounds:
         raise ConfigError("no embedding metrics selected; nothing to calibrate")

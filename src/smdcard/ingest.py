@@ -158,8 +158,8 @@ def read_embeddings(path: str, id_column: str = "id",
     Comma-separated files carry a header row that names each column once;
     every column other than the id / subgroup / region columns is a
     feature, kept in header order, or read in the order of ``features``,
-    which must name the same columns (a reference file's
-    ``feature_columns``, so that two sets agree by name). Row and column
+    which must name the same columns (a reference file's names from
+    ``reference_columns``, so that two sets agree by name). Row and column
     numbers in errors are 1-based with the header as row 1. JSON-lines
     records hold a ``features`` list, positional and of one length per
     file, and the same id / subgroup / region columns as keys; ``features``
@@ -177,25 +177,29 @@ def read_embeddings(path: str, id_column: str = "id",
     return EmbeddingSet(ids=ids, data=data, **labels)
 
 
-def feature_columns(path: str, id_column: str = "id",
-                    subgroup_column: str | None = None,
-                    region_column: str | None = None
-                    ) -> tuple[str, ...] | None:
-    """The feature column names of a comma-separated embedding file, in
-    header order, or None for a JSON-lines file, whose features have no
+def reference_columns(path: str, id_column: str = "id",
+                      subgroup_column: str | None = None,
+                      region_column: str | None = None
+                      ) -> tuple[list[str | None], tuple[str, ...] | None]:
+    """Which label columns a reference embedding file has, and its feature
+    names, from one read of its header.
+
+    A reference may omit the subgroup and region columns the synthetic
+    file has: the first item is [subgroup column, region column], each None
+    where the file has no such column (for a JSON-lines file, where its
+    first record has no such key). The second is the feature column names
+    in header order, or None for a JSON-lines file, whose features have no
     names."""
+    wanted = (subgroup_column, region_column)
     if _is_jsonl(path):
-        return None
-    keys = _label_keys(id_column, subgroup_column, region_column)
+        names = next(jsonl_records(path), (0, {}))[1]
+        return [c if c in names else None for c in wanted], None
     with open(path, newline="", encoding="utf-8-sig") as fh:
         header = _checked_header(path, csv.reader(fh))
-    return tuple(header[j] for j in _feature_indices(path, header, keys))
-
-
-def csv_header(path: str) -> list[str]:
-    """The stripped header row of a comma-separated file, [] if empty."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        return [h.strip() for h in next(csv.reader(fh), [])]
+    present = [c if c in header else None for c in wanted]
+    keys = _label_keys(id_column, *present)
+    return present, tuple(header[j]
+                          for j in _feature_indices(path, header, keys))
 
 
 def _is_jsonl(path: str) -> bool:
@@ -262,9 +266,11 @@ def jsonl_records(path: str):
         for r, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            # ValueError covers JSONDecodeError and an integer past the
+            # interpreter's digit limit, which json.loads does not wrap
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise InputError(f"{path}: row {r}: {exc}") from None
             if not isinstance(record, dict):
                 raise InputError(f"{path}: row {r} is not a JSON object")

@@ -18,19 +18,19 @@ index). Where a compute entry has a replicate form (``_BLOCKS``), the
 block is evaluated in one pass; every other base metric runs once per
 replicate. Computation is pure and each task carries its rows, so the
 tasks can run in any order and in any process. With ``workers`` above 1
-the evaluate process forks children and works through the task list
-alongside them (a fork-join): every process claims its next task from one
-shared counter, the tasks that read the most rows first, so that no large
-task is left to run alone at the end. The children inherit the task list
-and its inputs at fork, so nothing but their results crosses the process
-boundary, and the evaluate process reaps every child before it returns or
-raises. The processes are capped at the task count and at the CPUs
-available to the process, and where the platform has no ``fork`` the
-tasks run serially. A failing run raises the error of its first failing
-task in task order, as a serial run does. The consistency metrics are
-compute entries too; they read the other tasks' results, so they run once
-the other tasks are done. Results are merged in task order and keyed
-before assembly, which keeps reports byte-identical for any worker count.
+the evaluate process forks children that work through the task list (a
+fork-join): every child claims its next task, in task order, from one
+shared counter. The children inherit the task list and its inputs at
+fork, so nothing but their results crosses the process boundary. The
+evaluate process runs no task itself; it reads the children's results and
+reaps every child before it returns or raises. The children are capped at
+the task count and at the CPUs available to the process, and where the
+platform has no ``fork`` the tasks run serially. A failing run raises the
+error of its first failing task in task order, as a serial run does.
+The consistency metrics are compute entries too; they read the other
+tasks' results, so they run once the other tasks are done. Results are
+merged in task order and keyed before assembly, which keeps reports
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -453,9 +453,9 @@ def _available_cpus() -> int:
 
 
 def _run_tasks(pooled: list, workers: int) -> list[list[MetricResult]]:
-    """``_task_results`` of each (task, args) in ``pooled``, in order, in
-    this process and at most ``workers`` - 1 forked children, or serially
-    in this one. The process modules load only when children can start."""
+    """``_task_results`` of each (task, args) in ``pooled``, in order, in at
+    most ``workers`` forked children, or serially in this process. The
+    process modules load only when children can start."""
     processes = min(workers, len(pooled), _available_cpus())
     if processes > 1:
         import multiprocessing
@@ -465,41 +465,30 @@ def _run_tasks(pooled: list, workers: int) -> list[list[MetricResult]]:
     return [_task_results(*t) for t in pooled]
 
 
-def _rows_read(task: tuple, args: _Args) -> int:
-    """A task's size: its scope's reference and synthetic rows, once per
-    row set it evaluates."""
-    rows = task[2]
-    scope_rows = args.synthetic.n + (0 if args.real is None else args.real.n)
-    return scope_rows * (1 if rows is None else len(rows))
-
-
 def _fork_join(pooled: list, processes: int,
                context) -> list[list[MetricResult]]:
-    """Run ``pooled`` in this process and ``processes`` - 1 forked children.
+    """Run ``pooled`` in ``processes`` forked children.
 
-    Each process claims the next task from a shared counter, largest
-    ``_rows_read`` first, and keeps each task's results, or its error,
-    under the task's index; a task after the first failed one in task order
-    is skipped. Each child pickles its share into a pipe and leaves with
-    ``os._exit``, so no exit handler or stdio buffer of this process runs
-    twice. Every child is reaped, and killed first if this process stops
-    early; a child that ends without sending its share is an error."""
-    order = sorted(range(len(pooled)), key=lambda i: -_rows_read(*pooled[i]))
+    Each child claims the next task in task order from a shared counter
+    and keeps each task's results, or its error, under the task's index; a
+    task after the first failed one is skipped. Each child pickles its
+    share into a pipe and leaves with ``os._exit``, so no exit handler or
+    stdio buffer of this process runs twice. This process only reads the
+    pipes, so its own work does not depend on which child ran what. Every
+    child is reaped, and killed first if this process stops early; a child
+    that ends without sending its share is an error."""
     lock = context.Lock()
-    # the next position in ``order``, and the lowest failed task index
+    # the next task index, and the lowest failed one
     shared = context.RawArray("q", [0, len(pooled)])
 
     def work() -> dict:
         done = {}
         while True:
             with lock:
-                position = shared[0]
+                index = shared[0]
                 shared[0] += 1
-            if position >= len(order):
+            if index >= len(pooled) or index > shared[1]:
                 return done
-            index = order[position]
-            if index > shared[1]:
-                continue
             try:
                 done[index] = _task_results(*pooled[index])
             except Exception as exc:
@@ -510,7 +499,7 @@ def _fork_join(pooled: list, processes: int,
     children = []  # (pid, read end of its pipe)
     finished = False
     try:
-        for _ in range(processes - 1):
+        for _ in range(processes):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -529,7 +518,6 @@ def _fork_join(pooled: list, processes: int,
                     os._exit(status)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        done = work()
         payloads = [pipe.read() for _, pipe in children]
         finished = True
     finally:
@@ -539,6 +527,7 @@ def _fork_join(pooled: list, processes: int,
             if not finished:
                 os.kill(pid, signal.SIGKILL)
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    done = {}
     for (pid, _), payload, code in zip(children, payloads, codes):
         if not payload:
             raise RuntimeError(f"worker process {pid} ended without sending "

@@ -266,12 +266,15 @@ class TestEvaluate:
         ("synthetic.jsonl", '{"id": "a", "subgroup": "g", '
                             '"features": [true, false]}\n',
          "non-numeric cell at row 1 col 1: True"),
+        ("synthetic.jsonl", '{"id": "a", "subgroup": "g", '
+                            '"features": [1' + "0" * 5000 + ']}\n',
+         "row 1: Exceeds the limit"),
         ("synthetic.csv", "id,subgroup,f0,f0,f2,f3\na,g,1,2,3,4\n",
          "header repeats column names ['f0']"),
         ("synthetic.csv", "id,subgroup,f0,f1,f2,g3\na,g,1,2,3,4\n",
          "missing ['f3'], not in the reference ['g3']"),
     ], ids=["jsonl_ragged", "jsonl_not_a_list", "jsonl_booleans",
-            "csv_repeated_name", "csv_other_names"])
+            "jsonl_long_integer", "csv_repeated_name", "csv_other_names"])
     def test_malformed_embeddings_exit_2(self, workspace, capsys, name, body,
                                          message):
         tmp_path, paths = workspace

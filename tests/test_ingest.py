@@ -118,16 +118,26 @@ class TestEmbeddingsCsv:
 
     def test_features_read_in_the_given_order(self, tmp_path):
         p = _write(tmp_path / "e.csv", "f1,id,f0\n2,a,1\n4,b,3\n")
-        assert ingest.feature_columns(p) == ("f1", "f0")
+        assert ingest.reference_columns(p) == ([None, None], ("f1", "f0"))
         es = ingest.read_embeddings(p, features=("f0", "f1"))
         assert es.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         with pytest.raises(InputError, match=r"missing \['f2'\], not in "
                                              r"the reference \['f1'\]"):
             ingest.read_embeddings(p, features=("f0", "f2"))
 
+    def test_reference_columns_name_the_labels_present(self, tmp_path):
+        csv_path = _write(tmp_path / "e.csv", "id,f0,subgroup,f1\na,1,g,2\n")
+        jsonl_path = _write(tmp_path / "e.jsonl",
+                            '{"id": "a", "subgroup": "g", "features": [1]}\n')
+        assert ingest.reference_columns(csv_path, "id", "subgroup",
+                                        "region") == (["subgroup", None],
+                                                      ("f0", "f1"))
+        assert ingest.reference_columns(jsonl_path, "id", "subgroup",
+                                        "region") == (["subgroup", None], None)
+
     def test_features_of_jsonl_are_positional(self, tmp_path):
         p = _write(tmp_path / "e.jsonl", '{"id": "a", "features": [1, 2]}\n')
-        assert ingest.feature_columns(p) is None
+        assert ingest.reference_columns(p) == ([None, None], None)
         es = ingest.read_embeddings(p, features=("y", "x"))
         assert es.data.tolist() == [[1.0, 2.0]]
 
@@ -147,6 +157,8 @@ class TestEmbeddingsCsv:
         ("[1, NaN]", "non-finite value at row 1 col 2"),
         ("[1, 1e400]", "non-finite value at row 1 col 2"),
         ("[1, 1" + "0" * 400 + "]", "non-finite value at row 1 col 2"),
+        # past the interpreter's limit on the digits of an int
+        ("[1, 1" + "0" * 5000 + "]", "row 1: Exceeds the limit"),
     ])
     def test_jsonl_features_follow_the_cell_rules(self, tmp_path, features,
                                                   message):
