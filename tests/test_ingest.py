@@ -158,7 +158,8 @@ class TestEmbeddingsCsv:
         ("[1, 1e400]", "non-finite value at row 1 col 2"),
         ("[1, 1" + "0" * 400 + "]", "non-finite value at row 1 col 2"),
         # past the interpreter's limit on the digits of an int
-        ("[1, 1" + "0" * 5000 + "]", "row 1: Exceeds the limit"),
+        pytest.param("[1, 1" + "0" * 5000 + "]", "row 1: Exceeds the limit",
+                     id="long_integer"),
     ])
     def test_jsonl_features_follow_the_cell_rules(self, tmp_path, features,
                                                   message):
