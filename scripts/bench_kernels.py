@@ -19,17 +19,24 @@ replicate), and ``recall_replicates_looped`` the same 50 row sets as 50
 ``manifold_recall`` calls (k=3) on ``resample``d sets; again the values are
 identical.
 Each is timed at n rows by d dimensions per set; BLAS runs on one thread,
-as in ``perfbench``. The end-to-end rows use a fixture shaped like
-perfbench's ``subgroup_anova`` (600 rows by 16 dimensions per set, 4
-subgroups, bases ``recall`` and ``jensen_shannon_divergence``, 50
-replicates): ``evaluate_workers_N`` times ``run_evaluation`` at N workers,
-and ``pool_workers_N`` times only its pool section, ``runner._run_tasks`` on
-the task list that evaluation hands it, at N processes. These rows run
-first, so the two peak RSS figures (MB) cover them alone: the evaluating
-process's own (``RUSAGE_SELF``), which holds the tasks of the 1-worker
-rows, and that of the largest forked worker (``RUSAGE_CHILDREN``). Prints one JSON
-line: the median milliseconds per call of each kernel and size, the median
-seconds of each end-to-end row, the repetition counts and the peaks.
+as in ``perfbench``. ``read_record_table`` reads a seeded record table of
+n rows and d columns (4 numeric, 4 categorical, 2% of cells masked) shaped
+like perfbench's ``record_table`` inputs, and ``read_embeddings`` a seeded
+embedding file of n rows by d features with a subgroup column; both files
+are written by ``ingest`` and so carry no quotes. The end-to-end rows use a
+fixture shaped like perfbench's ``subgroup_anova`` (600 rows by 16
+dimensions per set, 4 subgroups, bases ``recall`` and
+``jensen_shannon_divergence``, 50 replicates): ``evaluate_workers_N``
+times ``run_evaluation`` at N workers, and ``pool_workers_N`` times only
+its pool section, ``runner._run_tasks`` on the task list that evaluation
+hands it, at N processes. These rows run first, so the two peak RSS
+figures (MB) cover them alone: the evaluating process's own
+(``RUSAGE_SELF``), which holds the tasks of the 1-worker rows, and that of
+the largest forked worker (``RUSAGE_CHILDREN``). Prints one JSON line: the
+median milliseconds per call of each kernel and size, the median seconds
+of each end-to-end row, the repetition counts and the peaks.
+Kernel rows repeat for at least 5 calls and 0.5 s; end-to-end rows, whose
+calls fork and allocate, for at least 20 calls and 3 s.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -56,7 +64,9 @@ from smdcard.congruence import (jensen_shannon,  # noqa: E402
                                 jensen_shannon_replicates)
 from smdcard.coverage import (embedding_entropy,  # noqa: E402
                               manifold_recall, manifold_recall_replicates)
-from smdcard.harness import make_gaussian_mixture  # noqa: E402
+from smdcard import ingest  # noqa: E402
+from smdcard.harness import (inject_defect,  # noqa: E402
+                             make_gaussian_mixture, make_record_table)
 from smdcard.model import EmbeddingSet  # noqa: E402
 from smdcard.numerics import ball_query, kth_neighbor_distance  # noqa: E402
 from smdcard import runner  # noqa: E402
@@ -67,7 +77,16 @@ HISTOGRAM_SIZES = ((150, 16),)
 REPLICATE_SIZES = ((150, 16),)
 REPLICATES = 50
 EVALUATE_WORKERS = (1, 2)
+TABLE_ROWS = 20000
+NUMERIC_FIELDS = {"age": (20.0, 80.0), "hgb": (10.0, 17.0),
+                  "sbp": (90.0, 160.0), "bmi": (18.0, 35.0)}
+CATEGORICAL_FIELDS = {"sex": ["F", "M"], "site": ["A", "B", "C", "D"],
+                      "band": ["18-39", "40-59", "60-79", "80+"],
+                      "dx": ["anemia", "asthma", "diabetes", "hypertension",
+                             "none"]}
+EMBEDDING_FILE_SIZE = (600, 16)
 MIN_REPEATS, MIN_SECONDS = 5, 0.5
+END_TO_END_REPEATS, END_TO_END_SECONDS = 20, 3.0
 
 
 def _pair(n: int, d: int):
@@ -108,11 +127,29 @@ def _pooled_tasks(inputs, config) -> list:
     return captured[0]
 
 
-def _median_ms(call) -> tuple[float, int]:
+def _write_inputs(directory: str) -> dict:
+    """The seeded input files of the reader rows; their paths by kernel."""
+    table = inject_defect(
+        make_record_table(TABLE_ROWS, seed=1, numeric_fields=NUMERIC_FIELDS,
+                          categorical_fields=CATEGORICAL_FIELDS),
+        "mask_cells", seed=2, fraction=0.02).dataset
+    n, d = EMBEDDING_FILE_SIZE
+    modes = [{"mean": 4.0 * i, "scale": 1.0, "weight": 1.0} for i in range(4)]
+    paths = {"read_record_table": os.path.join(directory, "table.csv"),
+             "read_embeddings": os.path.join(directory, "embeddings.csv")}
+    ingest.write_record_table(table, paths["read_record_table"])
+    ingest.write_embeddings(make_gaussian_mixture(n, d, modes, seed=3),
+                            paths["read_embeddings"])
+    return paths
+
+
+def _median_ms(call, min_repeats=MIN_REPEATS,
+               min_seconds=MIN_SECONDS) -> tuple[float, int]:
     call()  # warm-up
     samples = []
     start = time.perf_counter()
-    while len(samples) < MIN_REPEATS or time.perf_counter() - start < MIN_SECONDS:
+    while (len(samples) < min_repeats
+           or time.perf_counter() - start < min_seconds):
         t = time.perf_counter()
         call()
         samples.append(time.perf_counter() - t)
@@ -134,11 +171,22 @@ def main() -> None:
                  lambda: run_evaluation(inputs, config, workers=workers)),
                 (f"pool_workers_{workers}",
                  lambda: runner._run_tasks(pooled, workers))):
-            ms, repeats[key] = _median_ms(call)
+            ms, repeats[key] = _median_ms(call, END_TO_END_REPEATS,
+                                          END_TO_END_SECONDS)
             end_to_end[key] = ms / 1e3
     peak_kib = {who: resource.getrusage(which).ru_maxrss for who, which in (
         ("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))}
 
+    with tempfile.TemporaryDirectory() as directory:
+        paths = _write_inputs(directory)
+        schema = {**dict.fromkeys(NUMERIC_FIELDS, "numeric"),
+                  **dict.fromkeys(CATEGORICAL_FIELDS, "categorical")}
+        record("read_record_table", TABLE_ROWS, len(schema),
+               lambda: ingest.read_record_table(paths["read_record_table"],
+                                                schema))
+        record("read_embeddings", *EMBEDDING_FILE_SIZE,
+               lambda: ingest.read_embeddings(paths["read_embeddings"],
+                                              subgroup_column="subgroup"))
     for n, d in KNN_SIZES:
         real, synth = _pair(n, d)
         record("knn", n, d, lambda: ball_query(

@@ -18,8 +18,6 @@ import argparse
 import os
 import sys
 
-import yaml
-
 from . import __version__, card as card_mod, harness, ingest
 from .config import EvalConfig
 from .errors import ConfigError, SmdError
@@ -175,10 +173,7 @@ _RECIPE_KEYS = {"embedding", "table", "defects"}
 
 
 def cmd_fixtures(args) -> int:
-    with open(args.recipe, encoding="utf-8") as fh:
-        recipe = yaml.safe_load(fh) or {}
-    if not isinstance(recipe, dict):
-        raise ConfigError(f"{args.recipe}: recipe must be a mapping")
+    recipe = ingest.read_yaml(args.recipe)
     unknown = sorted(set(recipe) - _RECIPE_KEYS)
     if unknown:
         raise ConfigError(f"{args.recipe}: unknown recipe key(s) {unknown}")

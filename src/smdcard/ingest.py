@@ -7,9 +7,12 @@ with stable key order and floats fixed at 9 significant digits, written
 atomically (temp file + rename).
 
 Parsing rejects malformed values instead of coercing them; errors name the
-first offending row and column in file order. Tables are parsed by column.
-Comma-separated and JSON-lines inputs may start with a UTF-8 byte-order
-mark, as spreadsheet exports write them.
+first offending row and column in file order. Every text input is read
+whole as UTF-8; comma-separated and JSON-lines inputs may start with a
+byte-order mark, as spreadsheet exports write them. A comma-separated file
+is tokenized once (split on line feeds and commas where it has no quotes,
+``csv.reader`` otherwise) and converted column by column: one float parse
+per numeric column, one strip per text column.
 """
 
 from __future__ import annotations
@@ -108,7 +111,113 @@ def atomic_write(path: str, payload: bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# embeddings
+# text and comma-separated records
+
+
+def _read_text(path: str, error=InputError) -> str:
+    """A text file's contents: UTF-8 after an optional byte-order mark, line
+    ends as written. A byte that is not UTF-8 is an ``error`` naming its
+    line."""
+    with open(path, "rb") as fh:
+        payload = fh.read()
+    try:
+        return payload.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = payload.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line} is not UTF-8 text "
+                    f"(byte 0x{payload[exc.start]:02x})") from None
+
+
+def _reader_records(path: str, text: str,
+                    count: int | None = None) -> list[list[str]]:
+    """The first ``count`` records (all by default) ``csv.reader`` reads from
+    ``text``; a csv error, such as a cell longer than
+    ``csv.field_size_limit()``, names its row."""
+    records: list[list[str]] = []
+    try:
+        records.extend(itertools.islice(
+            csv.reader(io.StringIO(text, newline="")), count))
+    except csv.Error as exc:
+        raise InputError(f"{path}: row {len(records) + 1}: {exc}") from None
+    return records
+
+
+# Records converted at a time: the cell strings of one block are alive at
+# once, not those of the whole file.
+_BLOCK_ROWS = 2048
+
+
+def _read_csv(path: str):
+    """A comma-separated file as (header, width, blocks, ragged): the header
+    record (None for an empty file) and its cell count; the data records
+    before the first one whose cell count differs, made block by block as
+    ``blocks`` is iterated, each block as (row of its first record, its
+    cells column by column); and that record's (row, cell count), or None.
+    Cells are as written, unstripped; rows are 1-based with the header as
+    row 1.
+
+    Text without a quote, carriage return or NUL is split on line feeds and
+    then on commas, an empty line being a record of no cells and a final
+    line feed ending the last record. These are the records ``csv.reader``
+    reads from such text (RFC 4180: a record without quotes is its line
+    split on commas), and the split builds no list per record. Other text
+    goes through ``csv.reader``, the one path that reads quoted cells. On
+    both, a cell longer than ``csv.field_size_limit()`` is an error naming
+    its row, raised before this returns.
+    """
+    text = _read_text(path)
+    quoted = '"' in text or "\r" in text or "\0" in text
+    records = _reader_records(path, text) if quoted else _lines(path, text)
+    del text
+    if not records:
+        return None, 0, iter(()), None
+    if quoted:
+        header, sizes = records[0], list(map(len, records))
+
+        def block(start: int, stop: int) -> list:
+            return list(zip(*records[start:stop]))
+    else:
+        sizes = [line.count(",") + 1 if line else 0 for line in records]
+        header = records[0].split(",") if sizes[0] else []
+
+        def block(start: int, stop: int) -> list:
+            cells = ",".join(records[start:stop]).split(",")
+            return [cells[j::width] for j in range(width)]
+    width, end = sizes[0], len(sizes)
+    if sizes.count(width) != end:
+        end = next(r for r, size in enumerate(sizes) if size != width)
+    ragged = (end + 1, sizes[end]) if end < len(sizes) else None
+    blocks = ((start + 1, block(start, min(start + _BLOCK_ROWS, end)))
+              for start in range(1, end, _BLOCK_ROWS))
+    return header, width, blocks, ragged
+
+
+def _lines(path: str, text: str) -> list[str]:
+    """The records of quote-free text, one unsplit line each; a cell longer
+    than ``csv.field_size_limit()`` is an error naming its row."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    limit = csv.field_size_limit()
+    if len(text) > limit:
+        for r, line in enumerate(lines, start=1):
+            if len(line) > limit and max(map(len, line.split(","))) > limit:
+                raise InputError(f"{path}: row {r}: field larger than field "
+                                 f"limit ({limit})")
+    return lines
+
+
+def _checked_header(path: str, header: list[str] | None) -> list[str]:
+    """The stripped header record; a file without one, or one that repeats
+    a name, is an error."""
+    if header is None:
+        raise InputError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    repeated = sorted(name for name, count in Counter(header).items()
+                      if count > 1)
+    if repeated:
+        raise InputError(f"{path}: header repeats column names {repeated}")
+    return header
 
 
 def _parse_float(cell: str, row: int, col: int, path: str) -> float:
@@ -122,31 +231,53 @@ def _parse_float(cell: str, row: int, col: int, path: str) -> float:
     return value
 
 
-def _read_cells(path: str, reader, width: int, numeric: list[int],
-                missing_texts: tuple[str, ...] = ()):
-    """The stripped data cells as a (rows, width) array of str objects, the
-    mask of cells whose text is in ``missing_texts``, and the ``numeric``
-    columns parsed to float64 in one conversion, NaN where missing. Errors
-    name the first bad row or cell in file order."""
-    records = list(reader)
-    end = next((r for r, record in enumerate(records)
-                if len(record) != width), len(records))
-    cells = np.frompyfunc(str.strip, 1, 1)(
-        np.array(records[:end], dtype=object).reshape(end, width))
-    missing = np.isin(cells, np.array(missing_texts, dtype=object))
-    block, skip = cells[:, numeric], missing[:, numeric]
-    try:
-        values = np.where(skip, "nan", block).astype(np.float64)
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values[~skip]).all():
-        for (r, j), cell in np.ndenumerate(block):  # find the first bad cell
-            if not skip[r, j]:
-                _parse_float(cell, r + 2, numeric[j] + 1, path)
-    if end < len(records):
-        raise InputError(f"{path}: row {end + 2} has {len(records[end])} "
-                         f"cells, expected {width}")
-    return cells, missing, values
+def _parse_columns(path: str, width: int, blocks, ragged,
+                   numeric: set[int], missing_texts: tuple[str, ...] = ()
+                   ) -> list:
+    """``_read_csv``'s data converted column by column, a block at a time: a
+    ``numeric`` column to float64 with NaN at missing cells, any other to
+    stripped strings with None at missing cells. A cell is missing when its
+    stripped text is in ``missing_texts``. The first bad numeric cell in
+    file order is an error, and after it the ragged record."""
+    missing = set(missing_texts)
+    as_nan = dict.fromkeys(missing, "nan")
+    # one string per distinct label, so that cells die with their block
+    labels: dict[str, str] = {}
+    order = sorted(numeric)
+    parsed: list[list] = [[] for _ in range(width)]
+    for row, columns in blocks:
+        for j, cells in enumerate(columns):
+            stripped = list(map(str.strip, cells))
+            if j not in numeric:
+                parsed[j] += [None if cell in missing
+                              else labels.setdefault(cell, cell)
+                              for cell in stripped]
+                continue
+            try:
+                values = np.fromiter(map(float, map(as_nan.get, stripped,
+                                                    stripped)),
+                                     np.float64, len(stripped))
+            except ValueError:
+                values = None
+            if values is None or any(
+                    stripped[i] not in missing
+                    for i in np.flatnonzero(~np.isfinite(values))):
+                # the block holds the first bad cell: find it in file order
+                for r, record in enumerate(zip(*(columns[k] for k in order)),
+                                           start=row):
+                    for k, cell in zip(order, map(str.strip, record)):
+                        if cell not in missing:
+                            _parse_float(cell, r, k + 1, path)
+            parsed[j].append(values)
+    if ragged is not None:
+        raise InputError(f"{path}: row {ragged[0]} has {ragged[1]} cells, "
+                         f"expected {width}")
+    return [(np.concatenate(column) if column else np.empty(0))
+            if j in numeric else column for j, column in enumerate(parsed)]
+
+
+# ---------------------------------------------------------------------------
+# embeddings
 
 
 def read_embeddings(path: str, id_column: str = "id",
@@ -194,8 +325,8 @@ def reference_columns(path: str, id_column: str = "id",
     if _is_jsonl(path):
         names = next(jsonl_records(path), (0, {}))[1]
         return [c if c in names else None for c in wanted], None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = _checked_header(path, csv.reader(fh))
+    records = _reader_records(path, _read_text(path), 1)
+    header = _checked_header(path, records[0] if records else None)
     present = [c if c in header else None for c in wanted]
     keys = _label_keys(id_column, *present)
     return present, tuple(header[j]
@@ -213,20 +344,6 @@ def _label_keys(id_column, subgroup_column, region_column) -> dict:
             if key is not None}
 
 
-def _checked_header(path: str, reader) -> list[str]:
-    """The stripped header row; a file without one, or one that repeats a
-    name, is an error."""
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise InputError(f"{path}: empty file") from None
-    repeated = sorted(name for name, count in Counter(header).items()
-                      if count > 1)
-    if repeated:
-        raise InputError(f"{path}: header repeats column names {repeated}")
-    return header
-
-
 def _feature_indices(path: str, header: list[str], keys: dict) -> list[int]:
     """The header positions of the feature columns: all but the label
     columns in ``keys``, each of which must be present."""
@@ -241,40 +358,38 @@ def _feature_indices(path: str, header: list[str], keys: dict) -> list[int]:
 
 
 def _read_embeddings_csv(path: str, keys: dict, features):
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = _checked_header(path, reader)
-        feature_cols = _feature_indices(path, header, keys)
-        names = [header[j] for j in feature_cols]
-        if features is not None and sorted(names) != sorted(features):
-            missing = sorted(set(features) - set(names))
-            extra = sorted(set(names) - set(features))
-            raise InputError(f"{path}: feature columns differ from the "
-                             f"reference's: missing {missing}, not in the "
-                             f"reference {extra}")
-        cells, _, data = _read_cells(path, reader, len(header), feature_cols)
-    if features is not None and names != list(features):
-        data = data[:, [names.index(name) for name in features]]
-    return {name: cells[:, header.index(key)]
-            for name, key in keys.items()}, data
+    header, width, blocks, ragged = _read_csv(path)
+    header = _checked_header(path, header)
+    feature_cols = _feature_indices(path, header, keys)
+    names = [header[j] for j in feature_cols]
+    if features is not None and sorted(names) != sorted(features):
+        missing = sorted(set(features) - set(names))
+        extra = sorted(set(names) - set(features))
+        raise InputError(f"{path}: feature columns differ from the "
+                         f"reference's: missing {missing}, not in the "
+                         f"reference {extra}")
+    cells = _parse_columns(path, width, blocks, ragged, set(feature_cols))
+    order = feature_cols if features is None else map(header.index, features)
+    return ({name: cells[header.index(key)] for name, key in keys.items()},
+            np.column_stack([cells[j] for j in order]))
 
 
 def jsonl_records(path: str):
     """(line number, record) of each non-blank line of a JSON-lines file;
     every record must be a JSON object."""
-    with open(path, encoding="utf-8-sig") as fh:
-        for r, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            # ValueError covers JSONDecodeError and an integer past the
-            # interpreter's digit limit, which json.loads does not wrap
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise InputError(f"{path}: row {r}: {exc}") from None
-            if not isinstance(record, dict):
-                raise InputError(f"{path}: row {r} is not a JSON object")
-            yield r, record
+    lines = io.StringIO(_read_text(path), newline=None)
+    for r, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        # ValueError covers JSONDecodeError and an integer past the
+        # interpreter's digit limit, which json.loads does not wrap
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise InputError(f"{path}: row {r}: {exc}") from None
+        if not isinstance(record, dict):
+            raise InputError(f"{path}: row {r} is not a JSON object")
+        yield r, record
 
 
 def _read_embeddings_jsonl(path: str, keys: dict):
@@ -351,23 +466,20 @@ def read_record_table(path: str, schema: dict[str, str],
     """Parse a typed record table; empty cells / the sentinel are missing."""
     if not schema:
         raise ConfigError("record table schema must declare column kinds")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = _checked_header(path, reader)
-        missing_decl = sorted(set(header) - set(schema))
-        if missing_decl:
-            raise InputError(f"{path}: columns {missing_decl} not declared "
-                             "in the schema")
-        absent = sorted(set(schema) - set(header))
-        if absent:
-            raise InputError(f"{path}: schema columns {absent} not in the file")
-        kinds = [schema[name] for name in header]
-        numeric = [j for j, kind in enumerate(kinds) if kind == "numeric"]
-        cells, missing, floats = _read_cells(path, reader, len(header),
-                                             numeric, ("", missing_sentinel))
-    cells[missing] = None
-    cells[:, numeric] = floats
-    return RecordTable(tuple(zip(header, kinds)), list(cells.T))
+    header, width, blocks, ragged = _read_csv(path)
+    header = _checked_header(path, header)
+    missing_decl = sorted(set(header) - set(schema))
+    if missing_decl:
+        raise InputError(f"{path}: columns {missing_decl} not declared "
+                         "in the schema")
+    absent = sorted(set(schema) - set(header))
+    if absent:
+        raise InputError(f"{path}: schema columns {absent} not in the file")
+    kinds = [schema[name] for name in header]
+    numeric = {j for j, kind in enumerate(kinds) if kind == "numeric"}
+    cells = _parse_columns(path, width, blocks, ragged, numeric,
+                           ("", missing_sentinel))
+    return RecordTable(tuple(zip(header, kinds)), cells)
 
 
 def write_record_table(table: RecordTable, path: str) -> None:
@@ -451,20 +563,20 @@ def read_image_pairs(manifest_path: str) -> list[tuple[str, str]]:
     """Two-column manifest: reference image path, synthetic image path."""
     pairs = []
     base = os.path.dirname(os.path.abspath(manifest_path))
-    with open(manifest_path, newline="", encoding="utf-8-sig") as fh:
-        for r, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if len(record) != 2:
-                raise InputError(f"{manifest_path}: row {r} needs exactly two "
-                                 "paths (real, synthetic)")
-            pair = []
-            for cell in record:
-                p = cell.strip()
-                if not os.path.isabs(p):
-                    p = os.path.join(base, p)
-                pair.append(p)
-            pairs.append(tuple(pair))
+    records = _reader_records(manifest_path, _read_text(manifest_path))
+    for r, record in enumerate(records, start=1):
+        if not record or (len(record) == 1 and not record[0].strip()):
+            continue
+        if len(record) != 2:
+            raise InputError(f"{manifest_path}: row {r} needs exactly two "
+                             "paths (real, synthetic)")
+        pair = []
+        for cell in record:
+            p = cell.strip()
+            if not os.path.isabs(p):
+                p = os.path.join(base, p)
+            pair.append(p)
+        pairs.append(tuple(pair))
     if not pairs:
         raise InputError(f"{manifest_path}: no image pairs listed")
     return pairs
@@ -474,10 +586,15 @@ def read_image_pairs(manifest_path: str) -> list[tuple[str, str]]:
 # config / manifest / report documents
 
 
-def _read_yaml(path: str) -> dict:
+# libyaml's loader where PyYAML was built with it: about 8x faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def read_yaml(path: str) -> dict:
+    """A YAML document whose top level is a mapping; an empty one is {}."""
+    text = _read_text(path, ConfigError)
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if raw is None:
@@ -488,14 +605,15 @@ def _read_yaml(path: str) -> dict:
 
 
 def read_eval_config(path: str) -> EvalConfig:
+    raw = read_yaml(path)
     try:
-        return config_from_dict(_read_yaml(path))
+        return config_from_dict(raw)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}", code=exc.code) from None
 
 
 def read_manifest(path: str) -> dict:
-    return _read_yaml(path)
+    return read_yaml(path)
 
 
 def write_report(report, path: str) -> bytes:

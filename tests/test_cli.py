@@ -628,6 +628,34 @@ class TestFixtures:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("target, code", [
+        ("synthetic", "E210"), ("real", "E210"), ("config", "E200")])
+    def test_non_utf8_input_exit_2_naming_file(self, workspace, capsys,
+                                               target, code):
+        _, paths = workspace
+        path = paths[target]
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xe9", 1))
+        assert main(_evaluate_args(paths)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"{code}: {path}: line 2 is not UTF-8 text (byte 0xe9)")
+
+    def test_oversize_cell_exit_2_naming_row(self, workspace, capsys):
+        _, paths = workspace
+        lines = paths["synthetic"].read_text().splitlines(keepends=True)
+        lines[3] = "x" * 200_000 + lines[3]
+        paths["synthetic"].write_text("".join(lines))
+        assert main(_evaluate_args(paths)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"E210: {paths['synthetic']}: row 4: field larger than field "
+            "limit")
+
+    def test_malformed_recipe_exit_2(self, tmp_path, capsys):
+        recipe = tmp_path / "recipe.yaml"
+        recipe.write_text("defects: [{kind: mode_drop}\n")
+        assert main(["fixtures", "--recipe", str(recipe),
+                     "--out", str(tmp_path / "f")]) == 2
+        assert capsys.readouterr().err.startswith(f"E200: {recipe}: ")
+
     def test_missing_input_file_exit_2(self, workspace, capsys):
         _, paths = workspace
         code = main(["evaluate", "--synthetic", "/nonexistent.csv",

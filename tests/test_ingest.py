@@ -1,12 +1,18 @@
+import csv
+import io
 import json
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from smdcard import ingest
 from smdcard.errors import ConfigError, InputError
 from smdcard.harness import make_gaussian_mixture
-from smdcard.model import EmbeddingSet, RecordTable
+from smdcard.model import EmbeddingSet, RecordTable, check_unique_ids
 
 
 def _write(path, text):
@@ -410,3 +416,292 @@ class TestReportFile:
         back, payload = ingest.read_report(str(path))
         assert payload == written
         assert ingest.dumps_canonical(back.to_dict()).encode() == written
+
+
+class TestTextInputs:
+    """Every text input is UTF-8; a cell is at most csv.field_size_limit()
+    characters on both tokenizer paths."""
+
+    LIMIT = csv.field_size_limit()
+
+    @pytest.mark.parametrize("name, text, read", [
+        ("t.csv", "age,sex,note\n30,F,a\n31,M,\xe9\n",
+         lambda p: ingest.read_record_table(p, TestRecordTableCsv.SCHEMA)),
+        ("e.csv", "id,f0\na,1\n\xe9,2\n", ingest.read_embeddings),
+        ("e.csv", "id,f0\na,1\n\xe9,2\n", ingest.reference_columns),
+        ("e.jsonl", '{"id": "a", "features": [1]}\n\n{"id": "\xe9"}\n',
+         ingest.read_embeddings),
+        ("pairs.csv", "a.pgm,b.pgm\n\n\xe9.pgm,c.pgm\n",
+         ingest.read_image_pairs),
+    ])
+    def test_non_utf8_data_names_file_and_line(self, tmp_path, name, text,
+                                                read):
+        path = tmp_path / name
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(InputError, match=rf"{name}: line 3 is not UTF-8 "
+                                             r"text \(byte 0xe9\)"):
+            read(str(path))
+
+    @pytest.mark.parametrize("read", [ingest.read_eval_config,
+                                      ingest.read_manifest, ingest.read_yaml])
+    def test_non_utf8_yaml_is_a_config_error(self, tmp_path, read):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(b"\xef\xbb\xbfmetrics: [cosine_similarity]\n"
+                         b"# caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"c\.yaml: line 2 is not UTF-8"):
+            read(str(path))
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_oversize_cell_names_its_row_on_both_paths(self, tmp_path,
+                                                       quoted):
+        big = "9" * (self.LIMIT + 1)
+        p = _write(tmp_path / "t.csv", "age,sex,note\n30,F,a\n"
+                   + (f'{big},F,"b"' if quoted else f"{big},F,b") + "\n")
+        with pytest.raises(InputError, match=rf"t\.csv: row 3: field larger "
+                                             rf"than field limit \({self.LIMIT}\)"):
+            ingest.read_record_table(p, TestRecordTableCsv.SCHEMA)
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_cell_at_the_limit_is_read(self, tmp_path, quoted):
+        note = "n" * self.LIMIT
+        p = _write(tmp_path / "t.csv", "age,sex,note\n30,F,"
+                   + (f'"{note}"' if quoted else note) + "\n")
+        table = ingest.read_record_table(p, TestRecordTableCsv.SCHEMA)
+        assert table.column("note") == [note]
+
+    def test_oversize_header_cell_names_row_1(self, tmp_path):
+        p = _write(tmp_path / "e.csv", "id," + "f" * (self.LIMIT + 1) + "\n")
+        for read in (ingest.reference_columns, ingest.read_embeddings):
+            with pytest.raises(InputError, match=r"e\.csv: row 1: field "
+                                                 "larger than field limit"):
+                read(p)
+
+    def test_nul_byte_is_an_input_error(self, tmp_path):
+        # a cell holding NUL on Python 3.11+, "line contains NUL" before
+        p = _write(tmp_path / "t.csv", "age,sex,note\n3\x000,F,a\n")
+        with pytest.raises(InputError, match=r"t\.csv: .*row 2"):
+            ingest.read_record_table(p, TestRecordTableCsv.SCHEMA)
+
+    @pytest.mark.parametrize("text", [
+        "metrics: [cosine_similarity, recall]\nseed: 7\n"
+        "bounds: {frechet_distance: [0, 1.5e3]}\n",
+        "a: &x {k: [1, 2.0, .inf, null, yes, '3']}\nb: *x\n"
+        "c: |\n  two\n  lines\nd: 2001-12-14\n",
+        "",
+    ])
+    def test_yaml_loader_reads_what_safe_load_reads(self, tmp_path, text):
+        path = _write(tmp_path / "c.yaml", text)
+        assert ingest.read_yaml(path) == (yaml.safe_load(text) or {})
+
+
+# ---------------------------------------------------------------------------
+# The column-wise reader against the row-wise reader it replaced, which
+# parsed a (rows, width) object matrix of csv.reader records.
+
+
+def _oracle_header(path, reader):
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    repeated = sorted(name for name, count in Counter(header).items()
+                      if count > 1)
+    if repeated:
+        raise InputError(f"{path}: header repeats column names {repeated}")
+    return header
+
+
+def _oracle_cells(path, reader, width, numeric, missing_texts=()):
+    records = list(reader)
+    end = next((r for r, record in enumerate(records)
+                if len(record) != width), len(records))
+    cells = np.frompyfunc(str.strip, 1, 1)(
+        np.array(records[:end], dtype=object).reshape(end, width))
+    missing = np.isin(cells, np.array(missing_texts, dtype=object))
+    block, skip = cells[:, numeric], missing[:, numeric]
+    try:
+        values = np.where(skip, "nan", block).astype(np.float64)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values[~skip]).all():
+        for (r, j), cell in np.ndenumerate(block):
+            if not skip[r, j]:
+                ingest._parse_float(cell, r + 2, numeric[j] + 1, path)
+    if end < len(records):
+        raise InputError(f"{path}: row {end + 2} has {len(records[end])} "
+                         f"cells, expected {width}")
+    return cells, missing, values
+
+
+def _oracle_record_table(path, schema, missing_sentinel):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = _oracle_header(path, reader)
+        missing_decl = sorted(set(header) - set(schema))
+        if missing_decl:
+            raise InputError(f"{path}: columns {missing_decl} not declared "
+                             "in the schema")
+        absent = sorted(set(schema) - set(header))
+        if absent:
+            raise InputError(f"{path}: schema columns {absent} not in the file")
+        kinds = [schema[name] for name in header]
+        numeric = [j for j, kind in enumerate(kinds) if kind == "numeric"]
+        cells, missing, floats = _oracle_cells(path, reader, len(header),
+                                               numeric, ("", missing_sentinel))
+    cells[missing] = None
+    cells[:, numeric] = floats
+    return RecordTable(tuple(zip(header, kinds)), list(cells.T))
+
+
+def _oracle_embeddings(path, keys, features):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = _oracle_header(path, reader)
+        feature_cols = ingest._feature_indices(path, header, keys)
+        names = [header[j] for j in feature_cols]
+        cells, _, data = _oracle_cells(path, reader, len(header), feature_cols)
+    if features is not None and names != list(features):
+        data = data[:, [names.index(name) for name in features]]
+    if not len(data):
+        raise InputError(f"{path}: no data rows")
+    labels = {name: cells[:, header.index(key)] for name, key in keys.items()}
+    ids = labels.pop("id")
+    check_unique_ids(list(ids), f"{path}: ")
+    return EmbeddingSet(ids=ids, data=data, **labels)
+
+
+_NUMBERS = st.sampled_from(["1", "-0.0", "2.5e3", " 7 ", "1_0", "0x1", "1e400",
+                            "nan", "-inf", "x", "1.2.3"]) | st.floats(
+    allow_nan=False, allow_infinity=False).map(repr)
+_TEXTS = st.sampled_from(["", "  ", "\t", "NA", " NA ", "-1", "a", " b "]) \
+    | st.text(' ,"\r\nab\x00\xe9', max_size=3)
+_CELLS = _NUMBERS | _TEXTS
+
+
+@st.composite
+def _csv_text(draw, names, cells):
+    """Comma-separated text: header ``names``, then rows of cells drawn from
+    ``cells(name, row)``, some of them short, long or empty; written as is
+    or quoted by ``csv.writer``, with LF or CRLF line ends, with or without
+    a final line end and a byte-order mark."""
+    rows = []
+    for i in range(draw(st.integers(0, 5))):
+        row = [draw(cells(name, i)) for name in names]
+        shape = draw(st.sampled_from(["whole"] * 5 + ["short", "long",
+                                                      "empty"]))
+        if shape == "short":
+            row.pop()
+        elif shape == "long":
+            row.append(draw(_CELLS))
+        elif shape == "empty":
+            row = []
+        rows.append(row)
+    header = [draw(st.sampled_from([name, f" {name}"])) for name in names]
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    quoting = draw(st.sampled_from([None, None, csv.QUOTE_MINIMAL,
+                                    csv.QUOTE_ALL]))
+    if quoting is None:
+        text = end.join(",".join(row) for row in [header, *rows])
+    else:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator=end,
+                   quoting=quoting).writerows([header, *rows])
+        text = buffer.getvalue()[:-len(end)]
+    if draw(st.booleans()):
+        text += end
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _same_error(read, expected):
+    """``read`` fails as the oracle did; a csv error becomes an InputError
+    naming its row."""
+    with pytest.raises(InputError) as got:
+        read()
+    if isinstance(expected, csv.Error):
+        assert " row " in str(got.value)
+        assert str(got.value).endswith(str(expected))
+    else:
+        assert str(got.value) == str(expected)
+
+
+@st.composite
+def _record_tables(draw):
+    names = [f"c{j}" for j in range(draw(st.integers(1, 3)))]
+    kinds = [draw(st.sampled_from(["numeric", "numeric", "categorical",
+                                   "text"])) for _ in names]
+    text = draw(_csv_text(names, lambda name, row: _CELLS))
+    sentinel = draw(st.sampled_from(["", "NA", " NA ", "-1", "nan"]))
+    return text, dict(zip(names, kinds)), sentinel
+
+
+# blocks of one and two records put block edges between any two rows
+_BLOCK_ROWS = st.sampled_from([1, 2, ingest._BLOCK_ROWS])
+
+
+@given(_record_tables(), _BLOCK_ROWS)
+@settings(max_examples=400, deadline=None)
+def test_record_table_reader_matches_row_wise_oracle(tmp_path_factory, case,
+                                                     block_rows):
+    text, schema, sentinel = case
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def read():
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            return ingest.read_record_table(str(path), schema, sentinel)
+    try:
+        want = _oracle_record_table(str(path), schema, sentinel)
+    except (InputError, csv.Error) as exc:
+        _same_error(read, exc)
+        return
+    got = read()
+    assert (got.columns, got.n) == (want.columns, want.n)
+    for name, kind in want.columns:
+        if kind == "numeric":
+            assert got.floats(name).tobytes() == want.floats(name).tobytes()
+        (codes, domain), (want_codes, want_domain) = (got.codes(name),
+                                                      want.codes(name))
+        assert (codes.tolist(), domain) == (want_codes.tolist(), want_domain)
+
+
+@st.composite
+def _embedding_files(draw):
+    features = [f"f{j}" for j in range(draw(st.integers(1, 3)))]
+    labels = ["id", "g"] if draw(st.booleans()) else ["id"]
+    names = draw(st.permutations(labels + features))
+
+    def cells(name, row):
+        if name == "id":
+            return st.sampled_from([f"r{row}", f" r{row} ", f"r{row % 2}"])
+        return _TEXTS if name == "g" else _NUMBERS
+    text = draw(_csv_text(names, cells))
+    order = draw(st.none() | st.permutations(features))
+    return text, labels, order
+
+
+@given(_embedding_files(), _BLOCK_ROWS)
+@settings(max_examples=400, deadline=None)
+def test_embedding_reader_matches_row_wise_oracle(tmp_path_factory, case,
+                                                  block_rows):
+    text, labels, features = case
+    path = tmp_path_factory.mktemp("emb") / "e.csv"
+    path.write_bytes(text.encode("utf-8"))
+    subgroup = "g" if "g" in labels else None
+    features = None if features is None else tuple(features)
+
+    def read():
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            return ingest.read_embeddings(str(path), "id", subgroup,
+                                          features=features)
+    try:
+        want = _oracle_embeddings(str(path),
+                                  ingest._label_keys("id", subgroup, None),
+                                  features)
+    except (InputError, csv.Error) as exc:
+        _same_error(read, exc)
+        return
+    got = read()
+    assert (got.ids, got.subgroup, got.region) == (want.ids, want.subgroup,
+                                                    want.region)
+    assert got.data.shape == want.data.shape
+    assert got.data.tobytes() == want.data.tobytes()
