@@ -146,7 +146,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_card(args) -> int:
-    manifest = ingest.read_manifest(args.manifest)
+    manifest = ingest.read_yaml(args.manifest)
     report, payload = ingest.read_report(args.report)
     digest = card_mod.digest_of(payload)
     card = card_mod.build_card(manifest, report, report_digest=digest)

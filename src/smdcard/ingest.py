@@ -612,10 +612,6 @@ def read_eval_config(path: str) -> EvalConfig:
         raise ConfigError(f"{path}: {exc}", code=exc.code) from None
 
 
-def read_manifest(path: str) -> dict:
-    return read_yaml(path)
-
-
 def write_report(report, path: str) -> bytes:
     """Serialize a QualityReport; returns the bytes written."""
     payload = dumps_canonical(report.to_dict()).encode("utf-8")

@@ -443,7 +443,7 @@ class TestTextInputs:
             read(str(path))
 
     @pytest.mark.parametrize("read", [ingest.read_eval_config,
-                                      ingest.read_manifest, ingest.read_yaml])
+                                      ingest.read_yaml])
     def test_non_utf8_yaml_is_a_config_error(self, tmp_path, read):
         path = tmp_path / "c.yaml"
         path.write_bytes(b"\xef\xbb\xbfmetrics: [cosine_similarity]\n"
