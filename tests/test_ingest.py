@@ -457,8 +457,9 @@ class TestTextInputs:
         big = "9" * (self.LIMIT + 1)
         p = _write(tmp_path / "t.csv", "age,sex,note\n30,F,a\n"
                    + (f'{big},F,"b"' if quoted else f"{big},F,b") + "\n")
-        with pytest.raises(InputError, match=rf"t\.csv: row 3: field larger "
-                                             rf"than field limit \({self.LIMIT}\)"):
+        with pytest.raises(InputError, match=r"t\.csv: row 3: field larger "
+                                             r"than field limit "
+                                             rf"\({self.LIMIT}\)"):
             ingest.read_record_table(p, TestRecordTableCsv.SCHEMA)
 
     @pytest.mark.parametrize("quoted", [False, True])
