@@ -32,9 +32,12 @@ its pool section, ``runner._run_tasks`` on the task list that evaluation
 hands it, at N processes. These rows run first, so the two peak RSS
 figures (MB) cover them alone: the evaluating process's own
 (``RUSAGE_SELF``), which holds the tasks of the 1-worker rows, and that of
-the largest forked worker (``RUSAGE_CHILDREN``). Prints one JSON line: the
-median milliseconds per call of each kernel and size, the median seconds
-of each end-to-end row, the repetition counts and the peaks.
+the largest forked worker (``RUSAGE_CHILDREN``). ``calibrate`` times
+``calibrate_bounds`` with every computable embedding metric on a seeded
+reference of n rows by d dimensions; n is odd, so the two halves of each
+split differ in length by one row. Prints one JSON line: the median
+milliseconds per call of each kernel and size, the median seconds of each
+end-to-end row, the repetition counts and the peaks.
 Kernel rows repeat for at least 5 calls and 0.5 s; end-to-end rows, whose
 calls fork and allocate, for at least 20 calls and 3 s.
 """
@@ -64,7 +67,7 @@ from smdcard.congruence import (jensen_shannon,  # noqa: E402
                                 jensen_shannon_replicates)
 from smdcard.coverage import (embedding_entropy,  # noqa: E402
                               manifold_recall, manifold_recall_replicates)
-from smdcard import ingest  # noqa: E402
+from smdcard import catalog, ingest  # noqa: E402
 from smdcard.harness import (inject_defect,  # noqa: E402
                              make_gaussian_mixture, make_record_table)
 from smdcard.model import EmbeddingSet  # noqa: E402
@@ -85,6 +88,7 @@ CATEGORICAL_FIELDS = {"sex": ["F", "M"], "site": ["A", "B", "C", "D"],
                       "dx": ["anemia", "asthma", "diabetes", "hypertension",
                              "none"]}
 EMBEDDING_FILE_SIZE = (600, 16)
+CALIBRATE_SIZE = (1001, 16)
 MIN_REPEATS, MIN_SECONDS = 5, 0.5
 END_TO_END_REPEATS, END_TO_END_SECONDS = 20, 3.0
 
@@ -176,6 +180,17 @@ def main() -> None:
             end_to_end[key] = ms / 1e3
     peak_kib = {who: resource.getrusage(which).ru_maxrss for who, which in (
         ("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))}
+
+    n, d = CALIBRATE_SIZE
+    reference = _pair(n, d)[0]
+    embedding = config_from_dict({"metrics": [
+        name for name in catalog.selectable_names()
+        if catalog.descriptor(name).source == catalog.SOURCE_EMBEDDING]})
+    key = f"calibrate_{n}x{d}"
+    ms, repeats[key] = _median_ms(
+        lambda: runner.calibrate_bounds(reference, embedding),
+        END_TO_END_REPEATS, END_TO_END_SECONDS)
+    end_to_end[key] = ms / 1e3
 
     with tempfile.TemporaryDirectory() as directory:
         paths = _write_inputs(directory)

@@ -13,7 +13,7 @@ safer data).
 
 Each row is also the one home of a metric's static facts: its parameters,
 its analytic value range (normalization bounds when both ends are known,
-the calibration clamp otherwise), whether its bounds come from the data,
+the calibration clamp otherwise), the top of its data bounds [1, top],
 which set's kNN radii limit ``k``, and which run inputs the plan must find
 before the metric can run (``needs``). How a metric is computed lives in
 ``runner`` (the compute table), because the metric modules import this one.
@@ -63,7 +63,7 @@ class MetricDescriptor:
     computable: bool = True     # False: declaration-only, never computed
     params: tuple[tuple[str, object, object], ...] = ()  # key, default, allowed
     range: tuple[float | None, float | None] = (None, None)  # analytic lo, hi
-    data_bounds: bool = False   # bounds attached per run (default_bounds)
+    data_bounds: str | None = None  # [1, top]: "rows" or diagnostics key
     knn_on: str | None = None   # "real" | "synthetic": whose kNN radii cap k
     # config inputs the plan requires: "quasi_identifiers",
     # "sensitive_column", "constraint_rules", "required_fields"
@@ -122,7 +122,7 @@ CATALOG: tuple[MetricDescriptor, ...] = (
     # coverage
     _d("inception_score", "Inception Score", "coverage",
        "image", "unary", "maximize", True, source=SOURCE_CLASS_PROBS,
-       params=(("probs_path", None, str),), data_bounds=True),
+       params=(("probs_path", None, str),), data_bounds="classes"),
     _d("recall", "Recall", "coverage",
        "embedding", "binary", "maximize", False, range=UNIT,
        params=(("k", 3, 1),), knn_on="synthetic"),
@@ -139,7 +139,7 @@ CATALOG: tuple[MetricDescriptor, ...] = (
        params=(KERNEL, GAMMA, ("ridge", 1e-9, 0.0))),
     _d("vendi_score", "Vendi Score", "coverage",
        "embedding", "unary", "maximize", False, range=(1.0, None),
-       params=(KERNEL, GAMMA), data_bounds=True),
+       params=(KERNEL, GAMMA), data_bounds="rows"),
     _d("variance_coverage", "Variance", "coverage",
        "embedding", "unary", "maximize", False, range=NONNEGATIVE),
     _d("entropy_coverage", "Entropy", "coverage",
@@ -174,10 +174,11 @@ CATALOG: tuple[MetricDescriptor, ...] = (
        source=SOURCE_MANIFEST, computable=False),
     _d("k_anonymity", "K-Anonymity Level", "compliance",
        "data-attribute", "unary", "maximize", False, source=SOURCE_TABLE,
-       data_bounds=True, needs=("quasi_identifiers",)),
+       data_bounds="rows", needs=("quasi_identifiers",)),
     _d("l_diversity", "L-Diversity Score", "compliance",
        "data-attribute", "unary", "maximize", False, source=SOURCE_TABLE,
-       data_bounds=True, needs=("quasi_identifiers", "sensitive_column")),
+       data_bounds="distinct_sensitive_values",
+       needs=("quasi_identifiers", "sensitive_column")),
     _d("t_closeness", "T-Closeness Level", "compliance",
        "data-attribute", "unary", "maximize", False, source=SOURCE_TABLE,
        score_direction="minimize", range=UNIT,

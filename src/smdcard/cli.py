@@ -177,28 +177,47 @@ def cmd_fixtures(args) -> int:
     unknown = sorted(set(recipe) - _RECIPE_KEYS)
     if unknown:
         raise ConfigError(f"{args.recipe}: unknown recipe key(s) {unknown}")
+
+    def typed(key, value, kind):  # a float may be an int; a bool is no number
+        if (isinstance(value, (int, float) if kind is float else kind)
+                and not isinstance(value, bool)):
+            return value
+        raise ConfigError(f"{args.recipe}: {key} must be {kind.__name__}, "
+                          f"got {value!r}")
     os.makedirs(args.out, exist_ok=True)
 
     real = None
     real_table = None
     written = []
     if "embedding" in recipe:
-        spec = dict(recipe["embedding"])
+        spec = typed("embedding", recipe["embedding"], dict)
+        modes = typed("embedding.modes", spec.get("modes", [{}]), list)
+        for i, mode in enumerate(modes):
+            typed(f"embedding.modes[{i}]", mode, dict)
         real = harness.make_gaussian_mixture(
-            n=int(spec.get("n", 200)), d=int(spec.get("d", 8)),
-            modes=spec.get("modes", [{"mean": 0.0, "scale": 1.0, "weight": 1.0}]),
-            seed=int(spec.get("seed", 0)))
+            n=typed("embedding.n", spec.get("n", 200), int),
+            d=typed("embedding.d", spec.get("d", 8), int), modes=modes,
+            seed=typed("embedding.seed", spec.get("seed", 0), int))
         path = os.path.join(args.out, "real.csv")
         ingest.write_embeddings(real, path)
         written.append(path)
     if "table" in recipe:
-        spec = dict(recipe["table"])
-        numeric = {k: (float(v[0]), float(v[1]))
-                   for k, v in (spec.get("numeric_fields") or {}).items()}
-        categorical = {k: [str(x) for x in v]
-                       for k, v in (spec.get("categorical_fields") or {}).items()}
+        spec = typed("table", recipe["table"], dict)
+        fields = {kind: typed(f"table.{kind}", spec.get(kind) or {}, dict)
+                  for kind in ("numeric_fields", "categorical_fields")}
+        numeric = {}
+        for name, pair in fields["numeric_fields"].items():
+            key = f"table.numeric_fields.{name}"
+            if len(typed(key, pair, list)) != 2:
+                raise ConfigError(f"{args.recipe}: {key} must be a [low, "
+                                  f"high] pair, got {pair!r}")
+            numeric[name] = tuple(float(typed(key, x, float)) for x in pair)
+        categorical = {name: [str(x) for x in typed(
+            f"table.categorical_fields.{name}", values, list)]
+            for name, values in fields["categorical_fields"].items()}
         real_table = harness.make_record_table(
-            n=int(spec.get("n", 50)), seed=int(spec.get("seed", 0)),
+            n=typed("table.n", spec.get("n", 50), int),
+            seed=typed("table.seed", spec.get("seed", 0), int),
             numeric_fields=numeric or None,
             categorical_fields=categorical or None)
         path = os.path.join(args.out, "real_table.csv")
@@ -206,20 +225,26 @@ def cmd_fixtures(args) -> int:
         written.append(path)
 
     descriptors = []
-    for i, defect in enumerate(recipe.get("defects") or []):
-        defect = dict(defect)
-        kind = defect.pop("kind", None)
-        if kind not in harness.DEFECT_KINDS:
+    for i, defect in enumerate(typed("defects", recipe.get("defects") or [],
+                                     list)):
+        defect = dict(typed(f"defects[{i}]", defect, dict))
+        kind = typed(f"defects[{i}].kind", defect.pop("kind", None), str)
+        if kind not in harness.DEFECTS:
             raise ConfigError(f"{args.recipe}: unknown defect kind {kind!r}")
-        seed = int(defect.pop("seed", 0))
-        table_defect = kind in ("out_of_range", "delete_field", "mask_cells")
-        source = real_table if table_defect else real
+        seed = typed(f"defects[{i}].seed", defect.pop("seed", 0), int)
+        _, fixture, params = harness.DEFECTS[kind]
+        for key in {**params, **defect}:
+            if key not in params:
+                raise ConfigError(f"{args.recipe}: defects[{i}].{key} is not "
+                                  f"a parameter of defect {kind!r}")
+            typed(f"defects[{i}].{key}", defect.get(key), params[key])
+        source = real_table if fixture == "table" else real
         if source is None:
-            needs = "table" if table_defect else "embedding"
-            raise ConfigError(f"{args.recipe}: defect {kind!r} needs a "
-                              f"{needs} fixture in the recipe")
+            raise ConfigError(f"{args.recipe}: defect {kind!r} needs "
+                              f"{'a' if fixture == 'table' else 'an'} "
+                              f"{fixture} fixture in the recipe")
         result = harness.inject_defect(source, kind, seed=seed, **defect)
-        if table_defect:
+        if fixture == "table":
             path = os.path.join(args.out, f"synthetic_table_{i}_{kind}.csv")
             ingest.write_record_table(result.dataset, path)
         else:

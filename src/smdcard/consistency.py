@@ -31,15 +31,15 @@ def base_metrics(config) -> tuple[str, ...]:
 
 
 def replicate_tasks(config, scope: str, n: int, seed: int) -> tuple:
-    """(base metric, rows) of each replicate block of ``scope``: every base
-    shares ``rows``, one index array into the scope's ``n`` synthetic rows
-    per replicate. Only ``anova`` reads replicates, of subgroup scopes."""
+    """(base metric, pairs) of each replicate block of ``scope``: every
+    base shares ``pairs``, one (None, rows into the scope's ``n`` synthetic
+    rows) per replicate. Only ``anova`` reads replicates, of subgroups."""
     kind, _, label = scope.partition(":")
     if "anova" not in config.metrics or kind != "subgroup":
         return ()
-    rows = tuple(replicate_rows(n, label, r, seed)
-                 for r in range(config.bootstrap_replicates))
-    return tuple((base, rows) for base in base_metrics(config))
+    pairs = tuple((None, replicate_rows(n, label, r, seed))
+                  for r in range(config.bootstrap_replicates))
+    return tuple((base, pairs) for base in base_metrics(config))
 
 
 def unobserved_bases(config) -> tuple[tuple[str, str], ...]:

@@ -17,9 +17,6 @@ import numpy as np
 from .errors import EvaluationError
 from .model import EmbeddingSet, RecordTable
 
-DEFECT_KINDS = ("mode_drop", "duplicate_real", "out_of_range", "delete_field",
-                "mask_cells", "subgroup_skew")
-
 
 def make_gaussian_mixture(n: int, d: int, modes: list[dict],
                           seed: int = 0) -> EmbeddingSet:
@@ -89,45 +86,24 @@ class DefectResult:
 
 
 def inject_defect(source, kind: str, seed: int = 0, **params) -> DefectResult:
-    """Produce a defective synthetic dataset from a pristine source.
-
-    Embedding defects: mode_drop(mode), duplicate_real(fraction),
-    subgroup_skew(subgroup, noise_scale). Table defects:
-    out_of_range(field, fraction, magnitude), delete_field(name),
-    mask_cells(fraction). The returned descriptor records the defect and its
-    expected measurable effect.
-    """
-    if kind not in DEFECT_KINDS:
+    """Produce a defective synthetic dataset from a pristine source, with
+    the parameters ``DEFECTS`` gives the kind. The returned descriptor
+    records the defect and its expected measurable effect."""
+    if kind not in DEFECTS:
         raise EvaluationError(f"unknown defect kind {kind!r}")
-    handler = {
-        "mode_drop": _mode_drop,
-        "duplicate_real": _duplicate_real,
-        "out_of_range": _out_of_range,
-        "delete_field": _delete_field,
-        "mask_cells": _mask_cells,
-        "subgroup_skew": _subgroup_skew,
-    }[kind]
+    handler, fixture, _ = DEFECTS[kind]
+    applies_to, sets = ((RecordTable, "record tables") if fixture == "table"
+                        else (EmbeddingSet, "embedding sets"))
+    if not isinstance(source, applies_to):
+        raise EvaluationError(f"defect {kind!r} applies to {sets}")
     return handler(source, seed, **params)
-
-
-def _require_embedding(source, kind):
-    if not isinstance(source, EmbeddingSet):
-        raise EvaluationError(f"defect {kind!r} applies to embedding sets")
-    return source
-
-
-def _require_table(source, kind):
-    if not isinstance(source, RecordTable):
-        raise EvaluationError(f"defect {kind!r} applies to record tables")
-    return source
 
 
 def _synthetic_ids(n: int) -> tuple[str, ...]:
     return tuple(f"s{i:05d}" for i in range(n))
 
 
-def _mode_drop(source, seed, mode: str) -> DefectResult:
-    real = _require_embedding(source, "mode_drop")
+def _mode_drop(real, seed, mode: str) -> DefectResult:
     del seed
     if real.subgroup is None or mode not in set(real.subgroup):
         raise EvaluationError(f"no mode labeled {mode!r} in the source")
@@ -144,8 +120,7 @@ def _mode_drop(source, seed, mode: str) -> DefectResult:
                                "no-defect baseline"}})
 
 
-def _duplicate_real(source, seed, fraction: float) -> DefectResult:
-    real = _require_embedding(source, "duplicate_real")
+def _duplicate_real(real, seed, fraction: float) -> DefectResult:
     if not (0.0 < fraction <= 1.0):
         raise EvaluationError("duplicate fraction must be in (0, 1]")
     n = real.n
@@ -166,9 +141,8 @@ def _duplicate_real(source, seed, fraction: float) -> DefectResult:
                      "effect": f"leakage rate at least {fraction}"}})
 
 
-def _out_of_range(source, seed, field: str, fraction: float,
+def _out_of_range(table, seed, field: str, fraction: float,
                   magnitude: float) -> DefectResult:
-    table = _require_table(source, "out_of_range")
     if field not in table.column_names or table.kind(field) != "numeric":
         raise EvaluationError(f"out_of_range needs a numeric field, got "
                               f"{field!r}")
@@ -196,8 +170,7 @@ def _out_of_range(source, seed, field: str, fraction: float,
                                "violation magnitude above zero"}})
 
 
-def _delete_field(source, seed, name: str) -> DefectResult:
-    table = _require_table(source, "delete_field")
+def _delete_field(table, seed, name: str) -> DefectResult:
     del seed
     if name not in table.column_names:
         raise EvaluationError(f"no field named {name!r}")
@@ -208,8 +181,7 @@ def _delete_field(source, seed, name: str) -> DefectResult:
         "expected": {"effect": "required-field proportion drops"}})
 
 
-def _mask_cells(source, seed, fraction: float) -> DefectResult:
-    table = _require_table(source, "mask_cells")
+def _mask_cells(table, seed, fraction: float) -> DefectResult:
     if not (0.0 < fraction <= 1.0):
         raise EvaluationError("mask fraction must be in (0, 1]")
     total = table.n * table.m
@@ -227,9 +199,8 @@ def _mask_cells(source, seed, fraction: float) -> DefectResult:
                                f"{fraction}"}})
 
 
-def _subgroup_skew(source, seed, subgroup: str,
+def _subgroup_skew(real, seed, subgroup: str,
                    noise_scale: float) -> DefectResult:
-    real = _require_embedding(source, "subgroup_skew")
     if real.subgroup is None or subgroup not in set(real.subgroup):
         raise EvaluationError(f"no subgroup labeled {subgroup!r} in the source")
     if noise_scale <= 0:
@@ -247,3 +218,17 @@ def _subgroup_skew(source, seed, subgroup: str,
         "expected": {"skewed_rows": len(rows),
                      "effect": "consistency max-min difference rises for "
                                "the affected base metric"}})
+
+
+#: kind -> (handler, the fixture it applies to, its parameters and their
+#: types); every kind takes a seed as well.
+DEFECTS = {
+    "mode_drop": (_mode_drop, "embedding", {"mode": str}),
+    "duplicate_real": (_duplicate_real, "embedding", {"fraction": float}),
+    "out_of_range": (_out_of_range, "table", {
+        "field": str, "fraction": float, "magnitude": float}),
+    "delete_field": (_delete_field, "table", {"name": str}),
+    "mask_cells": (_mask_cells, "table", {"fraction": float}),
+    "subgroup_skew": (_subgroup_skew, "embedding", {
+        "subgroup": str, "noise_scale": float}),
+}

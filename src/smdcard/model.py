@@ -75,18 +75,18 @@ class EmbeddingSet:
         return self.data.shape[1]
 
     def resample(self, rows) -> "EmbeddingSet":
-        """A bootstrap draw without labels: row i is this set's row
-        ``rows[i]``, for n row indices that may repeat. The ids stay in
-        place, so they name positions, not source rows. The ids were
-        validated when this set was built, so, unlike the constructor, this
-        re-checks nothing and copies the rows once."""
+        """A draw without labels: row i is this set's row ``rows[i]``, for 1
+        to n indices that may repeat. The ids are this set's first m, so
+        they name positions; they were checked when this set was built, so
+        this re-checks nothing and copies the rows once."""
         rows = np.asarray(rows, dtype=np.intp)
-        if rows.shape != (self.n,):
-            raise InputError(f"a resample of {self.n} rows needs {self.n} "
+        if rows.ndim != 1 or not 1 <= len(rows) <= self.n:
+            raise InputError(f"a draw from {self.n} rows takes 1 to {self.n} "
                              f"row indices, got shape {rows.shape}")
         drawn = copy.copy(self)
         data = self.data[rows]
         data.setflags(write=False)
+        object.__setattr__(drawn, "ids", self.ids[:len(rows)])
         object.__setattr__(drawn, "data", data)
         object.__setattr__(drawn, "subgroup", None)
         object.__setattr__(drawn, "region", None)

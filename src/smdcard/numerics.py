@@ -195,7 +195,7 @@ def kth_neighbor_distance(data: np.ndarray, k: int) -> np.ndarray:
 
 def resampled_kth_distances(data: np.ndarray, rows, k: int) -> np.ndarray:
     """``kth_neighbor_distance(data[r], k)`` for each index array ``r`` in
-    ``rows`` (bootstrap draws of n = len(data) rows), by source row: entry
+    ``rows`` (draws of one length m <= n = len(data)), by source row: entry
     (s, p) is the radius of every copy of row p in set s, NaN where set s
     does not draw p.
 
@@ -208,7 +208,7 @@ def resampled_kth_distances(data: np.ndarray, rows, k: int) -> np.ndarray:
     entry, so that distance is the exact k-th one; a row whose window holds
     fewer than k drawn neighbors reads its full distance row instead."""
     n = data.shape[0]
-    _check_k(n, k)
+    _check_k(len(rows[0]), k)
     distances, neighbors = nearest_neighbors(
         data, min(n - 1, _WINDOW_PER_K * (k + 1)))
     window = np.column_stack((np.zeros(n), distances))

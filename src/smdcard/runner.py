@@ -9,28 +9,24 @@ rows with the same tag; slices that fail a metric's preconditions yield
 explicit undefined markers, never silent omission.
 
 A compute entry gets its metric's parameters as the config parsed them;
-``plan`` checks them against the data. The unit of work is a task, keyed
-(scope, metric, rows): a metric in a scope (rows None), or one of the
-replicate blocks ``consistency.replicate_tasks`` gives a subgroup scope, a
-base metric with the index arrays of its replicates' rows. A block task
-returns one result per replicate, filed under (scope, metric, replicate
-index). Where a compute entry has a replicate form (``_BLOCKS``), the
-block is evaluated in one pass; every other base metric runs once per
-replicate. Computation is pure and each task carries its rows, so the
-tasks can run in any order and in any process. With ``workers`` above 1
-the evaluate process forks children that work through the task list (a
-fork-join): every child claims its next task, in task order, from one
-shared counter. The children inherit the task list and its inputs at
-fork, so nothing but their results crosses the process boundary. The
-evaluate process runs no task itself; it reads the children's results and
-reaps every child before it returns or raises. The children are capped at
-the task count and at the CPUs available to the process, and where the
-platform has no ``fork`` the tasks run serially. A failing run raises the
-error of its first failing task in task order, as a serial run does.
-The consistency metrics are compute entries too; they read the other
-tasks' results, so they run once the other tasks are done. Results are
-merged in task order and keyed before assembly, which keeps reports
-byte-identical for any worker count.
+``plan`` checks them against the data. The unit of work is a task,
+(scope, metric, pairs): a metric on its scope's rows (pairs None), or one
+result per (reference rows, synthetic rows) pair, filed under (scope,
+metric, pair index); ``_task_results`` is the one runner of drawn rows.
+Computation is pure and each task carries its rows, so the tasks can run
+in any order and in any process. With ``workers`` above 1 the evaluate
+process forks children that work through the task list (a fork-join):
+every child claims its next task, in task order, from one shared counter.
+The children inherit the task list and its inputs at fork, so nothing but
+their results crosses the process boundary. The evaluate process runs no
+task itself; it reads the children's results and reaps every child before
+it returns or raises. The children are capped at the task count and at
+the CPUs available to the process, and where the platform has no ``fork``
+the tasks run serially. A failing run raises the error of its first
+failing task in task order, as a serial run does. The consistency metrics
+are compute entries too; they read the other tasks' results, so they run
+once the other tasks are done. Results are merged in task order and keyed
+before assembly, which keeps reports byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -180,7 +176,7 @@ class _Args:
     """What a compute entry reads: one scope's embedding rows plus the
     run-wide inputs (table, rules, images, probabilities) where it has them,
     and for the consistency metrics the other tasks' ``results``, keyed by
-    (scope, metric, replicate)."""
+    (scope, metric, pair index)."""
     real: EmbeddingSet | None
     synthetic: EmbeddingSet
     config: EvalConfig
@@ -196,17 +192,6 @@ def _frechet(a: _Args):
         return None, {"undefined_reason": "insufficient samples (need at "
                                           "least 2 rows per set)"}
     return congruence.frechet_distance(a.real, a.synthetic)
-
-
-def _count_bounds(result, top):
-    """Attach [1, max(2, top)], the data-dependent bounds of a count-valued
-    metric (``data_bounds`` in the catalog). ``top`` is the largest count
-    the data allows, or the diagnostics key that holds it."""
-    value, diagnostics = result
-    if isinstance(top, str):
-        top = diagnostics.get(top, 2)
-    diagnostics["default_bounds"] = [1.0, float(max(2, top))]
-    return value, diagnostics
 
 
 def _nearest_invalid(a: _Args):
@@ -240,8 +225,7 @@ _COMPUTE = {
     "convex_hull_volume": lambda a, p: coverage.convex_hull_volume(
         a.synthetic, **p),
     "dpp_score": lambda a, p: coverage.dpp_logdet(a.synthetic, **p),
-    "vendi_score": lambda a, p: _count_bounds(coverage.vendi_score(
-        a.synthetic, **p), a.synthetic.n),
+    "vendi_score": lambda a, p: coverage.vendi_score(a.synthetic, **p),
     "variance_coverage": lambda a, p: coverage.total_variance(a.synthetic),
     "entropy_coverage": lambda a, p: coverage.embedding_entropy(
         a.synthetic, **p),
@@ -262,18 +246,18 @@ _COMPUTE = {
             populated_threshold=a.config.populated_threshold),
     "missing_data_percentage": lambda a, p:
         completeness.missing_data_percentage(a.inputs.table),
-    "k_anonymity": lambda a, p: _count_bounds(compliance.k_anonymity(
-        a.inputs.table, list(a.config.quasi_identifiers)), a.inputs.table.n),
-    "l_diversity": lambda a, p: _count_bounds(compliance.l_diversity(
+    "k_anonymity": lambda a, p: compliance.k_anonymity(
+        a.inputs.table, list(a.config.quasi_identifiers)),
+    "l_diversity": lambda a, p: compliance.l_diversity(
         a.inputs.table, list(a.config.quasi_identifiers),
-        a.config.sensitive_column), "distinct_sensitive_values"),
+        a.config.sensitive_column),
     "t_closeness": lambda a, p: compliance.t_closeness(
         a.inputs.table, list(a.config.quasi_identifiers),
         a.config.sensitive_column),
     "psnr": lambda a, p: congruence.psnr_pairs(a.inputs.image_pairs),
     "ssim": lambda a, p: congruence.ssim_pairs(a.inputs.image_pairs),
-    "inception_score": lambda a, p: _count_bounds(
-        coverage.inception_style_score(a.inputs.class_probs), "classes"),
+    "inception_score": lambda a, p: coverage.inception_style_score(
+        a.inputs.class_probs),
     **{d.name: lambda a, p, name=d.name: consistency.score(
         name, a.results, a.config, a.synthetic.subgroup)
        for d in catalog.REGISTRY.values()
@@ -281,9 +265,9 @@ _COMPUTE = {
 }
 
 
-#: name -> block(args, params, rows): the replicate form of a compute entry,
-#: one (value, diagnostics) per row set of ``args.synthetic`` that an index
-#: array in ``rows`` picks, the whole block in one pass.
+#: name -> block(args, params, rows): a compute entry on many draws in one
+#: pass, one (value, diagnostics) per index array in ``rows``, all of one
+#: length, each drawing ``args.synthetic`` against all of ``args.real``.
 _BLOCKS = {
     "jensen_shannon_divergence": lambda a, p, rows:
         congruence.jensen_shannon_replicates(a.real, a.synthetic, rows, **p),
@@ -305,11 +289,11 @@ def _compute(name: str, args: _Args):
 
 def _results(scope: str, name: str, args: _Args, compute,
              count: int = 1) -> list[MetricResult]:
-    """The ``count`` (value, diagnostics) pairs ``compute()`` returns, as
-    results of ``name`` in ``scope``. Embedding metrics turn precondition
-    failures into "insufficient samples" markers, one per result, and
-    table metrics into plain undefined markers; image and probability
-    errors propagate."""
+    """``compute()``'s ``count`` (value, diagnostics) pairs as results of
+    ``name`` in ``scope``, with the catalog's ``data_bounds``. Embedding
+    metrics turn precondition failures into "insufficient samples"
+    markers, one per result, and table metrics into plain undefined
+    markers; image and probability errors propagate."""
     d = catalog.descriptor(name)
     embedding = d.source == catalog.SOURCE_EMBEDDING
     if embedding and d.arity == "binary" and args.real is None:
@@ -327,6 +311,12 @@ def _results(scope: str, name: str, args: _Args, compute,
         raise
     results = []
     for value, diagnostics in outputs:
+        if d.data_bounds:
+            rows = (args.inputs.table if d.source == catalog.SOURCE_TABLE
+                    else args.synthetic).n
+            top = rows if d.data_bounds == "rows" else diagnostics.get(
+                d.data_bounds, 2)
+            diagnostics["default_bounds"] = [1.0, float(max(2, top))]
         if value is None:
             diagnostics.setdefault("undefined_reason", "undefined")
         results.append(MetricResult(d, value, scope, None, diagnostics))
@@ -334,21 +324,27 @@ def _results(scope: str, name: str, args: _Args, compute,
 
 
 def _task_results(task: tuple, args: _Args) -> list[MetricResult]:
-    """One task's results: a metric in a scope (rows None), or a base
-    metric's replicate block, one result per index array in ``rows``, each
-    on the rows of ``args.synthetic`` it picks."""
-    scope, name, rows = task
-    if rows is None:
+    """A metric on its scope's rows (pairs None), or on each (reference,
+    synthetic) pair of index arrays, None for all rows; draws of one length
+    against the whole reference run as one block where there is one."""
+    scope, name, pairs = task
+    if pairs is None:
         return _results(scope, name, args, lambda: [_compute(name, args)])
     block = _BLOCKS.get(name)
-    if block is not None:
+    draws = [drawn for reference, drawn in pairs
+             if reference is None and drawn is not None]
+    if (block is not None and len(draws) == len(pairs)
+            and len(set(map(len, draws))) == 1):
         return _results(scope, name, args, lambda: block(
-            args, _params(name, args.config), rows), len(rows))
+            args, _params(name, args.config), draws), len(draws))
     results = []
-    for drawn in rows:
-        resampled = replace(args, synthetic=args.synthetic.resample(drawn))
-        results += _results(scope, name, resampled,
-                            lambda: [_compute(name, resampled)])
+    for reference, drawn in pairs:
+        paired = replace(args, real=args.real if reference is None else
+                         args.real.resample(reference),
+                         synthetic=args.synthetic if drawn is None else
+                         args.synthetic.resample(drawn))
+        results += _results(scope, name, paired,
+                            lambda: [_compute(name, paired)])
     return results
 
 
@@ -397,7 +393,7 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
                          "(rank deficiency)")
         inputs = replace(inputs, synthetic=synthetic, real=real)
 
-    results = {}  # (scope, metric, replicate) -> MetricResult
+    results = {}  # (scope, metric, pair index) -> MetricResult
     run_args = _Args(real, synthetic, config, seed, inputs,
                      _resolve_rules(inputs, config),
                      _resolve_required_fields(inputs, config), results)
@@ -410,11 +406,11 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
 
     embedding = [n for n in config.metrics
                  if catalog.descriptor(n).source == catalog.SOURCE_EMBEDDING]
-    tasks = []  # (task, args); the task is (scope, metric, rows)
+    tasks = []  # (task, args); the task is (scope, metric, pairs)
     for scope, real_slice, synth_slice in scopes:
         args = _Args(real_slice, synth_slice, config, seed, inputs)
         tasks.extend(((scope, name, None), args) for name in embedding)
-        tasks.extend(((scope, base, rows), args) for base, rows in
+        tasks.extend(((scope, base, pairs), args) for base, pairs in
                      consistency.replicate_tasks(config, scope, synth_slice.n,
                                                  seed))
     tasks.extend((("global", name, None), run_args) for name in config.metrics
@@ -426,9 +422,9 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
                 == catalog.SOURCE_SUBGROUP_METRICS)
     pooled = [(task, args) for task, args in tasks if not reads_results(task)]
     for (task, _), computed in zip(pooled, _run_tasks(pooled, workers)):
-        scope, name, rows = task
-        results.update(zip([task] if rows is None else [
-            (scope, name, r) for r in range(len(rows))], computed))
+        scope, name, pairs = task
+        results.update(zip([task] if pairs is None else [
+            (scope, name, r) for r in range(len(pairs))], computed))
     for task, args in tasks:
         if reads_results(task):
             results[task] = _task_results(task, args)[0]
@@ -581,30 +577,22 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
     if real.n < 4:
         raise PlanError("reference set too small to split (need at least 4 rows)")
     seed = config.effective_seed()
-    values: dict[str, list[float]] = {}
+    splits = []
     for r in range(_CALIBRATION_SPLITS):
         rng = np.random.default_rng(consistency.task_seed(seed, "calibrate", r))
         perm = rng.permutation(real.n)
-        half = real.n // 2
-        first = real.subset([int(i) for i in perm[:half]])
-        second = real.subset([int(i) for i in perm[half:]])
-        for name in config.metrics:
-            d = catalog.descriptor(name)
-            if d.source != catalog.SOURCE_EMBEDDING:
-                continue
-            try:
-                if d.arity == "binary":
-                    outputs = [_compute(name, _Args(first, second, config,
-                                                    seed))]
-                else:
-                    outputs = [_compute(name, _Args(None, half_set, config,
-                                                    seed))
-                               for half_set in (first, second)]
-            except EvaluationError:
-                continue
-            for value, _ in outputs:
-                if value is not None and math.isfinite(value):
-                    values.setdefault(name, []).append(float(value))
+        splits.append((perm[:real.n // 2], perm[real.n // 2:]))
+    args = _Args(real, real, config, seed)
+    values: dict[str, list[float]] = {}
+    for name in config.metrics:
+        d = catalog.descriptor(name)
+        if d.source != catalog.SOURCE_EMBEDDING:
+            continue
+        pairs = splits if d.arity == "binary" else [
+            (None, half) for split in splits for half in split]
+        for result in _task_results(("global", name, tuple(pairs)), args):
+            if result.value is not None and math.isfinite(result.value):
+                values.setdefault(name, []).append(result.value)
     bounds = {}
     for name, observed in sorted(values.items()):
         vmin, vmax = min(observed), max(observed)

@@ -616,6 +616,30 @@ class TestFixtures:
                      "--out", str(tmp_path / "f")]) == 2
         assert "gremlins" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("embedding: 5", "embedding must be dict, got 5"),
+        ("defects: 5", "defects must be list, got 5"),
+        ("embedding: {n: abc}", "embedding.n must be int, got 'abc'"),
+        ("embedding: {n: 10, d: 2}\n"
+         "defects: [{kind: mode_drop, mode: mode0, seed: x}]",
+         "defects[0].seed must be int, got 'x'"),
+        ("table: {numeric_fields: {age: 5}}",
+         "table.numeric_fields.age must be list, got 5"),
+        ("embedding: {n: 10, d: 2}\n"
+         "defects: [{kind: mode_drop, mode: mode0, bogus: 1}]",
+         "defects[0].bogus is not a parameter of defect 'mode_drop'"),
+        ("defects: [{kind: mode_drop, mode: mode0}]",
+         "defect 'mode_drop' needs an embedding fixture in the recipe"),
+    ], ids=["embedding", "defects", "n", "seed", "numeric_field",
+            "unknown_param", "no_embedding"])
+    def test_malformed_recipe_value_exit_2(self, tmp_path, capsys, text,
+                                           message):
+        recipe = tmp_path / "recipe.yaml"
+        recipe.write_text(text + "\n")
+        assert main(["fixtures", "--recipe", str(recipe),
+                     "--out", str(tmp_path / "f")]) == 2
+        assert capsys.readouterr().err == f"E200: {recipe}: {message}\n"
+
     def test_rerun_identical(self, tmp_path):
         recipe = tmp_path / "recipe.yaml"
         recipe.write_text(yaml.safe_dump(RECIPE))

@@ -91,6 +91,14 @@ class TestDefects:
         with pytest.raises(EvaluationError, match="unknown defect"):
             inject_defect(real, "gremlins")
 
+    def test_wrong_source_rejected(self):
+        real = make_gaussian_mixture(10, 2, TWO_MODES, seed=0)
+        table = make_record_table(10, seed=0)
+        with pytest.raises(EvaluationError, match="applies to embedding sets"):
+            inject_defect(table, "mode_drop", mode="mode0")
+        with pytest.raises(EvaluationError, match="applies to record tables"):
+            inject_defect(real, "mask_cells", fraction=0.1)
+
     def test_unknown_target_rejected(self):
         real = make_gaussian_mixture(10, 2, TWO_MODES, seed=0)
         with pytest.raises(EvaluationError, match="mode9"):

@@ -192,8 +192,9 @@ def test_recall_block_memory_bounded_by_block_not_n_squared():
 def _recall_blocks(draw):
     """A recall block: integer ties, rows equidistant from a centre row, or
     coordinates near 1e154 (squares overflow), with copied pool rows;
-    unequal reference and pool sizes; bootstrap draws of the pool, one of
-    them a single row repeated; k from 1 to one past the pool's limit; and
+    unequal reference and pool sizes; draws of the pool, all of one length
+    from 1 to the pool's size, one of them a single row repeated; k from 1
+    to one past the pool's limit; and
     a neighbor window down to none, so that lookups overflow it."""
     d = draw(st.integers(1, 3))
     m, n_real = draw(st.integers(2, 12)), draw(st.integers(1, 12))
@@ -213,9 +214,10 @@ def _recall_blocks(draw):
     for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1),
                                         st.integers(0, m - 1)), max_size=3)):
         synth[i] = synth[j]
-    draws = [rng.integers(0, m, size=m)
+    size = draw(st.integers(1, m))
+    draws = [rng.integers(0, m, size=size)
              for _ in range(draw(st.integers(1, 6)))]
-    draws.append(np.full(m, draw(st.integers(0, m - 1))))
+    draws.append(np.full(size, draw(st.integers(0, m - 1))))
     k = draw(st.integers(1, m))
     window = draw(st.sampled_from([0, 1, numerics._WINDOW_PER_K]))
     block = draw(st.sampled_from([1, 20, numerics._BLOCK_ELEMENTS]))

@@ -56,8 +56,11 @@ class TestEmbeddingSet:
         assert np.array_equal(drawn.data, built.data)
         assert not drawn.data.flags.writeable
         assert np.array_equal(es.data, np.arange(6.0).reshape(3, 2))
-        with pytest.raises(InputError, match="3 row indices"):
-            es.resample([0, 1])
+        assert es.resample([1]).ids == ("b0",)
+        assert np.array_equal(es.resample([1]).data, es.data[[1]])
+        for bad in ([], [0, 1, 2, 0], [[0, 1], [1, 2]]):
+            with pytest.raises(InputError, match="1 to 3 row indices"):
+                es.resample(np.array(bad, dtype=np.intp))
 
 
 class TestRecordTable:

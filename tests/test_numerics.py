@@ -460,13 +460,15 @@ class TestHistograms:
     @settings(max_examples=150, deadline=None)
     def test_replicate_blocks_equal_single_sets(self, inputs, replicates,
                                                 data):
-        """Each replicate of a JSD or entropy block is repr-equal to the
-        single-set metric on ``resample(rows)``, whether the block's row
-        sets share one stack or are split into several."""
+        """Each replicate of a JSD or entropy block, draws of one length
+        from 1 to n rows, is repr-equal to the single-set metric on
+        ``resample(rows)``, whether the block's row sets share one stack
+        or are split into several."""
         real, synth, bins = inputs
         r, s = embedding_from(real, "r"), embedding_from(synth, "s")
+        size = data.draw(st.integers(1, s.n))
         rows = [np.asarray(data.draw(st.lists(
-            st.integers(0, s.n - 1), min_size=s.n, max_size=s.n)))
+            st.integers(0, s.n - 1), min_size=size, max_size=size)))
             for _ in range(replicates)]
         want_jsd = [repr(jensen_shannon(r, s.resample(x), bins)) for x in rows]
         want_entropy = [repr(embedding_entropy(s.resample(x), bins))

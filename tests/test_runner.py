@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 import pickle
@@ -36,6 +37,10 @@ def _embedding_config(**extra):
     raw.update(extra)
     return config_from_dict(raw)
 
+
+_EMBEDDING_METRICS = [name for name in catalog.selectable_names()
+                      if catalog.descriptor(name).source
+                      == catalog.SOURCE_EMBEDDING]
 
 TABLE_METRICS = ["missing_data_percentage", "required_field_proportion",
                  "constraint_violation_rate", "k_anonymity", "l_diversity",
@@ -430,17 +435,54 @@ class TestAnovaReplicates:
         assert sorted(draws) == [(label, r) for label in ("mode0", "mode1")
                                  for r in range(5)]
 
-    @pytest.mark.parametrize("name", ["jensen_shannon_divergence",
-                                      "entropy_coverage", "recall"])
+    @pytest.mark.parametrize("name", list(runner._BLOCKS) + [
+        name for name in _EMBEDDING_METRICS if name not in runner._BLOCKS])
     def test_block_markers_equal_per_replicate_markers(self, monkeypatch,
                                                        name):
-        # a subgroup without reference rows, a subgroup too small for k,
-        # and an error inside a block, mark every replicate as a task per
-        # replicate would
+        # every pair's result is the metric's ``_results`` on the two drawn
+        # sets; a block metric runs whole-reference draws of one length in
+        # one pass, with the markers a task per replicate would give: a
+        # subgroup without reference rows, a subgroup too small for k, and
+        # an error inside a block
         synth = make_gaussian_mixture(20, 3, TWO_MODES, seed=5)
+        real = make_gaussian_mixture(24, 3, TWO_MODES, seed=7)
         cfg = config_from_dict({"metrics": [name, "anova"],
                                 "consistency": {"bootstrap_replicates": 4},
                                 "bounds": {"entropy_coverage": [0, 5]}})
+        blocks = []
+        if name in runner._BLOCKS:
+            one_pass = runner._BLOCKS[name]
+
+            def counted(args, params, rows):
+                blocks.append(len(rows))
+                return one_pass(args, params, rows)
+            monkeypatch.setitem(runner._BLOCKS, name, counted)
+        rng = np.random.default_rng(8)
+        args = runner._Args(real, synth, cfg, 0)
+        # drawn on both sides, with repeats, unequal lengths and one-row
+        # draws: never one pass
+        drawn = ((rng.integers(24, size=24), rng.integers(20, size=20)),
+                 (None, rng.integers(20, size=7)),
+                 (rng.integers(24, size=5), None),
+                 (np.array([3]), rng.integers(20, size=20)),
+                 (rng.integers(24, size=24), np.array([5])))
+        # draws of one length, one of them on a drawn reference, and the
+        # whole reference against draws of two lengths: never one pass
+        referenced = ((rng.integers(24, size=24), rng.integers(20, size=20)),
+                      (None, rng.integers(20, size=20)))
+        unequal = ((None, rng.integers(20, size=20)),
+                   (None, rng.integers(20, size=9)))
+        # the whole reference against draws of one length below k + 1
+        short = ((None, rng.integers(20, size=3)),
+                 (None, np.array([4, 4, 4])))
+        for pairs in (drawn, referenced, unequal, short):
+            task = ("global", name, pairs)
+            assert (repr(_summary(runner._task_results(task, args)))
+                    == repr(_summary(_per_pair_results(task, args))))
+        assert blocks == ([2] if name in runner._BLOCKS else [])
+        if name not in runner._BLOCKS:
+            return
+
         task = _block_task(cfg, synth.n)
         missing = runner._task_results(task, runner._Args(None, synth, cfg, 0))
         binary = catalog.descriptor(name).arity == "binary"
@@ -454,10 +496,10 @@ class TestAnovaReplicates:
         tiny = runner._Args(synth, make_gaussian_mixture(3, 3, TWO_MODES,
                                                          seed=6), cfg, 0)
         tiny_task = _block_task(cfg, tiny.synthetic.n)
+        blocks.clear()
         block = runner._task_results(tiny_task, tiny)
-        assert ([(r.value, r.scope, r.diagnostics) for r in block]
-                == [(r.value, r.scope, r.diagnostics)
-                    for r in _per_replicate_results(tiny_task, tiny)])
+        assert blocks == [4]
+        assert _summary(block) == _summary(_per_pair_results(tiny_task, tiny))
         if name == "recall":
             assert [r.diagnostics for r in block] == [{
                 "undefined_reason": "insufficient samples: k=3 out of range: "
@@ -482,20 +524,27 @@ class TestAnovaReplicates:
 def _block_task(cfg, n):
     """The one replicate block ``consistency`` gives subgroup "a" of ``n``
     synthetic rows at seed 0, as a runner task."""
-    (base, rows), = consistency.replicate_tasks(cfg, "subgroup:a", n, 0)
-    return "subgroup:a", base, rows
+    (base, pairs), = consistency.replicate_tasks(cfg, "subgroup:a", n, 0)
+    return "subgroup:a", base, pairs
 
 
-def _per_replicate_results(task, args):
-    """A block task's results as one single-set computation per replicate,
-    through the same undefined-marker rules."""
-    scope, name, rows = task
+def _per_pair_results(task, args):
+    """A task's results as one computation per pair on its two ``resample``d
+    sets, through the same undefined-marker rules."""
+    scope, name, pairs = task
     results = []
-    for drawn in rows:
-        resampled = replace(args, synthetic=args.synthetic.resample(drawn))
-        results += runner._results(scope, name, resampled, lambda: [
-            runner._compute(name, resampled)])
+    for reference, drawn in pairs:
+        paired = replace(args, real=args.real if reference is None or
+                         args.real is None else args.real.resample(reference),
+                         synthetic=args.synthetic if drawn is None
+                         else args.synthetic.resample(drawn))
+        results += runner._results(scope, name, paired, lambda: [
+            runner._compute(name, paired)])
     return results
+
+
+def _summary(results):
+    return [(r.value, r.scope, r.diagnostics) for r in results]
 
 
 class _PoolRefused(Exception):
@@ -802,6 +851,25 @@ class TestCalibration:
         cfg = _embedding_config()
         assert calibrate_bounds(real, cfg) == calibrate_bounds(real, cfg)
 
+    @pytest.mark.parametrize("n, failed, digest", [
+        (7, ["coverage", "precision", "rarity_score"],
+         "3d87b34581c364d8a06983b4ea01a4c3b767d43ea9083c73015d5da0b8d896e9"),
+        (40, [],
+         "b8605dc1f2edba264d2a0d505efd2194598d12fbff4512374a543f9adca049a4"),
+        (41, [],
+         "f1d5bd40e85077bf12fccb0410d08510b29846d29932c4a39384b1197e6e3634"),
+    ])
+    def test_bounds_pinned(self, n, failed, digest):
+        # every computable embedding metric; at n=7 the 3-row first half
+        # is too small for the k of the metrics that take kNN radii on the
+        # reference side, and at odd n the two halves differ in length
+        bounds = calibrate_bounds(
+            make_gaussian_mixture(n, 3, TWO_MODES, seed=n),
+            config_from_dict({"metrics": _EMBEDDING_METRICS, "seed": 5}))
+        assert sorted(set(_EMBEDDING_METRICS) - set(bounds)) == failed
+        assert hashlib.sha256(repr(sorted(bounds.items())).encode()
+                              ).hexdigest() == digest
+
     def test_too_small_to_split(self):
         tiny = make_gaussian_mixture(3, 2, TWO_MODES, seed=74)
         with pytest.raises(Exception, match="too small"):
@@ -847,9 +915,15 @@ class TestCatalogDispatch:
         args = runner._Args(inputs.real, inputs.synthetic, cfg, 0, inputs,
                             rules, ("age", "sex"), results={})
         for name in runner._COMPUTE:
-            _, diagnostics = runner._compute(name, args)
-            assert (("default_bounds" in diagnostics)
-                    == catalog.descriptor(name).data_bounds), name
+            d = catalog.descriptor(name)
+            result, = runner._results("global", name, args, lambda: [
+                runner._compute(name, args)])
+            bounds = result.diagnostics.get("default_bounds")
+            assert (bounds is not None) == (d.data_bounds is not None), name
+            if d.data_bounds == "rows":
+                rows = (inputs.table if d.source == catalog.SOURCE_TABLE
+                        else inputs.synthetic).n
+                assert bounds == [1.0, float(rows)], name
 
     @pytest.mark.parametrize("name, key, default", [
         (d.name, key, default) for d in catalog.REGISTRY.values()
