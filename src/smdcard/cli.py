@@ -15,6 +15,7 @@ omits one.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -170,6 +171,9 @@ def cmd_calibrate(args) -> int:
 
 
 _RECIPE_KEYS = {"embedding", "table", "defects"}
+_SPEC_KEYS = {"embedding": ("n", "d", "seed", "modes"),
+              "table": ("n", "seed", "numeric_fields", "categorical_fields")}
+_MODE_KEYS = ("mean", "scale", "weight")
 
 
 def cmd_fixtures(args) -> int:
@@ -178,46 +182,77 @@ def cmd_fixtures(args) -> int:
     if unknown:
         raise ConfigError(f"{args.recipe}: unknown recipe key(s) {unknown}")
 
-    def typed(key, value, kind):  # a float may be an int; a bool is no number
-        if (isinstance(value, (int, float) if kind is float else kind)
-                and not isinstance(value, bool)):
-            return value
-        raise ConfigError(f"{args.recipe}: {key} must be {kind.__name__}, "
+    def fail(key, rule, value):
+        raise ConfigError(f"{args.recipe}: {key} must be {rule}, "
                           f"got {value!r}")
+
+    def typed(key, value, kind, low=None):
+        # a float may be an int and must be finite; a bool is no number
+        if (not isinstance(value, (int, float) if kind is float else kind)
+                or isinstance(value, bool)):
+            fail(key, kind.__name__, value)
+        if kind is float and not -math.inf < value < math.inf:
+            fail(key, "finite", value)
+        if low is not None and value < low:
+            fail(key, f"at least {low}", value)
+        return value
+
+    def mapping(key, value, keys):
+        for name in typed(key, value, dict):
+            if name not in keys:
+                raise ConfigError(f"{args.recipe}: {key}.{name} is not a "
+                                  f"recipe key ({', '.join(keys)})")
+        return value
     os.makedirs(args.out, exist_ok=True)
 
     real = None
     real_table = None
     written = []
     if "embedding" in recipe:
-        spec = typed("embedding", recipe["embedding"], dict)
+        spec = mapping("embedding", recipe["embedding"],
+                       _SPEC_KEYS["embedding"])
+        n = typed("embedding.n", spec.get("n", 200), int, 1)
+        d = typed("embedding.d", spec.get("d", 8), int, 1)
+        seed = typed("embedding.seed", spec.get("seed", 0), int, 0)
         modes = typed("embedding.modes", spec.get("modes", [{}]), list)
+        if not modes:
+            fail("embedding.modes", "a non-empty list", modes)
         for i, mode in enumerate(modes):
-            typed(f"embedding.modes[{i}]", mode, dict)
-        real = harness.make_gaussian_mixture(
-            n=typed("embedding.n", spec.get("n", 200), int),
-            d=typed("embedding.d", spec.get("d", 8), int), modes=modes,
-            seed=typed("embedding.seed", spec.get("seed", 0), int))
+            key = f"embedding.modes[{i}]"
+            mean = mapping(key, mode, _MODE_KEYS).get("mean", 0.0)
+            if isinstance(mean, list) and len(mean) != d:
+                fail(f"{key}.mean", f"a number or a list of {d} numbers",
+                     mean)
+            for x in mean if isinstance(mean, list) else [mean]:
+                typed(f"{key}.mean", x, float)
+            typed(f"{key}.scale", mode.get("scale", 1.0), float, 0)
+            weight = typed(f"{key}.weight", mode.get("weight", 1.0), float)
+            if weight <= 0:
+                fail(f"{key}.weight", "above 0", weight)
+        real = harness.make_gaussian_mixture(n=n, d=d, modes=modes, seed=seed)
         path = os.path.join(args.out, "real.csv")
         ingest.write_embeddings(real, path)
         written.append(path)
     if "table" in recipe:
-        spec = typed("table", recipe["table"], dict)
+        spec = mapping("table", recipe["table"], _SPEC_KEYS["table"])
         fields = {kind: typed(f"table.{kind}", spec.get(kind) or {}, dict)
                   for kind in ("numeric_fields", "categorical_fields")}
         numeric = {}
         for name, pair in fields["numeric_fields"].items():
             key = f"table.numeric_fields.{name}"
-            if len(typed(key, pair, list)) != 2:
-                raise ConfigError(f"{args.recipe}: {key} must be a [low, "
-                                  f"high] pair, got {pair!r}")
-            numeric[name] = tuple(float(typed(key, x, float)) for x in pair)
-        categorical = {name: [str(x) for x in typed(
-            f"table.categorical_fields.{name}", values, list)]
-            for name, values in fields["categorical_fields"].items()}
+            bounds = [typed(key, x, float) for x in typed(key, pair, list)]
+            if len(bounds) != 2 or bounds[0] > bounds[1]:
+                fail(key, "a [low, high] pair with low <= high", pair)
+            numeric[name] = tuple(map(float, bounds))
+        categorical = {}
+        for name, values in fields["categorical_fields"].items():
+            key = f"table.categorical_fields.{name}"
+            if not typed(key, values, list):
+                fail(key, "a non-empty list", values)
+            categorical[name] = [str(x) for x in values]
         real_table = harness.make_record_table(
-            n=typed("table.n", spec.get("n", 50), int),
-            seed=typed("table.seed", spec.get("seed", 0), int),
+            n=typed("table.n", spec.get("n", 50), int, 1),
+            seed=typed("table.seed", spec.get("seed", 0), int, 0),
             numeric_fields=numeric or None,
             categorical_fields=categorical or None)
         path = os.path.join(args.out, "real_table.csv")
@@ -231,7 +266,7 @@ def cmd_fixtures(args) -> int:
         kind = typed(f"defects[{i}].kind", defect.pop("kind", None), str)
         if kind not in harness.DEFECTS:
             raise ConfigError(f"{args.recipe}: unknown defect kind {kind!r}")
-        seed = typed(f"defects[{i}].seed", defect.pop("seed", 0), int)
+        seed = typed(f"defects[{i}].seed", defect.pop("seed", 0), int, 0)
         _, fixture, params = harness.DEFECTS[kind]
         for key in {**params, **defect}:
             if key not in params:

@@ -118,9 +118,13 @@ def frechet_distance(real: EmbeddingSet, synthetic: EmbeddingSet):
     term evaluated through the symmetrized product
     (S_r^(1/2) S_s S_r^(1/2))^(1/2) for numerical stability. Covariances are
     regularized with ``FRECHET_REGULARIZATION * I``; a negative residue
-    within 1e-8 is clamped to zero.
+    within 1e-8 is clamped to zero. Undefined (None) when a set has fewer
+    than 2 rows, as a covariance needs two.
     """
     _check_dims(real, synthetic)
+    if real.n < 2 or synthetic.n < 2:
+        return None, {"undefined_reason": "insufficient samples (need at "
+                                          "least 2 rows per set)"}
     mu_r = real.data.mean(axis=0)
     mu_s = synthetic.data.mean(axis=0)
     d = real.d
@@ -150,8 +154,6 @@ def frechet_distance(real: EmbeddingSet, synthetic: EmbeddingSet):
 
 
 def _sample_cov(data: np.ndarray) -> np.ndarray:
-    if data.shape[0] < 2:
-        return np.zeros((data.shape[1], data.shape[1]))
     return np.cov(data, rowvar=False).reshape(data.shape[1], data.shape[1])
 
 

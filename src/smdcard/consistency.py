@@ -1,17 +1,17 @@
 """Consistency statistics: stability of quality metrics across subgroups.
 
-The consistency metrics are compute entries whose inputs are the other
-tasks' results (``score``), so the runner runs them after its worker pool.
-This module alone knows their base metrics, which bases' subgroup values
-each metric reads (``unobserved_bases``), the replicate blocks ``anova``
-asks the pool for and the rows each replicate draws, once for all bases
-(``replicate_tasks``), how the replicates are tested, which subgroups a
-base skips, and that the worst base decides each metric.
+The consistency metrics are computed by ``spread`` and ``anova``, whose
+inputs are the other tasks' results, so the runner runs their compute
+entries after its worker pool. This module alone knows their base metrics,
+which bases' subgroup values each metric reads (``unobserved_bases``), the
+replicate blocks ``anova`` asks the pool for and the rows each replicate
+draws, once for all bases (``replicate_tasks``), how the replicates are
+tested, which subgroups a base skips, and that the worst base decides each
+metric.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 
@@ -47,7 +47,8 @@ def unobserved_bases(config) -> tuple[tuple[str, str], ...]:
     base's observed subgroup values, every one but ``anova``, and each base
     the config does not select, which no subgroup task computes."""
     return tuple((name, base) for name in config.metrics
-                 if name in _SCORES and name != "anova"
+                 if catalog.descriptor(name).source
+                 == catalog.SOURCE_SUBGROUP_METRICS and name != "anova"
                  for base in base_metrics(config) if base not in config.metrics)
 
 
@@ -57,13 +58,6 @@ def replicate_rows(size: int, label: str, replicate: int, seed: int):
     Indices point into the subgroup's rows, in file order, and may repeat."""
     rng = np.random.default_rng(task_seed(seed, label, replicate))
     return rng.integers(size, size=size)
-
-
-def score(name: str, results: dict, config, labels) -> tuple:
-    """(value, diagnostics) of one consistency metric. ``results`` maps
-    (scope, metric, replicate) to the other tasks' results, replicate None
-    outside the replicate tasks; ``labels`` are the synthetic subgroups."""
-    return _SCORES[name](results, config, sorted(set(labels)))
 
 
 def dispersion(values: list[float | None]):
@@ -85,9 +79,13 @@ def dispersion(values: list[float | None]):
     return out, {"excluded": excluded, "count": len(defined)}
 
 
-def _spread(key: str, results: dict, config, labels: list[str]):
-    """``key`` of the dispersion of each base's normalized subgroup scores;
-    the largest across bases decides, per-base detail goes to diagnostics."""
+def spread(key: str, results: dict, config, labels):
+    """``key`` ("variance" or "max_min_difference") of the dispersion of
+    each base's normalized subgroup scores; the largest across bases
+    decides, per-base detail goes to diagnostics. ``results`` maps (scope,
+    metric, pair index) to the other tasks' results; ``labels`` are the
+    synthetic subgroup labels."""
+    labels = sorted(set(labels))
     worst = None
     detail = {}
     excluded_total = 0
@@ -114,9 +112,12 @@ def _spread(key: str, results: dict, config, labels: list[str]):
     return worst, diagnostics
 
 
-def _anova(results: dict, config, labels: list[str]):
-    """Bootstrap one-way ANOVA per base metric; the most significant base
-    decides. A subgroup with an undefined or absent replicate is skipped."""
+def anova(results: dict, config, labels):
+    """Bootstrap one-way ANOVA per base metric over the replicates in
+    ``results``; the most significant base decides. ``results`` and
+    ``labels`` are as in ``spread``. A subgroup with an undefined or absent
+    replicate is skipped."""
+    labels = sorted(set(labels))
     worst = None  # (p, F, base)
     detail = {}
     for base in base_metrics(config):
@@ -154,13 +155,6 @@ def _anova(results: dict, config, labels: list[str]):
     diagnostics["p"] = p_value
     diagnostics["worst_base"] = base
     return f_value, diagnostics
-
-
-_SCORES = {
-    "metric_variance": functools.partial(_spread, "variance"),
-    "max_min_difference": functools.partial(_spread, "max_min_difference"),
-    "anova": _anova,
-}
 
 
 def f_survival(f_value: float, df_between: int, df_within: int) -> float:

@@ -368,9 +368,10 @@ def violation_magnitude(table: RecordTable, rules: ConstraintRuleSet):
 def margin_to_boundary(table: RecordTable, rules: ConstraintRuleSet):
     """Mean, over fully valid rows, of the distance to the nearest boundary.
 
-    Returns (None, diagnostics) when no row is valid or no rule bounds the
-    valid rows. The diagnostics summarize the per-row distribution with
-    fixed quantiles, so their size does not grow with the table.
+    Undefined (None, with the reason "no valid bounded rows") when no row
+    is valid or no rule bounds the valid rows. The diagnostics summarize
+    the per-row distribution with fixed quantiles, so their size does not
+    grow with the table.
     """
     d = _distances(table, rules)
     invalid = (d > 0).any(axis=0)
@@ -383,6 +384,7 @@ def margin_to_boundary(table: RecordTable, rules: ConstraintRuleSet):
         "valid_rows": arr.size,
     }
     if not arr.size:
+        diagnostics["undefined_reason"] = "no valid bounded rows"
         return None, diagnostics
     diagnostics["margin_min"] = float(arr.min())
     diagnostics["margin_max"] = float(arr.max())

@@ -8,11 +8,14 @@ Binary metrics inside a region/subgroup scope compare against the reference
 rows with the same tag; slices that fail a metric's preconditions yield
 explicit undefined markers, never silent omission.
 
-A compute entry gets its metric's parameters as the config parsed them;
-``plan`` checks them against the data. The unit of work is a task,
-(scope, metric, pairs): a metric on its scope's rows (pairs None), or one
+``_COMPUTE`` holds one row per metric, the one place that says how it is
+computed; the runner holds no code for any one metric, and a metric's
+undefined cases live in its own function. A compute entry gets its
+metric's parameters as the config parsed them; ``plan`` checks them
+against the data. The unit of work is a task, (scope, metric, pairs): a
+metric on its scope's rows (pairs None, one pair of all rows), or one
 result per (reference rows, synthetic rows) pair, filed under (scope,
-metric, pair index); ``_task_results`` is the one runner of drawn rows.
+metric, pair index); ``_task_results`` is the one runner of them all.
 Computation is pure and each task carries its rows, so the tasks can run
 in any order and in any process. With ``workers`` above 1 the evaluate
 process forks children that work through the task list (a fork-join):
@@ -24,9 +27,9 @@ it returns or raises. The children are capped at the task count and at
 the CPUs available to the process, and where the platform has no ``fork``
 the tasks run serially. A failing run raises the error of its first
 failing task in task order, as a serial run does. The consistency metrics
-are compute entries too; they read the other tasks' results, so they run
-once the other tasks are done. Results are merged in task order and keyed
-before assembly, which keeps reports byte-identical for any worker count.
+have compute rows too; they read the other tasks' results, so they run
+after the pool. Results are merged in task order and keyed before
+assembly, which keeps reports byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -187,20 +190,6 @@ class _Args:
     results: dict | None = None
 
 
-def _frechet(a: _Args):
-    if a.real.n < 2 or a.synthetic.n < 2:
-        return None, {"undefined_reason": "insufficient samples (need at "
-                                          "least 2 rows per set)"}
-    return congruence.frechet_distance(a.real, a.synthetic)
-
-
-def _nearest_invalid(a: _Args):
-    value, diagnostics = constraint.margin_to_boundary(a.inputs.table, a.rules)
-    if value is None:
-        diagnostics.setdefault("undefined_reason", "no valid bounded rows")
-    return value, diagnostics
-
-
 #: name -> compute(args, params), params being the metric's parsed
 #: parameters keyed as the metric function's keywords, so an entry passes
 #: them on as ``**p``. Entries look their function up through the module at
@@ -212,7 +201,8 @@ _COMPUTE = {
         a.real, a.synthetic, **p),
     "jensen_shannon_divergence": lambda a, p: congruence.jensen_shannon(
         a.real, a.synthetic, **p),
-    "frechet_distance": lambda a, p: _frechet(a),
+    "frechet_distance": lambda a, p: congruence.frechet_distance(
+        a.real, a.synthetic),
     "centroid_distance_congruence": lambda a, p: congruence.centroid_distance(
         a.real, a.synthetic),
     "precision": lambda a, p: congruence.manifold_precision(
@@ -239,7 +229,8 @@ _COMPUTE = {
         a.inputs.table, a.rules),
     "constraint_boundary_distance": lambda a, p: constraint.violation_magnitude(
         a.inputs.table, a.rules),
-    "nearest_invalid_datapoint": lambda a, p: _nearest_invalid(a),
+    "nearest_invalid_datapoint": lambda a, p: constraint.margin_to_boundary(
+        a.inputs.table, a.rules),
     "required_field_proportion": lambda a, p:
         completeness.required_field_proportion(
             a.inputs.table, list(a.required or ()),
@@ -258,10 +249,12 @@ _COMPUTE = {
     "ssim": lambda a, p: congruence.ssim_pairs(a.inputs.image_pairs),
     "inception_score": lambda a, p: coverage.inception_style_score(
         a.inputs.class_probs),
-    **{d.name: lambda a, p, name=d.name: consistency.score(
-        name, a.results, a.config, a.synthetic.subgroup)
-       for d in catalog.REGISTRY.values()
-       if d.source == catalog.SOURCE_SUBGROUP_METRICS},
+    "metric_variance": lambda a, p: consistency.spread(
+        "variance", a.results, a.config, a.synthetic.subgroup),
+    "max_min_difference": lambda a, p: consistency.spread(
+        "max_min_difference", a.results, a.config, a.synthetic.subgroup),
+    "anova": lambda a, p: consistency.anova(
+        a.results, a.config, a.synthetic.subgroup),
 }
 
 
@@ -324,12 +317,12 @@ def _results(scope: str, name: str, args: _Args, compute,
 
 
 def _task_results(task: tuple, args: _Args) -> list[MetricResult]:
-    """A metric on its scope's rows (pairs None), or on each (reference,
-    synthetic) pair of index arrays, None for all rows; draws of one length
-    against the whole reference run as one block where there is one."""
+    """A metric on each (reference, synthetic) pair of index arrays, None
+    for all rows (pairs None: one such pair); draws of one length against
+    the whole reference run as one block where there is one."""
     scope, name, pairs = task
     if pairs is None:
-        return _results(scope, name, args, lambda: [_compute(name, args)])
+        pairs = ((None, None),)
     block = _BLOCKS.get(name)
     draws = [drawn for reference, drawn in pairs
              if reference is None and drawn is not None]
@@ -406,28 +399,25 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
 
     embedding = [n for n in config.metrics
                  if catalog.descriptor(n).source == catalog.SOURCE_EMBEDDING]
-    tasks = []  # (task, args); the task is (scope, metric, pairs)
+    # the consistency metrics read ``results``, so they run after the pool
+    after_pool = [n for n in config.metrics if catalog.descriptor(n).source
+                  == catalog.SOURCE_SUBGROUP_METRICS]
+    pooled = []  # (task, args); the task is (scope, metric, pairs)
     for scope, real_slice, synth_slice in scopes:
         args = _Args(real_slice, synth_slice, config, seed, inputs)
-        tasks.extend(((scope, name, None), args) for name in embedding)
-        tasks.extend(((scope, base, pairs), args) for base, pairs in
-                     consistency.replicate_tasks(config, scope, synth_slice.n,
-                                                 seed))
-    tasks.extend((("global", name, None), run_args) for name in config.metrics
-                 if name not in embedding)
-
-    # the consistency metrics read ``results``, so they run after the pool
-    def reads_results(task):
-        return (catalog.descriptor(task[1]).source
-                == catalog.SOURCE_SUBGROUP_METRICS)
-    pooled = [(task, args) for task, args in tasks if not reads_results(task)]
+        pooled.extend(((scope, name, None), args) for name in embedding)
+        pooled.extend(((scope, base, pairs), args) for base, pairs in
+                      consistency.replicate_tasks(config, scope,
+                                                  synth_slice.n, seed))
+    pooled.extend((("global", name, None), run_args) for name in config.metrics
+                  if name not in embedding and name not in after_pool)
     for (task, _), computed in zip(pooled, _run_tasks(pooled, workers)):
         scope, name, pairs = task
         results.update(zip([task] if pairs is None else [
             (scope, name, r) for r in range(len(pairs))], computed))
-    for task, args in tasks:
-        if reads_results(task):
-            results[task] = _task_results(task, args)[0]
+    for name in after_pool:
+        task = ("global", name, None)
+        results[task] = _task_results(task, run_args)[0]
 
     rules = run_args.rules
     if len(rules):

@@ -630,8 +630,41 @@ class TestFixtures:
          "defects[0].bogus is not a parameter of defect 'mode_drop'"),
         ("defects: [{kind: mode_drop, mode: mode0}]",
          "defect 'mode_drop' needs an embedding fixture in the recipe"),
+        ("embedding: {modes: [{scale: abc}]}",
+         "embedding.modes[0].scale must be float, got 'abc'"),
+        ("embedding: {modes: [{weight: x}]}",
+         "embedding.modes[0].weight must be float, got 'x'"),
+        ("embedding: {modes: [{mean: abc}]}",
+         "embedding.modes[0].mean must be float, got 'abc'"),
+        ("embedding: {d: 2, modes: [{mean: [1, 2, 3]}]}",
+         "embedding.modes[0].mean must be a number or a list of 2 numbers, "
+         "got [1, 2, 3]"),
+        ("embedding: {modes: [{mean: .nan}]}",
+         "embedding.modes[0].mean must be finite, got nan"),
+        ("embedding: {modes: [{scale: -1}]}",
+         "embedding.modes[0].scale must be at least 0, got -1"),
+        ("embedding: {modes: [{weight: -1}]}",
+         "embedding.modes[0].weight must be above 0, got -1"),
+        ("embedding: {modes: [{bogus: 1}]}",
+         "embedding.modes[0].bogus is not a recipe key (mean, scale, "
+         "weight)"),
+        ("embedding: {modes: []}",
+         "embedding.modes must be a non-empty list, got []"),
+        ("embedding: {seed: -1}", "embedding.seed must be at least 0, got -1"),
+        ("table: {numeric_fields: {age: [5, 1]}}",
+         "table.numeric_fields.age must be a [low, high] pair with "
+         "low <= high, got [5, 1]"),
+        ("table: {categorical_fields: {sex: []}}",
+         "table.categorical_fields.sex must be a non-empty list, got []"),
+        ("table: {n: -3}", "table.n must be at least 1, got -3"),
+        ("table: {bogus: 1}", "table.bogus is not a recipe key (n, seed, "
+         "numeric_fields, categorical_fields)"),
     ], ids=["embedding", "defects", "n", "seed", "numeric_field",
-            "unknown_param", "no_embedding"])
+            "unknown_param", "no_embedding", "mode_scale", "mode_weight",
+            "mode_mean", "mode_mean_length", "mode_mean_nan",
+            "negative_scale", "negative_weight", "mode_key", "no_modes",
+            "negative_seed", "reversed_field", "no_categories",
+            "negative_n", "table_key"])
     def test_malformed_recipe_value_exit_2(self, tmp_path, capsys, text,
                                            message):
         recipe = tmp_path / "recipe.yaml"

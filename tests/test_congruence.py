@@ -177,6 +177,16 @@ class TestFrechet:
         assert diag["singular_covariance"] is True
         assert value >= 0.0
 
+    @pytest.mark.parametrize("rows", [(1, 3), (3, 1), (1, 1)],
+                             ids=["real", "synthetic", "both"])
+    def test_one_row_set_undefined(self, rows):
+        rng = np.random.default_rng(5)
+        real = embedding_from(rng.normal(size=(rows[0], 2)))
+        synth = embedding_from(rng.normal(size=(rows[1], 2)), prefix="s")
+        assert congruence.frechet_distance(real, synth) == (None, {
+            "undefined_reason": "insufficient samples (need at least 2 rows "
+                                "per set)"})
+
 
 class TestPrecision:
     def test_identical_sets_one(self, identity_pair):

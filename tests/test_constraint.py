@@ -276,6 +276,7 @@ class TestMarginToBoundary:
         value, diag = margin_to_boundary(_table([(50.0, 10.0, "a")]), rules)
         assert value is None
         assert diag["invalid_rows"] == 1
+        assert diag["undefined_reason"] == "no valid bounded rows"
 
 
 class TestSignedDistances:
@@ -444,6 +445,7 @@ def _oracle_margin_to_boundary(table, rules):
                    "unbounded_rows": unbounded_rows,
                    "valid_rows": len(margins)}
     if not margins:
+        diagnostics["undefined_reason"] = "no valid bounded rows"
         return None, diagnostics
     arr = np.asarray(margins)
     diagnostics["margin_min"] = float(arr.min())

@@ -1,10 +1,12 @@
 """The scripts the README documents run to completion."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,3 +32,17 @@ def test_defect_sweep_runs(tmp_path):
     done = _run("defect_sweep.py", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert "(no defect baseline)" in done.stdout
+
+
+def test_bench_kernels_captures_the_pooled_anova_tasks(monkeypatch):
+    # the script sets BLAS thread counts and its import path when loaded
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "bench_kernels", ROOT / "scripts" / "bench_kernels.py")
+    bench = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(bench)
+    pooled = bench._pooled_tasks(*bench._anova_fixture())
+    # 5 scopes x 2 metrics, and 4 subgroups x 2 replicate blocks
+    assert len(pooled) == 18
+    assert sum(pairs is not None for (_, _, pairs), _ in pooled) == 8
