@@ -131,6 +131,26 @@ def _value_to_json(value: float | None):
     return float(value)
 
 
+_NUMBER = (int, float)
+_NUMBER_OR_NULL = (int, float, type(None))
+#: the JSON types of the criterion and metric fields the card reads
+_CRITERION = {"criterion": str, "score": _NUMBER_OR_NULL, "verdict": str,
+              "excluded": int, "metrics": list}
+_METRIC_ENTRY = {"name": str, "label": str, "direction": str,
+                 "value": (int, float, str, type(None)),
+                 "normalized": _NUMBER_OR_NULL}
+
+
+def _typed(entry, types: dict, where: str):
+    """``entry`` if each key of ``types`` holds one of its types (a bool is
+    no number); else a KeyError or TypeError naming the field."""
+    for key, kinds in types.items():
+        value = entry[key]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise TypeError(f"{where}.{key} has the wrong type: {value!r}")
+    return entry
+
+
 # Fields are declared in document order: ``dataclasses.asdict`` serializes.
 @dataclass(frozen=True)
 class CriterionBlock:
@@ -163,12 +183,21 @@ class QualityReport:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "QualityReport":
-        """Rebuild a report; a missing or unknown key raises KeyError or TypeError."""
-        scopes = tuple(
-            ScopeBlock(**dict(s, criteria=tuple(CriterionBlock(**c)
-                                                for c in s["criteria"])))
-            for s in raw["scopes"])
-        return cls(**dict(raw, scopes=scopes))
+        """Rebuild a report; a missing or unknown key, or a field the card
+        reads that holds the wrong JSON type, raises KeyError or TypeError."""
+        _typed(raw, {"thresholds": dict, "declared_privacy": dict}, "report")
+        _typed(raw["thresholds"], {"good": _NUMBER, "moderate": _NUMBER},
+               "thresholds")
+        scopes = []
+        for i, s in enumerate(raw["scopes"]):
+            criteria = []
+            for j, c in enumerate(s["criteria"]):
+                where = f"scopes[{i}].criteria[{j}]"
+                for k, m in enumerate(_typed(c, _CRITERION, where)["metrics"]):
+                    _typed(m, _METRIC_ENTRY, f"{where}.metrics[{k}]")
+                criteria.append(CriterionBlock(**c))
+            scopes.append(ScopeBlock(**dict(s, criteria=tuple(criteria))))
+        return cls(**dict(raw, scopes=tuple(scopes)))
 
     def scope(self, name: str) -> ScopeBlock | None:
         for s in self.scopes:

@@ -3,7 +3,8 @@
 Subcommands: ``evaluate`` (compute a quality report), ``card`` (render a
 dataset card from a manifest plus a report), ``calibrate`` (suggest
 normalization bounds from reference self-splits), ``fixtures`` (emit
-deterministic test datasets with injected defects).
+deterministic test datasets with injected defects: ``harness`` checks each
+recipe value, and every dataset is built before one is written).
 
 Exit codes: 0 success, 2 validation/configuration error, 1 internal error.
 Errors go to stderr as one machine-readable line each: ``E<code>: <message>``.
@@ -15,13 +16,14 @@ omits one.
 from __future__ import annotations
 
 import argparse
-import math
+import inspect
 import os
 import sys
 
 from . import __version__, card as card_mod, harness, ingest
 from .config import EvalConfig
-from .errors import ConfigError, SmdError
+from .errors import ConfigError, EvaluationError, SmdError
+from .model import EmbeddingSet, RecordTable
 from .runner import (EvaluationInputs, PlanViolations, calibrate_bounds,
                      run_evaluation)
 
@@ -164,138 +166,73 @@ def cmd_calibrate(args) -> int:
     real = ingest.read_embeddings(args.real, config.id_column, *real_labels)
     bounds = calibrate_bounds(real, config)
     if not bounds:
-        raise ConfigError("no embedding metrics selected; nothing to calibrate")
+        raise ConfigError("no selected embedding metric without two analytic "
+                          "ends gave a value on the reference self-splits; "
+                          "nothing to calibrate")
     ingest.write_bounds(args.out, bounds)
     print(f"bounds for {len(bounds)} metrics written to {args.out}")
     return 0
 
 
-_RECIPE_KEYS = {"embedding", "table", "defects"}
-_SPEC_KEYS = {"embedding": ("n", "d", "seed", "modes"),
-              "table": ("n", "seed", "numeric_fields", "categorical_fields")}
-_MODE_KEYS = ("mean", "scale", "weight")
+#: recipe section -> (the harness function that builds it, its file)
+_FIXTURES = {"embedding": (harness.make_gaussian_mixture, "real.csv"),
+             "table": (harness.make_record_table, "real_table.csv")}
+_WRITERS = {EmbeddingSet: ingest.write_embeddings,
+            RecordTable: ingest.write_record_table,
+            list: lambda descriptors, path: ingest.atomic_write(
+                path, ingest.dumps_canonical(descriptors).encode("utf-8"))}
 
 
 def cmd_fixtures(args) -> int:
-    recipe = ingest.read_yaml(args.recipe)
-    unknown = sorted(set(recipe) - _RECIPE_KEYS)
-    if unknown:
-        raise ConfigError(f"{args.recipe}: unknown recipe key(s) {unknown}")
-
-    def fail(key, rule, value):
-        raise ConfigError(f"{args.recipe}: {key} must be {rule}, "
-                          f"got {value!r}")
-
-    def typed(key, value, kind, low=None):
-        # a float may be an int and must be finite; a bool is no number
-        if (not isinstance(value, (int, float) if kind is float else kind)
-                or isinstance(value, bool)):
-            fail(key, kind.__name__, value)
-        if kind is float and not -math.inf < value < math.inf:
-            fail(key, "finite", value)
-        if low is not None and value < low:
-            fail(key, f"at least {low}", value)
-        return value
-
-    def mapping(key, value, keys):
-        for name in typed(key, value, dict):
-            if name not in keys:
-                raise ConfigError(f"{args.recipe}: {key}.{name} is not a "
-                                  f"recipe key ({', '.join(keys)})")
-        return value
+    try:
+        files = _build_fixtures(ingest.read_yaml(args.recipe))
+    except EvaluationError as exc:
+        raise ConfigError(f"{args.recipe}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
-
-    real = None
-    real_table = None
-    written = []
-    if "embedding" in recipe:
-        spec = mapping("embedding", recipe["embedding"],
-                       _SPEC_KEYS["embedding"])
-        n = typed("embedding.n", spec.get("n", 200), int, 1)
-        d = typed("embedding.d", spec.get("d", 8), int, 1)
-        seed = typed("embedding.seed", spec.get("seed", 0), int, 0)
-        modes = typed("embedding.modes", spec.get("modes", [{}]), list)
-        if not modes:
-            fail("embedding.modes", "a non-empty list", modes)
-        for i, mode in enumerate(modes):
-            key = f"embedding.modes[{i}]"
-            mean = mapping(key, mode, _MODE_KEYS).get("mean", 0.0)
-            if isinstance(mean, list) and len(mean) != d:
-                fail(f"{key}.mean", f"a number or a list of {d} numbers",
-                     mean)
-            for x in mean if isinstance(mean, list) else [mean]:
-                typed(f"{key}.mean", x, float)
-            typed(f"{key}.scale", mode.get("scale", 1.0), float, 0)
-            weight = typed(f"{key}.weight", mode.get("weight", 1.0), float)
-            if weight <= 0:
-                fail(f"{key}.weight", "above 0", weight)
-        real = harness.make_gaussian_mixture(n=n, d=d, modes=modes, seed=seed)
-        path = os.path.join(args.out, "real.csv")
-        ingest.write_embeddings(real, path)
-        written.append(path)
-    if "table" in recipe:
-        spec = mapping("table", recipe["table"], _SPEC_KEYS["table"])
-        fields = {kind: typed(f"table.{kind}", spec.get(kind) or {}, dict)
-                  for kind in ("numeric_fields", "categorical_fields")}
-        numeric = {}
-        for name, pair in fields["numeric_fields"].items():
-            key = f"table.numeric_fields.{name}"
-            bounds = [typed(key, x, float) for x in typed(key, pair, list)]
-            if len(bounds) != 2 or bounds[0] > bounds[1]:
-                fail(key, "a [low, high] pair with low <= high", pair)
-            numeric[name] = tuple(map(float, bounds))
-        categorical = {}
-        for name, values in fields["categorical_fields"].items():
-            key = f"table.categorical_fields.{name}"
-            if not typed(key, values, list):
-                fail(key, "a non-empty list", values)
-            categorical[name] = [str(x) for x in values]
-        real_table = harness.make_record_table(
-            n=typed("table.n", spec.get("n", 50), int, 1),
-            seed=typed("table.seed", spec.get("seed", 0), int, 0),
-            numeric_fields=numeric or None,
-            categorical_fields=categorical or None)
-        path = os.path.join(args.out, "real_table.csv")
-        ingest.write_record_table(real_table, path)
-        written.append(path)
-
-    descriptors = []
-    for i, defect in enumerate(typed("defects", recipe.get("defects") or [],
-                                     list)):
-        defect = dict(typed(f"defects[{i}]", defect, dict))
-        kind = typed(f"defects[{i}].kind", defect.pop("kind", None), str)
-        if kind not in harness.DEFECTS:
-            raise ConfigError(f"{args.recipe}: unknown defect kind {kind!r}")
-        seed = typed(f"defects[{i}].seed", defect.pop("seed", 0), int, 0)
-        _, fixture, params = harness.DEFECTS[kind]
-        for key in {**params, **defect}:
-            if key not in params:
-                raise ConfigError(f"{args.recipe}: defects[{i}].{key} is not "
-                                  f"a parameter of defect {kind!r}")
-            typed(f"defects[{i}].{key}", defect.get(key), params[key])
-        source = real_table if fixture == "table" else real
-        if source is None:
-            raise ConfigError(f"{args.recipe}: defect {kind!r} needs "
-                              f"{'a' if fixture == 'table' else 'an'} "
-                              f"{fixture} fixture in the recipe")
-        result = harness.inject_defect(source, kind, seed=seed, **defect)
-        if fixture == "table":
-            path = os.path.join(args.out, f"synthetic_table_{i}_{kind}.csv")
-            ingest.write_record_table(result.dataset, path)
-        else:
-            path = os.path.join(args.out, f"synthetic_{i}_{kind}.csv")
-            ingest.write_embeddings(result.dataset, path)
-        written.append(path)
-        descriptors.append({"file": os.path.basename(path), "seed": seed,
-                            **result.descriptor})
-
-    manifest_path = os.path.join(args.out, "defects.json")
-    ingest.atomic_write(manifest_path,
-                        ingest.dumps_canonical(descriptors).encode("utf-8"))
-    written.append(manifest_path)
-    for path in written:
+    for name, content in files:
+        path = os.path.join(args.out, name)
+        _WRITERS[type(content)](content, path)
         print(f"wrote {path}")
     return 0
+
+
+def _build_fixtures(recipe: dict) -> list[tuple[str, object]]:
+    """(file name, content) of every file the recipe asks for, the defect
+    descriptors of ``defects.json`` last. The harness checks each value and
+    this the recipe's outline; an ``EvaluationError`` names the key."""
+    harness.check_keys("recipe", recipe, (*_FIXTURES, "defects"))
+    sources, files, descriptors = {}, [], []
+    for section, (make, name) in _FIXTURES.items():
+        if section in recipe:
+            spec = harness.check_keys(section, recipe[section],
+                                      inspect.signature(make).parameters)
+            sources[section] = _in_section(section, make, **spec)
+            files.append((name, sources[section]))
+    defects = harness.check("defects", recipe.get("defects") or [], list)
+    for i, defect in enumerate(defects):
+        section = f"defects[{i}]"
+        params = dict(harness.check(section, defect, dict))
+        kind = params.pop("kind", None)
+        fixture = _in_section(section, harness.defect_fixture, kind)
+        if fixture not in sources:
+            raise EvaluationError(
+                f"defect {kind!r} needs {'a' if fixture == 'table' else 'an'}"
+                f" {fixture} fixture in the recipe")
+        result = _in_section(section, harness.inject_defect, sources[fixture],
+                             kind, **{str(k): v for k, v in params.items()})
+        name = f"synthetic{'_table' * (fixture == 'table')}_{i}_{kind}.csv"
+        files.append((name, result.dataset))
+        descriptors.append({"file": name, "seed": params.get("seed", 0),
+                            **result.descriptor})
+    return files + [("defects.json", descriptors)]
+
+
+def _in_section(section: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``; its ``EvaluationError`` names ``section``."""
+    try:
+        return call(*args, **kwargs)
+    except EvaluationError as exc:
+        raise EvaluationError(f"{section}.{exc}") from None
 
 
 def main(argv=None) -> int:

@@ -4,12 +4,14 @@ Each defect kind mirrors a concrete way synthetic datasets go wrong (a lost
 mode, memorized rows, out-of-range values, dropped fields, missing cells,
 one degraded subgroup) and attaches a ground-truth descriptor with the
 expected measurable effect, so directional tests can assert inequalities
-instead of fuzzy trends.
+instead of fuzzy trends. Each function checks every value before it draws
+and names the value's key: ``modes[0].weight must be above 0, got -1``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +19,39 @@ import numpy as np
 from .errors import EvaluationError
 from .model import EmbeddingSet, RecordTable
 
+_TYPES = {int: numbers.Integral, float: numbers.Real, list: (list, tuple)}
+_RULES = {"at least 0": lambda v: v >= 0, "at least 1": lambda v: v >= 1,
+          "above 0": lambda v: v > 0, "in (0, 1]": lambda v: 0 < v <= 1}
 
-def make_gaussian_mixture(n: int, d: int, modes: list[dict],
+
+def _fail(key: str, rule: str, value):
+    raise EvaluationError(f"{key} must be {rule}, got {value!r}")
+
+
+def check(key: str, value, kind: type, rule: str | None = None):
+    """``value`` if it is a ``kind`` (a float may be an int and must be
+    finite, a list may be a tuple; a bool is no number) keeping ``rule``."""
+    if (not isinstance(value, _TYPES.get(kind, kind))
+            or isinstance(value, bool)):
+        _fail(key, kind.__name__, value)
+    if kind is float and not -math.inf < value < math.inf:
+        _fail(key, "finite", value)
+    if rule is not None and not _RULES[rule](value):
+        _fail(key, rule, value)
+    return value
+
+
+def check_keys(key: str, value, keys) -> dict:
+    """``value`` if it is a mapping whose keys are all among ``keys``."""
+    for name in check(key, value, dict):
+        if name not in keys:
+            raise EvaluationError(f"{key}.{name} is not a recipe key "
+                                  f"({', '.join(keys)})")
+    return value
+
+
+def make_gaussian_mixture(n: int = 200, d: int = 8,
+                          modes: list[dict] = ({},),
                           seed: int = 0) -> EmbeddingSet:
     """Seeded sample from a Gaussian mixture; mode labels become subgroups.
 
@@ -26,11 +59,23 @@ def make_gaussian_mixture(n: int, d: int, modes: list[dict],
     weights are normalized internally and row counts apportioned by largest
     remainder so the label partition is exact and reproducible.
     """
-    if n < 1 or d < 1 or not modes:
-        raise EvaluationError("mixture needs n >= 1, d >= 1 and at least one mode")
+    check("n", n, int, "at least 1")
+    check("d", d, int, "at least 1")
+    check("seed", seed, int, "at least 0")
+    if not check("modes", modes, list):
+        _fail("modes", "a non-empty list", modes)
+    for i, mode in enumerate(modes):
+        key = f"modes[{i}]"
+        mean = check_keys(key, mode, ("mean", "scale", "weight")).get(
+            "mean", 0.0)
+        means = mean if isinstance(mean, (list, tuple)) else [mean] * d
+        if len(means) != d:
+            _fail(f"{key}.mean", f"a number or a list of {d} numbers", mean)
+        for x in means:
+            check(f"{key}.mean", x, float)
+        check(f"{key}.scale", mode.get("scale", 1.0), float, "at least 0")
+        check(f"{key}.weight", mode.get("weight", 1.0), float, "above 0")
     weights = np.asarray([float(m.get("weight", 1.0)) for m in modes])
-    if np.any(weights <= 0):
-        raise EvaluationError("mode weights must be positive")
     weights = weights / weights.sum()
 
     raw = weights * n
@@ -47,9 +92,6 @@ def make_gaussian_mixture(n: int, d: int, modes: list[dict],
         mean = mode.get("mean", 0.0)
         mean_vec = (np.full(d, float(mean)) if np.isscalar(mean)
                     else np.asarray(mean, dtype=np.float64))
-        if mean_vec.shape != (d,):
-            raise EvaluationError(f"mode {m_idx}: mean must be scalar or "
-                                  f"length {d}")
         scale = float(mode.get("scale", 1.0))
         blocks.append(rng.normal(loc=mean_vec, scale=scale, size=(count, d)))
         labels += [f"mode{m_idx}"] * count
@@ -58,14 +100,32 @@ def make_gaussian_mixture(n: int, d: int, modes: list[dict],
     return EmbeddingSet(ids=ids, data=data, subgroup=tuple(labels))
 
 
-def make_record_table(n: int, seed: int = 0,
+def make_record_table(n: int = 50, seed: int = 0,
                       numeric_fields: dict[str, tuple[float, float]] | None = None,
                       categorical_fields: dict[str, list[str]] | None = None
                       ) -> RecordTable:
     """Fully populated random table (uniform numerics, uniform categories)."""
-    numeric_fields = numeric_fields or {"age": (20.0, 80.0),
-                                        "hgb": (10.0, 17.0)}
-    categorical_fields = categorical_fields or {"sex": ["F", "M"]}
+    check("n", n, int, "at least 1")
+    check("seed", seed, int, "at least 0")
+    numeric_fields = check("numeric_fields", numeric_fields or {
+        "age": (20.0, 80.0), "hgb": (10.0, 17.0)}, dict)
+    categorical_fields = check("categorical_fields", categorical_fields or {
+        "sex": ["F", "M"]}, dict)
+    for name, pair in numeric_fields.items():
+        key = f"numeric_fields.{name}"
+        bounds = [check(key, x, float) for x in check(key, pair, list)]
+        if len(bounds) != 2 or bounds[0] > bounds[1]:
+            _fail(key, "a [low, high] pair with low <= high", pair)
+        if bounds[1] - bounds[0] == math.inf:
+            _fail(key, "a [low, high] pair of finite width", pair)
+    for name, values in categorical_fields.items():
+        key = f"categorical_fields.{name}"
+        if not check(key, values, list):
+            _fail(key, "a non-empty list", values)
+        if name in numeric_fields:
+            raise EvaluationError(f"{key} is also a numeric field")
+    categorical_fields = {name: [str(x) for x in values]
+                          for name, values in categorical_fields.items()}
     rng = np.random.default_rng(seed)
     columns = ([(name, "numeric") for name in numeric_fields]
                + [(name, "categorical") for name in categorical_fields])
@@ -89,14 +149,25 @@ def inject_defect(source, kind: str, seed: int = 0, **params) -> DefectResult:
     """Produce a defective synthetic dataset from a pristine source, with
     the parameters ``DEFECTS`` gives the kind. The returned descriptor
     records the defect and its expected measurable effect."""
-    if kind not in DEFECTS:
-        raise EvaluationError(f"unknown defect kind {kind!r}")
-    handler, fixture, _ = DEFECTS[kind]
-    applies_to, sets = ((RecordTable, "record tables") if fixture == "table"
-                        else (EmbeddingSet, "embedding sets"))
-    if not isinstance(source, applies_to):
+    table = defect_fixture(kind) == "table"
+    if not isinstance(source, RecordTable if table else EmbeddingSet):
+        sets = "record tables" if table else "embedding sets"
         raise EvaluationError(f"defect {kind!r} applies to {sets}")
+    check("seed", seed, int, "at least 0")
+    handler, _, spec = DEFECTS[kind]
+    for key in {**spec, **params}:
+        if key not in spec:
+            raise EvaluationError(f"{key} is not a parameter of defect "
+                                  f"{kind!r}")
+        check(key, params.get(key), *spec[key])
     return handler(source, seed, **params)
+
+
+def defect_fixture(kind) -> str:
+    """The fixture (``"embedding"`` or ``"table"``) ``kind`` applies to."""
+    if not isinstance(kind, str) or kind not in DEFECTS:
+        _fail("kind", f"a defect kind ({', '.join(DEFECTS)})", kind)
+    return DEFECTS[kind][1]
 
 
 def _synthetic_ids(n: int) -> tuple[str, ...]:
@@ -106,10 +177,10 @@ def _synthetic_ids(n: int) -> tuple[str, ...]:
 def _mode_drop(real, seed, mode: str) -> DefectResult:
     del seed
     if real.subgroup is None or mode not in set(real.subgroup):
-        raise EvaluationError(f"no mode labeled {mode!r} in the source")
+        _fail("mode", "a mode label of the source", mode)
     keep = [i for i, label in enumerate(real.subgroup) if label != mode]
     if not keep:
-        raise EvaluationError("mode_drop would remove every row")
+        _fail("mode", "one of two or more modes of the source", mode)
     kept = real.subset(keep)
     synthetic = EmbeddingSet(ids=_synthetic_ids(len(keep)), data=kept.data,
                              subgroup=kept.subgroup, region=kept.region)
@@ -121,8 +192,6 @@ def _mode_drop(real, seed, mode: str) -> DefectResult:
 
 
 def _duplicate_real(real, seed, fraction: float) -> DefectResult:
-    if not (0.0 < fraction <= 1.0):
-        raise EvaluationError("duplicate fraction must be in (0, 1]")
     n = real.n
     n_copy = math.ceil(fraction * n)
     rng = np.random.default_rng(seed)
@@ -144,17 +213,11 @@ def _duplicate_real(real, seed, fraction: float) -> DefectResult:
 def _out_of_range(table, seed, field: str, fraction: float,
                   magnitude: float) -> DefectResult:
     if field not in table.column_names or table.kind(field) != "numeric":
-        raise EvaluationError(f"out_of_range needs a numeric field, got "
-                              f"{field!r}")
-    if not (0.0 < fraction <= 1.0):
-        raise EvaluationError("out_of_range fraction must be in (0, 1]")
-    if magnitude <= 0:
-        raise EvaluationError("out_of_range magnitude must be positive")
+        _fail("field", "a numeric field of the source", field)
     values = table.floats(field).copy()
     populated = np.flatnonzero(~np.isnan(values))
     if not populated.size:
-        raise EvaluationError(f"out_of_range field {field!r} has no "
-                              "populated cell")
+        _fail("field", "a field with a populated cell", field)
     n_bad = math.ceil(fraction * populated.size)
     rng = np.random.default_rng(seed)
     bad_rows = populated[rng.choice(populated.size, size=n_bad, replace=False)]
@@ -173,7 +236,7 @@ def _out_of_range(table, seed, field: str, fraction: float,
 def _delete_field(table, seed, name: str) -> DefectResult:
     del seed
     if name not in table.column_names:
-        raise EvaluationError(f"no field named {name!r}")
+        _fail("name", "a field of the source", name)
     kept = [column for column in table.columns if column[0] != name]
     defective = RecordTable(kept, [table.column(other) for other, _ in kept])
     return DefectResult(defective, {
@@ -182,8 +245,6 @@ def _delete_field(table, seed, name: str) -> DefectResult:
 
 
 def _mask_cells(table, seed, fraction: float) -> DefectResult:
-    if not (0.0 < fraction <= 1.0):
-        raise EvaluationError("mask fraction must be in (0, 1]")
     total = table.n * table.m
     n_mask = round(fraction * total)
     rng = np.random.default_rng(seed)
@@ -202,9 +263,7 @@ def _mask_cells(table, seed, fraction: float) -> DefectResult:
 def _subgroup_skew(real, seed, subgroup: str,
                    noise_scale: float) -> DefectResult:
     if real.subgroup is None or subgroup not in set(real.subgroup):
-        raise EvaluationError(f"no subgroup labeled {subgroup!r} in the source")
-    if noise_scale <= 0:
-        raise EvaluationError("noise scale must be positive")
+        _fail("subgroup", "a subgroup label of the source", subgroup)
     rng = np.random.default_rng(seed)
     data = real.data.copy()
     rows = [i for i, label in enumerate(real.subgroup) if label == subgroup]
@@ -220,15 +279,16 @@ def _subgroup_skew(real, seed, subgroup: str,
                                "the affected base metric"}})
 
 
-#: kind -> (handler, the fixture it applies to, its parameters and their
-#: types); every kind takes a seed as well.
+_FRACTION, _POSITIVE = (float, "in (0, 1]"), (float, "above 0")
+#: kind -> (handler, the fixture it applies to, its parameters, each with
+#: the ``check`` arguments it must pass); every kind takes a seed as well.
 DEFECTS = {
-    "mode_drop": (_mode_drop, "embedding", {"mode": str}),
-    "duplicate_real": (_duplicate_real, "embedding", {"fraction": float}),
+    "mode_drop": (_mode_drop, "embedding", {"mode": (str,)}),
+    "duplicate_real": (_duplicate_real, "embedding", {"fraction": _FRACTION}),
     "out_of_range": (_out_of_range, "table", {
-        "field": str, "fraction": float, "magnitude": float}),
-    "delete_field": (_delete_field, "table", {"name": str}),
-    "mask_cells": (_mask_cells, "table", {"fraction": float}),
+        "field": (str,), "fraction": _FRACTION, "magnitude": _POSITIVE}),
+    "delete_field": (_delete_field, "table", {"name": (str,)}),
+    "mask_cells": (_mask_cells, "table", {"fraction": _FRACTION}),
     "subgroup_skew": (_subgroup_skew, "embedding", {
-        "subgroup": str, "noise_scale": float}),
+        "subgroup": (str,), "noise_scale": _POSITIVE}),
 }

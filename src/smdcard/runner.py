@@ -136,6 +136,17 @@ def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
                     "constraints.derive")
     if config.constraint_derive is not None and inputs.real_table is None:
         add("E227", "constraints.derive needs a reference table (tables.real)")
+    elif config.constraint_derive is not None:
+        for name in config.constraint_derive.fields:
+            if (name not in inputs.real_table.column_names
+                    or inputs.real_table.kind(name) != "numeric"):
+                add("E229", f"constraints.derive.fields: {name!r} is not a "
+                            "numeric column of the reference table")
+    if "quasi_identifiers" in needs and inputs.table is not None:
+        for name in config.quasi_identifiers:
+            if name not in inputs.table.column_names:
+                add("E229", f"compliance.quasi_identifiers: {name!r} is not "
+                            "a column of the record table")
 
     if "required_fields" in needs:
         if config.required_fields in (None, "auto") and inputs.real_table is None:
@@ -147,13 +158,9 @@ def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
             add("E227", "consistency metrics need a subgroup column on the "
                         "synthetic set")
         for base in consistency.base_metrics(config):
-            d = catalog.descriptor(base)
-            if d.source != catalog.SOURCE_EMBEDDING:
+            if catalog.descriptor(base).source != catalog.SOURCE_EMBEDDING:
                 add("E227", f"consistency base metric {base!r} must be an "
                             "embedding metric")
-            elif not has_bounds_source(base, config):
-                add("E228", f"consistency base metric {base!r} has no "
-                            "normalization bounds")
         for name, base in consistency.unobserved_bases(config):
             add("E227", f"metric {name!r} reads the subgroup values of base "
                         f"metric {base!r}, which metrics does not select")
@@ -557,12 +564,14 @@ _CALIBRATION_SPLITS = 5
 
 def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
                      ) -> dict[str, tuple[float, float]]:
-    """Suggested normalization bounds from seeded reference self-splits.
+    """Suggested normalization bounds from seeded reference self-splits,
+    for the selected embedding metrics without two analytic ends: a metric
+    with both keeps its analytic range.
 
     Each split halves the reference set (seeded shuffle); binary metrics run
     half against half, unary metrics run on each half. Observed values are
     padded outward by one observed spread plus a 5% magnitude cushion,
-    clamped to analytic floors/ceilings.
+    clamped to the analytic floor.
     """
     if real.n < 4:
         raise PlanError("reference set too small to split (need at least 4 rows)")
@@ -576,7 +585,7 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
     values: dict[str, list[float]] = {}
     for name in config.metrics:
         d = catalog.descriptor(name)
-        if d.source != catalog.SOURCE_EMBEDDING:
+        if d.source != catalog.SOURCE_EMBEDDING or d.static_bounds is not None:
             continue
         pairs = splits if d.arity == "binary" else [
             (None, half) for split in splits for half in split]
@@ -588,11 +597,9 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
         vmin, vmax = min(observed), max(observed)
         pad = (vmax - vmin) + max(1e-6, 0.05 * max(abs(vmin), abs(vmax)))
         lo, hi = vmin - pad, vmax + pad
-        floor, ceiling = catalog.descriptor(name).range
+        floor = catalog.descriptor(name).range[0]
         if floor is not None:
             lo = max(lo, floor)
-        if ceiling is not None:
-            hi = min(hi, ceiling)
         if not lo < hi:
             hi = lo + 1.0
         bounds[name] = (lo, hi)

@@ -1,11 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import smdcard
 from smdcard import ingest
@@ -466,6 +471,44 @@ class TestFullSurface:
         assert criteria["constraint"]["score"] is not None
         assert criteria["compliance"]["score"] is not None
 
+    @pytest.mark.parametrize("override, lines", [
+        ({"constraints": {"derive": {"fields": ["sex", "bogus"]}}},
+         [f"E229: constraints.derive.fields: {name!r} is not a numeric "
+          "column of the reference table" for name in ("sex", "bogus")]),
+        ({"compliance": {"quasi_identifiers": ["nope"]}},
+         ["E229: compliance.quasi_identifiers: 'nope' is not a column of "
+          "the record table"]),
+    ], ids=["derive_fields", "quasi_identifiers"])
+    def test_validate_config_rejects_what_evaluate_rejects(
+            self, workspace, capsys, override, lines):
+        tmp_ws, paths = workspace
+        from smdcard.harness import make_record_table
+        ingest.write_record_table(make_record_table(40, seed=3),
+                                  str(tmp_ws / "synth_table.csv"))
+        ingest.write_record_table(make_record_table(50, seed=4),
+                                  str(tmp_ws / "real_table.csv"))
+        config = {**CONFIG, **{
+            "metrics": ["cosine_similarity", "k_anonymity",
+                        "constraint_violation_rate"],
+            "tables": {"real": "real_table.csv",
+                       "schema": {"age": "numeric", "hgb": "numeric",
+                                  "sex": "categorical"}},
+            "compliance": {"quasi_identifiers": ["sex"]},
+            "constraints": {"derive": {"fields": ["age"]}}}, **override}
+        paths["config"].write_text(yaml.safe_dump(config))
+        args = _evaluate_args(paths) + ["--table",
+                                        str(tmp_ws / "synth_table.csv")]
+        for extra in (["--validate-config"], []):
+            assert main(args + extra) == 2
+            assert capsys.readouterr().err.splitlines() == lines
+        assert not paths["report"].exists()
+
+
+def _edited(report, edit):
+    """``report`` after ``edit`` of its first global criterion."""
+    edit(report["scopes"][0]["criteria"][0])
+    return report
+
 
 class TestCard:
     def _make_report(self, paths):
@@ -527,7 +570,12 @@ class TestCard:
         lambda report: "not json",
         lambda report: dict(report, extra=1),
         lambda report: {k: v for k, v in report.items() if k != "notes"},
-    ], ids=["empty", "not_json", "unknown_key", "missing_key"])
+        lambda report: _edited(report, lambda c: c.update(score="high")),
+        lambda report: _edited(report,
+                               lambda c: c["metrics"][0].update(value=[1])),
+        lambda report: _edited(report, lambda c: c["metrics"][0].pop("label")),
+    ], ids=["empty", "not_json", "unknown_key", "missing_key",
+            "mistyped_score", "mistyped_value", "metric_without_label"])
     def test_malformed_report_exit_2(self, workspace, tmp_path, capsys,
                                      corrupt):
         _, paths = workspace
@@ -553,7 +601,8 @@ class TestCalibrate:
                      "--config", str(paths["config"]), "--out", str(out)])
         assert code == 0
         bounds = yaml.safe_load(out.read_text())["bounds"]
-        assert set(bounds) == set(CONFIG["metrics"])
+        # the other metrics keep their two analytic ends
+        assert set(bounds) == {"frechet_distance", "vendi_score"}
         lo, hi = bounds["frechet_distance"]
         assert 0.0 <= lo < 1.0
 
@@ -566,6 +615,19 @@ class TestCalibrate:
         main(["calibrate", "--real", str(paths["real"]),
               "--config", str(paths["config"]), "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_bounded_metrics_only_exit_2(self, workspace, tmp_path, capsys):
+        tmp_ws, paths = workspace
+        config = tmp_ws / "recall.yaml"
+        config.write_text(yaml.safe_dump(dict(CONFIG, metrics=["recall"],
+                                              bounds={})))
+        code = main(["calibrate", "--real", str(paths["real"]),
+                     "--config", str(config), "--out", str(tmp_path / "b.yaml")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "E200: no selected embedding metric without two analytic ends "
+            "gave a value on the reference self-splits; nothing to "
+            "calibrate\n")
 
     def test_too_small_exit_2(self, workspace, tmp_path, capsys):
         tmp_ws, paths = workspace
@@ -589,6 +651,84 @@ RECIPE = {
         {"kind": "mask_cells", "fraction": 0.1, "seed": 3},
     ],
 }
+
+
+#: a valid recipe that uses every defect kind
+FULL_RECIPE = {
+    "embedding": {"n": 12, "d": 2, "seed": 1, "modes": [
+        {"mean": 0.0, "scale": 1.0, "weight": 1.0},
+        {"mean": [4.0, 4.0], "scale": 0.5, "weight": 2.0}]},
+    "table": {"n": 10, "seed": 2, "numeric_fields": {"age": [20, 80]},
+              "categorical_fields": {"sex": ["F", "M"]}},
+    "defects": [
+        {"kind": "mode_drop", "mode": "mode1"},
+        {"kind": "duplicate_real", "fraction": 0.5, "seed": 3},
+        {"kind": "subgroup_skew", "subgroup": "mode0", "noise_scale": 0.5},
+        {"kind": "out_of_range", "field": "age", "fraction": 0.2,
+         "magnitude": 5},
+        {"kind": "delete_field", "name": "sex"},
+        {"kind": "mask_cells", "fraction": 0.1, "seed": 4},
+    ],
+}
+_ODD_VALUES = ("x", None, True, [], {}, [1], {"a": 1}, 1, 1.5, -2)
+
+
+def _entries(node):
+    """(container, key) of every mapping entry and list item under node."""
+    keys = (node if isinstance(node, dict)
+            else range(len(node)) if isinstance(node, list) else ())
+    for key in keys:
+        yield node, key
+        yield from _entries(node[key])
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def _mutated_recipes(draw):
+    """FULL_RECIPE with one to three mutations: a value dropped,
+    duplicated in its list, retyped, made negative or non-finite, an
+    unknown key added, or a defect given a bad parameter."""
+    recipe = copy.deepcopy(FULL_RECIPE)
+    for _ in range(draw(st.integers(1, 3))):
+        entries = list(_entries(recipe))
+        mutation = draw(st.sampled_from(
+            ("drop", "duplicate", "retype", "negative", "non_finite",
+             "unknown_key", "defect_param")))
+        if mutation == "duplicate":
+            entries = [(c, k) for c, k in entries if isinstance(c, list)]
+        elif mutation in ("negative", "non_finite"):
+            entries = [(c, k) for c, k in entries if _is_number(c[k])]
+        elif mutation == "unknown_key":
+            entries = [(c, k) for c, k in entries if isinstance(c[k], dict)]
+        elif mutation == "defect_param":
+            entries = [(c, k) for c, k in entries
+                       if isinstance(c[k], dict) and "kind" in c[k]]
+        if not entries:
+            continue
+        container, key = draw(st.sampled_from(entries))
+        if mutation == "drop":
+            del container[key]
+        elif mutation == "duplicate":
+            container.insert(key, copy.deepcopy(container[key]))
+        elif mutation == "retype":
+            container[key] = draw(st.sampled_from(_ODD_VALUES))
+        elif mutation == "negative":
+            container[key] = -abs(container[key]) or -1
+        elif mutation == "non_finite":
+            container[key] = draw(st.sampled_from(
+                (float("nan"), float("inf"), float("-inf"))))
+        elif mutation == "unknown_key":
+            container[key]["bogus"] = draw(st.sampled_from(_ODD_VALUES))
+        else:
+            param = draw(st.sampled_from(
+                ("fraction", "magnitude", "noise_scale", "seed", "mode",
+                 "subgroup", "field", "name")))
+            container[key][param] = draw(st.sampled_from(
+                (0, 2, -1, 0.5, "nope", "mode0", "age")))
+    return recipe
 
 
 class TestFixtures:
@@ -682,6 +822,25 @@ class TestFixtures:
         main(["fixtures", "--recipe", str(recipe), "--out", str(out_b)])
         for name in sorted(p.name for p in out_a.iterdir()):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @given(recipe=_mutated_recipes())
+    @settings(max_examples=80, deadline=None)
+    def test_mutated_recipe_exit_0_or_2(self, recipe):
+        # a recipe error names the recipe and leaves --out as it was
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "recipe.yaml")
+            with open(path, "w") as fh:
+                fh.write(yaml.safe_dump(recipe))
+            out = os.path.join(tmp, "out")
+            os.mkdir(out)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["fixtures", "--recipe", path, "--out", out])
+            assert code in (0, 2), err.getvalue()
+            if code == 2:
+                assert err.getvalue().startswith(f"E200: {path}: ")
+                assert os.listdir(out) == []
 
 
 class TestExitCodes:

@@ -192,6 +192,36 @@ class TestDpp:
         assert value == pytest.approx(log_det, abs=1e-8)
 
 
+class TestRbfKernel:
+    """Vendi and DPP on the RBF kernel against a direct n x n oracle."""
+
+    @staticmethod
+    def _oracle(pts, gamma):
+        sq = np.array([[float(np.sum((a - b) ** 2)) for b in pts]
+                       for a in pts])
+        return np.exp(-(1.0 / pts.shape[1] if gamma is None else gamma) * sq)
+
+    @pytest.mark.parametrize("gamma", [None, 0.3])
+    def test_vendi_matches_oracle(self, gamma):
+        pts = np.random.default_rng(90).normal(size=(12, 3))
+        value, _ = coverage.vendi_score(embedding_from(pts), kernel="rbf",
+                                        gamma=gamma)
+        eig = np.linalg.eigvalsh(self._oracle(pts, gamma) / 12)
+        eig = eig[eig > 1e-12]
+        assert value == pytest.approx(math.exp(-np.sum(eig * np.log(eig))),
+                                      rel=1e-9)
+
+    @pytest.mark.parametrize("gamma", [None, 0.3])
+    def test_dpp_matches_oracle(self, gamma):
+        pts = np.random.default_rng(91).normal(size=(12, 3))
+        value, _ = coverage.dpp_logdet(embedding_from(pts), kernel="rbf",
+                                       gamma=gamma, ridge=1e-6)
+        sign, logdet = np.linalg.slogdet(self._oracle(pts, gamma)
+                                         + 1e-6 * np.eye(12))
+        assert sign > 0
+        assert value == pytest.approx(logdet, abs=1e-7)
+
+
 class TestVarianceEntropy:
     def test_identical_points_zero(self):
         es = embedding_from([[2.0, 2.0]] * 5)

@@ -88,7 +88,7 @@ class TestDefects:
 
     def test_unknown_kind_rejected(self):
         real = make_gaussian_mixture(10, 2, TWO_MODES, seed=0)
-        with pytest.raises(EvaluationError, match="unknown defect"):
+        with pytest.raises(EvaluationError, match="must be a defect kind"):
             inject_defect(real, "gremlins")
 
     def test_wrong_source_rejected(self):
@@ -109,6 +109,51 @@ class TestDefects:
         a = inject_defect(real, "duplicate_real", seed=2, fraction=0.3)
         b = inject_defect(real, "duplicate_real", seed=2, fraction=0.3)
         assert np.array_equal(a.dataset.data, b.dataset.data)
+
+
+@pytest.mark.parametrize("make, kwargs, message", [
+    (make_record_table, {"n": -2}, "n must be at least 1, got -2"),
+    (make_record_table, {"categorical_fields": {"sex": []}},
+     "categorical_fields.sex must be a non-empty list, got []"),
+    (make_record_table, {"numeric_fields": {"age": (5.0, 1.0)}},
+     "numeric_fields.age must be a [low, high] pair with low <= high, "
+     "got (5.0, 1.0)"),
+    (make_record_table, {"numeric_fields": {"age": (-1e308, 1e308)}},
+     "numeric_fields.age must be a [low, high] pair of finite width, "
+     "got (-1e+308, 1e+308)"),
+    (make_record_table, {"categorical_fields": {"age": ["x"]}},
+     "categorical_fields.age is also a numeric field"),
+    (make_gaussian_mixture, {"modes": [{"scale": -1}]},
+     "modes[0].scale must be at least 0, got -1"),
+    (make_gaussian_mixture, {"n": 5, "d": 2, "modes": [{"mean": [1]}]},
+     "modes[0].mean must be a number or a list of 2 numbers, got [1]"),
+    (lambda **kw: inject_defect(make_gaussian_mixture(10, 2), **kw),
+     {"kind": "duplicate_real", "fraction": 2},
+     "fraction must be in (0, 1], got 2"),
+    (lambda **kw: inject_defect(make_gaussian_mixture(10, 2), **kw),
+     {"kind": "mode_drop", "mode": "mode0", "seed": -1},
+     "seed must be at least 0, got -1"),
+    (lambda **kw: inject_defect(make_gaussian_mixture(10, 2), **kw),
+     {"kind": "mode_drop"}, "mode must be str, got None"),
+    (lambda **kw: inject_defect(make_gaussian_mixture(10, 2), **kw),
+     {"kind": "mode_drop", "mode": "mode0"},
+     "mode must be one of two or more modes of the source, got 'mode0'"),
+    (lambda **kw: inject_defect(make_record_table(10), **kw),
+     {"kind": "out_of_range", "field": "sex", "fraction": 0.5,
+      "magnitude": 1}, "field must be a numeric field of the source, "
+                       "got 'sex'"),
+    (lambda **kw: inject_defect(make_record_table(10), **kw),
+     {"kind": "out_of_range", "field": "age", "fraction": 0.5,
+      "magnitude": 0}, "magnitude must be above 0, got 0"),
+], ids=["negative_rows", "no_categories", "reversed_range",
+        "overflowing_range", "repeated_field", "negative_scale",
+        "mean_length", "fraction", "defect_seed", "missing_param",
+        "only_mode", "categorical_field", "magnitude"])
+def test_bad_value_is_named_before_drawing(make, kwargs, message):
+    # each was a numpy ValueError, an error naming no key, or no error
+    with pytest.raises(EvaluationError) as info:
+        make(**kwargs)
+    assert str(info.value) == message
 
 
 class TestDirectionalSensitivity:

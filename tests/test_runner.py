@@ -149,6 +149,52 @@ class TestPlan:
         assert plan(inputs, config_from_dict(
             dict(raw, metrics=raw["metrics"] + ["recall"]))).ok
 
+    def test_anova_only_base_needs_no_bounds(self, pair):
+        # anova tests the raw replicate values, so no bound is ever used
+        real, synth = pair
+        inputs = EvaluationInputs(synthetic=synth, real=real)
+        cfg = config_from_dict({
+            "metrics": ["cosine_similarity", "anova"],
+            "consistency": {"base_metrics": ["earth_movers_distance"],
+                            "bootstrap_replicates": 5},
+            "columns": {"subgroup": "subgroup"}, "seed": 3})
+        assert plan(inputs, cfg).ok
+        anova = run_evaluation(inputs, cfg).criterion("consistency").metrics[0]
+        assert anova["name"] == "anova" and anova["value"] is not None
+
+    def test_missing_bound_reported_once(self, pair):
+        # a dispersion metric's base is selected (E227), so the base's own
+        # E228 is the one report of its missing bound
+        real, synth = pair
+        cfg = config_from_dict({"metrics": ["earth_movers_distance",
+                                            "max_min_difference"]})
+        assert plan(EvaluationInputs(synthetic=synth, real=real),
+                    cfg).messages() == [
+            "E228: metric 'earth_movers_distance' has no normalization "
+            "bounds; add bounds in the config or run calibrate"]
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"metrics": ["psnr"], "bounds": {"psnr": [10, 60]}},
+         "E227: metric 'psnr' needs paired images (--images)"),
+        ({"metrics": ["inception_score"]},
+         "E227: metric 'inception_score' needs a class-probability matrix "
+         "(params.inception_score.probs_path)"),
+        ({"metrics": ["documentation_clarity"]},
+         "E227: metric 'documentation_clarity' is computed at card-build "
+         "time from the manifest, not by evaluate"),
+        ({"metrics": ["cosine_similarity"], "pca": {"target_dim": 6}},
+         "E229: pca.target_dim=6 exceeds d=5"),
+        ({"metrics": ["constraint_violation_rate"],
+          "constraints": {"rules": [{"id": "r", "kind": "range",
+                                     "field": "bogus", "max": 1}]}},
+         "E229: rule 'r' references unknown field 'bogus'"),
+    ], ids=["images", "class_probs", "manifest", "pca_dim", "rule_field"])
+    def test_plan_violation_messages(self, pair, raw, message):
+        real, synth = pair
+        inputs = EvaluationInputs(synthetic=synth, real=real,
+                                  table=make_record_table(20, seed=9))
+        assert plan(inputs, config_from_dict(raw)).messages() == [message]
+
 
 class TestRunEvaluation:
     def test_report_structure(self, pair):
@@ -828,13 +874,11 @@ class TestWorkerProcesses:
 
 class TestCalibration:
     def test_bounds_for_every_embedding_metric(self):
+        # only the metrics without two analytic ends: the others keep them
         real = make_gaussian_mixture(100, 4, TWO_MODES, seed=71)
         cfg = _embedding_config()
         bounds = calibrate_bounds(real, cfg)
-        expected = {"cosine_similarity", "jensen_shannon_divergence",
-                    "frechet_distance", "precision", "recall", "coverage",
-                    "vendi_score", "re_identification_risk"}
-        assert set(bounds) == expected
+        assert set(bounds) == {"frechet_distance", "vendi_score"}
         for lo, hi in bounds.values():
             assert lo < hi
 
@@ -852,21 +896,24 @@ class TestCalibration:
         assert calibrate_bounds(real, cfg) == calibrate_bounds(real, cfg)
 
     @pytest.mark.parametrize("n, failed, digest", [
-        (7, ["coverage", "precision", "rarity_score"],
-         "3d87b34581c364d8a06983b4ea01a4c3b767d43ea9083c73015d5da0b8d896e9"),
+        (7, ["rarity_score"],
+         "33d78d6da9ab6b0d55ae58e306a5763f87ded07512fff1c31c33aa7d5645e97b"),
         (40, [],
-         "b8605dc1f2edba264d2a0d505efd2194598d12fbff4512374a543f9adca049a4"),
+         "8479368908fd616e7c2cef900dedf1c5bc1a4c1203aa81b131753125ad4f9987"),
         (41, [],
-         "f1d5bd40e85077bf12fccb0410d08510b29846d29932c4a39384b1197e6e3634"),
-    ])
+         "4ee0c9a8fd4eccc44d3d41abc205e2dcca408ea69608b9e96b1f69534e9410f3"),
+    ], ids=["n7", "n40", "n41"])
     def test_bounds_pinned(self, n, failed, digest):
-        # every computable embedding metric; at n=7 the 3-row first half
-        # is too small for the k of the metrics that take kNN radii on the
-        # reference side, and at odd n the two halves differ in length
+        # every computable embedding metric, of which those without two
+        # analytic ends get bounds; at n=7 the 3-row first half is too
+        # small for rarity_score's k on the reference side, and at odd n
+        # the two halves differ in length
+        open_ended = {name for name in _EMBEDDING_METRICS
+                      if catalog.descriptor(name).static_bounds is None}
         bounds = calibrate_bounds(
             make_gaussian_mixture(n, 3, TWO_MODES, seed=n),
             config_from_dict({"metrics": _EMBEDDING_METRICS, "seed": 5}))
-        assert sorted(set(_EMBEDDING_METRICS) - set(bounds)) == failed
+        assert sorted(open_ended - set(bounds)) == failed
         assert hashlib.sha256(repr(sorted(bounds.items())).encode()
                               ).hexdigest() == digest
 
