@@ -12,6 +12,8 @@ rows (k=3) and ``ball_query`` of the reference rows against those balls.
 ``jensen_shannon_replicates``, the unit a subgroup's replicate task
 evaluates, and ``jsd_replicates_looped`` is the same 50 row sets as 50
 ``jensen_shannon`` calls on ``resample``d sets; the values are identical.
+``entropy_replicates`` and ``entropy_replicates_looped`` are the same for
+``embedding_entropy_replicates`` and ``embedding_entropy``.
 ``recall_replicates`` is one such block through
 ``manifold_recall_replicates`` (the synthetic rows' neighbor window and the
 reference-to-synthetic distances measured once, then one lookup per
@@ -66,6 +68,7 @@ from smdcard.config import config_from_dict  # noqa: E402
 from smdcard.congruence import (jensen_shannon,  # noqa: E402
                                 jensen_shannon_replicates)
 from smdcard.coverage import (embedding_entropy,  # noqa: E402
+                              embedding_entropy_replicates,
                               manifold_recall, manifold_recall_replicates)
 from smdcard import catalog, ingest  # noqa: E402
 from smdcard.harness import (inject_defect,  # noqa: E402
@@ -218,6 +221,10 @@ def main() -> None:
                lambda: jensen_shannon_replicates(real, synth, rows))
         record("jsd_replicates_looped", n, d, lambda: [
             jensen_shannon(real, synth.resample(r)) for r in rows])
+        record("entropy_replicates", n, d,
+               lambda: embedding_entropy_replicates(synth, rows))
+        record("entropy_replicates_looped", n, d, lambda: [
+            embedding_entropy(synth.resample(r)) for r in rows])
         record("recall_replicates", n, d,
                lambda: manifold_recall_replicates(real, synth, rows))
         record("recall_replicates_looped", n, d, lambda: [

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import EvaluationError
 from .model import EmbeddingSet
 from .numerics import (ball_query, dimension_histograms, dimension_means,
-                       jsd_rows, kth_neighbor_distance, pairwise_distances,
-                       stacked_row_sets, w1_distance_1d)
+                       draw_counts, jsd_rows, kth_neighbor_distance,
+                       pairwise_distances, w1_distance_1d)
 
 EXACT_MATCHING_LIMIT = 512
 FRECHET_REGULARIZATION = 1e-6  # ridge added to both covariances
@@ -91,16 +91,14 @@ def jensen_shannon_replicates(real: EmbeddingSet, synthetic: EmbeddingSet,
                               rows=None, bins: int | None = None):
     """``jensen_shannon(real, synthetic.resample(r), bins)`` for each index
     array ``r`` in ``rows``, or of ``synthetic`` itself when ``rows`` is
-    None: one (value, diagnostics) per row set, every set and dimension of
-    a stack binned in one pass."""
+    None: one (value, diagnostics) per row set. Each row set is its draw
+    counts, so the block sorts each dimension of the two sets once."""
     _check_dims(real, synthetic)
-    out = []
-    for stack in stacked_row_sets(synthetic.data, rows, real.n):
-        (p, q), bin_counts = dimension_histograms((real.data[None], stack),
-                                                  bins)
-        out.extend(dimension_means(jsd_rows(p, q, bin_counts), bin_counts,
-                                   with_bins=True))
-    return out
+    counts = None if rows is None else draw_counts(rows, synthetic.n)
+    (p, q), bin_counts = dimension_histograms(
+        ((real.data, None), (synthetic.data, counts)), bins)
+    return dimension_means(jsd_rows(p, q, bin_counts), bin_counts,
+                           with_bins=True)
 
 
 def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:

@@ -16,9 +16,9 @@ import numpy as np
 from .errors import EvaluationError
 from .model import EmbeddingSet
 from .numerics import (ball_hits, ball_query, dimension_histograms,
-                       dimension_means, entropy_rows, kth_neighbor_distance,
-                       pairwise_distances, pca_fit, resampled_kth_distances,
-                       shannon_entropy, stacked_row_sets)
+                       dimension_means, draw_counts, entropy_rows,
+                       kth_neighbor_distance, pairwise_distances, pca_fit,
+                       resampled_kth_distances, shannon_entropy)
 
 
 def manifold_recall(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
@@ -157,14 +157,12 @@ def embedding_entropy_replicates(synthetic: EmbeddingSet, rows=None,
                                  bins: int | None = None):
     """``embedding_entropy(synthetic.resample(r), bins)`` for each index
     array ``r`` in ``rows``, or of ``synthetic`` itself when ``rows`` is
-    None: one (value, diagnostics) per row set, every set and dimension of
-    a stack binned in one pass."""
-    out = []
-    for stack in stacked_row_sets(synthetic.data, rows):
-        (p,), bin_counts = dimension_histograms((stack,), bins)
-        out.extend(dimension_means(entropy_rows(p, bin_counts), bin_counts,
-                                   with_bins=False))
-    return out
+    None: one (value, diagnostics) per row set. Each row set is its draw
+    counts, so the block sorts each dimension of the set once."""
+    counts = None if rows is None else draw_counts(rows, synthetic.n)
+    (p,), bin_counts = dimension_histograms(((synthetic.data, counts),), bins)
+    return dimension_means(entropy_rows(p, bin_counts), bin_counts,
+                           with_bins=False)
 
 
 def rarity_score(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):

@@ -100,6 +100,13 @@ def make_gaussian_mixture(n: int = 200, d: int = 8,
     return EmbeddingSet(ids=ids, data=data, subgroup=tuple(labels))
 
 
+def _fields(key: str, value, default: dict) -> dict:
+    """``value``, a mapping, or ``default`` where it is None or empty."""
+    if value is None or (isinstance(value, dict) and not value):
+        return default
+    return check(key, value, dict)
+
+
 def make_record_table(n: int = 50, seed: int = 0,
                       numeric_fields: dict[str, tuple[float, float]] | None = None,
                       categorical_fields: dict[str, list[str]] | None = None
@@ -107,10 +114,10 @@ def make_record_table(n: int = 50, seed: int = 0,
     """Fully populated random table (uniform numerics, uniform categories)."""
     check("n", n, int, "at least 1")
     check("seed", seed, int, "at least 0")
-    numeric_fields = check("numeric_fields", numeric_fields or {
-        "age": (20.0, 80.0), "hgb": (10.0, 17.0)}, dict)
-    categorical_fields = check("categorical_fields", categorical_fields or {
-        "sex": ["F", "M"]}, dict)
+    numeric_fields = _fields("numeric_fields", numeric_fields, {
+        "age": (20.0, 80.0), "hgb": (10.0, 17.0)})
+    categorical_fields = _fields("categorical_fields", categorical_fields,
+                                 {"sex": ["F", "M"]})
     for name, pair in numeric_fields.items():
         key = f"numeric_fields.{name}"
         bounds = [check(key, x, float) for x in check(key, pair, list)]
@@ -237,6 +244,8 @@ def _delete_field(table, seed, name: str) -> DefectResult:
     del seed
     if name not in table.column_names:
         _fail("name", "a field of the source", name)
+    if table.m == 1:
+        _fail("name", "one of two or more fields of the source", name)
     kept = [column for column in table.columns if column[0] != name]
     defective = RecordTable(kept, [table.column(other) for other, _ in kept])
     return DefectResult(defective, {

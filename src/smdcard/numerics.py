@@ -44,19 +44,28 @@ Gram block and rows x m x d of a ``pairwise_distances`` difference block,
 and the refine gathers at most that many coordinates at a time. It also
 caps replicates x m x (w + 1) of the window lookups and replicates x rows x
 m of the ``ball_hits`` comparison against a query-to-pool row block, so a
-replicate block needs no m x m table. A stack of bootstrap row sets binned
-together (``stacked_row_sets``) holds at most a sixteenth of it in its
-pooled histogram sample.
+replicate block needs no m x m table. It caps replicates x d x (N + B)
+of a histogram slice too, N the pooled rows and B the most bins a row can
+take.
 
 The histograms of ``jensen_shannon_divergence`` and ``entropy_coverage``
-come from one kernel, ``dimension_histograms``, that bins every (row set,
-dimension) row of a stack in one pass with ``np.histogram``'s arithmetic;
-a single set is the stack of one. A row whose pooled span or interquartile
-range overflows float64 is flagged, and its set is undefined.
+come from one kernel, ``dimension_histograms``, that gives every
+(replicate, dimension) row ``np.histogram``'s counts. A single set's
+values each take ``np.histogram``'s own bin index. A bootstrap replicate
+is its draw counts (``draw_counts``): each dimension of the pooled rows
+is sorted once per call, a replicate's range and Freedman-Diaconis
+quartiles are order statistics read by bisection over its running draw
+counts, and its bin tallies are running counts at its edges, placed in
+the sorted columns by ``searchsorted``. Where that could differ from
+``np.histogram``'s quotient-then-correct index (subnormal or few-ulp bin
+steps, repeated edges), a row takes that index for each sorted value
+instead. A row whose pooled span or interquartile range overflows float64
+is flagged, and its set is undefined.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -215,10 +224,8 @@ def resampled_kth_distances(data: np.ndarray, rows, k: int) -> np.ndarray:
     out = np.empty((len(rows), n))
     step = max(1, _BLOCK_ELEMENTS // window.size)
     for start in range(0, len(rows), step):
-        drawn = np.stack(rows[start:start + step])
-        sets = drawn.shape[0]
-        counts = np.bincount((drawn + n * np.arange(sets)[:, None]).ravel(),
-                             minlength=sets * n).reshape(sets, n)
+        counts = draw_counts(rows[start:start + step], n)
+        sets = counts.shape[0]
         weights = np.concatenate((counts[:, :, None] - 1,
                                   counts[:, neighbors]), axis=2)
         reached = np.cumsum(weights, axis=2) >= k
@@ -362,75 +369,142 @@ def w1_distance_1d(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(np.abs(cdf_x - cdf_y) * deltas))
 
 
-def stacked_row_sets(data: np.ndarray, rows=None, shared: int = 0):
-    """Yield ``(sets, n, d)`` stacks of the row sets ``data[r]``, one per
-    index array ``r`` in ``rows`` (all of one length n), or ``data`` itself
-    as one set when ``rows`` is None. A stack holds as many sets as keep
-    its pooled histogram sample, with ``shared`` more rows per set, within
-    ``_BLOCK_ELEMENTS // 16`` elements (the histogram kernel holds several
-    temporaries of that size), and at least one."""
-    if rows is None:
-        yield data[None]
-        return
-    per_set = (len(rows[0]) + shared) * data.shape[1]
-    step = max(1, (_BLOCK_ELEMENTS // 16) // max(1, per_set))
-    for start in range(0, len(rows), step):
-        yield data[np.stack(rows[start:start + step])]
+def draw_counts(rows, n: int) -> np.ndarray:
+    """``(sets, n)``: how often each index array of ``rows`` (all of one
+    length) draws each of n rows. A bootstrap replicate is the multiset it
+    draws, so these counts describe it fully."""
+    drawn = np.stack(rows)
+    sets = drawn.shape[0]
+    return np.bincount((drawn + n * np.arange(sets)[:, None]).ravel(),
+                       minlength=sets * n).reshape(sets, n)
 
 
-def _sorted_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
-    """The q-quantile of each row of ``ordered``, whose rows are sorted
-    ascending: ``np.percentile(ordered, 100 * q, axis=1)`` by its "linear"
-    method, read from the two order statistics around the virtual index
-    (n - 1) q with numpy's interpolation arithmetic, so without the
-    partition numpy would run on rows already in order. A zero may come
-    out with the other sign."""
-    n = ordered.shape[1]
+def _linear_quantile(order_statistic, n: int, q: float) -> np.ndarray:
+    """The q-quantile of n values whose k-th smallest (0-based) is
+    ``order_statistic(k)``: ``np.percentile(values, 100 * q)`` by its
+    "linear" method, from the two order statistics around the virtual
+    index (n - 1) q with numpy's interpolation arithmetic, so without the
+    partition numpy would run. A zero may come out with the other sign."""
     virtual = (n - 1) * q
     below = math.floor(virtual)
     if below >= n - 1:
-        return ordered[:, -1].copy()
-    a, b = ordered[:, below], ordered[:, below + 1]
+        return order_statistic(n - 1)
+    a, b = order_statistic(below), order_statistic(below + 1)
     t = virtual - below
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def dimension_histograms(samples, bins: int | None = None):
-    """Histogram masses per row set and dimension, on the pooled range.
+def _running_counts(counts: np.ndarray, order: np.ndarray,
+                    total: int) -> np.ndarray:
+    """The running sums of ``counts`` (sets, n) along the sorted columns
+    ``order`` (d, n), flattened after a leading 0, row (s, j) r = s d + j:
+    row r's first p sorted values weigh ``out[r n + p] - r total``, each row
+    of ``counts`` summing to ``total``, and ``out`` never falls, so one
+    ``searchsorted`` finds a weight in every row."""
+    sets, (d, n) = counts.shape[0], order.shape
+    out = np.empty(sets * d * n + 1, dtype=np.intp)
+    out[0] = 0
+    body = out[1:].reshape(sets, d, n)
+    # mode "clip" writes straight into out; every index is in range
+    np.take(counts, order, axis=1, out=body, mode="clip")
+    body[:, :, 0] += (np.arange(sets * d) * total).reshape(sets, d)
+    np.cumsum(body, axis=2, out=body)
+    return out
 
-    ``samples`` are stacks shaped ``(sets, n_i, d)``; a stack of one set is
-    shared by every set of the others. Row (s, j) of the kernel pools
-    dimension j of set s of every sample, and each row is counted as
-    ``np.histogram(values, b, range=(lo, hi))`` counts it, pooled min and
-    max as the range: edges by ``np.linspace``'s arithmetic, bin indices by
-    ``np.histogram``'s, with its correction against the edges, so bins are
-    ``[e_i, e_i+1)`` and the last bin is closed. The bin count b is
-    ``bins``, else the Freedman-Diaconis rule on the pooled values, clamped
-    to ``[FD_MIN_BINS, FD_MAX_BINS]``. Returns ``(masses, bin_counts)``:
-    one ``(sets, d, B)`` mass array per sample, B the largest bin count,
-    zero past each row's own count; and the ``(sets, d)`` bin counts, 0
-    where the pooled values are constant and -1 where their span or
-    interquartile range overflows float64 (all masses 0 in both cases).
+
+def dimension_histograms(samples, bins: int | None = None):
+    """Histogram masses per replicate and dimension, on the pooled range.
+
+    ``samples`` are ``(rows, counts)`` pairs: ``rows`` an ``(n_i, d)``
+    array, and ``counts`` None for each row once, else ``(sets, n_i)`` draw
+    counts (``draw_counts``), one bootstrap replicate per set and every set
+    of one total. Row (s, j) pools dimension j of every sample, each row
+    weighted by its count in set s (a sample without counts is shared by
+    every set), and is counted as ``np.histogram(values, b, range=(lo,
+    hi))`` counts it, pooled min and max as the range: edges by
+    ``np.linspace``'s arithmetic, bins ``[e_i, e_i+1)`` and the last bin
+    closed. The bin count b is ``bins``, else the Freedman-Diaconis rule
+    on the pooled values, clamped to ``[FD_MIN_BINS, FD_MAX_BINS]``.
+    Returns ``(masses, bin_counts)``: one ``(sets, d, B)`` mass array per
+    sample, B the largest bin count, zero past each row's own count; and
+    the ``(sets, d)`` bin counts, 0 where the pooled values are constant
+    and -1 where their span or interquartile range overflows float64 (all
+    masses 0 in both cases).
+
+    Without draw counts each value takes ``np.histogram``'s own bin index
+    (``_quotient_index``); the columns are sorted only for the range and
+    quartiles. With them each column of the pooled rows is sorted once,
+    and a set is only its counts along the sorted columns
+    (``_drawn_histograms``), in slices of sets that keep every temporary
+    within ``_BLOCK_ELEMENTS``.
     """
     if bins is not None and bins < 1:
         raise EvaluationError(f"bins={bins} must be at least 1")
-    sets = max(s.shape[0] for s in samples)
-    d = samples[0].shape[2]
-    sizes = [s.shape[1] for s in samples]
-    pooled = np.concatenate([np.broadcast_to(
-        s.transpose(0, 2, 1), (sets, d, n)) for s, n in zip(samples, sizes)],
-        axis=2).reshape(sets * d, sum(sizes))
-    # sorted rows give the range, and make the quartiles' selection cheap
-    ordered = np.sort(pooled, axis=1)
-    lo, hi = ordered[:, 0], ordered[:, -1]
+    columns = np.concatenate([rows.T for rows, _ in samples], axis=1)
+    d, n = columns.shape
+    bounds = list(itertools.accumulate((rows.shape[0] for rows, _ in samples),
+                                       initial=0))
+    totals = [last - first if counts is None else int(counts[0].sum())
+              for (_, counts), first, last
+              in zip(samples, bounds, bounds[1:])]
+    if all(counts is None for _, counts in samples):
+        support = np.sort(columns, axis=1)
+        counts, overflow, lo, delta, edges = _bin_edges(
+            lambda k: support[:, k], n, bins)
+        index = _quotient_index(columns, lo, delta,
+                                np.maximum(counts, 1)[:, None], edges)
+        tallies = [_bin_tallies(index[:, first:last], edges)
+                   for first, last in zip(bounds, bounds[1:])]
+        parts = [_finish(tallies, counts, overflow, 1)]
+    else:
+        # the order of equal values changes no count, range or quartile
+        order = np.argsort(columns, axis=1)
+        support = np.take_along_axis(columns, order, axis=1)
+        sets = max(1 if counts is None else counts.shape[0]
+                   for _, counts in samples)
+        slots = FD_MAX_BINS if bins is None else bins
+        step = max(1, _BLOCK_ELEMENTS // (d * (n + slots + 2)))
+        parts = []
+        for start in range(0, sets, step):
+            stop = min(start + step, sets)
+            own = []
+            for (_, counts), first, last in zip(samples, bounds, bounds[1:]):
+                weights = np.zeros((1 if counts is None else stop - start, n),
+                                   dtype=np.intp)
+                weights[:, first:last] = (1 if counts is None
+                                          else counts[start:stop])
+                own.append(weights)
+            parts.append(_drawn_histograms(support, order, own, totals,
+                                           bins))
+    bin_counts = np.concatenate([counts for _, counts in parts])
+    top = max(int(bin_counts.max()), 0)
+    masses = tuple(np.zeros((bin_counts.shape[0], d, top)) for _ in samples)
+    start = 0
+    for tallies, counts in parts:
+        stop = start + counts.shape[0]
+        for out, tally, total in zip(masses, tallies, totals):
+            out[start:stop, :, :tally.shape[2]] = tally[..., :top] / total
+        start = stop
+    return masses, bin_counts
+
+
+def _bin_edges(order_statistic, total: int, bins: int | None):
+    """``(counts, overflow, lo, delta, edges)`` of the rows whose k-th
+    smallest pooled value (0-based) is ``order_statistic(k)``, of
+    ``total``: bin counts (0 for a constant or overflowed row), the rows
+    whose span or interquartile range overflows, the range start and span
+    (1.0 where unbinned), and ``np.linspace(lo, hi, b + 1)``'s edges, b
+    the bin count or 1, padded to one width."""
+    lo, hi = order_statistic(0), order_statistic(total - 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         span = hi - lo
         overflow = ~np.isfinite(span)
         if bins is None:
-            q75, q25 = (_sorted_quantile(ordered, q) for q in (0.75, 0.25))
+            q75, q25 = (_linear_quantile(order_statistic, total, q)
+                        for q in (0.75, 0.25))
             iqr = q75 - q25
             overflow |= ~np.isfinite(iqr)
-            width = 2.0 * iqr * pooled.shape[1] ** (-1.0 / 3.0)
+            width = 2.0 * iqr * total ** (-1.0 / 3.0)
             fd = np.clip(np.ceil(span / width), FD_MIN_BINS, FD_MAX_BINS)
             counts = np.where((iqr > 0) & ~overflow, fd, FD_MIN_BINS
                               ).astype(np.intp)
@@ -438,8 +512,7 @@ def dimension_histograms(samples, bins: int | None = None):
             counts = np.full(lo.shape, bins, dtype=np.intp)
     # an overflowed row is binned as a constant one, then flagged
     counts[(lo == hi) | overflow] = 0
-    rows, top = counts.size, int(counts.max())
-    slots = max(top, 1)  # constant rows count into one bin, then drop it
+    slots = max(int(counts.max()), 1)
     b = np.maximum(counts, 1)[:, None]
     # np.linspace(lo, hi, b + 1): arange x step + lo, or, where the step
     # underflows to 0, arange / b x delta + lo; the last edge is hi
@@ -449,29 +522,120 @@ def dimension_histograms(samples, bins: int | None = None):
         step = delta / b
         edges = np.where(step == 0, steps / b * delta, steps * step)
         edges += lo[:, None]
-        edges[np.arange(rows), b[:, 0]] = hi
-        index = ((pooled - lo[:, None]) / delta * b).astype(np.intp)
-    # np.histogram's bin index: a value on the last edge goes to the last
-    # bin, then one bin down or up where the quotient missed the edges (the
-    # clip only acts on the flagged rows, where hi - lo overflowed); indices
-    # run over the flat edges, so that bin i of row r is r * (slots + 1) + i
+        edges[np.arange(lo.size), b[:, 0]] = hi
+    return counts, overflow, lo, delta, edges
+
+
+def _quotient_index(x, lo, delta, b, edges):
+    """``np.histogram``'s bin index of each value of ``x`` (rows, m), as an
+    index into ``edges.ravel()``, so that bin i of row r is r (B + 1) + i:
+    the quotient ``(x - lo) / delta * b``, a value on the last edge in the
+    last bin, then one bin down or up where the quotient missed the edges.
+    A value outside [lo, hi], which has no weight where it occurs, is only
+    kept inside its row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        index = ((x - lo[:, None]) / delta * b).astype(np.intp)
     np.clip(index, 0, b, out=index)
     index[index == b] -= 1
-    first = (np.arange(rows) * (slots + 1))[:, None]
+    first = (np.arange(x.shape[0]) * edges.shape[1])[:, None]
     index += first
     flat = edges.ravel()
-    index -= pooled < flat[index]
-    index += (pooled >= flat[index + 1]) & (index != first + b - 1)
-    # one bincount: sample k's bins follow those of the samples before it
-    index += np.repeat(np.arange(len(samples)) * edges.size, sizes)
-    tallies = np.bincount(index.ravel(), minlength=len(samples) * edges.size
-                          ).reshape(len(samples), rows, slots + 1)
-    tallies = tallies[:, :, :top]
-    tallies[:, counts == 0] = 0
-    masses = tuple((t / n).reshape(sets, d, top)
-                   for t, n in zip(tallies, sizes))
+    index -= x < flat[index]
+    index += (x >= flat[index + 1]) & (index != first + b - 1)
+    np.clip(index, first, first + b - 1, out=index)
+    return index
+
+
+def _bin_tallies(index, edges, weights=None):
+    """``(rows, B)``: each row's values tallied by their ``_quotient_index``
+    into ``edges`` (rows, B + 1), each once or by its ``weights``."""
+    return np.bincount(index.ravel(),
+                       None if weights is None else weights.ravel(),
+                       minlength=edges.size).reshape(edges.shape)[:, :-1]
+
+
+def _finish(tallies, counts, overflow, sets: int):
+    """The ``(sets, d, B)`` tallies and ``(sets, d)`` bin counts of rows
+    (s, j), unbinned rows emptied and overflowed ones flagged -1."""
+    for tally in tallies:
+        tally[counts == 0] = 0
     counts[overflow] = -1
-    return masses, counts.reshape(sets, d)
+    return ([t.reshape(sets, -1, t.shape[1]) for t in tallies],
+            counts.reshape(sets, -1))
+
+
+def _drawn_histograms(support, order, own, totals, bins):
+    """Per sample, the tallies of a slice of sets, and their bin counts, as
+    ``_finish`` gives them: ``order`` (d, N) sorts each column of the
+    pooled rows into ``support``, and ``own[i]`` holds sample i's counts of
+    the pooled rows in each set, zero outside its own rows (one shared row
+    where it counts each row once), ``totals[i]`` their sum.
+
+    lo, hi and the Freedman-Diaconis quartiles are order statistics of the
+    weighted pooled values, read by bisection over their running counts.
+    Each bin's tally is the count below its upper edge less that below its
+    lower edge, each edge placed in its sorted column by ``searchsorted``.
+    That is ``np.histogram``'s count wherever its quotient index
+    ``(x - lo) / (hi - lo) * b`` lands within one bin of the right one,
+    which it then corrects against the edges. The edges' rounding stays
+    below 8 u max(|lo|, |hi|) (u = 2**-53), so the quotient does land there
+    wherever the bin step exceeds 2**40 ulps of max(|lo|, |hi|) and is at
+    least 2**-1000 (no gradual underflow), and the edges rise. A row that
+    fails one of these takes ``_quotient_index`` for each of its sorted
+    values, tallied with the same counts."""
+    sets = max(weights.shape[0] for weights in own)
+    d, n = order.shape
+    rows = sets * d
+    total = sum(totals)
+    dims = np.tile(np.arange(d), sets)
+    base = np.arange(rows) * n
+    pooled = _running_counts(sum(own), order, total)
+    # the ranks of lo, hi and the values around each quartile, all found by
+    # one bisection: the first position where a row's running count passes
+    ranks = sorted({min(math.floor((total - 1) * q) + i, total - 1)
+                    for q in (0.0, 0.25, 0.75, 1.0) for i in (0, 1)})
+    at = np.searchsorted(pooled, (np.arange(rows) * total)[:, None] + ranks,
+                         side="right") - 1 - base[:, None]
+    counts, overflow, lo, delta, edges = _bin_edges(
+        dict(zip(ranks, support[dims[:, None], at].T)).get, total, bins)
+    slots = edges.shape[1] - 1
+    b = np.maximum(counts, 1)[:, None]
+    steps = np.arange(slots + 1)
+    hi = edges[np.arange(rows), b[:, 0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = delta[:, 0] / b[:, 0]
+        rising = ((np.diff(edges, axis=1) > 0) | (steps[1:] > b)).all(axis=1)
+        reach = np.maximum(np.abs(lo), np.abs(hi))
+        searched = (rising & (step >= 2.0 ** -1000)
+                    & (step > 2.0 ** 40 * np.spacing(reach)))
+    # sorted position of each edge; the edges from b on take every value,
+    # so the last bin is closed and the bins past it are empty
+    at = np.empty((sets, d, slots + 1), dtype=np.intp)
+    for j in range(d):
+        at[:, j] = np.searchsorted(support[j], edges[j::d])
+    at = at.reshape(rows, slots + 1)
+    at[steps >= b] = n
+    # each sample's tally but the last's, which is the pooled one less them
+    rest = np.diff(pooled[at + base[:, None]], axis=1)
+    tallies = []
+    for weights, weight in zip(own[:-1], totals):
+        # a shared sample's running counts have one row per dimension
+        mine = dims if weights.shape[0] == 1 else np.arange(rows)
+        below = _running_counts(weights, order, weight)[
+            at + (mine * n)[:, None]]
+        tallies.append(np.diff(below, axis=1))
+        rest -= tallies[-1]
+    tallies.append(rest)
+    quotient = np.flatnonzero((counts > 0) & ~searched)
+    if quotient.size:
+        index = _quotient_index(support[dims[quotient]], lo[quotient],
+                                delta[quotient], b[quotient],
+                                edges[quotient])
+        sorted_rows = order[dims[quotient]]
+        for tally, weights in zip(tallies, own):
+            tally[quotient] = _bin_tallies(index, edges[quotient], weights[
+                (quotient // d % weights.shape[0])[:, None], sorted_rows])
+    return _finish(tallies, counts, overflow, sets)
 
 
 def _by_length(lengths: np.ndarray):
@@ -520,22 +684,25 @@ def dimension_means(values: np.ndarray, bin_counts: np.ndarray,
     """(value, diagnostics) of each set's row of per-dimension ``values``:
     their mean, the values, with ``with_bins`` the bin counts, and the
     constant dimensions (bin count 0) when there are any. A set with a
-    dimension whose pooled spread overflows (bin count -1) is undefined."""
+    dimension whose pooled spread overflows (bin count -1) is undefined.
+    Each mean is ``np.mean`` of its row: a reduction along the contiguous
+    last axis sums each row as the row alone would be summed."""
     out = []
-    for row, counts in zip(values, bin_counts):
-        overflow = np.flatnonzero(counts < 0).tolist()
+    for row, counts, mean in zip(values.tolist(), bin_counts.tolist(),
+                                 values.mean(axis=1).tolist()):
+        overflow = [j for j, c in enumerate(counts) if c < 0]
         if overflow:
             out.append((None, {"undefined_reason": "pooled range overflows "
                                                    "float64 in dimensions "
                                                    f"{overflow}"}))
             continue
-        diagnostics = {"per_dimension": row.tolist()}
+        diagnostics = {"per_dimension": row}
         if with_bins:
-            diagnostics["bins"] = counts.tolist()
-        constant = np.flatnonzero(counts == 0).tolist()
+            diagnostics["bins"] = counts
+        constant = [j for j, c in enumerate(counts) if c == 0]
         if constant:
             diagnostics["constant_dimensions"] = constant
-        out.append((float(np.mean(row)), diagnostics))
+        out.append((mean, diagnostics))
     return out
 
 

@@ -147,6 +147,12 @@ def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
             if name not in inputs.table.column_names:
                 add("E229", f"compliance.quasi_identifiers: {name!r} is not "
                             "a column of the record table")
+    if ("sensitive_column" in needs and inputs.table is not None
+            and config.sensitive_column
+            and config.sensitive_column not in inputs.table.column_names):
+        add("E229", f"compliance.sensitive_column: "
+                    f"{config.sensitive_column!r} is not a column of the "
+                    "record table")
 
     if "required_fields" in needs:
         if config.required_fields in (None, "auto") and inputs.real_table is None:

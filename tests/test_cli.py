@@ -478,7 +478,12 @@ class TestFullSurface:
         ({"compliance": {"quasi_identifiers": ["nope"]}},
          ["E229: compliance.quasi_identifiers: 'nope' is not a column of "
           "the record table"]),
-    ], ids=["derive_fields", "quasi_identifiers"])
+        ({"metrics": ["cosine_similarity", "l_diversity", "t_closeness"],
+          "compliance": {"quasi_identifiers": ["sex"],
+                         "sensitive_column": "nope"}},
+         ["E229: compliance.sensitive_column: 'nope' is not a column of "
+          "the record table"]),
+    ], ids=["derive_fields", "quasi_identifiers", "sensitive_column"])
     def test_validate_config_rejects_what_evaluate_rejects(
             self, workspace, capsys, override, lines):
         tmp_ws, paths = workspace
@@ -714,14 +719,16 @@ def _mutated_recipes(draw):
         elif mutation == "duplicate":
             container.insert(key, copy.deepcopy(container[key]))
         elif mutation == "retype":
-            container[key] = draw(st.sampled_from(_ODD_VALUES))
+            # a copy: a later mutation must not edit _ODD_VALUES itself
+            container[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
         elif mutation == "negative":
             container[key] = -abs(container[key]) or -1
         elif mutation == "non_finite":
             container[key] = draw(st.sampled_from(
                 (float("nan"), float("inf"), float("-inf"))))
         elif mutation == "unknown_key":
-            container[key]["bogus"] = draw(st.sampled_from(_ODD_VALUES))
+            container[key]["bogus"] = copy.deepcopy(
+                draw(st.sampled_from(_ODD_VALUES)))
         else:
             param = draw(st.sampled_from(
                 ("fraction", "magnitude", "noise_scale", "seed", "mode",
@@ -799,12 +806,17 @@ class TestFixtures:
         ("table: {n: -3}", "table.n must be at least 1, got -3"),
         ("table: {bogus: 1}", "table.bogus is not a recipe key (n, seed, "
          "numeric_fields, categorical_fields)"),
+        ("table: {n: 3, numeric_fields: []}",
+         "table.numeric_fields must be dict, got []"),
+        ("table: {n: 3, categorical_fields: 0}",
+         "table.categorical_fields must be dict, got 0"),
     ], ids=["embedding", "defects", "n", "seed", "numeric_field",
             "unknown_param", "no_embedding", "mode_scale", "mode_weight",
             "mode_mean", "mode_mean_length", "mode_mean_nan",
             "negative_scale", "negative_weight", "mode_key", "no_modes",
             "negative_seed", "reversed_field", "no_categories",
-            "negative_n", "table_key"])
+            "negative_n", "table_key", "numeric_fields_list",
+            "categorical_fields_zero"])
     def test_malformed_recipe_value_exit_2(self, tmp_path, capsys, text,
                                            message):
         recipe = tmp_path / "recipe.yaml"

@@ -86,6 +86,15 @@ class TestDefects:
         result = inject_defect(table, "delete_field", name="hgb")
         assert "hgb" not in result.dataset.column_names
 
+    def test_delete_field_keeps_the_last_field(self):
+        table = make_record_table(3, seed=10, numeric_fields={"a": (0.0, 1.0)},
+                                  categorical_fields={"b": ["x", "y"]})
+        smaller = inject_defect(table, "delete_field", name="a").dataset
+        assert smaller.column_names == ("b",) and smaller.n == 3
+        with pytest.raises(EvaluationError, match="name must be one of two "
+                           "or more fields of the source, got 'b'"):
+            inject_defect(smaller, "delete_field", name="b")
+
     def test_unknown_kind_rejected(self):
         real = make_gaussian_mixture(10, 2, TWO_MODES, seed=0)
         with pytest.raises(EvaluationError, match="must be a defect kind"):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smdcard import numerics
 from smdcard.errors import EvaluationError
@@ -278,6 +278,18 @@ def _histogram_inputs(draw):
     return real, synth, bins
 
 
+@st.composite
+def _replicate_inputs(draw):
+    """``_histogram_inputs`` and one to nine draws of one length, each 1
+    to n synthetic rows that may repeat."""
+    real, synth, bins = draw(_histogram_inputs())
+    n = synth.shape[0]
+    size = draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=size,
+                                  max_size=size), min_size=1, max_size=9))
+    return real, synth, bins, [np.asarray(x) for x in rows]
+
+
 def _dimension_masses(masses, bin_counts):
     """Per dimension of the first set: None where constant, else one mass
     vector per sample, cut at the dimension's bin count."""
@@ -285,9 +297,20 @@ def _dimension_masses(masses, bin_counts):
             for j, b in enumerate(bin_counts[0].tolist())]
 
 
+def _stacks(samples):
+    """The ``(sets, n, d)`` row stacks of ``(rows, counts)`` samples: a
+    sample without counts is a stack of one set, shared by the others, and
+    set s of a sample with counts repeats each row as often as it draws it."""
+    return [rows[None] if counts is None else
+            np.stack([np.repeat(rows, c, axis=0) for c in counts])
+            for rows, counts in samples]
+
+
 def _percentile_histograms(samples, bins=None):
-    """``dimension_histograms`` as it was when it took the Freedman-Diaconis
-    quartiles with ``np.percentile``: the oracle of ``_sorted_quantile``."""
+    """``dimension_histograms`` as it was when it binned stacks of row sets
+    and took the Freedman-Diaconis quartiles with ``np.percentile``: the
+    oracle of ``_linear_quantile`` and of the weighted counts."""
+    samples = _stacks(samples)
     sets = max(s.shape[0] for s in samples)
     d = samples[0].shape[2]
     sizes = [s.shape[1] for s in samples]
@@ -344,34 +367,40 @@ _EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 5e-324)
 
 
 @st.composite
-def _edge_stacks(draw):
-    """One to three stacks shaped (sets, n, d), a stack of one set shared
-    by the others, drawn from ``_EDGE_VALUES`` or normals, sizes down to
-    1, and an explicit bin count or the Freedman-Diaconis default."""
+def _edge_samples(draw):
+    """One to three ``(rows, counts)`` samples, rows drawn from
+    ``_EDGE_VALUES`` or normals, sizes down to 1; each sample counts every
+    row once or draws, in each of ``sets`` sets, rows of one total that may
+    repeat or be left out; and an explicit bin count or the
+    Freedman-Diaconis default."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     sets, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    stacks = []
+    samples = []
     for _ in range(draw(st.integers(1, 3))):
-        shape = (draw(st.sampled_from([1, sets])), draw(st.integers(1, 12)), d)
+        n = draw(st.integers(1, 12))
         if draw(st.booleans()):
-            stacks.append(rng.choice(_EDGE_VALUES, size=shape))
+            rows = rng.choice(_EDGE_VALUES, size=(n, d))
         else:
-            stacks.append(rng.normal(size=shape))
-    if all(s.shape[0] == 1 for s in stacks):
-        sets = 1
+            rows = rng.normal(size=(n, d))
+        counts = None
+        if draw(st.booleans()):
+            counts = numerics.draw_counts(rng.integers(
+                0, n, size=(sets, draw(st.integers(1, 2 * n)))), n)
+        samples.append((rows, counts))
     bins = draw(st.one_of(st.none(), st.integers(1, 9)))
-    return stacks, bins
+    return samples, bins
 
 
 class TestHistograms:
     def test_fd_bins_respect_floor_and_cap(self):
-        constant = np.array([[[1.0], [1.0], [1.0]]])
-        (masses,), bin_counts = dimension_histograms((constant,))
+        constant = np.array([[1.0], [1.0], [1.0]])
+        (masses,), bin_counts = dimension_histograms(((constant, None),))
         assert bin_counts.tolist() == [[0]] and not masses.any()
-        no_iqr = np.array([[[1.0], [1.0], [1.0], [1.0], [2.0]]])
-        assert dimension_histograms((no_iqr,))[1].tolist() == [[FD_MIN_BINS]]
+        no_iqr = np.array([[1.0], [1.0], [1.0], [1.0], [2.0]])
+        assert dimension_histograms(((no_iqr, None),))[1].tolist() == [
+            [FD_MIN_BINS]]
         huge = np.concatenate([np.zeros(4), np.ones(4) * 1e9, [5.0]])
-        assert dimension_histograms((huge[None, :, None],))[1][0, 0] \
+        assert dimension_histograms(((huge[:, None], None),))[1][0, 0] \
             <= FD_MAX_BINS
 
     @pytest.mark.parametrize("bins", [None, 8])
@@ -380,12 +409,12 @@ class TestHistograms:
         rng = np.random.default_rng(4)
         sets = [np.column_stack((rng.uniform(-1, 1, n) * 1.5e308,
                                  rng.normal(size=n))) for n in (50, 40)]
-        masses, bin_counts = dimension_histograms([s[None] for s in sets],
+        masses, bin_counts = dimension_histograms([(s, None) for s in sets],
                                                   bins)
         assert bin_counts[0, 0] == -1
         assert not any(m[0, 0].any() for m in masses)
         plain, plain_counts = dimension_histograms(
-            [s[None, :, 1:] for s in sets], bins)
+            [(s[:, 1:], None) for s in sets], bins)
         assert bin_counts[0, 1] == plain_counts[0, 0]
         assert all(np.array_equal(m[0, 1, :plain_counts[0, 0]], p[0, 0])
                    for m, p in zip(masses, plain))
@@ -415,15 +444,16 @@ class TestHistograms:
             for q, expected in zip((0.75, 0.25), want):
                 # equal up to the sign of a zero, which numpy's partition
                 # may swap with the other zero
-                assert np.array_equal(numerics._sorted_quantile(ordered, q),
-                                      expected, equal_nan=True)
+                assert np.array_equal(numerics._linear_quantile(
+                    lambda k: ordered[:, k], ordered.shape[1], q),
+                    expected, equal_nan=True)
 
-    @given(_edge_stacks())
+    @given(_edge_samples())
     @settings(max_examples=300, deadline=None)
     def test_equal_to_percentile_quartile_kernel(self, inputs):
-        stacks, bins = inputs
-        masses, bin_counts = dimension_histograms(stacks, bins)
-        want_masses, want_counts = _percentile_histograms(stacks, bins)
+        samples, bins = inputs
+        masses, bin_counts = dimension_histograms(samples, bins)
+        want_masses, want_counts = _percentile_histograms(samples, bins)
         assert np.array_equal(bin_counts, want_counts)
         assert len(masses) == len(want_masses)
         for got, want in zip(masses, want_masses):
@@ -431,7 +461,7 @@ class TestHistograms:
 
     def test_bins_below_one_rejected(self):
         with pytest.raises(EvaluationError, match="bins=0"):
-            dimension_histograms((np.arange(4.0)[None, :, None],), bins=0)
+            dimension_histograms(((np.arange(4.0)[:, None], None),), bins=0)
 
     @given(_histogram_inputs())
     @settings(max_examples=300, deadline=None)
@@ -439,7 +469,7 @@ class TestHistograms:
         real, synth, bins = inputs
         for samples in ((real, synth), (synth,)):
             masses, bin_counts = dimension_histograms(
-                [s[None] for s in samples], bins)
+                [(s, None) for s in samples], bins)
             want_masses, want_bins = _histograms_oracle(samples, bins)
             assert bin_counts[0].tolist() == want_bins
             got_masses = _dimension_masses(masses, bin_counts)
@@ -456,26 +486,32 @@ class TestHistograms:
         assert repr(embedding_entropy(s, bins)) == repr(
             _entropy_oracle(synth, bins))
 
-    @given(_histogram_inputs(), st.integers(1, 9), st.data())
+    @given(_replicate_inputs())
+    # subnormal spans, where np.histogram's quotient index must be kept:
+    # np.histogram's JSD of the first is 0.9999999999566941
+    @example((np.array([[1e-323]]), np.array([[5e-324]]), 4, [np.array([0])]))
+    @example((np.array([[6.4e-323, 2.87e-322]]),
+              np.array([[3.1e-322, 2.08e-322]]), 26, [np.array([0])]))
     @settings(max_examples=150, deadline=None)
-    def test_replicate_blocks_equal_single_sets(self, inputs, replicates,
-                                                data):
+    def test_replicate_blocks_equal_single_sets(self, inputs):
         """Each replicate of a JSD or entropy block, draws of one length
         from 1 to n rows, is repr-equal to the single-set metric on
-        ``resample(rows)``, whether the block's row sets share one stack
-        or are split into several."""
-        real, synth, bins = inputs
+        ``resample(rows)``, which is np.histogram's, whether the block's
+        sets are binned in one slice or in several."""
+        real, synth, bins, rows = inputs
         r, s = embedding_from(real, "r"), embedding_from(synth, "s")
-        size = data.draw(st.integers(1, s.n))
-        rows = [np.asarray(data.draw(st.lists(
-            st.integers(0, s.n - 1), min_size=size, max_size=size)))
-            for _ in range(replicates)]
         want_jsd = [repr(jensen_shannon(r, s.resample(x), bins)) for x in rows]
         want_entropy = [repr(embedding_entropy(s.resample(x), bins))
                         for x in rows]
+        assert want_jsd == [repr(_jsd_oracle(real, synth[x], bins))
+                            for x in rows]
+        assert want_entropy == [repr(_entropy_oracle(synth[x], bins))
+                                for x in rows]
         default_block = numerics._BLOCK_ELEMENTS
+        # two sets per slice of a JSD block, more of an entropy block
+        pair = 2 * s.d * (s.n + r.n + (bins or FD_MAX_BINS) + 2)
         try:
-            for block in (default_block, 16 * (s.n + r.n) * s.d * 2, 1):
+            for block in (default_block, pair, 1):
                 numerics._BLOCK_ELEMENTS = block
                 assert [repr(v) for v in jensen_shannon_replicates(
                     r, s, rows, bins)] == want_jsd
@@ -494,6 +530,7 @@ class TestHistograms:
         assert jsd_masses(p, q) == pytest.approx(1.0, abs=1e-8)
 
     def test_entropy_uniform(self):
-        (masses,), _ = dimension_histograms((np.arange(8.0)[None, :, None],), 8)
+        (masses,), _ = dimension_histograms(((np.arange(8.0)[:, None], None),),
+                                            8)
         assert shannon_entropy(masses[0, 0]) == pytest.approx(math.log(8),
                                                               abs=1e-12)
