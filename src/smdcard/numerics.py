@@ -50,17 +50,17 @@ take.
 
 The histograms of ``jensen_shannon_divergence`` and ``entropy_coverage``
 come from one kernel, ``dimension_histograms``, that gives every
-(replicate, dimension) row ``np.histogram``'s counts. A single set's
-values each take ``np.histogram``'s own bin index. A bootstrap replicate
-is its draw counts (``draw_counts``): each dimension of the pooled rows
-is sorted once per call, a replicate's range and Freedman-Diaconis
-quartiles are order statistics read by bisection over its running draw
-counts, and its bin tallies are running counts at its edges, placed in
-the sorted columns by ``searchsorted``. Where that could differ from
-``np.histogram``'s quotient-then-correct index (subnormal or few-ulp bin
-steps, repeated edges), a row takes that index for each sorted value
-instead. A row whose pooled span or interquartile range overflows float64
-is flagged, and its set is undefined.
+(replicate, dimension) row ``np.histogram``'s counts. A bootstrap
+replicate is its draw counts (``draw_counts``), and a single set draws
+each row once: each dimension of the pooled rows is sorted once per call,
+a set's range and Freedman-Diaconis quartiles are order statistics read
+by bisection over its running draw counts, and its bin tallies are
+running counts at its edges, placed in the sorted columns by
+``searchsorted``. Where that could differ from ``np.histogram``'s
+quotient-then-correct index (subnormal or few-ulp bin steps, repeated
+edges), a row takes that index for each sorted value instead. A row
+whose pooled span or interquartile range overflows float64 is flagged,
+and its set is undefined.
 """
 
 from __future__ import annotations
@@ -431,10 +431,8 @@ def dimension_histograms(samples, bins: int | None = None):
     and -1 where their span or interquartile range overflows float64 (all
     masses 0 in both cases).
 
-    Without draw counts each value takes ``np.histogram``'s own bin index
-    (``_quotient_index``); the columns are sorted only for the range and
-    quartiles. With them each column of the pooled rows is sorted once,
-    and a set is only its counts along the sorted columns
+    Each column of the pooled rows is sorted once, and every set, a single
+    one too, is only its counts along the sorted columns
     (``_drawn_histograms``), in slices of sets that keep every temporary
     within ``_BLOCK_ELEMENTS``.
     """
@@ -447,35 +445,24 @@ def dimension_histograms(samples, bins: int | None = None):
     totals = [last - first if counts is None else int(counts[0].sum())
               for (_, counts), first, last
               in zip(samples, bounds, bounds[1:])]
-    if all(counts is None for _, counts in samples):
-        support = np.sort(columns, axis=1)
-        counts, overflow, lo, delta, edges = _bin_edges(
-            lambda k: support[:, k], n, bins)
-        index = _quotient_index(columns, lo, delta,
-                                np.maximum(counts, 1)[:, None], edges)
-        tallies = [_bin_tallies(index[:, first:last], edges)
-                   for first, last in zip(bounds, bounds[1:])]
-        parts = [_finish(tallies, counts, overflow, 1)]
-    else:
-        # the order of equal values changes no count, range or quartile
-        order = np.argsort(columns, axis=1)
-        support = np.take_along_axis(columns, order, axis=1)
-        sets = max(1 if counts is None else counts.shape[0]
-                   for _, counts in samples)
-        slots = FD_MAX_BINS if bins is None else bins
-        step = max(1, _BLOCK_ELEMENTS // (d * (n + slots + 2)))
-        parts = []
-        for start in range(0, sets, step):
-            stop = min(start + step, sets)
-            own = []
-            for (_, counts), first, last in zip(samples, bounds, bounds[1:]):
-                weights = np.zeros((1 if counts is None else stop - start, n),
-                                   dtype=np.intp)
-                weights[:, first:last] = (1 if counts is None
-                                          else counts[start:stop])
-                own.append(weights)
-            parts.append(_drawn_histograms(support, order, own, totals,
-                                           bins))
+    # the order of equal values changes no count, range or quartile
+    order = np.argsort(columns, axis=1)
+    support = columns[np.arange(d)[:, None], order]
+    sets = max(1 if counts is None else counts.shape[0]
+               for _, counts in samples)
+    slots = FD_MAX_BINS if bins is None else bins
+    step = max(1, _BLOCK_ELEMENTS // (d * (n + slots + 2)))
+    parts = []
+    for start in range(0, sets, step):
+        stop = min(start + step, sets)
+        own = []
+        for (_, counts), first, last in zip(samples, bounds, bounds[1:]):
+            weights = np.zeros((1 if counts is None else stop - start, n),
+                               dtype=np.intp)
+            weights[:, first:last] = (1 if counts is None
+                                      else counts[start:stop])
+            own.append(weights)
+        parts.append(_drawn_histograms(support, order, own, totals, bins))
     bin_counts = np.concatenate([counts for _, counts in parts])
     top = max(int(bin_counts.max()), 0)
     masses = tuple(np.zeros((bin_counts.shape[0], d, top)) for _ in samples)
@@ -546,30 +533,13 @@ def _quotient_index(x, lo, delta, b, edges):
     return index
 
 
-def _bin_tallies(index, edges, weights=None):
-    """``(rows, B)``: each row's values tallied by their ``_quotient_index``
-    into ``edges`` (rows, B + 1), each once or by its ``weights``."""
-    return np.bincount(index.ravel(),
-                       None if weights is None else weights.ravel(),
-                       minlength=edges.size).reshape(edges.shape)[:, :-1]
-
-
-def _finish(tallies, counts, overflow, sets: int):
-    """The ``(sets, d, B)`` tallies and ``(sets, d)`` bin counts of rows
-    (s, j), unbinned rows emptied and overflowed ones flagged -1."""
-    for tally in tallies:
-        tally[counts == 0] = 0
-    counts[overflow] = -1
-    return ([t.reshape(sets, -1, t.shape[1]) for t in tallies],
-            counts.reshape(sets, -1))
-
-
 def _drawn_histograms(support, order, own, totals, bins):
-    """Per sample, the tallies of a slice of sets, and their bin counts, as
-    ``_finish`` gives them: ``order`` (d, N) sorts each column of the
-    pooled rows into ``support``, and ``own[i]`` holds sample i's counts of
-    the pooled rows in each set, zero outside its own rows (one shared row
-    where it counts each row once), ``totals[i]`` their sum.
+    """Per sample, the ``(sets, d, B)`` tallies of a slice of sets, and
+    their ``(sets, d)`` bin counts, unbinned rows emptied and overflowed
+    ones flagged -1: ``order`` (d, N) sorts each column of the pooled rows
+    into ``support``, and ``own[i]`` holds sample i's counts of the pooled
+    rows in each set, zero outside its own rows (one shared row where it
+    counts each row once), ``totals[i]`` their sum.
 
     lo, hi and the Freedman-Diaconis quartiles are order statistics of the
     weighted pooled values, read by bisection over their running counts.
@@ -582,7 +552,7 @@ def _drawn_histograms(support, order, own, totals, bins):
     wherever the bin step exceeds 2**40 ulps of max(|lo|, |hi|) and is at
     least 2**-1000 (no gradual underflow), and the edges rise. A row that
     fails one of these takes ``_quotient_index`` for each of its sorted
-    values, tallied with the same counts."""
+    values, tallied with the same counts by ``np.bincount``."""
     sets = max(weights.shape[0] for weights in own)
     d, n = order.shape
     rows = sets * d
@@ -612,7 +582,7 @@ def _drawn_histograms(support, order, own, totals, bins):
     # so the last bin is closed and the bins past it are empty
     at = np.empty((sets, d, slots + 1), dtype=np.intp)
     for j in range(d):
-        at[:, j] = np.searchsorted(support[j], edges[j::d])
+        at[:, j] = support[j].searchsorted(edges[j::d])
     at = at.reshape(rows, slots + 1)
     at[steps >= b] = n
     # each sample's tally but the last's, which is the pooled one less them
@@ -633,9 +603,16 @@ def _drawn_histograms(support, order, own, totals, bins):
                                 edges[quotient])
         sorted_rows = order[dims[quotient]]
         for tally, weights in zip(tallies, own):
-            tally[quotient] = _bin_tallies(index, edges[quotient], weights[
-                (quotient // d % weights.shape[0])[:, None], sorted_rows])
-    return _finish(tallies, counts, overflow, sets)
+            drawn = weights[(quotient // d % weights.shape[0])[:, None],
+                            sorted_rows]
+            tally[quotient] = np.bincount(
+                index.ravel(), drawn.ravel(), quotient.size * (slots + 1)
+            ).reshape(quotient.size, slots + 1)[:, :-1]
+    for tally in tallies:
+        tally[counts == 0] = 0
+    counts[overflow] = -1
+    return ([t.reshape(sets, d, slots) for t in tallies],
+            counts.reshape(sets, d))
 
 
 def _by_length(lengths: np.ndarray):
