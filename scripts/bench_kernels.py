@@ -19,7 +19,8 @@ evaluates, and ``jsd_replicates_looped`` is the same 50 row sets as 50
 reference-to-synthetic distances measured once, then one lookup per
 replicate), and ``recall_replicates_looped`` the same 50 row sets as 50
 ``manifold_recall`` calls (k=3) on ``resample``d sets; again the values are
-identical.
+identical. ``ball_hits`` is that block's membership test alone: the
+reference rows against the 50 replicates' balls, radii given.
 Each is timed at n rows by d dimensions per set; BLAS runs on one thread,
 as in ``perfbench``. ``read_record_table`` reads a seeded record table of
 n rows and d columns (4 numeric, 4 categorical, 2% of cells masked) shaped
@@ -37,9 +38,10 @@ figures (MB) cover them alone: the evaluating process's own
 the largest forked worker (``RUSAGE_CHILDREN``). ``calibrate`` times
 ``calibrate_bounds`` with every computable embedding metric on a seeded
 reference of n rows by d dimensions; n is odd, so the two halves of each
-split differ in length by one row. Prints one JSON line: the median
-milliseconds per call of each kernel and size, the median seconds of each
-end-to-end row, the repetition counts and the peaks.
+split differ in length by one row. Prints one JSON line: the minimum,
+quartiles and median of the milliseconds per call of each kernel and size
+(``kernel_ms``) and of the seconds of each end-to-end row
+(``end_to_end_s``), the repetition counts and the peaks.
 Kernel rows repeat for at least 5 calls and 0.5 s; end-to-end rows, whose
 calls fork and allocate, for at least 20 calls and 3 s.
 """
@@ -74,7 +76,8 @@ from smdcard import catalog, ingest  # noqa: E402
 from smdcard.harness import (inject_defect,  # noqa: E402
                              make_gaussian_mixture, make_record_table)
 from smdcard.model import EmbeddingSet  # noqa: E402
-from smdcard.numerics import ball_query, kth_neighbor_distance  # noqa: E402
+from smdcard.numerics import (ball_hits, ball_query,  # noqa: E402
+                               kth_neighbor_distance, resampled_kth_distances)
 from smdcard import runner  # noqa: E402
 from smdcard.runner import EvaluationInputs, run_evaluation  # noqa: E402
 
@@ -150,8 +153,10 @@ def _write_inputs(directory: str) -> dict:
     return paths
 
 
-def _median_ms(call, min_repeats=MIN_REPEATS,
-               min_seconds=MIN_SECONDS) -> tuple[float, int]:
+def _spread(call, scale, min_repeats=MIN_REPEATS,
+            min_seconds=MIN_SECONDS) -> tuple[dict, int]:
+    """The minimum, quartiles and median of ``call``'s time, in seconds
+    times ``scale``, and the repetition count."""
     call()  # warm-up
     samples = []
     start = time.perf_counter()
@@ -159,16 +164,18 @@ def _median_ms(call, min_repeats=MIN_REPEATS,
            or time.perf_counter() - start < min_seconds):
         t = time.perf_counter()
         call()
-        samples.append(time.perf_counter() - t)
-    return statistics.median(samples) * 1e3, len(samples)
+        samples.append((time.perf_counter() - t) * scale)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return ({"min": min(samples), "q1": q1, "median": median, "q3": q3},
+            len(samples))
 
 
 def main() -> None:
-    medians, repeats, end_to_end = {}, {}, {}
+    kernels, repeats, end_to_end = {}, {}, {}
 
     def record(kernel, n, d, call):
         key = f"{kernel}_{n}x{d}"
-        medians[key], repeats[key] = _median_ms(call)
+        kernels[key], repeats[key] = _spread(call, 1e3)
 
     inputs, config = _anova_fixture()
     pooled = _pooled_tasks(inputs, config)
@@ -178,9 +185,8 @@ def main() -> None:
                  lambda: run_evaluation(inputs, config, workers=workers)),
                 (f"pool_workers_{workers}",
                  lambda: runner._run_tasks(pooled, workers))):
-            ms, repeats[key] = _median_ms(call, END_TO_END_REPEATS,
-                                          END_TO_END_SECONDS)
-            end_to_end[key] = ms / 1e3
+            end_to_end[key], repeats[key] = _spread(
+                call, 1, END_TO_END_REPEATS, END_TO_END_SECONDS)
     peak_kib = {who: resource.getrusage(which).ru_maxrss for who, which in (
         ("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))}
 
@@ -190,10 +196,9 @@ def main() -> None:
         name for name in catalog.selectable_names()
         if catalog.descriptor(name).source == catalog.SOURCE_EMBEDDING]})
     key = f"calibrate_{n}x{d}"
-    ms, repeats[key] = _median_ms(
-        lambda: runner.calibrate_bounds(reference, embedding),
+    end_to_end[key], repeats[key] = _spread(
+        lambda: runner.calibrate_bounds(reference, embedding), 1,
         END_TO_END_REPEATS, END_TO_END_SECONDS)
-    end_to_end[key] = ms / 1e3
 
     with tempfile.TemporaryDirectory() as directory:
         paths = _write_inputs(directory)
@@ -229,7 +234,10 @@ def main() -> None:
                lambda: manifold_recall_replicates(real, synth, rows))
         record("recall_replicates_looped", n, d, lambda: [
             manifold_recall(real, synth.resample(r)) for r in rows])
-    print(json.dumps({"median_ms": medians, "median_s": end_to_end,
+        radii = resampled_kth_distances(synth.data, rows, 3)
+        record("ball_hits", n, d,
+               lambda: ball_hits(real.data, synth.data, radii))
+    print(json.dumps({"kernel_ms": kernels, "end_to_end_s": end_to_end,
                       "repeats": repeats,
                       "self_peak_rss_mb": peak_kib["self"] / 1024,
                       "children_peak_rss_mb": peak_kib["children"] / 1024,

@@ -6,8 +6,9 @@ randomized callers pass explicit seeds and record them.
 Every distance's final bits come from one formula, ``_exact_distance``:
 ``sqrt(sum((a - b)**2))`` over the coordinate axis. ``pairwise_distances``
 applies it to every pair. The kNN primitives (``nearest_neighbors``,
-``ball_query``) apply it only to the pairs a Gram filter cannot decide
-(Johnson, Douze & Jegou 2017, https://arxiv.org/abs/1702.08734):
+``ball_query``, ``ball_hits``) apply it only to the pairs a Gram filter
+cannot decide (Johnson, Douze & Jegou 2017,
+https://arxiv.org/abs/1702.08734):
 
 - Filter: both sets are centred on the centers' mean, and one BLAS product
   per row block gives approximate squared distances
@@ -23,30 +24,34 @@ applies it to every pair. The kNN primitives (``nearest_neighbors``,
   ``31 u (|a_i| + |b_j|)^2``, also covers the rounding of ``r * r`` and of
   the final square root when ``q`` is compared with a squared radius.
 - Refine: a pair is recomputed exactly when the bound cannot order it: the
-  neighbor window ``q <= q_w + 2 err`` of the w nearest rows, or ``q``
-  within the bound of a squared ball radius. A non-finite ``q``, bound or
-  squared radius always refines.
+  neighbor window ``q <= q_w + 2 err`` of the w nearest rows, ``q`` within
+  the bound of a squared ball radius, or, for ``ball_hits``, ``q`` not
+  above its center's largest finite squared radius by more than the bound.
+  A non-finite ``q``, bound or squared radius always refines.
 
 ``nearest_neighbors`` gives each row's w nearest other rows, exact
 distances ascending; ``kth_neighbor_distance`` reads column k - 1 of the
 window of width k. A bootstrap replicate is a multiset of its pool's rows,
 so ``resampled_kth_distances`` finds every replicate's k-th neighbor
-distances by lookup in one window per pool: along each row's window, the
-cumulative count of the replicate's draws of those rows reaches k at the
-radius, and a row whose window runs out first reads its full distance row.
-``ball_hits`` then decides every replicate's closed-ball membership from
-one set of exact query-to-pool distances.
+distances by lookup in one window per pool: it walks the window column by
+column, adding each column's draw counts to (replicates, rows) running
+counts, and a row's radius is the column where its count reaches k; the
+walk stops once every drawn row has its radius, and a row whose window
+runs out first reads its full distance row. ``ball_hits`` then decides
+every replicate's closed-ball membership through one Gram filter: a pair
+lying outside its center's largest finite ball is outside every
+replicate's ball, and only the other pairs take an exact distance,
+compared with each replicate's radius.
 
 So the filter only chooses which pairs reach the exact formula, never a
 result's bits: results do not depend on BLAS, its thread count or the block
 size. ``_BLOCK_ELEMENTS`` is the one memory bound: it caps rows x m of a
 Gram block and rows x m x d of a ``pairwise_distances`` difference block,
 and the refine gathers at most that many coordinates at a time. It also
-caps replicates x m x (w + 1) of the window lookups and replicates x rows x
-m of the ``ball_hits`` comparison against a query-to-pool row block, so a
-replicate block needs no m x m table. It caps replicates x d x (N + B)
-of a histogram slice too, N the pooled rows and B the most bins a row can
-take.
+caps replicates x m of the window walk's running counts and replicates x
+candidate pairs of the ``ball_hits`` comparison, so a replicate block
+needs no m x m table. It caps replicates x d x (N + B) of a histogram
+slice too, N the pooled rows and B the most bins a row can take.
 
 The histograms of ``jensen_shannon_divergence`` and ``entropy_coverage``
 come from one kernel, ``dimension_histograms``, that gives every
@@ -212,28 +217,32 @@ def resampled_kth_distances(data: np.ndarray, rows, k: int) -> np.ndarray:
     rows, each counted as often as set s draws its row, and its own extra
     copies as zeros. Column 0 of the window is the row itself at distance
     0, then its ``_WINDOW_PER_K * (k + 1)`` nearest other rows; the radius
-    is the first window distance where the cumulative draw counts reach k.
-    Every row outside the window lies at least as far as the window's last
-    entry, so that distance is the exact k-th one; a row whose window holds
-    fewer than k drawn neighbors reads its full distance row instead."""
+    is the first window distance where the running draw counts reach k.
+    The window is walked column by column over (sets, n) running counts,
+    and the walk stops once every drawn row has reached k. Every row
+    outside the window lies at least as far as the window's last entry, so
+    that distance is the exact k-th one; a row whose window holds fewer
+    than k drawn neighbors reads its full distance row instead."""
     n = data.shape[0]
     _check_k(len(rows[0]), k)
     distances, neighbors = nearest_neighbors(
         data, min(n - 1, _WINDOW_PER_K * (k + 1)))
-    window = np.column_stack((np.zeros(n), distances))
     out = np.empty((len(rows), n))
-    step = max(1, _BLOCK_ELEMENTS // window.size)
+    step = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, len(rows), step):
         counts = draw_counts(rows[start:start + step], n)
-        sets = counts.shape[0]
-        weights = np.concatenate((counts[:, :, None] - 1,
-                                  counts[:, neighbors]), axis=2)
-        reached = np.cumsum(weights, axis=2) >= k
-        radii = window[np.arange(n), reached.argmax(axis=2)]
-        _full_row_radii(data, counts, k, radii,
-                        (counts > 0) & ~reached[:, :, -1])
-        radii[counts == 0] = np.nan
-        out[start:start + sets] = radii
+        running = counts - 1
+        radii = np.where(running >= k, 0.0, np.nan)
+        pending = (counts > 0) & (running < k)
+        for j in range(neighbors.shape[1]):
+            if not pending.any():
+                break
+            running += counts[:, neighbors[:, j]]
+            reached = pending & (running >= k)
+            np.copyto(radii, distances[:, j], where=reached)
+            pending &= ~reached
+        _full_row_radii(data, counts, k, radii, pending)
+        out[start:start + counts.shape[0]] = radii
     return out
 
 
@@ -286,18 +295,34 @@ def ball_hits(query: np.ndarray, centers: np.ndarray,
               radii: np.ndarray) -> np.ndarray:
     """Per row s of ``radii`` (sets, centers), whether each ``query`` row
     lies in a closed ball ``(centers[p], radii[s, p])`` of finite radius; a
-    NaN radius is no ball. This is ``np.isfinite(smallest)`` of
-    ``ball_query`` on the balls of each set, as ``(sets, n_query)``. The
-    exact distances come in ``_distance_blocks``' row blocks, and each
-    comparison of a block against a slice of the sets stays within
-    ``_BLOCK_ELEMENTS``."""
+    NaN or infinite radius is no ball. This is ``np.isfinite(smallest)`` of
+    ``ball_query`` on the balls of each set, as ``(sets, n_query)``.
+
+    One Gram filter serves every set: a pair whose ``q`` lies more than the
+    bound above its center's largest finite squared radius is outside every
+    ball, and every other pair (a non-finite ``q``, bound or squared radius
+    included) takes its exact distance, compared with each set's radius in
+    slices that keep sets x candidates within ``_BLOCK_ELEMENTS``."""
     finite = np.where(np.isfinite(radii), radii, np.nan)
-    out = np.empty((radii.shape[0], query.shape[0]), dtype=bool)
-    for start, stop, block in _distance_blocks(query, centers):
-        step = max(1, _BLOCK_ELEMENTS // block.size)
+    with _quiet():
+        top = np.fmax.reduce(finite, axis=0, initial=-np.inf)
+        hi = np.where(top >= 0, top * top, -np.inf)
+    gram = _GramFilter(query, centers)
+    out = np.zeros((radii.shape[0], query.shape[0]), dtype=bool)
+    for start, stop, q in gram.blocks():
+        with _quiet():
+            outside = q > hi + gram.bound[start:stop, None]
+        outside &= np.isfinite(q)
+        rows, cols = np.divmod(np.flatnonzero(~outside), centers.shape[0])
+        if not rows.size:
+            continue
+        exact = gram.refine(start, rows, cols)
+        # rows come ascending: each query row's candidates are one run
+        first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        step = max(1, _BLOCK_ELEMENTS // rows.size)
         for s in range(0, finite.shape[0], step):
-            out[s:s + step, start:stop] = (
-                block <= finite[s:s + step, None, :]).any(axis=2)
+            out[s:s + step, start + rows[first]] = np.logical_or.reduceat(
+                exact <= finite[s:s + step, cols], first, axis=1)
     return out
 
 
@@ -616,43 +641,62 @@ def _drawn_histograms(support, order, own, totals, bins):
 
 
 def _by_length(lengths: np.ndarray):
-    """Yield ``(length, rows)`` for each positive length in ``lengths``,
-    ``rows`` the mask of the rows that have it."""
-    for length in np.unique(lengths[lengths > 0]):
-        yield int(length), lengths == length
+    """``(order, runs)``: ``order`` sorts the rows by ``lengths``, stably,
+    and ``runs`` holds ``(length, start, stop)`` for each positive length,
+    its rows being ``order[start:stop]``."""
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order]
+    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(),
+            ordered.size]
+    return order, [(int(ordered[start]), start, stop)
+                   for start, stop in zip(cuts, cuts[1:])
+                   if start < stop and ordered[start] > 0]
 
 
 def jsd_rows(p: np.ndarray, q: np.ndarray, bin_counts: np.ndarray):
     """``jsd_masses(p[..., :b], q[..., :b])`` of each row, b its entry of
-    ``bin_counts``, and 0.0 where that is 0. Rows that share a bin count
-    reduce together as one (rows, b) matrix along its contiguous last
-    axis, so each sum rounds as ``jsd_masses``'s own."""
-    p = p.reshape(bin_counts.size, -1)
-    q = q.reshape(bin_counts.size, -1)
-    out = np.zeros(bin_counts.size)
-    for b, rows in _by_length(bin_counts.ravel()):
-        sp = p[rows, :b] + SMOOTHING_MASS
-        sp /= sp.sum(axis=1, keepdims=True)
-        sq = q[rows, :b] + SMOOTHING_MASS
-        sq /= sq.sum(axis=1, keepdims=True)
-        m = 0.5 * (sp + sq)
-        out[rows] = (0.5 * np.sum(sp * np.log2(sp / m), axis=1)
-                     + 0.5 * np.sum(sq * np.log2(sq / m), axis=1))
+    ``bin_counts``, and 0.0 where that is 0. p and q are stacked as one
+    (rows, 2, B) array sorted by bin count, so the rows that share a bin
+    count are smoothed and reduced together as one (rows, 2, b) block,
+    each sum along its contiguous last axis rounding as ``jsd_masses``'s
+    own."""
+    lengths = bin_counts.ravel()
+    order, runs = _by_length(lengths)
+    pq = np.stack((p.reshape(lengths.size, -1), q.reshape(lengths.size, -1)),
+                  axis=1)[order]
+    out = np.zeros(lengths.size)
+    for b, start, stop in runs:
+        smooth = pq[start:stop, :, :b] + SMOOTHING_MASS
+        smooth /= smooth.sum(axis=2, keepdims=True)
+        m = smooth[:, 0] + smooth[:, 1]
+        m *= 0.5
+        terms = smooth / m[:, None]
+        np.log2(terms, out=terms)
+        terms *= smooth
+        half = 0.5 * terms.sum(axis=2)
+        out[order[start:stop]] = half[:, 0] + half[:, 1]
     return out.reshape(bin_counts.shape)
 
 
 def entropy_rows(p: np.ndarray, bin_counts: np.ndarray):
     """``shannon_entropy`` of each row of masses, shaped as ``bin_counts``;
-    0.0 for a constant dimension, whose masses are all 0. Rows with the
-    same number of nonzero masses reduce together as one matrix of those
-    masses, in order, so each sum rounds as ``shannon_entropy``'s own."""
+    0.0 for a constant dimension, whose masses are all 0. The rows are
+    sorted by their number of nonzero masses, so the rows with k of them
+    hold one run of k-wide rows of the nonzero masses, in order; each
+    term is taken once for all rows, and each run's sums round as
+    ``shannon_entropy``'s own."""
     p = p.reshape(bin_counts.size, -1)
-    nonzero = p > 0
-    lengths = nonzero.sum(axis=1)
+    order, runs = _by_length((p > 0).sum(axis=1))
+    ordered = p[order]
+    masses = ordered[ordered > 0]
+    terms = np.log(masses)
+    terms *= masses
     out = np.zeros(bin_counts.size)
-    for k, rows in _by_length(lengths):
-        nz = p[rows][nonzero[rows]].reshape(-1, k)
-        out[rows] = -np.sum(nz * np.log(nz), axis=1)
+    at = 0
+    for k, start, stop in runs:
+        end = at + (stop - start) * k
+        out[order[start:stop]] = -terms[at:end].reshape(-1, k).sum(axis=1)
+        at = end
     return out.reshape(bin_counts.shape)
 
 

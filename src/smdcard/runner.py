@@ -14,8 +14,12 @@ undefined cases live in its own function. A compute entry gets its
 metric's parameters as the config parsed them; ``plan`` checks them
 against the data. The unit of work is a task, (scope, metric, pairs): a
 metric on its scope's rows (pairs None, one pair of all rows), or one
-result per (reference rows, synthetic rows) pair, filed under (scope,
-metric, pair index); ``_task_results`` is the one runner of them all.
+result per (reference rows, synthetic rows) pair; ``_task_results`` is the
+one runner of them all. A subgroup's task for a base metric carries the
+replicate block ``consistency`` asks for, and, where the base is
+selected, the whole-set pair first: the block runs it as the draw of
+every row once, and its result is filed as the subgroup's own value,
+(scope, metric, None), the replicates as (scope, metric, r).
 Computation is pure and each task carries its rows, so the tasks can run
 in any order and in any process. With ``workers`` above 1 the evaluate
 process forks children that work through the task list (a fork-join):
@@ -331,15 +335,19 @@ def _results(scope: str, name: str, args: _Args, compute,
 
 def _task_results(task: tuple, args: _Args) -> list[MetricResult]:
     """A metric on each (reference, synthetic) pair of index arrays, None
-    for all rows (pairs None: one such pair); draws of one length against
-    the whole reference run as one block where there is one."""
+    for all rows (pairs None: one such pair). Where the metric has a block
+    form, pairs that all read the whole reference, with at least one draw,
+    run as one block when their draws, the whole synthetic set counting as
+    the draw of every row once, share one length."""
     scope, name, pairs = task
     if pairs is None:
         pairs = ((None, None),)
     block = _BLOCKS.get(name)
-    draws = [drawn for reference, drawn in pairs
-             if reference is None and drawn is not None]
+    # the whole synthetic set is the draw of every row once
+    draws = [np.arange(args.synthetic.n) if drawn is None else drawn
+             for reference, drawn in pairs if reference is None]
     if (block is not None and len(draws) == len(pairs)
+            and any(drawn is not None for _, drawn in pairs)
             and len(set(map(len, draws))) == 1):
         return _results(scope, name, args, lambda: block(
             args, _params(name, args.config), draws), len(draws))
@@ -352,6 +360,17 @@ def _task_results(task: tuple, args: _Args) -> list[MetricResult]:
         results += _results(scope, name, paired,
                             lambda: [_compute(name, paired)])
     return results
+
+
+def _result_keys(task: tuple) -> list[tuple]:
+    """The key of each of ``task``'s results: (scope, metric, None) for the
+    whole-set pair, which pairs None stand for and which a replicate block
+    carries first, then (scope, metric, r) for replicate r."""
+    scope, name, pairs = task
+    pairs = pairs or ((None, None),)
+    whole = int(pairs[0][1] is None)
+    return [(scope, name, None)] * whole + [
+        (scope, name, r) for r in range(len(pairs) - whole)]
 
 
 def _filter_by_label(eset: EmbeddingSet | None, attr: str, label: str):
@@ -418,16 +437,19 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
     pooled = []  # (task, args); the task is (scope, metric, pairs)
     for scope, real_slice, synth_slice in scopes:
         args = _Args(real_slice, synth_slice, config, seed, inputs)
-        pooled.extend(((scope, name, None), args) for name in embedding)
-        pooled.extend(((scope, base, pairs), args) for base, pairs in
-                      consistency.replicate_tasks(config, scope,
+        blocks = dict(consistency.replicate_tasks(config, scope,
                                                   synth_slice.n, seed))
+        # a selected base's own value is the whole-set pair of its block
+        for name in embedding:
+            pairs = blocks.pop(name, None)
+            pooled.append(((scope, name, None if pairs is None
+                            else ((None, None),) + pairs), args))
+        pooled.extend(((scope, base, pairs), args)
+                      for base, pairs in blocks.items())
     pooled.extend((("global", name, None), run_args) for name in config.metrics
                   if name not in embedding and name not in after_pool)
     for (task, _), computed in zip(pooled, _run_tasks(pooled, workers)):
-        scope, name, pairs = task
-        results.update(zip([task] if pairs is None else [
-            (scope, name, r) for r in range(len(pairs))], computed))
+        results.update(zip(_result_keys(task), computed))
     for name in after_pool:
         task = ("global", name, None)
         results[task] = _task_results(task, run_args)[0]

@@ -178,7 +178,7 @@ def test_recall_block_memory_bounded_by_block_not_n_squared():
     rng = np.random.default_rng(9)
     real = embedding_from(rng.normal(size=(n, 4)), "r")
     synth = embedding_from(rng.normal(size=(n, 4)), "s")
-    rows = [rng.integers(0, n, size=n) for _ in range(3)]
+    rows = [rng.integers(0, n, size=n) for _ in range(50)]
     tracemalloc.start()
     try:
         coverage.manifold_recall_replicates(real, synth, rows, 3)
@@ -190,8 +190,9 @@ def test_recall_block_memory_bounded_by_block_not_n_squared():
 
 @st.composite
 def _recall_blocks(draw):
-    """A recall block: integer ties, rows equidistant from a centre row, or
-    coordinates near 1e154 (squares overflow), with copied pool rows;
+    """A recall block: integer ties, rows equidistant from a centre row,
+    coordinates near 1e154 (squares overflow), a 1e8 common offset, or
+    coordinates near 1e-160 (squares underflow), with copied pool rows;
     unequal reference and pool sizes; draws of the pool, all of one length
     from 1 to the pool's size, one of them a single row repeated; k from 1
     to one past the pool's limit; and
@@ -199,7 +200,8 @@ def _recall_blocks(draw):
     d = draw(st.integers(1, 3))
     m, n_real = draw(st.integers(2, 12)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    family = draw(st.sampled_from(["ties", "sphere", "huge"]))
+    family = draw(st.sampled_from(["ties", "sphere", "huge", "offset",
+                                   "tiny"]))
     if family == "ties":
         synth, real = (rng.integers(-2, 3, size=(n, d)).astype(np.float64)
                        for n in (m, n_real))
@@ -210,7 +212,10 @@ def _recall_blocks(draw):
         synth, real = (shell[rng.integers(0, len(shell), size=n)]
                        for n in (m, n_real))
     else:
-        synth, real = (rng.normal(size=(n, d)) * 1e154 for n in (m, n_real))
+        scale, shift = {"huge": (1e154, 0.0), "offset": (1.0, 1e8),
+                        "tiny": (1e-160, 0.0)}[family]
+        synth, real = (rng.normal(size=(n, d)) * scale + shift
+                       for n in (m, n_real))
     for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1),
                                         st.integers(0, m - 1)), max_size=3)):
         synth[i] = synth[j]
@@ -244,3 +249,35 @@ def test_recall_block_equals_single_sets(inputs):
         assert [repr(v) for v in got] == want
     finally:
         numerics._WINDOW_PER_K, numerics._BLOCK_ELEMENTS = defaults
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@given(st.sampled_from(ADVERSARIAL_CASES), st.sampled_from([1, 16, 64]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
+       st.sampled_from([1, 20, numerics._BLOCK_ELEMENTS]))
+@settings(max_examples=150, deadline=None)
+def test_ball_hits_equal_unfiltered_comparison(case, d, seed, sets, block):
+    """``ball_hits`` equals the difference formula's distances compared
+    with every radius, a NaN or infinite radius being no ball, on the sets
+    that stress the Gram filter; the radii sit on, just inside or just
+    outside pair distances, at zero, negative, with an overflowing square
+    and non-finite."""
+    real, synth = adversarial_sets(case, d, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    distances = difference_distances(real, synth)
+    picked = distances[rng.integers(0, len(real), size=(sets, len(synth))),
+                       np.arange(len(synth))]
+    radii = rng.choice([0.0, -1.0, 1e200, np.nan, np.inf], size=picked.shape)
+    kind = rng.integers(0, 5, size=picked.shape)
+    radii = np.where(kind == 1, picked, radii)
+    radii = np.where(kind == 2, np.nextafter(picked, -np.inf), radii)
+    radii = np.where(kind == 3, np.nextafter(picked, np.inf), radii)
+    finite = np.where(np.isfinite(radii), radii, np.nan)
+    want = (distances[None, :, :] <= finite[:, None, :]).any(axis=2)
+    default_block = numerics._BLOCK_ELEMENTS
+    numerics._BLOCK_ELEMENTS = block
+    try:
+        got = numerics.ball_hits(real, synth, radii)
+    finally:
+        numerics._BLOCK_ELEMENTS = default_block
+    assert got.shape == want.shape and (got == want).all()

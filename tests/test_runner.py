@@ -481,6 +481,70 @@ class TestAnovaReplicates:
         assert sorted(draws) == [(label, r) for label in ("mode0", "mode1")
                                  for r in range(5)]
 
+    @pytest.mark.parametrize("bins", [None, 0])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_observed_value_from_block_equals_direct_call(self, bins,
+                                                          workers):
+        # each subgroup's recall and JSD ride in their replicate blocks as
+        # the whole-set pair, and read as direct calls on the subgroup's
+        # slices would: "noref" has no reference rows, "small" too few rows
+        # for recall's k=3, and bins 0 makes every JSD undefined
+        real_base = make_gaussian_mixture(56, 3, TWO_MODES, seed=81)
+        synth_base = make_gaussian_mixture(53, 3, TWO_MODES, seed=82)
+        real_labels = ("a",) * 28 + ("b",) * 25 + ("small",) * 3
+        synth_labels = ("a",) * 20 + ("b",) * 20 + ("small",) * 3 + (
+            "noref",) * 10
+        real = EmbeddingSet(real_base.ids, real_base.data,
+                            subgroup=real_labels)
+        synth = EmbeddingSet(synth_base.ids, synth_base.data,
+                             subgroup=synth_labels)
+        observed = ["recall", "jensen_shannon_divergence"]
+        cfg = config_from_dict({
+            "metrics": observed + ["anova"],
+            "consistency": {"base_metrics": observed + ["entropy_coverage"],
+                            "bootstrap_replicates": 6},
+            "columns": {"subgroup": "subgroup"}, "seed": 4})
+        if bins is not None:
+            cfg = replace(cfg, params={"jensen_shannon_divergence":
+                                       {"bins": bins}})
+        report = run_evaluation(EvaluationInputs(synthetic=synth, real=real),
+                                cfg, workers=workers)
+        direct = {"recall": lambda r, s: coverage.manifold_recall(r, s, k=3),
+                  "jensen_shannon_divergence": lambda r, s:
+                      congruence.jensen_shannon(r, s, bins=bins)}
+        undefined = set()
+        for label in ("a", "b", "noref", "small"):
+            scope = report.scope(f"subgroup:{label}")
+            entries = {m["name"]: m for c in scope.criteria
+                       for m in c.metrics}
+            assert sorted(entries) == sorted(observed)
+            real_slice = runner._filter_by_label(real, "subgroup", label)
+            synth_slice = runner._filter_by_label(synth, "subgroup", label)
+            for name in observed:
+                if real_slice is None:
+                    want = None, {"undefined_reason": "insufficient samples: "
+                                  "no reference rows in this slice"}
+                else:
+                    try:
+                        want = direct[name](real_slice, synth_slice)
+                    except EvaluationError as exc:
+                        want = None, {"undefined_reason":
+                                      f"insufficient samples: {exc}"}
+                got = entries[name]["value"], entries[name]["diagnostics"]
+                assert (repr(got[0]), repr(sorted(got[1].items()))) == (
+                    repr(want[0]), repr(sorted(want[1].items()))), (label,
+                                                                    name)
+                if want[0] is None:
+                    undefined.add((label, name))
+        assert undefined == {("noref", "recall"), ("small", "recall"), (
+            "noref", "jensen_shannon_divergence")} | ({
+                (label, "jensen_shannon_divergence")
+                for label in ("a", "b", "small")} if bins == 0 else set())
+        # entropy_coverage is a base only anova reads: no scope reports it
+        assert all(m["name"] != "entropy_coverage"
+                   for scope in report.scopes for c in scope.criteria
+                   for m in c.metrics)
+
     @pytest.mark.parametrize("name", list(runner._BLOCKS) + [
         name for name in _EMBEDDING_METRICS if name not in runner._BLOCKS])
     def test_block_markers_equal_per_replicate_markers(self, monkeypatch,
@@ -679,8 +743,8 @@ class TestWorkerProcesses:
 
     def test_one_task_per_subgroup_replicate_block(self, pair, monkeypatch,
                                                    recording_pool):
-        # each subgroup scope pools one task per base metric, whatever the
-        # replicate count, next to one task per metric in every scope
+        # every scope pools one task per metric, whatever the replicate
+        # count: a subgroup's task for a base carries its replicate block
         real, synth = pair
         subgroups = len(set(synth.subgroup))
         bases = ["jensen_shannon_divergence", "recall"]
@@ -692,7 +756,7 @@ class TestWorkerProcesses:
                            workers=10_000)
         single = (1 + subgroups) * len(self.METRICS)
         assert subgroups == 2
-        assert recording_pool == [single + subgroups * len(bases)]
+        assert recording_pool == [single]
 
     def test_one_cpu_or_no_fork_runs_serially(self, pair, monkeypatch,
                                               recording_pool):

@@ -43,6 +43,6 @@ def test_bench_kernels_captures_the_pooled_anova_tasks(monkeypatch):
     with mock.patch.dict(os.environ):
         spec.loader.exec_module(bench)
     pooled = bench._pooled_tasks(*bench._anova_fixture())
-    # 5 scopes x 2 metrics, and 4 subgroups x 2 replicate blocks
-    assert len(pooled) == 18
+    # 5 scopes x 2 metrics; each subgroup's two carry its replicate blocks
+    assert len(pooled) == 10
     assert sum(pairs is not None for (_, _, pairs), _ in pooled) == 8
