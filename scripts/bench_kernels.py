@@ -6,7 +6,8 @@ Usage, from the root of a checkout:
     python3 scripts/bench_kernels.py
 
 ``knn`` is one recall kernel: ``kth_neighbor_distance`` on the synthetic
-rows (k=3) and ``ball_query`` of the reference rows against those balls.
+rows (k=3) and ``ball_query`` of the reference rows against those balls,
+one set of radii.
 ``jsd`` is ``jensen_shannon`` and ``entropy`` is ``embedding_entropy``.
 ``jsd_replicates`` is one block of 50 bootstrap replicates through
 ``jensen_shannon_replicates``, the unit a subgroup's replicate task
@@ -19,8 +20,9 @@ evaluates, and ``jsd_replicates_looped`` is the same 50 row sets as 50
 reference-to-synthetic distances measured once, then one lookup per
 replicate), and ``recall_replicates_looped`` the same 50 row sets as 50
 ``manifold_recall`` calls (k=3) on ``resample``d sets; again the values are
-identical. ``ball_hits`` is that block's membership test alone: the
-reference rows against the 50 replicates' balls, radii given.
+identical. ``ball_query_replicates`` is that block's membership test
+alone: one ``ball_query`` of the reference rows against the 50
+replicates' balls, radii given.
 Each is timed at n rows by d dimensions per set; BLAS runs on one thread,
 as in ``perfbench``. ``read_record_table`` reads a seeded record table of
 n rows and d columns (4 numeric, 4 categorical, 2% of cells masked) shaped
@@ -76,7 +78,7 @@ from smdcard import catalog, ingest  # noqa: E402
 from smdcard.harness import (inject_defect,  # noqa: E402
                              make_gaussian_mixture, make_record_table)
 from smdcard.model import EmbeddingSet  # noqa: E402
-from smdcard.numerics import (ball_hits, ball_query,  # noqa: E402
+from smdcard.numerics import (ball_query,  # noqa: E402
                                kth_neighbor_distance, resampled_kth_distances)
 from smdcard import runner  # noqa: E402
 from smdcard.runner import EvaluationInputs, run_evaluation  # noqa: E402
@@ -213,7 +215,8 @@ def main() -> None:
     for n, d in KNN_SIZES:
         real, synth = _pair(n, d)
         record("knn", n, d, lambda: ball_query(
-            real.data, synth.data, kth_neighbor_distance(synth.data, 3)))
+            real.data, synth.data,
+            kth_neighbor_distance(synth.data, 3)[None]))
     for n, d in HISTOGRAM_SIZES:
         real, synth = _pair(n, d)
         record("jsd", n, d, lambda: jensen_shannon(real, synth))
@@ -235,8 +238,8 @@ def main() -> None:
         record("recall_replicates_looped", n, d, lambda: [
             manifold_recall(real, synth.resample(r)) for r in rows])
         radii = resampled_kth_distances(synth.data, rows, 3)
-        record("ball_hits", n, d,
-               lambda: ball_hits(real.data, synth.data, radii))
+        record("ball_query_replicates", n, d,
+               lambda: ball_query(real.data, synth.data, radii))
     print(json.dumps({"kernel_ms": kernels, "end_to_end_s": end_to_end,
                       "repeats": repeats,
                       "self_peak_rss_mb": peak_kib["self"] / 1024,

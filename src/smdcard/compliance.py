@@ -132,7 +132,8 @@ def leakage_rate(real: EmbeddingSet, synthetic: EmbeddingSet,
             raise EvaluationError("defaulting tau needs at least 2 reference "
                                   "rows")
         tau = float(np.percentile(kth_neighbor_distance(real.data, 1), 1.0))
-    smallest, _ = ball_query(synthetic.data, real.data, np.full(real.n, tau))
+    (smallest,), _ = ball_query(synthetic.data, real.data,
+                                np.full((1, real.n), tau))
     hits = smallest <= tau
     return float(hits.mean()), {"tau": float(tau), "hits": int(hits.sum())}
 

@@ -161,8 +161,8 @@ def manifold_precision(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
     Ball radius: distance from a reference point to its kth reference
     neighbor (self excluded); membership uses closed balls.
     """
-    smallest, _ = ball_query(synthetic.data, real.data,
-                             kth_neighbor_distance(real.data, k))
+    (smallest,), _ = ball_query(synthetic.data, real.data,
+                                kth_neighbor_distance(real.data, k)[None])
     inside = np.isfinite(smallest)
     return float(inside.mean()), {"k": k, "inside": int(inside.sum())}
 

@@ -15,16 +15,16 @@ import numpy as np
 
 from .errors import EvaluationError
 from .model import EmbeddingSet
-from .numerics import (ball_hits, ball_query, dimension_histograms,
-                       dimension_means, draw_counts, entropy_rows,
-                       kth_neighbor_distance, pairwise_distances, pca_fit,
-                       resampled_kth_distances, shannon_entropy)
+from .numerics import (ball_query, dimension_histograms, dimension_means,
+                       draw_counts, entropy_rows, kth_neighbor_distance,
+                       pairwise_distances, pca_fit, resampled_kth_distances,
+                       shannon_entropy)
 
 
 def manifold_recall(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
     """Fraction of reference points inside at least one synthetic kNN ball."""
-    smallest, _ = ball_query(real.data, synthetic.data,
-                             kth_neighbor_distance(synthetic.data, k))
+    (smallest,), _ = ball_query(real.data, synthetic.data,
+                                kth_neighbor_distance(synthetic.data, k)[None])
     inside = np.isfinite(smallest)
     return float(inside.mean()), {"k": k, "inside": int(inside.sum())}
 
@@ -36,15 +36,16 @@ def manifold_recall_replicates(real: EmbeddingSet, synthetic: EmbeddingSet,
     reference-to-synthetic distances are measured once for the whole block,
     and each row set looks its balls up in them."""
     radii = resampled_kth_distances(synthetic.data, rows, k)
+    smallest, _ = ball_query(real.data, synthetic.data, radii)
     return [(float(inside.mean()), {"k": k, "inside": int(inside.sum())})
-            for inside in ball_hits(real.data, synthetic.data, radii)]
+            for inside in np.isfinite(smallest)]
 
 
 def manifold_coverage(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 5):
     """Fraction of reference points whose own reference kNN ball contains a
     synthetic point."""
     _, inside = ball_query(synthetic.data, real.data,
-                           kth_neighbor_distance(real.data, k))
+                           kth_neighbor_distance(real.data, k)[None])
     return float(inside.mean()), {"k": k, "inside": int(inside.sum())}
 
 
@@ -169,8 +170,8 @@ def rarity_score(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
     """Mean radius of the smallest reference kNN ball containing each
     synthetic point; points outside every ball are excluded from the mean
     and reported as the out-of-manifold fraction."""
-    smallest, _ = ball_query(synthetic.data, real.data,
-                             kth_neighbor_distance(real.data, k))
+    (smallest,), _ = ball_query(synthetic.data, real.data,
+                                kth_neighbor_distance(real.data, k)[None])
     scores = smallest[np.isfinite(smallest)]
     out_fraction = 1.0 - scores.size / synthetic.n
     diagnostics = {"k": k, "out_of_manifold_fraction": out_fraction}

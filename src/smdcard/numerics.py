@@ -6,9 +6,8 @@ randomized callers pass explicit seeds and record them.
 Every distance's final bits come from one formula, ``_exact_distance``:
 ``sqrt(sum((a - b)**2))`` over the coordinate axis. ``pairwise_distances``
 applies it to every pair. The kNN primitives (``nearest_neighbors``,
-``ball_query``, ``ball_hits``) apply it only to the pairs a Gram filter
-cannot decide (Johnson, Douze & Jegou 2017,
-https://arxiv.org/abs/1702.08734):
+``ball_query``) apply it only to the pairs a Gram filter cannot decide
+(Johnson, Douze & Jegou 2017, https://arxiv.org/abs/1702.08734):
 
 - Filter: both sets are centred on the centers' mean, and one BLAS product
   per row block gives approximate squared distances
@@ -24,10 +23,9 @@ https://arxiv.org/abs/1702.08734):
   ``31 u (|a_i| + |b_j|)^2``, also covers the rounding of ``r * r`` and of
   the final square root when ``q`` is compared with a squared radius.
 - Refine: a pair is recomputed exactly when the bound cannot order it: the
-  neighbor window ``q <= q_w + 2 err`` of the w nearest rows, ``q`` within
-  the bound of a squared ball radius, or, for ``ball_hits``, ``q`` not
-  above its center's largest finite squared radius by more than the bound.
-  A non-finite ``q``, bound or squared radius always refines.
+  neighbor window ``q <= q_w + 2 err`` of the w nearest rows, or, for a
+  ball, ``q`` not above its center's largest squared radius by more than
+  the bound. A non-finite ``q``, bound or squared radius always refines.
 
 ``nearest_neighbors`` gives each row's w nearest other rows, exact
 distances ascending; ``kth_neighbor_distance`` reads column k - 1 of the
@@ -37,19 +35,19 @@ distances by lookup in one window per pool: it walks the window column by
 column, adding each column's draw counts to (replicates, rows) running
 counts, and a row's radius is the column where its count reaches k; the
 walk stops once every drawn row has its radius, and a row whose window
-runs out first reads its full distance row. ``ball_hits`` then decides
-every replicate's closed-ball membership through one Gram filter: a pair
-lying outside its center's largest finite ball is outside every
-replicate's ball, and only the other pairs take an exact distance,
-compared with each replicate's radius.
+runs out first reads its full distance row. ``ball_query`` decides
+closed-ball membership for one set of radii or a whole replicate block
+through one Gram filter: a pair lying outside its center's largest ball is
+outside every set's ball, and only the other pairs take an exact distance,
+compared with each set's radius.
 
 So the filter only chooses which pairs reach the exact formula, never a
 result's bits: results do not depend on BLAS, its thread count or the block
 size. ``_BLOCK_ELEMENTS`` is the one memory bound: it caps rows x m of a
 Gram block and rows x m x d of a ``pairwise_distances`` difference block,
 and the refine gathers at most that many coordinates at a time. It also
-caps replicates x m of the window walk's running counts and replicates x
-candidate pairs of the ``ball_hits`` comparison, so a replicate block
+caps replicates x m of the window walk's running counts and sets x
+candidate pairs of the ``ball_query`` comparison, so a replicate block
 needs no m x m table. It caps replicates x d x (N + B) of a histogram
 slice too, N the pooled rows and B the most bins a row can take.
 
@@ -263,67 +261,44 @@ def _full_row_radii(data, counts, k, radii, pending):
 
 
 def ball_query(query: np.ndarray, centers: np.ndarray, radii: np.ndarray):
-    """Closed-ball membership of ``query`` rows in balls ``(centers, radii)``.
+    """Closed-ball membership of ``query`` rows in the balls ``(centers[p],
+    radii[s, p])`` of each set s, ``radii`` being ``(sets, centers)``; a NaN
+    radius is no ball.
 
-    Returns ``(smallest, occupied)``: per query row, the smallest radius
-    among the balls that contain it (inf when none does); per ball, whether
-    any query row falls inside it.
-    """
-    gram = _GramFilter(query, centers)
-    with _quiet():
-        squared = radii * radii
-    # q + err below ``lo`` is surely inside, q - err above ``hi`` surely
-    # outside; a non-finite squared radius decides nothing, and a negative
-    # radius is never surely inside
-    finite = np.isfinite(squared)
-    lo = np.where(finite & (radii >= 0), squared, -np.inf)
-    hi = np.where(finite, squared, np.inf)
-    smallest = np.empty(query.shape[0])
-    occupied = np.zeros(centers.shape[0], dtype=bool)
-    for start, stop, q in gram.blocks():
-        err = gram.bound[start:stop, None]
-        inside = q < lo - err
-        undecided = ~(inside | (q > hi + err)) | ~np.isfinite(q)
-        rows, cols = np.divmod(np.flatnonzero(undecided), centers.shape[0])
-        inside[rows, cols] = gram.refine(start, rows, cols) <= radii[cols]
-        smallest[start:stop] = np.where(inside, radii, np.inf).min(axis=1)
-        occupied |= inside.any(axis=0)
-    return smallest, occupied
-
-
-def ball_hits(query: np.ndarray, centers: np.ndarray,
-              radii: np.ndarray) -> np.ndarray:
-    """Per row s of ``radii`` (sets, centers), whether each ``query`` row
-    lies in a closed ball ``(centers[p], radii[s, p])`` of finite radius; a
-    NaN or infinite radius is no ball. This is ``np.isfinite(smallest)`` of
-    ``ball_query`` on the balls of each set, as ``(sets, n_query)``.
+    Returns ``(smallest, occupied)``: ``(sets, n_query)``, the smallest
+    radius of set s among the balls that contain each query row (inf when
+    none does); and ``(centers,)``, whether any set's ball at that center
+    contains a query row.
 
     One Gram filter serves every set: a pair whose ``q`` lies more than the
-    bound above its center's largest finite squared radius is outside every
-    ball, and every other pair (a non-finite ``q``, bound or squared radius
+    bound above its center's largest squared radius is outside every ball,
+    and every other pair (a non-finite ``q``, bound or squared radius
     included) takes its exact distance, compared with each set's radius in
     slices that keep sets x candidates within ``_BLOCK_ELEMENTS``."""
-    finite = np.where(np.isfinite(radii), radii, np.nan)
     with _quiet():
-        top = np.fmax.reduce(finite, axis=0, initial=-np.inf)
+        top = np.fmax.reduce(radii, axis=0, initial=-np.inf)
         hi = np.where(top >= 0, top * top, -np.inf)
     gram = _GramFilter(query, centers)
-    out = np.zeros((radii.shape[0], query.shape[0]), dtype=bool)
+    smallest = np.full((radii.shape[0], query.shape[0]), np.inf)
+    occupied = np.zeros(centers.shape[0], dtype=bool)
     for start, stop, q in gram.blocks():
         with _quiet():
-            outside = q > hi + gram.bound[start:stop, None]
-        outside &= np.isfinite(q)
-        rows, cols = np.divmod(np.flatnonzero(~outside), centers.shape[0])
-        if not rows.size:
-            continue
+            candidate = ~(q > hi + gram.bound[start:stop, None])
+        candidate |= ~np.isfinite(q)
+        rows, cols = np.divmod(np.flatnonzero(candidate), centers.shape[0])
         exact = gram.refine(start, rows, cols)
+        # a pair lies in some set's ball exactly when in its largest one
+        occupied[cols[exact <= top[cols]]] = True
         # rows come ascending: each query row's candidates are one run
-        first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        step = max(1, _BLOCK_ELEMENTS // rows.size)
-        for s in range(0, finite.shape[0], step):
-            out[s:s + step, start + rows[first]] = np.logical_or.reduceat(
-                exact <= finite[s:s + step, cols], first, axis=1)
-    return out
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        step = max(1, _BLOCK_ELEMENTS // max(1, rows.size))
+        for s in range(0, radii.shape[0], step):
+            held = radii[s:s + step, cols]
+            smallest[s:s + step, start + rows[first]] = np.minimum.reduceat(
+                np.where(exact <= held, held, np.inf), first, axis=1)
+        # free this block's pairs before the next block's product
+        del rows, cols, exact, held
+    return smallest, occupied
 
 
 @dataclass(frozen=True)

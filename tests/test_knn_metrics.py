@@ -135,8 +135,9 @@ def _reference_kth(data, k):
 
 
 def _reference_ball(query, centers, radii):
-    inside = difference_distances(query, centers) <= radii
-    return np.where(inside, radii, np.inf).min(axis=1), inside.any(axis=0)
+    inside = difference_distances(query, centers) <= radii[:, None, :]
+    return (np.where(inside, radii[:, None, :], np.inf).min(axis=2),
+            inside.any(axis=(0, 1)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -171,6 +172,23 @@ def test_memory_bounded_by_block_not_n_squared(metric, param):
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 2
+
+
+def test_memory_flat_in_n_when_every_pair_is_refined():
+    """A radius above every pair distance sends every pair to the exact
+    refine; the peak still stays at the block's size as n doubles."""
+    peaks = []
+    for n in (2000, 4000):
+        rng = np.random.default_rng(10)
+        real = embedding_from(rng.normal(size=(n, 4)), "r")
+        synth = embedding_from(rng.normal(size=(n, 4)), "s")
+        tracemalloc.start()
+        try:
+            assert leakage_rate(real, synth, 1e300)[0] == 1.0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_recall_block_memory_bounded_by_block_not_n_squared():
@@ -256,12 +274,13 @@ def test_recall_block_equals_single_sets(inputs):
        st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
        st.sampled_from([1, 20, numerics._BLOCK_ELEMENTS]))
 @settings(max_examples=150, deadline=None)
-def test_ball_hits_equal_unfiltered_comparison(case, d, seed, sets, block):
-    """``ball_hits`` equals the difference formula's distances compared
-    with every radius, a NaN or infinite radius being no ball, on the sets
-    that stress the Gram filter; the radii sit on, just inside or just
-    outside pair distances, at zero, negative, with an overflowing square
-    and non-finite."""
+def test_ball_query_equals_unfiltered_comparison(case, d, seed, sets, block):
+    """Each set of ``ball_query`` equals the difference formula's distances
+    compared with every radius of that set, a NaN radius being no ball,
+    and ``occupied`` their union over sets, on the sets that stress the
+    Gram filter; the radii sit on, just inside or just outside pair
+    distances, at zero, negative, with an overflowing square and
+    non-finite."""
     real, synth = adversarial_sets(case, d, seed=seed % 1000)
     rng = np.random.default_rng(seed)
     distances = difference_distances(real, synth)
@@ -272,12 +291,17 @@ def test_ball_hits_equal_unfiltered_comparison(case, d, seed, sets, block):
     radii = np.where(kind == 1, picked, radii)
     radii = np.where(kind == 2, np.nextafter(picked, -np.inf), radii)
     radii = np.where(kind == 3, np.nextafter(picked, np.inf), radii)
-    finite = np.where(np.isfinite(radii), radii, np.nan)
-    want = (distances[None, :, :] <= finite[:, None, :]).any(axis=2)
     default_block = numerics._BLOCK_ELEMENTS
     numerics._BLOCK_ELEMENTS = block
     try:
-        got = numerics.ball_hits(real, synth, radii)
+        smallest, occupied = numerics.ball_query(real, synth, radii)
     finally:
         numerics._BLOCK_ELEMENTS = default_block
-    assert got.shape == want.shape and (got == want).all()
+    assert smallest.shape == (sets, len(real))
+    union = np.zeros(len(synth), dtype=bool)
+    for got, r in zip(smallest, radii):
+        inside = distances <= r
+        want = np.where(inside, r, np.inf).min(axis=1)
+        assert got.tobytes() == want.tobytes()
+        union |= inside.any(axis=0)
+    assert np.array_equal(occupied, union)

@@ -21,7 +21,7 @@ class TestKnn:
     def test_coincident_point_self_allowed(self):
         ref = np.array([[0.0, 0.0], [3.0, 4.0]])
         query = np.array([[0.0, 0.0]])
-        smallest, occupied = ball_query(query, ref, np.zeros(2))
+        (smallest,), occupied = ball_query(query, ref, np.zeros((1, 2)))
         assert smallest[0] == 0.0
         assert occupied.tolist() == [True, False]
 
@@ -66,10 +66,10 @@ class TestKnn:
         radii = rng.uniform(2.0, 4.0, size=23)
         # one block at the default size
         whole = (pairwise_distances(a, b), kth_neighbor_distance(a, 3),
-                 *ball_query(a, b, radii))
+                 *ball_query(a, b, radii[None]))
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)
         blocked = (pairwise_distances(a, b), kth_neighbor_distance(a, 3),
-                   *ball_query(a, b, radii))
+                   *ball_query(a, b, radii[None]))
         for got, want in zip(blocked, whole):
             assert np.array_equal(got, want)
 
@@ -85,7 +85,7 @@ class TestKnn:
 
         def check(query, dist, balls):
             inside = dist <= balls
-            smallest, occupied = ball_query(query, real, balls)
+            (smallest,), occupied = ball_query(query, real, balls[None])
             assert np.array_equal(
                 smallest, np.where(inside, balls, np.inf).min(axis=1))
             assert np.array_equal(occupied, inside.any(axis=0))
