@@ -5,7 +5,7 @@ Usage, from the root of a checkout:
 
     python3 scripts/bench_kernels.py
 
-``knn`` is one recall kernel: ``kth_neighbor_distance`` on the synthetic
+``knn`` is one recall kernel: ``kth_neighbor_distances`` on the synthetic
 rows (k=3) and ``ball_query`` of the reference rows against those balls,
 one set of radii.
 ``jsd`` is ``jensen_shannon`` and ``entropy`` is ``embedding_entropy``.
@@ -22,7 +22,7 @@ replicate), and ``recall_replicates_looped`` the same 50 row sets as 50
 ``manifold_recall`` calls (k=3) on ``resample``d sets; again the values are
 identical. ``ball_query_replicates`` is that block's membership test
 alone: one ``ball_query`` of the reference rows against the 50
-replicates' balls, radii given.
+replicates' balls, radii given by ``kth_neighbor_distances``.
 Each is timed at n rows by d dimensions per set; BLAS runs on one thread,
 as in ``perfbench``. ``read_record_table`` reads a seeded record table of
 n rows and d columns (4 numeric, 4 categorical, 2% of cells masked) shaped
@@ -79,7 +79,7 @@ from smdcard.harness import (inject_defect,  # noqa: E402
                              make_gaussian_mixture, make_record_table)
 from smdcard.model import EmbeddingSet  # noqa: E402
 from smdcard.numerics import (ball_query,  # noqa: E402
-                               kth_neighbor_distance, resampled_kth_distances)
+                               kth_neighbor_distances)
 from smdcard import runner  # noqa: E402
 from smdcard.runner import EvaluationInputs, run_evaluation  # noqa: E402
 
@@ -215,8 +215,7 @@ def main() -> None:
     for n, d in KNN_SIZES:
         real, synth = _pair(n, d)
         record("knn", n, d, lambda: ball_query(
-            real.data, synth.data,
-            kth_neighbor_distance(synth.data, 3)[None]))
+            real.data, synth.data, kth_neighbor_distances(synth.data, 3)))
     for n, d in HISTOGRAM_SIZES:
         real, synth = _pair(n, d)
         record("jsd", n, d, lambda: jensen_shannon(real, synth))
@@ -237,7 +236,7 @@ def main() -> None:
                lambda: manifold_recall_replicates(real, synth, rows))
         record("recall_replicates_looped", n, d, lambda: [
             manifold_recall(real, synth.resample(r)) for r in rows])
-        radii = resampled_kth_distances(synth.data, rows, 3)
+        radii = kth_neighbor_distances(synth.data, 3, rows)
         record("ball_query_replicates", n, d,
                lambda: ball_query(real.data, synth.data, radii))
     print(json.dumps({"kernel_ms": kernels, "end_to_end_s": end_to_end,

@@ -16,7 +16,7 @@ import numpy as np
 from .config import DECLARED_KEYS
 from .errors import EvaluationError
 from .model import EmbeddingSet, RecordTable
-from .numerics import ball_query, kth_neighbor_distance, w1_distance_1d
+from .numerics import ball_query, kth_neighbor_distances, w1_distance_1d
 
 
 def _equivalence_classes(table: RecordTable, quasi_identifiers: list[str]):
@@ -131,7 +131,7 @@ def leakage_rate(real: EmbeddingSet, synthetic: EmbeddingSet,
         if real.n < 2:
             raise EvaluationError("defaulting tau needs at least 2 reference "
                                   "rows")
-        tau = float(np.percentile(kth_neighbor_distance(real.data, 1), 1.0))
+        tau = float(np.percentile(kth_neighbor_distances(real.data, 1), 1.0))
     (smallest,), _ = ball_query(synthetic.data, real.data,
                                 np.full((1, real.n), tau))
     hits = smallest <= tau

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import EvaluationError
 from .model import EmbeddingSet
 from .numerics import (ball_query, dimension_histograms, dimension_means,
-                       draw_counts, jsd_rows, kth_neighbor_distance,
+                       draw_counts, jsd_rows, kth_neighbor_distances,
                        pairwise_distances, w1_distance_1d)
 
 EXACT_MATCHING_LIMIT = 512
@@ -162,7 +162,7 @@ def manifold_precision(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
     neighbor (self excluded); membership uses closed balls.
     """
     (smallest,), _ = ball_query(synthetic.data, real.data,
-                                kth_neighbor_distance(real.data, k)[None])
+                                kth_neighbor_distances(real.data, k))
     inside = np.isfinite(smallest)
     return float(inside.mean()), {"k": k, "inside": int(inside.sum())}
 

@@ -16,26 +16,23 @@ import numpy as np
 from .errors import EvaluationError
 from .model import EmbeddingSet
 from .numerics import (ball_query, dimension_histograms, dimension_means,
-                       draw_counts, entropy_rows, kth_neighbor_distance,
-                       pairwise_distances, pca_fit, resampled_kth_distances,
-                       shannon_entropy)
+                       draw_counts, entropy_rows, kth_neighbor_distances,
+                       pairwise_distances, pca_fit, shannon_entropy)
 
 
 def manifold_recall(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
     """Fraction of reference points inside at least one synthetic kNN ball."""
-    (smallest,), _ = ball_query(real.data, synthetic.data,
-                                kth_neighbor_distance(synthetic.data, k)[None])
-    inside = np.isfinite(smallest)
-    return float(inside.mean()), {"k": k, "inside": int(inside.sum())}
+    return manifold_recall_replicates(real, synthetic, None, k)[0]
 
 
 def manifold_recall_replicates(real: EmbeddingSet, synthetic: EmbeddingSet,
-                               rows, k: int = 3):
+                               rows=None, k: int = 3):
     """``manifold_recall(real, synthetic.resample(r), k)`` for each index
-    array ``r`` in ``rows``: the synthetic rows' neighbor distances and the
+    array ``r`` in ``rows``, or of ``synthetic`` itself when ``rows`` is
+    None: the synthetic rows' neighbor distances and the
     reference-to-synthetic distances are measured once for the whole block,
     and each row set looks its balls up in them."""
-    radii = resampled_kth_distances(synthetic.data, rows, k)
+    radii = kth_neighbor_distances(synthetic.data, k, rows)
     smallest, _ = ball_query(real.data, synthetic.data, radii)
     return [(float(inside.mean()), {"k": k, "inside": int(inside.sum())})
             for inside in np.isfinite(smallest)]
@@ -45,7 +42,7 @@ def manifold_coverage(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 5):
     """Fraction of reference points whose own reference kNN ball contains a
     synthetic point."""
     _, inside = ball_query(synthetic.data, real.data,
-                           kth_neighbor_distance(real.data, k)[None])
+                           kth_neighbor_distances(real.data, k))
     return float(inside.mean()), {"k": k, "inside": int(inside.sum())}
 
 
@@ -171,7 +168,7 @@ def rarity_score(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
     synthetic point; points outside every ball are excluded from the mean
     and reported as the out-of-manifold fraction."""
     (smallest,), _ = ball_query(synthetic.data, real.data,
-                                kth_neighbor_distance(real.data, k)[None])
+                                kth_neighbor_distances(real.data, k))
     scores = smallest[np.isfinite(smallest)]
     out_fraction = 1.0 - scores.size / synthetic.n
     diagnostics = {"k": k, "out_of_manifold_fraction": out_fraction}

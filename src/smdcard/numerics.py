@@ -22,20 +22,31 @@ applies it to every pair. The kNN primitives (``nearest_neighbors``,
   factor 8 leaves more than twice that, and the surplus, at least
   ``31 u (|a_i| + |b_j|)^2``, also covers the rounding of ``r * r`` and of
   the final square root when ``q`` is compared with a squared radius.
-- Refine: a pair is recomputed exactly when the bound cannot order it: the
-  neighbor window ``q <= q_w + 2 err`` of the w nearest rows, or, for a
-  ball, ``q`` not above its center's largest squared radius by more than
-  the bound. A non-finite ``q``, bound or squared radius always refines.
+- Refine: both kernels recompute exactly the pairs with ``~(q > limit)``,
+  those the bound cannot place beyond the limit: ``q_w + 2 err`` for the
+  neighbor window of the w nearest rows, ``q_w`` the row's w-th smallest
+  ``q``, and, for a ball, its center's largest squared radius plus the
+  bound. So a NaN ``q`` and a NaN or +inf limit always refine. A +inf
+  ``q`` needs the positive terms P of the product to pass the largest
+  double, and P <= (|a_i| + |b_j|)^2 <= reach^2, reach = |a_i| + max|b|.
+  If reach^2 overflows, the bound is inf and the pair is refined anyway.
+  Otherwise the negative terms are at most reach^2 - P, so the pair's
+  exact squared distance is within rounding of the largest double, and
+  any ball or window that could hold it has a limit that overflows to
+  inf. A -inf ``q`` needs the negative terms, at most 2 |a_i| |b_j|, to
+  pass the largest double, so reach^2 overflows and its limit is inf or
+  NaN.
 
 ``nearest_neighbors`` gives each row's w nearest other rows, exact
-distances ascending; ``kth_neighbor_distance`` reads column k - 1 of the
-window of width k. A bootstrap replicate is a multiset of its pool's rows,
-so ``resampled_kth_distances`` finds every replicate's k-th neighbor
-distances by lookup in one window per pool: it walks the window column by
-column, adding each column's draw counts to (replicates, rows) running
+distances ascending. Every k-th neighbor radius comes from one kernel,
+``kth_neighbor_distances``, for a set itself or for each bootstrap
+replicate of a pool, a multiset of its rows: it walks one window per pool
+column by column, adding each column's draw counts to (sets, rows) running
 counts, and a row's radius is the column where its count reaches k; the
 walk stops once every drawn row has its radius, and a row whose window
-runs out first reads its full distance row. ``ball_query`` decides
+runs out first reads its full distance row. The window is k wide when
+every set draws each row once, as a set itself does, and
+``_WINDOW_PER_K * (k + 1)`` wide otherwise. ``ball_query`` decides
 closed-ball membership for one set of radii or a whole replicate block
 through one Gram filter: a pair lying outside its center's largest ball is
 outside every set's ball, and only the other pairs take an exact distance,
@@ -82,7 +93,7 @@ FD_MIN_BINS, FD_MAX_BINS = 8, 64  # clamp of the Freedman-Diaconis bin count
 SMOOTHING_MASS = 1e-12  # added to every histogram bin before a divergence
 _U = 2.0 ** -53  # unit roundoff of float64
 _ETA = 2.0 ** -1074  # smallest subnormal: absolute error of an underflow
-_WINDOW_PER_K = 4  # window of resampled_kth_distances: rows per unit of k+1
+_WINDOW_PER_K = 4  # radius window of drawn sets: rows per unit of k+1
 
 
 def _quiet():
@@ -184,9 +195,7 @@ def nearest_neighbors(data: np.ndarray, width: int):
         # every pair at or below the exact width-th distance has
         # q <= q_w + 2 err
         with _quiet():
-            limit = q_w + 2.0 * gram.bound[start:stop]
-        limit[~np.isfinite(limit)] = np.inf
-        candidate = (q <= limit[:, None]) | ~np.isfinite(q)
+            candidate = ~(q > (q_w + 2.0 * gram.bound[start:stop])[:, None])
         candidate[own] = False
         rows, cols = np.divmod(np.flatnonzero(candidate), n)
         exact = gram.refine(start, rows, cols)
@@ -198,55 +207,52 @@ def nearest_neighbors(data: np.ndarray, width: int):
     return distances, indices
 
 
-def kth_neighbor_distance(data: np.ndarray, k: int) -> np.ndarray:
-    """Each row's distance to its k-th nearest other row (self excluded by
-    index, so a copied row is a neighbor at distance 0)."""
-    _check_k(data.shape[0], k)
-    return nearest_neighbors(data, k)[0][:, k - 1]
-
-
-def resampled_kth_distances(data: np.ndarray, rows, k: int) -> np.ndarray:
-    """``kth_neighbor_distance(data[r], k)`` for each index array ``r`` in
-    ``rows`` (draws of one length m <= n = len(data)), by source row: entry
-    (s, p) is the radius of every copy of row p in set s, NaN where set s
-    does not draw p.
+def kth_neighbor_distances(data: np.ndarray, k: int, rows=None) -> np.ndarray:
+    """Each row's distance to its k-th nearest other row, in the set itself
+    (``rows`` None) or in ``data[r]`` for each index array ``r`` in ``rows``
+    (draws of one length m <= n = len(data)): ``(sets, n)`` by source row,
+    entry (s, p) the radius of every copy of row p in set s, NaN where set s
+    does not draw p. A copied row is a neighbor at distance 0.
 
     A drawn row's radius is the k-th smallest of its distances to the pool
     rows, each counted as often as set s draws its row, and its own extra
-    copies as zeros. Column 0 of the window is the row itself at distance
-    0, then its ``_WINDOW_PER_K * (k + 1)`` nearest other rows; the radius
-    is the first window distance where the running draw counts reach k.
-    The window is walked column by column over (sets, n) running counts,
+    copies as zeros: the first window distance where the running draw
+    counts reach k. The window is the row's k nearest other rows when every
+    set draws each row exactly once, else its ``_WINDOW_PER_K * (k + 1)``
+    nearest. It is walked column by column over (sets, n) running counts,
     and the walk stops once every drawn row has reached k. Every row
     outside the window lies at least as far as the window's last entry, so
     that distance is the exact k-th one; a row whose window holds fewer
     than k drawn neighbors reads its full distance row instead."""
     n = data.shape[0]
-    _check_k(len(rows[0]), k)
+    # the set itself is the draw of every row once
+    counts = draw_counts([np.arange(n)] if rows is None else rows, n)
+    _check_k(int(counts[0].sum()), k)
+    once = (counts == 1).all()
     distances, neighbors = nearest_neighbors(
-        data, min(n - 1, _WINDOW_PER_K * (k + 1)))
-    out = np.empty((len(rows), n))
+        data, k if once else min(n - 1, _WINDOW_PER_K * (k + 1)))
+    out = np.empty(counts.shape)
     step = max(1, _BLOCK_ELEMENTS // n)
-    for start in range(0, len(rows), step):
-        counts = draw_counts(rows[start:start + step], n)
-        running = counts - 1
+    for start in range(0, counts.shape[0], step):
+        drawn = counts[start:start + step]
+        running = drawn - 1
         radii = np.where(running >= k, 0.0, np.nan)
-        pending = (counts > 0) & (running < k)
+        pending = (drawn > 0) & (running < k)
         for j in range(neighbors.shape[1]):
             if not pending.any():
                 break
-            running += counts[:, neighbors[:, j]]
+            running += drawn[:, neighbors[:, j]]
             reached = pending & (running >= k)
             np.copyto(radii, distances[:, j], where=reached)
             pending &= ~reached
-        _full_row_radii(data, counts, k, radii, pending)
-        out[start:start + counts.shape[0]] = radii
+        _full_row_radii(data, drawn, k, radii, pending)
+        out[start:start + drawn.shape[0]] = radii
     return out
 
 
 def _full_row_radii(data, counts, k, radii, pending):
     """Fill ``radii[s, p]`` where ``pending`` from row p's full distance row,
-    weighted by ``counts[s]`` as ``resampled_kth_distances`` weighs its
+    weighted by ``counts[s]`` as ``kth_neighbor_distances`` weighs its
     window; the distance blocks bound the rows held at once."""
     sets, ps = np.nonzero(pending.T)[::-1]
     unique = np.unique(ps)
@@ -284,7 +290,6 @@ def ball_query(query: np.ndarray, centers: np.ndarray, radii: np.ndarray):
     for start, stop, q in gram.blocks():
         with _quiet():
             candidate = ~(q > hi + gram.bound[start:stop, None])
-        candidate |= ~np.isfinite(q)
         rows, cols = np.divmod(np.flatnonzero(candidate), centers.shape[0])
         exact = gram.refine(start, rows, cols)
         # a pair lies in some set's ball exactly when in its largest one

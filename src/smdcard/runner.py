@@ -15,11 +15,13 @@ metric's parameters as the config parsed them; ``plan`` checks them
 against the data. The unit of work is a task, (scope, metric, pairs): a
 metric on its scope's rows (pairs None, one pair of all rows), or one
 result per (reference rows, synthetic rows) pair; ``_task_results`` is the
-one runner of them all. A subgroup's task for a base metric carries the
-replicate block ``consistency`` asks for, and, where the base is
-selected, the whole-set pair first: the block runs it as the draw of
-every row once, and its result is filed as the subgroup's own value,
-(scope, metric, None), the replicates as (scope, metric, r).
+one runner of them all: a metric with a ``_BLOCKS`` form runs each task
+whose pairs all read the whole reference, with draws of one length, as
+one block, the whole synthetic set being the draw of every row once. A
+subgroup's task for a base metric carries the replicate block
+``consistency`` asks for, and, where the base is selected, the whole-set
+pair first, filed as the subgroup's own value, (scope, metric, None),
+the replicates as (scope, metric, r).
 Computation is pure and each task carries its rows, so the tasks can run
 in any order and in any process. With ``workers`` above 1 the evaluate
 process forks children that work through the task list (a fork-join):
@@ -336,9 +338,9 @@ def _results(scope: str, name: str, args: _Args, compute,
 def _task_results(task: tuple, args: _Args) -> list[MetricResult]:
     """A metric on each (reference, synthetic) pair of index arrays, None
     for all rows (pairs None: one such pair). Where the metric has a block
-    form, pairs that all read the whole reference, with at least one draw,
-    run as one block when their draws, the whole synthetic set counting as
-    the draw of every row once, share one length."""
+    form, pairs that all read the whole reference run as one block when
+    their draws, the whole synthetic set counting as the draw of every row
+    once, share one length."""
     scope, name, pairs = task
     if pairs is None:
         pairs = ((None, None),)
@@ -347,7 +349,6 @@ def _task_results(task: tuple, args: _Args) -> list[MetricResult]:
     draws = [np.arange(args.synthetic.n) if drawn is None else drawn
              for reference, drawn in pairs if reference is None]
     if (block is not None and len(draws) == len(pairs)
-            and any(drawn is not None for _, drawn in pairs)
             and len(set(map(len, draws))) == 1):
         return _results(scope, name, args, lambda: block(
             args, _params(name, args.config), draws), len(draws))

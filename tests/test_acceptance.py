@@ -26,7 +26,7 @@ from smdcard.card import (build_card, card_from_json, documentation_clarity_scor
 from smdcard.harness import inject_defect, make_gaussian_mixture, make_record_table
 from smdcard.ingest import write_embeddings
 from smdcard.model import EmbeddingSet
-from smdcard.numerics import kth_neighbor_distance
+from smdcard.numerics import kth_neighbor_distances
 from smdcard.runner import EvaluationInputs, run_evaluation
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -176,7 +176,7 @@ def test_acceptance_4_oracle_equivalence():
                            for j in range(100) if j != i)
             oracle[i] = dists[:3]
         for j in range(3):
-            assert np.array_equal(kth_neighbor_distance(pts, j + 1),
+            assert np.array_equal(kth_neighbor_distances(pts, j + 1)[0],
                                   oracle[:, j])
 
         # one-way F and p vs sums of squares + numeric integration

@@ -1,10 +1,11 @@
 import csv
+import inspect
 import pathlib
 import re
 
 import pytest
 
-from smdcard import catalog
+from smdcard import catalog, compliance, congruence, coverage, runner
 from smdcard.errors import ConfigError
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "metric_catalog_golden.csv"
@@ -81,3 +82,42 @@ def test_readme_parameter_table_matches_catalog():
                 for d in catalog.CATALOG + catalog.EXTRAS
                 for key, default, allowed in d.params]
     assert rows == expected
+
+
+#: The functions each metric's ``runner._COMPUTE`` and ``runner._BLOCKS``
+#: entries call with its parameters. ``inception_score``'s ``probs_path`` is
+#: read by the command line, so its function takes no parameter.
+_PARAM_FUNCTIONS = {
+    "earth_movers_distance": (congruence.wasserstein1,),
+    "jensen_shannon_divergence": (congruence.jensen_shannon,
+                                  congruence.jensen_shannon_replicates),
+    "precision": (congruence.manifold_precision,),
+    "recall": (coverage.manifold_recall, coverage.manifold_recall_replicates),
+    "coverage": (coverage.manifold_coverage,),
+    "convex_hull_volume": (coverage.convex_hull_volume,),
+    "dpp_score": (coverage.dpp_logdet,),
+    "vendi_score": (coverage.vendi_score,),
+    "entropy_coverage": (coverage.embedding_entropy,
+                         coverage.embedding_entropy_replicates),
+    "rarity_score": (coverage.rarity_score,),
+    "cluster_balance": (coverage.cluster_balance,),
+    "re_identification_risk": (compliance.leakage_rate,),
+}
+
+
+def test_metric_function_defaults_equal_catalog_defaults():
+    # a direct call with its defaults computes what evaluate computes
+    with_params = {d.name for d in catalog.CATALOG + catalog.EXTRAS
+                   if d.params and d.name != "inception_score"}
+    assert set(_PARAM_FUNCTIONS) == with_params
+    for name, functions in _PARAM_FUNCTIONS.items():
+        entries = (runner._COMPUTE[name], runner._BLOCKS.get(name))
+        called = {n for entry in entries if entry is not None
+                  for n in entry.__code__.co_names}
+        assert {f.__name__ for f in functions} <= called, name
+        descriptor = catalog.descriptor(name)
+        for function in functions:
+            parameters = inspect.signature(function).parameters
+            for key, _, _ in descriptor.params:
+                assert (parameters[key].default
+                        == descriptor.default(key)), (name, function, key)

@@ -128,10 +128,12 @@ def test_five_metrics_equal_per_pair_oracle(sets):
         numerics._BLOCK_ELEMENTS = default_block
 
 
-def _reference_kth(data, k):
+def _reference_kth(data, k, rows=None):
+    """The set's own radii, ``(1, n)``; the metrics draw no rows."""
+    assert rows is None
     dist = difference_distances(data, data)
     np.fill_diagonal(dist, np.inf)
-    return np.partition(dist, k - 1, axis=1)[:, k - 1]
+    return np.partition(dist, k - 1, axis=1)[None, :, k - 1]
 
 
 def _reference_ball(query, centers, radii):
@@ -152,7 +154,7 @@ def test_five_metrics_equal_difference_formula_on_adversarial_sets(
     calls += [(leakage_rate, tau) for tau in (None, 0.0, math.inf)]
     got = [_outcome(metric, r, s, param) for metric, param in calls]
     for module in (compliance, congruence, coverage):
-        monkeypatch.setattr(module, "kth_neighbor_distance", _reference_kth)
+        monkeypatch.setattr(module, "kth_neighbor_distances", _reference_kth)
         monkeypatch.setattr(module, "ball_query", _reference_ball)
     assert got == [_outcome(metric, r, s, param) for metric, param in calls]
 
@@ -211,9 +213,10 @@ def _recall_blocks(draw):
     """A recall block: integer ties, rows equidistant from a centre row,
     coordinates near 1e154 (squares overflow), a 1e8 common offset, or
     coordinates near 1e-160 (squares underflow), with copied pool rows;
-    unequal reference and pool sizes; draws of the pool, all of one length
-    from 1 to the pool's size, one of them a single row repeated; k from 1
-    to one past the pool's limit; and
+    unequal reference and pool sizes; draws of the pool, either bootstrap
+    draws all of one length from 1 to the pool's size, one of them a single
+    row repeated, or permutations of the pool, which draw each row once and
+    so take the k-wide window; k from 1 to one past the pool's limit; and
     a neighbor window down to none, so that lookups overflow it."""
     d = draw(st.integers(1, 3))
     m, n_real = draw(st.integers(2, 12)), draw(st.integers(1, 12))
@@ -237,10 +240,13 @@ def _recall_blocks(draw):
     for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1),
                                         st.integers(0, m - 1)), max_size=3)):
         synth[i] = synth[j]
-    size = draw(st.integers(1, m))
-    draws = [rng.integers(0, m, size=size)
-             for _ in range(draw(st.integers(1, 6)))]
-    draws.append(np.full(size, draw(st.integers(0, m - 1))))
+    sets = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        draws = [rng.permutation(m) for _ in range(sets)]
+    else:
+        size = draw(st.integers(1, m))
+        draws = [rng.integers(0, m, size=size) for _ in range(sets)]
+        draws.append(np.full(size, draw(st.integers(0, m - 1))))
     k = draw(st.integers(1, m))
     window = draw(st.sampled_from([0, 1, numerics._WINDOW_PER_K]))
     block = draw(st.sampled_from([1, 20, numerics._BLOCK_ELEMENTS]))
@@ -267,6 +273,33 @@ def test_recall_block_equals_single_sets(inputs):
         assert [repr(v) for v in got] == want
     finally:
         numerics._WINDOW_PER_K, numerics._BLOCK_ELEMENTS = defaults
+
+
+@pytest.mark.parametrize("n", [6, 40])
+def test_window_is_k_wide_only_when_every_row_is_drawn_once(monkeypatch, n):
+    """A whole set, or permutations of it, ask ``nearest_neighbors`` for k
+    columns, what the set's own k-th neighbor needs; a block with one
+    bootstrap draw asks for the wider lookup window, and its whole-set row
+    equals the set's own radii."""
+    widths = []
+    nearest = numerics.nearest_neighbors
+
+    def spy(data, width):
+        widths.append(width)
+        return nearest(data, width)
+    monkeypatch.setattr(numerics, "nearest_neighbors", spy)
+    rng = np.random.default_rng(n)
+    data = rng.normal(size=(n, 4))
+    k = 3
+    whole = numerics.kth_neighbor_distances(data, k)
+    permuted = numerics.kth_neighbor_distances(
+        data, k, [rng.permutation(n), np.arange(n)])
+    block = numerics.kth_neighbor_distances(
+        data, k, [np.arange(n), rng.integers(0, n, size=n)])
+    assert widths == [k, k, min(n - 1, numerics._WINDOW_PER_K * (k + 1))]
+    assert whole.shape == (1, n)
+    assert np.array_equal(permuted, np.vstack((whole, whole)))
+    assert np.array_equal(block[0], whole[0])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

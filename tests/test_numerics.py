@@ -10,7 +10,7 @@ from smdcard.congruence import jensen_shannon, jensen_shannon_replicates
 from smdcard.coverage import embedding_entropy, embedding_entropy_replicates
 from smdcard.numerics import (FD_MAX_BINS, FD_MIN_BINS, ball_query,
                               dimension_histograms, jsd_masses,
-                              kth_neighbor_distance, pairwise_distances,
+                              kth_neighbor_distances, pairwise_distances,
                               pca_fit, shannon_entropy, w1_distance_1d)
 
 from conftest import (ADVERSARIAL_CASES, adversarial_sets,
@@ -27,7 +27,7 @@ class TestKnn:
 
     def test_three_four_five_triangle(self):
         ref = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert kth_neighbor_distance(ref, 1)[0] == 5.0
+        assert kth_neighbor_distances(ref, 1)[0, 0] == 5.0
 
     def test_matches_exhaustive_sort_oracle_exactly(self):
         # integer coordinates keep the squared sums exact, so both routes
@@ -41,18 +41,18 @@ class TestKnn:
                            for j in range(100) if j != i)
             oracle[i] = dists[:3]
         for j in range(3):
-            assert np.array_equal(kth_neighbor_distance(pts, j + 1),
+            assert np.array_equal(kth_neighbor_distances(pts, j + 1)[0],
                                   oracle[:, j])
 
     def test_k_out_of_range_names_limit(self):
         with pytest.raises(EvaluationError, match="at most k=2"):
-            kth_neighbor_distance(np.eye(3), 3)
+            kth_neighbor_distances(np.eye(3), 3)
 
     def test_self_distances_match_brute_force(self):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(40, 3))
-        first = kth_neighbor_distance(data, 1)
-        second = kth_neighbor_distance(data, 2)
+        (first,) = kth_neighbor_distances(data, 1)
+        (second,) = kth_neighbor_distances(data, 2)
         for r in range(len(data)):
             brute = sorted(np.linalg.norm(data[r] - data[j])
                            for j in range(len(data)) if j != r)
@@ -65,10 +65,10 @@ class TestKnn:
         b = rng.normal(size=(23, 7))
         radii = rng.uniform(2.0, 4.0, size=23)
         # one block at the default size
-        whole = (pairwise_distances(a, b), kth_neighbor_distance(a, 3),
+        whole = (pairwise_distances(a, b), kth_neighbor_distances(a, 3),
                  *ball_query(a, b, radii[None]))
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)
-        blocked = (pairwise_distances(a, b), kth_neighbor_distance(a, 3),
+        blocked = (pairwise_distances(a, b), kth_neighbor_distances(a, 3),
                    *ball_query(a, b, radii[None]))
         for got, want in zip(blocked, whole):
             assert np.array_equal(got, want)
@@ -92,7 +92,7 @@ class TestKnn:
 
         for k in (1, 3, 5):
             radii = np.partition(others, k - 1, axis=1)[:, k - 1]
-            assert np.array_equal(kth_neighbor_distance(real, k), radii)
+            assert np.array_equal(kth_neighbor_distances(real, k)[0], radii)
             # the k-th neighbor of each center lies exactly on its radius
             for balls in (radii, np.nextafter(radii, np.inf),
                           np.nextafter(radii, -np.inf)):

@@ -411,6 +411,42 @@ def _oracle_anova_per_base(real, synth, bases, replicates, seed):
     return detail
 
 
+def _observed_undefined(report, real, synth, bins):
+    """Check that the global scope's and every subgroup's recall and JSD
+    read as direct calls on the scope's slices; the (scope label, metric)
+    of each undefined one."""
+    direct = {"recall": lambda r, s: coverage.manifold_recall(r, s, k=3),
+              "jensen_shannon_divergence": lambda r, s:
+                  congruence.jensen_shannon(r, s, bins=bins)}
+    undefined = set()
+    for label in ("global", "a", "b", "noref", "small"):
+        if label == "global":
+            scope, real_slice, synth_slice = report.scope(label), real, synth
+        else:
+            scope = report.scope(f"subgroup:{label}")
+            real_slice = runner._filter_by_label(real, "subgroup", label)
+            synth_slice = runner._filter_by_label(synth, "subgroup", label)
+        entries = {m["name"]: m for c in scope.criteria for m in c.metrics
+                   if m["name"] != "anova"}
+        assert sorted(entries) == sorted(direct)
+        for name, call in direct.items():
+            if real_slice is None:
+                want = None, {"undefined_reason": "insufficient samples: "
+                              "no reference rows in this slice"}
+            else:
+                try:
+                    want = call(real_slice, synth_slice)
+                except EvaluationError as exc:
+                    want = None, {"undefined_reason":
+                                  f"insufficient samples: {exc}"}
+            got = entries[name]["value"], entries[name]["diagnostics"]
+            assert (repr(got[0]), repr(sorted(got[1].items()))) == (
+                repr(want[0]), repr(sorted(want[1].items()))), (label, name)
+            if want[0] is None:
+                undefined.add((label, name))
+    return undefined
+
+
 class TestAnovaReplicates:
     @pytest.mark.parametrize("partial", [False, True])
     def test_equals_serial_bootstrap_oracle(self, monkeypatch, partial):
@@ -427,9 +463,11 @@ class TestAnovaReplicates:
                 return recall(real, synth, k=k)
 
             def patched_block(real, synth, rows, k):
+                # rows None is the set itself, which the single call reads
+                sets = [slice(None)] if rows is None else rows
                 return [(None, {}) if synth.data[r, 0].mean() < -0.5
                         else result for r, result in
-                        zip(rows, recall_block(real, synth, rows, k=k))]
+                        zip(sets, recall_block(real, synth, rows, k=k))]
             monkeypatch.setattr(coverage, "manifold_recall", patched)
             monkeypatch.setattr(coverage, "manifold_recall_replicates",
                                 patched_block)
@@ -483,12 +521,14 @@ class TestAnovaReplicates:
 
     @pytest.mark.parametrize("bins", [None, 0])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_observed_value_from_block_equals_direct_call(self, bins,
-                                                          workers):
-        # each subgroup's recall and JSD ride in their replicate blocks as
-        # the whole-set pair, and read as direct calls on the subgroup's
-        # slices would: "noref" has no reference rows, "small" too few rows
-        # for recall's k=3, and bins 0 makes every JSD undefined
+    def test_observed_value_from_block_equals_direct_call(
+            self, monkeypatch, bins, workers):
+        # every scope's recall and JSD run through their block form, in a
+        # subgroup's replicate block as the whole-set pair where anova is
+        # selected, else as a block of that pair alone, and read as direct
+        # calls on the scope's slices would: "noref" has no reference rows,
+        # "small" too few rows for recall's k=3, and bins 0 makes every JSD
+        # undefined
         real_base = make_gaussian_mixture(56, 3, TWO_MODES, seed=81)
         synth_base = make_gaussian_mixture(53, 3, TWO_MODES, seed=82)
         real_labels = ("a",) * 28 + ("b",) * 25 + ("small",) * 3
@@ -499,51 +539,46 @@ class TestAnovaReplicates:
         synth = EmbeddingSet(synth_base.ids, synth_base.data,
                              subgroup=synth_labels)
         observed = ["recall", "jensen_shannon_divergence"]
-        cfg = config_from_dict({
-            "metrics": observed + ["anova"],
-            "consistency": {"base_metrics": observed + ["entropy_coverage"],
-                            "bootstrap_replicates": 6},
-            "columns": {"subgroup": "subgroup"}, "seed": 4})
-        if bins is not None:
-            cfg = replace(cfg, params={"jensen_shannon_divergence":
-                                       {"bins": bins}})
-        report = run_evaluation(EvaluationInputs(synthetic=synth, real=real),
-                                cfg, workers=workers)
-        direct = {"recall": lambda r, s: coverage.manifold_recall(r, s, k=3),
-                  "jensen_shannon_divergence": lambda r, s:
-                      congruence.jensen_shannon(r, s, bins=bins)}
-        undefined = set()
-        for label in ("a", "b", "noref", "small"):
-            scope = report.scope(f"subgroup:{label}")
-            entries = {m["name"]: m for c in scope.criteria
-                       for m in c.metrics}
-            assert sorted(entries) == sorted(observed)
-            real_slice = runner._filter_by_label(real, "subgroup", label)
-            synth_slice = runner._filter_by_label(synth, "subgroup", label)
-            for name in observed:
-                if real_slice is None:
-                    want = None, {"undefined_reason": "insufficient samples: "
-                                  "no reference rows in this slice"}
-                else:
-                    try:
-                        want = direct[name](real_slice, synth_slice)
-                    except EvaluationError as exc:
-                        want = None, {"undefined_reason":
-                                      f"insufficient samples: {exc}"}
-                got = entries[name]["value"], entries[name]["diagnostics"]
-                assert (repr(got[0]), repr(sorted(got[1].items()))) == (
-                    repr(want[0]), repr(sorted(want[1].items()))), (label,
-                                                                    name)
-                if want[0] is None:
-                    undefined.add((label, name))
-        assert undefined == {("noref", "recall"), ("small", "recall"), (
-            "noref", "jensen_shannon_divergence")} | ({
-                (label, "jensen_shannon_divergence")
-                for label in ("a", "b", "small")} if bins == 0 else set())
-        # entropy_coverage is a base only anova reads: no scope reports it
-        assert all(m["name"] != "entropy_coverage"
-                   for scope in report.scopes for c in scope.criteria
-                   for m in c.metrics)
+        blocks = []  # (metric, draws) of each block run in this process
+        for name, one_pass in list(runner._BLOCKS.items()):
+            def counted(args, params, rows, name=name, one_pass=one_pass):
+                blocks.append((name, len(rows)))
+                return one_pass(args, params, rows)
+            monkeypatch.setitem(runner._BLOCKS, name, counted)
+        for anova in (True, False):
+            blocks.clear()
+            cfg = config_from_dict({
+                "metrics": observed + ["anova"] * anova,
+                "consistency": {"base_metrics": observed
+                                + ["entropy_coverage"],
+                                "bootstrap_replicates": 6},
+                "columns": {"subgroup": "subgroup"}, "seed": 4})
+            if bins is not None:
+                cfg = replace(cfg, params={"jensen_shannon_divergence":
+                                           {"bins": bins}})
+            report = run_evaluation(
+                EvaluationInputs(synthetic=synth, real=real), cfg,
+                workers=workers)
+            assert _observed_undefined(report, real, synth, bins) == {
+                ("noref", "recall"), ("small", "recall"),
+                ("noref", "jensen_shannon_divergence")} | ({
+                    (label, "jensen_shannon_divergence")
+                    for label in ("global", "a", "b", "small")}
+                    if bins == 0 else set())
+            if workers == 1:
+                # the global and three subgroup slices with reference rows,
+                # and entropy's replicates of all four subgroups where anova
+                # reads them
+                whole = 1 + 6 * anova
+                assert sorted(blocks) == sorted(
+                    [(name, 1) for name in observed]
+                    + [(name, whole) for name in observed] * 3
+                    + [("entropy_coverage", 6)] * 4 * anova)
+            # entropy_coverage is a base only anova reads: no scope reports
+            # it
+            assert all(m["name"] != "entropy_coverage"
+                       for scope in report.scopes for c in scope.criteria
+                       for m in c.metrics)
 
     @pytest.mark.parametrize("name", list(runner._BLOCKS) + [
         name for name in _EMBEDDING_METRICS if name not in runner._BLOCKS])
