@@ -16,9 +16,9 @@ its analytic value range (normalization bounds when both ends are known,
 the calibration clamp otherwise), the top of its data bounds [1, top],
 which set's kNN radii limit ``k``, and which run inputs the plan must find
 before the metric can run (``needs``). How a metric is computed lives in
-its one row of ``runner._COMPUTE``, consistency metrics included, because
-the metric modules import this one; when it is undefined, in the metric
-function.
+its one row of ``runner._COMPUTE`` or ``runner._BLOCKS``, consistency
+metrics included, because the metric modules import this one; when it is
+undefined, in the metric function.
 A parameter is ``(key, default, allowed)``: ``allowed`` is an int or float
 (a number of that type at least that), a tuple (one of its values) or
 ``str`` (any string); ``null`` is allowed where the default is None. The

@@ -31,15 +31,16 @@ def base_metrics(config) -> tuple[str, ...]:
 
 
 def replicate_tasks(config, scope: str, n: int, seed: int) -> tuple:
-    """(base metric, pairs) of each replicate block of ``scope``: every
-    base shares ``pairs``, one (None, rows into the scope's ``n`` synthetic
-    rows) per replicate. Only ``anova`` reads replicates, of subgroups."""
+    """(base metric, draws) of each replicate block of ``scope``: every
+    base shares ``draws``, one array of rows into the scope's ``n``
+    synthetic rows per replicate. Only ``anova`` reads replicates, of
+    subgroups."""
     kind, _, label = scope.partition(":")
     if "anova" not in config.metrics or kind != "subgroup":
         return ()
-    pairs = tuple((None, replicate_rows(n, label, r, seed))
+    draws = tuple(replicate_rows(n, label, r, seed)
                   for r in range(config.bootstrap_replicates))
-    return tuple((base, pairs) for base in base_metrics(config))
+    return tuple((base, draws) for base in base_metrics(config))
 
 
 def unobserved_bases(config) -> tuple[tuple[str, str], ...]:
@@ -83,7 +84,7 @@ def spread(key: str, results: dict, config, labels):
     """``key`` ("variance" or "max_min_difference") of the dispersion of
     each base's normalized subgroup scores; the largest across bases
     decides, per-base detail goes to diagnostics. ``results`` maps (scope,
-    metric, pair index) to the other tasks' results; ``labels`` are the
+    metric, replicate) to the other tasks' results; ``labels`` are the
     synthetic subgroup labels."""
     labels = sorted(set(labels))
     worst = None

@@ -199,8 +199,10 @@ def nearest_neighbors(data: np.ndarray, width: int):
         candidate[own] = False
         rows, cols = np.divmod(np.flatnonzero(candidate), n)
         exact = gram.refine(start, rows, cols)
-        # rows come ascending, so each row's candidates keep their place
-        order = np.lexsort((cols, exact, rows))
+        # rows come ascending, so each row's candidates keep their place;
+        # within a row ``flatnonzero`` gives the columns ascending and
+        # lexsort is stable, so ties stay in index order without a cols key
+        order = np.lexsort((exact, rows))
         first = np.searchsorted(rows, np.arange(stop - start))
         take = order[first[:, None] + np.arange(width)]
         distances[start:stop], indices[start:stop] = exact[take], cols[take]
@@ -223,7 +225,8 @@ def kth_neighbor_distances(data: np.ndarray, k: int, rows=None) -> np.ndarray:
     and the walk stops once every drawn row has reached k. Every row
     outside the window lies at least as far as the window's last entry, so
     that distance is the exact k-th one; a row whose window holds fewer
-    than k drawn neighbors reads its full distance row instead."""
+    than k drawn neighbors reads its full distance row instead, which only
+    a walk that ends with rows pending pays for."""
     n = data.shape[0]
     # the set itself is the draw of every row once
     counts = draw_counts([np.arange(n)] if rows is None else rows, n)
@@ -239,13 +242,14 @@ def kth_neighbor_distances(data: np.ndarray, k: int, rows=None) -> np.ndarray:
         radii = np.where(running >= k, 0.0, np.nan)
         pending = (drawn > 0) & (running < k)
         for j in range(neighbors.shape[1]):
-            if not pending.any():
-                break
             running += drawn[:, neighbors[:, j]]
             reached = pending & (running >= k)
             np.copyto(radii, distances[:, j], where=reached)
             pending &= ~reached
-        _full_row_radii(data, drawn, k, radii, pending)
+            if not pending.any():
+                break
+        else:
+            _full_row_radii(data, drawn, k, radii, pending)
         out[start:start + drawn.shape[0]] = radii
     return out
 

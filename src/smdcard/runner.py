@@ -8,20 +8,22 @@ Binary metrics inside a region/subgroup scope compare against the reference
 rows with the same tag; slices that fail a metric's preconditions yield
 explicit undefined markers, never silent omission.
 
-``_COMPUTE`` holds one row per metric, the one place that says how it is
-computed; the runner holds no code for any one metric, and a metric's
-undefined cases live in its own function. A compute entry gets its
-metric's parameters as the config parsed them; ``plan`` checks them
-against the data. The unit of work is a task, (scope, metric, pairs): a
-metric on its scope's rows (pairs None, one pair of all rows), or one
-result per (reference rows, synthetic rows) pair; ``_task_results`` is the
-one runner of them all: a metric with a ``_BLOCKS`` form runs each task
-whose pairs all read the whole reference, with draws of one length, as
-one block, the whole synthetic set being the draw of every row once. A
-subgroup's task for a base metric carries the replicate block
-``consistency`` asks for, and, where the base is selected, the whole-set
-pair first, filed as the subgroup's own value, (scope, metric, None),
-the replicates as (scope, metric, r).
+Each metric has one row, in ``_COMPUTE`` or in ``_BLOCKS``, the one place
+that says how it is computed; the runner holds no code for any one
+metric, and a metric's undefined cases live in its own function. A
+compute entry gets its metric's parameters as the config parsed them;
+``plan`` checks them against the data. The unit of work is a task,
+(scope, metric, draws): a metric on its scope's rows (draws None), or one
+result per synthetic draw, each an index array into the scope's
+synthetic rows or None for every row once, all of one length and each
+read against the whole reference in the task's ``_Args``; a drawn
+reference is that ``_Args.real``. ``_task_results`` is the one runner of
+them all, with one rule: a ``_BLOCKS`` metric runs every task as one
+block, and a ``_COMPUTE`` metric runs draw by draw on ``resample``d
+synthetic sets. A subgroup's task for a base metric carries the
+replicate block ``consistency`` asks for, and, where the base is
+selected, the whole set first, filed as the subgroup's own value, (scope,
+metric, None), the replicates as (scope, metric, r).
 Computation is pure and each task carries its rows, so the tasks can run
 in any order and in any process. With ``workers`` above 1 the evaluate
 process forks children that work through the task list (a fork-join):
@@ -198,7 +200,7 @@ class _Args:
     """What a compute entry reads: one scope's embedding rows plus the
     run-wide inputs (table, rules, images, probabilities) where it has them,
     and for the consistency metrics the other tasks' ``results``, keyed by
-    (scope, metric, pair index)."""
+    (scope, metric, replicate)."""
     real: EmbeddingSet | None
     synthetic: EmbeddingSet
     config: EvalConfig
@@ -218,15 +220,12 @@ _COMPUTE = {
         a.real, a.synthetic),
     "earth_movers_distance": lambda a, p: congruence.wasserstein1(
         a.real, a.synthetic, **p),
-    "jensen_shannon_divergence": lambda a, p: congruence.jensen_shannon(
-        a.real, a.synthetic, **p),
     "frechet_distance": lambda a, p: congruence.frechet_distance(
         a.real, a.synthetic),
     "centroid_distance_congruence": lambda a, p: congruence.centroid_distance(
         a.real, a.synthetic),
     "precision": lambda a, p: congruence.manifold_precision(
         a.real, a.synthetic, **p),
-    "recall": lambda a, p: coverage.manifold_recall(a.real, a.synthetic, **p),
     "coverage": lambda a, p: coverage.manifold_coverage(
         a.real, a.synthetic, **p),
     "centroid_distance_coverage": lambda a, p: coverage.centroid_spread(
@@ -236,8 +235,6 @@ _COMPUTE = {
     "dpp_score": lambda a, p: coverage.dpp_logdet(a.synthetic, **p),
     "vendi_score": lambda a, p: coverage.vendi_score(a.synthetic, **p),
     "variance_coverage": lambda a, p: coverage.total_variance(a.synthetic),
-    "entropy_coverage": lambda a, p: coverage.embedding_entropy(
-        a.synthetic, **p),
     "rarity_score": lambda a, p: coverage.rarity_score(
         a.real, a.synthetic, **p),
     "cluster_balance": lambda a, p: coverage.cluster_balance(
@@ -277,9 +274,10 @@ _COMPUTE = {
 }
 
 
-#: name -> block(args, params, rows): a compute entry on many draws in one
-#: pass, one (value, diagnostics) per index array in ``rows``, all of one
-#: length, each drawing ``args.synthetic`` against all of ``args.real``.
+#: name -> block(args, params, rows): a metric on many draws in one pass,
+#: one (value, diagnostics) per index array in ``rows``, all of one length,
+#: each drawing ``args.synthetic`` against all of ``args.real``. A metric
+#: here has no ``_COMPUTE`` row.
 _BLOCKS = {
     "jensen_shannon_divergence": lambda a, p, rows:
         congruence.jensen_shannon_replicates(a.real, a.synthetic, rows, **p),
@@ -336,42 +334,36 @@ def _results(scope: str, name: str, args: _Args, compute,
 
 
 def _task_results(task: tuple, args: _Args) -> list[MetricResult]:
-    """A metric on each (reference, synthetic) pair of index arrays, None
-    for all rows (pairs None: one such pair). Where the metric has a block
-    form, pairs that all read the whole reference run as one block when
-    their draws, the whole synthetic set counting as the draw of every row
-    once, share one length."""
-    scope, name, pairs = task
-    if pairs is None:
-        pairs = ((None, None),)
-    block = _BLOCKS.get(name)
-    # the whole synthetic set is the draw of every row once
-    draws = [np.arange(args.synthetic.n) if drawn is None else drawn
-             for reference, drawn in pairs if reference is None]
-    if (block is not None and len(draws) == len(pairs)
-            and len(set(map(len, draws))) == 1):
-        return _results(scope, name, args, lambda: block(
-            args, _params(name, args.config), draws), len(draws))
+    """A metric on each synthetic draw of ``task``, an index array or None
+    for every row once (draws None: the set itself), all of one length and
+    each against the whole ``args.real``, which is where a drawn reference
+    goes. A ``_BLOCKS`` metric runs them as one block; any other runs draw
+    by draw on ``resample``d synthetic sets."""
+    scope, name, draws = task
+    draws = (None,) if draws is None else draws
+    if name in _BLOCKS:
+        # the whole synthetic set is the draw of every row once
+        rows = [np.arange(args.synthetic.n) if drawn is None else drawn
+                for drawn in draws]
+        return _results(scope, name, args, lambda: _BLOCKS[name](
+            args, _params(name, args.config), rows), len(rows))
     results = []
-    for reference, drawn in pairs:
-        paired = replace(args, real=args.real if reference is None else
-                         args.real.resample(reference),
-                         synthetic=args.synthetic if drawn is None else
-                         args.synthetic.resample(drawn))
-        results += _results(scope, name, paired,
-                            lambda: [_compute(name, paired)])
+    for drawn in draws:
+        one = args if drawn is None else replace(
+            args, synthetic=args.synthetic.resample(drawn))
+        results += _results(scope, name, one, lambda: [_compute(name, one)])
     return results
 
 
 def _result_keys(task: tuple) -> list[tuple]:
     """The key of each of ``task``'s results: (scope, metric, None) for the
-    whole-set pair, which pairs None stand for and which a replicate block
+    whole set, which draws None stand for and which a replicate block
     carries first, then (scope, metric, r) for replicate r."""
-    scope, name, pairs = task
-    pairs = pairs or ((None, None),)
-    whole = int(pairs[0][1] is None)
+    scope, name, draws = task
+    draws = (None,) if draws is None else draws
+    whole = int(draws[0] is None)
     return [(scope, name, None)] * whole + [
-        (scope, name, r) for r in range(len(pairs) - whole)]
+        (scope, name, r) for r in range(len(draws) - whole)]
 
 
 def _filter_by_label(eset: EmbeddingSet | None, attr: str, label: str):
@@ -419,7 +411,7 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
                          "(rank deficiency)")
         inputs = replace(inputs, synthetic=synthetic, real=real)
 
-    results = {}  # (scope, metric, pair index) -> MetricResult
+    results = {}  # (scope, metric, replicate) -> MetricResult
     run_args = _Args(real, synthetic, config, seed, inputs,
                      _resolve_rules(inputs, config),
                      _resolve_required_fields(inputs, config), results)
@@ -435,18 +427,18 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
     # the consistency metrics read ``results``, so they run after the pool
     after_pool = [n for n in config.metrics if catalog.descriptor(n).source
                   == catalog.SOURCE_SUBGROUP_METRICS]
-    pooled = []  # (task, args); the task is (scope, metric, pairs)
+    pooled = []  # (task, args); the task is (scope, metric, draws)
     for scope, real_slice, synth_slice in scopes:
         args = _Args(real_slice, synth_slice, config, seed, inputs)
         blocks = dict(consistency.replicate_tasks(config, scope,
                                                   synth_slice.n, seed))
-        # a selected base's own value is the whole-set pair of its block
+        # a selected base's own value is the whole-set draw of its block
         for name in embedding:
-            pairs = blocks.pop(name, None)
-            pooled.append(((scope, name, None if pairs is None
-                            else ((None, None),) + pairs), args))
-        pooled.extend(((scope, base, pairs), args)
-                      for base, pairs in blocks.items())
+            draws = blocks.pop(name, None)
+            pooled.append(((scope, name, None if draws is None
+                            else (None,) + draws), args))
+        pooled.extend(((scope, base, draws), args)
+                      for base, draws in blocks.items())
     pooled.extend((("global", name, None), run_args) for name in config.metrics
                   if name not in embedding and name not in after_pool)
     for (task, _), computed in zip(pooled, _run_tasks(pooled, workers)):
@@ -598,9 +590,11 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
     with both keeps its analytic range.
 
     Each split halves the reference set (seeded shuffle); binary metrics run
-    half against half, unary metrics run on each half. Observed values are
-    padded outward by one observed spread plus a 5% magnitude cushion,
-    clamped to the analytic floor.
+    half against half, one task per split, and unary metrics on each half,
+    one task of every split's first half and one of every second half, so
+    each task's draws share one length. Observed values are padded outward
+    by one observed spread plus a 5% magnitude cushion, clamped to the
+    analytic floor.
     """
     if real.n < 4:
         raise PlanError("reference set too small to split (need at least 4 rows)")
@@ -610,17 +604,21 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
         rng = np.random.default_rng(consistency.task_seed(seed, "calibrate", r))
         perm = rng.permutation(real.n)
         splits.append((perm[:real.n // 2], perm[real.n // 2:]))
-    args = _Args(real, real, config, seed)
+    whole = _Args(real, real, config, seed)
     values: dict[str, list[float]] = {}
     for name in config.metrics:
         d = catalog.descriptor(name)
         if d.source != catalog.SOURCE_EMBEDDING or d.static_bounds is not None:
             continue
-        pairs = splits if d.arity == "binary" else [
-            (None, half) for split in splits for half in split]
-        for result in _task_results(("global", name, tuple(pairs)), args):
-            if result.value is not None and math.isfinite(result.value):
-                values.setdefault(name, []).append(result.value)
+        if d.arity == "binary":  # half against half, one split at a time
+            tasks = ((None, _Args(real.resample(a), real.resample(b),
+                                  config, seed)) for a, b in splits)
+        else:  # every first half, then every second half
+            tasks = ((halves, whole) for halves in zip(*splits))
+        for draws, args in tasks:
+            for result in _task_results(("global", name, draws), args):
+                if result.value is not None and math.isfinite(result.value):
+                    values.setdefault(name, []).append(result.value)
     bounds = {}
     for name, observed in sorted(values.items()):
         vmin, vmax = min(observed), max(observed)

@@ -524,8 +524,8 @@ class TestAnovaReplicates:
     def test_observed_value_from_block_equals_direct_call(
             self, monkeypatch, bins, workers):
         # every scope's recall and JSD run through their block form, in a
-        # subgroup's replicate block as the whole-set pair where anova is
-        # selected, else as a block of that pair alone, and read as direct
+        # subgroup's replicate block as the whole-set draw where anova is
+        # selected, else as a block of that draw alone, and read as direct
         # calls on the scope's slices would: "noref" has no reference rows,
         # "small" too few rows for recall's k=3, and bins 0 makes every JSD
         # undefined
@@ -584,11 +584,11 @@ class TestAnovaReplicates:
         name for name in _EMBEDDING_METRICS if name not in runner._BLOCKS])
     def test_block_markers_equal_per_replicate_markers(self, monkeypatch,
                                                        name):
-        # every pair's result is the metric's ``_results`` on the two drawn
-        # sets; a block metric runs whole-reference draws of one length in
-        # one pass, with the markers a task per replicate would give: a
-        # subgroup without reference rows, a subgroup too small for k, and
-        # an error inside a block
+        # every draw's result is the metric's ``_results`` on the drawn
+        # synthetic set; a block metric runs every task in one pass, with
+        # the markers a task per replicate would give: a subgroup without
+        # reference rows, a subgroup too small for k, and an error inside a
+        # block
         synth = make_gaussian_mixture(20, 3, TWO_MODES, seed=5)
         real = make_gaussian_mixture(24, 3, TWO_MODES, seed=7)
         cfg = config_from_dict({"metrics": [name, "anova"],
@@ -604,27 +604,16 @@ class TestAnovaReplicates:
             monkeypatch.setitem(runner._BLOCKS, name, counted)
         rng = np.random.default_rng(8)
         args = runner._Args(real, synth, cfg, 0)
-        # drawn on both sides, with repeats, unequal lengths and one-row
-        # draws: never one pass
-        drawn = ((rng.integers(24, size=24), rng.integers(20, size=20)),
-                 (None, rng.integers(20, size=7)),
-                 (rng.integers(24, size=5), None),
-                 (np.array([3]), rng.integers(20, size=20)),
-                 (rng.integers(24, size=24), np.array([5])))
-        # draws of one length, one of them on a drawn reference, and the
-        # whole reference against draws of two lengths: never one pass
-        referenced = ((rng.integers(24, size=24), rng.integers(20, size=20)),
-                      (None, rng.integers(20, size=20)))
-        unequal = ((None, rng.integers(20, size=20)),
-                   (None, rng.integers(20, size=9)))
-        # the whole reference against draws of one length below k + 1
-        short = ((None, rng.integers(20, size=3)),
-                 (None, np.array([4, 4, 4])))
-        for pairs in (drawn, referenced, unequal, short):
-            task = ("global", name, pairs)
+        # the whole set and bootstrap draws of its length, with repeats
+        bootstrap = (None,) + tuple(rng.integers(20, size=20)
+                                    for _ in range(3))
+        # draws of one length below k + 1
+        short = (rng.integers(20, size=3), np.array([4, 4, 4]))
+        for draws in (bootstrap, short):
+            task = ("global", name, draws)
             assert (repr(_summary(runner._task_results(task, args)))
-                    == repr(_summary(_per_pair_results(task, args))))
-        assert blocks == ([2] if name in runner._BLOCKS else [])
+                    == repr(_summary(_per_draw_results(task, args))))
+        assert blocks == ([4, 2] if name in runner._BLOCKS else [])
         if name not in runner._BLOCKS:
             return
 
@@ -644,7 +633,7 @@ class TestAnovaReplicates:
         blocks.clear()
         block = runner._task_results(tiny_task, tiny)
         assert blocks == [4]
-        assert _summary(block) == _summary(_per_pair_results(tiny_task, tiny))
+        assert _summary(block) == _summary(_per_draw_results(tiny_task, tiny))
         if name == "recall":
             assert [r.diagnostics for r in block] == [{
                 "undefined_reason": "insufficient samples: k=3 out of range: "
@@ -654,11 +643,8 @@ class TestAnovaReplicates:
         def fail(*args, **kwargs):
             raise EvaluationError("too few rows")
         for module, function in ((congruence, "jensen_shannon_replicates"),
-                                 (congruence, "jensen_shannon"),
                                  (coverage, "embedding_entropy_replicates"),
-                                 (coverage, "embedding_entropy"),
-                                 (coverage, "manifold_recall_replicates"),
-                                 (coverage, "manifold_recall")):
+                                 (coverage, "manifold_recall_replicates")):
             monkeypatch.setattr(module, function, fail)
         failed = runner._task_results(task, runner._Args(synth, synth, cfg, 0))
         assert [(r.value, r.scope, r.diagnostics) for r in failed] == [(
@@ -669,22 +655,32 @@ class TestAnovaReplicates:
 def _block_task(cfg, n):
     """The one replicate block ``consistency`` gives subgroup "a" of ``n``
     synthetic rows at seed 0, as a runner task."""
-    (base, pairs), = consistency.replicate_tasks(cfg, "subgroup:a", n, 0)
-    return "subgroup:a", base, pairs
+    (base, draws), = consistency.replicate_tasks(cfg, "subgroup:a", n, 0)
+    return "subgroup:a", base, draws
 
 
-def _per_pair_results(task, args):
-    """A task's results as one computation per pair on its two ``resample``d
-    sets, through the same undefined-marker rules."""
-    scope, name, pairs = task
+#: Each block metric's single-set function, the oracle of its block form.
+_SINGLE_SET = {
+    "jensen_shannon_divergence": lambda a, p: congruence.jensen_shannon(
+        a.real, a.synthetic, **p),
+    "recall": lambda a, p: coverage.manifold_recall(a.real, a.synthetic, **p),
+    "entropy_coverage": lambda a, p: coverage.embedding_entropy(
+        a.synthetic, **p),
+}
+
+
+def _per_draw_results(task, args):
+    """A task's results as one computation per draw on its ``resample``d
+    synthetic set, a block metric through its single-set function, through
+    the same undefined-marker rules."""
+    scope, name, draws = task
+    compute = {**runner._COMPUTE, **_SINGLE_SET}[name]
     results = []
-    for reference, drawn in pairs:
-        paired = replace(args, real=args.real if reference is None or
-                         args.real is None else args.real.resample(reference),
-                         synthetic=args.synthetic if drawn is None
-                         else args.synthetic.resample(drawn))
-        results += runner._results(scope, name, paired, lambda: [
-            runner._compute(name, paired)])
+    for drawn in draws:
+        one = args if drawn is None else replace(
+            args, synthetic=args.synthetic.resample(drawn))
+        results += runner._results(scope, name, one, lambda: [
+            compute(one, runner._params(name, one.config))])
     return results
 
 
@@ -1016,6 +1012,58 @@ class TestCalibration:
         assert hashlib.sha256(repr(sorted(bounds.items())).encode()
                               ).hexdigest() == digest
 
+    _BLOCK_METRICS = ["jensen_shannon_divergence", "recall",
+                      "entropy_coverage"]
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_block_metrics_never_run_single_set_functions(
+            self, monkeypatch, pair, n):
+        # a calibration self-split, odd halves included, and an evaluation
+        # with replicates run a block metric only through its block form
+        def fail(*args, **kwargs):
+            raise AssertionError("a single-set function ran")
+        for module, function in ((congruence, "jensen_shannon"),
+                                 (coverage, "manifold_recall"),
+                                 (coverage, "embedding_entropy")):
+            monkeypatch.setattr(module, function, fail)
+        bounds = calibrate_bounds(
+            make_gaussian_mixture(n, 3, TWO_MODES, seed=n),
+            config_from_dict({"metrics": self._BLOCK_METRICS, "seed": 5}))
+        assert set(bounds) == {"entropy_coverage"}
+        real, synth = pair
+        report = run_evaluation(
+            EvaluationInputs(synthetic=synth, real=real), _embedding_config(
+                metrics=self._BLOCK_METRICS + ["anova"],
+                bounds={"entropy_coverage": [0, 5]},
+                consistency={"base_metrics": self._BLOCK_METRICS,
+                             "bootstrap_replicates": 5}))
+        assert report.criterion("consistency").metrics[0]["value"] is not None
+
+    def test_one_block_per_task_at_odd_n(self, monkeypatch):
+        # entropy runs every split's first half, then every second half,
+        # as two blocks of 5 draws of one length each; a binary metric runs
+        # one 1-draw block per split, on the drawn halves. JSD and recall
+        # have two analytic ends, which calibrate keeps, so their upper
+        # ends are opened here to make them run
+        blocks = []
+        for name, one_pass in list(runner._BLOCKS.items()):
+            def counted(args, params, rows, name=name, one_pass=one_pass):
+                blocks.append((name, [len(r) for r in rows],
+                               args.real.n, args.synthetic.n))
+                return one_pass(args, params, rows)
+            monkeypatch.setitem(runner._BLOCKS, name, counted)
+        descriptor = catalog.descriptor
+        monkeypatch.setattr(catalog, "descriptor", lambda name: replace(
+            descriptor(name), range=(descriptor(name).range[0], None)))
+        bounds = calibrate_bounds(
+            make_gaussian_mixture(41, 3, TWO_MODES, seed=41),
+            config_from_dict({"metrics": self._BLOCK_METRICS, "seed": 5}))
+        assert set(bounds) == set(self._BLOCK_METRICS)
+        assert blocks == [(name, [21], 20, 21) for name in (
+            "jensen_shannon_divergence", "recall") for _ in range(5)] + [
+            ("entropy_coverage", [20] * 5, 41, 41),
+            ("entropy_coverage", [21] * 5, 41, 41)]
+
     def test_too_small_to_split(self):
         tiny = make_gaussian_mixture(3, 2, TWO_MODES, seed=74)
         with pytest.raises(Exception, match="too small"):
@@ -1028,10 +1076,11 @@ class TestCatalogDispatch:
     def test_one_compute_entry_per_task_metric(self):
         # manifest metrics are scored when the card is built; every other
         # computable metric, the subgroup metrics included, runs as a task
-        # through exactly one compute entry
+        # through exactly one compute or block entry
         expected = {d.name for d in catalog.REGISTRY.values()
                     if d.computable and d.source != catalog.SOURCE_MANIFEST}
-        assert set(runner._COMPUTE) == expected
+        assert not set(runner._COMPUTE) & set(runner._BLOCKS)
+        assert set(runner._COMPUTE) | set(runner._BLOCKS) == expected
 
     def test_bounds_source_follows_descriptor(self):
         cfg = config_from_dict({"metrics": ["cosine_similarity"]})
@@ -1060,10 +1109,9 @@ class TestCatalogDispatch:
         # the subgroup metrics read the other tasks' results: none here
         args = runner._Args(inputs.real, inputs.synthetic, cfg, 0, inputs,
                             rules, ("age", "sex"), results={})
-        for name in runner._COMPUTE:
+        for name in list(runner._COMPUTE) + list(runner._BLOCKS):
             d = catalog.descriptor(name)
-            result, = runner._results("global", name, args, lambda: [
-                runner._compute(name, args)])
+            result, = runner._task_results(("global", name, None), args)
             bounds = result.diagnostics.get("default_bounds")
             assert (bounds is not None) == (d.data_bounds is not None), name
             if d.data_bounds == "rows":
