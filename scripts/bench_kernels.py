@@ -24,10 +24,9 @@ identical. ``ball_query_replicates`` is that block's membership test
 alone: one ``ball_query`` of the reference rows against the 50
 replicates' balls, radii given by ``kth_neighbor_distances``.
 Each is timed at n rows by d dimensions per set; BLAS runs on one thread,
-as in ``perfbench``. ``control`` sorts a seeded array of 200,000 doubles,
-a computation outside this package that no change to it touches: a host
-speed phase shifts it with the other rows, so read each row against it
-when comparing runs. ``read_record_table`` reads a seeded record table of
+as in ``perfbench``. Host speed drifts between runs, so compare two
+checkouts by alternating runs of one with runs of the other.
+``read_record_table`` reads a seeded record table of
 n rows and d columns (4 numeric, 4 categorical, 2% of cells masked) shaped
 like perfbench's ``record_table`` inputs, and ``read_embeddings`` a seeded
 embedding file of n rows by d features with a subgroup column; both files
@@ -100,7 +99,6 @@ CATEGORICAL_FIELDS = {"sex": ["F", "M"], "site": ["A", "B", "C", "D"],
                              "none"]}
 EMBEDDING_FILE_SIZE = (600, 16)
 CALIBRATE_SIZE = (1001, 16)
-CONTROL_SIZE = 200_000
 MIN_REPEATS, MIN_SECONDS = 5, 0.5
 END_TO_END_REPEATS, END_TO_END_SECONDS = 20, 3.0
 
@@ -129,7 +127,7 @@ def _anova_fixture():
 
 def _pooled_tasks(inputs, config) -> list:
     """The (task, args) list ``run_evaluation`` hands ``runner._run_tasks``,
-    each task (scope, metric, draws)."""
+    each task (scope, metric, replicates)."""
     captured = []
     run_tasks = runner._run_tasks
 
@@ -207,8 +205,6 @@ def main() -> None:
         lambda: runner.calibrate_bounds(reference, embedding), 1,
         END_TO_END_REPEATS, END_TO_END_SECONDS)
 
-    control = np.random.default_rng(CONTROL_SIZE).normal(size=CONTROL_SIZE)
-    record("control", CONTROL_SIZE, 1, lambda: np.sort(control))
     with tempfile.TemporaryDirectory() as directory:
         paths = _write_inputs(directory)
         schema = {**dict.fromkeys(NUMERIC_FIELDS, "numeric"),

@@ -7,7 +7,9 @@ thresholds (defaults: good at 80 and above, moderate in [70, 80), low
 below 70 - configurable per application).
 
 Undefined metrics are excluded with their weight renormalized away rather
-than scored zero: a missing measurement is not evidence of poor quality.
+than scored zero: a missing measurement is not evidence of poor quality. A
+criterion left with no positively weighted defined metric is not
+evaluated.
 """
 
 from __future__ import annotations
@@ -79,16 +81,16 @@ def normalize(result: MetricResult, bounds: tuple[float, float] | None):
 def aggregate_criterion(normalized: list[float], weights: list[float],
                         mode: str = "arithmetic") -> float:
     """Weighted mean of normalized scores; weights renormalize over the
-    supplied (defined) values. Geometric mode floors values at 0.01 before
-    the log so a single zero cannot erase the criterion."""
+    supplied (defined) values, whose total must be positive. Geometric mode
+    floors values at 0.01 before the log so a single zero cannot erase the
+    criterion."""
     if not normalized:
         raise PlanError("cannot aggregate an empty criterion")
     if len(weights) != len(normalized):
         raise PlanError("weights and values differ in length")
     total = sum(weights)
     if total <= 0:
-        weights = [1.0] * len(normalized)
-        total = float(len(normalized))
+        raise PlanError("cannot aggregate a criterion whose weights sum to 0")
     shares = [w / total for w in weights]
     if mode == "arithmetic":
         return sum(s * v for s, v in zip(shares, normalized))
@@ -293,7 +295,9 @@ def assemble_report(results: list[MetricResult], config, seed: int,
                 else:
                     normalized_values.append(r.normalized)
                     weights.append(weight)
-            if normalized_values:
+            # the config's rule, applied after exclusion: no positive
+            # weight, no score
+            if sum(weights) > 0:
                 score = aggregate_criterion(normalized_values, weights,
                                             config.aggregation)
             else:

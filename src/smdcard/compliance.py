@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DECLARED_KEYS
 from .errors import EvaluationError
-from .model import EmbeddingSet, RecordTable
+from .model import EmbeddingSet, RecordTable, check_dims
 from .numerics import ball_query, kth_neighbor_distances, w1_distance_1d
 
 
@@ -124,9 +124,7 @@ def leakage_rate(real: EmbeddingSet, synthetic: EmbeddingSet,
     Default tau: 1st percentile of reference-to-reference nearest-neighbor
     distances, self excluded.
     """
-    if real.d != synthetic.d:
-        raise EvaluationError(f"dimension mismatch: real d={real.d}, "
-                              f"synthetic d={synthetic.d}")
+    check_dims(real, synthetic)
     if tau is None:
         if real.n < 2:
             raise EvaluationError("defaulting tau needs at least 2 reference "

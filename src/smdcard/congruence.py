@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import EvaluationError
-from .model import EmbeddingSet
+from .model import EmbeddingSet, check_dims
 from .numerics import (ball_query, dimension_histograms, dimension_means,
                        draw_counts, jsd_rows, kth_neighbor_distances,
                        pairwise_distances, w1_distance_1d)
@@ -27,15 +27,9 @@ FRECHET_REGULARIZATION = 1e-6  # ridge added to both covariances
 SSIM_WINDOW = 8  # side of the square SSIM patches
 
 
-def _check_dims(real: EmbeddingSet, synthetic: EmbeddingSet) -> None:
-    if real.d != synthetic.d:
-        raise EvaluationError(f"dimension mismatch: real d={real.d}, "
-                              f"synthetic d={synthetic.d}")
-
-
 def cosine_centroid(real: EmbeddingSet, synthetic: EmbeddingSet):
     """Cosine of the angle between the two dataset mean vectors."""
-    _check_dims(real, synthetic)
+    check_dims(real, synthetic)
     mu_r = real.data.mean(axis=0)
     mu_s = synthetic.data.mean(axis=0)
     norm_r = float(np.linalg.norm(mu_r))
@@ -55,7 +49,7 @@ def wasserstein1(real: EmbeddingSet, synthetic: EmbeddingSet,
     exact-matching: min-cost perfect matching under Euclidean ground distance
     (equal sample counts, n <= 512).
     """
-    _check_dims(real, synthetic)
+    check_dims(real, synthetic)
     if mode == "per-dimension-average":
         per_dim = [w1_distance_1d(real.data[:, j], synthetic.data[:, j])
                    for j in range(real.d)]
@@ -93,7 +87,7 @@ def jensen_shannon_replicates(real: EmbeddingSet, synthetic: EmbeddingSet,
     array ``r`` in ``rows``, or of ``synthetic`` itself when ``rows`` is
     None: one (value, diagnostics) per row set. Each row set is its draw
     counts, so the block sorts each dimension of the two sets once."""
-    _check_dims(real, synthetic)
+    check_dims(real, synthetic)
     counts = None if rows is None else draw_counts(rows, synthetic.n)
     (p, q), bin_counts = dimension_histograms(
         ((real.data, None), (synthetic.data, counts)), bins)
@@ -119,7 +113,7 @@ def frechet_distance(real: EmbeddingSet, synthetic: EmbeddingSet):
     within 1e-8 is clamped to zero. Undefined (None) when a set has fewer
     than 2 rows, as a covariance needs two.
     """
-    _check_dims(real, synthetic)
+    check_dims(real, synthetic)
     if real.n < 2 or synthetic.n < 2:
         return None, {"undefined_reason": "insufficient samples (need at "
                                           "least 2 rows per set)"}
@@ -161,6 +155,7 @@ def manifold_precision(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
     Ball radius: distance from a reference point to its kth reference
     neighbor (self excluded); membership uses closed balls.
     """
+    check_dims(real, synthetic)
     (smallest,), _ = ball_query(synthetic.data, real.data,
                                 kth_neighbor_distances(real.data, k))
     inside = np.isfinite(smallest)
@@ -169,7 +164,7 @@ def manifold_precision(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
 
 def centroid_distance(real: EmbeddingSet, synthetic: EmbeddingSet):
     """Euclidean distance between the dataset centroids."""
-    _check_dims(real, synthetic)
+    check_dims(real, synthetic)
     mu_r = real.data.mean(axis=0)
     mu_s = synthetic.data.mean(axis=0)
     return float(np.linalg.norm(mu_r - mu_s)), {}

@@ -31,16 +31,17 @@ def base_metrics(config) -> tuple[str, ...]:
 
 
 def replicate_tasks(config, scope: str, n: int, seed: int) -> tuple:
-    """(base metric, draws) of each replicate block of ``scope``: every
-    base shares ``draws``, one array of rows into the scope's ``n``
-    synthetic rows per replicate. Only ``anova`` reads replicates, of
+    """(base metric, replicates) of each replicate block of ``scope``:
+    every base shares ``replicates``, one array of rows into the scope's
+    ``n`` synthetic rows per replicate, which the runner's task for that
+    base runs after the set itself. Only ``anova`` reads replicates, of
     subgroups."""
     kind, _, label = scope.partition(":")
     if "anova" not in config.metrics or kind != "subgroup":
         return ()
-    draws = tuple(replicate_rows(n, label, r, seed)
-                  for r in range(config.bootstrap_replicates))
-    return tuple((base, draws) for base in base_metrics(config))
+    replicates = tuple(replicate_rows(n, label, r, seed)
+                       for r in range(config.bootstrap_replicates))
+    return tuple((base, replicates) for base in base_metrics(config))
 
 
 def unobserved_bases(config) -> tuple[tuple[str, str], ...]:

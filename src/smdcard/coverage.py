@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import EvaluationError
-from .model import EmbeddingSet
+from .model import EmbeddingSet, check_dims
 from .numerics import (ball_query, dimension_histograms, dimension_means,
                        draw_counts, entropy_rows, kth_neighbor_distances,
                        pairwise_distances, pca_fit, shannon_entropy)
@@ -32,6 +32,7 @@ def manifold_recall_replicates(real: EmbeddingSet, synthetic: EmbeddingSet,
     None: the synthetic rows' neighbor distances and the
     reference-to-synthetic distances are measured once for the whole block,
     and each row set looks its balls up in them."""
+    check_dims(real, synthetic)
     radii = kth_neighbor_distances(synthetic.data, k, rows)
     smallest, _ = ball_query(real.data, synthetic.data, radii)
     return [(float(inside.mean()), {"k": k, "inside": int(inside.sum())})
@@ -41,6 +42,7 @@ def manifold_recall_replicates(real: EmbeddingSet, synthetic: EmbeddingSet,
 def manifold_coverage(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 5):
     """Fraction of reference points whose own reference kNN ball contains a
     synthetic point."""
+    check_dims(real, synthetic)
     _, inside = ball_query(synthetic.data, real.data,
                            kth_neighbor_distances(real.data, k))
     return float(inside.mean()), {"k": k, "inside": int(inside.sum())}
@@ -167,6 +169,7 @@ def rarity_score(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
     """Mean radius of the smallest reference kNN ball containing each
     synthetic point; points outside every ball are excluded from the mean
     and reported as the out-of-manifold fraction."""
+    check_dims(real, synthetic)
     (smallest,), _ = ball_query(synthetic.data, real.data,
                                 kth_neighbor_distances(real.data, k))
     scores = smallest[np.isfinite(smallest)]
@@ -273,9 +276,7 @@ def inception_style_score(class_probs: np.ndarray):
 def centroid_spread(real: EmbeddingSet, synthetic: EmbeddingSet):
     """Mean distance from synthetic points to the reference centroid
     (spread proxy; contrast with the congruence-side centroid distance)."""
-    if real.d != synthetic.d:
-        raise EvaluationError(f"dimension mismatch: real d={real.d}, "
-                              f"synthetic d={synthetic.d}")
+    check_dims(real, synthetic)
     mu_r = real.data.mean(axis=0)
     dists = np.linalg.norm(synthetic.data - mu_r, axis=1)
     return float(dists.mean()), {}

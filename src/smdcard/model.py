@@ -15,7 +15,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .catalog import MetricDescriptor, descriptor
-from .errors import InputError
+from .errors import EvaluationError, InputError
 
 COLUMN_KINDS = ("numeric", "categorical", "text")
 
@@ -102,6 +102,13 @@ class EmbeddingSet:
             subgroup=tuple(self.subgroup[i] for i in idx) if self.subgroup else None,
             region=tuple(self.region[i] for i in idx) if self.region else None,
         )
+
+
+def check_dims(real: EmbeddingSet, synthetic: EmbeddingSet) -> None:
+    """Every binary embedding metric's first check: one dimension d."""
+    if real.d != synthetic.d:
+        raise EvaluationError(f"dimension mismatch: real d={real.d}, "
+                              f"synthetic d={synthetic.d}")
 
 
 def _encode(cells) -> tuple[np.ndarray, tuple[str, ...]]:

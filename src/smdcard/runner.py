@@ -13,17 +13,16 @@ that says how it is computed; the runner holds no code for any one
 metric, and a metric's undefined cases live in its own function. A
 compute entry gets its metric's parameters as the config parsed them;
 ``plan`` checks them against the data. The unit of work is a task,
-(scope, metric, draws): a metric on its scope's rows (draws None), or one
-result per synthetic draw, each an index array into the scope's
-synthetic rows or None for every row once, all of one length and each
-read against the whole reference in the task's ``_Args``; a drawn
-reference is that ``_Args.real``. ``_task_results`` is the one runner of
-them all, with one rule: a ``_BLOCKS`` metric runs every task as one
-block, and a ``_COMPUTE`` metric runs draw by draw on ``resample``d
-synthetic sets. A subgroup's task for a base metric carries the
-replicate block ``consistency`` asks for, and, where the base is
-selected, the whole set first, filed as the subgroup's own value, (scope,
-metric, None), the replicates as (scope, metric, r).
+(scope, metric, replicates): a metric on its scope's synthetic set, then
+on each replicate draw, an index array of the set's length into its rows,
+each read against the whole reference in the task's ``_Args``; a drawn
+reference is that ``_Args.real``. Its results are keyed (scope, metric,
+None) for the set, then (scope, metric, r) for replicate r.
+``_task_results`` is the one runner of them all, with one rule: a
+``_BLOCKS`` metric runs every task as one block led by the set itself,
+and a ``_COMPUTE`` metric runs on the set, then on each ``resample``d
+replicate. A subgroup's task for each base metric carries the replicate
+block ``consistency`` asks for; every other task has none.
 Computation is pure and each task carries its rows, so the tasks can run
 in any order and in any process. With ``workers`` above 1 the evaluate
 process forks children that work through the task list (a fork-join):
@@ -334,36 +333,28 @@ def _results(scope: str, name: str, args: _Args, compute,
 
 
 def _task_results(task: tuple, args: _Args) -> list[MetricResult]:
-    """A metric on each synthetic draw of ``task``, an index array or None
-    for every row once (draws None: the set itself), all of one length and
-    each against the whole ``args.real``, which is where a drawn reference
-    goes. A ``_BLOCKS`` metric runs them as one block; any other runs draw
-    by draw on ``resample``d synthetic sets."""
-    scope, name, draws = task
-    draws = (None,) if draws is None else draws
+    """A metric on ``args.synthetic``, then on each of ``task``'s
+    replicates, index arrays of the set's length, each against the whole
+    ``args.real``, which is where a drawn reference goes. A ``_BLOCKS``
+    metric runs them as one block, the set itself as the draw of every row
+    once; any other runs on the set, then on each ``resample``d draw."""
+    scope, name, replicates = task
     if name in _BLOCKS:
-        # the whole synthetic set is the draw of every row once
-        rows = [np.arange(args.synthetic.n) if drawn is None else drawn
-                for drawn in draws]
+        rows = [np.arange(args.synthetic.n), *replicates]
         return _results(scope, name, args, lambda: _BLOCKS[name](
             args, _params(name, args.config), rows), len(rows))
-    results = []
-    for drawn in draws:
-        one = args if drawn is None else replace(
-            args, synthetic=args.synthetic.resample(drawn))
+    results = _results(scope, name, args, lambda: [_compute(name, args)])
+    for drawn in replicates:  # one drawn set at a time
+        one = replace(args, synthetic=args.synthetic.resample(drawn))
         results += _results(scope, name, one, lambda: [_compute(name, one)])
     return results
 
 
 def _result_keys(task: tuple) -> list[tuple]:
     """The key of each of ``task``'s results: (scope, metric, None) for the
-    whole set, which draws None stand for and which a replicate block
-    carries first, then (scope, metric, r) for replicate r."""
-    scope, name, draws = task
-    draws = (None,) if draws is None else draws
-    whole = int(draws[0] is None)
-    return [(scope, name, None)] * whole + [
-        (scope, name, r) for r in range(len(draws) - whole)]
+    set itself, then (scope, metric, r) for replicate r."""
+    scope, name, replicates = task
+    return [(scope, name, r) for r in (None, *range(len(replicates)))]
 
 
 def _filter_by_label(eset: EmbeddingSet | None, attr: str, label: str):
@@ -427,25 +418,20 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
     # the consistency metrics read ``results``, so they run after the pool
     after_pool = [n for n in config.metrics if catalog.descriptor(n).source
                   == catalog.SOURCE_SUBGROUP_METRICS]
-    pooled = []  # (task, args); the task is (scope, metric, draws)
+    pooled = []  # (task, args); the task is (scope, metric, replicates)
     for scope, real_slice, synth_slice in scopes:
         args = _Args(real_slice, synth_slice, config, seed, inputs)
         blocks = dict(consistency.replicate_tasks(config, scope,
                                                   synth_slice.n, seed))
-        # a selected base's own value is the whole-set draw of its block
-        for name in embedding:
-            draws = blocks.pop(name, None)
-            pooled.append(((scope, name, None if draws is None
-                            else (None,) + draws), args))
-        pooled.extend(((scope, base, draws), args)
-                      for base, draws in blocks.items())
-    pooled.extend((("global", name, None), run_args) for name in config.metrics
+        pooled.extend(((scope, name, blocks.get(name, ())), args)
+                      for name in dict.fromkeys([*embedding, *blocks]))
+    pooled.extend((("global", name, ()), run_args) for name in config.metrics
                   if name not in embedding and name not in after_pool)
     for (task, _), computed in zip(pooled, _run_tasks(pooled, workers)):
         results.update(zip(_result_keys(task), computed))
     for name in after_pool:
-        task = ("global", name, None)
-        results[task] = _task_results(task, run_args)[0]
+        task = ("global", name, ())
+        results.update(zip(_result_keys(task), _task_results(task, run_args)))
 
     rules = run_args.rules
     if len(rules):
@@ -453,8 +439,10 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
                      f"({rules.source})")
 
     declared = compliance.declared_privacy_record(config)
-    return assemble_report([result for (_, _, replicate), result
-                            in results.items() if replicate is None],
+    # an ``anova`` base outside ``metrics`` reports nothing
+    return assemble_report([result for (_, name, replicate), result
+                            in results.items() if replicate is None
+                            and name in config.metrics],
                            config, seed, digest, dict(TOOL),
                            declared_privacy=declared, notes=notes)
 
@@ -590,11 +578,10 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
     with both keeps its analytic range.
 
     Each split halves the reference set (seeded shuffle); binary metrics run
-    half against half, one task per split, and unary metrics on each half,
-    one task of every split's first half and one of every second half, so
-    each task's draws share one length. Observed values are padded outward
-    by one observed spread plus a 5% magnitude cushion, clamped to the
-    analytic floor.
+    half against half and unary metrics on each half alone, every one a
+    task with no replicates. Observed values are padded outward by one
+    observed spread plus a 5% magnitude cushion, clamped to the analytic
+    floor.
     """
     if real.n < 4:
         raise PlanError("reference set too small to split (need at least 4 rows)")
@@ -604,19 +591,18 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
         rng = np.random.default_rng(consistency.task_seed(seed, "calibrate", r))
         perm = rng.permutation(real.n)
         splits.append((perm[:real.n // 2], perm[real.n // 2:]))
-    whole = _Args(real, real, config, seed)
     values: dict[str, list[float]] = {}
     for name in config.metrics:
         d = catalog.descriptor(name)
         if d.source != catalog.SOURCE_EMBEDDING or d.static_bounds is not None:
             continue
-        if d.arity == "binary":  # half against half, one split at a time
-            tasks = ((None, _Args(real.resample(a), real.resample(b),
-                                  config, seed)) for a, b in splits)
-        else:  # every first half, then every second half
-            tasks = ((halves, whole) for halves in zip(*splits))
-        for draws, args in tasks:
-            for result in _task_results(("global", name, draws), args):
+        # one split's halves at a time
+        halves = ((real.resample(a), real.resample(b)) for a, b in splits)
+        pairs = halves if d.arity == "binary" else (
+            (None, half) for pair in halves for half in pair)
+        for pair in pairs:
+            for result in _task_results(("global", name, ()),
+                                        _Args(*pair, config, seed)):
                 if result.value is not None and math.isfinite(result.value):
                     values.setdefault(name, []).append(result.value)
     bounds = {}

@@ -8,7 +8,8 @@ from smdcard.aggregate import (QualityReport, aggregate_criterion,
 from smdcard.config import config_from_dict
 from smdcard.errors import PlanError
 from smdcard.ingest import dumps_canonical
-from smdcard.model import make_result, undefined_result
+from smdcard.model import EmbeddingSet, make_result, undefined_result
+from smdcard.runner import EvaluationInputs, run_evaluation
 
 THRESHOLDS = {"good": 80.0, "moderate": 70.0}
 
@@ -91,6 +92,12 @@ class TestAggregateCriterion:
         value = aggregate_criterion([0.0, 100.0], [1.0, 1.0], mode="geometric")
         assert value == pytest.approx(1.0)  # sqrt(0.01 * 100)
 
+    @pytest.mark.parametrize("mode", ["arithmetic", "geometric"])
+    def test_zero_total_weight_rejected(self, mode):
+        # no fallback to equal weights
+        with pytest.raises(PlanError, match="weights sum to 0"):
+            aggregate_criterion([60.0, 90.0], [0.0, 0.0], mode=mode)
+
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_arithmetic_within_input_range(self, values):
@@ -161,6 +168,26 @@ class TestAssembleReport:
         assert block.excluded == 1
         assert block.score == pytest.approx(100.0)
         assert any("too small" in n for n in report.notes)
+
+    def test_no_positive_weight_left_is_not_evaluated(self):
+        # the defined metric has weight 0 and the weighted one is undefined
+        # (the reference centroid is the zero vector): the criterion is not
+        # scored from the weight-0 metric alone
+        real = EmbeddingSet(tuple("abcd"), [[1.0, 0.0], [-1.0, 0.0],
+                                            [0.0, 2.0], [0.0, -2.0]])
+        synthetic = EmbeddingSet(tuple("wxyz"), [[1.0, 1.0], [2.0, 1.0],
+                                                 [1.0, 3.0], [2.0, 3.0]])
+        cfg = config_from_dict({
+            "metrics": ["cosine_similarity", "centroid_distance_congruence"],
+            "weights": {"centroid_distance_congruence": 0},
+            "bounds": {"centroid_distance_congruence": [0, 10]}})
+        report = run_evaluation(
+            EvaluationInputs(synthetic=synthetic, real=real), cfg)
+        block = report.criterion("congruence")
+        assert [(m["name"], m["value"] is None) for m in block.metrics] == [
+            ("cosine_similarity", True),
+            ("centroid_distance_congruence", False)]
+        assert (block.score, block.verdict) == (None, "not evaluated")
 
     def test_duplicate_metric_in_scope_rejected(self):
         results = [make_result("cosine_similarity", 1.0),

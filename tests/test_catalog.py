@@ -3,10 +3,12 @@ import inspect
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from smdcard import catalog, compliance, congruence, coverage, runner
-from smdcard.errors import ConfigError
+from smdcard.errors import ConfigError, EvaluationError
+from smdcard.model import EmbeddingSet
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "metric_catalog_golden.csv"
 README = pathlib.Path(__file__).parents[1] / "README.md"
@@ -121,3 +123,40 @@ def test_metric_function_defaults_equal_catalog_defaults():
             for key, _, _ in descriptor.params:
                 assert (parameters[key].default
                         == descriptor.default(key)), (name, function, key)
+
+
+#: The public functions of each binary embedding metric.
+_BINARY_EMBEDDING_FUNCTIONS = {
+    "cosine_similarity": (congruence.cosine_centroid,),
+    "earth_movers_distance": (congruence.wasserstein1,),
+    "jensen_shannon_divergence": (congruence.jensen_shannon,
+                                  congruence.jensen_shannon_replicates),
+    "frechet_distance": (congruence.frechet_distance,),
+    "centroid_distance_congruence": (congruence.centroid_distance,),
+    "precision": (congruence.manifold_precision,),
+    "recall": (coverage.manifold_recall, coverage.manifold_recall_replicates),
+    "coverage": (coverage.manifold_coverage,),
+    "centroid_distance_coverage": (coverage.centroid_spread,),
+    "rarity_score": (coverage.rarity_score,),
+    "re_identification_risk": (compliance.leakage_rate,),
+}
+
+
+def test_binary_embedding_functions_listed():
+    assert set(_BINARY_EMBEDDING_FUNCTIONS) == {
+        d.name for d in catalog.REGISTRY.values()
+        if d.source == catalog.SOURCE_EMBEDDING and d.arity == "binary"}
+
+
+@pytest.mark.parametrize("function", [
+    f for functions in _BINARY_EMBEDDING_FUNCTIONS.values()
+    for f in functions], ids=lambda f: f.__name__)
+def test_dimension_mismatch_is_one_evaluation_error(function):
+    # a direct call, which no plan check guards, names both dimensions
+    rng = np.random.default_rng(12)
+    ids = tuple(str(i) for i in range(10))
+    real = EmbeddingSet(ids, rng.normal(size=(10, 2)))
+    synthetic = EmbeddingSet(ids, rng.normal(size=(10, 3)))
+    with pytest.raises(EvaluationError,
+                       match=r"^dimension mismatch: real d=2, synthetic d=3$"):
+        function(real, synthetic)

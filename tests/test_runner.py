@@ -523,9 +523,9 @@ class TestAnovaReplicates:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_observed_value_from_block_equals_direct_call(
             self, monkeypatch, bins, workers):
-        # every scope's recall and JSD run through their block form, in a
-        # subgroup's replicate block as the whole-set draw where anova is
-        # selected, else as a block of that draw alone, and read as direct
+        # every scope's recall and JSD run through their block form, led by
+        # the scope's set in a subgroup's replicate block where anova is
+        # selected, else as a block of the set alone, and read as direct
         # calls on the scope's slices would: "noref" has no reference rows,
         # "small" too few rows for recall's k=3, and bins 0 makes every JSD
         # undefined
@@ -552,6 +552,8 @@ class TestAnovaReplicates:
                 "consistency": {"base_metrics": observed
                                 + ["entropy_coverage"],
                                 "bootstrap_replicates": 6},
+                # scorable, so only its absence from metrics keeps it out
+                "bounds": {"entropy_coverage": [0, 5]},
                 "columns": {"subgroup": "subgroup"}, "seed": 4})
             if bins is not None:
                 cfg = replace(cfg, params={"jensen_shannon_divergence":
@@ -567,15 +569,15 @@ class TestAnovaReplicates:
                     if bins == 0 else set())
             if workers == 1:
                 # the global and three subgroup slices with reference rows,
-                # and entropy's replicates of all four subgroups where anova
-                # reads them
+                # and entropy's blocks of all four subgroups where anova
+                # reads them, each led by the subgroup's set
                 whole = 1 + 6 * anova
                 assert sorted(blocks) == sorted(
                     [(name, 1) for name in observed]
                     + [(name, whole) for name in observed] * 3
-                    + [("entropy_coverage", 6)] * 4 * anova)
+                    + [("entropy_coverage", 7)] * 4 * anova)
             # entropy_coverage is a base only anova reads: no scope reports
-            # it
+            # it, though every subgroup's block computes its set's value
             assert all(m["name"] != "entropy_coverage"
                        for scope in report.scopes for c in scope.criteria
                        for m in c.metrics)
@@ -584,11 +586,11 @@ class TestAnovaReplicates:
         name for name in _EMBEDDING_METRICS if name not in runner._BLOCKS])
     def test_block_markers_equal_per_replicate_markers(self, monkeypatch,
                                                        name):
-        # every draw's result is the metric's ``_results`` on the drawn
-        # synthetic set; a block metric runs every task in one pass, with
-        # the markers a task per replicate would give: a subgroup without
-        # reference rows, a subgroup too small for k, and an error inside a
-        # block
+        # the set's result and every replicate's are the metric's
+        # ``_results`` on that synthetic set; a block metric runs every task
+        # in one pass, with the markers a task per replicate would give: a
+        # subgroup without reference rows, a subgroup too small for k, and
+        # an error inside a block
         synth = make_gaussian_mixture(20, 3, TWO_MODES, seed=5)
         real = make_gaussian_mixture(24, 3, TWO_MODES, seed=7)
         cfg = config_from_dict({"metrics": [name, "anova"],
@@ -603,17 +605,17 @@ class TestAnovaReplicates:
                 return one_pass(args, params, rows)
             monkeypatch.setitem(runner._BLOCKS, name, counted)
         rng = np.random.default_rng(8)
-        args = runner._Args(real, synth, cfg, 0)
-        # the whole set and bootstrap draws of its length, with repeats
-        bootstrap = (None,) + tuple(rng.integers(20, size=20)
-                                    for _ in range(3))
-        # draws of one length below k + 1
-        short = (rng.integers(20, size=3), np.array([4, 4, 4]))
-        for draws in (bootstrap, short):
-            task = ("global", name, draws)
+        # bootstrap draws of the set's length, with repeats
+        bootstrap = runner._Args(real, synth, cfg, 0), tuple(
+            rng.integers(20, size=20) for _ in range(3))
+        # a set below k + 1 rows, and draws of its length
+        short = runner._Args(real, synth.subset([0, 4, 9]), cfg, 0), (
+            rng.integers(3, size=3), np.array([1, 1, 1]))
+        for args, replicates in (bootstrap, short):
+            task = ("global", name, replicates)
             assert (repr(_summary(runner._task_results(task, args)))
                     == repr(_summary(_per_draw_results(task, args))))
-        assert blocks == ([4, 2] if name in runner._BLOCKS else [])
+        assert blocks == ([4, 3] if name in runner._BLOCKS else [])
         if name not in runner._BLOCKS:
             return
 
@@ -625,20 +627,21 @@ class TestAnovaReplicates:
             assert [(r.scope, r.diagnostics) for r in missing] == [(
                 "subgroup:a", {"undefined_reason": "insufficient samples: no "
                                                    "reference rows in this "
-                                                   "slice"})] * 4
-        # 3 rows: recall's k=3 exceeds the 2 other rows of every replicate
+                                                   "slice"})] * 5
+        # 3 rows: recall's k=3 exceeds the 2 other rows of the set and of
+        # every replicate
         tiny = runner._Args(synth, make_gaussian_mixture(3, 3, TWO_MODES,
                                                          seed=6), cfg, 0)
         tiny_task = _block_task(cfg, tiny.synthetic.n)
         blocks.clear()
         block = runner._task_results(tiny_task, tiny)
-        assert blocks == [4]
+        assert blocks == [5]
         assert _summary(block) == _summary(_per_draw_results(tiny_task, tiny))
         if name == "recall":
             assert [r.diagnostics for r in block] == [{
                 "undefined_reason": "insufficient samples: k=3 out of range: "
                                     "reference set supports at most k=2 "
-                                    "(self-match excluded)"}] * 4
+                                    "(self-match excluded)"}] * 5
 
         def fail(*args, **kwargs):
             raise EvaluationError("too few rows")
@@ -649,14 +652,14 @@ class TestAnovaReplicates:
         failed = runner._task_results(task, runner._Args(synth, synth, cfg, 0))
         assert [(r.value, r.scope, r.diagnostics) for r in failed] == [(
             None, "subgroup:a",
-            {"undefined_reason": "insufficient samples: too few rows"})] * 4
+            {"undefined_reason": "insufficient samples: too few rows"})] * 5
 
 
 def _block_task(cfg, n):
     """The one replicate block ``consistency`` gives subgroup "a" of ``n``
     synthetic rows at seed 0, as a runner task."""
-    (base, draws), = consistency.replicate_tasks(cfg, "subgroup:a", n, 0)
-    return "subgroup:a", base, draws
+    (base, replicates), = consistency.replicate_tasks(cfg, "subgroup:a", n, 0)
+    return "subgroup:a", base, replicates
 
 
 #: Each block metric's single-set function, the oracle of its block form.
@@ -670,15 +673,14 @@ _SINGLE_SET = {
 
 
 def _per_draw_results(task, args):
-    """A task's results as one computation per draw on its ``resample``d
-    synthetic set, a block metric through its single-set function, through
-    the same undefined-marker rules."""
-    scope, name, draws = task
+    """A task's results as one computation on its synthetic set, then one
+    per replicate on its ``resample``d set, a block metric through its
+    single-set function, through the same undefined-marker rules."""
+    scope, name, replicates = task
     compute = {**runner._COMPUTE, **_SINGLE_SET}[name]
     results = []
-    for drawn in draws:
-        one = args if drawn is None else replace(
-            args, synthetic=args.synthetic.resample(drawn))
+    for one in [args] + [replace(args, synthetic=args.synthetic.resample(
+            drawn)) for drawn in replicates]:
         results += runner._results(scope, name, one, lambda: [
             compute(one, runner._params(name, one.config))])
     return results
@@ -840,7 +842,7 @@ class TestWorkerProcesses:
                 fh.write(f"{args}\n")
             return [args * 2]
         monkeypatch.setattr(runner, "_task_results", claimed)
-        pooled = [(("global", "m", None), i) for i in range(300)]
+        pooled = [(("global", "m", ()), i) for i in range(300)]
         context = multiprocessing.get_context("fork")
         assert runner._fork_join(pooled, 6, context) == [
             [2 * i] for i in range(300)]
@@ -1040,16 +1042,23 @@ class TestCalibration:
         assert report.criterion("consistency").metrics[0]["value"] is not None
 
     def test_one_block_per_task_at_odd_n(self, monkeypatch):
-        # entropy runs every split's first half, then every second half,
-        # as two blocks of 5 draws of one length each; a binary metric runs
-        # one 1-draw block per split, on the drawn halves. JSD and recall
-        # have two analytic ends, which calibrate keeps, so their upper
-        # ends are opened here to make them run
-        blocks = []
+        # every calibrate task has no replicates and runs one block on the
+        # halves of a split, 20 and 21 rows: a binary metric half against
+        # half, entropy on each half alone. JSD and recall have two
+        # analytic ends, which calibrate keeps, so their upper ends are
+        # opened here to make them run
+        tasks, blocks = [], []
+        task_results = runner._task_results
+
+        def recorded(task, args):
+            tasks.append(task)
+            return task_results(task, args)
+        monkeypatch.setattr(runner, "_task_results", recorded)
         for name, one_pass in list(runner._BLOCKS.items()):
             def counted(args, params, rows, name=name, one_pass=one_pass):
                 blocks.append((name, [len(r) for r in rows],
-                               args.real.n, args.synthetic.n))
+                               None if args.real is None else args.real.n,
+                               args.synthetic.n))
                 return one_pass(args, params, rows)
             monkeypatch.setitem(runner._BLOCKS, name, counted)
         descriptor = catalog.descriptor
@@ -1059,10 +1068,11 @@ class TestCalibration:
             make_gaussian_mixture(41, 3, TWO_MODES, seed=41),
             config_from_dict({"metrics": self._BLOCK_METRICS, "seed": 5}))
         assert set(bounds) == set(self._BLOCK_METRICS)
+        assert tasks == [("global", name, ()) for name, _, _, _ in blocks]
         assert blocks == [(name, [21], 20, 21) for name in (
             "jensen_shannon_divergence", "recall") for _ in range(5)] + [
-            ("entropy_coverage", [20] * 5, 41, 41),
-            ("entropy_coverage", [21] * 5, 41, 41)]
+            ("entropy_coverage", [20], None, 20),
+            ("entropy_coverage", [21], None, 21)] * 5
 
     def test_too_small_to_split(self):
         tiny = make_gaussian_mixture(3, 2, TWO_MODES, seed=74)
@@ -1111,7 +1121,7 @@ class TestCatalogDispatch:
                             rules, ("age", "sex"), results={})
         for name in list(runner._COMPUTE) + list(runner._BLOCKS):
             d = catalog.descriptor(name)
-            result, = runner._task_results(("global", name, None), args)
+            result, = runner._task_results(("global", name, ()), args)
             bounds = result.diagnostics.get("default_bounds")
             assert (bounds is not None) == (d.data_bounds is not None), name
             if d.data_bounds == "rows":

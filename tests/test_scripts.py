@@ -45,4 +45,4 @@ def test_bench_kernels_captures_the_pooled_anova_tasks(monkeypatch):
     pooled = bench._pooled_tasks(*bench._anova_fixture())
     # 5 scopes x 2 metrics; each subgroup's two carry its replicate blocks
     assert len(pooled) == 10
-    assert sum(draws is not None for (_, _, draws), _ in pooled) == 8
+    assert sum(len(replicates) > 0 for (_, _, replicates), _ in pooled) == 8
