@@ -125,11 +125,34 @@ def _names(value, where: str) -> tuple[str, ...]:
     return tuple(str(v) for v in _list(value, where))
 
 
+def _name(section: dict, key: str, where: str, default: str) -> str:
+    """A column name, or ``default`` when unset."""
+    value = section.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}.{key} must be a name, got {value!r}")
+    return value
+
+
 def _optional_name(section: dict, key: str, where: str) -> str | None:
     """A column or file name, or None when unset."""
     value = section.get(key)
     if value is not None and not isinstance(value, str):
         raise ConfigError(f"{where}.{key} must be a name, got {value!r}")
+    return value
+
+
+def _sentinel(tables: dict) -> str:
+    """The text of a missing cell: a string, or a number as ``str`` writes
+    it. Cells are compared after stripping, so a sentinel with surrounding
+    whitespace could never match one."""
+    value = tables.get("missing_sentinel", "")
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError("tables.missing_sentinel must be a string or a "
+                          f"number, got {value!r}")
+    value = str(value)
+    if value != value.strip():
+        raise ConfigError("tables.missing_sentinel must not start or end "
+                          f"with whitespace, got {value!r}")
     return value
 
 
@@ -305,11 +328,11 @@ def config_from_dict(raw: dict) -> EvalConfig:
     return EvalConfig(
         metrics=tuple(metrics),
         params=params,
-        id_column=str(columns.get("id", "id")),
+        id_column=_name(columns, "id", "columns", "id"),
         subgroup_column=_optional_name(columns, "subgroup", "columns"),
         region_column=_optional_name(columns, "region", "columns"),
         table_schema=dict(schema) if schema else None,
-        missing_sentinel=str(tables.get("missing_sentinel", "")),
+        missing_sentinel=_sentinel(tables),
         real_table_path=_optional_name(tables, "real", "tables"),
         quasi_identifiers=_names(compliance.get("quasi_identifiers") or [],
                                  "compliance.quasi_identifiers"),

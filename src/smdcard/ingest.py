@@ -11,8 +11,9 @@ first offending row and column in file order. Every text input is read
 whole as UTF-8; comma-separated and JSON-lines inputs may start with a
 byte-order mark, as spreadsheet exports write them. A comma-separated file
 is tokenized once (split on line feeds and commas where it has no quotes,
-``csv.reader`` otherwise) and converted column by column: one float parse
-per numeric column, one strip per text column.
+``csv.reader`` otherwise) and converted column by column, a block of
+records at a time: one JSON parse per numeric column block, falling back to
+one ``float`` per cell for a block that is not all JSON numbers.
 """
 
 from __future__ import annotations
@@ -146,6 +147,9 @@ def _reader_records(path: str, text: str,
 # once, not those of the whole file.
 _BLOCK_ROWS = 2048
 
+# The ASCII characters that ``str.strip`` removes, but for the line feed.
+_ASCII_BLANKS = " \t\x0b\x0c\r\x1c\x1d\x1e\x1f"
+
 
 def _read_csv(path: str):
     """A comma-separated file as (header, width, blocks, ragged): the header
@@ -153,8 +157,8 @@ def _read_csv(path: str):
     before the first one whose cell count differs, made block by block as
     ``blocks`` is iterated, each block as (row of its first record, its
     cells column by column); and that record's (row, cell count), or None.
-    Cells are as written, unstripped; rows are 1-based with the header as
-    row 1.
+    Data cells are stripped, the header as written; rows are 1-based with
+    the header as row 1.
 
     Text without a quote, carriage return or NUL is split on line feeds and
     then on commas, an empty line being a record of no cells and a final
@@ -164,9 +168,16 @@ def _read_csv(path: str):
     goes through ``csv.reader``, the one path that reads quoted cells. On
     both, a cell longer than ``csv.field_size_limit()`` is an error naming
     its row, raised before this returns.
+
+    Whether cells are stripped is decided here, once per file: quote-free
+    text that is ASCII and holds no whitespace but its line feeds is split
+    into cells that have nothing to strip, so they are not; every other
+    text's cells are.
     """
     text = _read_text(path)
     quoted = '"' in text or "\r" in text or "\0" in text
+    bare = (not quoted and text.isascii()
+            and not any(blank in text for blank in _ASCII_BLANKS))
     records = _reader_records(path, text) if quoted else _lines(path, text)
     del text
     if not records:
@@ -175,13 +186,16 @@ def _read_csv(path: str):
         header, sizes = records[0], list(map(len, records))
 
         def block(start: int, stop: int) -> list:
-            return list(zip(*records[start:stop]))
+            return [list(map(str.strip, column))
+                    for column in zip(*records[start:stop])]
     else:
         sizes = [line.count(",") + 1 if line else 0 for line in records]
         header = records[0].split(",") if sizes[0] else []
 
         def block(start: int, stop: int) -> list:
             cells = ",".join(records[start:stop]).split(",")
+            if not bare:
+                cells = list(map(str.strip, cells))
             return [cells[j::width] for j in range(width)]
     width, end = sizes[0], len(sizes)
     if sizes.count(width) != end:
@@ -236,36 +250,37 @@ def _parse_columns(path: str, width: int, blocks, ragged,
                    ) -> list:
     """``_read_csv``'s data converted column by column, a block at a time: a
     ``numeric`` column to float64 with NaN at missing cells, any other to
-    stripped strings with None at missing cells. A cell is missing when its
-    stripped text is in ``missing_texts``. The first bad numeric cell in
-    file order is an error, and after it the ragged record."""
+    strings with None at missing cells. A cell is missing when its text is
+    in ``missing_texts``.
+
+    A numeric column block is read by ``_json_floats``, one JSON parse of
+    its cells. A block that parse refuses, one with a cell that is not a
+    JSON number (``+1``, ``.5``, ``inf``, a non-ASCII digit) or that
+    overflows, is read one ``float`` per cell, and the first bad numeric
+    cell in file order is an error. After the last block, the ragged record
+    is an error."""
     missing = set(missing_texts)
     as_nan = dict.fromkeys(missing, "nan")
+    as_null = dict.fromkeys(missing, "null")
     # one string per distinct label, so that cells die with their block
     labels: dict[str, str] = {}
     order = sorted(numeric)
     parsed: list[list] = [[] for _ in range(width)]
     for row, columns in blocks:
         for j, cells in enumerate(columns):
-            stripped = list(map(str.strip, cells))
             if j not in numeric:
                 parsed[j] += [None if cell in missing
                               else labels.setdefault(cell, cell)
-                              for cell in stripped]
+                              for cell in cells]
                 continue
-            try:
-                values = np.fromiter(map(float, map(as_nan.get, stripped,
-                                                    stripped)),
-                                     np.float64, len(stripped))
-            except ValueError:
-                values = None
-            if values is None or any(
-                    stripped[i] not in missing
-                    for i in np.flatnonzero(~np.isfinite(values))):
+            values = _json_floats(cells, as_null)
+            if values is None:
+                values = _float_cells(cells, as_nan)
+            if values is None:
                 # the block holds the first bad cell: find it in file order
                 for r, record in enumerate(zip(*(columns[k] for k in order)),
                                            start=row):
-                    for k, cell in zip(order, map(str.strip, record)):
+                    for k, cell in zip(order, record):
                         if cell not in missing:
                             _parse_float(cell, r, k + 1, path)
             parsed[j].append(values)
@@ -274,6 +289,56 @@ def _parse_columns(path: str, width: int, blocks, ragged,
                          f"expected {width}")
     return [(np.concatenate(column) if column else np.empty(0))
             if j in numeric else column for j, column in enumerate(parsed)]
+
+
+def _float_cells(cells: list[str], as_nan: dict) -> np.ndarray | None:
+    """Stripped numeric cells as float64 through one ``float`` per cell,
+    NaN at the missing cells, which ``as_nan`` maps to ``"nan"``; None if a
+    cell is not a number or not finite."""
+    try:
+        values = np.fromiter(map(float, map(as_nan.get, cells, cells)),
+                             np.float64, len(cells))
+    except ValueError:
+        return None
+    if any(cells[i] not in as_nan
+           for i in np.flatnonzero(~np.isfinite(values))):
+        return None
+    return values
+
+
+# what ``orjson.loads`` gives for a JSON number or for ``null``
+_JSON_NUMBER_TYPES = {float, int, type(None)}
+
+
+def _json_floats(cells: list[str], as_null: dict) -> np.ndarray | None:
+    """Stripped numeric cells as float64 through one ``orjson.loads`` of
+    ``[cell,cell,...]``, NaN at the missing cells, which ``as_null`` maps
+    to ``null``; None if orjson refuses the cells.
+
+    The parse is accepted only when it gives one number or ``null`` per
+    cell, and ``null`` only for missing cells. That holds exactly when
+    every other cell is one JSON number: a comma inside a cell changes the
+    count, and ``true``, strings and lists change the type. orjson rounds a
+    JSON number to the double that ``float`` gives and refuses one that
+    overflows; an int becomes that double through ``np.array``, as
+    ``float`` of its text rounds it, and ``null`` becomes NaN. orjson reads
+    ``-0`` as the int 0, so every zero is read again with ``float`` to keep
+    its sign."""
+    import orjson  # not at module load: ``smdcard.cli`` does not need it
+    try:
+        numbers = orjson.loads("[" + ",".join(
+            map(as_null.get, cells, cells) if as_null else cells) + "]")
+    except orjson.JSONDecodeError:
+        return None
+    if (len(numbers) != len(cells)
+            or not set(map(type, numbers)) <= _JSON_NUMBER_TYPES):
+        return None
+    values = np.array(numbers, dtype=np.float64)
+    if any(cells[i] not in as_null for i in np.flatnonzero(np.isnan(values))):
+        return None  # a null cell that is not missing
+    for i in np.flatnonzero(values == 0).tolist():
+        values[i] = float(cells[i])
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -911,11 +911,21 @@ class TestExitCodes:
         assert not list(tmp_path.glob(".smdcard-*"))
 
 
-def test_cli_import_defers_scipy():
+def _loaded_by_cli_import(names):
+    """Which of the module ``names`` a fresh ``import smdcard.cli`` loads."""
     src = os.path.dirname(os.path.dirname(smdcard.__file__))
     code = ("import sys, smdcard.cli; print([m for m in sys.modules if m in "
-            "('scipy.optimize', 'scipy.special', 'scipy.spatial')])")
+            f"{tuple(names)!r}])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_defers_scipy():
+    assert _loaded_by_cli_import(("scipy.optimize", "scipy.special",
+                                  "scipy.spatial")) == "[]"
+
+
+def test_cli_import_defers_orjson():
+    assert _loaded_by_cli_import(("orjson",)) == "[]"

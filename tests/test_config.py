@@ -111,6 +111,30 @@ def test_round_trip_through_dict():
     assert config_to_dict(cfg) == config_to_dict(again)
 
 
+@pytest.mark.parametrize("value", [None, ["id"], {"name": "id"}, 5, True])
+def test_id_column_must_be_a_name(value):
+    assert _minimal(columns={}).id_column == "id"
+    assert _minimal(columns={"id": "pid"}).id_column == "pid"
+    with pytest.raises(ConfigError,
+                       match=r"^columns\.id must be a name") as exc:
+        _minimal(columns={"id": value})
+    assert exc.value.code == "E200"
+
+
+@pytest.mark.parametrize("value", [None, True, False, ["NA"], {"x": 1},
+                                   " NA ", "NA ", "\tNA", "NA\n"])
+def test_missing_sentinel_must_be_a_bare_string_or_number(value):
+    for given, text in (("", ""), ("NA", "NA"), ("N A", "N A"),
+                        (-999, "-999"), (99.5, "99.5")):
+        tables = {"missing_sentinel": given}
+        assert _minimal(tables=tables).missing_sentinel == text
+    assert _minimal().missing_sentinel == ""
+    with pytest.raises(ConfigError,
+                       match=r"^tables\.missing_sentinel must ") as exc:
+        _minimal(tables={"missing_sentinel": value})
+    assert exc.value.code == "E200"
+
+
 #: A config that sets every section and every key, with rules of all four
 #: kinds; its digest was recorded before the serializer was table-driven.
 FULL = {

@@ -1,6 +1,8 @@
 import csv
+import decimal
 import io
 import json
+import math
 from collections import Counter
 from unittest import mock
 
@@ -571,8 +573,10 @@ def _oracle_embeddings(path, keys, features):
     return EmbeddingSet(ids=ids, data=data, **labels)
 
 
-_NUMBERS = st.sampled_from(["1", "-0.0", "2.5e3", " 7 ", "1_0", "0x1", "1e400",
-                            "nan", "-inf", "x", "1.2.3"]) | st.floats(
+_NUMBERS = st.sampled_from([
+    "1", "-0.0", "-0", "2.5e3", " 7 ", "1_0", "0x1", "1e400", "nan", "-inf",
+    "x", "1.2.3", "9007199254740993", "18446744073709551616", "01", "+1",
+    ".5", "5.", "true", "null", "[1]", "1,2"]) | st.floats(
     allow_nan=False, allow_infinity=False).map(repr)
 _TEXTS = st.sampled_from(["", "  ", "\t", "NA", " NA ", "-1", "a", " b "]) \
     | st.text(' ,"\r\nab\x00\xe9', max_size=3)
@@ -706,3 +710,110 @@ def test_embedding_reader_matches_row_wise_oracle(tmp_path_factory, case,
                                                     want.region)
     assert got.data.shape == want.data.shape
     assert got.data.tobytes() == want.data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# numeric column blocks: one JSON parse, exactly as one float() per cell
+
+
+def _decimal_text(sign, digits, exponent):
+    return f"{sign}{digits[0]}{'.' + digits[1:] if digits[1:] else ''}" \
+           f"e{exponent}"
+
+
+def _midpoint_text(x):
+    """The decimal halfway between ``x`` and the next double up, in full."""
+    with decimal.localcontext() as context:
+        context.prec = 2000
+        mid = (decimal.Decimal(x)
+               + decimal.Decimal(float(np.nextafter(x, math.inf)))) / 2
+        return format(mid, "f")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_JSON_CELLS = st.one_of(
+    _FINITE.map(repr),
+    st.builds(_decimal_text, st.sampled_from(["", "-"]),
+              st.from_regex(r"[1-9][0-9]{0,39}", fullmatch=True),
+              st.integers(-330, 330)),
+    _FINITE.filter(lambda x: abs(x) < 1.7976931348623157e308).map(
+        _midpoint_text),
+    st.integers(2 ** 53, 2 ** 70).map(str),
+    st.integers(-(2 ** 70), -(2 ** 64)).map(str),
+    st.sampled_from(["-0", "-0.0", "0", "1e-400", "-1e-400", "4.9e-324",
+                     "1E5"]),
+).filter(lambda cell: math.isfinite(float(cell)))
+# numbers float() reads that are not JSON numbers: their block takes the
+# float() path
+_OTHER_CELLS = st.sampled_from(["+1", ".5", "5.", "01", "-00", "1_0", "+.5e-3",
+                                "\u0661\u0662"])
+_MISSING_CELLS = st.sampled_from(["", "NA"])
+
+
+@st.composite
+def _numeric_blocks(draw):
+    pools = [_JSON_CELLS, _JSON_CELLS | _MISSING_CELLS,
+             _JSON_CELLS | _OTHER_CELLS | _MISSING_CELLS]
+    return [draw(st.lists(draw(st.sampled_from(pools)), min_size=1,
+                          max_size=12))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@given(_numeric_blocks())
+@settings(max_examples=300, deadline=None)
+def test_numeric_blocks_read_as_float_of_each_cell(blocks):
+    starts = np.cumsum([2] + [len(cells) for cells in blocks])
+    got = ingest._parse_columns("t.csv", 1, ((int(row), [cells]) for row, cells
+                                             in zip(starts, blocks)),
+                                None, {0}, ("", "NA"))[0]
+    want = np.array([math.nan if cell in ("", "NA") else float(cell)
+                     for cells in blocks for cell in cells])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("cells, read", [
+    (["-0", "0", "-0.0", "0e5", "-0E-5"], [-0.0, 0.0, -0.0, 0.0, -0.0]),
+    (["9007199254740993", "18446744073709551616", "1E5", "4.9e-324"],
+     [9007199254740992.0, 18446744073709551616.0, 1e5, 5e-324]),
+    (["1", "", "NA", "-0"], [1.0, math.nan, math.nan, -0.0]),
+])
+def test_json_block_reads_what_float_reads(cells, read):
+    got = ingest._json_floats(cells, dict.fromkeys(["", "NA"], "null"))
+    assert got is not None  # the block took the JSON parse
+    assert got.view(np.int64).tolist() == \
+        np.array(read).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("cell", ["true", "false", "null", "[1]", "{}",
+                                  '"1"', "1,2", "+1", ".5", "5.", "01",
+                                  "1_0", "inf", "NaN", "1e400", "\u0661"])
+def test_json_block_refuses_what_is_not_one_json_number(cell):
+    assert ingest._json_floats(["1", cell], {}) is None
+    assert ingest._json_floats(["", "1", cell], {"": "null"}) is None
+
+
+def test_json_block_reads_a_null_cell_only_as_missing():
+    assert ingest._json_floats(["null", ""], {"": "null"}) is None
+    got = ingest._json_floats(["null", "1"], {"null": "null"})
+    assert np.isnan(got[0]) and got[1] == 1.0
+
+
+@pytest.mark.parametrize("cell", ["true", "null", "[1]", "1,2"])
+def test_cell_that_is_not_a_number_names_its_position(tmp_path, cell):
+    p = _write(tmp_path / "t.csv", f'age,sex\n1,F\n"{cell}",M\n')
+    with pytest.raises(InputError) as exc:
+        ingest.read_record_table(p, {"age": "numeric", "sex": "categorical"})
+    assert str(exc.value) == f"{p}: non-numeric cell at row 3 col 1: {cell!r}"
+
+
+def test_cells_of_blank_free_ascii_text_are_not_stripped(tmp_path):
+    """The strip rule: a quote-free file with no blank but its line feeds
+    is split as is; one blank anywhere makes every cell stripped."""
+    schema = {"age": "numeric", "sex": "categorical"}
+    bare = _write(tmp_path / "bare.csv", "age,sex\n1,F\n-0,M\n")
+    spaced = _write(tmp_path / "spaced.csv", "age,sex\n1 ,F\n-0,\tM\n")
+    for path in (bare, spaced):
+        t = ingest.read_record_table(path, schema)
+        assert t.floats("age").view(np.int64).tolist() == \
+            np.array([1.0, -0.0]).view(np.int64).tolist()
+        assert t.codes("sex")[1] == ("F", "M")
