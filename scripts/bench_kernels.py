@@ -33,21 +33,19 @@ embedding file of n rows by d features with a subgroup column; both files
 are written by ``ingest`` and so carry no quotes. The end-to-end rows use a
 fixture shaped like perfbench's ``subgroup_anova`` (600 rows by 16
 dimensions per set, 4 subgroups, bases ``recall`` and
-``jensen_shannon_divergence``, 50 replicates): ``evaluate_workers_N``
-times ``run_evaluation`` at N workers, and ``pool_workers_N`` times only
-its pool section, ``runner._run_tasks`` on the task list that evaluation
-hands it, at N processes. These rows run first, so the two peak RSS
-figures (MB) cover them alone: the evaluating process's own
-(``RUSAGE_SELF``), which holds the tasks of the 1-worker rows, and that of
-the largest forked worker (``RUSAGE_CHILDREN``). ``calibrate`` times
+``jensen_shannon_divergence``, 50 replicates): ``evaluate`` times
+``run_evaluation``, and ``pool`` times only the tasks it runs before the
+consistency metrics, each through ``runner._task_results``. These rows
+run first, so the peak RSS (MB, ``RUSAGE_SELF``) covers them alone; every
+task runs in this process. ``calibrate`` times
 ``calibrate_bounds`` with every computable embedding metric on a seeded
 reference of n rows by d dimensions; n is odd, so the two halves of each
 split differ in length by one row. Prints one JSON line: the minimum,
 quartiles and median of the milliseconds per call of each kernel and size
 (``kernel_ms``) and of the seconds of each end-to-end row
 (``end_to_end_s``), the repetition counts and the peaks.
-Kernel rows repeat for at least 5 calls and 0.5 s; end-to-end rows, whose
-calls fork and allocate, for at least 20 calls and 3 s.
+Kernel rows repeat for at least 5 calls and 0.5 s, end-to-end rows for at
+least 20 calls and 3 s.
 """
 
 from __future__ import annotations
@@ -89,7 +87,6 @@ KNN_SIZES = ((150, 16), (600, 16), (2000, 32))
 HISTOGRAM_SIZES = ((150, 16),)
 REPLICATE_SIZES = ((150, 16),)
 REPLICATES = 50
-EVALUATE_WORKERS = (1, 2)
 TABLE_ROWS = 20000
 NUMERIC_FIELDS = {"age": (20.0, 80.0), "hgb": (10.0, 17.0),
                   "sbp": (90.0, 160.0), "bmi": (18.0, 35.0)}
@@ -126,20 +123,23 @@ def _anova_fixture():
 
 
 def _pooled_tasks(inputs, config) -> list:
-    """The (task, args) list ``run_evaluation`` hands ``runner._run_tasks``,
-    each task (scope, metric, replicates)."""
+    """The (task, args) list ``run_evaluation`` runs before the consistency
+    metrics, each task (scope, metric, replicates), as
+    ``runner._task_results`` receives them."""
     captured = []
-    run_tasks = runner._run_tasks
+    task_results = runner._task_results
 
-    def capture(pooled, workers):
-        captured.append(pooled)
-        return run_tasks(pooled, workers)
-    runner._run_tasks = capture
+    def capture(task, args):
+        captured.append((task, args))
+        return task_results(task, args)
+    runner._task_results = capture
     try:
         run_evaluation(inputs, config)
     finally:
-        runner._run_tasks = run_tasks
-    return captured[0]
+        runner._task_results = task_results
+    return [(task, args) for task, args in captured
+            if catalog.descriptor(task[1]).source
+            != catalog.SOURCE_SUBGROUP_METRICS]
 
 
 def _write_inputs(directory: str) -> dict:
@@ -184,16 +184,12 @@ def main() -> None:
 
     inputs, config = _anova_fixture()
     pooled = _pooled_tasks(inputs, config)
-    for workers in EVALUATE_WORKERS:
-        for key, call in (
-                (f"evaluate_workers_{workers}",
-                 lambda: run_evaluation(inputs, config, workers=workers)),
-                (f"pool_workers_{workers}",
-                 lambda: runner._run_tasks(pooled, workers))):
-            end_to_end[key], repeats[key] = _spread(
-                call, 1, END_TO_END_REPEATS, END_TO_END_SECONDS)
-    peak_kib = {who: resource.getrusage(which).ru_maxrss for who, which in (
-        ("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))}
+    for key, call in (
+            ("evaluate", lambda: run_evaluation(inputs, config)),
+            ("pool", lambda: [runner._task_results(*t) for t in pooled])):
+        end_to_end[key], repeats[key] = _spread(
+            call, 1, END_TO_END_REPEATS, END_TO_END_SECONDS)
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     n, d = CALIBRATE_SIZE
     reference = _pair(n, d)[0]
@@ -244,8 +240,7 @@ def main() -> None:
                lambda: ball_query(real.data, synth.data, radii))
     print(json.dumps({"kernel_ms": kernels, "end_to_end_s": end_to_end,
                       "repeats": repeats,
-                      "self_peak_rss_mb": peak_kib["self"] / 1024,
-                      "children_peak_rss_mb": peak_kib["children"] / 1024,
+                      "self_peak_rss_mb": peak_kib / 1024,
                       "pooled_tasks": len(pooled),
                       "numpy": np.__version__,
                       "python": platform.python_version(),

@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--validate-config", action="store_true",
                         help="check the full plan without computing")
     p_eval.add_argument("--workers", type=int, default=1,
-                        help="worker processes for metric computation")
+                        help="accepted for existing command lines; selects "
+                             "nothing: every task runs in this process")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_card = sub.add_parser("card", help="render a dataset card")
@@ -138,7 +139,7 @@ def cmd_evaluate(args) -> int:
         print("plan ok: "
               f"{len(config.metrics)} metrics, seed {config.effective_seed()}")
         return 0
-    report = run_evaluation(inputs, config, workers=max(1, args.workers))
+    report = run_evaluation(inputs, config)
     ingest.write_report(report, args.out)
     print(f"{'criterion':<14} {'score':>7}  verdict")
     for block in report.scope("global").criteria:

@@ -2,9 +2,9 @@
 
 The consistency metrics are computed by ``spread`` and ``anova``, whose
 inputs are the other tasks' results, so the runner runs their compute
-entries after its worker pool. This module alone knows their base metrics,
+entries after every other task. This module alone knows their base metrics,
 which bases' subgroup values each metric reads (``unobserved_bases``), the
-replicate blocks ``anova`` asks the pool for and the rows each replicate
+replicate blocks ``anova`` asks the runner for and the rows each replicate
 draws, once for all bases (``replicate_tasks``), how the replicates are
 tested, which subgroups a base skips, and that the worst base decides each
 metric.
@@ -204,8 +204,8 @@ def one_way_anova(groups: list[np.ndarray]):
 def task_seed(seed: int, label: str, replicate: int) -> int:
     """Derived seed for one (subgroup, replicate) bootstrap task.
 
-    Stable across orderings and worker counts: seed XOR a hash of the task
-    identity, so parallel execution cannot change results.
+    Stable across task orderings: seed XOR a hash of the task identity, so
+    the order the tasks run in cannot change results.
     """
     digest = hashlib.sha256(f"{label}|{replicate}".encode("utf-8")).digest()
     return (seed ^ int.from_bytes(digest[:8], "big")) & 0x7FFFFFFFFFFFFFFF

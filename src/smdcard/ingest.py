@@ -262,16 +262,15 @@ def _parse_columns(path: str, width: int, blocks, ragged,
     missing = set(missing_texts)
     as_nan = dict.fromkeys(missing, "nan")
     as_null = dict.fromkeys(missing, "null")
-    # one string per distinct label, so that cells die with their block
-    labels: dict[str, str] = {}
+    # one string per distinct label, so that cells die with their block,
+    # and None for every missing text
+    labels: dict[str, str | None] = dict.fromkeys(missing)
     order = sorted(numeric)
     parsed: list[list] = [[] for _ in range(width)]
     for row, columns in blocks:
         for j, cells in enumerate(columns):
             if j not in numeric:
-                parsed[j] += [None if cell in missing
-                              else labels.setdefault(cell, cell)
-                              for cell in cells]
+                parsed[j] += map(labels.setdefault, cells, cells)
                 continue
             values = _json_floats(cells, as_null)
             if values is None:

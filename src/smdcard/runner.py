@@ -23,28 +23,16 @@ None) for the set, then (scope, metric, r) for replicate r.
 and a ``_COMPUTE`` metric runs on the set, then on each ``resample``d
 replicate. A subgroup's task for each base metric carries the replicate
 block ``consistency`` asks for; every other task has none.
-Computation is pure and each task carries its rows, so the tasks can run
-in any order and in any process. With ``workers`` above 1 the evaluate
-process forks children that work through the task list (a fork-join):
-every child claims its next task, in task order, from one shared counter.
-The children inherit the task list and its inputs at fork, so nothing but
-their results crosses the process boundary. The evaluate process runs no
-task itself; it reads the children's results and reaps every child before
-it returns or raises. The children are capped at the task count and at
-the CPUs available to the process, and where the platform has no ``fork``
-the tasks run serially. A failing run raises the error of its first
-failing task in task order, as a serial run does. The consistency metrics
-have compute rows too; they read the other tasks' results, so they run
-after the pool. Results are merged in task order and keyed before
-assembly, which keeps reports byte-identical for any worker count.
+``run_evaluation`` runs every task in task order in the evaluate
+process, the consistency metrics last: they have compute rows too, and
+read the other tasks' results. Results are keyed before assembly, so a
+report's bytes depend only on the inputs and the config, and a failing
+run raises the error of its first failing task.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -373,8 +361,8 @@ def _filter_by_label(eset: EmbeddingSet | None, attr: str, label: str):
 # the pipeline
 
 
-def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
-                   workers: int = 1) -> QualityReport:
+def run_evaluation(inputs: EvaluationInputs, config: EvalConfig
+                   ) -> QualityReport:
     outcome = plan(inputs, config)
     if not outcome.ok:
         raise PlanViolations(outcome.violations)
@@ -415,23 +403,20 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
 
     embedding = [n for n in config.metrics
                  if catalog.descriptor(n).source == catalog.SOURCE_EMBEDDING]
-    # the consistency metrics read ``results``, so they run after the pool
-    after_pool = [n for n in config.metrics if catalog.descriptor(n).source
-                  == catalog.SOURCE_SUBGROUP_METRICS]
-    pooled = []  # (task, args); the task is (scope, metric, replicates)
+    tasks = []  # (task, args); the task is (scope, metric, replicates)
     for scope, real_slice, synth_slice in scopes:
         args = _Args(real_slice, synth_slice, config, seed, inputs)
         blocks = dict(consistency.replicate_tasks(config, scope,
                                                   synth_slice.n, seed))
-        pooled.extend(((scope, name, blocks.get(name, ())), args)
-                      for name in dict.fromkeys([*embedding, *blocks]))
-    pooled.extend((("global", name, ()), run_args) for name in config.metrics
-                  if name not in embedding and name not in after_pool)
-    for (task, _), computed in zip(pooled, _run_tasks(pooled, workers)):
-        results.update(zip(_result_keys(task), computed))
-    for name in after_pool:
-        task = ("global", name, ())
-        results.update(zip(_result_keys(task), _task_results(task, run_args)))
+        tasks.extend(((scope, name, blocks.get(name, ())), args)
+                     for name in dict.fromkeys([*embedding, *blocks]))
+    # the consistency metrics read ``results``, so they run last
+    tasks.extend((("global", name, ()), run_args) for name in sorted(
+        (n for n in config.metrics if n not in embedding),
+        key=lambda n: catalog.descriptor(n).source
+        == catalog.SOURCE_SUBGROUP_METRICS))
+    for task, args in tasks:
+        results.update(zip(_result_keys(task), _task_results(task, args)))
 
     rules = run_args.rules
     if len(rules):
@@ -445,100 +430,6 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig,
                             and name in config.metrics],
                            config, seed, digest, dict(TOOL),
                            declared_privacy=declared, notes=notes)
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _run_tasks(pooled: list, workers: int) -> list[list[MetricResult]]:
-    """``_task_results`` of each (task, args) in ``pooled``, in order, in at
-    most ``workers`` forked children, or serially in this process. The
-    process modules load only when children can start."""
-    processes = min(workers, len(pooled), _available_cpus())
-    if processes > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _fork_join(pooled, processes,
-                              multiprocessing.get_context("fork"))
-    return [_task_results(*t) for t in pooled]
-
-
-def _fork_join(pooled: list, processes: int,
-               context) -> list[list[MetricResult]]:
-    """Run ``pooled`` in ``processes`` forked children.
-
-    Each child claims the next task in task order from a shared counter
-    and keeps each task's results, or its error, under the task's index; a
-    task after the first failed one is skipped. Each child pickles its
-    share into a pipe and leaves with ``os._exit``, so no exit handler or
-    stdio buffer of this process runs twice. This process only reads the
-    pipes, so its own work does not depend on which child ran what. Every
-    child is reaped, and killed first if this process stops early; a child
-    that ends without sending its share is an error."""
-    lock = context.Lock()
-    # the next task index, and the lowest failed one
-    shared = context.RawArray("q", [0, len(pooled)])
-
-    def work() -> dict:
-        done = {}
-        while True:
-            with lock:
-                index = shared[0]
-                shared[0] += 1
-            if index >= len(pooled) or index > shared[1]:
-                return done
-            try:
-                done[index] = _task_results(*pooled[index])
-            except Exception as exc:
-                done[index] = exc
-                with lock:
-                    shared[1] = min(shared[1], index)
-
-    children = []  # (pid, read end of its pipe)
-    finished = False
-    try:
-        for _ in range(processes):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    payload = pickle.dumps(work(), pickle.HIGHEST_PROTOCOL)
-                    with open(write, "wb") as pipe:
-                        pipe.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
-            children.append((pid, open(read, "rb")))
-        payloads = [pipe.read() for _, pipe in children]
-        finished = True
-    finally:
-        codes = []
-        for pid, pipe in children:
-            pipe.close()
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    done = {}
-    for (pid, _), payload, code in zip(children, payloads, codes):
-        if not payload:
-            raise RuntimeError(f"worker process {pid} ended without sending "
-                               f"its results (exit code {code})")
-        done.update(pickle.loads(payload))
-    for index in range(len(pooled)):
-        if isinstance(done[index], Exception):
-            raise done[index]
-    return [done[index] for index in range(len(pooled))]
 
 
 def _resolve_rules(inputs: EvaluationInputs,

@@ -219,6 +219,29 @@ class TestEvaluate:
         assert main(_evaluate_args(paths, parallel) + ["--workers", "4"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_workers_start_no_process(self, workspace, tmp_path,
+                                      monkeypatch):
+        # ``--workers`` is accepted and selects nothing: an anova run at two
+        # workers, on two CPUs, forks no process
+        _, paths = workspace
+        config = tmp_path / "anova.yaml"
+        config.write_text(yaml.safe_dump(dict(
+            CONFIG, metrics=CONFIG["metrics"] + ["anova"],
+            consistency={"base_metrics": ["jensen_shannon_divergence",
+                                          "recall"],
+                         "bootstrap_replicates": 5})))
+        paths = dict(paths, config=config)
+        serial, two = tmp_path / "serial.json", tmp_path / "two.json"
+        assert main(_evaluate_args(paths, serial) + ["--workers", "1"]) == 0
+
+        def refuse():
+            raise OSError("evaluate forked a process")
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert main(_evaluate_args(paths, two) + ["--workers", "2"]) == 0
+        assert two.read_bytes() == serial.read_bytes()
+
     def test_overflowing_histogram_range_gives_marker(self, tmp_path):
         # finite values whose pooled span overflows float64
         rng = np.random.default_rng(3)

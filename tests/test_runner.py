@@ -1,9 +1,5 @@
 import hashlib
-import multiprocessing
-import os
 import pickle
-import signal
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -227,21 +223,6 @@ class TestRunEvaluation:
         with pytest.raises(PlanViolations):
             run_evaluation(EvaluationInputs(synthetic=synth),
                            _embedding_config())
-
-    def test_workers_do_not_change_bytes(self, pair):
-        real, synth = pair
-        cfg = _embedding_config(consistency={"base_metrics":
-                                             ["jensen_shannon_divergence",
-                                              "recall"],
-                                             "bootstrap_replicates": 20},
-                                metrics=["cosine_similarity",
-                                         "jensen_shannon_divergence", "recall",
-                                         "anova", "max_min_difference"])
-        one = run_evaluation(EvaluationInputs(synthetic=synth, real=real),
-                             cfg, workers=1)
-        four = run_evaluation(EvaluationInputs(synthetic=synth, real=real),
-                              cfg, workers=4)
-        assert dumps_canonical(one.to_dict()) == dumps_canonical(four.to_dict())
 
     def test_region_scopes_present(self):
         real_base = make_gaussian_mixture(60, 4, TWO_MODES, seed=41)
@@ -488,7 +469,7 @@ class TestAnovaReplicates:
             "bounds": {"entropy_coverage": [0, 5]},
             "columns": {"subgroup": "subgroup"}, "seed": 9})
         report = run_evaluation(EvaluationInputs(synthetic=synth, real=real),
-                                cfg, workers=2)
+                                cfg)
         entry = report.criterion("consistency").metrics[0]
         expected = _oracle_anova_per_base(real, synth, bases, 12,
                                           cfg.effective_seed())
@@ -520,9 +501,8 @@ class TestAnovaReplicates:
                                  for r in range(5)]
 
     @pytest.mark.parametrize("bins", [None, 0])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_observed_value_from_block_equals_direct_call(
-            self, monkeypatch, bins, workers):
+    def test_observed_value_from_block_equals_direct_call(self, monkeypatch,
+                                                          bins):
         # every scope's recall and JSD run through their block form, led by
         # the scope's set in a subgroup's replicate block where anova is
         # selected, else as a block of the set alone, and read as direct
@@ -539,7 +519,7 @@ class TestAnovaReplicates:
         synth = EmbeddingSet(synth_base.ids, synth_base.data,
                              subgroup=synth_labels)
         observed = ["recall", "jensen_shannon_divergence"]
-        blocks = []  # (metric, draws) of each block run in this process
+        blocks = []  # (metric, draws) of each block run
         for name, one_pass in list(runner._BLOCKS.items()):
             def counted(args, params, rows, name=name, one_pass=one_pass):
                 blocks.append((name, len(rows)))
@@ -559,23 +539,21 @@ class TestAnovaReplicates:
                 cfg = replace(cfg, params={"jensen_shannon_divergence":
                                            {"bins": bins}})
             report = run_evaluation(
-                EvaluationInputs(synthetic=synth, real=real), cfg,
-                workers=workers)
+                EvaluationInputs(synthetic=synth, real=real), cfg)
             assert _observed_undefined(report, real, synth, bins) == {
                 ("noref", "recall"), ("small", "recall"),
                 ("noref", "jensen_shannon_divergence")} | ({
                     (label, "jensen_shannon_divergence")
                     for label in ("global", "a", "b", "small")}
                     if bins == 0 else set())
-            if workers == 1:
-                # the global and three subgroup slices with reference rows,
-                # and entropy's blocks of all four subgroups where anova
-                # reads them, each led by the subgroup's set
-                whole = 1 + 6 * anova
-                assert sorted(blocks) == sorted(
-                    [(name, 1) for name in observed]
-                    + [(name, whole) for name in observed] * 3
-                    + [("entropy_coverage", 7)] * 4 * anova)
+            # the global and three subgroup slices with reference rows, and
+            # entropy's blocks of all four subgroups where anova reads them,
+            # each led by the subgroup's set
+            whole = 1 + 6 * anova
+            assert sorted(blocks) == sorted(
+                [(name, 1) for name in observed]
+                + [(name, whole) for name in observed] * 3
+                + [("entropy_coverage", 7)] * 4 * anova)
             # entropy_coverage is a base only anova reads: no scope reports
             # it, though every subgroup's block computes its set's value
             assert all(m["name"] != "entropy_coverage"
@@ -690,165 +668,34 @@ def _summary(results):
     return [(r.value, r.scope, r.diagnostics) for r in results]
 
 
-class _PoolRefused(Exception):
-    pass
-
-
-def _reaped(pids) -> bool:
-    """Whether no process in ``pids`` is left as a child of this one."""
-    for pid in pids:
-        try:
-            os.waitpid(pid, os.WNOHANG)
-        except ChildProcessError:
-            continue
-        return False
-    return True
-
-
 class TestWorkerProcesses:
+    """The evaluate process runs every task itself, whatever ``--workers``
+    says; what used to cross a process boundary still behaves the same."""
     METRICS = ["cosine_similarity", "jensen_shannon_divergence", "recall"]
-    TASK_RESULTS = staticmethod(runner._task_results)
 
-    @pytest.fixture
-    def recording_pool(self, monkeypatch):
-        """Stands in for the fork-join: records the process count asked
-        for and refuses to start, so no process is ever created."""
-        sizes = []
-
-        def refuse(pooled, processes, context):
-            sizes.append(processes)
-            raise _PoolRefused
-        monkeypatch.setattr(runner, "_fork_join", refuse)
-        return sizes
-
-    @pytest.fixture(autouse=True)
-    def deadline(self):
-        """Fail a test that is still waiting after a minute, instead of
-        hanging; the fork-join kills and reaps its children on the way
-        out."""
-        def expire(signum, frame):
-            raise TimeoutError("still waiting after 60 s")
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-    @pytest.fixture
-    def forked(self, monkeypatch):
-        """The pids of the children this process forks."""
-        pids = []
-        fork = os.fork
-
-        def recorded():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-        monkeypatch.setattr(os, "fork", recorded)
-        return pids
-
-    def _placed(self, monkeypatch, in_parent, in_child):
-        """Route every task through ``in_parent`` in this process and
-        ``in_child`` in a forked one; each gets the task and the real
-        ``_task_results``."""
-        parent, task_results = os.getpid(), self.TASK_RESULTS
-
-        def placed(task, args):
-            where = in_parent if os.getpid() == parent else in_child
-            return where(task, lambda: task_results(task, args))
-        monkeypatch.setattr(runner, "_task_results", placed)
-        monkeypatch.setattr(runner, "_available_cpus", lambda: 2)
-
-    def test_pool_capped_by_cpus_and_tasks(self, pair, monkeypatch,
-                                           recording_pool):
-        real, synth = pair
-        # no subgroup labels: one global scope, one task per metric
-        inputs = EvaluationInputs(synthetic=EmbeddingSet(synth.ids, synth.data),
-                                  real=real)
-        cfg = _embedding_config(metrics=self.METRICS)
-        assert runner._available_cpus() >= 1
-        for cpus in (2, 10_000):
-            monkeypatch.setattr(runner, "_available_cpus", lambda: cpus)
-            with pytest.raises(_PoolRefused):
-                run_evaluation(inputs, cfg, workers=10_000)
-        assert recording_pool == [2, len(self.METRICS)]
-
-    def test_one_task_per_subgroup_replicate_block(self, pair, monkeypatch,
-                                                   recording_pool):
-        # every scope pools one task per metric, whatever the replicate
+    def test_one_task_per_subgroup_replicate_block(self, pair, monkeypatch):
+        # every scope runs one task per metric, whatever the replicate
         # count: a subgroup's task for a base carries its replicate block
         real, synth = pair
-        subgroups = len(set(synth.subgroup))
+        subgroups = sorted(set(synth.subgroup))
         bases = ["jensen_shannon_divergence", "recall"]
         cfg = _embedding_config(metrics=self.METRICS + ["anova"], consistency={
             "base_metrics": bases, "bootstrap_replicates": 50})
-        monkeypatch.setattr(runner, "_available_cpus", lambda: 10_000)
-        with pytest.raises(_PoolRefused):
-            run_evaluation(EvaluationInputs(synthetic=synth, real=real), cfg,
-                           workers=10_000)
-        single = (1 + subgroups) * len(self.METRICS)
-        assert subgroups == 2
-        assert recording_pool == [single]
+        tasks = []
+        task_results = runner._task_results
 
-    def test_one_cpu_or_no_fork_runs_serially(self, pair, monkeypatch,
-                                              recording_pool):
-        real, synth = pair
-        inputs = EvaluationInputs(synthetic=synth, real=real)
-        cfg = _embedding_config(metrics=self.METRICS)
-        serial = dumps_canonical(run_evaluation(inputs, cfg).to_dict())
-        monkeypatch.setattr(runner, "_available_cpus", lambda: 1)
-        assert dumps_canonical(run_evaluation(
-            inputs, cfg, workers=4).to_dict()) == serial
-        monkeypatch.setattr(runner, "_available_cpus", lambda: 4)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn"])
-        assert dumps_canonical(run_evaluation(
-            inputs, cfg, workers=4).to_dict()) == serial
-        assert recording_pool == []
-
-    def test_children_forked_and_reaped(self, pair, monkeypatch, forked):
-        # the evaluate process only collects: 3 processes fork 3 children
-        real, synth = pair
-        inputs = EvaluationInputs(synthetic=synth, real=real)
-        cfg = _embedding_config(metrics=self.METRICS)
-        serial = dumps_canonical(run_evaluation(inputs, cfg).to_dict())
-        assert forked == []
-        monkeypatch.setattr(runner, "_available_cpus", lambda: 3)
-        assert dumps_canonical(run_evaluation(
-            inputs, cfg, workers=3).to_dict()) == serial
-        assert len(forked) == 3 and _reaped(forked)
-
-    def test_this_process_runs_no_pooled_task(self, pair, monkeypatch,
-                                              forked):
-        # what this process computes must not depend on which child ran
-        # what, so that a profile of it repeats from run to run
-        def refuse(task, compute):
-            raise AssertionError(f"{task} ran in the evaluate process")
-        self._placed(monkeypatch, refuse, lambda task, compute: compute())
-        real, synth = pair
-        run_evaluation(EvaluationInputs(synthetic=synth, real=real),
-                       _embedding_config(metrics=self.METRICS), workers=2)
-        assert len(forked) == 2 and _reaped(forked)
-
-    def test_every_task_runs_once_with_more_processes_than_cpus(
-            self, monkeypatch, forked, tmp_path):
-        # a lost update of the shared claim counter would run a task twice
-        # or not at all; six processes share it on fewer CPUs
-        log = tmp_path / "claims"
-
-        def claimed(task, args):
-            with open(log, "a") as fh:
-                fh.write(f"{args}\n")
-            return [args * 2]
-        monkeypatch.setattr(runner, "_task_results", claimed)
-        pooled = [(("global", "m", ()), i) for i in range(300)]
-        context = multiprocessing.get_context("fork")
-        assert runner._fork_join(pooled, 6, context) == [
-            [2 * i] for i in range(300)]
-        assert sorted(int(i) for i in log.read_text().split()) == list(
-            range(300))
-        assert len(forked) == 6 and _reaped(forked)
+        def recorded(task, args):
+            tasks.append(task)
+            return task_results(task, args)
+        monkeypatch.setattr(runner, "_task_results", recorded)
+        run_evaluation(EvaluationInputs(synthetic=synth, real=real), cfg)
+        assert len(subgroups) == 2
+        assert len(tasks) == (1 + len(subgroups)) * len(self.METRICS) + 1
+        assert [(scope, name, len(replicates))
+                for scope, name, replicates in tasks] == [
+            (scope, name, 50 * (scope != "global" and name in bases))
+            for scope in ["global"] + [f"subgroup:{g}" for g in subgroups]
+            for name in self.METRICS] + [("global", "anova", 0)]
 
     def _error(self, run):
         with pytest.raises(Exception) as caught:
@@ -856,73 +703,18 @@ class TestWorkerProcesses:
         return type(caught.value), str(caught.value), getattr(
             caught.value, "code", None)
 
-    def _run(self, pair, workers):
+    def test_first_failing_task_in_task_order_wins(self, pair, monkeypatch):
+        # every task fails with its own message; the first one's error is
+        # the run's, code and all
+        def fail(task, args):
+            raise EvaluationError(f"{task[1]} in {task[0]} failed",
+                                  code="E249")
+        monkeypatch.setattr(runner, "_task_results", fail)
         real, synth = pair
-        cfg = _embedding_config(metrics=self.METRICS)
-        return lambda: run_evaluation(
-            EvaluationInputs(synthetic=synth, real=real), cfg,
-            workers=workers)
-
-    def test_error_in_a_child_surfaces_as_serially(self, pair, monkeypatch,
-                                                   forked, tmp_path):
-        # a child's pids reach this process through a file
-        log = tmp_path / "pids"
-
-        def fail(task, compute):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            raise EvaluationError("task failed", code="E249")
-        self._placed(monkeypatch, fail, fail)
-        serial = self._error(self._run(pair, 1))
-        assert serial == (EvaluationError, "task failed", "E249")
-        assert {int(pid) for pid in log.read_text().split()} == {os.getpid()}
-        log.unlink()
-        assert self._error(self._run(pair, 2)) == serial
-        pids = {int(pid) for pid in log.read_text().split()}
-        assert pids and pids <= set(forked)
-        assert len(forked) == 2 and _reaped(forked)
-
-    def test_first_failing_task_in_task_order_wins(self, pair, monkeypatch,
-                                                   forked):
-        # every task fails with its own message, wherever it runs
-        def fail(task, compute):
-            raise EvaluationError(f"{task[1]} in {task[0]} failed")
-        self._placed(monkeypatch, fail, fail)
-        serial = self._error(self._run(pair, 1))
-        assert serial[1] == "cosine_similarity in global failed"
-        assert self._error(self._run(pair, 2)) == serial
-        assert len(forked) == 2 and _reaped(forked)
-
-    def test_child_ending_without_results_is_an_error(self, pair, monkeypatch,
-                                                      forked):
-        def end(task, compute):
-            os._exit(3)
-        self._placed(monkeypatch, None, end)
-        with pytest.raises(RuntimeError, match=r"worker process \d+ ended "
-                           r"without sending its results \(exit code 3\)"):
-            self._run(pair, 2)()
-        assert len(forked) == 2 and _reaped(forked)
-
-    def test_interrupted_run_kills_and_reaps_children(self, pair, monkeypatch,
-                                                      forked):
-        # the children hang; this process is interrupted while it waits
-        def hang(task, compute):
-            time.sleep(60)
-
-        def interrupt(signum, frame):
-            raise KeyboardInterrupt
-        self._placed(monkeypatch, None, hang)
-        previous = signal.signal(signal.SIGALRM, interrupt)
-        signal.setitimer(signal.ITIMER_REAL, 0.5)
-        start = time.perf_counter()
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                self._run(pair, 2)()
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert time.perf_counter() - start < 30
-        assert len(forked) == 2 and _reaped(forked)
+        assert self._error(lambda: run_evaluation(
+            EvaluationInputs(synthetic=synth, real=real),
+            _embedding_config(metrics=self.METRICS))) == (
+            EvaluationError, "cosine_similarity in global failed", "E249")
 
     @pytest.mark.parametrize("error", [
         errors.SmdError("base", code="E199"), errors.ConfigError("config"),
@@ -938,25 +730,20 @@ class TestWorkerProcesses:
         assert getattr(copy, "violations", None) == getattr(
             error, "violations", None)
 
-    def _image_run(self, pair, pairs, workers):
+    def _image_run(self, pair, pairs):
         real, synth = pair
         cfg = config_from_dict({"metrics": ["cosine_similarity", "psnr",
                                             "ssim"],
                                 "bounds": {"psnr": [0, 60]}})
         inputs = EvaluationInputs(synthetic=synth, real=real,
                                   image_pairs=pairs)
-        with pytest.raises(Exception) as caught:
-            run_evaluation(inputs, cfg, workers=workers)
-        return type(caught.value), str(caught.value), getattr(
-            caught.value, "code", None)
+        return self._error(lambda: run_evaluation(inputs, cfg))
 
     def test_malformed_image_pair_error_same_at_any_worker_count(self, pair):
         # equal-shaped 1-D "images": psnr scores them, ssim's 2-D window fails
         line = np.arange(8, dtype=np.uint8)
         pairs = [(line, line[::-1].copy(), 255)]
-        serial = self._image_run(pair, pairs, 1)
-        assert serial[0] is ValueError
-        assert self._image_run(pair, pairs, 2) == serial
+        assert self._image_run(pair, pairs)[0] is ValueError
 
     def test_task_error_code_crosses_worker_processes(self, pair,
                                                       monkeypatch):
@@ -964,9 +751,8 @@ class TestWorkerProcesses:
             raise EvaluationError("malformed image pair 0", code="E249")
         monkeypatch.setattr(congruence, "psnr_pairs", malformed)
         image = np.zeros((8, 8), dtype=np.uint8)
-        serial = self._image_run(pair, [(image, image, 255)], 1)
-        assert serial == (EvaluationError, "malformed image pair 0", "E249")
-        assert self._image_run(pair, [(image, image, 255)], 2) == serial
+        assert self._image_run(pair, [(image, image, 255)]) == (
+            EvaluationError, "malformed image pair 0", "E249")
 
 
 class TestCalibration:
