@@ -1,4 +1,5 @@
 import hashlib
+import os
 import pickle
 from dataclasses import replace
 
@@ -501,14 +502,16 @@ class TestAnovaReplicates:
                                  for r in range(5)]
 
     @pytest.mark.parametrize("bins", [None, 0])
-    def test_observed_value_from_block_equals_direct_call(self, monkeypatch,
-                                                          bins):
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_observed_value_from_block_equals_direct_call(
+            self, monkeypatch, bins, runs):
         # every scope's recall and JSD run through their block form, led by
         # the scope's set in a subgroup's replicate block where anova is
         # selected, else as a block of the set alone, and read as direct
         # calls on the scope's slices would: "noref" has no reference rows,
         # "small" too few rows for recall's k=3, and bins 0 makes every JSD
-        # undefined
+        # undefined; a second run in the same process runs the same blocks
+        # and gives the same report bytes
         real_base = make_gaussian_mixture(56, 3, TWO_MODES, seed=81)
         synth_base = make_gaussian_mixture(53, 3, TWO_MODES, seed=82)
         real_labels = ("a",) * 28 + ("b",) * 25 + ("small",) * 3
@@ -525,7 +528,8 @@ class TestAnovaReplicates:
                 blocks.append((name, len(rows)))
                 return one_pass(args, params, rows)
             monkeypatch.setitem(runner._BLOCKS, name, counted)
-        for anova in (True, False):
+        for anova, run in [(a, r) for a in (True, False)
+                           for r in range(runs)]:
             blocks.clear()
             cfg = config_from_dict({
                 "metrics": observed + ["anova"] * anova,
@@ -559,6 +563,10 @@ class TestAnovaReplicates:
             assert all(m["name"] != "entropy_coverage"
                        for scope in report.scopes for c in scope.criteria
                        for m in c.metrics)
+            text = dumps_canonical(report.to_dict())
+            if run == 0:
+                first = text
+            assert text == first
 
     @pytest.mark.parametrize("name", list(runner._BLOCKS) + [
         name for name in _EMBEDDING_METRICS if name not in runner._BLOCKS])
@@ -702,6 +710,28 @@ class TestWorkerProcesses:
             run()
         return type(caught.value), str(caught.value), getattr(
             caught.value, "code", None)
+
+    def test_error_in_a_child_surfaces_as_serially(self, pair, monkeypatch,
+                                                   tmp_path):
+        # a failing task runs in this process, forks nothing, and its error
+        # is the run's, message and code as raised
+        log = tmp_path / "pids"
+
+        def fail(task, args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise EvaluationError("task failed", code="E249")
+
+        def refuse():
+            raise OSError("evaluate forked a process")
+        monkeypatch.setattr(runner, "_task_results", fail)
+        monkeypatch.setattr(os, "fork", refuse)
+        real, synth = pair
+        assert self._error(lambda: run_evaluation(
+            EvaluationInputs(synthetic=synth, real=real),
+            _embedding_config(metrics=self.METRICS))) == (
+            EvaluationError, "task failed", "E249")
+        assert [int(pid) for pid in log.read_text().split()] == [os.getpid()]
 
     def test_first_failing_task_in_task_order_wins(self, pair, monkeypatch):
         # every task fails with its own message; the first one's error is
