@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_kernels.py
+    python3 scripts/bench_kernels.py [--out PATH]
 
 ``knn`` is one recall kernel: ``kth_neighbor_distances`` on the synthetic
 rows (k=3) and ``ball_query`` of the reference rows against those balls,
@@ -43,7 +43,8 @@ reference of n rows by d dimensions; n is odd, so the two halves of each
 split differ in length by one row. Prints one JSON line: the minimum,
 quartiles and median of the milliseconds per call of each kernel and size
 (``kernel_ms``) and of the seconds of each end-to-end row
-(``end_to_end_s``), the repetition counts and the peaks.
+(``end_to_end_s``), the repetition counts and the peaks; ``--out PATH``
+writes that line to PATH too.
 Kernel rows repeat for at least 5 calls and 0.5 s, end-to-end rows for at
 least 20 calls and 3 s.
 """
@@ -55,6 +56,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
+import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -175,7 +177,11 @@ def _spread(call, scale, min_repeats=MIN_REPEATS,
             len(samples))
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", metavar="PATH",
+                        help="also write the printed JSON line to PATH")
+    out = parser.parse_args(argv).out
     kernels, repeats, end_to_end = {}, {}, {}
 
     def record(kernel, n, d, call):
@@ -238,13 +244,16 @@ def main() -> None:
         radii = kth_neighbor_distances(synth.data, 3, rows)
         record("ball_query_replicates", n, d,
                lambda: ball_query(real.data, synth.data, radii))
-    print(json.dumps({"kernel_ms": kernels, "end_to_end_s": end_to_end,
-                      "repeats": repeats,
-                      "self_peak_rss_mb": peak_kib / 1024,
-                      "pooled_tasks": len(pooled),
-                      "numpy": np.__version__,
-                      "python": platform.python_version(),
-                      "machine": platform.machine()}, sort_keys=True))
+    line = json.dumps({"kernel_ms": kernels, "end_to_end_s": end_to_end,
+                       "repeats": repeats,
+                       "self_peak_rss_mb": peak_kib / 1024,
+                       "pooled_tasks": len(pooled),
+                       "numpy": np.__version__,
+                       "python": platform.python_version(),
+                       "machine": platform.machine()}, sort_keys=True)
+    print(line)
+    if out is not None:
+        Path(out).write_text(line + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

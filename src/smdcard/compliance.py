@@ -55,11 +55,15 @@ def l_diversity(table: RecordTable, quasi_identifiers: list[str],
     codes, domain = table.codes(sensitive_column)
     radix = len(domain) + 1
     pairs = np.unique(key * radix + codes + 1)
+    if table.kind(sensitive_column) == "numeric":
+        # distinct values, where -0.0 and 0.0 are one
+        values = table.floats(sensitive_column)
+        distinct = len(np.unique(values[~np.isnan(values)]))
+    else:
+        distinct = len(domain)
     diagnostics = {"classes": classes,
                    "rows_with_missing_qi": missing_rows,
-                   # distinct values, where -0.0 and 0.0 are one
-                   "distinct_sensitive_values":
-                       len(set(table.column(sensitive_column)) - {None})}
+                   "distinct_sensitive_values": distinct}
     return int(np.bincount(pairs // radix).min()), diagnostics
 
 

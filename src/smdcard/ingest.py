@@ -13,7 +13,9 @@ byte-order mark, as spreadsheet exports write them. A comma-separated file
 is tokenized once (split on line feeds and commas where it has no quotes,
 ``csv.reader`` otherwise) and converted column by column, a block of
 records at a time: one JSON parse per numeric column block, falling back to
-one ``float`` per cell for a block that is not all JSON numbers.
+one ``float`` per cell for a block that is not all JSON numbers, and a
+record table's categorical and text cells coded as they are read. Record
+widths are checked block by block.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import yaml
 
 from .config import EvalConfig, config_from_dict
 from .errors import ConfigError, InputError
-from .model import EmbeddingSet, RecordTable, check_unique_ids
+from .model import EmbeddingSet, LabelCoder, RecordTable, check_unique_ids
 
 # ---------------------------------------------------------------------------
 # canonical JSON
@@ -152,22 +154,23 @@ _ASCII_BLANKS = " \t\x0b\x0c\r\x1c\x1d\x1e\x1f"
 
 
 def _read_csv(path: str):
-    """A comma-separated file as (header, width, blocks, ragged): the header
-    record (None for an empty file) and its cell count; the data records
-    before the first one whose cell count differs, made block by block as
-    ``blocks`` is iterated, each block as (row of its first record, its
-    cells column by column); and that record's (row, cell count), or None.
-    Data cells are stripped, the header as written; rows are 1-based with
-    the header as row 1.
+    """A comma-separated file as (header, width, blocks): the header record
+    (None for an empty file) and its cell count, and the data records, made
+    block by block as ``blocks`` is iterated, each block as (row of its
+    first record, its cells column by column). The first record whose cell
+    count is not ``width`` ends the iteration with an error naming its row,
+    raised once the records before it are yielded. Data cells are stripped,
+    the header as written; rows are 1-based with the header as row 1.
 
     Text without a quote, carriage return or NUL is split on line feeds and
     then on commas, an empty line being a record of no cells and a final
     line feed ending the last record. These are the records ``csv.reader``
     reads from such text (RFC 4180: a record without quotes is its line
-    split on commas), and the split builds no list per record. Other text
-    goes through ``csv.reader``, the one path that reads quoted cells. On
-    both, a cell longer than ``csv.field_size_limit()`` is an error naming
-    its row, raised before this returns.
+    split on commas), and the split builds no list per record
+    (``_split_block``). Other text goes through ``csv.reader``, the one
+    path that reads quoted cells. On both, a cell longer than
+    ``csv.field_size_limit()`` is an error naming its row, raised before
+    this returns.
 
     Whether cells are stripped is decided here, once per file: quote-free
     text that is ASCII and holds no whitespace but its line feeds is split
@@ -181,29 +184,65 @@ def _read_csv(path: str):
     records = _reader_records(path, text) if quoted else _lines(path, text)
     del text
     if not records:
-        return None, 0, iter(()), None
+        return None, 0, iter(())
     if quoted:
-        header, sizes = records[0], list(map(len, records))
-
-        def block(start: int, stop: int) -> list:
-            return [list(map(str.strip, column))
-                    for column in zip(*records[start:stop])]
+        header, count = records[0], len
     else:
-        sizes = [line.count(",") + 1 if line else 0 for line in records]
-        header = records[0].split(",") if sizes[0] else []
+        header = records[0].split(",") if records[0] else []
+        count = _cell_count
+    width = len(header)
 
-        def block(start: int, stop: int) -> list:
-            cells = ",".join(records[start:stop]).split(",")
-            if not bare:
-                cells = list(map(str.strip, cells))
-            return [cells[j::width] for j in range(width)]
-    width, end = sizes[0], len(sizes)
-    if sizes.count(width) != end:
-        end = next(r for r, size in enumerate(sizes) if size != width)
-    ragged = (end + 1, sizes[end]) if end < len(sizes) else None
-    blocks = ((start + 1, block(start, min(start + _BLOCK_ROWS, end)))
-              for start in range(1, end, _BLOCK_ROWS))
-    return header, width, blocks, ragged
+    def blocks():
+        for start in range(1, len(records), _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, len(records))
+            if quoted:
+                end = next((r for r in range(start, stop)
+                            if len(records[r]) != width), stop)
+                columns = [list(map(str.strip, column))
+                           for column in zip(*records[start:end])]
+            else:
+                end, columns = _split_block(records, start, stop, width,
+                                            bare)
+            if end > start:
+                yield start + 1, columns
+            if end < stop:
+                raise InputError(f"{path}: row {end + 1} has "
+                                 f"{count(records[end])} cells, expected "
+                                 f"{width}")
+    return header, width, blocks()
+
+
+def _cell_count(line: str) -> int:
+    """The cells of a quote-free record: none for an empty line."""
+    return line.count(",") + 1 if line else 0
+
+
+def _split_block(lines: list[str], start: int, stop: int, width: int,
+                 bare: bool) -> tuple[int, list]:
+    """Quote-free records ``start`` to ``stop`` of a file of ``width``
+    cells per record, as (the index of the first of them with another cell
+    count, or ``stop``; the cells of the records before it, column by
+    column), stripped unless the text is ``bare``.
+
+    The lines are joined with a marker cell ``"\\n"`` between records and
+    split once. No cell of a line holds a line feed, so every record has
+    ``width`` cells exactly when the split has ``rows * (width + 1) - 1``
+    cells and a marker at every ``width + 1``-th, except that an empty
+    line, a record of no cells, splits into one empty cell, which passes
+    that check at width 1. Only a block that fails the check counts its
+    records' cells one by one."""
+    rows = stop - start
+    cells = ",\n,".join(lines[start:stop]).split(",")
+    end = stop
+    if (len(cells) != rows * (width + 1) - 1
+            or cells[width::width + 1].count("\n") != rows - 1
+            or width == 1 and "" in cells):
+        end = next((r for r in range(start, stop)
+                    if _cell_count(lines[r]) != width), stop)
+        cells = ",\n,".join(lines[start:end]).split(",")
+    if not bare:
+        cells = list(map(str.strip, cells))
+    return end, [cells[j::width + 1] for j in range(width)]
 
 
 def _lines(path: str, text: str) -> list[str]:
@@ -245,32 +284,37 @@ def _parse_float(cell: str, row: int, col: int, path: str) -> float:
     return value
 
 
-def _parse_columns(path: str, width: int, blocks, ragged,
-                   numeric: set[int], missing_texts: tuple[str, ...] = ()
+def _parse_columns(path: str, width: int, blocks, numeric: set[int],
+                   missing_texts: tuple[str, ...] = (), coded: bool = False
                    ) -> list:
     """``_read_csv``'s data converted column by column, a block at a time: a
-    ``numeric`` column to float64 with NaN at missing cells, any other to
-    strings with None at missing cells. A cell is missing when its text is
-    in ``missing_texts``.
+    ``numeric`` column to float64 with NaN at missing cells; any other to a
+    ``LabelCoder`` that codes its cells as they are read when ``coded``,
+    else to strings with None at missing cells. A cell is missing when its
+    text is in ``missing_texts``.
 
     A numeric column block is read by ``_json_floats``, one JSON parse of
     its cells. A block that parse refuses, one with a cell that is not a
     JSON number (``+1``, ``.5``, ``inf``, a non-ASCII digit) or that
     overflows, is read one ``float`` per cell, and the first bad numeric
-    cell in file order is an error. After the last block, the ragged record
-    is an error."""
+    cell in file order is an error; a record of another width after the
+    last good block is ``blocks``' own error."""
     missing = set(missing_texts)
     as_nan = dict.fromkeys(missing, "nan")
     as_null = dict.fromkeys(missing, "null")
-    # one string per distinct label, so that cells die with their block,
-    # and None for every missing text
+    # columns kept as strings: one string per distinct label, so that cells
+    # die with their block, and None for every missing text
     labels: dict[str, str | None] = dict.fromkeys(missing)
     order = sorted(numeric)
-    parsed: list[list] = [[] for _ in range(width)]
+    parsed: list = [LabelCoder(missing_texts) if coded and j not in numeric
+                    else [] for j in range(width)]
     for row, columns in blocks:
         for j, cells in enumerate(columns):
             if j not in numeric:
-                parsed[j] += map(labels.setdefault, cells, cells)
+                if coded:
+                    parsed[j].add(cells)
+                else:
+                    parsed[j] += map(labels.setdefault, cells, cells)
                 continue
             values = _json_floats(cells, as_null)
             if values is None:
@@ -283,9 +327,6 @@ def _parse_columns(path: str, width: int, blocks, ragged,
                         if cell not in missing:
                             _parse_float(cell, r, k + 1, path)
             parsed[j].append(values)
-    if ragged is not None:
-        raise InputError(f"{path}: row {ragged[0]} has {ragged[1]} cells, "
-                         f"expected {width}")
     return [(np.concatenate(column) if column else np.empty(0))
             if j in numeric else column for j, column in enumerate(parsed)]
 
@@ -422,7 +463,7 @@ def _feature_indices(path: str, header: list[str], keys: dict) -> list[int]:
 
 
 def _read_embeddings_csv(path: str, keys: dict, features):
-    header, width, blocks, ragged = _read_csv(path)
+    header, width, blocks = _read_csv(path)
     header = _checked_header(path, header)
     feature_cols = _feature_indices(path, header, keys)
     names = [header[j] for j in feature_cols]
@@ -432,7 +473,7 @@ def _read_embeddings_csv(path: str, keys: dict, features):
         raise InputError(f"{path}: feature columns differ from the "
                          f"reference's: missing {missing}, not in the "
                          f"reference {extra}")
-    cells = _parse_columns(path, width, blocks, ragged, set(feature_cols))
+    cells = _parse_columns(path, width, blocks, set(feature_cols))
     order = feature_cols if features is None else map(header.index, features)
     return ({name: cells[header.index(key)] for name, key in keys.items()},
             np.column_stack([cells[j] for j in order]))
@@ -530,7 +571,7 @@ def read_record_table(path: str, schema: dict[str, str],
     """Parse a typed record table; empty cells / the sentinel are missing."""
     if not schema:
         raise ConfigError("record table schema must declare column kinds")
-    header, width, blocks, ragged = _read_csv(path)
+    header, width, blocks = _read_csv(path)
     header = _checked_header(path, header)
     missing_decl = sorted(set(header) - set(schema))
     if missing_decl:
@@ -541,8 +582,8 @@ def read_record_table(path: str, schema: dict[str, str],
         raise InputError(f"{path}: schema columns {absent} not in the file")
     kinds = [schema[name] for name in header]
     numeric = {j for j, kind in enumerate(kinds) if kind == "numeric"}
-    cells = _parse_columns(path, width, blocks, ragged, numeric,
-                           ("", missing_sentinel))
+    cells = _parse_columns(path, width, blocks, numeric,
+                           ("", missing_sentinel), coded=True)
     return RecordTable(tuple(zip(header, kinds)), cells)
 
 

@@ -111,15 +111,62 @@ def check_dims(real: EmbeddingSet, synthetic: EmbeddingSet) -> None:
                               f"synthetic d={synthetic.d}")
 
 
+class _FirstSeen(dict):
+    """label -> code: -1 for each missing label, then 0, 1, ... in the
+    order labels are first looked up; a lookup of a new label that is not a
+    string is an error."""
+
+    def __init__(self, missing):
+        super().__init__(dict.fromkeys(missing, -1))
+        self.n_missing = len(self)
+
+    def __missing__(self, label):
+        if not isinstance(label, str):
+            raise InputError("categorical and text cells must be strings "
+                             "or None")
+        code = self[label] = len(self) - self.n_missing
+        return code
+
+
+class LabelCoder:
+    """Codes label cells, block by block as they are read, into their
+    sorted distinct labels, -1 at cells whose text is in ``missing``.
+
+    Each cell is hashed once: ``add`` looks it up in one first-seen
+    label -> code dict, and ``codes`` remaps every code by its label's rank
+    in the sorted domain once, after the last block. ``RecordTable`` takes
+    a coder as a coded column."""
+
+    def __init__(self, missing=(None,)):
+        self._index = _FirstSeen(missing)
+        self._blocks: list[np.ndarray] = []
+
+    def __len__(self) -> int:
+        return sum(map(len, self._blocks))
+
+    def add(self, cells) -> None:
+        self._blocks.append(np.fromiter(map(self._index.__getitem__, cells),
+                                        np.intp, len(cells)))
+
+    def codes(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """(read-only codes, sorted domain) of every cell added so far."""
+        labels = list(self._index)[self._index.n_missing:]
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        rank = np.full(len(labels) + 1, -1, dtype=np.intp)  # code -1 stays
+        rank[order] = np.arange(len(labels))
+        codes = rank[np.concatenate([*self._blocks, np.empty(0, np.intp)])]
+        codes.setflags(write=False)
+        return codes, tuple(labels[i] for i in order)
+
+
 def _encode(cells) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Codes of string cells into their sorted distinct values; None is -1."""
-    distinct = set(cells) - {None}
-    if not all(isinstance(value, str) for value in distinct):
-        raise InputError("categorical and text cells must be strings or None")
-    domain = tuple(sorted(distinct))
-    index = dict(zip((None, *domain), range(-1, len(domain))))
-    codes = np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
-    return _frozen_array(codes, dtype=np.intp), domain
+    """Codes of a coded column, or of string cells with None missing, into
+    their sorted distinct values; missing is -1."""
+    if not isinstance(cells, LabelCoder):
+        coder = LabelCoder()
+        coder.add(cells)
+        cells = coder
+    return cells.codes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +175,8 @@ class RecordTable:
 
     ``columns`` is an ordered tuple of (name, kind) with kind in
     numeric / categorical / text; ``cells`` holds one sequence per column,
-    with None (or NaN, in a numeric column) marking a missing cell.
+    with None (or NaN, in a numeric column) marking a missing cell, or, for
+    a categorical or text column, a ``LabelCoder`` its cells were coded by.
 
     This class alone knows how cells are encoded. A numeric column is a
     read-only float64 array with NaN at missing cells (``floats``). Any

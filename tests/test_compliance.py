@@ -110,6 +110,15 @@ class TestLDiversity:
         with pytest.raises(EvaluationError, match="ghost"):
             l_diversity(_random_qi_table(), ["age_band"], "ghost")
 
+    def test_distinct_sensitive_values_count_signed_zeros_once(self):
+        rows = [("20s", "100", "flu", -0.0), ("20s", "100", "flu", 0.0),
+                ("30s", "100", "flu", None), ("30s", "100", None, 2.5),
+                ("30s", "100", "cold", 2.5)]
+        value, diag = l_diversity(_qi_table(rows), ["age_band"], "lab")
+        assert (value, diag["distinct_sensitive_values"]) == (2, 2)
+        value, diag = l_diversity(_qi_table(rows), ["age_band"], "dx")
+        assert (value, diag["distinct_sensitive_values"]) == (1, 2)
+
 
 class TestTCloseness:
     def test_classes_matching_global_zero(self):

@@ -669,6 +669,29 @@ def test_record_table_reader_matches_row_wise_oracle(tmp_path_factory, case,
         assert (codes.tolist(), domain) == (want_codes.tolist(), want_domain)
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, ingest._BLOCK_ROWS])
+@pytest.mark.parametrize("schema, body, message", [
+    # one cell too many, then one too few: a block holding both has as
+    # many cells as its records should
+    ({"age": "numeric", "sex": "categorical", "note": "text"},
+     "30,F,a,b\n31,M\n32,F,c\n", "row 2 has 4 cells, expected 3"),
+    ({"age": "numeric", "sex": "categorical", "note": "text"},
+     "30,F,a\n31,F,a,b\n32,M\n", "row 3 has 4 cells, expected 3"),
+    ({"age": "numeric", "sex": "categorical", "note": "text"},
+     "x,F,a\n31,F,a,b\n32,M\n", "non-numeric cell at row 2 col 1: 'x'"),
+    # an empty line of a one-column file is a record of no cells
+    ({"age": "numeric"}, "30\n\n31\n", "row 3 has 0 cells, expected 1"),
+    ({"sex": "categorical"}, "F\nM\n\n", "row 4 has 0 cells, expected 1"),
+])
+def test_record_of_another_width_found_in_any_block(tmp_path, block_rows,
+                                                    schema, body, message):
+    p = _write(tmp_path / "t.csv", ",".join(schema) + "\n" + body)
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        with pytest.raises(InputError) as exc:
+            ingest.read_record_table(p, schema)
+    assert str(exc.value) == f"{p}: {message}"
+
+
 @st.composite
 def _embedding_files(draw):
     features = [f"f{j}" for j in range(draw(st.integers(1, 3)))]
@@ -765,7 +788,7 @@ def test_numeric_blocks_read_as_float_of_each_cell(blocks):
     starts = np.cumsum([2] + [len(cells) for cells in blocks])
     got = ingest._parse_columns("t.csv", 1, ((int(row), [cells]) for row, cells
                                              in zip(starts, blocks)),
-                                None, {0}, ("", "NA"))[0]
+                                {0}, ("", "NA"))[0]
     want = np.array([math.nan if cell in ("", "NA") else float(cell)
                      for cells in blocks for cell in cells])
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smdcard.config import config_from_dict
 from smdcard.errors import InputError
-from smdcard.model import (EmbeddingSet, MetricResult, RecordTable,
-                           make_result, undefined_result)
+from smdcard.model import (EmbeddingSet, LabelCoder, MetricResult,
+                           RecordTable, make_result, undefined_result)
 from smdcard.runner import EvaluationInputs, plan
 
 from conftest import embedding_from, table_from
@@ -95,6 +96,65 @@ class TestRecordTable:
     def test_non_string_category_rejected(self):
         with pytest.raises(InputError, match="strings or None"):
             table_from([("s", "categorical")], [(1,), ("a",)])
+
+
+def _sorted_domain_codes(cells):
+    """The coding rule stated directly: one set of the distinct cells, one
+    sort, one index; None is -1 and any other non-string is an error."""
+    distinct = set(cells) - {None}
+    if not all(isinstance(value, str) for value in distinct):
+        raise InputError("categorical and text cells must be strings or None")
+    domain = tuple(sorted(distinct))
+    index = dict(zip((None, *domain), range(-1, len(domain))))
+    return [index[cell] for cell in cells], domain
+
+
+def _outcome(code, cells):
+    try:
+        return code(cells)
+    except InputError as exc:
+        return f"InputError({exc})"
+
+
+_LABELS = st.none() | st.sampled_from(["b", "a", "B", "", "NA", "\xe9"]) \
+    | st.text(max_size=3)
+# hashable cells that are not strings
+_NON_STRINGS = st.sampled_from([1, 0.5, math.nan, True, b"a", ("a",)])
+
+
+@given(st.lists(_LABELS, max_size=12)
+       | st.lists(_LABELS | _NON_STRINGS, max_size=12),
+       st.sampled_from([(None,), (None, "", "NA")]),
+       st.lists(st.integers(0, 12), max_size=3))
+@example(["b", "a", "c", "a"], (None,), [1])  # first seen is not sorted
+@example(["a", None, "a"], (None,), [])  # one label
+@example([None, "NA", ""], (None, "", "NA"), [2])  # no labels
+@example([], (None,), [])
+@example(["a", 1], (None,), [1])
+@settings(max_examples=300, deadline=None)
+def test_label_coder_matches_sorted_domain_oracle(cells, missing, cuts):
+    """Codes added block by block (blocks cut at ``cuts``) equal one set,
+    sort and index of the whole column, missing texts read as None; a
+    non-string cell fails with the same error."""
+    def coded(cells):
+        coder = LabelCoder(missing)
+        for start, stop in zip([0, *sorted(cuts)], [*sorted(cuts), None]):
+            coder.add(cells[start:stop])
+        codes, domain = coder.codes()
+        assert len(coder) == len(cells) == len(codes)
+        assert codes.dtype == np.intp and not codes.flags.writeable
+        return codes.tolist(), domain
+
+    want = _outcome(_sorted_domain_codes,
+                    [None if cell in missing else cell for cell in cells])
+    assert _outcome(coded, cells) == want
+    if missing == (None,):  # a harness column goes through the same coder
+        table = _outcome(lambda c: RecordTable((("s", "text"),), [c]), cells)
+        if isinstance(want, str):
+            assert table == want
+        else:
+            codes, domain = table.codes("s")
+            assert (codes.tolist(), domain) == want
 
 
 class TestMetricResult:

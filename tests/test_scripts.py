@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -34,7 +35,7 @@ def test_defect_sweep_runs(tmp_path):
     assert "(no defect baseline)" in done.stdout
 
 
-def test_bench_kernels_captures_the_pooled_anova_tasks(monkeypatch):
+def _load_bench_kernels(monkeypatch):
     # the script sets BLAS thread counts and its import path when loaded
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location(
@@ -42,7 +43,37 @@ def test_bench_kernels_captures_the_pooled_anova_tasks(monkeypatch):
     bench = importlib.util.module_from_spec(spec)
     with mock.patch.dict(os.environ):
         spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_kernels_captures_the_pooled_anova_tasks(monkeypatch):
+    bench = _load_bench_kernels(monkeypatch)
     pooled = bench._pooled_tasks(*bench._anova_fixture())
     # 5 scopes x 2 metrics; each subgroup's two carry its replicate blocks
     assert len(pooled) == 10
     assert sum(len(replicates) > 0 for (_, _, replicates), _ in pooled) == 8
+
+
+def test_bench_kernels_writes_its_json_line_to_out(monkeypatch, tmp_path,
+                                                   capsys):
+    bench = _load_bench_kernels(monkeypatch)
+
+    def one_call(call, scale, *repeats):
+        call()
+        return dict.fromkeys(("min", "q1", "median", "q3"), 0.0), 1
+    monkeypatch.setattr(bench, "_spread", one_call)
+    for name, value in (("TABLE_ROWS", 200), ("EMBEDDING_FILE_SIZE", (60, 4)),
+                        ("CALIBRATE_SIZE", (51, 4)),
+                        ("KNN_SIZES", ((50, 4),))):
+        monkeypatch.setattr(bench, name, value)
+    out = tmp_path / "bench.json"
+    bench.main(["--out", str(out)])
+    line = capsys.readouterr().out
+    assert out.read_text(encoding="utf-8") == line
+    written = json.loads(line)
+    assert {"kernel_ms", "end_to_end_s", "repeats", "self_peak_rss_mb",
+            "pooled_tasks"} <= written.keys()
+    assert {"read_record_table_200x8", "read_embeddings_60x4", "knn_50x4",
+            "jsd_replicates_150x16"} <= written["kernel_ms"].keys()
+    assert {"evaluate", "pool", "calibrate_51x4"} == \
+        written["end_to_end_s"].keys()
