@@ -37,7 +37,12 @@ dimensions per set, 4 subgroups, bases ``recall`` and
 ``run_evaluation``, and ``pool`` times only the tasks it runs before the
 consistency metrics, each through ``runner._task_results``. These rows
 run first, so the peak RSS (MB, ``RUSAGE_SELF``) covers them alone; every
-task runs in this process. ``calibrate`` times
+task runs in this process. ``cli_evaluate`` times a fresh interpreter
+that runs ``smdcard.cli.main`` ``evaluate`` on the same inputs and config,
+written to files, so it alone counts start-up and imports; its children
+are spawned before any other row runs, and ``cli_peak_rss_mb`` is the
+largest child's own peak RSS (``VmHWM``, Linux), which, unlike
+``ru_maxrss``, does not start from this process's RSS. ``calibrate`` times
 ``calibrate_bounds`` with every computable embedding metric on a seeded
 reference of n rows by d dimensions; n is odd, so the two halves of each
 split differ in length by one row. Prints one JSON line: the minimum,
@@ -61,12 +66,14 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
@@ -100,6 +107,22 @@ EMBEDDING_FILE_SIZE = (600, 16)
 CALIBRATE_SIZE = (1001, 16)
 MIN_REPEATS, MIN_SECONDS = 5, 0.5
 END_TO_END_REPEATS, END_TO_END_SECONDS = 20, 3.0
+ANOVA_BASES = ["jensen_shannon_divergence", "recall"]
+ANOVA_CONFIG = {"metrics": ANOVA_BASES + ["anova", "max_min_difference"],
+                "consistency": {"base_metrics": ANOVA_BASES,
+                                "bootstrap_replicates": 50},
+                "seed": 1}
+# Runs smdcard.cli.main(argv) and writes this process's own peak RSS (kB)
+# as the last line of stderr.
+CLI_CHILD = """
+import sys
+from smdcard.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
 
 
 def _pair(n: int, d: int):
@@ -113,15 +136,39 @@ def _pair(n: int, d: int):
 def _anova_fixture():
     """Inputs and config shaped like perfbench's ``subgroup_anova``."""
     modes = [{"mean": 4.0 * i, "scale": 1.0, "weight": 1.0} for i in range(4)]
-    bases = ["jensen_shannon_divergence", "recall"]
     inputs = EvaluationInputs(
         synthetic=make_gaussian_mixture(600, 16, modes, seed=2),
         real=make_gaussian_mixture(600, 16, modes, seed=1))
-    config = config_from_dict({
-        "metrics": bases + ["anova", "max_min_difference"],
-        "consistency": {"base_metrics": bases, "bootstrap_replicates": 50},
-        "seed": 1})
-    return inputs, config
+    return inputs, config_from_dict(ANOVA_CONFIG)
+
+
+def _cli_argv(directory: str) -> list[str]:
+    """``evaluate`` command line of the ``_anova_fixture`` inputs and config,
+    written to files in ``directory``."""
+    inputs, _ = _anova_fixture()
+    paths = {name: os.path.join(directory, name + ".csv")
+             for name in ("real", "synthetic")}
+    ingest.write_embeddings(inputs.real, paths["real"])
+    ingest.write_embeddings(inputs.synthetic, paths["synthetic"])
+    config = os.path.join(directory, "config.yaml")
+    # written as JSON, which the YAML config reader accepts
+    Path(config).write_text(json.dumps(
+        {**ANOVA_CONFIG, "columns": {"subgroup": "subgroup"}}),
+        encoding="utf-8")
+    return ["evaluate", "--real", paths["real"], "--synthetic",
+            paths["synthetic"], "--config", config,
+            "--out", os.path.join(directory, "report.json")]
+
+
+def _run_cli(argv: list[str]) -> float:
+    """Run ``CLI_CHILD`` on ``argv`` in a fresh interpreter; its own peak
+    RSS in MB."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", CLI_CHILD, *argv], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, check=True)
+    return int(done.stderr.split()[-1]) / 1024
 
 
 def _pooled_tasks(inputs, config) -> list:
@@ -188,6 +235,13 @@ def main(argv=None) -> None:
         key = f"{kernel}_{n}x{d}"
         kernels[key], repeats[key] = _spread(call, 1e3)
 
+    cli_peaks = []
+    with tempfile.TemporaryDirectory() as directory:
+        argv = _cli_argv(directory)
+        end_to_end["cli_evaluate"], repeats["cli_evaluate"] = _spread(
+            lambda: cli_peaks.append(_run_cli(argv)), 1,
+            END_TO_END_REPEATS, END_TO_END_SECONDS)
+
     inputs, config = _anova_fixture()
     pooled = _pooled_tasks(inputs, config)
     for key, call in (
@@ -247,6 +301,7 @@ def main(argv=None) -> None:
     line = json.dumps({"kernel_ms": kernels, "end_to_end_s": end_to_end,
                        "repeats": repeats,
                        "self_peak_rss_mb": peak_kib / 1024,
+                       "cli_peak_rss_mb": max(cli_peaks),
                        "pooled_tasks": len(pooled),
                        "numpy": np.__version__,
                        "python": platform.python_version(),

@@ -6,8 +6,9 @@ entries after every other task. This module alone knows their base metrics,
 which bases' subgroup values each metric reads (``unobserved_bases``), the
 replicate blocks ``anova`` asks the runner for and the rows each replicate
 draws, once for all bases (``replicate_tasks``), how the replicates are
-tested, which subgroups a base skips, and that the worst base decides each
-metric.
+tested (a one-way F test whose p-value ``f_survival`` computes in ``math``,
+so no evaluate loads scipy for it), which subgroups a base skips, and that
+the worst base decides each metric.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ import numpy as np
 from . import catalog
 from .aggregate import normalize, resolve_bounds
 from .errors import EvaluationError
+
+_SMALLEST_NORMAL = 2.0 ** -1022
+# BFRAC stops once a term moves its value by less than this, relative
+_BFRAC_TOLERANCE = 1e-15
 
 
 def base_metrics(config) -> tuple[str, ...]:
@@ -160,12 +165,85 @@ def anova(results: dict, config, labels):
 
 
 def f_survival(f_value: float, df_between: int, df_within: int) -> float:
-    """Upper tail of the F distribution via the regularized incomplete beta."""
+    """Upper tail of the F distribution, in ``math`` alone: the regularized
+    incomplete beta I_x(a, b), a = df_within/2, b = df_between/2, at
+    x = df_within / (df_within + df_between·F). F ≤ 0 has tail 1 and
+    F = inf tail 0.
+
+    I_x(a, b) is x^a (1−x)^b / B(a, b) times DiDonato & Morris's continued
+    fraction BFRAC (ACM TOMS 18:360–373, 1992), taken at or below the mean,
+    where λ = a − (a+b)x ≥ 0, and through I_x(a, b) = 1 − I_{1−x}(b, a)
+    above it. BFRAC starts from λ, computed from whichever of x and 1 − x
+    keeps its digits; the A&S 26.5.8 fraction by Lentz's method starts from
+    1 − (a+b)x/(a+1) instead and loses up to 1e-12 relative near the mean
+    at df_within = 20,000. 1/B(a, b) = Γ(a+b) / (Γ(a) Γ(b)) is one
+    correctly rounded quotient of integers, over π when a and b are both
+    half-integers: Γ(a+b) / Γ(a) is a product of unit steps, after a half
+    step Γ(a+½) / Γ(a) given by a central binomial coefficient when b is a
+    half-integer, and Γ(b) a ratio of factorials. The powers go through
+    logarithms only where they underflow.
+    """
     if f_value <= 0:
         return 1.0
-    import scipy.special  # deferred: scipy dominates CLI start-up time
     x = df_within / (df_within + df_between * f_value)
-    return float(scipy.special.betainc(df_within / 2.0, df_between / 2.0, x))
+    if not 0.0 < x < 1.0:
+        # I_0 = 0 (F = inf) and I_1 = 1 (F too small to move x off 1); NaN
+        # stays NaN
+        return x
+    # Γ(a + b) / Γ(a) = num / den: the steps a + j, j = 0 .. ⌊b⌋ - 1, from
+    # a + 1/2 when b is a half-integer, times Γ(a + 1/2) / Γ(a) there
+    steps, odd = divmod(df_between, 2)
+    num = math.prod(range(df_within + odd, df_within + odd + 2 * steps, 2))
+    den = 1 << steps
+    if odd:
+        k = df_within // 2
+        central = math.comb(2 * k, k)
+        if df_within % 2:  # Γ(k + 1) / Γ(k + 1/2) = 4^k / (C(2k, k) √π)
+            num, den = num << 2 * k, den * central
+        else:  # Γ(k + 1/2) / Γ(k) = k C(2k, k) √π / 4^k
+            num, den = num * k * central, den << 2 * k
+        # over Γ(b) = (2·steps)! √π / (4^steps · steps!)
+        num <<= 2 * steps
+        num *= math.factorial(steps)
+        den *= math.factorial(2 * steps)
+    else:  # over Γ(b) = (steps - 1)!
+        den *= math.factorial(steps - 1)
+    shift = num.bit_length() - den.bit_length()
+    inv_beta = num / (den << shift) if shift >= 0 else (num << -shift) / den
+    if df_within % 2 and df_between % 2:
+        inv_beta /= math.pi
+    # 1/B(a, b) = inv_beta · 2^shift
+    a, b, y = df_within / 2, df_between / 2, 1.0 - x
+    lam = a - (a + b) * x if a <= b else (a + b) * y - b
+    flip = lam < 0
+    if flip:
+        a, b, x, y, lam = b, a, y, x, -lam
+    power = x ** a * y ** b
+    if power >= _SMALLEST_NORMAL:
+        front = math.ldexp(power * inv_beta, shift)
+    else:
+        front = math.exp(a * math.log(x) + b * math.log(y)
+                         + math.log(inv_beta) + shift * math.log(2.0))
+    c, c0, c1, yp1 = 1.0 + lam, b / a, 1.0 + 1.0 / a, y + 1.0
+    p, s, n = 1.0, a + 1.0, 0
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    while True:
+        n += 1
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        beta = n + w / s + (1.0 + t) / (c1 + t + t) * (c + n * yp1)
+        p, s = 1.0 + t, s + 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= _BFRAC_TOLERANCE * r:
+            break
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
+    tail = front * r
+    return 1.0 - tail if flip else tail
 
 
 def one_way_anova(groups: list[np.ndarray]):

@@ -252,7 +252,7 @@ def _lines(path: str, text: str) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     limit = csv.field_size_limit()
-    if len(text) > limit:
+    if len(text) > limit and max(map(len, lines)) > limit:
         for r, line in enumerate(lines, start=1):
             if len(line) > limit and max(map(len, line.split(","))) > limit:
                 raise InputError(f"{path}: row {r}: field larger than field "

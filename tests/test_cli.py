@@ -934,20 +934,43 @@ class TestExitCodes:
         assert not list(tmp_path.glob(".smdcard-*"))
 
 
-def _loaded_by_cli_import(names):
-    """Which of the module ``names`` a fresh ``import smdcard.cli`` loads."""
+def _loaded_by_cli_import(names, argv=None):
+    """Which modules named in ``names``, or inside them, a fresh interpreter
+    has loaded after ``import smdcard.cli`` and, given ``argv``, a
+    ``smdcard.cli.main(argv)`` that returns 0."""
     src = os.path.dirname(os.path.dirname(smdcard.__file__))
-    code = ("import sys, smdcard.cli; print([m for m in sys.modules if m in "
-            f"{tuple(names)!r}])")
+    run = "" if argv is None else f"assert smdcard.cli.main({argv!r}) == 0; "
+    inside = tuple(name + "." for name in names)
+    code = (f"import sys, smdcard.cli; {run}print(sorted(m for m in "
+            f"sys.modules if m in {tuple(names)!r} or m.startswith({inside!r})"
+            "))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    return out.stdout.strip()
+    return out.stdout.strip().splitlines()[-1]
 
 
 def test_cli_import_defers_scipy():
     assert _loaded_by_cli_import(("scipy.optimize", "scipy.special",
                                   "scipy.spatial")) == "[]"
+
+
+def test_anova_evaluate_loads_no_scipy(workspace, tmp_path):
+    # the F test's p-value is computed in ``math``
+    _, paths = workspace
+    bases = ["jensen_shannon_divergence", "recall"]
+    config = tmp_path / "anova.yaml"
+    config.write_text(yaml.safe_dump({
+        "metrics": bases + ["anova"], "columns": {"subgroup": "subgroup"},
+        "consistency": {"base_metrics": bases, "bootstrap_replicates": 5},
+        "seed": 17}))
+    argv = _evaluate_args(dict(paths, config=config))
+    assert _loaded_by_cli_import(("scipy",), argv) == "[]"
+    report = json.loads(paths["report"].read_text())
+    anova, = (metric for scope in report["scopes"]
+              for criterion in scope["criteria"]
+              for metric in criterion["metrics"] if metric["name"] == "anova")
+    assert 0.0 < anova["diagnostics"]["p"] < 1.0
 
 
 def test_cli_import_defers_orjson():

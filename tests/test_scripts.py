@@ -72,8 +72,9 @@ def test_bench_kernels_writes_its_json_line_to_out(monkeypatch, tmp_path,
     assert out.read_text(encoding="utf-8") == line
     written = json.loads(line)
     assert {"kernel_ms", "end_to_end_s", "repeats", "self_peak_rss_mb",
-            "pooled_tasks"} <= written.keys()
+            "cli_peak_rss_mb", "pooled_tasks"} <= written.keys()
+    assert written["cli_peak_rss_mb"] > 0
     assert {"read_record_table_200x8", "read_embeddings_60x4", "knn_50x4",
             "jsd_replicates_150x16"} <= written["kernel_ms"].keys()
-    assert {"evaluate", "pool", "calibrate_51x4"} == \
+    assert {"cli_evaluate", "evaluate", "pool", "calibrate_51x4"} == \
         written["end_to_end_s"].keys()
