@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_kernels.py [--out PATH]
+    python3 scripts/bench_kernels.py [--out PATH] [--northstar]
 
 ``knn`` is one recall kernel: ``kth_neighbor_distances`` on the synthetic
 rows (k=3) and ``ball_query`` of the reference rows against those balls,
@@ -52,6 +52,18 @@ quartiles and median of the milliseconds per call of each kernel and size
 writes that line to PATH too.
 Kernel rows repeat for at least 5 calls and 0.5 s, end-to-end rows for at
 least 20 calls and 3 s.
+
+``--northstar`` adds a ``northstar`` entry: the North-star run of ROADMAP
+"State" (2000 rows by 32 dimensions per set, four modes at unit spacing,
+every embedding metric selected and an ``anova`` base with 50 replicates,
+bounds [0, 100] for each metric without another bounds source), run like
+``cli_evaluate`` in fresh interpreters. After a warm-up, three runs at
+``OPENBLAS_NUM_THREADS=1`` give the minimum and quartiles of its wall
+time (``wall_s``) and the largest child's own peak RSS; one more run at
+two threads gives ``threads_2_wall_s`` and ``threads_2_peak_rss_mb``.
+``report_sha256`` is the SHA-256 of the report each thread count wrote,
+``dumps_canonical(report.to_dict())``; the two may differ. A run takes
+10-13 s on a 2-vCPU host, so the entry is opt-in.
 """
 
 from __future__ import annotations
@@ -62,6 +74,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -84,6 +97,7 @@ from smdcard.coverage import (embedding_entropy,  # noqa: E402
                               embedding_entropy_replicates,
                               manifold_recall, manifold_recall_replicates)
 from smdcard import catalog, ingest  # noqa: E402
+from smdcard.aggregate import has_bounds_source  # noqa: E402
 from smdcard.harness import (inject_defect,  # noqa: E402
                              make_gaussian_mixture, make_record_table)
 from smdcard.model import EmbeddingSet  # noqa: E402
@@ -105,6 +119,8 @@ CATEGORICAL_FIELDS = {"sex": ["F", "M"], "site": ["A", "B", "C", "D"],
                              "none"]}
 EMBEDDING_FILE_SIZE = (600, 16)
 CALIBRATE_SIZE = (1001, 16)
+NORTHSTAR_SIZE = (2000, 32)
+NORTHSTAR_REPLICATES = 50
 MIN_REPEATS, MIN_SECONDS = 5, 0.5
 END_TO_END_REPEATS, END_TO_END_SECONDS = 20, 3.0
 ANOVA_BASES = ["jensen_shannon_divergence", "recall"]
@@ -142,29 +158,71 @@ def _anova_fixture():
     return inputs, config_from_dict(ANOVA_CONFIG)
 
 
-def _cli_argv(directory: str) -> list[str]:
-    """``evaluate`` command line of the ``_anova_fixture`` inputs and config,
-    written to files in ``directory``."""
-    inputs, _ = _anova_fixture()
+def _cli_argv(directory: str, real: EmbeddingSet, synthetic: EmbeddingSet,
+              raw: dict) -> list[str]:
+    """``evaluate`` command line of ``real`` and ``synthetic`` against the
+    config ``raw``, with subgroups from the ``subgroup`` column, written to
+    files in ``directory``; the report path is last."""
     paths = {name: os.path.join(directory, name + ".csv")
              for name in ("real", "synthetic")}
-    ingest.write_embeddings(inputs.real, paths["real"])
-    ingest.write_embeddings(inputs.synthetic, paths["synthetic"])
+    ingest.write_embeddings(real, paths["real"])
+    ingest.write_embeddings(synthetic, paths["synthetic"])
     config = os.path.join(directory, "config.yaml")
     # written as JSON, which the YAML config reader accepts
     Path(config).write_text(json.dumps(
-        {**ANOVA_CONFIG, "columns": {"subgroup": "subgroup"}}),
-        encoding="utf-8")
+        {**raw, "columns": {"subgroup": "subgroup"}}), encoding="utf-8")
     return ["evaluate", "--real", paths["real"], "--synthetic",
             paths["synthetic"], "--config", config,
             "--out", os.path.join(directory, "report.json")]
 
 
-def _run_cli(argv: list[str]) -> float:
-    """Run ``CLI_CHILD`` on ``argv`` in a fresh interpreter; its own peak
-    RSS in MB."""
+def _northstar_argv(directory: str) -> list[str]:
+    """``evaluate`` command line of the North-star run, written to files in
+    ``directory``."""
+    n, d = NORTHSTAR_SIZE
+    modes = [{"mean": float(i), "scale": 1.0, "weight": 1.0}
+             for i in range(4)]
+    embedding = [name for name in catalog.selectable_names()
+                 if catalog.descriptor(name).source
+                 == catalog.SOURCE_EMBEDDING]
+    raw = {"metrics": embedding + ["anova"],
+           "consistency": {"base_metrics": embedding,
+                           "bootstrap_replicates": NORTHSTAR_REPLICATES},
+           "seed": 1}
+    config = config_from_dict(raw)
+    raw["bounds"] = {name: [0, 100] for name in embedding
+                     if not has_bounds_source(name, config)}
+    return _cli_argv(directory, make_gaussian_mixture(n, d, modes, seed=1),
+                     make_gaussian_mixture(n, d, modes, seed=2), raw)
+
+
+def _northstar() -> dict:
+    """The ``northstar`` entry: fresh-interpreter North-star runs, three
+    after a warm-up at one BLAS thread and one at two."""
+    with tempfile.TemporaryDirectory() as directory:
+        argv = _northstar_argv(directory)
+        report = Path(argv[-1])
+        peaks = []
+        wall, runs = _spread(lambda: peaks.append(_run_cli(argv, "1")), 1,
+                             3, 0)
+        hashes = {"1": hashlib.sha256(report.read_bytes()).hexdigest()}
+        start = time.perf_counter()
+        peak_2 = _run_cli(argv, "2")
+        wall_2 = time.perf_counter() - start
+        hashes["2"] = hashlib.sha256(report.read_bytes()).hexdigest()
+    return {"wall_s": wall, "runs": runs, "peak_rss_mb": max(peaks),
+            "threads_2_wall_s": wall_2, "threads_2_peak_rss_mb": peak_2,
+            "report_sha256": hashes, "size": list(NORTHSTAR_SIZE),
+            "replicates": NORTHSTAR_REPLICATES}
+
+
+def _run_cli(argv: list[str], threads: str | None = None) -> float:
+    """Run ``CLI_CHILD`` on ``argv`` in a fresh interpreter, with BLAS on
+    ``threads`` threads if given; its own peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    if threads is not None:
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     done = subprocess.run([sys.executable, "-c", CLI_CHILD, *argv], env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True, check=True)
@@ -228,21 +286,27 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", metavar="PATH",
                         help="also write the printed JSON line to PATH")
-    out = parser.parse_args(argv).out
-    kernels, repeats, end_to_end = {}, {}, {}
+    parser.add_argument("--northstar", action="store_true",
+                        help="also time the North-star evaluate run, five "
+                             "fresh interpreters of 10-13 s each")
+    args = parser.parse_args(argv)
+    kernels, repeats, end_to_end, extra = {}, {}, {}, {}
 
     def record(kernel, n, d, call):
         key = f"{kernel}_{n}x{d}"
         kernels[key], repeats[key] = _spread(call, 1e3)
 
     cli_peaks = []
+    inputs, config = _anova_fixture()
     with tempfile.TemporaryDirectory() as directory:
-        argv = _cli_argv(directory)
+        argv = _cli_argv(directory, inputs.real, inputs.synthetic,
+                         ANOVA_CONFIG)
         end_to_end["cli_evaluate"], repeats["cli_evaluate"] = _spread(
             lambda: cli_peaks.append(_run_cli(argv)), 1,
             END_TO_END_REPEATS, END_TO_END_SECONDS)
+    if args.northstar:
+        extra["northstar"] = _northstar()
 
-    inputs, config = _anova_fixture()
     pooled = _pooled_tasks(inputs, config)
     for key, call in (
             ("evaluate", lambda: run_evaluation(inputs, config)),
@@ -305,10 +369,11 @@ def main(argv=None) -> None:
                        "pooled_tasks": len(pooled),
                        "numpy": np.__version__,
                        "python": platform.python_version(),
-                       "machine": platform.machine()}, sort_keys=True)
+                       "machine": platform.machine(), **extra},
+                      sort_keys=True)
     print(line)
-    if out is not None:
-        Path(out).write_text(line + "\n", encoding="utf-8")
+    if args.out is not None:
+        Path(args.out).write_text(line + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

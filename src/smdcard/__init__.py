@@ -11,7 +11,7 @@ from .catalog import CATALOG, MetricDescriptor, descriptor
 from .config import EvalConfig, config_from_dict
 from .errors import (CardError, ConfigError, EvaluationError, InputError,
                      PlanError, SmdError)
-from .model import EmbeddingSet, MetricResult, RecordTable, ValidationOutcome
+from .model import EmbeddingSet, MetricResult, RecordTable
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "PlanError",
     "RecordTable",
     "SmdError",
-    "ValidationOutcome",
     "config_from_dict",
     "descriptor",
     "__version__",

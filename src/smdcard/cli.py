@@ -24,8 +24,7 @@ from . import __version__, card as card_mod, harness, ingest
 from .config import EvalConfig
 from .errors import ConfigError, EvaluationError, SmdError
 from .model import EmbeddingSet, RecordTable
-from .runner import (EvaluationInputs, PlanViolations, calibrate_bounds,
-                     run_evaluation)
+from .runner import EvaluationInputs, calibrate_bounds, plan, run_evaluation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,7 +99,7 @@ def _load_inputs(args, config: EvalConfig) -> EvaluationInputs:
     if config.real_table_path:
         if config.table_schema is None:
             raise ConfigError("tables.real needs tables.schema in the config")
-        path = _resolve_relative(config.real_table_path, args.config)
+        path = ingest.resolve_path(config.real_table_path, args.config)
         real_table = ingest.read_record_table(path, config.table_schema,
                                               config.missing_sentinel)
     image_pairs = None
@@ -114,7 +113,7 @@ def _load_inputs(args, config: EvalConfig) -> EvaluationInputs:
     class_probs = None
     probs_path = config.param("inception_score", "probs_path")
     if probs_path and "inception_score" in config.metrics:
-        eset = ingest.read_embeddings(_resolve_relative(probs_path, args.config),
+        eset = ingest.read_embeddings(ingest.resolve_path(probs_path, args.config),
                                       id_column=config.id_column)
         class_probs = eset.data
     return EvaluationInputs(synthetic=synthetic, real=real, table=table,
@@ -122,20 +121,11 @@ def _load_inputs(args, config: EvalConfig) -> EvaluationInputs:
                             class_probs=class_probs)
 
 
-def _resolve_relative(path: str, anchor_file: str) -> str:
-    if os.path.isabs(path):
-        return path
-    return os.path.join(os.path.dirname(os.path.abspath(anchor_file)), path)
-
-
 def cmd_evaluate(args) -> int:
     config = ingest.read_eval_config(args.config)
     inputs = _load_inputs(args, config)
     if args.validate_config:
-        from .runner import plan
-        outcome = plan(inputs, config)
-        if not outcome.ok:
-            raise PlanViolations(outcome.violations)
+        plan(inputs, config)
         print("plan ok: "
               f"{len(config.metrics)} metrics, seed {config.effective_seed()}")
         return 0
@@ -241,12 +231,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PlanViolations as exc:
-        for violation in exc.violations:
-            print(str(violation), file=sys.stderr)
-        return 2
-    except SmdError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
+    except SmdError as exc:  # a ``PlanViolations`` carries its errors
+        for error in getattr(exc, "violations", (exc,)):
+            print(f"{error.code}: {error}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"E211: {exc}", file=sys.stderr)

@@ -15,8 +15,8 @@ is tokenized once (split on line feeds and commas where it has no quotes,
 records at a time: one JSON parse per numeric column block, falling back to
 one ``float`` per cell for a block that is not all JSON numbers, and a
 record table's categorical and text cells coded as they are read. Record
-widths are checked block by block.
-"""
+widths are checked block by block, and quoted files are read a block at a
+time too."""
 
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
 from collections import Counter
 
@@ -131,18 +132,22 @@ def _read_text(path: str, error=InputError) -> str:
                     f"(byte 0x{payload[exc.start]:02x})") from None
 
 
-def _reader_records(path: str, text: str,
-                    count: int | None = None) -> list[list[str]]:
-    """The first ``count`` records (all by default) ``csv.reader`` reads from
-    ``text``; a csv error, such as a cell longer than
-    ``csv.field_size_limit()``, names its row."""
-    records: list[list[str]] = []
+# A line as ``io.StringIO(text, newline="")`` gives it, found in ``text``
+# without that StringIO's copy of it at four bytes a character.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _reader_records(path: str, text: str):
+    """The records ``csv.reader`` reads from ``text``, one at a time; a csv
+    error, such as a cell longer than ``csv.field_size_limit()``, names its
+    row."""
+    lines = map(re.Match.group, _LINE.finditer(text))
+    row = 0
     try:
-        records.extend(itertools.islice(
-            csv.reader(io.StringIO(text, newline="")), count))
+        for row, record in enumerate(csv.reader(lines), start=1):
+            yield record
     except csv.Error as exc:
-        raise InputError(f"{path}: row {len(records) + 1}: {exc}") from None
-    return records
+        raise InputError(f"{path}: row {row + 1}: {exc}") from None
 
 
 # Records converted at a time: the cell strings of one block are alive at
@@ -167,10 +172,10 @@ def _read_csv(path: str):
     line feed ending the last record. These are the records ``csv.reader``
     reads from such text (RFC 4180: a record without quotes is its line
     split on commas), and the split builds no list per record
-    (``_split_block``). Other text goes through ``csv.reader``, the one
-    path that reads quoted cells. On both, a cell longer than
-    ``csv.field_size_limit()`` is an error naming its row, raised before
-    this returns.
+    (``_split_block``); a cell longer than ``csv.field_size_limit()`` is an
+    error naming its row, raised before this returns. Other text goes
+    through ``csv.reader``, the one path that reads quoted cells, a block at
+    a time (``_quoted_blocks``); a csv error names its row as it is read.
 
     Whether cells are stripped is decided here, once per file: quote-free
     text that is ASCII and holds no whitespace but its line feeds is split
@@ -178,38 +183,43 @@ def _read_csv(path: str):
     text's cells are.
     """
     text = _read_text(path)
-    quoted = '"' in text or "\r" in text or "\0" in text
-    bare = (not quoted and text.isascii()
-            and not any(blank in text for blank in _ASCII_BLANKS))
-    records = _reader_records(path, text) if quoted else _lines(path, text)
+    if '"' in text or "\r" in text or "\0" in text:
+        records = _reader_records(path, text)
+        header = next(records, None)
+        width = len(header or ())
+        return header, width, _quoted_blocks(path, records, width)
+    bare = text.isascii() and not any(blank in text for blank in _ASCII_BLANKS)
+    records = _lines(path, text)
     del text
     if not records:
         return None, 0, iter(())
-    if quoted:
-        header, count = records[0], len
-    else:
-        header = records[0].split(",") if records[0] else []
-        count = _cell_count
+    header = records[0].split(",") if records[0] else []
     width = len(header)
 
     def blocks():
         for start in range(1, len(records), _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, len(records))
-            if quoted:
-                end = next((r for r in range(start, stop)
-                            if len(records[r]) != width), stop)
-                columns = [list(map(str.strip, column))
-                           for column in zip(*records[start:end])]
-            else:
-                end, columns = _split_block(records, start, stop, width,
-                                            bare)
+            end, columns = _split_block(records, start, stop, width, bare)
             if end > start:
                 yield start + 1, columns
             if end < stop:
                 raise InputError(f"{path}: row {end + 1} has "
-                                 f"{count(records[end])} cells, expected "
-                                 f"{width}")
+                                 f"{_cell_count(records[end])} cells, "
+                                 f"expected {width}")
     return header, width, blocks()
+
+
+def _quoted_blocks(path: str, records, width: int):
+    """``_read_csv``'s blocks of ``csv.reader``'s data ``records``."""
+    row = 2  # of the block's first record
+    while block := list(itertools.islice(records, _BLOCK_ROWS)):
+        end = next((i for i, r in enumerate(block) if len(r) != width), len(block))
+        if end:
+            yield row, [list(map(str.strip, column)) for column in zip(*block[:end])]
+        if end < len(block):
+            raise InputError(f"{path}: row {row + end} has "
+                             f"{len(block[end])} cells, expected {width}")
+        row += len(block)
 
 
 def _cell_count(line: str) -> int:
@@ -430,8 +440,8 @@ def reference_columns(path: str, id_column: str = "id",
     if _is_jsonl(path):
         names = next(jsonl_records(path), (0, {}))[1]
         return [c if c in names else None for c in wanted], None
-    records = _reader_records(path, _read_text(path), 1)
-    header = _checked_header(path, records[0] if records else None)
+    header = _checked_header(
+        path, next(_reader_records(path, _read_text(path)), None))
     present = [c if c in header else None for c in wanted]
     keys = _label_keys(id_column, *present)
     return present, tuple(header[j]
@@ -664,10 +674,17 @@ def write_pgm(path: str, image: np.ndarray, maxval: int | None = None) -> None:
     atomic_write(path, header + body)
 
 
+def resolve_path(path: str, anchor_file: str) -> str:
+    """A file ``path`` named inside ``anchor_file``, relative to its directory
+    unless absolute; a NUL byte, which no file name holds, is an error."""
+    if "\0" in path:
+        raise InputError(f"{anchor_file}: {path!r} is not a file name")
+    return os.path.join(os.path.dirname(os.path.abspath(anchor_file)), path)
+
+
 def read_image_pairs(manifest_path: str) -> list[tuple[str, str]]:
     """Two-column manifest: reference image path, synthetic image path."""
     pairs = []
-    base = os.path.dirname(os.path.abspath(manifest_path))
     records = _reader_records(manifest_path, _read_text(manifest_path))
     for r, record in enumerate(records, start=1):
         if not record or (len(record) == 1 and not record[0].strip()):
@@ -675,13 +692,8 @@ def read_image_pairs(manifest_path: str) -> list[tuple[str, str]]:
         if len(record) != 2:
             raise InputError(f"{manifest_path}: row {r} needs exactly two "
                              "paths (real, synthetic)")
-        pair = []
-        for cell in record:
-            p = cell.strip()
-            if not os.path.isabs(p):
-                p = os.path.join(base, p)
-            pair.append(p)
-        pairs.append(tuple(pair))
+        pairs.append(tuple(resolve_path(cell.strip(), manifest_path)
+                           for cell in record))
     if not pairs:
         raise InputError(f"{manifest_path}: no image pairs listed")
     return pairs
@@ -701,12 +713,28 @@ def read_yaml(path: str) -> dict:
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {_yaml_problem(exc, text)}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return raw
+
+
+def _yaml_problem(exc: yaml.YAMLError, text: str) -> str:
+    """PyYAML's error on ``text`` as one line: the line and column of its
+    mark, or of a reader error's position, then the problem, without the
+    excerpt and ``<unicode string>`` lines of PyYAML's own text."""
+    mark = getattr(exc, "problem_mark", None) or getattr(exc, "context_mark", None)
+    at = getattr(exc, "position", None)
+    what = ": ".join(filter(None, (getattr(exc, "context", None),
+                                   getattr(exc, "problem", None))))
+    what = what or str(exc).partition("\n")[0]
+    if mark is None and at is None:
+        return what
+    line, column = ((mark.line, mark.column) if mark is not None else
+                    (text.count("\n", 0, at), at - text.rfind("\n", 0, at) - 1))
+    return f"line {line + 1}, column {column + 1}: {what}"
 
 
 def read_eval_config(path: str) -> EvalConfig:

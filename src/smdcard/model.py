@@ -318,24 +318,3 @@ def undefined_result(name: str, reason: str, scope: str = "global") -> MetricRes
     return MetricResult(descriptor(name), None, scope, None,
                         {"undefined_reason": reason})
 
-
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-
-    def __str__(self):
-        return f"{self.code}: {self.message}"
-
-
-@dataclass(frozen=True)
-class ValidationOutcome:
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def messages(self) -> list[str]:
-        return [str(v) for v in self.violations]
-

@@ -1,5 +1,6 @@
 """Evaluation pipeline: plan validation, scoped metric computation,
-consistency analysis, and report assembly.
+consistency analysis, and report assembly. ``plan`` raises one
+``PlanViolations`` carrying every failed check as a coded ``PlanError``.
 
 Scopes: the global view always runs; per-region scopes run when the
 synthetic set carries region tags (local evaluation); per-subgroup scopes
@@ -43,8 +44,7 @@ from .aggregate import QualityReport, assemble_report, has_bounds_source
 from .config import EvalConfig, config_digest
 from .constraint import ConstraintRuleSet, derive_range_rules, validate_rules
 from .errors import EvaluationError, PlanError
-from .model import (EmbeddingSet, MetricResult, RecordTable, ValidationOutcome,
-                    Violation, undefined_result)
+from .model import EmbeddingSet, MetricResult, RecordTable, undefined_result
 from .numerics import pca_fit
 
 TOOL = {"name": "smdcard", "version": __version__}
@@ -61,20 +61,20 @@ class EvaluationInputs:
 
 
 class PlanViolations(PlanError):
+    """Every failed plan check, in check order, each a coded ``PlanError``."""
+
     def __init__(self, violations):
         self.violations = tuple(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
-
-    def __reduce__(self):
-        return type(self), (self.violations,)
+        super().__init__("; ".join(f"{v.code}: {v}" for v in self.violations))
 
 
-def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
-    """The plan's checks that need the data; violations are returned."""
-    violations: list[Violation] = []
+def plan(inputs: EvaluationInputs, config: EvalConfig) -> None:
+    """The plan's checks that need the data: returns when every one passes,
+    else raises one ``PlanViolations`` carrying every failed check."""
+    violations: list[PlanError] = []
 
     def add(code, message):
-        violations.append(Violation(code, message))
+        violations.append(PlanError(message, code=code))
 
     real, synthetic = inputs.real, inputs.synthetic
     for label, eset in (("synthetic", synthetic), ("real", real)):
@@ -174,8 +174,8 @@ def plan(inputs: EvaluationInputs, config: EvalConfig) -> ValidationOutcome:
             validate_rules(inputs.table, ConstraintRuleSet(config.constraint_rules))
         except PlanError as exc:
             add("E229", str(exc))
-
-    return ValidationOutcome(tuple(violations))
+    if violations:
+        raise PlanViolations(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +363,7 @@ def _filter_by_label(eset: EmbeddingSet | None, attr: str, label: str):
 
 def run_evaluation(inputs: EvaluationInputs, config: EvalConfig
                    ) -> QualityReport:
-    outcome = plan(inputs, config)
-    if not outcome.ok:
-        raise PlanViolations(outcome.violations)
-
+    plan(inputs, config)
     seed = config.effective_seed()
     digest = config_digest(config)
     synthetic = inputs.synthetic
@@ -472,7 +469,8 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
     half against half and unary metrics on each half alone, every one a
     task with no replicates. Observed values are padded outward by one
     observed spread plus a 5% magnitude cushion, clamped to the analytic
-    floor.
+    floor. ``PlanViolations`` carries an E228 for each metric with no
+    finite value on any split, naming its first undefined reason.
     """
     if real.n < 4:
         raise PlanError("reference set too small to split (need at least 4 rows)")
@@ -483,6 +481,7 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
         perm = rng.permutation(real.n)
         splits.append((perm[:real.n // 2], perm[real.n // 2:]))
     values: dict[str, list[float]] = {}
+    undefined: list[PlanError] = []
     for name in config.metrics:
         d = catalog.descriptor(name)
         if d.source != catalog.SOURCE_EMBEDDING or d.static_bounds is not None:
@@ -491,11 +490,17 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
         halves = ((real.resample(a), real.resample(b)) for a, b in splits)
         pairs = halves if d.arity == "binary" else (
             (None, half) for pair in halves for half in pair)
-        for pair in pairs:
-            for result in _task_results(("global", name, ()),
-                                        _Args(*pair, config, seed)):
-                if result.value is not None and math.isfinite(result.value):
-                    values.setdefault(name, []).append(result.value)
+        results = [result for pair in pairs for result in _task_results(
+            ("global", name, ()), _Args(*pair, config, seed))]
+        values[name] = [r.value for r in results
+                        if r.value is not None and math.isfinite(r.value)]
+        if not values[name]:
+            reason = results[0].diagnostics.get("undefined_reason", "inf")
+            undefined.append(PlanError(
+                f"metric {name!r} gave no finite value on any reference "
+                f"self-split: {reason}", code="E228"))
+    if undefined:
+        raise PlanViolations(undefined)
     bounds = {}
     for name, observed in sorted(values.items()):
         vmin, vmax = min(observed), max(observed)

@@ -3,6 +3,7 @@ import pytest
 
 from smdcard.harness import make_gaussian_mixture, make_record_table
 from smdcard.model import EmbeddingSet, RecordTable
+from smdcard.runner import PlanViolations, plan
 
 
 @pytest.fixture
@@ -39,6 +40,16 @@ def embedding_from(rows, prefix="p") -> EmbeddingSet:
     data = np.asarray(rows, dtype=np.float64)
     return EmbeddingSet(ids=tuple(f"{prefix}{i}" for i in range(len(data))),
                         data=data)
+
+
+def plan_messages(inputs, config) -> list[str]:
+    """The ``E<code>: <message>`` line of each check ``runner.plan`` fails,
+    in check order, as the CLI prints them; none when the plan is ok."""
+    try:
+        plan(inputs, config)
+    except PlanViolations as exc:
+        return [f"{error.code}: {error}" for error in exc.violations]
+    return []
 
 
 def table_from(columns, rows) -> RecordTable:

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -657,6 +658,27 @@ class TestCalibrate:
             "gave a value on the reference self-splits; nothing to "
             "calibrate\n")
 
+    def test_metric_without_a_value_on_any_split_exit_2(self, tmp_path,
+                                                         capsys):
+        # every self-split half has 20 rows, too few for k=25, so no
+        # bounds could be suggested for rarity_score: the run fails, before
+        # any bounds file is written
+        real = make_gaussian_mixture(40, 3, TWO_MODES, seed=5)
+        ingest.write_embeddings(EmbeddingSet(real.ids, real.data),
+                                str(tmp_path / "real.csv"))
+        (tmp_path / "config.yaml").write_text(yaml.safe_dump({
+            "metrics": ["rarity_score", "variance_coverage"],
+            "params": {"rarity_score": {"k": 25}}}))
+        out = tmp_path / "bounds.yaml"
+        assert main(["calibrate", "--real", str(tmp_path / "real.csv"),
+                     "--config", str(tmp_path / "config.yaml"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "E228: metric 'rarity_score' gave no finite value on any "
+            "reference self-split: insufficient samples: k=25 out of range: "
+            "reference set supports at most k=19 (self-match excluded)\n")
+        assert not out.exists()
+
     def test_too_small_exit_2(self, workspace, tmp_path, capsys):
         tmp_ws, paths = workspace
         tiny = make_gaussian_mixture(3, 4, TWO_MODES, seed=1)
@@ -907,6 +929,47 @@ class TestExitCodes:
                      "--out", str(tmp_path / "f")]) == 2
         assert capsys.readouterr().err.startswith(f"E200: {recipe}: ")
 
+    @pytest.mark.parametrize("text, line", [
+        ('metrics: "cosine_similarity\n',
+         "line 2, column 1: while scanning a quoted scalar: found "
+         "unexpected end of stream"),
+        ("metrics: [cosine_similarity]\n\0\n",
+         "line 2, column 1: unacceptable character #x0000: "),
+    ], ids=["unterminated_quote", "nul"])
+    @pytest.mark.parametrize("document", ["config", "manifest", "recipe"])
+    def test_yaml_syntax_error_is_one_line(self, workspace, capsys, text,
+                                           line, document):
+        # PyYAML's own message spans lines and names "<unicode string>"
+        _, paths = workspace
+        assert main(_evaluate_args(paths)) == 0
+        capsys.readouterr()
+        path = paths.get(document, paths["config"].with_name("recipe.yaml"))
+        path.write_text(text)
+        argv = {"config": _evaluate_args(paths),
+                "manifest": ["card", "--manifest", str(path), "--report",
+                             str(paths["report"]), "--format", "md",
+                             "--out", str(path.with_name("card.md"))],
+                "recipe": ["fixtures", "--recipe", str(path),
+                           "--out", str(path.with_name("fixtures"))]}
+        assert main(argv[document]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"E200: {path}: {line}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("override", [
+        {"tables": {"real": "a\0b", "schema": {"age": "numeric"}}},
+        {"metrics": ["cosine_similarity", "inception_score"],
+         "params": {"inception_score": {"probs_path": "a\0b"}}},
+    ], ids=["tables_real", "probs_path"])
+    def test_nul_in_a_configured_path_exit_2(self, workspace, capsys,
+                                             override):
+        # no file name holds a NUL byte; open() raised ValueError for one
+        _, paths = workspace
+        paths["config"].write_text(yaml.safe_dump({**CONFIG, **override}))
+        assert main(_evaluate_args(paths)) == 2
+        assert capsys.readouterr().err == (
+            f"E210: {paths['config']}: 'a\\x00b' is not a file name\n")
+
     def test_missing_input_file_exit_2(self, workspace, capsys):
         _, paths = workspace
         code = main(["evaluate", "--synthetic", "/nonexistent.csv",
@@ -975,3 +1038,127 @@ def test_anova_evaluate_loads_no_scipy(workspace, tmp_path):
 
 def test_cli_import_defers_orjson():
     assert _loaded_by_cli_import(("orjson",)) == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Any one mutation of any one input gives exit 0 or 2, never an internal
+# error, and each stderr line is one coded error.
+
+#: command -> (its argv, with {d} for the run's directory; the files it
+#: reads that a mutation may change)
+_RUNS = {
+    "evaluate": (["evaluate", "--real", "{d}/real.csv", "--synthetic",
+                  "{d}/synthetic.jsonl", "--table", "{d}/table.csv",
+                  "--images", "{d}/pairs.csv", "--config", "{d}/config.yaml",
+                  "--out", "{d}/out.json"],
+                 ("real.csv", "synthetic.jsonl", "table.csv",
+                  "real_table.csv", "pairs.csv", "config.yaml")),
+    "card": (["card", "--manifest", "{d}/manifest.yaml", "--report",
+              "{d}/report.json", "--format", "md", "--out", "{d}/card.md"],
+             ("manifest.yaml", "report.json")),
+    "calibrate": (["calibrate", "--real", "{d}/real.csv", "--config",
+                   "{d}/config.yaml", "--out", "{d}/bounds.yaml"],
+                  ("real.csv", "config.yaml")),
+    "fixtures": (["fixtures", "--recipe", "{d}/recipe.yaml", "--out",
+                  "{d}/fixtures"], ("recipe.yaml",)),
+}
+_CELL = re.compile(r"[^,\n]+")
+_RETYPED = ("x", "", "-1", "1e999", "nan", "[]", "{a: 1}", '"', "true",
+            "null", "1.5")
+_ERROR_LINE = re.compile(r"E\d{3}: ")
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """name -> bytes of the input files of a small valid run of every
+    command in ``_RUNS``; each run exits 0 on them."""
+    from smdcard.harness import make_record_table
+    d = tmp_path_factory.mktemp("valid")
+    real = make_gaussian_mixture(40, 3, TWO_MODES, seed=1)
+    synth = make_gaussian_mixture(40, 3, TWO_MODES, seed=2)
+    ingest.write_embeddings(real, str(d / "real.csv"))
+    (d / "synthetic.jsonl").write_text("".join(
+        json.dumps({"id": synth.ids[i], "subgroup": synth.subgroup[i],
+                    "features": synth.data[i].tolist()}) + "\n"
+        for i in range(synth.n)))
+    ingest.write_record_table(make_record_table(30, seed=3),
+                              str(d / "table.csv"))
+    ingest.write_record_table(make_record_table(30, seed=4),
+                              str(d / "real_table.csv"))
+    image = np.arange(64, dtype=np.uint8).reshape(8, 8)
+    ingest.write_pgm(str(d / "a.pgm"), image)
+    ingest.write_pgm(str(d / "b.pgm"), image[::-1].copy())
+    (d / "pairs.csv").write_text("a.pgm,b.pgm\n")
+    (d / "config.yaml").write_text(yaml.safe_dump({
+        "metrics": ["cosine_similarity", "recall", "frechet_distance",
+                    "psnr", "missing_data_percentage", "k_anonymity"],
+        "bounds": {"frechet_distance": [0, 60], "psnr": [0, 60]},
+        "columns": {"subgroup": "subgroup"},
+        "compliance": {"quasi_identifiers": ["sex"]},
+        "tables": {"real": "real_table.csv",
+                   "schema": {"age": "numeric", "hgb": "numeric",
+                              "sex": "categorical"}},
+        "seed": 3}))
+    (d / "manifest.yaml").write_text(yaml.safe_dump(MANIFEST))
+    (d / "recipe.yaml").write_text(yaml.safe_dump(RECIPE))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([a.format(d=d) for a in _RUNS["evaluate"][0]]) == 0
+        (d / "out.json").rename(d / "report.json")
+        for command in ("card", "calibrate", "fixtures"):
+            assert main([a.format(d=d) for a in _RUNS[command][0]]) == 0
+    return {name: (d / name).read_bytes()
+            for name in ("real.csv", "synthetic.jsonl", "table.csv",
+                         "real_table.csv", "pairs.csv", "a.pgm", "b.pgm",
+                         "config.yaml", "manifest.yaml", "report.json",
+                         "recipe.yaml")}
+
+
+def _mutated(text: str, mutation: str, where: int, value: str) -> str:
+    """``text`` after one ``mutation`` at ``where`` (taken modulo the
+    positions there are): a cell, a run of characters between commas and
+    line ends, dropped with its comma, duplicated or retyped to ``value``;
+    the text truncated; or a BOM, CR or NUL inserted."""
+    cells = [m.span() for m in _CELL.finditer(text)]
+    if mutation in ("drop", "duplicate", "retype") and cells:
+        a, b = cells[where % len(cells)]
+        if mutation == "drop":
+            if text[b:b + 1] == ",":
+                b += 1
+            elif text[a - 1:a] == ",":
+                a -= 1
+            return text[:a] + text[b:]
+        if mutation == "duplicate":
+            return text[:b] + "," + text[a:b] + text[b:]
+        return text[:a] + value + text[b:]
+    at = where % (len(text) + 1)
+    if mutation == "truncate":
+        return text[:at]
+    insert = {"bom": "\ufeff", "cr": "\r", "nul": "\0"}.get(mutation, "")
+    return text[:at] + insert + text[at:]
+
+
+@given(run=st.sampled_from([(command, name) for command in sorted(_RUNS)
+                            for name in _RUNS[command][1]]),
+       mutation=st.sampled_from(("drop", "duplicate", "retype", "truncate",
+                                 "bom", "cr", "nul")),
+       where=st.integers(0, 10 ** 6), value=st.sampled_from(_RETYPED))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_mutated_input_exit_0_or_2_with_coded_lines(valid_inputs, run,
+                                                    mutation, where, value):
+    command, name = run
+    argv = _RUNS[command][0]
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, payload in valid_inputs.items():
+            with open(os.path.join(tmp, file), "wb") as fh:
+                fh.write(payload)
+        text = _mutated(valid_inputs[name].decode("utf-8"), mutation, where,
+                        value)
+        with open(os.path.join(tmp, name), "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([a.format(d=tmp) for a in argv])
+    assert code in (0, 2), err.getvalue()
+    for line in err.getvalue().splitlines():
+        assert _ERROR_LINE.match(line), err.getvalue()

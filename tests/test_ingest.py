@@ -3,6 +3,7 @@ import decimal
 import io
 import json
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -840,3 +841,43 @@ def test_cells_of_blank_free_ascii_text_are_not_stripped(tmp_path):
         assert t.floats("age").view(np.int64).tolist() == \
             np.array([1.0, -0.0]).view(np.int64).tolist()
         assert t.codes("sex")[1] == ("F", "M")
+
+
+def test_quoted_table_is_read_a_block_at_a_time(tmp_path):
+    # "anemia, iron" makes the writer quote it, so that file is read through
+    # csv.reader: its records, like the quote-free file's cells, are alive a
+    # block at a time, not all at once
+    from smdcard.harness import inject_defect, make_record_table
+    numeric = {"age": (20.0, 80.0), "hgb": (10.0, 17.0),
+               "sbp": (90.0, 160.0), "bmi": (18.0, 35.0)}
+    schema = {**dict.fromkeys(numeric, "numeric"),
+              **dict.fromkeys(("sex", "site", "band", "dx"), "categorical")}
+    peaks, tables = {}, {}
+    for first in ("anemia", "anemia, iron"):
+        table = inject_defect(make_record_table(
+            5000, seed=1, numeric_fields=numeric, categorical_fields={
+                "sex": ["F", "M"], "site": ["A", "B", "C", "D"],
+                "band": ["18-39", "40-59", "60-79", "80+"],
+                "dx": [first, "asthma", "diabetes", "none"]}),
+            "mask_cells", seed=2, fraction=0.02).dataset
+        path = str(tmp_path / "t.csv")
+        ingest.write_record_table(table, path)
+        ingest.read_record_table(path, schema)  # warm-up
+        tracemalloc.start()
+        try:
+            tables[first] = ingest.read_record_table(path, schema)
+            peaks[first] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert '"anemia, iron"' in (tmp_path / "t.csv").read_text("utf-8")
+    assert peaks["anemia, iron"] < 1.5 * peaks["anemia"], peaks
+    with mock.patch.object(ingest, "_BLOCK_ROWS", 7):
+        small = ingest.read_record_table(path, schema)
+    want = tables["anemia, iron"]
+    for name in schema:
+        if schema[name] == "numeric":
+            assert small.floats(name).tobytes() == want.floats(name).tobytes()
+        codes, domain = small.codes(name)
+        want_codes, want_domain = want.codes(name)
+        assert (codes.tolist(), domain) == (want_codes.tolist(), want_domain)
+    assert np.array_equal(small.missing_mask, want.missing_mask)

@@ -15,9 +15,11 @@ from smdcard.constraint import ConstraintRuleSet, rule_from_dict
 from smdcard.errors import EvaluationError
 from smdcard.harness import make_gaussian_mixture, make_record_table
 from smdcard.ingest import dumps_canonical
-from smdcard.model import EmbeddingSet, RecordTable, Violation
+from smdcard.model import EmbeddingSet, RecordTable
 from smdcard.runner import (EvaluationInputs, PlanViolations, calibrate_bounds,
-                            plan, run_evaluation)
+                            run_evaluation)
+
+from conftest import plan_messages
 
 TWO_MODES = [{"mean": 0.0, "scale": 1.0, "weight": 0.5},
              {"mean": 6.0, "scale": 1.0, "weight": 0.5}]
@@ -88,28 +90,29 @@ def pair():
 class TestPlan:
     def test_clean_plan_ok(self, pair):
         real, synth = pair
-        outcome = plan(EvaluationInputs(synthetic=synth, real=real),
-                       _embedding_config())
-        assert outcome.ok
+        assert plan_messages(EvaluationInputs(synthetic=synth, real=real),
+                             _embedding_config()) == []
 
     def test_missing_reference_named_per_metric(self, pair):
         _, synth = pair
-        outcome = plan(EvaluationInputs(synthetic=synth), _embedding_config())
-        messages = outcome.messages()
+        messages = plan_messages(EvaluationInputs(synthetic=synth),
+                                 _embedding_config())
         assert any("frechet_distance" in m for m in messages)
         assert any("precision" in m for m in messages)
 
     def test_table_metric_without_table(self, pair):
         real, synth = pair
         cfg = config_from_dict({"metrics": ["missing_data_percentage"]})
-        outcome = plan(EvaluationInputs(synthetic=synth, real=real), cfg)
-        assert any("--table" in m for m in outcome.messages())
+        messages = plan_messages(EvaluationInputs(synthetic=synth, real=real),
+                                 cfg)
+        assert any("--table" in m for m in messages)
 
     def test_unbounded_metric_without_bounds(self, pair):
         real, synth = pair
         cfg = config_from_dict({"metrics": ["earth_movers_distance"]})
-        outcome = plan(EvaluationInputs(synthetic=synth, real=real), cfg)
-        assert any("bounds" in m for m in outcome.messages())
+        messages = plan_messages(EvaluationInputs(synthetic=synth, real=real),
+                                 cfg)
+        assert any("bounds" in m for m in messages)
 
     @pytest.mark.parametrize("name,need", [
         (d.name, need) for d in catalog.REGISTRY.values() for need in d.needs])
@@ -117,8 +120,8 @@ class TestPlan:
         real, synth = pair
         inputs = EvaluationInputs(synthetic=synth, real=real,
                                   table=make_record_table(20, seed=9))
-        assert plan(inputs, _config_without(name, None)).ok
-        messages = plan(inputs, _config_without(name, need)).messages()
+        assert plan_messages(inputs, _config_without(name, None)) == []
+        messages = plan_messages(inputs, _config_without(name, need))
         assert any(m.startswith("E227") for m in messages), messages
 
     def test_consistency_needs_subgroups(self, pair):
@@ -126,8 +129,9 @@ class TestPlan:
         bare = EmbeddingSet(ids=synth.ids, data=synth.data)
         cfg = config_from_dict({"metrics": ["cosine_similarity",
                                             "max_min_difference"]})
-        outcome = plan(EvaluationInputs(synthetic=bare, real=real), cfg)
-        assert any("subgroup" in m for m in outcome.messages())
+        messages = plan_messages(EvaluationInputs(synthetic=bare, real=real),
+                                 cfg)
+        assert any("subgroup" in m for m in messages)
 
     def test_dispersion_needs_its_bases_selected(self, pair):
         # no subgroup task computes an unselected base, so the dispersion
@@ -137,14 +141,14 @@ class TestPlan:
         raw = {"metrics": ["cosine_similarity", "metric_variance",
                            "max_min_difference", "anova"],
                "consistency": {"base_metrics": ["recall"]}}
-        assert plan(inputs, config_from_dict(raw)).messages() == [
+        assert plan_messages(inputs, config_from_dict(raw)) == [
             f"E227: metric {name!r} reads the subgroup values of base metric "
             "'recall', which metrics does not select"
             for name in ("metric_variance", "max_min_difference")]
-        assert plan(inputs, config_from_dict(
-            dict(raw, metrics=["cosine_similarity", "anova"]))).ok
-        assert plan(inputs, config_from_dict(
-            dict(raw, metrics=raw["metrics"] + ["recall"]))).ok
+        assert plan_messages(inputs, config_from_dict(
+            dict(raw, metrics=["cosine_similarity", "anova"]))) == []
+        assert plan_messages(inputs, config_from_dict(
+            dict(raw, metrics=raw["metrics"] + ["recall"]))) == []
 
     def test_anova_only_base_needs_no_bounds(self, pair):
         # anova tests the raw replicate values, so no bound is ever used
@@ -155,7 +159,7 @@ class TestPlan:
             "consistency": {"base_metrics": ["earth_movers_distance"],
                             "bootstrap_replicates": 5},
             "columns": {"subgroup": "subgroup"}, "seed": 3})
-        assert plan(inputs, cfg).ok
+        assert plan_messages(inputs, cfg) == []
         anova = run_evaluation(inputs, cfg).criterion("consistency").metrics[0]
         assert anova["name"] == "anova" and anova["value"] is not None
 
@@ -165,8 +169,8 @@ class TestPlan:
         real, synth = pair
         cfg = config_from_dict({"metrics": ["earth_movers_distance",
                                             "max_min_difference"]})
-        assert plan(EvaluationInputs(synthetic=synth, real=real),
-                    cfg).messages() == [
+        assert plan_messages(EvaluationInputs(synthetic=synth, real=real),
+                             cfg) == [
             "E228: metric 'earth_movers_distance' has no normalization "
             "bounds; add bounds in the config or run calibrate"]
 
@@ -190,7 +194,7 @@ class TestPlan:
         real, synth = pair
         inputs = EvaluationInputs(synthetic=synth, real=real,
                                   table=make_record_table(20, seed=9))
-        assert plan(inputs, config_from_dict(raw)).messages() == [message]
+        assert plan_messages(inputs, config_from_dict(raw)) == [message]
 
 
 class TestRunEvaluation:
@@ -751,7 +755,6 @@ class TestWorkerProcesses:
         errors.InputError("input", code="E212"), errors.PlanError("plan"),
         errors.CardError("card", code="E231"),
         errors.EvaluationError("evaluation", code="E249"),
-        PlanViolations([Violation("E227", "a"), Violation("E228", "b")]),
     ], ids=lambda e: type(e).__name__)
     def test_errors_survive_pickling(self, error):
         copy = pickle.loads(pickle.dumps(error))
@@ -819,13 +822,22 @@ class TestCalibration:
     def test_bounds_pinned(self, n, failed, digest):
         # every computable embedding metric, of which those without two
         # analytic ends get bounds; at n=7 the 3-row first half is too
-        # small for rarity_score's k on the reference side, and at odd n
-        # the two halves differ in length
+        # small for rarity_score's k on the reference side, which fails the
+        # run with E228, so the rest is calibrated without it; at odd n the
+        # two halves differ in length
         open_ended = {name for name in _EMBEDDING_METRICS
                       if catalog.descriptor(name).static_bounds is None}
-        bounds = calibrate_bounds(
-            make_gaussian_mixture(n, 3, TWO_MODES, seed=n),
-            config_from_dict({"metrics": _EMBEDDING_METRICS, "seed": 5}))
+        real = make_gaussian_mixture(n, 3, TWO_MODES, seed=n)
+        if failed:
+            with pytest.raises(PlanViolations) as raised:
+                calibrate_bounds(real, config_from_dict(
+                    {"metrics": _EMBEDDING_METRICS, "seed": 5}))
+            assert [(v.code, str(v).split("'")[1])
+                    for v in raised.value.violations] == [
+                ("E228", name) for name in failed]
+        bounds = calibrate_bounds(real, config_from_dict(
+            {"metrics": [m for m in _EMBEDDING_METRICS if m not in failed],
+             "seed": 5}))
         assert sorted(open_ended - set(bounds)) == failed
         assert hashlib.sha256(repr(sorted(bounds.items())).encode()
                               ).hexdigest() == digest

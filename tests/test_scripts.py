@@ -64,10 +64,12 @@ def test_bench_kernels_writes_its_json_line_to_out(monkeypatch, tmp_path,
     monkeypatch.setattr(bench, "_spread", one_call)
     for name, value in (("TABLE_ROWS", 200), ("EMBEDDING_FILE_SIZE", (60, 4)),
                         ("CALIBRATE_SIZE", (51, 4)),
-                        ("KNN_SIZES", ((50, 4),))):
+                        ("KNN_SIZES", ((50, 4),)),
+                        ("NORTHSTAR_SIZE", (40, 4)),
+                        ("NORTHSTAR_REPLICATES", 3)):
         monkeypatch.setattr(bench, name, value)
     out = tmp_path / "bench.json"
-    bench.main(["--out", str(out)])
+    bench.main(["--out", str(out), "--northstar"])
     line = capsys.readouterr().out
     assert out.read_text(encoding="utf-8") == line
     written = json.loads(line)
@@ -78,3 +80,10 @@ def test_bench_kernels_writes_its_json_line_to_out(monkeypatch, tmp_path,
             "jsd_replicates_150x16"} <= written["kernel_ms"].keys()
     assert {"cli_evaluate", "evaluate", "pool", "calibrate_51x4"} == \
         written["end_to_end_s"].keys()
+    northstar = written["northstar"]
+    assert northstar["size"] == [40, 4] and northstar["replicates"] == 3
+    assert northstar["peak_rss_mb"] > 0 and northstar["threads_2_wall_s"] > 0
+    assert {"min", "q1", "median", "q3"} == northstar["wall_s"].keys()
+    # one SHA-256 per BLAS thread count, not asserted equal (ROADMAP item 12)
+    assert sorted(northstar["report_sha256"]) == ["1", "2"]
+    assert all(len(h) == 64 for h in northstar["report_sha256"].values())
