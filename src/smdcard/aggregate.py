@@ -46,26 +46,27 @@ def has_bounds_source(name: str, config) -> bool:
             or d.data_bounds or d.direction == "stat-sig")
 
 
-def normalize(result: MetricResult, bounds: tuple[float, float] | None):
-    """Attach the 0-100 normalized score to a metric result.
+def normalize(result: MetricResult, bounds: tuple[float, float] | None
+              ) -> float | None:
+    """A metric result's 0-100 score, None when it is unscored.
 
     maximize: 100*clamp((v-lo)/(hi-lo)); minimize: mirrored. Metrics scored
     by statistical significance map to 100*p (a high p-value means no
     detectable inconsistency). Infinite sentinels pin to the direction's
-    best/worst end; undefined results pass through unscored.
+    best/worst end; undefined results are unscored.
     """
     if not result.defined:
-        return result
+        return None
     d = result.descriptor
     if d.direction == "stat-sig":
         p = result.diagnostics.get("p")
         if p is None:
-            return result
-        return result.with_normalized(100.0 * min(max(float(p), 0.0), 1.0))
+            return None
+        return 100.0 * min(max(float(p), 0.0), 1.0)
     direction = d.score_direction
     if math.isinf(result.value):
         best = result.value > 0 if direction == "maximize" else result.value < 0
-        return result.with_normalized(100.0 if best else 0.0)
+        return 100.0 if best else 0.0
     if bounds is None:
         raise PlanError(f"metric {d.name!r} has no normalization bounds; "
                         "set bounds in the config or run calibrate")
@@ -75,7 +76,7 @@ def normalize(result: MetricResult, bounds: tuple[float, float] | None):
     fraction = (result.value - lo) / (hi - lo)
     if direction == "minimize":
         fraction = 1.0 - fraction
-    return result.with_normalized(100.0 * min(max(fraction, 0.0), 1.0))
+    return 100.0 * min(max(fraction, 0.0), 1.0)
 
 
 def aggregate_criterion(normalized: list[float], weights: list[float],
@@ -217,23 +218,6 @@ class QualityReport:
         return None
 
 
-def _metric_entry(result: MetricResult, weight: float,
-                  bounds: tuple[float, float] | None) -> dict:
-    d = result.descriptor
-    entry = {
-        "name": d.name,
-        "label": d.label,
-        "direction": d.direction,
-        "value": _value_to_json(result.value),
-        "normalized": result.normalized,
-        "weight": weight,
-        "bounds": [float(bounds[0]), float(bounds[1])] if bounds else None,
-        "excluded": result.normalized is None,
-        "diagnostics": _clean_diagnostics(result.diagnostics),
-    }
-    return entry
-
-
 def _clean_value(value):
     if isinstance(value, float):
         return _value_to_json(value)
@@ -244,35 +228,24 @@ def _clean_value(value):
     return value
 
 
-def _clean_diagnostics(diagnostics: dict) -> dict:
-    return {key: _clean_value(diagnostics[key]) for key in sorted(diagnostics)}
-
-
-def assemble_report(results: list[MetricResult], config, seed: int,
-                    config_digest: str, tool: dict,
+def assemble_report(results: dict[tuple[str, str], MetricResult], config,
+                    seed: int, config_digest: str, tool: dict,
                     declared_privacy: dict | None = None,
                     notes: list[str] | None = None) -> QualityReport:
     """Normalize every result, aggregate per criterion per scope, and build
     the full report (raw values and aggregates, global plus every region
-    and subgroup scope, config digest, seed record)."""
-    by_scope: dict[str, list[MetricResult]] = {}
-    for result in results:
-        by_scope.setdefault(result.scope, []).append(result)
+    and subgroup scope, config digest, seed record). ``results`` maps
+    (scope, metric) to that metric's result in that scope."""
+    by_scope: dict[str, dict[str, list[MetricResult]]] = {}
+    for scope, name in sorted(results, key=lambda key: (
+            _scope_sort_key(key[0]), _CATALOG_ORDER[key[1]])):
+        r = results[scope, name]
+        by_scope.setdefault(scope, {}).setdefault(
+            r.descriptor.criterion, []).append(r)
 
     scope_blocks = []
     all_notes = list(notes or [])
-    for scope in sorted(by_scope, key=_scope_sort_key):
-        scope_results = sorted(by_scope[scope],
-                               key=lambda r: _CATALOG_ORDER[r.descriptor.name])
-        seen = set()
-        for r in scope_results:
-            key = r.descriptor.name
-            if key in seen:
-                raise PlanError(f"metric {key!r} appears twice in scope {scope!r}")
-            seen.add(key)
-        by_criterion: dict[str, list[MetricResult]] = {}
-        for r in scope_results:
-            by_criterion.setdefault(r.descriptor.criterion, []).append(r)
+    for scope, by_criterion in by_scope.items():
         criterion_blocks = []
         for criterion in catalog.CRITERIA:
             members = by_criterion.get(criterion)
@@ -283,17 +256,25 @@ def assemble_report(results: list[MetricResult], config, seed: int,
             weights = []
             excluded = 0
             for r in members:
+                d = r.descriptor
                 bounds = resolve_bounds(r, config)
-                r = normalize(r, bounds)
-                weight = config.weight(r.descriptor.name)
-                entries.append(_metric_entry(r, weight, bounds))
-                if r.normalized is None:
+                normalized = normalize(r, bounds)
+                weight = config.weight(d.name)
+                entries.append({
+                    "name": d.name, "label": d.label,
+                    "direction": d.direction,
+                    "value": _value_to_json(r.value),
+                    "normalized": normalized, "weight": weight,
+                    "bounds": [float(bounds[0]), float(bounds[1])]
+                    if bounds else None,
+                    "excluded": normalized is None,
+                    "diagnostics": _clean_value(r.diagnostics)})
+                if normalized is None:
                     excluded += 1
                     reason = r.diagnostics.get("undefined_reason", "undefined")
-                    all_notes.append(f"excluded {r.descriptor.name} "
-                                     f"[{scope}]: {reason}")
+                    all_notes.append(f"excluded {d.name} [{scope}]: {reason}")
                 else:
-                    normalized_values.append(r.normalized)
+                    normalized_values.append(normalized)
                     weights.append(weight)
             # the config's rule, applied after exclusion: no positive
             # weight, no score

@@ -275,8 +275,7 @@ def build_card(manifest: dict, report: QualityReport | None = None,
     score, items = documentation_clarity_score(manifest)
     thresholds = report.thresholds if report else DEFAULT_THRESHOLDS
     d = catalog.descriptor("documentation_clarity")
-    normalized = normalize(make_result(d.name, score),
-                           d.static_bounds).normalized
+    normalized = normalize(make_result(d.name, score), d.static_bounds)
     quality["comprehension"] = {
         "score": normalized,
         "verdict": verdict(normalized, thresholds),

@@ -20,7 +20,8 @@ from .errors import EvaluationError
 from .model import EmbeddingSet, check_dims
 from .numerics import (ball_query, dimension_histograms, dimension_means,
                        draw_counts, jsd_rows, kth_neighbor_distances,
-                       pairwise_distances, w1_distance_1d)
+                       pairwise_distances, scaled_back, unit_scaled,
+                       w1_distance_1d)
 
 EXACT_MATCHING_LIMIT = 512
 FRECHET_REGULARIZATION = 1e-6  # ridge added to both covariances
@@ -111,17 +112,19 @@ def frechet_distance(real: EmbeddingSet, synthetic: EmbeddingSet):
     (S_r^(1/2) S_s S_r^(1/2))^(1/2) for numerical stability. Covariances are
     regularized with ``FRECHET_REGULARIZATION * I``; a negative residue
     within 1e-8 is clamped to zero. Undefined (None) when a set has fewer
-    than 2 rows, as a covariance needs two.
+    than 2 rows, as a covariance needs two, or past float64 (``unit_scaled``).
     """
     check_dims(real, synthetic)
     if real.n < 2 or synthetic.n < 2:
         return None, {"undefined_reason": "insufficient samples (need at "
                                           "least 2 rows per set)"}
-    mu_r = real.data.mean(axis=0)
-    mu_s = synthetic.data.mean(axis=0)
+    e, (rows_r, rows_s) = unit_scaled(real.data, synthetic.data)
+    mu_r = rows_r.mean(axis=0)
+    mu_s = rows_s.mean(axis=0)
     d = real.d
-    cov_r = _sample_cov(real.data) + FRECHET_REGULARIZATION * np.eye(d)
-    cov_s = _sample_cov(synthetic.data) + FRECHET_REGULARIZATION * np.eye(d)
+    ridge = math.ldexp(FRECHET_REGULARIZATION, -2 * e) * np.eye(d)
+    cov_r = _sample_cov(rows_r) + ridge
+    cov_s = _sample_cov(rows_s) + ridge
 
     root_r = _sqrt_psd(cov_r)
     inner = root_r @ cov_s @ root_r
@@ -129,12 +132,15 @@ def frechet_distance(real: EmbeddingSet, synthetic: EmbeddingSet):
     clamped = float(-eigvals.min()) if eigvals.min() < 0 else 0.0
     cross = float(np.sum(np.sqrt(np.clip(eigvals, 0.0, None))))
 
-    value = (float(np.sum((mu_r - mu_s) ** 2))
-             + float(np.trace(cov_r) + np.trace(cov_s)) - 2.0 * cross)
+    shift = float(np.sum((mu_r - mu_s) ** 2))
+    value = scaled_back(shift + float(np.trace(cov_r) + np.trace(cov_s))
+                        - 2.0 * cross, 2 * e)
+    if math.isinf(value):
+        return None, {"undefined_reason": "distance overflows float64"}
     diagnostics = {"regularization": FRECHET_REGULARIZATION,
-                   "mean_shift_sq": float(np.sum((mu_r - mu_s) ** 2))}
-    if clamped > 0:
-        diagnostics["clamped_eigenvalue"] = clamped
+                   "mean_shift_sq": scaled_back(shift, 2 * e)}
+    if clamped > 0:  # an eigenvalue of a product of two covariances
+        diagnostics["clamped_eigenvalue"] = scaled_back(clamped, 4 * e)
     if value < 0:
         if value < -1e-8:
             diagnostics["negative_residue"] = value

@@ -101,7 +101,7 @@ def spread(key: str, results: dict, config, labels):
         for label in labels:
             result = results.get((f"subgroup:{label}", base, None))
             values.append(None if result is None else normalize(
-                result, resolve_bounds(result, config)).normalized)
+                result, resolve_bounds(result, config)))
         stats, diag = dispersion(values)
         if stats is None:
             detail[base] = "undefined: " + diag.get("undefined_reason", "")

@@ -17,7 +17,8 @@ from .errors import EvaluationError
 from .model import EmbeddingSet, check_dims
 from .numerics import (ball_query, dimension_histograms, dimension_means,
                        draw_counts, entropy_rows, kth_neighbor_distances,
-                       pairwise_distances, pca_fit, shannon_entropy)
+                       pairwise_distances, pca_fit, scaled_back,
+                       shannon_entropy, unit_scaled)
 
 
 def manifold_recall(real: EmbeddingSet, synthetic: EmbeddingSet, k: int = 3):
@@ -53,7 +54,8 @@ def convex_hull_volume(synthetic: EmbeddingSet, reduce_to: int = 3):
 
     Dimensions above ``reduce_to`` are first projected onto the synthetic
     set's principal components (an exact eigensolve). Exact hull volume at
-    1-3 dimensions; degenerate point sets yield 0 with a flag.
+    1-3 dimensions, undefined past float64 (``unit_scaled``); degenerate
+    point sets yield 0 with a flag.
     """
     diagnostics: dict = {}
     data = synthetic.data
@@ -67,7 +69,12 @@ def convex_hull_volume(synthetic: EmbeddingSet, reduce_to: int = 3):
     if dim > 3:
         raise EvaluationError("exact hull volume supports at most 3 dimensions; "
                               "lower reduce_to")
-    return _hull_volume(data, diagnostics), diagnostics
+    e, (data,) = unit_scaled(data)
+    volume = scaled_back(_hull_volume(data, diagnostics), dim * e)
+    if math.isinf(volume):
+        diagnostics["undefined_reason"] = "hull volume overflows float64"
+        return None, diagnostics
+    return volume, diagnostics
 
 
 def _hull_volume(data: np.ndarray, diagnostics: dict) -> float:

@@ -492,7 +492,7 @@ def _read_embeddings_csv(path: str, keys: dict, features):
 def jsonl_records(path: str):
     """(line number, record) of each non-blank line of a JSON-lines file;
     every record must be a JSON object."""
-    lines = io.StringIO(_read_text(path), newline=None)
+    lines = map(re.Match.group, _LINE.finditer(_read_text(path)))
     for r, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -644,7 +644,9 @@ def read_pgm(path: str) -> tuple[np.ndarray, int]:
         if len(values) != width * height:
             raise InputError(f"{path}: expected {width * height} pixels, "
                              f"got {len(values)}")
-        arr = np.asarray(values, dtype=np.uint16 if maxval > 255 else np.uint8)
+        if min(values) < 0:
+            raise InputError(f"{path}: negative pixel in ASCII graymap")
+        top = max(values)  # checked before the pixels meet a fixed width
     else:
         i += 1  # single whitespace after maxval
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
@@ -652,12 +654,12 @@ def read_pgm(path: str) -> tuple[np.ndarray, int]:
         raw = payload[i:i + expected]
         if len(raw) != expected:
             raise InputError(f"{path}: truncated graymap pixel data")
-        arr = np.frombuffer(raw, dtype=dtype).astype(
-            np.uint16 if maxval > 255 else np.uint8)
-    arr = arr.reshape(height, width)
-    if arr.max(initial=0) > maxval:
+        values = np.frombuffer(raw, dtype=dtype)
+        top = values.max()
+    if top > maxval:
         raise InputError(f"{path}: pixel exceeds declared maxval {maxval}")
-    return arr, maxval
+    arr = np.array(values, dtype=np.uint16 if maxval > 255 else np.uint8)
+    return arr.reshape(height, width), maxval
 
 
 def write_pgm(path: str, image: np.ndarray, maxval: int | None = None) -> None:

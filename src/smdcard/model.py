@@ -275,17 +275,15 @@ class RecordTable:
 
 @dataclass(frozen=True)
 class MetricResult:
-    """One computed metric value with provenance.
+    """One computed metric value with its diagnostics; where it was computed
+    (its scope) is its key, and its 0-100 score is ``aggregate.normalize``'s.
 
     ``value`` is a float, ``math.inf`` as an explicit sentinel, or None when
     the metric is undefined for the inputs (reason recorded in diagnostics).
-    ``normalized`` is filled by the aggregation stage, on the 0-100 scale.
     """
 
     descriptor: MetricDescriptor
     value: float | None
-    scope: str = "global"
-    normalized: float | None = None
     diagnostics: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -294,27 +292,16 @@ class MetricResult:
             if v != v:  # NaN never allowed; undefined is expressed as None
                 raise InputError(f"{self.descriptor.name}: NaN metric value")
             object.__setattr__(self, "value", v)
-        if self.normalized is not None:
-            nv = float(self.normalized)
-            if not (0.0 <= nv <= 100.0):
-                raise InputError(f"normalized value {nv} outside [0, 100]")
-            object.__setattr__(self, "normalized", nv)
         object.__setattr__(self, "diagnostics", dict(self.diagnostics))
 
     @property
     def defined(self) -> bool:
         return self.value is not None
 
-    def with_normalized(self, normalized: float | None) -> "MetricResult":
-        return MetricResult(self.descriptor, self.value, self.scope,
-                            normalized, self.diagnostics)
+
+def make_result(name: str, value, **diagnostics) -> MetricResult:
+    return MetricResult(descriptor(name), value, diagnostics)
 
 
-def make_result(name: str, value, scope: str = "global", **diagnostics) -> MetricResult:
-    return MetricResult(descriptor(name), value, scope, None, diagnostics)
-
-
-def undefined_result(name: str, reason: str, scope: str = "global") -> MetricResult:
-    return MetricResult(descriptor(name), None, scope, None,
-                        {"undefined_reason": reason})
-
+def undefined_result(name: str, reason: str) -> MetricResult:
+    return MetricResult(descriptor(name), None, {"undefined_reason": reason})

@@ -310,6 +310,23 @@ def ball_query(query: np.ndarray, centers: np.ndarray, radii: np.ndarray):
     return smallest, occupied
 
 
+def unit_scaled(*arrays: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """(e, ``arrays`` times 2^-e), e >= 0 the least that brings every
+    |coordinate| below 1: a kernel on the scaled rows, exact in float64,
+    overflows only where its result, ``scaled_back``, does."""
+    top = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
+    e = max(0, math.frexp(top)[1])
+    return e, [np.ldexp(a, -e) for a in arrays]
+
+
+def scaled_back(value: float, exponent: int) -> float:
+    """``value`` times 2^exponent, an infinity where that overflows."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 @dataclass(frozen=True)
 class PcaBasis:
     mean: np.ndarray
@@ -333,7 +350,7 @@ def pca_fit(data: np.ndarray, target_dim: int) -> PcaBasis:
     if not (1 <= target_dim <= d):
         raise EvaluationError(f"target_dim={target_dim} must be in [1, {d}]")
     mean = data.mean(axis=0)
-    centered = data - mean
+    e, (centered,) = unit_scaled(data - mean)  # the covariance times 2^-2e
     cov = (centered.T @ centered) / max(n - 1, 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals, kind="stable")[::-1]
@@ -341,7 +358,7 @@ def pca_fit(data: np.ndarray, target_dim: int) -> PcaBasis:
     eigvecs = eigvecs[:, order]
 
     total = float(eigvals.sum())
-    rank_tol = max(total, 1.0) * 1e-12
+    rank_tol = max(total, math.ldexp(1.0, -2 * e)) * 1e-12
     rank = int(np.sum(eigvals > rank_tol))
 
     components = np.zeros((target_dim, d))

@@ -17,18 +17,20 @@ compute entry gets its metric's parameters as the config parsed them;
 (scope, metric, replicates): a metric on its scope's synthetic set, then
 on each replicate draw, an index array of the set's length into its rows,
 each read against the whole reference in the task's ``_Args``; a drawn
-reference is that ``_Args.real``. Its results are keyed (scope, metric,
-None) for the set, then (scope, metric, r) for replicate r.
-``_task_results`` is the one runner of them all, with one rule: a
+reference is that ``_Args.real``. ``_task_results`` is the one runner
+of them all, and returns a task's results keyed (scope, metric, None) for
+the set, then (scope, metric, r) for replicate r: a result holds only its
+value and diagnostics, and its scope is its key. It has one rule: a
 ``_BLOCKS`` metric runs every task as one block led by the set itself,
 and a ``_COMPUTE`` metric runs on the set, then on each ``resample``d
 replicate. A subgroup's task for each base metric carries the replicate
 block ``consistency`` asks for; every other task has none.
 ``run_evaluation`` runs every task in task order in the evaluate
 process, the consistency metrics last: they have compute rows too, and
-read the other tasks' results. Results are keyed before assembly, so a
-report's bytes depend only on the inputs and the config, and a failing
-run raises the error of its first failing task.
+read the other tasks' results. ``assemble_report`` takes each reported
+set result keyed (scope, metric), so a report's bytes depend only on the
+inputs and the config, and a failing run raises the error of its first
+failing task.
 """
 
 from __future__ import annotations
@@ -284,10 +286,10 @@ def _compute(name: str, args: _Args):
     return _COMPUTE[name](args, _params(name, args.config))
 
 
-def _results(scope: str, name: str, args: _Args, compute,
+def _results(name: str, args: _Args, compute,
              count: int = 1) -> list[MetricResult]:
     """``compute()``'s ``count`` (value, diagnostics) pairs as results of
-    ``name`` in ``scope``, with the catalog's ``data_bounds``. Embedding
+    ``name``, with the catalog's ``data_bounds``. Embedding
     metrics turn precondition failures into "insufficient samples"
     markers, one per result, and table metrics into plain undefined
     markers; image and probability errors propagate."""
@@ -295,14 +297,13 @@ def _results(scope: str, name: str, args: _Args, compute,
     embedding = d.source == catalog.SOURCE_EMBEDDING
     if embedding and d.arity == "binary" and args.real is None:
         return [undefined_result(name, "insufficient samples: no reference "
-                                       "rows in this slice", scope=scope)
-                for _ in range(count)]
+                                       "rows in this slice")] * count
     try:
         outputs = compute()
     except EvaluationError as exc:
         if embedding:
-            return [undefined_result(name, f"insufficient samples: {exc}",
-                                     scope=scope) for _ in range(count)]
+            return [undefined_result(name,
+                                     f"insufficient samples: {exc}")] * count
         if d.source == catalog.SOURCE_TABLE:
             return [undefined_result(name, str(exc))]
         raise
@@ -316,33 +317,30 @@ def _results(scope: str, name: str, args: _Args, compute,
             diagnostics["default_bounds"] = [1.0, float(max(2, top))]
         if value is None:
             diagnostics.setdefault("undefined_reason", "undefined")
-        results.append(MetricResult(d, value, scope, None, diagnostics))
+        results.append(MetricResult(d, value, diagnostics))
     return results
 
 
-def _task_results(task: tuple, args: _Args) -> list[MetricResult]:
+def _task_results(task: tuple, args: _Args) -> dict[tuple, MetricResult]:
     """A metric on ``args.synthetic``, then on each of ``task``'s
     replicates, index arrays of the set's length, each against the whole
     ``args.real``, which is where a drawn reference goes. A ``_BLOCKS``
     metric runs them as one block, the set itself as the draw of every row
-    once; any other runs on the set, then on each ``resample``d draw."""
+    once; any other runs on the set, then on each ``resample``d draw. The
+    results are keyed (scope, metric, None) for the set itself, then
+    (scope, metric, r) for replicate r."""
     scope, name, replicates = task
     if name in _BLOCKS:
         rows = [np.arange(args.synthetic.n), *replicates]
-        return _results(scope, name, args, lambda: _BLOCKS[name](
+        results = _results(name, args, lambda: _BLOCKS[name](
             args, _params(name, args.config), rows), len(rows))
-    results = _results(scope, name, args, lambda: [_compute(name, args)])
-    for drawn in replicates:  # one drawn set at a time
-        one = replace(args, synthetic=args.synthetic.resample(drawn))
-        results += _results(scope, name, one, lambda: [_compute(name, one)])
-    return results
-
-
-def _result_keys(task: tuple) -> list[tuple]:
-    """The key of each of ``task``'s results: (scope, metric, None) for the
-    set itself, then (scope, metric, r) for replicate r."""
-    scope, name, replicates = task
-    return [(scope, name, r) for r in (None, *range(len(replicates)))]
+    else:
+        results = _results(name, args, lambda: [_compute(name, args)])
+        for drawn in replicates:  # one drawn set at a time
+            one = replace(args, synthetic=args.synthetic.resample(drawn))
+            results += _results(name, one, lambda: [_compute(name, one)])
+    keys = [(scope, name, r) for r in (None, *range(len(replicates)))]
+    return dict(zip(keys, results))
 
 
 def _filter_by_label(eset: EmbeddingSet | None, attr: str, label: str):
@@ -413,7 +411,7 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig
         key=lambda n: catalog.descriptor(n).source
         == catalog.SOURCE_SUBGROUP_METRICS))
     for task, args in tasks:
-        results.update(zip(_result_keys(task), _task_results(task, args)))
+        results.update(_task_results(task, args))
 
     rules = run_args.rules
     if len(rules):
@@ -422,9 +420,9 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig
 
     declared = compliance.declared_privacy_record(config)
     # an ``anova`` base outside ``metrics`` reports nothing
-    return assemble_report([result for (_, name, replicate), result
-                            in results.items() if replicate is None
-                            and name in config.metrics],
+    return assemble_report({(scope, name): result for (scope, name, replicate),
+                            result in results.items() if replicate is None
+                            and name in config.metrics},
                            config, seed, digest, dict(TOOL),
                            declared_privacy=declared, notes=notes)
 
@@ -491,7 +489,7 @@ def calibrate_bounds(real: EmbeddingSet, config: EvalConfig
         pairs = halves if d.arity == "binary" else (
             (None, half) for pair in halves for half in pair)
         results = [result for pair in pairs for result in _task_results(
-            ("global", name, ()), _Args(*pair, config, seed))]
+            ("global", name, ()), _Args(*pair, config, seed)).values()]
         values[name] = [r.value for r in results
                         if r.value is not None and math.isfinite(r.value)]
         if not values[name]:

@@ -14,6 +14,12 @@ from smdcard.runner import EvaluationInputs, run_evaluation
 THRESHOLDS = {"good": 80.0, "moderate": 70.0}
 
 
+def _global(*results):
+    """Results keyed as ``assemble_report`` takes them, all in the global
+    scope."""
+    return {("global", r.descriptor.name): r for r in results}
+
+
 def _cfg(**extra):
     raw = {"metrics": ["cosine_similarity"]}
     raw.update(extra)
@@ -23,39 +29,39 @@ def _cfg(**extra):
 class TestNormalize:
     def test_minimize_at_lower_bound_scores_100(self):
         r = make_result("frechet_distance", 0.0)
-        assert normalize(r, (0.0, 50.0)).normalized == 100.0
+        assert normalize(r, (0.0, 50.0)) == 100.0
 
     def test_maximize_midpoint_scores_50(self):
         r = make_result("cosine_similarity", 0.0)
-        assert normalize(r, (-1.0, 1.0)).normalized == 50.0
+        assert normalize(r, (-1.0, 1.0)) == 50.0
 
     def test_out_of_bounds_clamped(self):
         high = make_result("frechet_distance", 400.0)
-        assert normalize(high, (0.0, 50.0)).normalized == 0.0
+        assert normalize(high, (0.0, 50.0)) == 0.0
         low = make_result("cosine_similarity", -3.0)
-        assert normalize(low, (-1.0, 1.0)).normalized == 0.0
+        assert normalize(low, (-1.0, 1.0)) == 0.0
 
     def test_inf_sentinel_maps_by_direction(self):
         best = make_result("psnr", math.inf)
-        assert normalize(best, (0.0, 60.0)).normalized == 100.0
+        assert normalize(best, (0.0, 60.0)) == 100.0
         worst = make_result("frechet_distance", math.inf)
-        assert normalize(worst, (0.0, 50.0)).normalized == 0.0
+        assert normalize(worst, (0.0, 50.0)) == 0.0
 
     def test_stat_sig_uses_p_value(self):
         r = make_result("anova", 3.2, p=0.42)
-        assert normalize(r, None).normalized == pytest.approx(42.0)
+        assert normalize(r, None) == pytest.approx(42.0)
 
     def test_inverted_scale_metrics_flip(self):
         # raw t-closeness of 0 is ideal even though the catalog direction
         # says maximize
         r = make_result("t_closeness", 0.0)
-        assert normalize(r, (0.0, 1.0)).normalized == 100.0
+        assert normalize(r, (0.0, 1.0)) == 100.0
         r = make_result("nearest_invalid_datapoint", 5.0)
-        assert normalize(r, (0.0, 5.0)).normalized == 100.0
+        assert normalize(r, (0.0, 5.0)) == 100.0
 
     def test_undefined_passes_through(self):
         r = undefined_result("cosine_similarity", "zero centroid")
-        assert normalize(r, (-1.0, 1.0)).normalized is None
+        assert normalize(r, (-1.0, 1.0)) is None
 
     def test_missing_bounds_raise_plan_error(self):
         r = make_result("frechet_distance", 1.0)
@@ -68,10 +74,10 @@ class TestNormalize:
         lo_v, hi_v = sorted((a, b))
         r_lo = normalize(make_result("cosine_similarity", lo_v), (-1.0, 1.0))
         r_hi = normalize(make_result("cosine_similarity", hi_v), (-1.0, 1.0))
-        assert r_lo.normalized <= r_hi.normalized
+        assert r_lo <= r_hi
         m_lo = normalize(make_result("frechet_distance", lo_v), (0.0, 5.0))
         m_hi = normalize(make_result("frechet_distance", hi_v), (0.0, 5.0))
-        assert m_lo.normalized >= m_hi.normalized
+        assert m_lo >= m_hi
 
 
 class TestAggregateCriterion:
@@ -134,7 +140,7 @@ class TestAssembleReport:
                                tool={"name": "smdcard", "version": "0.0"})
 
     def test_seven_criteria_all_present(self):
-        results = [
+        results = _global(
             make_result("cosine_similarity", 0.9),
             make_result("recall", 0.8),
             make_result("constraint_violation_rate", 0.1),
@@ -142,7 +148,7 @@ class TestAssembleReport:
             make_result("t_closeness", 0.2),
             make_result("documentation_clarity", 8.0),
             make_result("max_min_difference", 4.0),
-        ]
+        )
         report = self._report(results)
         scope = report.scope("global")
         assert [c.criterion for c in scope.criteria] == [
@@ -153,16 +159,18 @@ class TestAssembleReport:
             assert block.metrics
 
     def test_region_scope_parallel_block(self):
-        results = [make_result("cosine_similarity", 0.9),
-                   make_result("cosine_similarity", 0.7, scope="region:lesion")]
+        results = {("global", "cosine_similarity"):
+                   make_result("cosine_similarity", 0.9),
+                   ("region:lesion", "cosine_similarity"):
+                   make_result("cosine_similarity", 0.7)}
         report = self._report(results)
         assert report.scope("region:lesion") is not None
         lesion = report.criterion("congruence", scope="region:lesion")
         assert lesion.score == pytest.approx(85.0)
 
     def test_undefined_excluded_with_weight_renormalized(self):
-        results = [make_result("cosine_similarity", 1.0),
-                   undefined_result("frechet_distance", "too small")]
+        results = _global(make_result("cosine_similarity", 1.0),
+                          undefined_result("frechet_distance", "too small"))
         report = self._report(results)
         block = report.criterion("congruence")
         assert block.excluded == 1
@@ -189,16 +197,10 @@ class TestAssembleReport:
             ("centroid_distance_congruence", False)]
         assert (block.score, block.verdict) == (None, "not evaluated")
 
-    def test_duplicate_metric_in_scope_rejected(self):
-        results = [make_result("cosine_similarity", 1.0),
-                   make_result("cosine_similarity", 0.5)]
-        with pytest.raises(PlanError, match="twice"):
-            self._report(results)
-
     def test_round_trip_structural_identity(self):
-        results = [make_result("cosine_similarity", 0.3125),
-                   make_result("psnr", math.inf),
-                   undefined_result("frechet_distance", "n too small")]
+        results = _global(make_result("cosine_similarity", 0.3125),
+                          make_result("psnr", math.inf),
+                          undefined_result("frechet_distance", "n too small"))
         cfg = _cfg(bounds={"frechet_distance": [0, 50], "psnr": [10, 50]})
         report = self._report(results, cfg)
         payload = dumps_canonical(report.to_dict())
@@ -207,7 +209,7 @@ class TestAssembleReport:
         assert dumps_canonical(rebuilt.to_dict()) == payload
 
     def test_rerun_byte_identical(self):
-        results = [make_result("cosine_similarity", 0.5)]
+        results = _global(make_result("cosine_similarity", 0.5))
         a = dumps_canonical(self._report(results).to_dict())
         b = dumps_canonical(self._report(results).to_dict())
         assert a == b

@@ -57,7 +57,8 @@ FULL_MANIFEST = {
 
 def _report():
     cfg = config_from_dict({"metrics": ["cosine_similarity"]})
-    return assemble_report([make_result("cosine_similarity", 0.64)], cfg,
+    return assemble_report({("global", "cosine_similarity"):
+                            make_result("cosine_similarity", 0.64)}, cfg,
                            seed=3, config_digest="c" * 64,
                            tool={"name": "smdcard", "version": "0.0"})
 
@@ -197,7 +198,8 @@ class TestRendering:
 
     def test_verdict_renders_with_its_score(self):
         cfg = config_from_dict({"metrics": ["cosine_similarity"]})
-        report = assemble_report([make_result("cosine_similarity", 0.64)],
+        report = assemble_report({("global", "cosine_similarity"):
+                                  make_result("cosine_similarity", 0.64)},
                                  cfg, seed=1, config_digest="c" * 64,
                                  tool={"name": "smdcard", "version": "0.0"})
         # normalized (0.64 over [-1, 1]) = 82 -> good

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,34 @@ class TestEvaluate:
             assert main(_evaluate_args(dict(paths, **files), out)) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("scale", [1e77, 1e80])
+    def test_large_coordinates_exit_0(self, tmp_path, capsys, scale):
+        # Fréchet read NaN at 1e77 (exit 2, blaming the input) and its
+        # eigensolve did not converge at 1e80 (exit 1); the hull read 0.0
+        rng = np.random.default_rng(51)
+        paths = {"config": tmp_path / "config.yaml",
+                 "report": tmp_path / "report.json"}
+        for name in ("real", "synthetic"):
+            paths[name] = tmp_path / f"{name}.csv"
+            ingest.write_embeddings(EmbeddingSet(
+                [f"{name}{i}" for i in range(20)],
+                rng.standard_normal((20, 3)) * scale), str(paths[name]))
+        paths["config"].write_text(yaml.safe_dump({
+            "metrics": ["frechet_distance", "convex_hull_volume"],
+            "bounds": {"frechet_distance": [0, 60],
+                       "convex_hull_volume": [0, 10]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(_evaluate_args(paths)) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(paths["report"].read_text())
+        metrics = {m["name"]: m for c in report["scopes"][0]["criteria"]
+                   for m in c["metrics"]}
+        assert metrics["frechet_distance"]["value"] > scale ** 2 / 10
+        hull = metrics["convex_hull_volume"]
+        assert hull["value"] > scale ** 3 and "degenerate" not in hull[
+            "diagnostics"]
 
     def test_env_seed_used_when_config_omits(self, workspace, monkeypatch,
                                              tmp_path):
@@ -1162,3 +1191,113 @@ def test_mutated_input_exit_0_or_2_with_coded_lines(valid_inputs, run,
     assert code in (0, 2), err.getvalue()
     for line in err.getvalue().splitlines():
         assert _ERROR_LINE.match(line), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Validation branches, one row each: the files that differ from
+# ``valid_inputs`` and the extra ``evaluate`` arguments in, exit 2 and the
+# one coded stderr line out.
+
+_SCHEMA = {"age": "numeric", "hgb": "numeric", "sex": "categorical"}
+
+
+def _config(**entries) -> str:
+    return yaml.safe_dump({"metrics": ["cosine_similarity"],
+                           "columns": {"subgroup": "subgroup"}, **entries})
+
+
+_TABLE, _IMAGES = ["--table", "{d}/table.csv"], ["--images", "{d}/pairs.csv"]
+_BRANCHES = {
+    "table_without_schema": (
+        {}, _TABLE, "E200: a --table input needs tables.schema in the config"),
+    "real_table_without_schema": (
+        {"config.yaml": _config(tables={"real": "real_table.csv"})}, [],
+        "E200: tables.real needs tables.schema in the config"),
+    "table_metric_as_consistency_base": (
+        {"config.yaml": _config(
+            metrics=["cosine_similarity", "missing_data_percentage",
+                     "metric_variance"],
+            consistency={"base_metrics": ["missing_data_percentage"]},
+            tables={"schema": _SCHEMA})}, _TABLE,
+        "E227: consistency base metric 'missing_data_percentage' must be an "
+        "embedding metric"),
+    "config_is_a_list": (
+        {"config.yaml": "- cosine_similarity\n"}, [],
+        "E200: {d}/config.yaml: top level must be a mapping"),
+    "empty_csv": ({"real.csv": ""}, [], "E210: {d}/real.csv: empty file"),
+    "jsonl_row_not_an_object": (
+        {"synthetic.jsonl": "[1, 2]\n"}, [],
+        "E210: {d}/synthetic.jsonl: row 1 is not a JSON object"),
+    "jsonl_row_without_features": (
+        {"synthetic.jsonl": '{"id": "a"}\n'}, [],
+        "E210: {d}/synthetic.jsonl: row 1 needs features"),
+    "aggregation_median": (
+        {"config.yaml": _config(aggregation="median")}, [],
+        "E200: {d}/config.yaml: aggregation must be one of ('arithmetic', "
+        "'geometric')"),
+    "bounds_not_a_pair": (
+        {"config.yaml": _config(bounds={"frechet_distance": [0]})}, [],
+        "E200: {d}/config.yaml: bounds.frechet_distance must be a [lo, hi] "
+        "pair"),
+    "populated_threshold_0": (
+        {"config.yaml": _config(completeness={"populated_threshold": 0})}, [],
+        "E200: {d}/config.yaml: completeness.populated_threshold must be in "
+        "(0, 1]"),
+    "required_fields_empty": (
+        {"config.yaml": _config(completeness={"required_fields": []})}, [],
+        "E200: {d}/config.yaml: completeness.required_fields must be a "
+        'non-empty list or "auto"'),
+    "derive_without_fields": (
+        {"config.yaml": _config(constraints={"derive": {}})}, [],
+        "E200: {d}/config.yaml: constraints.derive needs a fields: list"),
+    "params_not_a_mapping": (
+        {"config.yaml": _config(params={"recall": 3})}, [],
+        "E200: {d}/config.yaml: params.recall must be a mapping"),
+    "numeric_probs_path": (
+        {"config.yaml": _config(params={"inception_score": {
+            "probs_path": 5}})}, [],
+        "E200: {d}/config.yaml: params.inception_score.probs_path must be a "
+        "string, got 5"),
+    "no_metrics": (
+        {"config.yaml": yaml.safe_dump({"seed": 1})}, [],
+        "E200: {d}/config.yaml: config must list at least one metric under "
+        "metrics:"),
+    "unknown_schema_kind": (
+        {"config.yaml": _config(tables={"schema": {"age": "date"}})}, _TABLE,
+        "E200: {d}/config.yaml: tables.schema.age: unknown kind 'date'"),
+    "image_manifest_of_blank_lines": (
+        {"pairs.csv": "\n\n"}, _IMAGES,
+        "E210: {d}/pairs.csv: no image pairs listed"),
+    "graymap_bad_magic": (
+        {"a.pgm": "P3\n2 2\n255\n1 2 3 4\n"}, _IMAGES,
+        "E210: {d}/a.pgm: not a portable graymap (magic 'P3')"),
+    "graymap_truncated_header": (
+        {"a.pgm": "P2\n2 2\n"}, _IMAGES,
+        "E210: {d}/a.pgm: truncated graymap header"),
+    "graymap_malformed_header": (
+        {"a.pgm": "P2\nx 2\n255\n1 2 3 4\n"}, _IMAGES,
+        "E210: {d}/a.pgm: malformed graymap header"),
+    "graymap_zero_width": (
+        {"a.pgm": "P2\n0 2\n255\n"}, _IMAGES,
+        "E210: {d}/a.pgm: invalid graymap dimensions or maxval"),
+    # an ASCII pixel past uint8 was converted before its maxval check
+    "graymap_pixel_past_its_container": (
+        {"a.pgm": "P2\n2 2\n255\n1 2 3 256\n"}, _IMAGES,
+        "E210: {d}/a.pgm: pixel exceeds declared maxval 255"),
+}
+
+
+@pytest.mark.parametrize("files, extra, line", _BRANCHES.values(),
+                         ids=list(_BRANCHES))
+def test_validation_branch_exit_2_with_one_line(valid_inputs, tmp_path, capsys,
+                                                files, extra, line):
+    for name, payload in valid_inputs.items():
+        (tmp_path / name).write_bytes(payload)
+    for name, text in {"config.yaml": _config(), **files}.items():
+        (tmp_path / name).write_text(text)
+    argv = ["evaluate", "--real", "{d}/real.csv", "--synthetic",
+            "{d}/synthetic.jsonl", "--config", "{d}/config.yaml", "--out",
+            "{d}/out.json", *extra]
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err == line.format(d=tmp_path) + "\n"
+    assert not (tmp_path / "out.json").exists()

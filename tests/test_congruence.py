@@ -187,6 +187,30 @@ class TestFrechet:
             "undefined_reason": "insufficient samples (need at least 2 rows "
                                 "per set)"})
 
+    @pytest.mark.parametrize("k", [256, 266, 510])
+    def test_large_coordinates_scale_the_distance(self, k):
+        # 2^256 is about 1e77, where the distance was NaN, and 2^266 about
+        # 1e80, where the eigensolve did not converge; the rows are taken
+        # times 2^-e and the distance scaled back by 2^2e
+        rng = np.random.default_rng(49)
+        a, b = rng.normal(size=(20, 3)), rng.normal(size=(20, 3))
+        value, diag = congruence.frechet_distance(
+            embedding_from(np.ldexp(a, k)),
+            embedding_from(np.ldexp(b, k), "s"))
+        base, base_diag = congruence.frechet_distance(embedding_from(a),
+                                                      embedding_from(b, "s"))
+        assert value == pytest.approx(math.ldexp(base, 2 * k), rel=1e-4)
+        assert diag["mean_shift_sq"] == math.ldexp(base_diag["mean_shift_sq"],
+                                                   2 * k)
+
+    def test_distance_past_float64_undefined(self):
+        rng = np.random.default_rng(50)
+        a, b = rng.normal(size=(20, 3)), rng.normal(size=(20, 3))
+        assert congruence.frechet_distance(
+            embedding_from(np.ldexp(a, 600)),
+            embedding_from(np.ldexp(b, 600), "s")) == (None, {
+                "undefined_reason": "distance overflows float64"})
+
 
 class TestPrecision:
     def test_identical_sets_one(self, identity_pair):

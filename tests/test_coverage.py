@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +105,47 @@ class TestConvexHull:
                                                   reduce_to=3)
         assert value > 0
         assert diag["reduced_to"] == 3
+
+    @pytest.mark.parametrize("k", [1, 100, 340])
+    def test_power_of_two_scale_scales_the_volume_exactly(self, k):
+        # the hull is taken on the rows times 2^-e and scaled back: from
+        # about 1e77 on it read 0.0 with a degenerate flag
+        rng = np.random.default_rng(46)
+        for d in (1, 2, 3):
+            pts = rng.normal(size=(20, d))
+            value, _ = coverage.convex_hull_volume(embedding_from(pts))
+            scaled, diag = coverage.convex_hull_volume(
+                embedding_from(np.ldexp(pts, k)))
+            assert scaled == math.ldexp(value, d * k), d
+            assert "degenerate" not in diag
+
+    def test_volume_past_float64_undefined(self):
+        pts = np.ldexp(np.random.default_rng(47).normal(size=(20, 3)), 400)
+        assert coverage.convex_hull_volume(embedding_from(pts)) == (None, {
+            "undefined_reason": "hull volume overflows float64"})
+
+    def test_huge_coordinates_in_a_child_interpreter(self):
+        # qhull died of SIGSEGV at 1e154, and the 8-dimensional projection
+        # raised LinAlgError: a child keeps a regression to this one test
+        code = (
+            "import numpy as np\n"
+            "from smdcard import coverage\n"
+            "from smdcard.model import EmbeddingSet\n"
+            "rng = np.random.default_rng(48)\n"
+            "for d, reduce_to in ((3, 3), (8, 3), (8, 1)):\n"
+            "    rows = rng.standard_normal((20, d)) * 1e154\n"
+            "    value, diag = coverage.convex_hull_volume(EmbeddingSet(\n"
+            "        list(map(str, range(20))), rows), reduce_to=reduce_to)\n"
+            "    print(value is None, diag.get('undefined_reason'),\n"
+            "          value is None or 1e154 < value < 1e156)\n")
+        src = os.path.dirname(os.path.dirname(coverage.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=300,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.splitlines() == [
+            "True hull volume overflows float64 True"] * 2 + [
+            "False None True"]
 
 
 class TestVendi:

@@ -324,6 +324,20 @@ class TestPgm:
         with pytest.raises(InputError, match="truncated"):
             ingest.read_pgm(str(path))
 
+    @pytest.mark.parametrize("maxval, pixel, message", [
+        (255, "256", "pixel exceeds declared maxval 255"),
+        (255, "-1", "negative pixel in ASCII graymap"),
+        (1000, "70000", "pixel exceeds declared maxval 1000"),
+        (255, "1" * 23, "pixel exceeds declared maxval 255")])
+    def test_ascii_pixel_outside_its_container_rejected(self, tmp_path, maxval,
+                                                        pixel, message):
+        # checked against 0..maxval before the pixels meet a uint8/uint16
+        path = tmp_path / "wide.pgm"
+        path.write_text(f"P2\n2 2\n{maxval}\n1 2 3 {pixel}\n")
+        with pytest.raises(InputError) as caught:
+            ingest.read_pgm(str(path))
+        assert str(caught.value) == f"{path}: {message}"
+
 
 class TestCanonicalJson:
     def test_floats_at_nine_significant_digits(self):
@@ -411,7 +425,8 @@ class TestReportFile:
         from smdcard.model import make_result
 
         cfg = config_from_dict({"metrics": ["cosine_similarity"]})
-        report = assemble_report([make_result("cosine_similarity", 0.25)],
+        report = assemble_report({("global", "cosine_similarity"):
+                                  make_result("cosine_similarity", 0.25)},
                                  cfg, seed=2, config_digest="e" * 64,
                                  tool={"name": "smdcard", "version": "0.0"})
         path = tmp_path / "report.json"
@@ -841,6 +856,41 @@ def test_cells_of_blank_free_ascii_text_are_not_stripped(tmp_path):
         assert t.floats("age").view(np.int64).tolist() == \
             np.array([1.0, -0.0]).view(np.int64).tolist()
         assert t.codes("sex")[1] == ("F", "M")
+
+
+def test_jsonl_is_read_without_a_copy_of_its_text(tmp_path):
+    # its lines are matched in the text, as a quoted CSV file's are: the
+    # JSON-lines file peaks no higher than the same embeddings as CSV
+    eset = make_gaussian_mixture(5000, 16, [{"mean": 0.0, "scale": 1.0,
+                                             "weight": 1.0}], seed=3)
+    paths = {kind: str(tmp_path / f"e.{kind}") for kind in ("csv", "jsonl")}
+    ingest.write_embeddings(eset, paths["csv"])
+    with open(paths["jsonl"], "w", encoding="utf-8") as fh:
+        for i in range(eset.n):
+            fh.write(json.dumps({"id": eset.ids[i],
+                                 "subgroup": eset.subgroup[i],
+                                 "features": eset.data[i].tolist()}) + "\n")
+    peaks = {}
+    for kind, path in paths.items():
+        read = ingest.read_embeddings(path, subgroup_column="subgroup")
+        assert read.data.tobytes() == eset.data.tobytes()  # and a warm-up
+        tracemalloc.start()
+        try:
+            ingest.read_embeddings(path, subgroup_column="subgroup")
+            peaks[kind] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["jsonl"] <= peaks["csv"], peaks
+
+
+def test_jsonl_line_ends_and_row_numbers():
+    # CR LF, CR and LF each end a line; blank lines are skipped but counted
+    text = ('{"id": "a", "features": [1]}\r\n\r{"id": "b", "features": [2]}'
+            '\r{"id": "c"}\n')
+    with mock.patch.object(ingest, "_read_text", return_value=text):
+        records = ingest.jsonl_records("e.jsonl")
+        assert [(r, record["id"]) for r, record in records] == [
+            (1, "a"), (3, "b"), (4, "c")]
 
 
 def test_quoted_table_is_read_a_block_at_a_time(tmp_path):

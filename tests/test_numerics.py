@@ -156,6 +156,28 @@ class TestPca:
         for row in b1.components[:np.linalg.matrix_rank(data - data.mean(0))]:
             assert row[np.argmax(np.abs(row))] > 0
 
+    @pytest.mark.parametrize("k", [1, 300, 520])
+    def test_power_of_two_scale_moves_only_the_mean(self, k):
+        # the covariance is formed on the centered rows times 2^-e, exact in
+        # float64, so no square overflows at 2^520 and the basis is the same
+        rng = np.random.default_rng(9)
+        data = rng.normal(size=(20, 8))
+        basis, scaled = pca_fit(data, 3), pca_fit(np.ldexp(data, k), 3)
+        assert np.array_equal(scaled.components, basis.components)
+        assert scaled.explained_ratio == basis.explained_ratio
+        assert np.array_equal(scaled.mean, np.ldexp(basis.mean, k))
+
+    def test_unit_scaled_and_scaled_back(self):
+        half = np.array([[0.25, -0.5]])
+        e, (same,) = numerics.unit_scaled(half)
+        assert e == 0 and np.array_equal(same, half)
+        assert numerics.unit_scaled(np.zeros((2, 2)))[0] == 0
+        e, (a, b) = numerics.unit_scaled(np.array([[1.0]]),
+                                         np.array([[-3.5]]))
+        assert (e, a.tolist(), b.tolist()) == (2, [[0.25]], [[-0.875]])
+        assert numerics.scaled_back(-0.75, 4) == -12.0
+        assert numerics.scaled_back(0.75, 2000) == math.inf
+        assert numerics.scaled_back(-0.75, 2000) == -math.inf
 
 class TestW1:
     def test_point_masses(self):

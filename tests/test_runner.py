@@ -612,9 +612,10 @@ class TestAnovaReplicates:
         task = _block_task(cfg, synth.n)
         missing = runner._task_results(task, runner._Args(None, synth, cfg, 0))
         binary = catalog.descriptor(name).arity == "binary"
-        assert all((r.value is None) == binary for r in missing)
+        assert all((r.value is None) == binary for r in missing.values())
         if binary:
-            assert [(r.scope, r.diagnostics) for r in missing] == [(
+            assert [(scope, r.diagnostics)
+                    for (scope, _, _), r in missing.items()] == [(
                 "subgroup:a", {"undefined_reason": "insufficient samples: no "
                                                    "reference rows in this "
                                                    "slice"})] * 5
@@ -628,7 +629,7 @@ class TestAnovaReplicates:
         assert blocks == [5]
         assert _summary(block) == _summary(_per_draw_results(tiny_task, tiny))
         if name == "recall":
-            assert [r.diagnostics for r in block] == [{
+            assert [r.diagnostics for r in block.values()] == [{
                 "undefined_reason": "insufficient samples: k=3 out of range: "
                                     "reference set supports at most k=2 "
                                     "(self-match excluded)"}] * 5
@@ -640,7 +641,8 @@ class TestAnovaReplicates:
                                  (coverage, "manifold_recall_replicates")):
             monkeypatch.setattr(module, function, fail)
         failed = runner._task_results(task, runner._Args(synth, synth, cfg, 0))
-        assert [(r.value, r.scope, r.diagnostics) for r in failed] == [(
+        assert [(r.value, scope, r.diagnostics)
+                for (scope, _, _), r in failed.items()] == [(
             None, "subgroup:a",
             {"undefined_reason": "insufficient samples: too few rows"})] * 5
 
@@ -665,19 +667,22 @@ _SINGLE_SET = {
 def _per_draw_results(task, args):
     """A task's results as one computation on its synthetic set, then one
     per replicate on its ``resample``d set, a block metric through its
-    single-set function, through the same undefined-marker rules."""
+    single-set function, through the same undefined-marker rules, keyed as
+    ``_task_results`` keys them."""
     scope, name, replicates = task
     compute = {**runner._COMPUTE, **_SINGLE_SET}[name]
-    results = []
-    for one in [args] + [replace(args, synthetic=args.synthetic.resample(
-            drawn)) for drawn in replicates]:
-        results += runner._results(scope, name, one, lambda: [
+    results = {}
+    for r, one in zip((None, *range(len(replicates))), [args] + [
+            replace(args, synthetic=args.synthetic.resample(drawn))
+            for drawn in replicates]):
+        result, = runner._results(name, one, lambda: [
             compute(one, runner._params(name, one.config))])
+        results[scope, name, r] = result
     return results
 
 
 def _summary(results):
-    return [(r.value, r.scope, r.diagnostics) for r in results]
+    return [(key, r.value, r.diagnostics) for key, r in results.items()]
 
 
 class TestWorkerProcesses:
@@ -949,7 +954,8 @@ class TestCatalogDispatch:
                             rules, ("age", "sex"), results={})
         for name in list(runner._COMPUTE) + list(runner._BLOCKS):
             d = catalog.descriptor(name)
-            result, = runner._task_results(("global", name, ()), args)
+            result, = runner._task_results(("global", name, ()),
+                                           args).values()
             bounds = result.diagnostics.get("default_bounds")
             assert (bounds is not None) == (d.data_bounds is not None), name
             if d.data_bounds == "rows":
