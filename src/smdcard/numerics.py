@@ -358,7 +358,7 @@ def pca_fit(data: np.ndarray, target_dim: int) -> PcaBasis:
     eigvecs = eigvecs[:, order]
 
     total = float(eigvals.sum())
-    rank_tol = max(total, math.ldexp(1.0, -2 * e)) * 1e-12
+    rank_tol = max(total, math.ldexp(1.0, -2 * e)) * 1e-12  # 1.0 unscaled
     rank = int(np.sum(eigvals > rank_tol))
 
     components = np.zeros((target_dim, d))
