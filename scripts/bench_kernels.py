@@ -42,14 +42,17 @@ that runs ``smdcard.cli.main`` ``evaluate`` on the same inputs and config,
 written to files, so it alone counts start-up and imports; its children
 are spawned before any other row runs, and ``cli_peak_rss_mb`` is the
 largest child's own peak RSS (``VmHWM``, Linux), which, unlike
-``ru_maxrss``, does not start from this process's RSS. ``calibrate`` times
-``calibrate_bounds`` with every computable embedding metric on a seeded
-reference of n rows by d dimensions; n is odd, so the two halves of each
-split differ in length by one row. Prints one JSON line: the minimum,
-quartiles and median of the milliseconds per call of each kernel and size
-(``kernel_ms``) and of the seconds of each end-to-end row
-(``end_to_end_s``), the repetition counts and the peaks; ``--out PATH``
-writes that line to PATH too.
+``ru_maxrss``, does not start from this process's RSS. ``cli_card`` times
+a fresh interpreter that runs ``card --format md`` on the report
+``cli_evaluate`` wrote and a one-field manifest, and
+``cli_card_peak_rss_mb`` is its largest child's own peak RSS.
+``calibrate`` times ``calibrate_bounds`` with every computable embedding
+metric on a seeded reference of n rows by d dimensions; n is odd, so the
+two halves of each split differ in length by one row. Prints one JSON
+line: the minimum, quartiles and median of the milliseconds per call of
+each kernel and size (``kernel_ms``) and of the seconds of each end-to-end
+row (``end_to_end_s``), the repetition counts and the peaks; ``--out
+PATH`` writes that line to PATH too.
 Kernel rows repeat for at least 5 calls and 0.5 s, end-to-end rows for at
 least 20 calls and 3 s.
 
@@ -128,6 +131,7 @@ ANOVA_CONFIG = {"metrics": ANOVA_BASES + ["anova", "max_min_difference"],
                 "consistency": {"base_metrics": ANOVA_BASES,
                                 "bootstrap_replicates": 50},
                 "seed": 1}
+CARD_MANIFEST = {"general": {"name": "bench-synthetic"}}
 # Runs smdcard.cli.main(argv) and writes this process's own peak RSS (kB)
 # as the last line of stderr.
 CLI_CHILD = """
@@ -296,13 +300,21 @@ def main(argv=None) -> None:
         key = f"{kernel}_{n}x{d}"
         kernels[key], repeats[key] = _spread(call, 1e3)
 
-    cli_peaks = []
+    cli_peaks, card_peaks = [], []
     inputs, config = _anova_fixture()
     with tempfile.TemporaryDirectory() as directory:
         argv = _cli_argv(directory, inputs.real, inputs.synthetic,
                          ANOVA_CONFIG)
         end_to_end["cli_evaluate"], repeats["cli_evaluate"] = _spread(
             lambda: cli_peaks.append(_run_cli(argv)), 1,
+            END_TO_END_REPEATS, END_TO_END_SECONDS)
+        manifest = os.path.join(directory, "manifest.yaml")
+        Path(manifest).write_text(json.dumps(CARD_MANIFEST), encoding="utf-8")
+        card_argv = ["card", "--manifest", manifest, "--report", argv[-1],
+                     "--format", "md",
+                     "--out", os.path.join(directory, "card.md")]
+        end_to_end["cli_card"], repeats["cli_card"] = _spread(
+            lambda: card_peaks.append(_run_cli(card_argv)), 1,
             END_TO_END_REPEATS, END_TO_END_SECONDS)
     if args.northstar:
         extra["northstar"] = _northstar()
@@ -366,6 +378,7 @@ def main(argv=None) -> None:
                        "repeats": repeats,
                        "self_peak_rss_mb": peak_kib / 1024,
                        "cli_peak_rss_mb": max(cli_peaks),
+                       "cli_card_peak_rss_mb": max(card_peaks),
                        "pooled_tasks": len(pooled),
                        "numpy": np.__version__,
                        "python": platform.python_version(),

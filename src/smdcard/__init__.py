@@ -7,13 +7,19 @@ verdicts, and renders the results as a machine- and human-readable dataset
 card.
 """
 
+import importlib
+
+from .aggregate import MetricResult
 from .catalog import CATALOG, MetricDescriptor, descriptor
-from .config import EvalConfig, config_from_dict
 from .errors import (CardError, ConfigError, EvaluationError, InputError,
                      PlanError, SmdError)
-from .model import EmbeddingSet, MetricResult, RecordTable
 
 __version__ = "0.1.0"
+
+#: name -> its module, imported on first use (PEP 562): these modules load
+#: numpy, which ``import smdcard.cli`` and ``smdcard card`` do not need
+_LAZY = {"EvalConfig": "config", "config_from_dict": "config",
+         "EmbeddingSet": "model", "RecordTable": "model"}
 
 __all__ = [
     "CATALOG",
@@ -32,3 +38,9 @@ __all__ = [
     "descriptor",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

@@ -1,4 +1,5 @@
-"""Normalization, per-criterion aggregation, verdicts, and report assembly.
+"""Metric results, normalization, per-criterion aggregation, verdicts, and
+report assembly.
 
 Raw metric values are mapped onto a 0-100 score by direction against
 per-metric bounds, aggregated into one score per criterion (weighted
@@ -16,13 +17,50 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 from . import catalog
-from .errors import PlanError
-from .model import MetricResult
+from .catalog import MetricDescriptor
+from .errors import InputError, PlanError
 
 GEOMETRIC_FLOOR = 0.01
+DEFAULT_THRESHOLDS = {"good": 80.0, "moderate": 70.0}
+
+
+@dataclass(frozen=True)
+class MetricResult:
+    """One computed metric value with its diagnostics; where it was computed
+    (its scope) is its key, and its 0-100 score is ``normalize``'s.
+
+    ``value`` is a float, ``math.inf`` as an explicit sentinel, or None when
+    the metric is undefined for the inputs (reason recorded in diagnostics).
+    """
+
+    descriptor: MetricDescriptor
+    value: float | None
+    diagnostics: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.value is not None:
+            v = float(self.value)
+            if v != v:  # NaN never allowed; undefined is expressed as None
+                raise InputError(f"{self.descriptor.name}: NaN metric value")
+            object.__setattr__(self, "value", v)
+        object.__setattr__(self, "diagnostics", dict(self.diagnostics))
+
+    @property
+    def defined(self) -> bool:
+        return self.value is not None
+
+
+def make_result(name: str, value, **diagnostics) -> MetricResult:
+    return MetricResult(catalog.descriptor(name), value, diagnostics)
+
+
+def undefined_result(name: str, reason: str) -> MetricResult:
+    return MetricResult(catalog.descriptor(name), None,
+                        {"undefined_reason": reason})
 
 
 def resolve_bounds(result: MetricResult, config) -> tuple[float, float] | None:

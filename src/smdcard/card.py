@@ -21,11 +21,10 @@ import json
 from dataclasses import dataclass
 
 from . import catalog
-from .aggregate import QualityReport, normalize, verdict
-from .config import DEFAULT_THRESHOLDS
+from .aggregate import (DEFAULT_THRESHOLDS, QualityReport, make_result,
+                        normalize, verdict)
+from .documents import dumps_canonical
 from .errors import CardError, InputError
-from .ingest import dumps_canonical
-from .model import make_result
 
 NOT_PROVIDED = "not provided"
 

@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 validation/configuration error, 1 internal error.
 Errors go to stderr as one machine-readable line each: ``E<code>: <message>``.
 Output files are written atomically; a failing run never leaves partial
 output behind. ``SMDCARD_SEED`` overrides the default seed when the config
-omits one.
+omits one. Each command imports the modules it uses when it runs, so
+``card`` loads no numpy and ``import smdcard.cli`` no third-party module.
 """
 
 from __future__ import annotations
@@ -20,11 +21,8 @@ import inspect
 import os
 import sys
 
-from . import __version__, card as card_mod, harness, ingest
-from .config import EvalConfig
+from . import __version__
 from .errors import ConfigError, EvaluationError, SmdError
-from .model import EmbeddingSet, RecordTable
-from .runner import EvaluationInputs, calibrate_bounds, plan, run_evaluation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,7 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_inputs(args, config: EvalConfig) -> EvaluationInputs:
+def _load_inputs(args, config):
+    """The ``runner.EvaluationInputs`` that ``args`` name."""
+    from . import ingest, runner
     labels = (config.subgroup_column, config.region_column)
     real = features = None
     if args.real:
@@ -116,21 +116,22 @@ def _load_inputs(args, config: EvalConfig) -> EvaluationInputs:
         eset = ingest.read_embeddings(ingest.resolve_path(probs_path, args.config),
                                       id_column=config.id_column)
         class_probs = eset.data
-    return EvaluationInputs(synthetic=synthetic, real=real, table=table,
-                            real_table=real_table, image_pairs=image_pairs,
-                            class_probs=class_probs)
+    return runner.EvaluationInputs(
+        synthetic=synthetic, real=real, table=table, real_table=real_table,
+        image_pairs=image_pairs, class_probs=class_probs)
 
 
 def cmd_evaluate(args) -> int:
+    from . import documents, ingest, runner
     config = ingest.read_eval_config(args.config)
     inputs = _load_inputs(args, config)
     if args.validate_config:
-        plan(inputs, config)
+        runner.plan(inputs, config)
         print("plan ok: "
               f"{len(config.metrics)} metrics, seed {config.effective_seed()}")
         return 0
-    report = run_evaluation(inputs, config)
-    ingest.write_report(report, args.out)
+    report = runner.run_evaluation(inputs, config)
+    documents.write_report(report, args.out)
     print(f"{'criterion':<14} {'score':>7}  verdict")
     for block in report.scope("global").criteria:
         score = "-" if block.score is None else format(block.score, ".2f")
@@ -140,22 +141,24 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_card(args) -> int:
-    manifest = ingest.read_yaml(args.manifest)
-    report, payload = ingest.read_report(args.report)
+    from . import card as card_mod, documents
+    manifest = documents.read_yaml(args.manifest)
+    report, payload = documents.read_report(args.report)
     digest = card_mod.digest_of(payload)
     card = card_mod.build_card(manifest, report, report_digest=digest)
-    ingest.atomic_write(args.out, card_mod.render(card, args.format))
+    documents.atomic_write(args.out, card_mod.render(card, args.format))
     print(f"card written to {args.out}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
+    from . import ingest, runner
     config = ingest.read_eval_config(args.config)
     real_labels, _ = ingest.reference_columns(
         args.real, config.id_column, config.subgroup_column,
         config.region_column)
     real = ingest.read_embeddings(args.real, config.id_column, *real_labels)
-    bounds = calibrate_bounds(real, config)
+    bounds = runner.calibrate_bounds(real, config)
     if not bounds:
         raise ConfigError("no selected embedding metric without two analytic "
                           "ends gave a value on the reference self-splits; "
@@ -165,24 +168,20 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-#: recipe section -> (the harness function that builds it, its file)
-_FIXTURES = {"embedding": (harness.make_gaussian_mixture, "real.csv"),
-             "table": (harness.make_record_table, "real_table.csv")}
-_WRITERS = {EmbeddingSet: ingest.write_embeddings,
-            RecordTable: ingest.write_record_table,
-            list: lambda descriptors, path: ingest.atomic_write(
-                path, ingest.dumps_canonical(descriptors).encode("utf-8"))}
-
-
 def cmd_fixtures(args) -> int:
+    from . import documents, ingest, model
     try:
-        files = _build_fixtures(ingest.read_yaml(args.recipe))
+        files = _build_fixtures(documents.read_yaml(args.recipe))
     except EvaluationError as exc:
         raise ConfigError(f"{args.recipe}: {exc}") from None
+    writers = {model.EmbeddingSet: ingest.write_embeddings,
+               model.RecordTable: ingest.write_record_table,
+               list: lambda descriptors, path: documents.atomic_write(
+                   path, documents.dumps_canonical(descriptors).encode())}
     os.makedirs(args.out, exist_ok=True)
     for name, content in files:
         path = os.path.join(args.out, name)
-        _WRITERS[type(content)](content, path)
+        writers[type(content)](content, path)
         print(f"wrote {path}")
     return 0
 
@@ -191,9 +190,10 @@ def _build_fixtures(recipe: dict) -> list[tuple[str, object]]:
     """(file name, content) of every file the recipe asks for, the defect
     descriptors of ``defects.json`` last. The harness checks each value and
     this the recipe's outline; an ``EvaluationError`` names the key."""
-    harness.check_keys("recipe", recipe, (*_FIXTURES, "defects"))
+    from . import harness
+    harness.check_keys("recipe", recipe, (*harness.FIXTURES, "defects"))
     sources, files, descriptors = {}, [], []
-    for section, (make, name) in _FIXTURES.items():
+    for section, (make, name) in harness.FIXTURES.items():
         if section in recipe:
             spec = harness.check_keys(section, recipe[section],
                                       inspect.signature(make).parameters)

@@ -12,13 +12,14 @@ import os
 from dataclasses import dataclass
 
 from . import catalog
+from .aggregate import DEFAULT_THRESHOLDS
 from .constraint import (ConstraintRule, ConstraintRuleSet, parse_number,
                          rule_from_dict, rule_to_dict)
+from .documents import dumps_canonical
 from .errors import ConfigError
 
 SEED_ENV_VAR = "SMDCARD_SEED"
 
-DEFAULT_THRESHOLDS = {"good": 80.0, "moderate": 70.0}
 AGGREGATION_MODES = ("arithmetic", "geometric")
 
 @dataclass(frozen=True)
@@ -378,6 +379,5 @@ def config_to_dict(config: EvalConfig) -> dict:
 
 
 def config_digest(config: EvalConfig) -> str:
-    from .ingest import dumps_canonical
     payload = dumps_canonical(config_to_dict(config))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -29,10 +29,12 @@ SSIM_WINDOW = 8  # side of the square SSIM patches
 
 
 def cosine_centroid(real: EmbeddingSet, synthetic: EmbeddingSet):
-    """Cosine of the angle between the two dataset mean vectors."""
+    """Cosine of the angle between the two dataset mean vectors, taken on
+    ``unit_scaled`` rows: no squared norm overflows, and no bit changes."""
     check_dims(real, synthetic)
-    mu_r = real.data.mean(axis=0)
-    mu_s = synthetic.data.mean(axis=0)
+    _, (rows_r, rows_s) = unit_scaled(real.data, synthetic.data)
+    mu_r = rows_r.mean(axis=0)
+    mu_s = rows_s.mean(axis=0)
     norm_r = float(np.linalg.norm(mu_r))
     norm_s = float(np.linalg.norm(mu_s))
     if norm_r == 0.0 or norm_s == 0.0:

@@ -96,6 +96,7 @@ def _hull_volume(data: np.ndarray, diagnostics: dict) -> float:
 def _similarity_kernel(data: np.ndarray, kernel: str, gamma: float | None,
                        diagnostics: dict) -> np.ndarray:
     if kernel == "cosine":
+        _, (data,) = unit_scaled(data)  # no squared norm overflows
         norms = np.linalg.norm(data, axis=1)
         zero_rows = int(np.sum(norms == 0.0))
         if zero_rows:
@@ -206,7 +207,8 @@ def cluster_balance(synthetic: EmbeddingSet, k_clusters: int | None = None,
     if n < k_clusters:
         return None, {"undefined_reason": f"{n} rows cannot fill "
                                           f"{k_clusters} clusters"}
-    labels, iterations = _kmeans(synthetic.data, k_clusters, seed)
+    _, (data,) = unit_scaled(synthetic.data)  # the same labels, no overflow
+    labels, iterations = _kmeans(data, k_clusters, seed)
     sizes = np.bincount(labels, minlength=k_clusters)
     masses = sizes / n
     value = shannon_entropy(masses) / math.log(k_clusters)

@@ -301,3 +301,7 @@ DEFECTS = {
     "subgroup_skew": (_subgroup_skew, "embedding", {
         "subgroup": (str,), "noise_scale": _POSITIVE}),
 }
+
+#: fixture recipe section -> (the function that builds it, its file name)
+FIXTURES = {"embedding": (make_gaussian_mixture, "real.csv"),
+            "table": (make_record_table, "real_table.csv")}

@@ -1,4 +1,4 @@
-"""Core data model: embedding sets, record tables, metric results.
+"""Core data model: embedding sets and record tables.
 
 All containers are immutable after construction; numpy buffers are marked
 read-only so instances can be shared freely between tasks.
@@ -10,11 +10,10 @@ import copy
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .catalog import MetricDescriptor, descriptor
 from .errors import EvaluationError, InputError
 
 COLUMN_KINDS = ("numeric", "categorical", "text")
@@ -271,37 +270,3 @@ class RecordTable:
     def rows(self) -> tuple[tuple[Any, ...], ...]:
         """Read-only row view (derived): one tuple of ``column`` cells per row."""
         return tuple(zip(*map(self.column, self.column_names)))
-
-
-@dataclass(frozen=True)
-class MetricResult:
-    """One computed metric value with its diagnostics; where it was computed
-    (its scope) is its key, and its 0-100 score is ``aggregate.normalize``'s.
-
-    ``value`` is a float, ``math.inf`` as an explicit sentinel, or None when
-    the metric is undefined for the inputs (reason recorded in diagnostics).
-    """
-
-    descriptor: MetricDescriptor
-    value: float | None
-    diagnostics: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.value is not None:
-            v = float(self.value)
-            if v != v:  # NaN never allowed; undefined is expressed as None
-                raise InputError(f"{self.descriptor.name}: NaN metric value")
-            object.__setattr__(self, "value", v)
-        object.__setattr__(self, "diagnostics", dict(self.diagnostics))
-
-    @property
-    def defined(self) -> bool:
-        return self.value is not None
-
-
-def make_result(name: str, value, **diagnostics) -> MetricResult:
-    return MetricResult(descriptor(name), value, diagnostics)
-
-
-def undefined_result(name: str, reason: str) -> MetricResult:
-    return MetricResult(descriptor(name), None, {"undefined_reason": reason})

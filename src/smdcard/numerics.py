@@ -343,14 +343,16 @@ def pca_fit(data: np.ndarray, target_dim: int) -> PcaBasis:
 
     Sign convention: the largest-magnitude loading of each component is made
     positive (first occurrence wins on ties), so the basis is reproducible.
-    Rank deficiency below ``target_dim`` pads with zero components.
+    Rank deficiency below ``target_dim`` pads with zero components; an
+    eigenvalue at most 1e-12 of the covariance's trace counts as zero, so
+    the rank is the same in any units.
     """
     data = np.asarray(data, dtype=np.float64)
     n, d = data.shape
     if not (1 <= target_dim <= d):
         raise EvaluationError(f"target_dim={target_dim} must be in [1, {d}]")
     mean = data.mean(axis=0)
-    e, (centered,) = unit_scaled(data - mean)  # the covariance times 2^-2e
+    _, (centered,) = unit_scaled(data - mean)  # the covariance times 2^-2e
     cov = (centered.T @ centered) / max(n - 1, 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals, kind="stable")[::-1]
@@ -358,8 +360,7 @@ def pca_fit(data: np.ndarray, target_dim: int) -> PcaBasis:
     eigvecs = eigvecs[:, order]
 
     total = float(eigvals.sum())
-    rank_tol = max(total, math.ldexp(1.0, -2 * e)) * 1e-12  # 1.0 unscaled
-    rank = int(np.sum(eigvals > rank_tol))
+    rank = int(np.sum(eigvals > total * 1e-12))
 
     components = np.zeros((target_dim, d))
     usable = min(target_dim, rank)

@@ -42,11 +42,12 @@ import numpy as np
 
 from . import __version__, catalog, completeness, compliance, congruence, \
     consistency, constraint, coverage
-from .aggregate import QualityReport, assemble_report, has_bounds_source
+from .aggregate import (MetricResult, QualityReport, assemble_report,
+                        has_bounds_source, undefined_result)
 from .config import EvalConfig, config_digest
 from .constraint import ConstraintRuleSet, derive_range_rules, validate_rules
 from .errors import EvaluationError, PlanError
-from .model import EmbeddingSet, MetricResult, RecordTable, undefined_result
+from .model import EmbeddingSet, RecordTable
 from .numerics import pca_fit
 
 TOOL = {"name": "smdcard", "version": __version__}

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smdcard.aggregate import (QualityReport, aggregate_criterion,
-                               assemble_report, normalize, verdict)
+                               assemble_report, make_result, normalize,
+                               undefined_result, verdict)
 from smdcard.config import config_from_dict
+from smdcard.documents import dumps_canonical
 from smdcard.errors import PlanError
-from smdcard.ingest import dumps_canonical
-from smdcard.model import EmbeddingSet, make_result, undefined_result
+from smdcard.model import EmbeddingSet
 from smdcard.runner import EvaluationInputs, run_evaluation
 
 THRESHOLDS = {"good": 80.0, "moderate": 70.0}

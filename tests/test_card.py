@@ -3,13 +3,12 @@ import pathlib
 
 import pytest
 
-from smdcard.aggregate import assemble_report
+from smdcard.aggregate import assemble_report, make_result
 from smdcard.card import (CLARITY_ITEMS, build_card, card_from_json,
                           digest_of, documentation_clarity_score, field_labels,
                           render, render_html, render_markdown)
 from smdcard.config import config_from_dict
 from smdcard.errors import CardError, InputError
-from smdcard.model import make_result
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "card_fields_golden.json"
 

@@ -1009,11 +1009,11 @@ class TestExitCodes:
 
     def test_internal_error_exit_1(self, workspace, monkeypatch, capsys):
         _, paths = workspace
-        import smdcard.cli as cli_mod
+        import smdcard.runner
 
         def boom(*args, **kwargs):
             raise RuntimeError("simulated crash")
-        monkeypatch.setattr(cli_mod, "run_evaluation", boom)
+        monkeypatch.setattr(smdcard.runner, "run_evaluation", boom)
         assert main(_evaluate_args(paths)) == 1
         assert "E100" in capsys.readouterr().err
 
@@ -1067,6 +1067,36 @@ def test_anova_evaluate_loads_no_scipy(workspace, tmp_path):
 
 def test_cli_import_defers_orjson():
     assert _loaded_by_cli_import(("orjson",)) == "[]"
+
+
+def test_cli_import_loads_no_numpy_or_yaml():
+    assert _loaded_by_cli_import(("numpy", "scipy", "yaml", "orjson")) == "[]"
+
+
+def test_card_loads_no_numpy(workspace, tmp_path):
+    # rendering a finished report computes nothing
+    _, paths = workspace
+    assert main(_evaluate_args(paths)) == 0
+    argv = ["card", "--manifest", str(paths["manifest"]), "--report",
+            str(paths["report"]), "--format", "md",
+            "--out", str(tmp_path / "card.md")]
+    assert _loaded_by_cli_import(("numpy",), argv) == "[]"
+    assert (tmp_path / "card.md").read_text().startswith(
+        "# Synthetic Medical Data Card")
+
+
+def test_package_exports_resolve():
+    from smdcard import (EmbeddingSet, EvalConfig, MetricResult, RecordTable,
+                         config_from_dict)
+    assert (EmbeddingSet.__module__, RecordTable.__module__,
+            EvalConfig.__module__, config_from_dict.__module__,
+            MetricResult.__module__) == (
+        "smdcard.model", "smdcard.model", "smdcard.config", "smdcard.config",
+        "smdcard.aggregate")
+    for name in smdcard.__all__:
+        getattr(smdcard, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        smdcard.no_such_name
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,18 @@ class TestCosineCentroid:
         assert value is None
         assert "zero" in diag["undefined_reason"]
 
+    @pytest.mark.parametrize("k", [0, 300, 510, 520, 1000])
+    def test_power_of_two_scale_keeps_the_cosine(self, k):
+        # the squared norms overflowed from 2^512 on, where it read 1.0
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((20, 3)), rng.standard_normal((20, 3))
+        base = congruence.cosine_centroid(embedding_from(a),
+                                          embedding_from(b, "s"))
+        assert base[0] == pytest.approx(0.7928, abs=1e-4)
+        assert congruence.cosine_centroid(
+            embedding_from(np.ldexp(a, k)),
+            embedding_from(np.ldexp(b, k), "s")) == base
+
 
 class TestWasserstein:
     def test_identical_sets_zero_both_modes(self, identity_pair):

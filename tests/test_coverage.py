@@ -119,6 +119,17 @@ class TestConvexHull:
             assert scaled == math.ldexp(value, d * k), d
             assert "degenerate" not in diag
 
+    @pytest.mark.parametrize("k", [-20, -30])
+    def test_small_scale_keeps_the_rank(self, k):
+        # the rank tolerance was floored at 1e-12 in data units, so the
+        # projection padded zero components and the volume read 0.0
+        pts = np.random.default_rng(46).normal(size=(20, 8))
+        value, _ = coverage.convex_hull_volume(embedding_from(pts))
+        scaled, diag = coverage.convex_hull_volume(
+            embedding_from(np.ldexp(pts, k)))
+        assert scaled == pytest.approx(math.ldexp(value, 3 * k), rel=1e-9)
+        assert "degenerate" not in diag
+
     def test_volume_past_float64_undefined(self):
         pts = np.ldexp(np.random.default_rng(47).normal(size=(20, 3)), 400)
         assert coverage.convex_hull_volume(embedding_from(pts)) == (None, {
@@ -343,6 +354,18 @@ class TestRarity:
         value, diag = coverage.rarity_score(real, synth, k=2)
         assert value is None
         assert diag["out_of_manifold_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("k", [0, 300, 510, 520, 1000])
+def test_cosine_kernel_and_kmeans_keep_their_value_at_any_scale(k):
+    # on unit-scaled rows, exact in float64: unscaled, the squares overflow
+    # from about 2^510 on (Vendi read 20.0, DPP 2e-8, the balance 0.424)
+    pts = np.random.default_rng(0).standard_normal((40, 3))[20:]
+    base, scaled = embedding_from(pts), embedding_from(np.ldexp(pts, k))
+    for metric in (coverage.vendi_score, coverage.dpp_logdet,
+                   coverage.cluster_balance):
+        assert metric(scaled) == metric(base), metric.__name__
+    assert coverage.vendi_score(base)[0] == pytest.approx(2.914, abs=1e-3)
 
 
 class TestClusterBalance:

@@ -12,7 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from smdcard import ingest
+from smdcard import documents, ingest
 from smdcard.errors import ConfigError, InputError
 from smdcard.harness import make_gaussian_mixture
 from smdcard.model import EmbeddingSet, RecordTable, check_unique_ids
@@ -341,35 +341,47 @@ class TestPgm:
 
 class TestCanonicalJson:
     def test_floats_at_nine_significant_digits(self):
-        text = ingest.dumps_canonical({"x": 1.0 / 3.0})
+        text = documents.dumps_canonical({"x": 1.0 / 3.0})
         assert '"x": 0.333333333' in text
 
     def test_integers_stay_integers(self):
-        text = ingest.dumps_canonical({"n": 7})
+        text = documents.dumps_canonical({"n": 7})
         assert '"n": 7' in text
         assert json.loads(text)["n"] == 7
 
     def test_whole_floats_keep_decimal_point(self):
-        assert '"v": 82.0' in ingest.dumps_canonical({"v": 82.0})
+        assert '"v": 82.0' in documents.dumps_canonical({"v": 82.0})
 
     def test_inf_serialized_as_string(self):
-        assert '"inf"' in ingest.dumps_canonical({"v": float("inf")})
+        assert '"inf"' in documents.dumps_canonical({"v": float("inf")})
 
     def test_nan_rejected(self):
         with pytest.raises(InputError):
-            ingest.dumps_canonical({"v": float("nan")})
+            documents.dumps_canonical({"v": float("nan")})
+
+    def test_numpy_scalars_as_python_numbers(self):
+        doc = {"i": np.int64(7), "u": np.uint8(3), "f": np.float32(0.5),
+               "g": np.float64(1.0 / 3.0), "x": [np.int32(-2)]}
+        assert documents.dumps_canonical(doc) == documents.dumps_canonical(
+            {"i": 7, "u": 3, "f": 0.5, "g": 1.0 / 3.0, "x": [-2]})
+
+    @pytest.mark.parametrize("value", [np.bool_(True), np.array([1.0]),
+                                       object(), decimal.Decimal("1.5")])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(InputError, match="cannot serialize"):
+            documents.dumps_canonical({"v": value})
 
     def test_round_trip_stable(self):
         doc = {"a": [1.5, 2, "x"], "b": {"c": None, "d": True},
                "e": 0.1234567891234}
-        once = ingest.dumps_canonical(doc)
-        twice = ingest.dumps_canonical(json.loads(once))
+        once = documents.dumps_canonical(doc)
+        twice = documents.dumps_canonical(json.loads(once))
         assert once == twice
 
     def test_atomic_write_replaces(self, tmp_path):
         target = tmp_path / "out.json"
-        ingest.atomic_write(str(target), b"one")
-        ingest.atomic_write(str(target), b"two")
+        documents.atomic_write(str(target), b"one")
+        documents.atomic_write(str(target), b"two")
         assert target.read_bytes() == b"two"
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
         assert leftovers == []
@@ -422,7 +434,7 @@ class TestReportFile:
     def test_write_then_read_structurally_identical(self, tmp_path):
         from smdcard.aggregate import assemble_report
         from smdcard.config import config_from_dict
-        from smdcard.model import make_result
+        from smdcard.aggregate import make_result
 
         cfg = config_from_dict({"metrics": ["cosine_similarity"]})
         report = assemble_report({("global", "cosine_similarity"):
@@ -430,10 +442,10 @@ class TestReportFile:
                                  cfg, seed=2, config_digest="e" * 64,
                                  tool={"name": "smdcard", "version": "0.0"})
         path = tmp_path / "report.json"
-        written = ingest.write_report(report, str(path))
-        back, payload = ingest.read_report(str(path))
+        written = documents.write_report(report, str(path))
+        back, payload = documents.read_report(str(path))
         assert payload == written
-        assert ingest.dumps_canonical(back.to_dict()).encode() == written
+        assert documents.dumps_canonical(back.to_dict()).encode() == written
 
 
 class TestTextInputs:
@@ -461,7 +473,7 @@ class TestTextInputs:
             read(str(path))
 
     @pytest.mark.parametrize("read", [ingest.read_eval_config,
-                                      ingest.read_yaml])
+                                      documents.read_yaml])
     def test_non_utf8_yaml_is_a_config_error(self, tmp_path, read):
         path = tmp_path / "c.yaml"
         path.write_bytes(b"\xef\xbb\xbfmetrics: [cosine_similarity]\n"
@@ -510,7 +522,7 @@ class TestTextInputs:
     ])
     def test_yaml_loader_reads_what_safe_load_reads(self, tmp_path, text):
         path = _write(tmp_path / "c.yaml", text)
-        assert ingest.read_yaml(path) == (yaml.safe_load(text) or {})
+        assert documents.read_yaml(path) == (yaml.safe_load(text) or {})
 
 
 # ---------------------------------------------------------------------------

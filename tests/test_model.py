@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from smdcard.config import config_from_dict
 from smdcard.errors import InputError
-from smdcard.model import (EmbeddingSet, LabelCoder, MetricResult,
-                           RecordTable, make_result, undefined_result)
+from smdcard.aggregate import make_result, undefined_result
+from smdcard.model import EmbeddingSet, LabelCoder, RecordTable
 from smdcard.runner import EvaluationInputs
 
 from conftest import embedding_from, plan_messages, table_from

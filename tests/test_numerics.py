@@ -156,13 +156,16 @@ class TestPca:
         for row in b1.components[:np.linalg.matrix_rank(data - data.mean(0))]:
             assert row[np.argmax(np.abs(row))] > 0
 
-    @pytest.mark.parametrize("k", [1, 300, 520])
+    @pytest.mark.parametrize("k", [-30, -20, 1, 300, 520])
     def test_power_of_two_scale_moves_only_the_mean(self, k):
         # the covariance is formed on the centered rows times 2^-e, exact in
-        # float64, so no square overflows at 2^520 and the basis is the same
+        # float64, so no square overflows at 2^520 and the basis is the same;
+        # the rank tolerance is relative to the trace, so no component is
+        # padded at 2^-30 either
         rng = np.random.default_rng(9)
         data = rng.normal(size=(20, 8))
         basis, scaled = pca_fit(data, 3), pca_fit(np.ldexp(data, k), 3)
+        assert (basis.padded, scaled.padded) == (0, 0)
         assert np.array_equal(scaled.components, basis.components)
         assert scaled.explained_ratio == basis.explained_ratio
         assert np.array_equal(scaled.mean, np.ldexp(basis.mean, k))

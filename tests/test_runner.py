@@ -14,7 +14,7 @@ from smdcard.consistency import one_way_anova, task_seed
 from smdcard.constraint import ConstraintRuleSet, rule_from_dict
 from smdcard.errors import EvaluationError
 from smdcard.harness import make_gaussian_mixture, make_record_table
-from smdcard.ingest import dumps_canonical
+from smdcard.documents import dumps_canonical
 from smdcard.model import EmbeddingSet, RecordTable
 from smdcard.runner import (EvaluationInputs, PlanViolations, calibrate_bounds,
                             run_evaluation)

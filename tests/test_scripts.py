@@ -74,12 +74,15 @@ def test_bench_kernels_writes_its_json_line_to_out(monkeypatch, tmp_path,
     assert out.read_text(encoding="utf-8") == line
     written = json.loads(line)
     assert {"kernel_ms", "end_to_end_s", "repeats", "self_peak_rss_mb",
-            "cli_peak_rss_mb", "pooled_tasks"} <= written.keys()
+            "cli_peak_rss_mb", "cli_card_peak_rss_mb",
+            "pooled_tasks"} <= written.keys()
     assert written["cli_peak_rss_mb"] > 0
+    # rendering the card loads no numpy, so its process stays the smaller
+    assert 0 < written["cli_card_peak_rss_mb"] < written["cli_peak_rss_mb"]
     assert {"read_record_table_200x8", "read_embeddings_60x4", "knn_50x4",
             "jsd_replicates_150x16"} <= written["kernel_ms"].keys()
-    assert {"cli_evaluate", "evaluate", "pool", "calibrate_51x4"} == \
-        written["end_to_end_s"].keys()
+    assert {"cli_evaluate", "cli_card", "evaluate", "pool",
+            "calibrate_51x4"} == written["end_to_end_s"].keys()
     northstar = written["northstar"]
     assert northstar["size"] == [40, 4] and northstar["replicates"] == 3
     assert northstar["peak_rss_mb"] > 0 and northstar["threads_2_wall_s"] > 0
