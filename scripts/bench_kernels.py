@@ -234,9 +234,9 @@ def _run_cli(argv: list[str], threads: str | None = None) -> float:
 
 
 def _pooled_tasks(inputs, config) -> list:
-    """The (task, args) list ``run_evaluation`` runs before the consistency
-    metrics, each task (scope, metric, replicates), as
-    ``runner._task_results`` receives them."""
+    """The (task, args) pairs ``run_evaluation`` passes
+    ``runner._task_results``, each task (scope, metric, replicates), but
+    the consistency metrics'."""
     captured = []
     task_results = runner._task_results
 

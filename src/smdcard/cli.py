@@ -79,16 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_inputs(args, config):
     """The ``runner.EvaluationInputs`` that ``args`` name."""
     from . import ingest, runner
-    labels = (config.subgroup_column, config.region_column)
+    labels = (config.id_column, config.subgroup_column, config.region_column)
     real = features = None
     if args.real:
-        real_labels, features = ingest.reference_columns(
-            args.real, config.id_column, *labels)
-    synthetic = ingest.read_embeddings(args.synthetic, config.id_column,
-                                       *labels, features=features)
-    if args.real:
-        real = ingest.read_embeddings(args.real, config.id_column,
-                                      *real_labels)
+        real, features = ingest.read_reference(args.real, *labels)
+    synthetic = ingest.read_embeddings(args.synthetic, *labels,
+                                       features=features)
     table = None
     if args.table:
         if config.table_schema is None:
@@ -154,10 +150,9 @@ def cmd_card(args) -> int:
 def cmd_calibrate(args) -> int:
     from . import ingest, runner
     config = ingest.read_eval_config(args.config)
-    real_labels, _ = ingest.reference_columns(
-        args.real, config.id_column, config.subgroup_column,
-        config.region_column)
-    real = ingest.read_embeddings(args.real, config.id_column, *real_labels)
+    real, _ = ingest.read_reference(args.real, config.id_column,
+                                    config.subgroup_column,
+                                    config.region_column)
     bounds = runner.calibrate_bounds(real, config)
     if not bounds:
         raise ConfigError("no selected embedding metric without two analytic "

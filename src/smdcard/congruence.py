@@ -120,7 +120,10 @@ def frechet_distance(real: EmbeddingSet, synthetic: EmbeddingSet):
     if real.n < 2 or synthetic.n < 2:
         return None, {"undefined_reason": "insufficient samples (need at "
                                           "least 2 rows per set)"}
-    e, (rows_r, rows_s) = unit_scaled(real.data, synthetic.data)
+    # scaled down only: the ridge is in data units, so rows scaled up by
+    # 2^-e need it 2^-2e times larger, which swamps or overflows at 2^-300
+    e, (rows_r, rows_s) = unit_scaled(real.data, synthetic.data,
+                                      down_only=True)
     mu_r = rows_r.mean(axis=0)
     mu_s = rows_s.mean(axis=0)
     d = real.d

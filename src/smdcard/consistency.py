@@ -1,14 +1,15 @@
 """Consistency statistics: stability of quality metrics across subgroups.
 
 The consistency metrics are computed by ``spread`` and ``anova``, whose
-inputs are the other tasks' results, so the runner runs their compute
-entries after every other task. This module alone knows their base metrics,
-which bases' subgroup values each metric reads (``unobserved_bases``), the
-replicate blocks ``anova`` asks the runner for and the rows each replicate
-draws, once for all bases (``replicate_tasks``), how the replicates are
-tested (a one-way F test whose p-value ``f_survival`` computes in ``math``,
-so no evaluate loads scipy for it), which subgroups a base skips, and that
-the worst base decides each metric.
+inputs are the subgroup tasks' results, so the runner runs their compute
+entries after every scope's tasks. This module alone knows their base
+metrics, which bases' subgroup values each metric reads
+(``unobserved_bases``), the replicate blocks ``anova`` asks the runner for
+and the rows each replicate draws, once for all bases
+(``replicate_tasks``), how the replicates are tested (a one-way F test
+whose p-value ``f_survival`` computes in ``math``, so no evaluate loads
+scipy for it), which subgroups a base skips, and that the worst base
+decides each metric.
 """
 
 from __future__ import annotations
@@ -140,11 +141,7 @@ def anova(results: dict, config, labels):
         if len(groups) < 2:
             detail[base] = "undefined: fewer than 2 usable subgroups"
             continue
-        try:
-            stats, diag = one_way_anova(groups)
-        except EvaluationError as exc:
-            detail[base] = f"undefined: {exc}"
-            continue
+        stats, diag = one_way_anova(groups)
         if stats is None:
             detail[base] = "undefined: " + diag.get("undefined_reason", "")
             continue

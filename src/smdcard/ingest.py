@@ -313,47 +313,42 @@ def read_embeddings(path: str, id_column: str = "id",
     every column other than the id / subgroup / region columns is a
     feature, kept in header order, or read in the order of ``features``,
     which must name the same columns (a reference file's names from
-    ``reference_columns``, so that two sets agree by name). Row and column
+    ``read_reference``, so that two sets agree by name). Row and column
     numbers in errors are 1-based with the header as row 1. JSON-lines
     records hold a ``features`` list, positional and of one length per
     file, and the same id / subgroup / region columns as keys; ``features``
     does not apply to them. A label column left unset is not read.
     """
-    keys = _label_keys(id_column, subgroup_column, region_column)
+    return _read_embeddings(path, _label_keys(id_column, subgroup_column,
+                                              region_column), features)[0]
+
+
+def read_reference(path: str, id_column: str = "id",
+                   subgroup_column: str | None = None,
+                   region_column: str | None = None
+                   ) -> tuple[EmbeddingSet, tuple[str, ...] | None]:
+    """A reference embedding file, read once as ``read_embeddings`` reads
+    it, and its feature names in header order (None for JSON-lines): the
+    ``features`` to read a synthetic set with. A label column the file
+    lacks is not read (for JSON-lines, a key its first record lacks), as a
+    reference may omit the synthetic file's subgroup and region columns."""
+    return _read_embeddings(path, _label_keys(id_column, subgroup_column,
+                                              region_column), reference=True)
+
+
+def _read_embeddings(path: str, keys: dict, features=None,
+                     reference: bool = False):
+    """(set, feature names) of ``read_embeddings`` and ``read_reference``."""
     if _is_jsonl(path):
-        labels, data = _read_embeddings_jsonl(path, keys)
+        labels, data, names = _read_embeddings_jsonl(path, keys, reference)
     else:
-        labels, data = _read_embeddings_csv(path, keys, features)
+        labels, data, names = _read_embeddings_csv(path, keys, features,
+                                                   reference)
     if not len(data):
         raise InputError(f"{path}: no data rows")
     ids = labels.pop("id")
     check_unique_ids(list(ids), f"{path}: ")
-    return EmbeddingSet(ids=ids, data=data, **labels)
-
-
-def reference_columns(path: str, id_column: str = "id",
-                      subgroup_column: str | None = None,
-                      region_column: str | None = None
-                      ) -> tuple[list[str | None], tuple[str, ...] | None]:
-    """Which label columns a reference embedding file has, and its feature
-    names, from one read of its header.
-
-    A reference may omit the subgroup and region columns the synthetic
-    file has: the first item is [subgroup column, region column], each None
-    where the file has no such column (for a JSON-lines file, where its
-    first record has no such key). The second is the feature column names
-    in header order, or None for a JSON-lines file, whose features have no
-    names."""
-    wanted = (subgroup_column, region_column)
-    if _is_jsonl(path):
-        names = next(jsonl_records(path), (0, {}))[1]
-        return [c if c in names else None for c in wanted], None
-    header = _checked_header(
-        path, next(_reader_records(path, _read_text(path)), None))
-    present = [c if c in header else None for c in wanted]
-    keys = _label_keys(id_column, *present)
-    return present, tuple(header[j]
-                          for j in _feature_indices(path, header, keys))
+    return EmbeddingSet(ids=ids, data=data, **labels), names
 
 
 def _is_jsonl(path: str) -> bool:
@@ -365,6 +360,12 @@ def _label_keys(id_column, subgroup_column, region_column) -> dict:
                                         ("subgroup", subgroup_column),
                                         ("region", region_column))
             if key is not None}
+
+
+def _present(keys: dict, names) -> dict:
+    """``keys`` less a subgroup or region column not among ``names``."""
+    return {name: key for name, key in keys.items()
+            if name == "id" or key in names}
 
 
 def _feature_indices(path: str, header: list[str], keys: dict) -> list[int]:
@@ -380,11 +381,13 @@ def _feature_indices(path: str, header: list[str], keys: dict) -> list[int]:
     return indices
 
 
-def _read_embeddings_csv(path: str, keys: dict, features):
+def _read_embeddings_csv(path: str, keys: dict, features, reference: bool):
     header, width, blocks = _read_csv(path)
     header = _checked_header(path, header)
+    if reference:
+        keys = _present(keys, header)
     feature_cols = _feature_indices(path, header, keys)
-    names = [header[j] for j in feature_cols]
+    names = tuple(header[j] for j in feature_cols)
     if features is not None and sorted(names) != sorted(features):
         missing = sorted(set(features) - set(names))
         extra = sorted(set(names) - set(features))
@@ -394,7 +397,7 @@ def _read_embeddings_csv(path: str, keys: dict, features):
     cells = _parse_columns(path, width, blocks, set(feature_cols))
     order = feature_cols if features is None else map(header.index, features)
     return ({name: cells[header.index(key)] for name, key in keys.items()},
-            np.column_stack([cells[j] for j in order]))
+            np.column_stack([cells[j] for j in order]), names)
 
 
 def jsonl_records(path: str):
@@ -415,12 +418,16 @@ def jsonl_records(path: str):
         yield r, record
 
 
-def _read_embeddings_jsonl(path: str, keys: dict):
-    """Labels and features; ``features`` follows the CSV cell rules: finite
-    numbers (no booleans), as many in every row as in the first."""
+def _read_embeddings_jsonl(path: str, keys: dict, reference: bool):
+    """Labels, features and no feature names; ``features`` follows the CSV
+    cell rules: finite numbers (no booleans), as many in every row as in
+    the first."""
     labels = {name: [] for name in keys}
     rows = []
     for r, record in jsonl_records(path):
+        if reference and not rows:  # the first record names the labels read
+            keys = _present(keys, record)
+            labels = {name: [] for name in keys}
         if "features" not in record:
             raise InputError(f"{path}: row {r} needs features")
         for name, key in keys.items():
@@ -436,7 +443,7 @@ def _read_embeddings_jsonl(path: str, keys: dict):
                              f"expected {len(rows[0])}")
         rows.append([_json_number(v, r, j, path)
                      for j, v in enumerate(feats, start=1)])
-    return labels, np.array(rows, dtype=np.float64)
+    return labels, np.array(rows, dtype=np.float64), None
 
 
 def _json_number(value, row: int, col: int, path: str) -> float:

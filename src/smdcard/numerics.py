@@ -310,12 +310,17 @@ def ball_query(query: np.ndarray, centers: np.ndarray, radii: np.ndarray):
     return smallest, occupied
 
 
-def unit_scaled(*arrays: np.ndarray) -> tuple[int, list[np.ndarray]]:
-    """(e, ``arrays`` times 2^-e), e >= 0 the least that brings every
-    |coordinate| below 1: a kernel on the scaled rows, exact in float64,
-    overflows only where its result, ``scaled_back``, does."""
+def unit_scaled(*arrays: np.ndarray, down_only: bool = False
+                ) -> tuple[int, list[np.ndarray]]:
+    """(e, ``arrays`` times 2^-e), e the exponent that brings the largest
+    |coordinate| into [0.5, 1), or 0 for all-zero arrays; at least 0 when
+    ``down_only``. A power of two scales exactly, so a kernel on the scaled
+    rows neither underflows nor overflows, but where its result,
+    ``scaled_back``, does."""
     top = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
-    e = max(0, math.frexp(top)[1])
+    e = math.frexp(top)[1]
+    if down_only:
+        e = max(0, e)
     return e, [np.ldexp(a, -e) for a in arrays]
 
 
@@ -372,8 +377,6 @@ def pca_fit(data: np.ndarray, target_dim: int) -> PcaBasis:
         components[i] = vec
     ratios = tuple(float(v / total) if total > 0 else 0.0
                    for v in eigvals[:target_dim])
-    if len(ratios) < target_dim:
-        ratios = ratios + (0.0,) * (target_dim - len(ratios))
     return PcaBasis(mean=mean, components=components,
                     explained_ratio=ratios, padded=target_dim - usable)
 

@@ -25,12 +25,12 @@ value and diagnostics, and its scope is its key. It has one rule: a
 and a ``_COMPUTE`` metric runs on the set, then on each ``resample``d
 replicate. A subgroup's task for each base metric carries the replicate
 block ``consistency`` asks for; every other task has none.
-``run_evaluation`` runs every task in task order in the evaluate
-process, the consistency metrics last: they have compute rows too, and
-read the other tasks' results. ``assemble_report`` takes each reported
-set result keyed (scope, metric), so a report's bytes depend only on the
-inputs and the config, and a failing run raises the error of its first
-failing task.
+``run_evaluation`` runs each scope's tasks in the evaluate process, then
+the run-wide metrics in config order: the consistency metrics among them
+have compute rows too, and read the subgroup tasks' results.
+``assemble_report`` takes each reported set result keyed (scope, metric),
+so a report's bytes depend only on the inputs and the config, and a
+failing run raises the error of its first failing task.
 """
 
 from __future__ import annotations
@@ -399,20 +399,16 @@ def run_evaluation(inputs: EvaluationInputs, config: EvalConfig
 
     embedding = [n for n in config.metrics
                  if catalog.descriptor(n).source == catalog.SOURCE_EMBEDDING]
-    tasks = []  # (task, args); the task is (scope, metric, replicates)
     for scope, real_slice, synth_slice in scopes:
         args = _Args(real_slice, synth_slice, config, seed, inputs)
         blocks = dict(consistency.replicate_tasks(config, scope,
                                                   synth_slice.n, seed))
-        tasks.extend(((scope, name, blocks.get(name, ())), args)
-                     for name in dict.fromkeys([*embedding, *blocks]))
-    # the consistency metrics read ``results``, so they run last
-    tasks.extend((("global", name, ()), run_args) for name in sorted(
-        (n for n in config.metrics if n not in embedding),
-        key=lambda n: catalog.descriptor(n).source
-        == catalog.SOURCE_SUBGROUP_METRICS))
-    for task, args in tasks:
-        results.update(_task_results(task, args))
+        for name in dict.fromkeys([*embedding, *blocks]):
+            results.update(_task_results((scope, name, blocks.get(name, ())),
+                                         args))
+    for name in config.metrics:
+        if name not in embedding:
+            results.update(_task_results(("global", name, ()), run_args))
 
     rules = run_args.rules
     if len(rules):

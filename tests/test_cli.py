@@ -86,6 +86,36 @@ class TestEvaluate:
         assert main(_evaluate_args(paths, out_b)) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_each_input_file_read_once(self, workspace, tmp_path,
+                                       monkeypatch, ext):
+        # the reference's header and rows come from one read, in evaluate
+        # and in calibrate alike
+        _, paths = workspace
+        if ext == "jsonl":
+            for name in ("real", "synthetic"):
+                eset = ingest.read_embeddings(str(paths[name]),
+                                              subgroup_column="subgroup")
+                paths[name] = tmp_path / f"{name}.jsonl"
+                paths[name].write_text("".join(json.dumps({
+                    "id": eset.ids[i], "subgroup": eset.subgroup[i],
+                    "features": eset.data[i].tolist()}) + "\n"
+                    for i in range(eset.n)))
+        reads = []
+        read_text = ingest._read_text
+
+        def counted(path, *args, **kwargs):
+            reads.append(os.path.basename(path))
+            return read_text(path, *args, **kwargs)
+        monkeypatch.setattr(ingest, "_read_text", counted)
+        assert main(_evaluate_args(paths)) == 0
+        assert sorted(reads) == [f"real.{ext}", f"synthetic.{ext}"]
+        reads.clear()
+        assert main(["calibrate", "--real", str(paths["real"]),
+                     "--config", str(paths["config"]),
+                     "--out", str(tmp_path / "bounds.yaml")]) == 0
+        assert reads == [f"real.{ext}"]
+
     def test_missing_real_names_metric(self, workspace, capsys):
         _, paths = workspace
         code = main(["evaluate", "--synthetic", str(paths["synthetic"]),

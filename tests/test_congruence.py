@@ -36,9 +36,11 @@ class TestCosineCentroid:
         assert value is None
         assert "zero" in diag["undefined_reason"]
 
-    @pytest.mark.parametrize("k", [0, 300, 510, 520, 1000])
+    @pytest.mark.parametrize("k", [0, 300, 510, 520, 1000,
+                                   -20, -300, -540, -1000])
     def test_power_of_two_scale_keeps_the_cosine(self, k):
-        # the squared norms overflowed from 2^512 on, where it read 1.0
+        # the squared norms overflowed from 2^512 on, where it read 1.0, and
+        # underflowed below 2^-537, where the centroid was the zero vector
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal((20, 3)), rng.standard_normal((20, 3))
         base = congruence.cosine_centroid(embedding_from(a),
@@ -214,6 +216,18 @@ class TestFrechet:
         assert value == pytest.approx(math.ldexp(base, 2 * k), rel=1e-4)
         assert diag["mean_shift_sq"] == math.ldexp(base_diag["mean_shift_sq"],
                                                    2 * k)
+
+    @pytest.mark.parametrize("k", [-300, -540, -1000])
+    def test_small_coordinates_keep_a_distance(self, k):
+        # the rows are only scaled down: scaled up, the ridge in data units
+        # grew past the covariances, where the eigensolve failed, and past
+        # float64 at 2^-540
+        rng = np.random.default_rng(49)
+        a, b = rng.normal(size=(20, 3)), rng.normal(size=(20, 3))
+        value, _ = congruence.frechet_distance(
+            embedding_from(np.ldexp(a, k)),
+            embedding_from(np.ldexp(b, k), "s"))
+        assert value is not None and 0.0 <= value < math.inf
 
     def test_distance_past_float64_undefined(self):
         rng = np.random.default_rng(50)

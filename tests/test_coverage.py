@@ -356,10 +356,12 @@ class TestRarity:
         assert diag["out_of_manifold_fraction"] == 1.0
 
 
-@pytest.mark.parametrize("k", [0, 300, 510, 520, 1000])
+@pytest.mark.parametrize("k", [0, 300, 510, 520, 1000,
+                               -20, -300, -540, -1000])
 def test_cosine_kernel_and_kmeans_keep_their_value_at_any_scale(k):
     # on unit-scaled rows, exact in float64: unscaled, the squares overflow
-    # from about 2^510 on (Vendi read 20.0, DPP 2e-8, the balance 0.424)
+    # from about 2^510 on (Vendi read 20.0, DPP 2e-8, the balance 0.424),
+    # and underflow below about 2^-537 (Vendi 20.0, DPP 2e-8, balance -0.0)
     pts = np.random.default_rng(0).standard_normal((40, 3))[20:]
     base, scaled = embedding_from(pts), embedding_from(np.ldexp(pts, k))
     for metric in (coverage.vendi_score, coverage.dpp_logdet,

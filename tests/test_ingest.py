@@ -127,26 +127,26 @@ class TestEmbeddingsCsv:
 
     def test_features_read_in_the_given_order(self, tmp_path):
         p = _write(tmp_path / "e.csv", "f1,id,f0\n2,a,1\n4,b,3\n")
-        assert ingest.reference_columns(p) == ([None, None], ("f1", "f0"))
+        assert ingest.read_reference(p)[1] == ("f1", "f0")
         es = ingest.read_embeddings(p, features=("f0", "f1"))
         assert es.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         with pytest.raises(InputError, match=r"missing \['f2'\], not in "
                                              r"the reference \['f1'\]"):
             ingest.read_embeddings(p, features=("f0", "f2"))
 
-    def test_reference_columns_name_the_labels_present(self, tmp_path):
+    def test_read_reference_reads_the_labels_present(self, tmp_path):
         csv_path = _write(tmp_path / "e.csv", "id,f0,subgroup,f1\na,1,g,2\n")
         jsonl_path = _write(tmp_path / "e.jsonl",
                             '{"id": "a", "subgroup": "g", "features": [1]}\n')
-        assert ingest.reference_columns(csv_path, "id", "subgroup",
-                                        "region") == (["subgroup", None],
-                                                      ("f0", "f1"))
-        assert ingest.reference_columns(jsonl_path, "id", "subgroup",
-                                        "region") == (["subgroup", None], None)
+        for path, names in ((csv_path, ("f0", "f1")), (jsonl_path, None)):
+            eset, features = ingest.read_reference(path, "id", "subgroup",
+                                                   "region")
+            assert (eset.subgroup, eset.region) == (("g",), None)
+            assert features == names
 
     def test_features_of_jsonl_are_positional(self, tmp_path):
         p = _write(tmp_path / "e.jsonl", '{"id": "a", "features": [1, 2]}\n')
-        assert ingest.reference_columns(p) == ([None, None], None)
+        assert ingest.read_reference(p)[1] is None
         es = ingest.read_embeddings(p, features=("y", "x"))
         assert es.data.tolist() == [[1.0, 2.0]]
 
@@ -458,7 +458,7 @@ class TestTextInputs:
         ("t.csv", "age,sex,note\n30,F,a\n31,M,\xe9\n",
          lambda p: ingest.read_record_table(p, TestRecordTableCsv.SCHEMA)),
         ("e.csv", "id,f0\na,1\n\xe9,2\n", ingest.read_embeddings),
-        ("e.csv", "id,f0\na,1\n\xe9,2\n", ingest.reference_columns),
+        ("e.csv", "id,f0\na,1\n\xe9,2\n", ingest.read_reference),
         ("e.jsonl", '{"id": "a", "features": [1]}\n\n{"id": "\xe9"}\n',
          ingest.read_embeddings),
         ("pairs.csv", "a.pgm,b.pgm\n\n\xe9.pgm,c.pgm\n",
@@ -502,7 +502,7 @@ class TestTextInputs:
 
     def test_oversize_header_cell_names_row_1(self, tmp_path):
         p = _write(tmp_path / "e.csv", "id," + "f" * (self.LIMIT + 1) + "\n")
-        for read in (ingest.reference_columns, ingest.read_embeddings):
+        for read in (ingest.read_reference, ingest.read_embeddings):
             with pytest.raises(InputError, match=r"e\.csv: row 1: field "
                                                  "larger than field limit"):
                 read(p)

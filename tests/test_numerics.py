@@ -178,6 +178,10 @@ class TestPca:
         e, (a, b) = numerics.unit_scaled(np.array([[1.0]]),
                                          np.array([[-3.5]]))
         assert (e, a.tolist(), b.tolist()) == (2, [[0.25]], [[-0.875]])
+        e, (up,) = numerics.unit_scaled(np.array([[2.0 ** -1074, -0.125]]))
+        assert (e, up.tolist()) == (-2, [[2.0 ** -1072, -0.5]])
+        e, _ = numerics.unit_scaled(np.array([[0.125]]), down_only=True)
+        assert e == 0
         assert numerics.scaled_back(-0.75, 4) == -12.0
         assert numerics.scaled_back(0.75, 2000) == math.inf
         assert numerics.scaled_back(-0.75, 2000) == -math.inf

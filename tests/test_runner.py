@@ -303,6 +303,38 @@ class TestRunEvaluation:
                                 cfg)
         assert any("principal components" in n for n in report.notes)
 
+    def test_pca_past_the_pooled_rank_pads_zero_components(self):
+        # 12 rows in a plane of 4 dimensions: rank 2 below target 3
+        rng = np.random.default_rng(11)
+        data = rng.normal(size=(12, 2)) @ rng.normal(size=(2, 4))
+        synth = EmbeddingSet(tuple(f"s{i}" for i in range(12)), data)
+        cfg = config_from_dict({"metrics": ["vendi_score"],
+                                "pca": {"target_dim": 3}})
+        report = run_evaluation(EvaluationInputs(synthetic=synth), cfg)
+        assert "projection padded 1 zero components (rank deficiency)" \
+            in report.notes
+
+    def test_anova_base_without_variation_is_undefined(self):
+        # every subgroup repeats one row, so each replicate's entropy is 0
+        rows = np.repeat([[0.0, 1.0], [2.0, 5.0], [4.0, 3.0]], 4, axis=0)
+        synth = EmbeddingSet(tuple(f"s{i}" for i in range(12)), rows,
+                             subgroup=tuple("aaaabbbbcccc"))
+        cfg = config_from_dict({
+            "metrics": ["entropy_coverage", "anova"],
+            "bounds": {"entropy_coverage": [0, 5]},
+            "columns": {"subgroup": "subgroup"},
+            "consistency": {"base_metrics": ["entropy_coverage"],
+                            "bootstrap_replicates": 3}})
+        report = run_evaluation(EvaluationInputs(synthetic=synth), cfg)
+        entry, = [m for c in report.scope("global").criteria
+                  for m in c.metrics if m["name"] == "anova"]
+        assert entry["value"] is None
+        assert entry["diagnostics"]["per_base"] == {
+            "entropy_coverage": "undefined: no variation within or between "
+                                "groups"}
+        assert entry["diagnostics"]["undefined_reason"] == (
+            "no base metric produced two usable subgroups")
+
     def test_declared_privacy_in_report(self, pair):
         real, synth = pair
         cfg = _embedding_config(
