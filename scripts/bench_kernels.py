@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_kernels.py [--out PATH] [--northstar]
+    python3 scripts/bench_kernels.py [--out PATH] [--northstar] [--knn-large]
 
 ``knn`` is one recall kernel: ``kth_neighbor_distances`` on the synthetic
 rows (k=3) and ``ball_query`` of the reference rows against those balls,
@@ -67,6 +67,11 @@ two threads gives ``threads_2_wall_s`` and ``threads_2_peak_rss_mb``.
 ``report_sha256`` is the SHA-256 of the report each thread count wrote,
 ``dumps_canonical(report.to_dict())``; the two may differ. A run takes
 10-13 s on a 2-vCPU host, so the entry is opt-in.
+
+``--knn-large`` adds the ``knn`` row at 20000 rows by 32 dimensions
+(``knn_20000x32``), where a Gram block is held to ``_BLOCK_ELEMENTS``
+rather than to the cache target. One call takes about 3 s on a 2-vCPU
+host, so the row is opt-in.
 """
 
 from __future__ import annotations
@@ -110,6 +115,7 @@ from smdcard import runner  # noqa: E402
 from smdcard.runner import EvaluationInputs, run_evaluation  # noqa: E402
 
 KNN_SIZES = ((150, 16), (600, 16), (2000, 32))
+KNN_LARGE_SIZE = (20000, 32)
 HISTOGRAM_SIZES = ((150, 16),)
 REPLICATE_SIZES = ((150, 16),)
 REPLICATES = 50
@@ -293,6 +299,9 @@ def main(argv=None) -> None:
     parser.add_argument("--northstar", action="store_true",
                         help="also time the North-star evaluate run, five "
                              "fresh interpreters of 10-13 s each")
+    parser.add_argument("--knn-large", action="store_true",
+                        help="also time the knn kernel at 20000x32, six "
+                             "calls of about 3 s each")
     args = parser.parse_args(argv)
     kernels, repeats, end_to_end, extra = {}, {}, {}, {}
 
@@ -347,7 +356,7 @@ def main(argv=None) -> None:
         record("read_embeddings", *EMBEDDING_FILE_SIZE,
                lambda: ingest.read_embeddings(paths["read_embeddings"],
                                               subgroup_column="subgroup"))
-    for n, d in KNN_SIZES:
+    for n, d in KNN_SIZES + ((KNN_LARGE_SIZE,) if args.knn_large else ()):
         real, synth = _pair(n, d)
         record("knn", n, d, lambda: ball_query(
             real.data, synth.data, kth_neighbor_distances(synth.data, 3)))

@@ -1,6 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from smdcard import numerics
 from smdcard.harness import make_gaussian_mixture, make_record_table
 from smdcard.model import EmbeddingSet, RecordTable
 from smdcard.runner import PlanViolations, plan
@@ -83,6 +87,33 @@ def difference_distances(a, b):
 
 
 ADVERSARIAL_CASES = ("offset", "ties", "copies", "huge", "tiny")
+
+_BLOCK_NAMES = ("_BLOCK_ELEMENTS", "_GRAM_ELEMENTS", "_GRAM_MIN_ROWS")
+# numerics' (_BLOCK_ELEMENTS, _GRAM_ELEMENTS, _GRAM_MIN_ROWS) for a few
+# dozen rows: one-row Gram blocks, blocks at the row floor, cache-sized
+# blocks, and the defaults (one block)
+GRAM_BLOCKS = ((1, 1, 1), (numerics._BLOCK_ELEMENTS, 1, 3),
+               (numerics._BLOCK_ELEMENTS, 200, 1),
+               tuple(getattr(numerics, name) for name in _BLOCK_NAMES))
+# each of the three sampled on its own, from small values and its default
+block_sizes = st.tuples(
+    st.sampled_from([1, 20, numerics._BLOCK_ELEMENTS]),
+    st.sampled_from([1, 20, numerics._GRAM_ELEMENTS]),
+    st.sampled_from([1, 3, numerics._GRAM_MIN_ROWS]))
+
+
+@contextlib.contextmanager
+def blocked(sizes):
+    """Run with numerics' (_BLOCK_ELEMENTS, _GRAM_ELEMENTS,
+    _GRAM_MIN_ROWS) set to ``sizes``; the block sizes change no bit."""
+    defaults = [getattr(numerics, name) for name in _BLOCK_NAMES]
+    for name, value in zip(_BLOCK_NAMES, sizes):
+        setattr(numerics, name, value)
+    try:
+        yield
+    finally:
+        for name, value in zip(_BLOCK_NAMES, defaults):
+            setattr(numerics, name, value)
 
 
 def adversarial_sets(case, d, seed=0):

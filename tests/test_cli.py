@@ -1310,6 +1310,16 @@ _BRANCHES = {
     "derive_without_fields": (
         {"config.yaml": _config(constraints={"derive": {}})}, [],
         "E200: {d}/config.yaml: constraints.derive needs a fields: list"),
+    "allowed_set_without_values": (
+        {"config.yaml": _config(constraints={"rules": [
+            {"id": "r", "kind": "allowed_set", "field": "sex",
+             "values": []}]})}, [],
+        "E200: {d}/config.yaml: rule 'r': allowed_set needs values"),
+    "linear_strict_sense": (
+        {"config.yaml": _config(constraints={"rules": [
+            {"id": "r", "kind": "linear", "weights": {"age": 1.0},
+             "bound": 0.0, "sense": "<"}]})}, [],
+        "E200: {d}/config.yaml: rule 'r': sense must be <= or >="),
     "params_not_a_mapping": (
         {"config.yaml": _config(params={"recall": 3})}, [],
         "E200: {d}/config.yaml: params.recall must be a mapping"),

@@ -14,8 +14,9 @@ from smdcard.congruence import manifold_precision
 from smdcard.coverage import manifold_coverage, manifold_recall, rarity_score
 from smdcard.errors import EvaluationError
 
-from conftest import (ADVERSARIAL_CASES, adversarial_sets,
-                      difference_distances, embedding_from)
+from conftest import (ADVERSARIAL_CASES, GRAM_BLOCKS, adversarial_sets,
+                      block_sizes, blocked, difference_distances,
+                      embedding_from)
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +91,8 @@ def _outcome(fn, *args):
 @st.composite
 def _sets(draw):
     """Integer coordinates (exact squared sums, many ties) with copied rows
-    (zero radii) in both sets, k up to one past the larger limit, and a
-    distance block size from one row to all rows."""
+    (zero radii) in both sets, k up to one past the larger limit, and
+    block sizes from one row to all rows."""
     d = draw(st.integers(1, 3))
     coords = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
     real = draw(st.lists(coords, min_size=1, max_size=9))
@@ -103,9 +104,8 @@ def _sets(draw):
                                              max_size=4))]
     k = draw(st.integers(1, max(len(real), len(synth))))
     tau = draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.0, math.inf]))
-    block = draw(st.sampled_from([1, 20, numerics._BLOCK_ELEMENTS]))
     return (np.array(real, dtype=np.float64),
-            np.array(synth, dtype=np.float64), k, tau, block)
+            np.array(synth, dtype=np.float64), k, tau, draw(block_sizes))
 
 
 @given(_sets())
@@ -118,14 +118,10 @@ def test_five_metrics_equal_per_pair_oracle(sets):
              (manifold_coverage, oracle_coverage, k),
              (rarity_score, oracle_rarity, k),
              (leakage_rate, oracle_leakage, tau)]
-    default_block = numerics._BLOCK_ELEMENTS
-    numerics._BLOCK_ELEMENTS = block
-    try:
+    with blocked(block):
         for metric, oracle, param in pairs:
             assert (_outcome(metric, r, s, param)
                     == _outcome(oracle, real.tolist(), synth.tolist(), param))
-    finally:
-        numerics._BLOCK_ELEMENTS = default_block
 
 
 def _reference_kth(data, k, rows=None):
@@ -152,11 +148,16 @@ def test_five_metrics_equal_difference_formula_on_adversarial_sets(
     calls = [(metric, k) for k in (1, 3, 5) for metric in (
         manifold_precision, manifold_recall, manifold_coverage, rarity_score)]
     calls += [(leakage_rate, tau) for tau in (None, 0.0, math.inf)]
-    got = [_outcome(metric, r, s, param) for metric, param in calls]
+    got = []
+    for sizes in GRAM_BLOCKS:
+        with blocked(sizes):
+            got.append([_outcome(metric, r, s, param)
+                        for metric, param in calls])
     for module in (compliance, congruence, coverage):
         monkeypatch.setattr(module, "kth_neighbor_distances", _reference_kth)
         monkeypatch.setattr(module, "ball_query", _reference_ball)
-    assert got == [_outcome(metric, r, s, param) for metric, param in calls]
+    want = [_outcome(metric, r, s, param) for metric, param in calls]
+    assert got == [want] * len(GRAM_BLOCKS)
 
 
 @pytest.mark.parametrize("metric, param", [
@@ -176,9 +177,12 @@ def test_memory_bounded_by_block_not_n_squared(metric, param):
     assert peak < n * n * 8 / 2
 
 
-def test_memory_flat_in_n_when_every_pair_is_refined():
+def test_memory_flat_in_n_when_every_pair_is_refined(monkeypatch):
     """A radius above every pair distance sends every pair to the exact
     refine; the peak still stays at the block's size as n doubles."""
+    # below the row floor's 128 x 2000 elements, so that the Gram blocks
+    # at both sizes hold as many elements as the cap allows
+    monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 250_000)
     peaks = []
     for n in (2000, 4000):
         rng = np.random.default_rng(10)
@@ -249,8 +253,7 @@ def _recall_blocks(draw):
         draws.append(np.full(size, draw(st.integers(0, m - 1))))
     k = draw(st.integers(1, m))
     window = draw(st.sampled_from([0, 1, numerics._WINDOW_PER_K]))
-    block = draw(st.sampled_from([1, 20, numerics._BLOCK_ELEMENTS]))
-    return real, synth, draws, k, window, block
+    return real, synth, draws, k, window, draw(block_sizes)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -263,16 +266,17 @@ def test_recall_block_equals_single_sets(inputs):
     real, synth, draws, k, window, block = inputs
     r, s = embedding_from(real, "r"), embedding_from(synth, "s")
     want = [_outcome(manifold_recall, r, s.resample(x), k) for x in draws]
-    defaults = numerics._WINDOW_PER_K, numerics._BLOCK_ELEMENTS
-    numerics._WINDOW_PER_K, numerics._BLOCK_ELEMENTS = window, block
+    default_window = numerics._WINDOW_PER_K
+    numerics._WINDOW_PER_K = window
     try:
-        got = coverage.manifold_recall_replicates(r, s, draws, k)
+        with blocked(block):
+            got = coverage.manifold_recall_replicates(r, s, draws, k)
     except EvaluationError as exc:
         assert want == [f"error: {exc}"] * len(draws)
     else:
         assert [repr(v) for v in got] == want
     finally:
-        numerics._WINDOW_PER_K, numerics._BLOCK_ELEMENTS = defaults
+        numerics._WINDOW_PER_K = default_window
 
 
 @pytest.mark.parametrize("n", [6, 40])
@@ -304,8 +308,7 @@ def test_window_is_k_wide_only_when_every_row_is_drawn_once(monkeypatch, n):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @given(st.sampled_from(ADVERSARIAL_CASES), st.sampled_from([1, 16, 64]),
-       st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
-       st.sampled_from([1, 20, numerics._BLOCK_ELEMENTS]))
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 5), block_sizes)
 @settings(max_examples=150, deadline=None)
 def test_ball_query_equals_unfiltered_comparison(case, d, seed, sets, block):
     """Each set of ``ball_query`` equals the difference formula's distances
@@ -324,12 +327,8 @@ def test_ball_query_equals_unfiltered_comparison(case, d, seed, sets, block):
     radii = np.where(kind == 1, picked, radii)
     radii = np.where(kind == 2, np.nextafter(picked, -np.inf), radii)
     radii = np.where(kind == 3, np.nextafter(picked, np.inf), radii)
-    default_block = numerics._BLOCK_ELEMENTS
-    numerics._BLOCK_ELEMENTS = block
-    try:
+    with blocked(block):
         smallest, occupied = numerics.ball_query(real, synth, radii)
-    finally:
-        numerics._BLOCK_ELEMENTS = default_block
     assert smallest.shape == (sets, len(real))
     union = np.zeros(len(synth), dtype=bool)
     for got, r in zip(smallest, radii):

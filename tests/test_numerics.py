@@ -13,8 +13,9 @@ from smdcard.numerics import (FD_MAX_BINS, FD_MIN_BINS, ball_query,
                               kth_neighbor_distances, pairwise_distances,
                               pca_fit, shannon_entropy, w1_distance_1d)
 
-from conftest import (ADVERSARIAL_CASES, adversarial_sets,
-                      difference_distances, embedding_from)
+from conftest import (ADVERSARIAL_CASES, GRAM_BLOCKS, adversarial_sets,
+                      block_sizes, blocked, difference_distances,
+                      embedding_from)
 
 
 class TestKnn:
@@ -59,7 +60,7 @@ class TestKnn:
             assert first[r] == pytest.approx(brute[0], abs=1e-12)
             assert second[r] == pytest.approx(brute[1], abs=1e-12)
 
-    def test_block_size_does_not_change_bits(self, monkeypatch):
+    def test_block_size_does_not_change_bits(self):
         rng = np.random.default_rng(19)
         a = rng.normal(size=(37, 7))
         b = rng.normal(size=(23, 7))
@@ -67,11 +68,51 @@ class TestKnn:
         # one block at the default size
         whole = (pairwise_distances(a, b), kth_neighbor_distances(a, 3),
                  *ball_query(a, b, radii[None]))
-        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)
-        blocked = (pairwise_distances(a, b), kth_neighbor_distances(a, 3),
-                   *ball_query(a, b, radii[None]))
-        for got, want in zip(blocked, whole):
-            assert np.array_equal(got, want)
+        for sizes in GRAM_BLOCKS[:-1]:
+            with blocked(sizes):
+                split = (pairwise_distances(a, b),
+                         kth_neighbor_distances(a, 3),
+                         *ball_query(a, b, radii[None]))
+            for got, want in zip(split, whole):
+                assert np.array_equal(got, want)
+
+    @given(st.integers(1, 300), st.integers(1, 300), block_sizes)
+    @settings(max_examples=200, deadline=None)
+    def test_gram_blocks_cover_rows_in_order_within_cap(self, n, m, sizes):
+        """The Gram blocks run over rows 0..n in order, each ``q`` the
+        product's rows, and none holds more than ``_BLOCK_ELEMENTS``
+        entries but a single row."""
+        rng = np.random.default_rng(n * 1000 + m)
+        query, centers = rng.normal(size=(n, 3)), rng.normal(size=(m, 3))
+        with blocked(sizes):
+            blocks = list(numerics._GramFilter(query, centers).blocks())
+        assert [start for start, _, _ in blocks] == [
+            0, *(stop for _, stop, _ in blocks[:-1])]
+        assert blocks[-1][1] == n
+        for start, stop, q in blocks:
+            assert q.shape == (stop - start, m)
+            assert stop - start == 1 or q.size <= sizes[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(st.sampled_from(ADVERSARIAL_CASES), st.sampled_from([1, 16]),
+           st.integers(0, 999), st.integers(1, 39), block_sizes)
+    @settings(max_examples=150, deadline=None)
+    def test_nearest_neighbors_equal_stable_sort_of_each_row(
+            self, case, d, seed, width, sizes):
+        """Each row's ``width`` nearest other rows are its first ones in a
+        stable sort of its difference-formula distances, self left out:
+        distances ascending, ties in index order."""
+        data = adversarial_sets(case, d, seed=seed)[0]
+        dist = difference_distances(data, data)
+        others = np.arange(len(data))
+        want = [others[others != i][np.argsort(dist[i, others != i],
+                                               kind="stable")[:width]]
+                for i in others]
+        with blocked(sizes):
+            distances, indices = numerics.nearest_neighbors(data, width)
+        assert np.array_equal(indices, want)
+        assert distances.tobytes() == np.take_along_axis(
+            dist, indices, axis=1).tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("d", [1, 16, 64])
@@ -90,16 +131,22 @@ class TestKnn:
                 smallest, np.where(inside, balls, np.inf).min(axis=1))
             assert np.array_equal(occupied, inside.any(axis=0))
 
-        for k in (1, 3, 5):
-            radii = np.partition(others, k - 1, axis=1)[:, k - 1]
-            assert np.array_equal(kth_neighbor_distances(real, k)[0], radii)
-            # the k-th neighbor of each center lies exactly on its radius
-            for balls in (radii, np.nextafter(radii, np.inf),
-                          np.nextafter(radii, -np.inf)):
-                check(real, within, balls)
-                check(synth, across, balls)
-        for radius in (0.0, np.inf):
-            check(synth, across, np.full(len(real), radius))
+        def check_all():
+            for k in (1, 3, 5):
+                radii = np.partition(others, k - 1, axis=1)[:, k - 1]
+                assert np.array_equal(kth_neighbor_distances(real, k)[0],
+                                      radii)
+                # the k-th neighbor of each center lies exactly on its radius
+                for balls in (radii, np.nextafter(radii, np.inf),
+                              np.nextafter(radii, -np.inf)):
+                    check(real, within, balls)
+                    check(synth, across, balls)
+            for radius in (0.0, np.inf):
+                check(synth, across, np.full(len(real), radius))
+
+        for sizes in GRAM_BLOCKS:
+            with blocked(sizes):
+                check_all()
 
 
 class TestPca:

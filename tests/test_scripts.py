@@ -54,8 +54,8 @@ def test_bench_kernels_captures_the_pooled_anova_tasks(monkeypatch):
     assert sum(len(replicates) > 0 for (_, _, replicates), _ in pooled) == 8
 
 
-def test_bench_kernels_writes_its_json_line_to_out(monkeypatch, tmp_path,
-                                                   capsys):
+def _small_bench(monkeypatch):
+    """The bench script at small sizes, each row timed by one call."""
     bench = _load_bench_kernels(monkeypatch)
 
     def one_call(call, scale, *repeats):
@@ -65,9 +65,16 @@ def test_bench_kernels_writes_its_json_line_to_out(monkeypatch, tmp_path,
     for name, value in (("TABLE_ROWS", 200), ("EMBEDDING_FILE_SIZE", (60, 4)),
                         ("CALIBRATE_SIZE", (51, 4)),
                         ("KNN_SIZES", ((50, 4),)),
+                        ("KNN_LARGE_SIZE", (70, 4)),
                         ("NORTHSTAR_SIZE", (40, 4)),
                         ("NORTHSTAR_REPLICATES", 3)):
         monkeypatch.setattr(bench, name, value)
+    return bench
+
+
+def test_bench_kernels_writes_its_json_line_to_out(monkeypatch, tmp_path,
+                                                   capsys):
+    bench = _small_bench(monkeypatch)
     out = tmp_path / "bench.json"
     bench.main(["--out", str(out), "--northstar"])
     line = capsys.readouterr().out
@@ -81,6 +88,8 @@ def test_bench_kernels_writes_its_json_line_to_out(monkeypatch, tmp_path,
     assert 0 < written["cli_card_peak_rss_mb"] < written["cli_peak_rss_mb"]
     assert {"read_record_table_200x8", "read_embeddings_60x4", "knn_50x4",
             "jsd_replicates_150x16"} <= written["kernel_ms"].keys()
+    # the large knn row is opt-in
+    assert "knn_70x4" not in written["kernel_ms"]
     assert {"cli_evaluate", "cli_card", "evaluate", "pool",
             "calibrate_51x4"} == written["end_to_end_s"].keys()
     northstar = written["northstar"]
@@ -90,3 +99,12 @@ def test_bench_kernels_writes_its_json_line_to_out(monkeypatch, tmp_path,
     # one SHA-256 per BLAS thread count, not asserted equal (ROADMAP item 12)
     assert sorted(northstar["report_sha256"]) == ["1", "2"]
     assert all(len(h) == 64 for h in northstar["report_sha256"].values())
+
+
+def test_bench_kernels_knn_large_adds_its_row(monkeypatch, capsys):
+    bench = _small_bench(monkeypatch)
+    bench.main(["--knn-large"])
+    written = json.loads(capsys.readouterr().out)
+    assert {"knn_50x4", "knn_70x4"} <= written["kernel_ms"].keys()
+    assert written["repeats"]["knn_70x4"] == 1
+    assert "northstar" not in written
